@@ -274,7 +274,12 @@ func TestDaemonHealthAndFlightRecorder(t *testing.T) {
 	for {
 		converged := true
 		for _, d := range daemons {
-			if h := d.node.Health(); !h.Converged || h.Conns != 1 {
+			// Converged is a per-switch verdict: a switch that has handled
+			// only its own join so far is converged on a one-member
+			// connection. Wait until each one knows both members.
+			h := d.node.Health()
+			snap, _ := d.node.Connection(7)
+			if !h.Converged || h.Conns != 1 || len(snap.Members) != 2 {
 				converged = false
 				break
 			}

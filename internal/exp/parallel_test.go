@@ -42,31 +42,28 @@ func TestParallelMapOrderAndErrors(t *testing.T) {
 	}
 }
 
+// TestParallelMapUsesWorkers proves two calls overlap: the first two to
+// arrive each block until the other is there too, which a pool running one
+// call at a time can never satisfy.
 func TestParallelMapUsesWorkers(t *testing.T) {
 	if maxWorkers < 2 {
 		t.Skip("single-CPU machine")
 	}
-	var inFlight, peak atomic.Int64
+	meet := make(chan struct{})
+	var arrived atomic.Int64
 	_, err := parallelMap(maxWorkers*4, func(i int) (int, error) {
-		cur := inFlight.Add(1)
-		defer inFlight.Add(-1)
-		for {
-			old := peak.Load()
-			if cur <= old || peak.CompareAndSwap(old, cur) {
-				break
+		if arrived.Add(1) <= 2 {
+			select {
+			case meet <- struct{}{}:
+			case <-meet:
+			case <-time.After(30 * time.Second):
+				return 0, fmt.Errorf("call %d waited 30s for a second concurrent call", i)
 			}
-		}
-		// Busy-wait a little so workers overlap.
-		for j := 0; j < 1_000_000; j++ {
-			_ = j
 		}
 		return i, nil
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if peak.Load() < 2 {
-		t.Errorf("peak concurrency %d, want ≥ 2", peak.Load())
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 // TestThroughputSmall exercises the saturation sweep end to end at toy
 // scale: one 9-switch cell, short windows. It gates plumbing (cluster boot,
 // closed-loop blast, table assembly), not absolute rates — those belong to
-// BenchmarkClusterThroughput and the bench.sh gate.
+// BenchmarkClusterThroughput and the repo benchmark (go run ./bench).
 func TestThroughputSmall(t *testing.T) {
 	tbl, err := Throughput(ThroughputParams{
 		Sizes:        []int{9},

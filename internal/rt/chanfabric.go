@@ -197,42 +197,25 @@ type chanPort struct {
 	fabric *ChanFabric
 	id     topo.SwitchID
 	// pending stashes the tail of a popAll batch between single-frame Recv
-	// calls (the batched path, RecvBatch, hands the whole batch to the
-	// caller instead). Recv is single-consumer, but Close must be able to
-	// drain a stashed batch whose frames still count as in flight — hence
-	// the mutex.
+	// calls (RecvBatch hands the whole batch to the caller instead). Recv is
+	// single-consumer, but Close must be able to drain a stashed batch whose
+	// frames still count as in flight — hence the mutex.
 	mu      sync.Mutex
 	pending [][]byte
 	next    int
 }
 
+// Send copies data into a pooled buffer and moves the copy: the wire would
+// copy too, and the caller is free to patch its buffer for the next neighbor
+// while this one sits queued. The copy goes back to the pool once the
+// receiving node has handled it.
 func (p *chanPort) Send(to topo.SwitchID, data []byte) error {
-	if int(to) < 0 || int(to) >= len(p.fabric.queues) {
-		return fmt.Errorf("rt: send to unknown switch %d", to)
-	}
-	if p.fabric.blocked(p.id, to) {
-		return nil // partitioned: the frame vanishes, undetected
-	}
-	if p.fabric.dropData(data, to) {
-		return nil // lossy fabric ate the payload; the sender never knows
-	}
-	// Copy: the wire would; and the caller is free to patch its buffer for
-	// the next neighbor while this copy sits queued. The copy comes from the
-	// frame pool — outside the queue lock, so the critical section stays one
-	// append — and goes back once the receiving node has handled it.
-	buf := append(getBuf(len(data)), data...)
-	if !p.fabric.queues[to].Load().push(buf) {
-		putBuf(buf)
-		return ErrClosed
-	}
-	p.fabric.inflight.Add(1)
-	return nil
+	return p.SendOwned(to, append(getBuf(len(data)), data...))
 }
 
-// SendOwned implements the ownership-transfer send: buf moves into the
-// destination queue as-is — no copy, no pool round-trip. Every non-queued
-// outcome (unknown switch, partition, loss, closed destination) recycles
-// buf right here, upholding the callee-always-consumes contract.
+// SendOwned moves buf into the destination queue as-is — no copy, no pool
+// round-trip. Every non-queued outcome (unknown switch, partition, loss,
+// closed destination) recycles buf right here.
 func (p *chanPort) SendOwned(to topo.SwitchID, buf []byte) error {
 	if int(to) < 0 || int(to) >= len(p.fabric.queues) {
 		putBuf(buf)
@@ -277,15 +260,11 @@ func (p *chanPort) Recv() ([]byte, error) {
 	}
 }
 
-// RecvBatch drains the port's entire backlog in one blocking call — the
-// batched fast path Node.recvLoop prefers, one queue-lock acquisition per
-// burst instead of per frame. recycle must be the slice returned by the
-// previous call (or nil); its backing array goes back to the queue for the
-// producers' next batch, while the frames themselves are the caller's to
-// putBuf once handled. The frames stay in the fabric's in-flight count
-// until the consumer settles them with Release — InFlight()==0 must keep
-// meaning "nothing queued anywhere and nothing mid-handling", exactly as
-// it did when Recv handed frames out one at a time.
+// RecvBatch drains the port's entire backlog in one blocking call: one
+// queue-lock acquisition per burst instead of per frame. recycle's backing
+// array goes back to the queue for the producers' next batch. The frames
+// stay in the fabric's in-flight count until Release, so InFlight()==0
+// means nothing queued anywhere and nothing mid-handling.
 func (p *chanPort) RecvBatch(recycle [][]byte) ([][]byte, error) {
 	batch, ok := p.fabric.queues[p.id].Load().popAll(recycle)
 	if !ok {

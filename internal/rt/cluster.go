@@ -28,12 +28,10 @@ type ClusterConfig struct {
 	Algorithm route.Algorithm
 	// Kinds maps connection IDs to their MC type.
 	Kinds map[lsa.ConnID]mctree.Kind
-	// ReoptimizeThreshold, ResyncTimeout, ResyncMaxRounds, ComputeDelay,
-	// and Logf are applied to every node; see NodeConfig.
+	// ReoptimizeThreshold, ResyncTimeout, and Logf are applied to every
+	// node; see NodeConfig.
 	ReoptimizeThreshold float64
 	ResyncTimeout       time.Duration
-	ResyncMaxRounds     int
-	ComputeDelay        time.Duration
 	Logf                func(format string, args ...any)
 	// Tracer and Registry are shared by every node (one network-wide span
 	// collector and one registry with per-switch labels); see NodeConfig.
@@ -44,9 +42,6 @@ type ClusterConfig struct {
 	// contract as NodeConfig.DataHandler: called on the receive goroutine,
 	// must not block, payload aliases a pooled buffer.
 	DataHandler ClusterDataHandler
-	// DataHops is the hop budget on originated payloads (default
-	// DefaultDataHops).
-	DataHops int
 	// FlightRecords and SampleEvery enable every node's flight recorder
 	// and 1-in-N packet path sampling; see NodeConfig.
 	FlightRecords int
@@ -90,6 +85,7 @@ type Cluster struct {
 // closes it (and any started nodes) on failure.
 func NewCluster(cfg ClusterConfig, fabric Fabric) (*Cluster, error) {
 	if cfg.Graph == nil {
+		fabric.Close()
 		return nil, fmt.Errorf("rt: ClusterConfig.Graph is required")
 	}
 	if !cfg.Graph.Connected() {
@@ -134,15 +130,12 @@ func (c *Cluster) newNode(id topo.SwitchID, epoch uint64, snap *NodeSnapshot) (*
 		Kinds:               c.cfg.Kinds,
 		ReoptimizeThreshold: c.cfg.ReoptimizeThreshold,
 		ResyncTimeout:       c.cfg.ResyncTimeout,
-		ResyncMaxRounds:     c.cfg.ResyncMaxRounds,
-		ComputeDelay:        c.cfg.ComputeDelay,
 		Logf:                c.cfg.Logf,
 		Tracer:              c.cfg.Tracer,
 		Registry:            c.cfg.Registry,
 		Epoch:               epoch,
 		Restore:             snap,
 		DataHandler:         dh,
-		DataHops:            c.cfg.DataHops,
 		FlightRecords:       c.cfg.FlightRecords,
 		SampleEvery:         c.cfg.SampleEvery,
 	}, c.fabric.Transport(id))
@@ -306,11 +299,8 @@ func (c *Cluster) Leave(sw topo.SwitchID, conn lsa.ConnID) error {
 // SendData originates one payload on conn at switch sw. Errors if the
 // switch is dead or may not send (see Node.SendData).
 func (c *Cluster) SendData(sw topo.SwitchID, conn lsa.ConnID, payload []byte) (uint64, error) {
-	n := c.aliveNode(sw)
-	if n == nil {
-		return 0, fmt.Errorf("rt: no live switch %d", sw)
-	}
-	return n.SendData(conn, payload)
+	seq, _, err := c.SendDataBatch(sw, conn, payload, 1)
+	return seq, err
 }
 
 // SendDataBatch originates count copies of payload on conn at switch sw in
@@ -324,33 +314,15 @@ func (c *Cluster) SendDataBatch(sw topo.SwitchID, conn lsa.ConnID, payload []byt
 	return n.SendDataBatch(conn, payload, count)
 }
 
-// ForwardStats sums the data-plane counters across switches: live nodes
-// plus the latest incarnation of any currently-dead switch. A crashed
-// incarnation's counters vanish with it, exactly as a real switch's would.
+// ForwardStats sums the data-plane counters across switches, taking each
+// switch's latest incarnation, alive or dead. A crashed incarnation's
+// counters vanish once it is restarted, exactly as a real switch's would.
 func (c *Cluster) ForwardStats() ForwardStats {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	var sum ForwardStats
-	seen := map[*Node]bool{}
-	add := func(n *Node) {
-		if n == nil || seen[n] {
-			return
-		}
-		seen[n] = true
-		s := n.ForwardStats()
-		sum.Originated += s.Originated
-		sum.Forwarded += s.Forwarded
-		sum.Delivered += s.Delivered
-		sum.DropNoEntry += s.DropNoEntry
-		sum.DropNoRoute += s.DropNoRoute
-		sum.DropHops += s.DropHops
-		sum.DropLoop += s.DropLoop
-	}
-	for _, n := range c.nodes {
-		add(n)
-	}
 	for _, n := range c.last {
-		add(n)
+		sum.add(n.ForwardStats())
 	}
 	return sum
 }

@@ -30,7 +30,8 @@ func instrumentedNode(t *testing.T, dh DataHandler) (*Node, *stubTransport) {
 // inside the package: the steady-state forward path — decode, FIB lookup,
 // delivery, in-place patch, relay fan-out — stays at zero heap allocations
 // per frame WITH the flight recorder recording every event, path sampling
-// tracing every packet (SampleEvery=1), and the metrics registry live. The
+// tracing every packet (SampleEvery=1), and the metrics registry live, on
+// the same copy-then-move send calls as TestHandleDataZeroAlloc. The
 // root-level TestAllocGateForwardInstrumented re-checks the same budget from
 // outside the package.
 func TestHandleDataInstrumentedZeroAlloc(t *testing.T) {
@@ -39,24 +40,13 @@ func TestHandleDataInstrumentedZeroAlloc(t *testing.T) {
 		delivered.Add(uint64(len(payload)))
 	})
 
-	const hops = 8
-	buf := dataBuf(fwdConn, 0, 0, 7, hops, make([]byte, 32))
-	var f lsa.Frame
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := lsa.PatchDataForward(buf, 0, hops); err != nil {
-			t.Fatal(err)
-		}
-		if err := lsa.DecodeFrameInto(&f, buf); err != nil {
-			t.Fatal(err)
-		}
-		n.handleData(buf, &f)
-	})
-	if allocs != 0 {
+	if allocs := relayAllocs(t, n, st, 0); allocs != 0 {
 		t.Fatalf("instrumented handleData allocates %.1f times per frame, budget is 0", allocs)
 	}
-	if delivered.Load() == 0 || st.sends.Load() == 0 {
-		t.Fatal("instrumented path did not deliver/forward")
+	if delivered.Load() == 0 {
+		t.Fatal("instrumented path did not deliver")
 	}
+	checkRelayed(t, n, st, 1, 3)
 	// The recorder actually recorded: every frame wrote a deliver and a
 	// forward event, and the sampled-hop ring (SampleEvery=1) kept pace.
 	doc := n.FlightDoc()
@@ -65,6 +55,13 @@ func TestHandleDataInstrumentedZeroAlloc(t *testing.T) {
 	}
 	if len(doc.Hops) == 0 {
 		t.Fatal("hop ring empty with SampleEvery=1")
+	}
+	// Forward records are written after the frame has moved away; they must
+	// describe the packet, not whatever the buffer holds by then.
+	for _, rec := range doc.Events {
+		if rec.Kind == obs.RecForward && (rec.Conn != uint32(fwdConn) || rec.Src != 0 || rec.Seq != 7) {
+			t.Fatalf("forward record %+v does not describe conn %d src 0 seq 7", rec, fwdConn)
+		}
 	}
 }
 
@@ -192,13 +189,11 @@ func TestForwardStatsRace(t *testing.T) {
 	writersWG.Add(1)
 	go func() { // forwarder
 		defer writersWG.Done()
-		buf := dataBuf(fwdConn, 0, 0, 0, 8, make([]byte, 16))
+		d := lsa.DataFrame{Conn: fwdConn, Src: 0, Hops: 8, Payload: make([]byte, 16)}
 		var f lsa.Frame
 		for i := 0; i < packets; i++ {
-			if err := lsa.PatchDataForward(buf, 0, 8); err != nil {
-				t.Error(err)
-				return
-			}
+			// The relay moves each frame into its last link: a buffer per pass.
+			buf := lsa.AppendDataFrame(st.rent(), &d, 0)
 			if err := lsa.DecodeFrameInto(&f, buf); err != nil {
 				t.Error(err)
 				return
@@ -277,10 +272,10 @@ func TestForwardStatsRace(t *testing.T) {
 	if s.Originated != packets || s.Delivered != packets {
 		t.Fatalf("stats lost updates: %+v, want %d originated and delivered", s, packets)
 	}
-	// Forward fan-out went to the one downstream tree neighbor per relayed
-	// frame; every transport send is accounted one way or the other.
-	if s.Forwarded == 0 || st.sends.Load() == 0 {
-		t.Fatalf("no forwarding observed: stats=%+v sends=%d", s, st.sends.Load())
+	// Each relayed frame went to the two downstream tree neighbors, one by
+	// copy and one by move; originated frames are copies on all three links.
+	if want := 2*uint64(packets) + 3*uint64(packets); s.Forwarded != 2*packets || st.sends.Load()+st.moves.Load() != want {
+		t.Fatalf("forwarding miscounted: stats=%+v sends=%d moves=%d", s, st.sends.Load(), st.moves.Load())
 	}
 	if cs := n.ConnForwardStats(fwdConn); cs.Delivered != packets {
 		t.Fatalf("stripe stats lost updates: %+v", cs)

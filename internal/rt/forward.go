@@ -10,19 +10,21 @@ import (
 	"dgmc/internal/topo"
 )
 
-// This file is the node's data plane: originate (SendData) and relay
+// This file is the node's data plane: originate (SendDataBatch) and relay
 // (handleData) payload frames over the per-connection FIB compiled from the
-// installed MC topologies.
+// installed MC topologies. Both end in fanOut, the only loop that puts a
+// payload frame on a link.
 //
 // The steady-state forward path is allocation-free by construction (the
 // root alloc gate pins it at 0 allocs/op, with the flight recorder and
 // packet sampling enabled): the frame decodes into stack values, the table
 // lookup is one atomic pointer load plus a map read, the relay patches
-// From/hops/CRC into the received buffer in place, every counter is a plain
-// atomic in a per-connection stripe, and the flight recorder writes through
-// a fixed-size seqlock ring. It runs on the transport receive goroutine and
-// never takes the machine lock — installs swap the table under the hot
-// path, they never block it.
+// From/hops/CRC into the received buffer in place, every outcome is counted
+// exactly once in a plain atomic of a per-connection stripe (the metrics
+// registry reads the same atomics at scrape time), and the flight recorder
+// writes through a fixed-size seqlock ring. It runs on the transport receive
+// goroutine and never takes the machine lock — installs swap the table
+// under the hot path, they never block it.
 //
 // Deliberately NOT here: duplicate suppression. Duplicates during
 // reconvergence (two switches briefly installed on different trees) are a
@@ -30,9 +32,11 @@ import (
 // FIB says and the sinks count what arrives; the hop budget bounds the cost
 // of any transient loop.
 
-// DefaultDataHops is the default hop budget on originated payload frames —
+// DefaultDataHops is the hop budget stamped on originated payload frames —
 // comfortably above any tree path in the fabrics this repo drives, small
-// enough that a reconvergence loop dies quickly.
+// enough that a reconvergence loop dies quickly. The budget is the data
+// plane's only loop guard while trees at different switches transiently
+// disagree during reconvergence.
 const DefaultDataHops = 64
 
 // DataHandler receives payloads the data plane delivers to the co-resident
@@ -56,9 +60,10 @@ var ErrNoRoute = errors.New("rt: no route into the MC")
 // node while letting per-connection metrics read "their" stripe directly.
 const fwdStripes = 64
 
-// forwardCounters are one stripe of the data plane's statistics: plain
-// atomics so they work (and stay allocation-free) with or without a
-// registry. Padded to a cache line so stripes do not false-share.
+// forwardCounters are one stripe of the data plane's statistics, and the
+// only place a data-plane outcome is counted: ForwardStats, /healthz and
+// the registry's dgmc_data_* and dgmc_conn_data_* series all read these
+// atomics. Padded to a cache line so stripes do not false-share.
 type forwardCounters struct {
 	originated  atomic.Uint64
 	forwarded   atomic.Uint64
@@ -154,17 +159,6 @@ func (n *Node) FIB() *fib.Table { return n.fib.Load() }
 // FIBCompiles counts table recompilations since boot.
 func (n *Node) FIBCompiles() uint64 { return n.fibCompiles.Load() }
 
-// maybeRecompileLocked recompiles the FIB if the machine call that just
-// returned reported a forwarding change. Must be called with n.mu held,
-// after the machine call, before releasing the lock.
-func (n *Node) maybeRecompileLocked() {
-	if !n.fibDirty {
-		return
-	}
-	n.fibDirty = false
-	n.recompileFIBLocked()
-}
-
 // recompileFIBLocked compiles a fresh table from the machine's forwarding
 // state and swaps it in atomically. Must be called with n.mu held (or
 // before the goroutine cluster starts).
@@ -174,7 +168,6 @@ func (n *Node) recompileFIBLocked() {
 	t := b.Build()
 	n.fib.Store(t)
 	compiles := n.fibCompiles.Add(1)
-	n.obs.fibCompiles.Inc()
 	n.flight.Record(obs.RecFIBSwap, 0, uint32(n.id), compiles, uint64(t.Size()))
 	n.registerConnSeries(t)
 }
@@ -190,57 +183,25 @@ func (n *Node) recordData(kind obs.RecKind, conn lsa.ConnID, src topo.SwitchID, 
 	}
 }
 
-// SendData originates one payload on conn, fanning it out exactly as a
-// forwarded frame would: over the tree if this switch is on it, or toward
-// the contact node of a receiver-only MC. It returns the frame's data
-// sequence number. Like handleData it consults only the atomic FIB — it
-// never takes the machine lock.
+// SendData originates one payload on conn — a batch of one — and returns
+// the frame's data sequence number.
 func (n *Node) SendData(conn lsa.ConnID, payload []byte) (uint64, error) {
-	select {
-	case <-n.closed:
-		return 0, ErrClosed
-	default:
-	}
-	e := n.fib.Load().Lookup(conn)
-	if e == nil {
-		return 0, ErrNoRoute
-	}
-	if !e.CanSend {
-		return 0, ErrNotSender
-	}
-	if !e.Entered() && e.ContactNext == topo.NoSwitch {
-		return 0, ErrNoRoute
-	}
-	seq := n.dataSeq.Add(1)
-	d := lsa.DataFrame{Conn: conn, Src: n.id, Seq: seq, Hops: n.dataHops, Payload: payload}
-	buf := lsa.AppendDataFrame(getBuf(64+len(payload)), &d, n.id)
-	if e.Entered() {
-		for _, nb := range e.Neighbors {
-			if err := n.tr.Send(nb, buf); err != nil {
-				n.obs.sendErrs.Inc()
-				n.tracef("sw%d: data to %d: %v", n.id, nb, err)
-			}
-		}
-	} else if err := n.tr.Send(e.ContactNext, buf); err != nil {
-		n.obs.sendErrs.Inc()
-		n.tracef("sw%d: data to contact %d: %v", n.id, e.ContactNext, err)
-	}
-	putBuf(buf)
-	n.fwd.stripe(conn).originated.Add(1)
-	n.obs.dataOrig.Inc()
-	n.recordData(obs.RecOriginate, conn, n.id, seq, n.id)
-	return seq, nil
+	seq, _, err := n.SendDataBatch(conn, payload, 1)
+	return seq, err
 }
 
-// SendDataBatch originates count copies of payload on conn, reserving one
-// contiguous block of data sequence numbers and returning its first value.
+// SendDataBatch originates count copies of payload on conn, fanning each out
+// exactly as a forwarded frame would: over the tree if this switch is on it,
+// or toward the contact node of a receiver-only MC. It reserves one
+// contiguous block of data sequence numbers and returns its first value.
 // The frame is encoded once; each subsequent packet restamps the sequence
 // (and CRC) in place before fanning out, so the per-packet cost is the
 // patch plus the link sends — the setup (entitlement check, FIB lookup,
-// buffer rental, header+payload encode) is paid once per batch. Like
-// SendData, per-link send errors are counted and traced but do not fail
-// the packet; the entitlement and route checks happen once up front, which
-// is the batch's semantics: one claim, count packets.
+// buffer rental, header+payload encode) is paid once per batch. Per-link
+// send errors are counted and traced but do not fail the packet; the
+// entitlement and route checks happen once up front, which is the batch's
+// semantics: one claim, count packets. Like handleData it consults only the
+// atomic FIB — it never takes the machine lock.
 func (n *Node) SendDataBatch(conn lsa.ConnID, payload []byte, count int) (uint64, int, error) {
 	if count <= 0 {
 		return 0, 0, nil
@@ -257,11 +218,13 @@ func (n *Node) SendDataBatch(conn lsa.ConnID, payload []byte, count int) (uint64
 	if !e.CanSend {
 		return 0, 0, ErrNotSender
 	}
-	if !e.Entered() && e.ContactNext == topo.NoSwitch {
+	var contact [1]topo.SwitchID
+	links, ok := outLinks(e, &contact)
+	if !ok {
 		return 0, 0, ErrNoRoute
 	}
 	first := n.dataSeq.Add(uint64(count)) - uint64(count) + 1
-	d := lsa.DataFrame{Conn: conn, Src: n.id, Seq: first, Hops: n.dataHops, Payload: payload}
+	d := lsa.DataFrame{Conn: conn, Src: n.id, Seq: first, Hops: DefaultDataHops, Payload: payload}
 	buf := lsa.AppendDataFrame(getBuf(64+len(payload)), &d, n.id)
 	for i := 0; i < count; i++ {
 		seq := first + uint64(i)
@@ -271,23 +234,56 @@ func (n *Node) SendDataBatch(conn lsa.ConnID, payload []byte, count int) (uint64
 				return first, i, err
 			}
 		}
-		if e.Entered() {
-			for _, nb := range e.Neighbors {
-				if err := n.tr.Send(nb, buf); err != nil {
-					n.obs.sendErrs.Inc()
-					n.tracef("sw%d: data to %d: %v", n.id, nb, err)
-				}
-			}
-		} else if err := n.tr.Send(e.ContactNext, buf); err != nil {
-			n.obs.sendErrs.Inc()
-			n.tracef("sw%d: data to contact %d: %v", n.id, e.ContactNext, err)
-		}
+		// Recorded before the sends, so no downstream hop record of this
+		// packet can carry an earlier timestamp than its origination.
 		n.recordData(obs.RecOriginate, conn, n.id, seq, n.id)
+		// Copies on every link: buf is restamped for the next packet.
+		n.fanOut("data", links, topo.NoSwitch, -1, buf)
 	}
 	putBuf(buf)
 	n.fwd.stripe(conn).originated.Add(uint64(count))
-	n.obs.dataOrig.Add(uint64(count))
 	return first, count, nil
+}
+
+// outLinks returns the links a frame at entry e leaves on: the tree fan-out
+// once the frame has entered the MC, else the single hop toward the contact
+// node (contact backs that one-element slice). ok is false when e offers
+// neither — there is no route into the MC from here.
+func outLinks(e *fib.Entry, contact *[1]topo.SwitchID) (links []topo.SwitchID, ok bool) {
+	if e.Entered() {
+		return e.Neighbors, true
+	}
+	if e.ContactNext == topo.NoSwitch {
+		return nil, false
+	}
+	contact[0] = e.ContactNext
+	return contact[:], true
+}
+
+// fanOut is the data plane's one link-send loop (originated LSA floods
+// borrow it): the frame in buf goes to every switch of links except skip.
+// Each link gets a copy (Send) — except links[moveAt], which takes buf itself
+// (SendOwned), after which the caller must not touch buf again; moveAt < 0
+// copies everywhere and leaves buf with the caller. what names the traffic
+// in error traces. It returns how many links accepted the frame.
+func (n *Node) fanOut(what string, links []topo.SwitchID, skip topo.SwitchID, moveAt int, buf []byte) (sent int) {
+	for i, nb := range links {
+		if nb == skip {
+			continue
+		}
+		var err error
+		if i == moveAt {
+			err = n.tr.SendOwned(nb, buf)
+		} else {
+			err = n.tr.Send(nb, buf)
+		}
+		if err != nil {
+			n.sendFailed(what, nb, err)
+		} else {
+			sent++
+		}
+	}
+	return sent
 }
 
 // handleData is the steady-state forward path: deliver locally if this
@@ -295,11 +291,11 @@ func (n *Node) SendDataBatch(conn lsa.ConnID, payload []byte, count int) (uint64
 // (minus the arrival link) on-tree, one contact hop off-tree. Runs on the
 // transport receive goroutine; zero allocations, no locks.
 //
-// consumed reports that buf's ownership was transferred to the transport:
-// when the transport supports SendOwned, the relay's last outgoing link
-// takes the already-patched frame by move instead of copying it. The local
-// delivery callback runs before any move, so d.Payload (which aliases buf)
-// is safe for the handler's duration.
+// consumed reports that buf moved into the transport: the relay's last
+// outgoing link takes the already-patched frame itself instead of a copy.
+// The local delivery callback runs before the move, so d.Payload (which
+// aliases buf) is safe for the handler's duration, and nothing after the
+// move reads buf.
 func (n *Node) handleData(buf []byte, f *lsa.Frame) (consumed bool) {
 	var d lsa.DataFrame
 	if f.Origin == n.id {
@@ -313,107 +309,63 @@ func (n *Node) handleData(buf []byte, f *lsa.Frame) (consumed bool) {
 			conn = d.Conn
 		}
 		n.fwd.stripe(conn).dropLoop.Add(1)
-		n.obs.dataDropLoop.Inc()
 		n.recordData(obs.RecDropLoop, conn, f.Origin, f.Seq, f.From)
-		return
+		return false
 	}
 	if err := lsa.DecodeDataInto(&d, f); err != nil {
 		n.decodeErrs.Add(1)
-		n.obs.decodeErrs.Inc()
-		return
+		return false
 	}
+	st := n.fwd.stripe(d.Conn)
 	e := n.fib.Load().Lookup(d.Conn)
 	if e == nil {
-		n.fwd.stripe(d.Conn).dropNoEntry.Add(1)
-		n.obs.dataDropNoEntry.Inc()
+		st.dropNoEntry.Add(1)
 		n.recordData(obs.RecDropNoEntry, d.Conn, d.Src, d.Seq, f.From)
-		return
+		return false
 	}
 	if e.Local {
-		n.fwd.stripe(d.Conn).delivered.Add(1)
-		n.obs.dataDeliv.Inc()
+		st.delivered.Add(1)
 		n.recordData(obs.RecDeliver, d.Conn, d.Src, d.Seq, f.From)
 		if h := n.dataHandler; h != nil {
 			h(d.Conn, d.Src, d.Seq, d.Payload)
 		}
 	}
-	if e.Entered() {
-		// Leaf check first: exhausting the hop budget at a switch with
-		// nowhere further to forward is normal termination, not a drop.
-		from := f.From
-		last := -1
-		for i, nb := range e.Neighbors {
-			if nb != from {
-				last = i
-			}
-		}
-		if last < 0 {
-			return
-		}
-		if d.Hops == 0 {
-			n.fwd.stripe(d.Conn).dropHops.Add(1)
-			n.obs.dataDropHops.Inc()
-			n.recordData(obs.RecDropHops, d.Conn, d.Src, d.Seq, from)
-			return
-		}
-		if err := lsa.PatchDataForward(buf, n.id, d.Hops-1); err != nil {
-			return
-		}
-		sent := false
-		for i, nb := range e.Neighbors {
-			if nb == from {
-				continue
-			}
-			var err error
-			if i == last && n.ownedTr != nil {
-				// Final link: move the patched frame instead of copying it.
-				// SendOwned consumes buf on every outcome.
-				err = n.ownedTr.SendOwned(nb, buf)
-				consumed = true
-			} else {
-				err = n.tr.Send(nb, buf)
-			}
-			if err != nil {
-				n.obs.sendErrs.Inc()
-				n.tracef("sw%d: data relay to %d: %v", n.id, nb, err)
-			} else {
-				n.fwd.stripe(d.Conn).forwarded.Add(1)
-				n.obs.dataFwd.Inc()
-				sent = true
-			}
-		}
-		if sent {
-			n.recordData(obs.RecForward, d.Conn, d.Src, d.Seq, from)
-		}
-	} else if e.ContactNext != topo.NoSwitch {
-		if d.Hops == 0 {
-			n.fwd.stripe(d.Conn).dropHops.Add(1)
-			n.obs.dataDropHops.Inc()
-			n.recordData(obs.RecDropHops, d.Conn, d.Src, d.Seq, f.From)
-			return
-		}
-		if err := lsa.PatchDataForward(buf, n.id, d.Hops-1); err != nil {
-			return
-		}
-		var err error
-		if n.ownedTr != nil {
-			err = n.ownedTr.SendOwned(e.ContactNext, buf)
-			consumed = true
-		} else {
-			err = n.tr.Send(e.ContactNext, buf)
-		}
-		if err != nil {
-			n.obs.sendErrs.Inc()
-			n.tracef("sw%d: data relay to contact %d: %v", n.id, e.ContactNext, err)
-		} else {
-			n.fwd.stripe(d.Conn).forwarded.Add(1)
-			n.obs.dataFwd.Inc()
-			n.recordData(obs.RecForward, d.Conn, d.Src, d.Seq, f.From)
-		}
-	} else {
-		n.fwd.stripe(d.Conn).dropNoRoute.Add(1)
-		n.obs.dataDropNoRoute.Inc()
+	var contact [1]topo.SwitchID
+	links, ok := outLinks(e, &contact)
+	if !ok {
+		st.dropNoRoute.Add(1)
 		n.recordData(obs.RecDropNoRoute, d.Conn, d.Src, d.Seq, f.From)
+		return false
 	}
-	return consumed
+	// The tree fan-out leaves out the arrival link; a contact hop goes where
+	// the FIB points, whichever link the frame came in on.
+	skip := f.From
+	if !e.Entered() {
+		skip = topo.NoSwitch
+	}
+	// Leaf check first: exhausting the hop budget at a switch with nowhere
+	// further to forward is normal termination, not a drop.
+	last := -1
+	for i, nb := range links {
+		if nb != skip {
+			last = i
+		}
+	}
+	if last < 0 {
+		return false
+	}
+	if d.Hops == 0 {
+		st.dropHops.Add(1)
+		n.recordData(obs.RecDropHops, d.Conn, d.Src, d.Seq, f.From)
+		return false
+	}
+	if err := lsa.PatchDataForward(buf, n.id, d.Hops-1); err != nil {
+		return false
+	}
+	// The last link takes the patched frame itself; the others get copies.
+	if sent := n.fanOut("data relay", links, skip, last, buf); sent > 0 {
+		st.forwarded.Add(uint64(sent))
+		n.recordData(obs.RecForward, d.Conn, d.Src, d.Seq, f.From)
+	}
+	return true
 }

@@ -12,21 +12,106 @@ import (
 	"dgmc/internal/topo"
 )
 
-// stubTransport satisfies Transport with an atomic send counter and a Recv
-// that blocks until Close, so a node's goroutine cluster idles while tests
-// drive handleData/SendData directly.
+// poison is what stubTransport overwrites a moved buffer with. No frame
+// starts with it (the first byte is the frame version).
+const poison = 0xDB
+
+// stubTransport implements the whole Transport contract, so white-box tests
+// drive the same send calls a ChanFabric port sees in production. It counts
+// copies (Send) and moves (SendOwned) apart, and it really does own what
+// SendOwned hands it: the buffer is overwritten with poison and parked on a
+// free list, so anything that reads or re-sends a buffer after moving it
+// trips the poisoned counter or a later assertion instead of passing
+// silently. RecvBatch blocks until a test injects a frame or the stub
+// closes, so a node's goroutine cluster idles unless fed.
 type stubTransport struct {
-	sends  atomic.Uint64
+	sends, moves, released, poisoned atomic.Uint64
+	lastMove                         atomic.Int64 // destination of the latest SendOwned
+
+	mu   sync.Mutex
+	free [][]byte // moved buffers, poisoned, waiting for rent
+
+	in     chan []byte
 	closed chan struct{}
 	once   sync.Once
 }
 
 func newStubTransport() *stubTransport {
-	return &stubTransport{closed: make(chan struct{})}
+	return &stubTransport{in: make(chan []byte), closed: make(chan struct{})}
 }
 
-func (s *stubTransport) Send(topo.SwitchID, []byte) error { s.sends.Add(1); return nil }
-func (s *stubTransport) Recv() ([]byte, error)            { <-s.closed; return nil, ErrClosed }
+func (s *stubTransport) note(data []byte) {
+	if len(data) > 0 && data[0] == poison {
+		s.poisoned.Add(1)
+	}
+}
+
+func (s *stubTransport) Send(_ topo.SwitchID, data []byte) error {
+	s.note(data)
+	s.sends.Add(1)
+	return nil
+}
+
+func (s *stubTransport) SendOwned(to topo.SwitchID, buf []byte) error {
+	s.note(buf)
+	for i := range buf {
+		buf[i] = poison
+	}
+	s.mu.Lock()
+	s.free = append(s.free, buf)
+	s.mu.Unlock()
+	s.lastMove.Store(int64(to))
+	s.moves.Add(1)
+	return nil
+}
+
+// rent returns an empty buffer the caller owns: one SendOwned gave up, if
+// there is one, so a steady send-move-rent cycle allocates nothing.
+func (s *stubTransport) rent() []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := len(s.free); n > 0 {
+		buf := s.free[n-1]
+		s.free = s.free[:n-1]
+		return buf[:0]
+	}
+	return make([]byte, 0, 256)
+}
+
+// stillPoisoned reports whether every parked buffer is untouched since its
+// move — nobody kept writing through a stale alias.
+func (s *stubTransport) stillPoisoned() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, buf := range s.free {
+		for _, b := range buf {
+			if b != poison {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func (s *stubTransport) Recv() ([]byte, error) {
+	select {
+	case buf := <-s.in:
+		return buf, nil
+	case <-s.closed:
+		return nil, ErrClosed
+	}
+}
+
+func (s *stubTransport) RecvBatch(recycle [][]byte) ([][]byte, error) {
+	buf, err := s.Recv()
+	if err != nil {
+		return nil, err
+	}
+	return append(recycle[:0], buf), nil
+}
+
+func (s *stubTransport) Release(n int) { s.released.Add(uint64(n)) }
+
 func (s *stubTransport) Close() error {
 	s.once.Do(func() { close(s.closed) })
 	return nil
@@ -65,10 +150,13 @@ func fwdNodeWith(t *testing.T, id topo.SwitchID, kind mctree.Kind, members mctre
 	return n, st
 }
 
+// fwdTree is a star around switch 1 — 0, 2 and 3 hang off it — so a frame
+// relayed at switch 1 leaves on two links: one copy, one move.
 func fwdTree(kind mctree.Kind) *mctree.Tree {
 	tr := mctree.New(kind)
 	tr.AddEdge(0, 1)
 	tr.AddEdge(1, 2)
+	tr.AddEdge(1, 3)
 	return tr
 }
 
@@ -78,10 +166,53 @@ func dataBuf(conn lsa.ConnID, src, from topo.SwitchID, seq uint64, hops uint8, p
 	return lsa.AppendDataFrame(nil, &d, from)
 }
 
-// TestHandleDataZeroAlloc pins the steady-state forward path — frame decode,
-// FIB lookup, local delivery, in-place patch, relay fan-out — at zero heap
-// allocations per frame. The root-level alloc gate re-checks the same budget
-// from outside the package; this one runs on the real Node.
+// relayAllocs measures the steady-state relay at n — frame decode, FIB
+// lookup, local delivery, in-place patch, fan-out — in heap allocations per
+// frame arriving from switch from. The relay moves each frame into its last
+// link, so every pass encodes into a buffer of its own: the one the stub took
+// over on the previous pass, poisoned in between.
+func relayAllocs(t *testing.T, n *Node, st *stubTransport, from topo.SwitchID) float64 {
+	t.Helper()
+	d := lsa.DataFrame{Conn: fwdConn, Src: 0, Seq: 7, Hops: 8, Payload: make([]byte, 32)}
+	var f lsa.Frame
+	return testing.AllocsPerRun(200, func() {
+		buf := lsa.AppendDataFrame(st.rent(), &d, from)
+		if err := lsa.DecodeFrameInto(&f, buf); err != nil {
+			t.Fatal(err)
+		}
+		if !n.handleData(buf, &f) {
+			t.Fatal("relay did not move the frame into its last link")
+		}
+	})
+}
+
+// checkRelayed asserts the relay accounting after relayAllocs: every accepted
+// link send was counted once, each frame took copies copies plus one move to
+// lastLink, and nothing touched a buffer after moving it.
+func checkRelayed(t *testing.T, n *Node, st *stubTransport, copies uint64, lastLink topo.SwitchID) {
+	t.Helper()
+	s := n.ForwardStats()
+	sends, moves := st.sends.Load(), st.moves.Load()
+	if moves == 0 || s.Forwarded != sends+moves {
+		t.Fatalf("relay accounting wrong: forwarded=%d, transport saw %d copies + %d moves", s.Forwarded, sends, moves)
+	}
+	if sends != copies*moves || topo.SwitchID(st.lastMove.Load()) != lastLink {
+		t.Fatalf("%d copies and %d moves (last to switch %d), want %d copies per move to switch %d",
+			sends, moves, st.lastMove.Load(), copies, lastLink)
+	}
+	if st.poisoned.Load() != 0 || !st.stillPoisoned() {
+		t.Fatal("a frame buffer was used after it moved into the transport")
+	}
+	if s.Drops() != 0 {
+		t.Fatalf("unexpected drops: %+v", s)
+	}
+}
+
+// TestHandleDataZeroAlloc pins the steady-state forward path at zero heap
+// allocations per frame, on the send calls production makes: a tree relay
+// copies to every link but the last and moves the frame into the last, a
+// contact hop is a single move. The root-level alloc gate re-checks the same
+// budget from outside the package; this one runs on the real Node.
 func TestHandleDataZeroAlloc(t *testing.T) {
 	var delivered atomic.Uint64
 	members := mctree.Members{0: mctree.SenderReceiver, 1: mctree.SenderReceiver, 2: mctree.SenderReceiver}
@@ -89,33 +220,40 @@ func TestHandleDataZeroAlloc(t *testing.T) {
 		func(conn lsa.ConnID, src topo.SwitchID, seq uint64, payload []byte) {
 			delivered.Add(uint64(len(payload)))
 		})
-
-	const hops = 8
-	buf := dataBuf(fwdConn, 0, 0, 7, hops, make([]byte, 32))
-	var f lsa.Frame
-	allocs := testing.AllocsPerRun(200, func() {
-		// Each pass relays the frame, decrementing the in-place hop budget;
-		// restore From and Hops so every iteration sees the same packet.
-		if err := lsa.PatchDataForward(buf, 0, hops); err != nil {
-			t.Fatal(err)
-		}
-		if err := lsa.DecodeFrameInto(&f, buf); err != nil {
-			t.Fatal(err)
-		}
-		n.handleData(buf, &f)
-	})
-	if allocs != 0 {
+	if allocs := relayAllocs(t, n, st, 0); allocs != 0 {
 		t.Fatalf("handleData allocates %.1f times per frame, budget is 0", allocs)
 	}
-	s := n.ForwardStats()
-	if s.Delivered == 0 || delivered.Load() == 0 {
+	if n.ForwardStats().Delivered == 0 || delivered.Load() == 0 {
 		t.Fatal("member switch never delivered to its application")
 	}
-	if s.Forwarded == 0 || st.sends.Load() != s.Forwarded {
-		t.Fatalf("relay accounting wrong: forwarded=%d, transport sends=%d", s.Forwarded, st.sends.Load())
+	checkRelayed(t, n, st, 1, 3)
+
+	// Off-tree switch 4 of a receiver-only MC relays toward its contact.
+	ro := mctree.Members{0: mctree.Receiver, 2: mctree.Receiver}
+	n4, st4 := fwdNode(t, 4, mctree.ReceiverOnly, ro, fwdTree(mctree.ReceiverOnly), nil)
+	if allocs := relayAllocs(t, n4, st4, 5); allocs != 0 {
+		t.Fatalf("contact relay allocates %.1f times per frame, budget is 0", allocs)
 	}
-	if s.Drops() != 0 {
-		t.Fatalf("unexpected drops: %+v", s)
+	checkRelayed(t, n4, st4, 0, 3)
+}
+
+// TestRecvLoopSettlesAndMoves feeds one frame through the stub's receive
+// side, so the node's own recvLoop runs the production sequence: handle the
+// frame, leave a moved buffer alone, settle it with Release.
+func TestRecvLoopSettlesAndMoves(t *testing.T) {
+	members := mctree.Members{0: mctree.SenderReceiver, 1: mctree.SenderReceiver, 2: mctree.SenderReceiver}
+	n, st := fwdNode(t, 1, mctree.Symmetric, members, fwdTree(mctree.Symmetric), nil)
+	st.in <- dataBuf(fwdConn, 0, 0, 1, 8, []byte("payload"))
+	st.in <- []byte("not a frame")
+	for deadline := time.Now().Add(10 * time.Second); st.released.Load() < 2; {
+		if time.Now().After(deadline) {
+			t.Fatalf("recvLoop settled %d of 2 frames", st.released.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	checkRelayed(t, n, st, 1, 3)
+	if n.DecodeErrors() != 1 {
+		t.Fatalf("decode errors = %d, want 1", n.DecodeErrors())
 	}
 }
 

@@ -16,6 +16,9 @@ import (
 	"dgmc/internal/topo"
 )
 
+// eventBuffer sizes a node's local-event queue; Inject blocks beyond it.
+const eventBuffer = 256
+
 // NodeConfig configures one live switch.
 type NodeConfig struct {
 	// ID is the switch's network ID in [0, Graph.NumSwitches()).
@@ -32,15 +35,6 @@ type NodeConfig struct {
 	// ResyncTimeout enables gap recovery with the given wall-clock timeout;
 	// zero disables. Mandatory in practice over lossy transports (UDP).
 	ResyncTimeout time.Duration
-	// ResyncMaxRounds bounds resync rounds per gap (default 64).
-	ResyncMaxRounds int
-	// ComputeDelay, when positive, makes HoldCompute sleep that long —
-	// widening the protocol's withdraw windows the way the simulator's
-	// virtual Tc does. Zero (the default) lets computation take the real
-	// time it takes.
-	ComputeDelay time.Duration
-	// EventBuffer sizes the local-event queue (default 256).
-	EventBuffer int
 	// Logf, when set, receives protocol trace lines.
 	Logf func(format string, args ...any)
 	// Tracer, when set, receives structured protocol trace entries (for
@@ -56,11 +50,6 @@ type NodeConfig struct {
 	// goroutine and must not block or retain payload, which aliases a pooled
 	// receive buffer valid only for the duration of the call.
 	DataHandler DataHandler
-	// DataHops is the hop budget stamped on payload frames this node
-	// originates (default DefaultDataHops, max lsa.MaxDataHops). The budget
-	// is the data plane's only loop guard while trees at different switches
-	// transiently disagree during reconvergence.
-	DataHops int
 	// FlightRecords, when positive, enables the node's flight recorder: a
 	// lock-free, allocation-free ring holding the last N data/control
 	// events (forwards, the drop taxonomy, FIB swaps, LSA batches, resync
@@ -95,14 +84,9 @@ type NodeConfig struct {
 // (drain the inbox, run ReceiveLSA batches), an event loop (run
 // EventHandler per injected local event), and wall-clock resync timers.
 type Node struct {
-	id    topo.SwitchID
-	epoch uint64
-	tr    Transport
-	// ownedTr is tr's ownership-transfer fast path when it has one (cached
-	// here so the per-frame forward path pays no interface assertion): the
-	// last link of a relay fan-out moves the received buffer into the
-	// destination queue instead of copying it.
-	ownedTr   ownedSender
+	id        topo.SwitchID
+	epoch     uint64
+	tr        Transport
 	neighbors []topo.SwitchID
 	logf      func(format string, args ...any)
 	tracer    core.Tracer
@@ -122,9 +106,9 @@ type Node struct {
 	machine *core.Machine
 	// fibDirty marks that the last machine call reported a forwarding
 	// change (Host.ForwardingChanged); guarded by mu. Every machine call
-	// site runs maybeRecompileLocked before releasing mu, so the swapped
-	// table can never lag the control plane by more than the call that is
-	// currently holding the lock.
+	// goes through step, which recompiles before releasing mu, so the
+	// swapped table can never lag the control plane by more than the call
+	// that is currently holding the lock.
 	fibDirty bool
 
 	// fib is the data plane's forwarding table, recompiled from machine
@@ -133,7 +117,6 @@ type Node struct {
 	fib         atomic.Pointer[fib.Table]
 	fibCompiles atomic.Uint64
 	dataHandler DataHandler
-	dataHops    uint8
 	dataSeq     atomic.Uint64
 	fwd         forwardStripes
 
@@ -162,8 +145,7 @@ type Node struct {
 	seq  atomic.Uint64
 	seen seenTracker
 
-	computeDelay time.Duration
-	resyncAfter  time.Duration
+	resyncAfter time.Duration
 
 	timerMu sync.Mutex
 	timers  map[*time.Timer]struct{}
@@ -192,36 +174,22 @@ func NewNode(cfg NodeConfig, tr Transport) (*Node, error) {
 	if cfg.Algorithm == nil {
 		cfg.Algorithm = route.SPH{}
 	}
-	if cfg.EventBuffer <= 0 {
-		cfg.EventBuffer = 256
-	}
-	if cfg.DataHops <= 0 {
-		cfg.DataHops = DefaultDataHops
-	}
-	if cfg.DataHops > lsa.MaxDataHops {
-		cfg.DataHops = lsa.MaxDataHops
-	}
 	if cfg.Restore != nil && cfg.Restore.id != cfg.ID {
 		return nil, fmt.Errorf("rt: snapshot of switch %d cannot restore switch %d", cfg.Restore.id, cfg.ID)
 	}
 	n := &Node{
-		id:           cfg.ID,
-		epoch:        cfg.Epoch,
-		tr:           tr,
-		neighbors:    cfg.Graph.Neighbors(cfg.ID),
-		logf:         cfg.Logf,
-		tracer:       cfg.Tracer,
-		obs:          newNodeObs(cfg.Registry, int(cfg.ID)),
-		events:       make(chan core.LocalEvent, cfg.EventBuffer),
-		dataHandler:  cfg.DataHandler,
-		dataHops:     uint8(cfg.DataHops),
-		computeDelay: cfg.ComputeDelay,
-		resyncAfter:  cfg.ResyncTimeout,
-		timers:       make(map[*time.Timer]struct{}),
-		closed:       make(chan struct{}),
-	}
-	if os, ok := tr.(ownedSender); ok {
-		n.ownedTr = os
+		id:          cfg.ID,
+		epoch:       cfg.Epoch,
+		tr:          tr,
+		neighbors:   cfg.Graph.Neighbors(cfg.ID),
+		logf:        cfg.Logf,
+		tracer:      cfg.Tracer,
+		obs:         newNodeObs(cfg.Registry, int(cfg.ID)),
+		events:      make(chan core.LocalEvent, eventBuffer),
+		dataHandler: cfg.DataHandler,
+		resyncAfter: cfg.ResyncTimeout,
+		timers:      make(map[*time.Timer]struct{}),
+		closed:      make(chan struct{}),
 	}
 	n.inCond = sync.NewCond(&n.inMu)
 	if cfg.FlightRecords > 0 {
@@ -251,14 +219,13 @@ func NewNode(cfg NodeConfig, tr Transport) (*Node, error) {
 			Kinds:               cfg.Kinds,
 			ReoptimizeThreshold: cfg.ReoptimizeThreshold,
 			Resync:              cfg.ResyncTimeout > 0,
-			ResyncMaxRounds:     cfg.ResyncMaxRounds,
 		}, n)
 		if err != nil {
 			return nil, err
 		}
 		n.machine = m
 	}
-	n.registerMachineFuncs(cfg.Registry)
+	n.registerFuncs(cfg.Registry)
 	// Compile the initial table before any goroutine can race on it: empty
 	// for a blank boot, the restored trees for a snapshot warm restart.
 	n.recompileFIBLocked()
@@ -297,14 +264,8 @@ func (n *Node) live() *Node {
 // The cluster harness calls this on both ends of every boundary link when a
 // partition heals.
 func (n *Node) Reconcile(nb topo.SwitchID) {
-	n.busy.Add(1)
 	n.flight.Record(obs.RecReconcile, 0, uint32(n.id), 0, uint64(nb))
-	n.mu.Lock()
-	n.machine.ReconcileNeighbor(nb)
-	n.maybeRecompileLocked()
-	n.mu.Unlock()
-	n.busy.Add(-1)
-	n.activity.Add(1)
+	n.step(1, func(m *core.Machine) { m.ReconcileNeighbor(nb) })
 }
 
 // RejoinFromNeighbors runs the cold-rejoin path after a crash–restart with
@@ -312,14 +273,26 @@ func (n *Node) Reconcile(nb topo.SwitchID) {
 // connection, so the node rebuilds membership, stamps, and — critically —
 // its own event counter before it originates anything new.
 func (n *Node) RejoinFromNeighbors() {
-	n.busy.Add(1)
 	n.flight.Record(obs.RecRejoin, 0, uint32(n.id), 0, 0)
+	n.step(1, (*core.Machine).RequestFullResync)
+}
+
+// step is the one way into the protocol machine from the runtime: fn runs
+// under the machine lock, the FIB is recompiled before the lock drops if fn
+// changed forwarding, and the whole step sits inside a busy window that
+// closes by crediting units of completed work — so the quiescence check
+// sees the step either pending, running, or counted.
+func (n *Node) step(units uint64, fn func(*core.Machine)) {
+	n.busy.Add(1)
 	n.mu.Lock()
-	n.machine.RequestFullResync()
-	n.maybeRecompileLocked()
+	fn(n.machine)
+	if n.fibDirty {
+		n.fibDirty = false
+		n.recompileFIBLocked()
+	}
 	n.mu.Unlock()
+	n.activity.Add(units)
 	n.busy.Add(-1)
-	n.activity.Add(1)
 }
 
 // Inject hands the node one local event (a join, leave, or link change),
@@ -418,82 +391,44 @@ func (n *Node) Close() error {
 
 // --- goroutine cluster ---
 
-// batchTransport is the optional burst-receive fast path of Transport: one
-// call drains the transport's whole backlog, amortizing the queue lock
-// over the burst, and the consumer settles each frame's in-flight
-// accounting with Release as it is handled. ChanFabric ports implement
-// it; datagram transports (UDP) deliver one frame per call and take the
-// plain path.
-type batchTransport interface {
-	RecvBatch(recycle [][]byte) ([][]byte, error)
-	Release(n int)
-}
-
-// ownedSender is the optional ownership-transfer fast path of Transport:
-// SendOwned moves buf — which must come from the frame pool and belong
-// exclusively to the caller — into the destination without copying it. The
-// callee consumes buf on every outcome (queued, dropped by partition or
-// loss, destination closed); the caller must not touch it afterwards. The
-// forward path uses it for the last link of a relay fan-out: the received
-// frame was already patched in place for relaying, and every link but the
-// last needs its own copy — the final one can hand the original over,
-// saving one frame-sized copy plus a pool round-trip per relay hop.
-type ownedSender interface {
-	SendOwned(to topo.SwitchID, buf []byte) error
-}
-
 // recvLoop is the transport receive loop: decode each frame, suppress
 // duplicate floods, re-forward (store-and-forward flooding), and enqueue
-// the decoded payload for the LSA loop. Transports that can hand over a
-// burst in one call get it drained under a single busy window.
+// the decoded payload for the LSA loop.
 func (n *Node) recvLoop() {
 	defer n.wg.Done()
-	if bt, ok := n.tr.(batchTransport); ok {
-		var batch [][]byte
-		var err error
-		for {
-			batch, err = bt.RecvBatch(batch)
-			if err != nil {
-				return
-			}
-			// busy covers the burst so the idle check can't see a gap
-			// between frames; each frame leaves the fabric's in-flight
-			// count only once it has actually been handled, so InFlight
-			// never undercounts (a drain loop waiting for zero stays exact)
-			// and closed-loop senders see consumption as it happens rather
-			// than in burst-sized steps.
-			n.busy.Add(1)
-			for _, buf := range batch {
-				if !n.handleFrame(buf) {
-					putBuf(buf)
-				}
-				bt.Release(1)
-			}
-			n.busy.Add(-1)
-		}
-	}
+	var batch [][]byte
+	var err error
 	for {
-		buf, err := n.tr.Recv()
+		batch, err = n.tr.RecvBatch(batch)
 		if err != nil {
 			return
 		}
-		if !n.handleFrame(buf) {
-			// Safe to recycle: every payload decoder copies out of the frame,
-			// so nothing enqueued for the LSA loop aliases buf.
-			putBuf(buf)
+		// busy covers the burst so the idle check can't see a gap between
+		// frames; each frame leaves the fabric's in-flight count only once
+		// it has actually been handled, so InFlight never undercounts (a
+		// drain loop waiting for zero stays exact) and closed-loop senders
+		// see consumption as it happens rather than in burst-sized steps.
+		n.busy.Add(1)
+		for _, buf := range batch {
+			if !n.handleFrame(buf) {
+				// Safe to recycle: every payload decoder copies out of the
+				// frame, so nothing enqueued for the LSA loop aliases buf.
+				putBuf(buf)
+			}
+			n.tr.Release(1)
 		}
+		n.busy.Add(-1)
 	}
 }
 
-// handleFrame processes one received frame. consumed reports that buf's
-// ownership moved into the transport (the relay fast path) — the caller
+// handleFrame processes one received frame. consumed reports that buf moved
+// into the transport (a relayed data frame's last link) — the caller
 // recycles the buffer only when it is false.
 func (n *Node) handleFrame(buf []byte) (consumed bool) {
 	defer n.activity.Add(1)
 	var f lsa.Frame
 	if err := lsa.DecodeFrameInto(&f, buf); err != nil {
 		n.decodeErrs.Add(1)
-		n.obs.decodeErrs.Inc()
 		n.tracef("sw%d: drop frame: %v", n.id, err)
 		return
 	}
@@ -507,7 +442,7 @@ func (n *Node) handleFrame(buf []byte) (consumed bool) {
 			n.obs.framesDup.Inc()
 			return
 		}
-		if !n.markSeen(f.Origin, f.Seq) {
+		if !n.seen.mark(f.Origin, f.Seq) {
 			n.obs.framesDup.Inc()
 			return // duplicate delivery of a flood we already handled
 		}
@@ -522,8 +457,7 @@ func (n *Node) handleFrame(buf []byte) (consumed bool) {
 					continue
 				}
 				if err := n.tr.Send(nb, buf); err != nil {
-					n.obs.sendErrs.Inc()
-					n.tracef("sw%d: forward to %d: %v", n.id, nb, err)
+					n.sendFailed("forward", nb, err)
 				} else {
 					n.obs.floodsFwd.Inc()
 				}
@@ -532,7 +466,6 @@ func (n *Node) handleFrame(buf []byte) (consumed bool) {
 		mc, nm, err := lsa.Unmarshal(f.Payload)
 		if err != nil {
 			n.decodeErrs.Add(1)
-			n.obs.decodeErrs.Inc()
 			n.tracef("sw%d: drop LSA from %d: %v", n.id, f.Origin, err)
 			return
 		}
@@ -560,11 +493,6 @@ func (n *Node) handleFrame(buf []byte) (consumed bool) {
 		return n.handleData(buf, &f)
 	}
 	return false
-}
-
-// markSeen records a flood identity, reporting whether it was new.
-func (n *Node) markSeen(origin topo.SwitchID, seq uint64) bool {
-	return n.seen.mark(origin, seq)
 }
 
 // SeenOrigins returns the number of flood origins the node's duplicate
@@ -605,16 +533,12 @@ func (n *Node) lsaLoop() {
 			start = time.Now()
 		}
 		n.flight.Record(obs.RecLSAApply, 0, uint32(n.id), 0, uint64(len(batch)))
-		n.mu.Lock()
-		n.machine.ReceiveBatch(nil, batch)
-		n.maybeRecompileLocked()
-		n.mu.Unlock()
+		n.step(uint64(len(batch)), func(m *core.Machine) { m.ReceiveBatch(nil, batch) })
 		if n.obs.enabled() {
 			n.obs.batchDur.Observe(time.Since(start).Seconds())
 			n.obs.batches.Inc()
 		}
 		n.busy.Add(-1)
-		n.activity.Add(uint64(len(batch)))
 	}
 }
 
@@ -626,21 +550,15 @@ func (n *Node) eventLoop() {
 		case <-n.closed:
 			return
 		case ev := <-n.events:
-			n.busy.Add(1)
 			var start time.Time
 			if n.obs.enabled() {
 				start = time.Now()
 			}
-			n.mu.Lock()
-			n.machine.HandleLocalEvent(nil, ev)
-			n.maybeRecompileLocked()
-			n.mu.Unlock()
+			n.step(1, func(m *core.Machine) { m.HandleLocalEvent(nil, ev) })
 			if n.obs.enabled() {
 				n.obs.eventDur.Observe(time.Since(start).Seconds())
 				n.obs.eventsIn.Inc()
 			}
-			n.busy.Add(-1)
-			n.activity.Add(1)
 		}
 	}
 }
@@ -665,19 +583,14 @@ var _ core.Host = (*Node)(nil)
 // pooled buffer, and sends it to every neighbor.
 func (n *Node) flood(appendPayload func([]byte) []byte) {
 	seq := n.seq.Add(1)
-	n.markSeen(n.id, seq) // a copy looping back must not be re-delivered
+	n.seen.mark(n.id, seq) // a copy looping back must not be re-delivered
 	buf := lsa.AppendFrameWith(getBuf(256), &lsa.Frame{
 		Version: lsa.FrameVersion, Kind: lsa.FrameFlood,
 		Origin: n.id, From: n.id, Seq: seq,
 	}, appendPayload)
 	n.obs.floodsOrig.Inc()
-	for _, nb := range n.neighbors {
-		if err := n.tr.Send(nb, buf); err != nil {
-			n.obs.sendErrs.Inc()
-			n.tracef("sw%d: flood to %d: %v", n.id, nb, err)
-		}
-	}
-	putBuf(buf) // every transport copies on Send
+	n.fanOut("flood", n.neighbors, topo.NoSwitch, -1, buf)
+	putBuf(buf) // every link got a copy
 }
 
 // FloodMC implements core.Host.
@@ -708,19 +621,20 @@ func (n *Node) SendUnicast(to topo.SwitchID, payload any) {
 	}, appendPayload)
 	n.obs.unicasts.Inc()
 	if err := n.tr.Send(to, buf); err != nil {
-		n.obs.sendErrs.Inc()
-		n.tracef("sw%d: unicast to %d: %v", n.id, to, err)
+		n.sendFailed("unicast", to, err)
 	}
 	putBuf(buf)
 }
 
-// HoldCompute implements core.Host: computation takes real time here, so
-// this is a no-op unless a delay was configured to widen withdraw windows.
-func (n *Node) HoldCompute(any) {
-	if n.computeDelay > 0 {
-		time.Sleep(n.computeDelay)
-	}
+// sendFailed accounts one link send the transport refused.
+func (n *Node) sendFailed(what string, to topo.SwitchID, err error) {
+	n.obs.sendErrs.Inc()
+	n.tracef("sw%d: %s to %d: %v", n.id, what, to, err)
 }
+
+// HoldCompute implements core.Host: computation takes the real time it
+// takes here, so there is nothing to hold.
+func (n *Node) HoldCompute(any) {}
 
 // PendingMC implements core.Host: scan the inbox for an MC LSA for conn.
 // Called with the machine lock held; takes only inMu (see the lock-order
@@ -769,14 +683,8 @@ func (n *Node) ArmResync(conn lsa.ConnID) {
 		default:
 		}
 		n.obs.resyncTmr.Inc()
-		n.busy.Add(1)
 		n.flight.Record(obs.RecResyncFired, uint32(conn), uint32(n.id), 0, 0)
-		n.mu.Lock()
-		n.machine.ResyncFired(conn)
-		n.maybeRecompileLocked()
-		n.mu.Unlock()
-		n.busy.Add(-1)
-		n.activity.Add(1)
+		n.step(1, func(m *core.Machine) { m.ResyncFired(conn) })
 	})
 	n.timerMu.Lock()
 	if n.timers == nil {
@@ -796,9 +704,9 @@ func (n *Node) SelfNudge(conn lsa.ConnID) {
 func (n *Node) NoteInstall() { n.installs.Add(1) }
 
 // ForwardingChanged implements core.Host: mark the FIB stale. The machine
-// calls this mid-mutation (mu held by the caller driving it), so the actual
-// recompile is deferred to maybeRecompileLocked at the machine-call sites —
-// one table swap per batch however many installs the batch performed.
+// calls this mid-mutation (mu held by the step driving it), so the actual
+// recompile is deferred to the end of that step — one table swap per batch
+// however many installs the batch performed.
 func (n *Node) ForwardingChanged(lsa.ConnID) { n.fibDirty = true }
 
 // Trace implements core.Host. Entries are stamped with wall-clock

@@ -20,7 +20,6 @@ type nodeObs struct {
 	// transport plane
 	framesRecv *obs.Counter // flood frames accepted (first delivery)
 	framesDup  *obs.Counter // duplicate flood deliveries suppressed
-	decodeErrs *obs.Counter // frames or payloads dropped as undecodable
 	floodsOrig *obs.Counter // floods this node originated
 	floodsFwd  *obs.Counter // store-and-forward relays of others' floods
 	unicasts   *obs.Counter // resync unicasts sent
@@ -33,16 +32,8 @@ type nodeObs struct {
 	eventDur  *obs.Histogram // seconds per event, machine lock held
 	resyncTmr *obs.Counter   // resync timer firings
 
-	// data plane (per-packet sites: all handles cached, nil-safe, zero
-	// allocation on the forward hot path)
-	dataOrig        *obs.Counter // payload frames originated locally
-	dataFwd         *obs.Counter // payload frames relayed along the FIB
-	dataDeliv       *obs.Counter // payloads delivered to the local application
-	dataDropNoEntry *obs.Counter // drops: no FIB entry for the connection
-	dataDropNoRoute *obs.Counter // drops: no fan-out and no contact route
-	dataDropHops    *obs.Counter // drops: hop budget exhausted
-	dataDropLoop    *obs.Counter // drops: own frame looped back
-	fibCompiles     *obs.Counter // FIB recompilations (atomic table swaps)
+	// The data plane has no handles here: its outcomes are counted once, in
+	// the node's own atomics, and exported by registerFuncs at scrape time.
 }
 
 // newNodeObs registers the node's series (labeled by switch) and returns the
@@ -57,7 +48,6 @@ func newNodeObs(reg *obs.Registry, id int) nodeObs {
 		sw:         sw,
 		framesRecv: reg.Counter("dgmc_frames_received_total", sw),
 		framesDup:  reg.Counter("dgmc_frames_duplicate_suppressed_total", sw),
-		decodeErrs: reg.Counter("dgmc_frame_decode_errors_total", sw),
 		floodsOrig: reg.Counter("dgmc_floods_originated_total", sw),
 		floodsFwd:  reg.Counter("dgmc_floods_forwarded_total", sw),
 		unicasts:   reg.Counter("dgmc_unicasts_sent_total", sw),
@@ -67,15 +57,6 @@ func newNodeObs(reg *obs.Registry, id int) nodeObs {
 		eventsIn:   reg.Counter("dgmc_local_events_total", sw),
 		eventDur:   reg.Histogram("dgmc_event_handle_seconds", obs.DurationBuckets, sw),
 		resyncTmr:  reg.Counter("dgmc_resync_timer_fires_total", sw),
-
-		dataOrig:        reg.Counter("dgmc_data_frames_originated_total", sw),
-		dataFwd:         reg.Counter("dgmc_data_frames_forwarded_total", sw),
-		dataDeliv:       reg.Counter("dgmc_data_delivered_total", sw),
-		dataDropNoEntry: reg.Counter("dgmc_data_drops_total", sw, obs.L("reason", "no-entry")),
-		dataDropNoRoute: reg.Counter("dgmc_data_drops_total", sw, obs.L("reason", "no-route")),
-		dataDropHops:    reg.Counter("dgmc_data_drops_total", sw, obs.L("reason", "hop-budget")),
-		dataDropLoop:    reg.Counter("dgmc_data_drops_total", sw, obs.L("reason", "loop")),
-		fibCompiles:     reg.Counter("dgmc_fib_compiles_total", sw),
 	}
 }
 
@@ -101,15 +82,41 @@ func (o *nodeObs) mcReceived(conn lsa.ConnID) {
 		obs.L("conn", strconv.Itoa(int(conn)))).Inc()
 }
 
-// registerMachineFuncs exports the protocol machine's counters (guarded by
-// n.mu) as scrape-time callbacks: the machine's hot path is untouched and
-// each scrape briefly takes the node lock, exactly like Node.Metrics().
+// forwardSeries names each data-plane outcome once, for the node-wide
+// dgmc_data_* series and the per-connection dgmc_conn_data_* series alike.
+var forwardSeries = []struct {
+	node, conn, reason string
+	pick               func(ForwardStats) uint64
+}{
+	{"dgmc_data_frames_originated_total", "dgmc_conn_data_originated_total", "", func(s ForwardStats) uint64 { return s.Originated }},
+	{"dgmc_data_frames_forwarded_total", "dgmc_conn_data_forwarded_total", "", func(s ForwardStats) uint64 { return s.Forwarded }},
+	{"dgmc_data_delivered_total", "dgmc_conn_data_delivered_total", "", func(s ForwardStats) uint64 { return s.Delivered }},
+	{"dgmc_data_drops_total", "dgmc_conn_data_drops_total", "no-entry", func(s ForwardStats) uint64 { return s.DropNoEntry }},
+	{"dgmc_data_drops_total", "dgmc_conn_data_drops_total", "no-route", func(s ForwardStats) uint64 { return s.DropNoRoute }},
+	{"dgmc_data_drops_total", "dgmc_conn_data_drops_total", "hop-budget", func(s ForwardStats) uint64 { return s.DropHops }},
+	{"dgmc_data_drops_total", "dgmc_conn_data_drops_total", "loop", func(s ForwardStats) uint64 { return s.DropLoop }},
+}
+
+// withReason appends the drop-reason label when the series has one.
+func withReason(reason string, labels ...obs.Label) []obs.Label {
+	if reason != "" {
+		labels = append(labels, obs.L("reason", reason))
+	}
+	return labels
+}
+
+// registerFuncs exports, as scrape-time callbacks, every counter the node
+// already keeps for its own purposes: the protocol machine's (guarded by
+// n.mu — each scrape briefly takes the node lock, exactly like
+// Node.Metrics()) and the data plane's (plain atomics). The hot paths are
+// untouched, and a series can never disagree with the accessor that reads
+// the same value.
 //
 // The registry deduplicates func-instruments by (name, labels) and keeps the
 // first closure, so a restarted switch cannot re-register its series — the
 // closures instead follow the succession chain (Node.live) to whatever
 // incarnation currently serves the switch ID.
-func (n *Node) registerMachineFuncs(reg *obs.Registry) {
+func (n *Node) registerFuncs(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
@@ -164,6 +171,17 @@ func (n *Node) registerMachineFuncs(reg *obs.Registry) {
 	reg.GaugeFunc("dgmc_fib_entries", func() float64 {
 		return float64(n.live().fib.Load().Size())
 	}, sw)
+	reg.CounterFunc("dgmc_fib_compiles_total", func() float64 {
+		return float64(n.live().FIBCompiles())
+	}, sw)
+	reg.CounterFunc("dgmc_frame_decode_errors_total", func() float64 {
+		return float64(n.live().DecodeErrors())
+	}, sw)
+	for _, fs := range forwardSeries {
+		reg.CounterFunc(fs.node, func() float64 {
+			return float64(fs.pick(n.live().ForwardStats()))
+		}, withReason(fs.reason, sw)...)
+	}
 }
 
 // registerConnSeries exports per-connection delivery series for every
@@ -187,28 +205,10 @@ func (n *Node) registerConnSeries(t *fib.Table) {
 // closures follow the succession chain like every func instrument).
 func (o *nodeObs) connForwardSeries(n *Node, conn lsa.ConnID) {
 	cl := obs.L("conn", strconv.Itoa(int(conn)))
-	sel := func(pick func(ForwardStats) uint64) func() float64 {
-		return func() float64 {
-			return float64(pick(n.live().ConnForwardStats(conn)))
-		}
-	}
-	o.reg.CounterFunc("dgmc_conn_data_originated_total",
-		sel(func(s ForwardStats) uint64 { return s.Originated }), o.sw, cl)
-	o.reg.CounterFunc("dgmc_conn_data_forwarded_total",
-		sel(func(s ForwardStats) uint64 { return s.Forwarded }), o.sw, cl)
-	o.reg.CounterFunc("dgmc_conn_data_delivered_total",
-		sel(func(s ForwardStats) uint64 { return s.Delivered }), o.sw, cl)
-	for _, d := range []struct {
-		reason string
-		pick   func(ForwardStats) uint64
-	}{
-		{"no-entry", func(s ForwardStats) uint64 { return s.DropNoEntry }},
-		{"no-route", func(s ForwardStats) uint64 { return s.DropNoRoute }},
-		{"hop-budget", func(s ForwardStats) uint64 { return s.DropHops }},
-		{"loop", func(s ForwardStats) uint64 { return s.DropLoop }},
-	} {
-		o.reg.CounterFunc("dgmc_conn_data_drops_total", sel(d.pick),
-			o.sw, cl, obs.L("reason", d.reason))
+	for _, fs := range forwardSeries {
+		o.reg.CounterFunc(fs.conn, func() float64 {
+			return float64(fs.pick(n.live().ConnForwardStats(conn)))
+		}, withReason(fs.reason, o.sw, cl)...)
 	}
 	o.reg.GaugeFunc("dgmc_conn_fib_fanout", func() float64 {
 		e := n.live().fib.Load().Lookup(conn)

@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"dgmc/internal/mctree"
 	"dgmc/internal/obs"
 	"dgmc/internal/topo"
+	"dgmc/internal/workload"
 )
 
 // TestChurnSoakWithObservability repeats the chan-transport churn soak with
@@ -226,4 +228,155 @@ func TestNodeDisabledObservability(t *testing.T) {
 	if err := c.WaitConverged(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestDataSeriesMatchAccessors pins the single set of data-plane counters:
+// after a ledgered blast, and after a decode error at each of the sites that
+// count one (frame, flood LSA, resync request, data payload), every
+// node-wide dgmc_data_* series, dgmc_fib_compiles_total and
+// dgmc_frame_decode_errors_total reads exactly what ForwardStats,
+// FIBCompiles and DecodeErrors return — they are the same atomics. A
+// crash–restart must leave the series on the live incarnation.
+func TestDataSeriesMatchAccessors(t *testing.T) {
+	g, err := topo.Grid(3, 3, 10*time.Microsecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	led := workload.NewLedger()
+	fab := NewChanFabric(9)
+	c, err := NewCluster(ClusterConfig{
+		Graph: g, Registry: reg, ResyncTimeout: resyncFast,
+		DataHandler: func(at topo.SwitchID, _ lsa.ConnID, src topo.SwitchID, seq uint64, _ []byte) {
+			led.RecordRecv(at, workload.PacketID{Src: src, Seq: seq})
+		},
+	}, fab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	conn := lsa.ConnID(1)
+	members := []topo.SwitchID{0, 4, 8}
+	for _, sw := range members {
+		if err := c.Join(sw, conn, mctree.SenderReceiver); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.WaitConverged(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	blast := func(packets int) {
+		t.Helper()
+		res, err := workload.Blast(c, workload.BlastConfig{
+			Conn: conn, Sources: members, SendersPerSource: 1, PayloadSize: 32, Batch: 8,
+			Packets: packets, Ledger: led,
+			Expect: func(src topo.SwitchID) []topo.SwitchID {
+				var out []topo.SwitchID
+				for _, sw := range members {
+					if sw != src {
+						out = append(out, sw)
+					}
+				}
+				return out
+			},
+			InFlight: fab.InFlight, MaxInFlight: 128,
+		})
+		if err != nil || res.Sent != uint64(packets) || res.Refused != 0 {
+			t.Fatalf("blast sent %d of %d (refused %d): %v", res.Sent, packets, res.Refused, err)
+		}
+		if err := c.Settle(50*time.Millisecond, 30*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blast(300)
+
+	// One undecodable frame per counting site, all aimed at switch 4, plus a
+	// payload for a connection it has no entry for (a counted drop).
+	inject := fab.Transport(3)
+	frame := func(kind lsa.FrameKind, seq uint64, payload []byte) []byte {
+		return lsa.EncodeFrame(&lsa.Frame{
+			Version: lsa.FrameVersion, Kind: kind, Origin: 3, From: 3, Seq: seq, Payload: payload,
+		})
+	}
+	for _, buf := range [][]byte{
+		[]byte("not a frame"),
+		frame(lsa.FrameFlood, 1<<40, []byte{0xff}),
+		frame(lsa.FrameResyncReq, 1<<40+1, []byte{0xff}),
+		frame(lsa.FrameData, 1, []byte{0xff}),
+		dataBuf(lsa.ConnID(99), 3, 3, 2, 8, nil),
+	} {
+		if err := inject.Send(4, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.WaitConverged(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Node(4).DecodeErrors(); got != 4 {
+		t.Fatalf("switch 4 counted %d decode errors, want 4", got)
+	}
+	if sum := led.Summary(); sum.Dups != 0 || sum.Strays != 0 || uint64(sum.Delivered) != c.ForwardStats().Delivered {
+		t.Fatalf("ledger %+v disagrees with ForwardStats %+v", sum, c.ForwardStats())
+	}
+
+	check := func(when string) {
+		t.Helper()
+		got := map[string]float64{}
+		for _, p := range reg.Snapshot() {
+			key := p.Name
+			for _, l := range p.Labels {
+				key += " " + l.Key + "=" + l.Value
+			}
+			got[key] = p.Value
+		}
+		for _, n := range c.Nodes() {
+			sw := " switch=" + strconv.Itoa(int(n.ID()))
+			s := n.ForwardStats()
+			for key, want := range map[string]uint64{
+				"dgmc_data_frames_originated_total" + sw:             s.Originated,
+				"dgmc_data_frames_forwarded_total" + sw:              s.Forwarded,
+				"dgmc_data_delivered_total" + sw:                     s.Delivered,
+				"dgmc_data_drops_total reason=no-entry" + sw:         s.DropNoEntry,
+				"dgmc_data_drops_total reason=no-route" + sw:         s.DropNoRoute,
+				"dgmc_data_drops_total reason=hop-budget" + sw:       s.DropHops,
+				"dgmc_data_drops_total reason=loop" + sw:             s.DropLoop,
+				"dgmc_fib_compiles_total" + sw:                       n.FIBCompiles(),
+				"dgmc_frame_decode_errors_total" + sw:                n.DecodeErrors(),
+				"dgmc_conn_data_delivered_total conn=1" + sw:         n.ConnForwardStats(conn).Delivered,
+				"dgmc_conn_data_drops_total conn=1 reason=loop" + sw: n.ConnForwardStats(conn).DropLoop,
+			} {
+				if v, ok := got[key]; !ok || v != float64(want) {
+					t.Errorf("%s: series %q = %v (present=%v), accessor says %d", when, key, v, ok, want)
+				}
+			}
+		}
+	}
+	check("after blast")
+	if s := c.Node(4).ForwardStats(); s.Delivered == 0 || s.DropNoEntry != 1 {
+		t.Fatalf("switch 4 stats %+v: want deliveries and one no-entry drop", s)
+	}
+
+	// Crash and restart switch 4: its series must follow the new incarnation,
+	// whose counters start from zero.
+	if err := c.KillNode(4); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RestartNode(4, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WaitConverged(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Join(4, conn, mctree.SenderReceiver); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WaitConverged(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	blast(90)
+	if s := c.Node(4).ForwardStats(); s.Delivered == 0 || s.DropNoEntry != 0 || c.Node(4).DecodeErrors() != 0 {
+		t.Fatalf("restarted switch 4 stats %+v: want fresh counters with deliveries", s)
+	}
+	check("after restart")
 }

@@ -22,20 +22,38 @@ var ErrClosed = errors.New("rt: transport closed")
 
 // Transport is one switch's attachment to the fabric: a point-to-point
 // datagram service to each direct neighbor. Implementations must be safe
-// for concurrent use — the node's receive loop blocks in Recv while
-// protocol goroutines call Send.
+// for concurrent use — the node's receive loop blocks in RecvBatch while
+// protocol goroutines send.
 //
-// Send must not retain or mutate data after it returns (callers reuse and
-// patch buffers); Recv must return a buffer the caller owns. Both return
-// ErrClosed (possibly wrapped) after Close, which must also unblock any
-// goroutine waiting in Recv.
+// Buffer ownership is the whole contract. Send copies: data stays the
+// caller's, to patch and send again. SendOwned moves: buf must be the
+// caller's alone, and on every outcome — delivered, dropped in the fabric,
+// unknown peer, closed — the transport has consumed it and the caller must
+// not touch it again. Received frames belong to the receiver, which recycles
+// them (putBuf) or moves them on with SendOwned. After Close, receives
+// return ErrClosed (possibly wrapped), and so does every send the fabric
+// can tell has nowhere left to go.
 type Transport interface {
-	// Send queues one frame for delivery to the named switch. Delivery is
-	// best-effort: a lossy fabric (UDP under pressure) may drop frames,
+	// Send queues a copy of data for delivery to the named switch. Delivery
+	// is best-effort: a lossy fabric (UDP under pressure) may drop frames,
 	// which is exactly what the protocol's gap recovery exists for.
 	Send(to topo.SwitchID, data []byte) error
-	// Recv blocks until a frame arrives and returns it.
+	// SendOwned is Send without the copy: buf itself goes to the named
+	// switch. The node moves a relayed data frame into its last outgoing
+	// link this way; every other link gets a Send copy.
+	SendOwned(to topo.SwitchID, buf []byte) error
+	// Recv blocks until a frame arrives and returns it, already settled. The
+	// node never calls it — tools and tests that want one frame do.
 	Recv() ([]byte, error)
-	// Close detaches from the fabric and unblocks Recv.
+	// RecvBatch blocks until at least one frame is waiting and returns the
+	// whole backlog. recycle is the slice the previous call returned (nil at
+	// first); the transport reuses its backing array. The frames stay
+	// in flight until the receiver settles them with Release.
+	RecvBatch(recycle [][]byte) ([][]byte, error)
+	// Release settles n frames from RecvBatch as handled. A fabric that
+	// counts frames in flight (ChanFabric.InFlight) stops counting them
+	// here, so zero means nothing queued and nothing mid-handling.
+	Release(n int)
+	// Close detaches from the fabric and unblocks blocked receivers.
 	Close() error
 }

@@ -1,0 +1,138 @@
+package rt
+
+import (
+	"bytes"
+	"errors"
+	"testing"
+	"time"
+
+	"dgmc/internal/topo"
+)
+
+// closeSpyFabric records Close calls on top of a real fabric.
+type closeSpyFabric struct {
+	Fabric
+	closes int
+}
+
+func (f *closeSpyFabric) Close() error {
+	f.closes++
+	return f.Fabric.Close()
+}
+
+// TestNewClusterClosesFabricOnFailure pins NewCluster's ownership promise on
+// both early-exit paths: a fabric handed to a cluster that never boots is
+// closed, not leaked (a UDPFabric is one socket per switch).
+func TestNewClusterClosesFabricOnFailure(t *testing.T) {
+	split := topo.New(2) // two switches, no link
+	for name, cfg := range map[string]ClusterConfig{
+		"nil graph":          {},
+		"disconnected graph": {Graph: split},
+	} {
+		spy := &closeSpyFabric{Fabric: NewChanFabric(2)}
+		if c, err := NewCluster(cfg, spy); err == nil {
+			c.Close()
+			t.Fatalf("%s: NewCluster succeeded", name)
+		}
+		if spy.closes != 1 {
+			t.Errorf("%s: fabric closed %d times, want 1", name, spy.closes)
+		}
+	}
+}
+
+// TestTransportContract drives one send/receive/close sequence over both
+// production transports through the Transport interface alone: what the
+// node relies on must hold whichever fabric is underneath.
+func TestTransportContract(t *testing.T) {
+	fabrics := map[string]func(t *testing.T) Fabric{
+		"chanPort": func(*testing.T) Fabric { return NewChanFabric(2) },
+		"UDPTransport": func(t *testing.T) Fabric {
+			f, err := NewUDPFabric(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		},
+	}
+	for name, mk := range fabrics {
+		t.Run(name, func(t *testing.T) {
+			fab := mk(t)
+			defer fab.Close()
+			tx, rx := fab.Transport(0), fab.Transport(1)
+			owned := func(s string) []byte { return append(getBuf(len(s)), s...) }
+
+			// Send copies: the caller's buffer stays the caller's.
+			msg := []byte("copied")
+			if err := tx.Send(1, msg); err != nil {
+				t.Fatal(err)
+			}
+			copy(msg, "XXXXXX")
+			batch, err := rx.RecvBatch(nil)
+			if err != nil || len(batch) != 1 || string(batch[0]) != "copied" {
+				t.Fatalf("RecvBatch after Send = %q, %v; want one frame %q", batch, err, "copied")
+			}
+			putBuf(batch[0])
+			rx.Release(1)
+
+			// SendOwned moves: the frame arrives intact and the batch slice
+			// is reused for the next burst.
+			if err := tx.SendOwned(1, owned("moved")); err != nil {
+				t.Fatal(err)
+			}
+			batch, err = rx.RecvBatch(batch)
+			if err != nil || len(batch) != 1 || string(batch[0]) != "moved" {
+				t.Fatalf("RecvBatch after SendOwned = %q, %v; want one frame %q", batch, err, "moved")
+			}
+			putBuf(batch[0])
+			rx.Release(1)
+
+			// Recv hands out single, already-settled frames.
+			if err := tx.SendOwned(1, owned("single")); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := rx.Recv(); err != nil || !bytes.Equal(got, []byte("single")) {
+				t.Fatalf("Recv = %q, %v; want %q", got, err, "single")
+			}
+
+			// An unknown peer is an error on both sends, and SendOwned has
+			// still consumed its buffer.
+			if err := tx.Send(7, msg); err == nil {
+				t.Fatal("Send to unknown peer accepted")
+			}
+			if err := tx.SendOwned(7, owned("nowhere")); err == nil {
+				t.Fatal("SendOwned to unknown peer accepted")
+			}
+
+			// Close unblocks a parked receiver and fails everything after.
+			parked := make(chan error, 1)
+			go func() {
+				_, err := rx.RecvBatch(nil)
+				parked <- err
+			}()
+			time.Sleep(10 * time.Millisecond) // let it park; either order must work
+			if err := rx.Close(); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case err := <-parked:
+				if !errors.Is(err, ErrClosed) {
+					t.Fatalf("parked RecvBatch = %v, want ErrClosed", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Close did not unblock RecvBatch")
+			}
+			if _, err := rx.Recv(); !errors.Is(err, ErrClosed) {
+				t.Fatalf("Recv after Close = %v, want ErrClosed", err)
+			}
+			if err := tx.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Send(1, msg); !errors.Is(err, ErrClosed) {
+				t.Fatalf("Send after Close = %v, want ErrClosed", err)
+			}
+			if err := tx.SendOwned(1, owned("late")); !errors.Is(err, ErrClosed) {
+				t.Fatalf("SendOwned after Close = %v, want ErrClosed", err)
+			}
+		})
+	}
+}

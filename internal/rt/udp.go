@@ -34,20 +34,30 @@ func NewUDPTransport(listen string, peers map[topo.SwitchID]string) (*UDPTranspo
 	if err != nil {
 		return nil, fmt.Errorf("rt: bind %q: %w", listen, err)
 	}
-	t := &UDPTransport{conn: conn, peers: make(map[topo.SwitchID]*net.UDPAddr, len(peers))}
-	for id, addr := range peers {
-		ua, err := net.ResolveUDPAddr("udp", addr)
-		if err != nil {
-			conn.Close()
-			return nil, fmt.Errorf("rt: peer %d address %q: %w", id, addr, err)
-		}
-		t.peers[id] = ua
+	t := &UDPTransport{conn: conn}
+	if err := t.setPeers(peers); err != nil {
+		conn.Close()
+		return nil, err
 	}
 	// Flood storms are bursty; deep socket buffers keep the loss rate down
 	// to what resync can mop up quickly. Best-effort: some systems clamp.
 	_ = conn.SetReadBuffer(4 << 20)
 	_ = conn.SetWriteBuffer(4 << 20)
 	return t, nil
+}
+
+// setPeers resolves and installs the peer address table. Not safe once the
+// transport is in use.
+func (t *UDPTransport) setPeers(peers map[topo.SwitchID]string) error {
+	t.peers = make(map[topo.SwitchID]*net.UDPAddr, len(peers))
+	for id, addr := range peers {
+		ua, err := net.ResolveUDPAddr("udp", addr)
+		if err != nil {
+			return fmt.Errorf("rt: peer %d address %q: %w", id, addr, err)
+		}
+		t.peers[id] = ua
+	}
+	return nil
 }
 
 // LocalAddr returns the bound socket address (useful with ":0").
@@ -68,6 +78,14 @@ func (t *UDPTransport) Send(to topo.SwitchID, data []byte) error {
 	return err
 }
 
+// SendOwned implements Transport. A socket write copies into the kernel,
+// so moving a buffer into a socket is writing it and recycling it.
+func (t *UDPTransport) SendOwned(to topo.SwitchID, buf []byte) error {
+	err := t.Send(to, buf)
+	putBuf(buf)
+	return err
+}
+
 // Recv implements Transport.
 func (t *UDPTransport) Recv() ([]byte, error) {
 	buf := getBuf(maxUDPFrame)[:maxUDPFrame]
@@ -80,6 +98,20 @@ func (t *UDPTransport) Recv() ([]byte, error) {
 	}
 	return buf[:n], nil
 }
+
+// RecvBatch implements Transport: a socket read yields one datagram, so the
+// batch is always one frame.
+func (t *UDPTransport) RecvBatch(recycle [][]byte) ([][]byte, error) {
+	buf, err := t.Recv()
+	if err != nil {
+		return nil, err
+	}
+	return append(recycle[:0], buf), nil
+}
+
+// Release implements Transport. Datagrams in flight are invisible to the
+// sockets, so there is nothing to settle.
+func (t *UDPTransport) Release(int) {}
 
 // Close implements Transport.
 func (t *UDPTransport) Close() error {
@@ -96,40 +128,22 @@ type UDPFabric struct {
 
 // NewUDPFabric binds n loopback sockets and cross-wires their peer tables.
 func NewUDPFabric(n int) (*UDPFabric, error) {
-	conns := make([]*net.UDPConn, n)
+	f := &UDPFabric{}
 	addrs := make(map[topo.SwitchID]string, n)
-	fail := func(err error) (*UDPFabric, error) {
-		for _, c := range conns {
-			if c != nil {
-				c.Close()
-			}
-		}
-		return nil, err
-	}
-	for i := range conns {
-		c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	for i := 0; i < n; i++ {
+		t, err := NewUDPTransport("127.0.0.1:0", nil)
 		if err != nil {
-			return fail(fmt.Errorf("rt: bind loopback socket %d: %w", i, err))
+			f.Close()
+			return nil, fmt.Errorf("rt: loopback socket %d: %w", i, err)
 		}
-		conns[i] = c
-		addrs[topo.SwitchID(i)] = c.LocalAddr().String()
+		f.trs = append(f.trs, t)
+		addrs[topo.SwitchID(i)] = t.LocalAddr().String()
 	}
-	f := &UDPFabric{trs: make([]*UDPTransport, n)}
-	for i, c := range conns {
-		t := &UDPTransport{conn: c, peers: make(map[topo.SwitchID]*net.UDPAddr, n)}
-		for id, addr := range addrs {
-			if int(id) == i {
-				continue
-			}
-			ua, err := net.ResolveUDPAddr("udp", addr)
-			if err != nil {
-				return fail(fmt.Errorf("rt: resolve %q: %w", addr, err))
-			}
-			t.peers[id] = ua
+	for _, t := range f.trs {
+		if err := t.setPeers(addrs); err != nil {
+			f.Close()
+			return nil, err
 		}
-		_ = c.SetReadBuffer(4 << 20)
-		_ = c.SetWriteBuffer(4 << 20)
-		f.trs[i] = t
 	}
 	return f, nil
 }

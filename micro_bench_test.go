@@ -1,7 +1,8 @@
 // Micro-benchmarks for the protocol's hot paths: one machine step, frame
 // encode/decode, flood fan-out, and topology computation. Where
 // bench_test.go regenerates the paper's figures end to end, these isolate
-// the unit costs that compose them; scripts/bench.sh records both as JSON.
+// the unit costs that compose them. The repeatable, audited measurement is
+// the repo benchmark (go run ./bench); these are for measuring while you work.
 package dgmc_test
 
 import (
