@@ -9,6 +9,7 @@
 //	dgmccheck -topo ring -n 4 -scenario join@0,join@2
 //	dgmccheck -topo line -n 3 -mode walk -walks 500 -seed 1 -resync -drops 1
 //	dgmccheck -topo line -n 4 -resync -scenario join@0,split@0.1|2.3,heal,crash@3,restart@3
+//	dgmccheck -topo ring -n 5 -resync -scenario join@0,leave@0,join@1,split@0.1|2.3.4,compact@1,heal
 //	dgmccheck -topo ring -n 6 -resync -guided -budget 200000 \
 //	    -scenario join@0,leave@0,join@1,join@3,split@0.1.2|3.4.5,heal
 //	dgmccheck -topo ring -n 6 -resync -suspect all -scenario join@0,join@3,split@0.1.2|3.4.5,heal
@@ -54,7 +55,7 @@ func run(args []string, w io.Writer) error {
 	algName := fs.String("alg", "sph", "topology algorithm: sph, kmb, spt, cbt, or incremental")
 	scenario := fs.String("scenario", "join@0,join@2",
 		"comma-separated events: join@S, leave@S, fail@A-B, restore@A-B (append /C for a connection other than 1); "+
-			"fault lane: split@0.1|2.3 (groups of dot-separated switches), heal, crash@S, restart@S (require -resync)")
+			"fault lane: split@0.1|2.3 (groups of dot-separated switches), heal, crash@S, restart@S, compact@S (require -resync)")
 	mode := fs.String("mode", "exhaustive", "search mode: exhaustive (BFS), walk (seeded random schedules), guided (best-first with drain probes), or backward (suspect-driven)")
 	depth := fs.Int("depth", 0, "exhaustive: max schedule depth (0 = unbounded)")
 	maxStates := fs.Int("max-states", 0, "exhaustive: max distinct states (0 = default 2000000)")
@@ -261,7 +262,7 @@ func buildTopo(name string, n int) (*topo.Graph, error) {
 // C (default 1). Link events are detected by their A endpoint. Fault-lane
 // operations ride in the same list but keep program order among themselves:
 // split@0.1|2.3 (groups separated by '|', members by '.'), heal, crash@S,
-// restart@S.
+// restart@S, compact@S (trim S's event logs to nothing at that point).
 func parseScenario(s string, g *topo.Graph) (explore.Scenario, error) {
 	var scn explore.Scenario
 	for _, part := range strings.Split(s, ",") {
@@ -355,15 +356,14 @@ func parseFaultOp(part string) (explore.FaultOp, bool, error) {
 			groups = append(groups, grp)
 		}
 		return explore.FaultOp{Kind: explore.FaultSplit, Groups: groups}, true, nil
-	case "crash", "restart":
+	case "crash", "restart", "compact":
 		sw, err := strconv.Atoi(arg)
 		if err != nil {
 			return explore.FaultOp{}, true, fmt.Errorf("bad switch in %q", part)
 		}
-		kind := explore.FaultCrash
-		if verb == "restart" {
-			kind = explore.FaultRestart
-		}
+		kind := map[string]explore.FaultKind{
+			"crash": explore.FaultCrash, "restart": explore.FaultRestart, "compact": explore.FaultCompact,
+		}[verb]
 		return explore.FaultOp{Kind: kind, Switch: topo.SwitchID(sw)}, true, nil
 	default:
 		return explore.FaultOp{}, false, nil

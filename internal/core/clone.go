@@ -57,6 +57,7 @@ func (cs *connState) clone() *connState {
 		r:               cs.r.Clone(),
 		e:               cs.e.Clone(),
 		c:               cs.c.Clone(),
+		logFloor:        cs.logFloor.Clone(),
 		topology:        cs.topology,
 		makeProposal:    cs.makeProposal,
 		lastDelta:       cs.lastDelta,
@@ -118,8 +119,8 @@ func (m *Machine) AllConnections() []lsa.ConnID {
 // to buf. Everything that can influence a future transition is included:
 // the unicast image and its staleness horizon, and per connection (in
 // ascending ID order) the three timestamps, the member list, the flags,
-// the installed topology, the incremental-update hint, the replay log, the
-// out-of-order buffer, and the resync bookkeeping. Pure counters (metrics,
+// the installed topology, the incremental-update hint, the replay log and its
+// per-origin floor, the out-of-order buffer, and the resync bookkeeping. Pure counters (metrics,
 // install counts) are excluded. Two machines with equal encodings are
 // behaviorally indistinguishable, which is what makes the encoding a sound
 // deduplication key for state-space search.
@@ -181,6 +182,7 @@ func (cs *connState) appendState(buf []byte) []byte {
 	for _, msg := range cs.eventLog {
 		buf = appendMC(buf, msg)
 	}
+	buf = cs.logFloor.AppendBinary(buf)
 	// Out-of-order buffer in (origin, index) order.
 	srcs := make([]topo.SwitchID, 0, len(cs.ooo))
 	for src, byIdx := range cs.ooo {

@@ -42,12 +42,21 @@ type connState struct {
 	// resurrects the state.
 	dormant bool
 
-	// eventLog retains every applied event LSA in application order, so
-	// this switch can replay missed events to a resyncing neighbor (the
-	// OSPF database-exchange analogue). The entry for switch x's i-th
-	// event has Stamp[x] == i, which is how resync responses are filtered.
-	// Like the counters, the log survives dormancy.
+	// eventLog retains the most recently applied event LSAs in application
+	// order, so this switch can replay missed events to a resyncing
+	// neighbor (the OSPF database-exchange analogue). The entry for switch
+	// x's i-th event has Stamp[x] == i, which is how resync responses are
+	// filtered. It is a bounded suffix of history: logEvent is its only
+	// writer and trimLog its only trimmer. Like the counters, the log
+	// survives dormancy.
 	eventLog []*lsa.MC
+
+	// logFloor[x] is the index of origin x's newest event that is NOT in
+	// the log any more — trimmed away, or skipped by a catch-up. Every
+	// event of x in (logFloor[x], r[x]] is retained; a neighbor missing
+	// anything at or below the floor is served a catch-up for x instead
+	// (serveResync).
+	logFloor stamp.Stamp
 
 	// ooo buffers event LSAs that arrived ahead of per-origin order (the
 	// i+2nd event before the i+1st — possible once retransmission or
@@ -81,6 +90,8 @@ func newConnState(id lsa.ConnID, kind mctree.Kind, n int) *connState {
 		r:       stamp.New(n),
 		e:       stamp.New(n),
 		c:       stamp.New(n),
+
+		logFloor: stamp.New(n),
 	}
 }
 
@@ -96,13 +107,50 @@ func (cs *connState) gapped() bool {
 	return !cs.dormant && cs.r.Greater(cs.c)
 }
 
+// eventLogRetain is how many applied event LSAs a connection keeps for
+// replay. The deepest suffix any resync request reached for across the
+// fault soaks, the loss soaks and the simulator's loss sweep was 90 log
+// entries (10 events of one origin); this is the next power of two above
+// four times that (DESIGN.md §13). The log is trimmed back to it whenever
+// it reaches twice this length, so depth stays below 2×eventLogRetain and
+// the trim's copy is amortized over eventLogRetain appends.
+const eventLogRetain = 512
+
+// EventLogLimit is the depth no connection's event log reaches.
+func EventLogLimit() int { return 2 * eventLogRetain }
+
 // logEvent appends an applied event LSA to the replay log. Proposals are
 // kept: a replayed proposal-carrying event LSA lets a resyncing switch
-// adopt the topology it missed, not just the event.
+// adopt the topology it missed, not just the event. A catch-up is not one
+// of its origin's events and is not kept (applyEventLSA raises the floor
+// for it instead).
 func (cs *connState) logEvent(m *lsa.MC) {
-	if m.Event.IsEvent() {
-		cs.eventLog = append(cs.eventLog, m)
+	if !m.Event.IsEvent() || m.Event == lsa.CatchUp {
+		return
 	}
+	cs.eventLog = append(cs.eventLog, m)
+	if len(cs.eventLog) >= 2*eventLogRetain {
+		cs.trimLog(eventLogRetain)
+	}
+}
+
+// trimLog drops all but the newest keep entries, in place, raising each
+// dropped origin's floor to the dropped index. The vacated tail is cleared
+// so the dropped LSAs (and the proposal trees they hold) can be collected.
+func (cs *connState) trimLog(keep int) {
+	drop := len(cs.eventLog) - keep
+	if drop <= 0 {
+		return
+	}
+	for _, m := range cs.eventLog[:drop] {
+		x := int(m.Src)
+		if idx := m.Stamp[x]; idx > cs.logFloor[x] {
+			cs.logFloor[x] = idx
+		}
+	}
+	copy(cs.eventLog, cs.eventLog[drop:])
+	clear(cs.eventLog[keep:])
+	cs.eventLog = cs.eventLog[:keep]
 }
 
 // buffer stashes an out-of-order event LSA for later application; it
@@ -124,6 +172,17 @@ func (cs *connState) buffer(m *lsa.MC) bool {
 	return true
 }
 
+// purgeBuffered discards src's buffered events with index at or below
+// upTo (a catch-up superseded them).
+func (cs *connState) purgeBuffered(src topo.SwitchID, upTo uint32) {
+	for idx := range cs.ooo[src] {
+		if idx <= upTo {
+			delete(cs.ooo[src], idx)
+			cs.oooCount--
+		}
+	}
+}
+
 // takeBuffered removes and returns the buffered event with the given
 // per-origin index, if present.
 func (cs *connState) takeBuffered(src topo.SwitchID, idx uint32) (*lsa.MC, bool) {
@@ -137,7 +196,8 @@ func (cs *connState) takeBuffered(src topo.SwitchID, idx uint32) (*lsa.MC, bool)
 }
 
 // applyMembership updates the member list for an event LSA from src.
-// Link events do not change membership (Figure 5 line 8).
+// Link events do not change membership (Figure 5 line 8); a catch-up sets
+// src's entry to where its skipped events led.
 func (cs *connState) applyMembership(event lsa.Event, src int, role mctree.Role) {
 	switch event {
 	case lsa.Join:
@@ -148,6 +208,13 @@ func (cs *connState) applyMembership(event lsa.Event, src int, role mctree.Role)
 		cs.lastDelta = &route.Change{Switch: switchID(src), Join: false}
 	case lsa.Link:
 		cs.lastDelta = nil // force from-scratch around the failed link
+	case lsa.CatchUp:
+		if role != 0 {
+			cs.members[switchID(src)] = role
+		} else {
+			delete(cs.members, switchID(src))
+		}
+		cs.lastDelta = nil // any number of changes were skipped
 	}
 }
 

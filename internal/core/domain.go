@@ -58,6 +58,14 @@ type Metrics struct {
 	// pair (the OSPF rule that LSAs learned during database exchange are
 	// flooded onward).
 	Replays uint64
+	// CatchUpsServed counts catch-up LSAs sent in resync responses (one per
+	// origin whose missing events had been trimmed from the server's log);
+	// CatchUpsApplied counts catch-ups that fast-forwarded this switch's
+	// counter for an origin, whether they arrived in a response or in a
+	// neighbor's re-flood. Non-zero Applied means this switch recovered
+	// state it cannot replay event by event.
+	CatchUpsServed  uint64
+	CatchUpsApplied uint64
 }
 
 // Config configures a D-GMC domain.

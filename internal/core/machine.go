@@ -131,10 +131,17 @@ const (
 	// topology gains a stamp that dominates everything the requester will
 	// ever expect and overwrites fresher trees.
 	MutationUncappedPseudoProposal
+	// MutationTruncateWithoutCatchUp trims the event log as specified but
+	// answers resync requests from the retained suffix alone, with no
+	// catch-up for origins whose missing events were trimmed (serveResync).
+	// A switch that heals or restarts after its peer trimmed receives
+	// events it can only buffer out of order, behind a hole no replay will
+	// ever fill: its member list and stamps stay behind for good.
+	MutationTruncateWithoutCatchUp
 )
 
 // Valid reports whether mu is a defined mutation.
-func (mu Mutation) Valid() bool { return mu <= MutationUncappedPseudoProposal }
+func (mu Mutation) Valid() bool { return mu <= MutationTruncateWithoutCatchUp }
 
 // String implements fmt.Stringer.
 func (mu Mutation) String() string {
@@ -147,6 +154,8 @@ func (mu Mutation) String() string {
 		return "ignore-event-order"
 	case MutationUncappedPseudoProposal:
 		return "uncapped-pseudo-proposal"
+	case MutationTruncateWithoutCatchUp:
+		return "truncate-without-catchup"
 	default:
 		return fmt.Sprintf("Mutation(%d)", uint8(mu))
 	}
@@ -791,6 +800,28 @@ func (m *Machine) install(cs *connState, chain ChainID, t *mctree.Tree, via stri
 	m.host.NoteInstall()
 	if m.host.TraceEnabled() {
 		m.host.Trace(TraceInstall, chain, cs.id, "installed %s via %s", t, via)
+	}
+}
+
+// EventLogDepth returns the number of event LSAs currently retained for
+// replay across every connection (observability: it stays below
+// EventLogLimit per connection however long the switch has lived).
+func (m *Machine) EventLogDepth() int {
+	total := 0
+	for _, cs := range m.conns {
+		total += len(cs.eventLog)
+	}
+	return total
+}
+
+// CompactEventLogs trims every connection's event log to nothing, now —
+// what logEvent does to the oldest half of a full log, done to all of it.
+// Retention only decides how much is replayed rather than caught up, never
+// what a resyncing neighbor ends up knowing, so a switch may do this at
+// any moment; the schedule explorer makes that moment a choice point.
+func (m *Machine) CompactEventLogs() {
+	for _, cs := range m.conns {
+		cs.trimLog(0)
 	}
 }
 

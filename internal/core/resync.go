@@ -34,6 +34,15 @@ import (
 //     ReceiveLSA with makeProposal set, so even a neighborhood of equally
 //     wedged switches recomputes and floods a fresh proposal.
 //
+//  4. The log a replay is served from is a bounded suffix of history
+//     (connState.eventLog, eventLogRetain). An event from origin x writes
+//     nothing but r[x] and members[x], so whatever lies below the suffix is
+//     served from the state itself: one catch-up LSA per such origin,
+//     built from (r[x], members[x]) and stamped with the server's R, in
+//     place of x's events. The receiver fast-forwards r[x] on it; after
+//     that it is an event LSA like any other — E merge, the owe-a-proposal
+//     check, re-flood of replay-learned knowledge.
+//
 // Everything travels through the ordinary ReceiveLSA path and the ordinary
 // acceptance rules (a proposal is accepted only if its stamp dominates E),
 // so resync can never regress C or install a stale topology. Rounds are
@@ -72,9 +81,20 @@ func (m *Machine) applyEventLSA(cs *connState, msg *lsa.MC) []*lsa.MC {
 		// Already applied: a retransmitted, fault-duplicated, or replayed
 		// copy. Its stamp was merged into E when the first copy arrived.
 		return nil
-	case idx == cs.r[x]+1:
+	case idx == cs.r[x]+1 || msg.Event == lsa.CatchUp:
 		out := []*lsa.MC{msg}
-		cs.r.Inc(x)
+		if msg.Event == lsa.CatchUp {
+			// Fast-forward over events this switch will never see: the
+			// server no longer holds them. Whatever of them sits buffered
+			// out of order is superseded, and nothing at or below idx can
+			// be replayed from here either.
+			cs.purgeBuffered(src, idx)
+			cs.r[x] = idx
+			cs.logFloor[x] = idx
+			m.metrics.CatchUpsApplied++
+		} else {
+			cs.r.Inc(x)
+		}
 		cs.applyMembership(msg.Event, x, msg.Role)
 		cs.logEvent(msg)
 		// Applying this event may release buffered successors.
@@ -208,13 +228,14 @@ func (m *Machine) resyncCheck(cs *connState) {
 	m.maybeScheduleResync(cs)
 }
 
-// handleResyncRequest serves a neighbor's resync request from this switch's
-// event log: replay every logged event beyond the requester's R, close with
-// a pseudo-proposal carrying the installed topology, and let the request's
-// R advertise any events the requester has seen that we have not. The
-// wildcard lsa.AllConns serves every known connection — including dormant
-// ones, whose counters and logs survive dormancy — which is how a restarted
-// switch with no state at all rebuilds from a neighbor.
+// handleResyncRequest serves a neighbor's resync request: send what the
+// requester's R lacks (serveResync), close with a pseudo-proposal carrying
+// the installed topology, and let the request's R advertise any events the
+// requester has seen that we have not. The wildcard lsa.AllConns serves
+// every known connection — including dormant ones, whose counters, floors
+// and logs survive dormancy — which is how a restarted switch with no state
+// at all rebuilds from a neighbor, at a cost of one LSA per origin plus the
+// retained suffix however long the connection has lived.
 func (m *Machine) handleResyncRequest(req *lsa.ResyncRequest) {
 	if req.Conn == lsa.AllConns {
 		for _, id := range m.AllConnections() {
@@ -227,9 +248,14 @@ func (m *Machine) handleResyncRequest(req *lsa.ResyncRequest) {
 	m.maybeScheduleResync(cs) // the E merge may have revealed our own gap
 }
 
-// serveResync replays this switch's event-log suffix beyond r (an empty or
-// short r reads as all-zeros: replay everything) to the requesting neighbor
-// and merges r into E, making gap detection symmetric.
+// serveResync answers a resync request advertising received stamp r (an
+// empty or short r reads as all-zeros: send everything) and merges r into E,
+// making gap detection symmetric. Per origin x the requester is missing
+// x's events in (r[x], cs.r[x]]: if the log still holds all of them they
+// are replayed in application order; if any lies at or below the log's
+// floor for x, one catch-up LSA carrying (cs.r[x], members[x]) replaces
+// them all. Catch-ups lead the batch, so the E merge on the requester's
+// side sees this switch's whole R before it weighs any replayed proposal.
 func (m *Machine) serveResync(cs *connState, from topo.SwitchID, r stamp.Stamp) {
 	if len(r) == len(cs.e) {
 		cs.e.MaxInPlace(r)
@@ -240,9 +266,31 @@ func (m *Machine) serveResync(cs *connState, from topo.SwitchID, r stamp.Stamp) 
 		}
 		return 0
 	}
+	// Skipping the catch-ups and replaying whatever suffix survives is the
+	// seeded-bug site for MutationTruncateWithoutCatchUp (checker
+	// validation): the requester buffers the suffix behind a hole nobody
+	// can fill.
+	belowFloor := func(x int) bool {
+		return rAt(x) < cs.logFloor[x] && m.mutation != MutationTruncateWithoutCatchUp
+	}
 	var batch []*lsa.MC
+	var have stamp.Stamp // one read-only copy of R shared by this batch's catch-ups
+	for x := range cs.logFloor {
+		if !belowFloor(x) {
+			continue
+		}
+		if have == nil {
+			have = cs.r.Clone()
+		}
+		batch = append(batch, &lsa.MC{
+			Src: switchID(x), Event: lsa.CatchUp, Role: cs.members[switchID(x)],
+			Conn: cs.id, Stamp: have,
+		})
+	}
+	m.metrics.CatchUpsServed += uint64(len(batch))
 	for _, msg := range cs.eventLog {
-		if msg.Stamp[int(msg.Src)] > rAt(int(msg.Src)) {
+		x := int(msg.Src)
+		if msg.Stamp[x] > rAt(x) && !belowFloor(x) {
 			batch = append(batch, msg)
 		}
 	}

@@ -111,8 +111,8 @@ type Inject struct {
 // Scenario is the workload to explore.
 type Scenario struct {
 	Injects []Inject
-	// Faults is the ordered fault lane: partition, heal, crash, and
-	// restart operations that fire in list order, each interleaving freely
+	// Faults is the ordered fault lane: partition, heal, crash, restart and
+	// log-compaction operations that fire in list order, each interleaving freely
 	// with everything else (see faultops.go). Requires Config.Resync —
 	// partition and crash recovery are resync machinery.
 	Faults []FaultOp
@@ -227,6 +227,10 @@ type World struct {
 	crashedOnce []bool
 	crashedEver bool
 	ownHigh     map[lsa.ConnID][]uint32
+
+	// exchangeErr is the verdict of checkExchange on the transition that
+	// produced this world (checkStep reports it); clones start without one.
+	exchangeErr error
 
 	tracing bool
 	trace   []string
@@ -476,6 +480,7 @@ func (w *World) applyIndex(i int) (action, bool) {
 }
 
 func (w *World) apply(a action) {
+	w.exchangeErr = nil
 	switch a.kind {
 	case actInject:
 		idx := w.injectsBySwitch[a.sw][w.injectPos[a.sw]]
@@ -493,6 +498,9 @@ func (w *World) apply(a action) {
 	case actDeliver:
 		pm := w.pending[a.msg]
 		w.removePending(a.msg)
+		if req, ok := pm.payload.(*lsa.ResyncRequest); ok {
+			w.exchangeErr = w.checkExchange(pm.to, req)
+		}
 		w.machines[pm.to].ReceiveBatch(nil, []any{pm.payload})
 	case actDrop:
 		w.removePending(a.msg)

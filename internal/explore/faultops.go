@@ -9,7 +9,7 @@ import (
 )
 
 // This file adds whole-network fault operations — partition, heal, crash,
-// restart — to the schedule-exploration harness. A Scenario carries an
+// restart, log compaction — to the schedule-exploration harness. A Scenario carries an
 // ordered fault lane (Scenario.Faults); each operation becomes one enabled
 // action firing at any point of the schedule relative to everything else,
 // while the lane itself keeps program order. That is exactly the shape of
@@ -43,6 +43,13 @@ import (
 //     core.Machine.RequestFullResync. The rejoin exchange is ordinary
 //     scheduled traffic, so the explorer also covers schedules where local
 //     events race an incomplete rejoin.
+//   - Compact: the switch trims its event logs to nothing at that instant
+//     (core.Machine.CompactEventLogs). In production the trim happens when
+//     a log fills, thousands of events in; here its timing is a choice
+//     point, so every interleaving of "a peer trimmed past what I hold"
+//     with heals, rejoins and fresh events is explored on scenarios a few
+//     events long. Not a fault: nothing is lost that the switch's stamps
+//     and member list do not still say, which is the property under test.
 //
 // Soundness: a crash legitimately loses events that had not replicated
 // (frames to the dead switch are dropped, and a blank restart forgets
@@ -70,6 +77,8 @@ const (
 	FaultCrash
 	// FaultRestart revives Switch blank and starts its cold rejoin.
 	FaultRestart
+	// FaultCompact trims Switch's event logs to zero retained entries.
+	FaultCompact
 )
 
 func (k FaultKind) String() string {
@@ -82,6 +91,8 @@ func (k FaultKind) String() string {
 		return "crash"
 	case FaultRestart:
 		return "restart"
+	case FaultCompact:
+		return "compact"
 	default:
 		return fmt.Sprintf("fault(%d)", uint8(k))
 	}
@@ -93,7 +104,7 @@ type FaultOp struct {
 	// Groups is the partition for FaultSplit: disjoint, non-empty groups
 	// covering every switch.
 	Groups [][]topo.SwitchID
-	// Switch is the target of FaultCrash / FaultRestart.
+	// Switch is the target of FaultCrash / FaultRestart / FaultCompact.
 	Switch topo.SwitchID
 }
 
@@ -107,6 +118,8 @@ func (op FaultOp) String() string {
 		return fmt.Sprintf("crash switch %d", op.Switch)
 	case FaultRestart:
 		return fmt.Sprintf("restart switch %d (cold rejoin)", op.Switch)
+	case FaultCompact:
+		return fmt.Sprintf("compact switch %d's event logs", op.Switch)
 	default:
 		return op.Kind.String()
 	}
@@ -131,8 +144,8 @@ func groupsString(groups [][]topo.SwitchID) string {
 // validateFaults statically checks the fault lane by walking it in program
 // order: splits and heals alternate, a split never overlaps a dead switch
 // (crash recovery and partition recovery are verified separately so each
-// failure stays attributable), crashes hit live switches, restarts hit dead
-// ones, and the lane ends with the network whole — quiescent-state
+// failure stays attributable), crashes and compactions hit live switches,
+// restarts hit dead ones, and the lane ends with the network whole — quiescent-state
 // invariants are only meaningful once every fault has been repaired.
 func validateFaults(ops []FaultOp, g *topo.Graph) error {
 	n := g.NumSwitches()
@@ -192,6 +205,13 @@ func validateFaults(ops []FaultOp, g *topo.Graph) error {
 				return fmt.Errorf("explore: fault %d: restart of switch %d, which is not dead", i, op.Switch)
 			}
 			delete(dead, op.Switch)
+		case FaultCompact:
+			if op.Switch < 0 || int(op.Switch) >= n {
+				return fmt.Errorf("explore: fault %d: switch %d out of range [0,%d)", i, op.Switch, n)
+			}
+			if dead[op.Switch] {
+				return fmt.Errorf("explore: fault %d: compact of switch %d, which is dead", i, op.Switch)
+			}
 		default:
 			return fmt.Errorf("explore: fault %d: invalid kind %d", i, op.Kind)
 		}
@@ -292,5 +312,7 @@ func (w *World) applyFault() {
 		s := op.Switch
 		w.crashed[s] = false
 		w.machines[s].RequestFullResync()
+	case FaultCompact:
+		w.machines[op.Switch].CompactEventLogs()
 	}
 }

@@ -125,6 +125,63 @@ func TestExhaustiveCrashRestartRecovers(t *testing.T) {
 	t.Logf("stats: %+v", res.Stats)
 }
 
+// TestExhaustiveCompaction is the log-truncation gate: a switch trims its
+// event log to nothing at EVERY point of every schedule, and the peer that
+// then has to learn from it — across a healed partition, or blank after a
+// crash — must still end up knowing everything the trimmed switch knows
+// (exchange completeness) and converge as before. The same two worlds with
+// the catch-up removed (truncate-without-catchup) must be caught, and by
+// that invariant: the omission is invisible to the convergence checks.
+func TestExhaustiveCompaction(t *testing.T) {
+	g, err := topo.Line(4, 5*time.Microsecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	join := []Inject{{Switch: 0, Event: core.LocalEvent{Conn: 1, Kind: lsa.Join, Role: mctree.Sender | mctree.Receiver}}}
+	lanes := map[string][]FaultOp{
+		"split-compact-heal": {
+			{Kind: FaultSplit, Groups: [][]topo.SwitchID{{0, 1}, {2, 3}}},
+			{Kind: FaultCompact, Switch: 1},
+			{Kind: FaultHeal},
+		},
+		"crash-compact-restart": {
+			{Kind: FaultCrash, Switch: 3},
+			{Kind: FaultCompact, Switch: 2},
+			{Kind: FaultRestart, Switch: 3},
+		},
+	}
+	for name, lane := range lanes {
+		t.Run(name, func(t *testing.T) {
+			scn := Scenario{Injects: join, Faults: lane}
+			cfg := Config{Graph: g, Resync: true, ResyncMaxRounds: 2}
+			res, err := Exhaustive(cfg, scn, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Violation != nil {
+				t.Fatalf("violation: %v\nschedule %v\ntrace:\n%s",
+					res.Violation.Err, res.Violation.Schedule, strings.Join(res.Violation.Trace, "\n"))
+			}
+			if res.Stats.Truncated || res.Stats.Quiescent == 0 {
+				t.Fatalf("search incomplete: %+v", res.Stats)
+			}
+			t.Logf("clean: %+v", res.Stats)
+
+			cfg.Mutation = core.MutationTruncateWithoutCatchUp
+			res, err = Exhaustive(cfg, scn, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Violation == nil {
+				t.Fatalf("truncate-without-catchup not caught: %+v", res.Stats)
+			}
+			if !strings.Contains(res.Violation.Err.Error(), "incomplete") {
+				t.Fatalf("caught by the wrong invariant: %v", res.Violation.Err)
+			}
+		})
+	}
+}
+
 // TestRandomWalkMobility samples deep schedules combining a split/heal
 // cycle, a crash/restart, drops, and a dup on the 4-switch ring — the
 // model-checker twin of the runtime mobility soak. Every sampled schedule
@@ -186,6 +243,9 @@ func TestFaultLaneValidation(t *testing.T) {
 			split, {Kind: FaultCrash, Switch: 0}, {Kind: FaultRestart, Switch: 0}, {Kind: FaultHeal}}},
 		{"split while dead", Config{Graph: g, Resync: true}, []FaultOp{
 			{Kind: FaultCrash, Switch: 0}, split, {Kind: FaultHeal}, {Kind: FaultRestart, Switch: 0}}},
+		{"compact of dead switch", Config{Graph: g, Resync: true}, []FaultOp{
+			{Kind: FaultCrash, Switch: 0}, {Kind: FaultCompact, Switch: 0}, {Kind: FaultRestart, Switch: 0}}},
+		{"compact out of range", Config{Graph: g, Resync: true}, []FaultOp{{Kind: FaultCompact, Switch: 4}}},
 		{"invalid kind", Config{Graph: g, Resync: true}, []FaultOp{{Kind: FaultKind(99)}}},
 	}
 	for _, tc := range cases {
@@ -195,8 +255,8 @@ func TestFaultLaneValidation(t *testing.T) {
 	}
 	// And a well-formed lane passes.
 	ok := []FaultOp{
-		split, {Kind: FaultHeal},
-		{Kind: FaultCrash, Switch: 3}, {Kind: FaultRestart, Switch: 3},
+		split, {Kind: FaultCompact, Switch: 1}, {Kind: FaultHeal},
+		{Kind: FaultCrash, Switch: 3}, {Kind: FaultCompact, Switch: 2}, {Kind: FaultRestart, Switch: 3},
 	}
 	if _, err := NewWorld(Config{Graph: g, Resync: true}, Scenario{Injects: []Inject{join}, Faults: ok}); err != nil {
 		t.Errorf("valid lane rejected: %v", err)
@@ -215,6 +275,7 @@ func TestTokenV2RoundTrip(t *testing.T) {
 		{Kind: FaultHeal},
 		{Kind: FaultCrash, Switch: 2},
 		{Kind: FaultRestart, Switch: 2},
+		{Kind: FaultCompact, Switch: 1},
 	}
 	sched := []int{2, 0, 5, 1, 0}
 	tok, err := EncodeToken(cfg, scn, sched)
@@ -228,7 +289,7 @@ func TestTokenV2RoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dscn.Faults) != 4 {
+	if len(dscn.Faults) != 5 {
 		t.Fatalf("fault lane mangled: %+v", dscn.Faults)
 	}
 	if dscn.Faults[0].Kind != FaultSplit || len(dscn.Faults[0].Groups) != 2 ||
@@ -237,6 +298,9 @@ func TestTokenV2RoundTrip(t *testing.T) {
 	}
 	if dscn.Faults[2].Kind != FaultCrash || dscn.Faults[2].Switch != 2 {
 		t.Fatalf("crash op mangled: %+v", dscn.Faults[2])
+	}
+	if dscn.Faults[4].Kind != FaultCompact || dscn.Faults[4].Switch != 1 {
+		t.Fatalf("compact op mangled: %+v", dscn.Faults[4])
 	}
 	if len(dsched) != len(sched) {
 		t.Fatalf("schedule mangled: %v", dsched)

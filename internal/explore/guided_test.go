@@ -41,6 +41,26 @@ func gate6(t *testing.T) (Config, Scenario) {
 	return Config{Graph: g, Resync: true, ResyncMaxRounds: 2}, scn
 }
 
+// gate6Compact is gate6 with switch 2 — one of the two switches on the
+// first group's side of the cut — trimming its event log to nothing before
+// the heal, so switch 3 reconciles with a peer that can no longer replay.
+func gate6Compact(t *testing.T) (Config, Scenario) {
+	cfg, scn := gate6(t)
+	scn.Faults = []FaultOp{scn.Faults[0], {Kind: FaultCompact, Switch: 2}, scn.Faults[1]}
+	return cfg, scn
+}
+
+// gateFor returns the gate world a mutation is hunted on: the one seeded
+// bug that needs a trimmed log to show gets the gate with a compaction.
+func gateFor(t *testing.T, mu core.Mutation) (Config, Scenario) {
+	cfg, scn := gate6(t)
+	if mu == core.MutationTruncateWithoutCatchUp {
+		cfg, scn = gate6Compact(t)
+	}
+	cfg.Mutation = mu
+	return cfg, scn
+}
+
 // gateBudget is the transition+probe-step budget of the CI gate. Guided
 // search catches every corpus mutation well inside it and clears the
 // mutation-free world by exhausting it.
@@ -83,8 +103,7 @@ func TestGuidedCatchesGateCorpus(t *testing.T) {
 			continue
 		}
 		t.Run(mu.String(), func(t *testing.T) {
-			cfg, scn := gate6(t)
-			cfg.Mutation = mu
+			cfg, scn := gateFor(t, mu)
 			res, err := Guided(cfg, scn, Options{Budget: gateBudget})
 			if err != nil {
 				t.Fatal(err)

@@ -21,6 +21,17 @@ import (
 //     switch x itself — event counters originate at x and flow outward,
 //     so nobody can know of more x-events than x has issued.
 //
+//   - Exchange completeness: whenever a resync request is delivered, the
+//     exchange it starts — run to the end on copies of both switches, with
+//     nothing else happening — leaves the requester's R at or above the
+//     server's, per connection asked about. A server may answer from its
+//     retained log or from its counters and member list (a catch-up), and
+//     may have trimmed that log at any moment; what it may not do is leave
+//     the requester short of anything it holds itself. Convergence checks
+//     cannot see that omission: parked frames released by a heal deliver
+//     every event anyway, and after a crash a switch that gave up still
+//     gapped is within the lossy standard.
+//
 // Quiescent invariants (checkQuiescent) must hold whenever no action is
 // enabled; they mirror Domain.CheckConverged so the explorer enforces the
 // same consensus definition as the timed simulator:
@@ -74,6 +85,9 @@ func (v *Violation) Error() string {
 
 // checkStep verifies the per-state invariants.
 func (w *World) checkStep() error {
+	if w.exchangeErr != nil {
+		return w.exchangeErr
+	}
 	// Origin-authoritative event counts: own[x] = R[x] at switch x.
 	own := make(map[lsa.ConnID][]uint32)
 	for s, m := range w.machines {
@@ -128,6 +142,60 @@ func (w *World) checkStep() error {
 	}
 	return nil
 }
+
+// checkExchange runs the resync exchange that req starts at server on
+// copies of both ends and verifies exchange completeness (see the file
+// comment). Called with the server still in its pre-delivery state.
+func (w *World) checkExchange(server topo.SwitchID, req *lsa.ResyncRequest) error {
+	if len(req.R) > 0 {
+		// A request can outlive its sender: the blank machine that replaced
+		// a crashed requester never held the R this one advertises, and the
+		// answer is only complete on top of it.
+		if cur, ok := w.machines[req.From].Connection(req.Conn); !ok || !cur.R.Geq(req.R) {
+			return nil
+		}
+	}
+	var answers sandboxHost
+	srv := w.machines[server].CloneWith(&answers)
+	srv.ReceiveBatch(nil, []any{req})
+	asker := w.machines[req.From].CloneWith(&sandboxHost{})
+	asker.ReceiveBatch(nil, answers.unicasts)
+	for _, conn := range srv.AllConnections() {
+		if req.Conn != lsa.AllConns && req.Conn != conn {
+			continue
+		}
+		held, _ := srv.Connection(conn)
+		got, ok := asker.Connection(conn)
+		if held.R.Sum() > 0 && !(ok && got.R.Geq(held.R)) {
+			return fmt.Errorf("switch %d conn %d: resync exchange with switch %d is incomplete: it would leave R=%s where the server holds R=%s",
+				req.From, conn, server, got.R, held.R)
+		}
+	}
+	return nil
+}
+
+// sandboxHost is the Host of a machine copy that runs outside the world:
+// it records unicasts (the answers to a resync request) and swallows
+// everything else.
+type sandboxHost struct{ unicasts []any }
+
+var _ core.Host = (*sandboxHost)(nil)
+
+func (h *sandboxHost) SendUnicast(_ topo.SwitchID, payload any) {
+	h.unicasts = append(h.unicasts, payload)
+}
+func (*sandboxHost) FloodMC(*lsa.MC)                                                {}
+func (*sandboxHost) FloodNonMC(*lsa.NonMC)                                          {}
+func (*sandboxHost) HoldCompute(any)                                                {}
+func (*sandboxHost) PendingMC(lsa.ConnID) bool                                      { return false }
+func (*sandboxHost) Neighbors() []topo.SwitchID                                     { return nil }
+func (*sandboxHost) FabricLinkChanged(lsa.LinkChange)                               {}
+func (*sandboxHost) ArmResync(lsa.ConnID)                                           {}
+func (*sandboxHost) SelfNudge(lsa.ConnID)                                           {}
+func (*sandboxHost) NoteInstall()                                                   {}
+func (*sandboxHost) ForwardingChanged(lsa.ConnID)                                   {}
+func (*sandboxHost) Trace(core.TraceKind, core.ChainID, lsa.ConnID, string, ...any) {}
+func (*sandboxHost) TraceEnabled() bool                                             { return false }
 
 // lossyStandard reports whether this schedule's history downgrades it to
 // the weakened quiescent standard. Crashes, like budgeted drops,

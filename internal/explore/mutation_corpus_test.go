@@ -9,34 +9,49 @@ import (
 
 // TestMutationCorpus is the corpus table gate: every seeded mutation the
 // checker knows must be caught on the 6-switch gate scenario within the
-// CI budget, and the mutation-free run of the same scenario must stay
-// clean. This is the checker-validation loop — a mutation nobody can
+// CI budget (with a log compaction before the heal for the mutation that
+// breaks serving from a trimmed log), and the mutation-free run of either
+// scenario must stay clean. This is the checker-validation loop — a mutation nobody can
 // catch is dead weight, and a checker that alarms on the correct
 // protocol is worse than none.
 func TestMutationCorpus(t *testing.T) {
 	cases := []struct {
 		mutation core.Mutation
+		compact  bool // hunt on gate6Compact regardless of the mutation
 		caught   bool
 		// errWant is a substring the violation must mention (empty for
 		// clean rows). It pins each mutation to the failure class it was
 		// seeded to produce, not just "something went wrong".
 		errWant string
 	}{
-		{core.MutationNone, false, ""},
-		{core.MutationAcceptStaleProposal, true, "diverge"},
-		{core.MutationIgnoreEventOrder, true, "diverge"},
-		{core.MutationUncappedPseudoProposal, true, "diverge"},
+		{core.MutationNone, false, false, ""},
+		{core.MutationNone, true, false, ""},
+		{core.MutationAcceptStaleProposal, false, true, "diverge"},
+		{core.MutationIgnoreEventOrder, false, true, "diverge"},
+		{core.MutationUncappedPseudoProposal, false, true, "diverge"},
+		{core.MutationTruncateWithoutCatchUp, false, true, "incomplete"},
 	}
 	// The table must cover the whole corpus: a mutation added to core
 	// without a row here fails the test rather than silently shipping
 	// unvalidated.
-	if len(cases) != len(core.Mutations()) {
-		t.Fatalf("corpus table covers %d mutations, core defines %d", len(cases), len(core.Mutations()))
+	covered := map[core.Mutation]bool{}
+	for _, tc := range cases {
+		covered[tc.mutation] = true
+	}
+	if len(covered) != len(core.Mutations()) {
+		t.Fatalf("corpus table covers %d mutations, core defines %d", len(covered), len(core.Mutations()))
 	}
 	for _, tc := range cases {
-		t.Run(tc.mutation.String(), func(t *testing.T) {
-			cfg, scn := gate6(t)
-			cfg.Mutation = tc.mutation
+		name := tc.mutation.String()
+		if tc.compact {
+			name += "+compact"
+		}
+		t.Run(name, func(t *testing.T) {
+			cfg, scn := gateFor(t, tc.mutation)
+			if tc.compact {
+				cfg, scn = gate6Compact(t)
+				cfg.Mutation = tc.mutation
+			}
 			res, err := Guided(cfg, scn, Options{Budget: gateBudget})
 			if err != nil {
 				t.Fatal(err)

@@ -168,7 +168,18 @@ func FuzzDecodeResyncResponse(f *testing.F) {
 	r := &ResyncResponse{Conn: 9, From: 4, Batch: []*MC{
 		{Src: 1, Event: Join, Role: mctree.Receiver, Conn: 9, Stamp: stamp.Stamp{1, 0}},
 	}}
+	// What a switch that trimmed its log answers: catch-ups, a retained
+	// event, the capstone.
+	tree := mctree.New(mctree.Symmetric)
+	tree.AddEdge(0, 1)
+	trimmed := &ResyncResponse{Conn: 9, From: 1, Batch: []*MC{
+		{Src: 0, Event: CatchUp, Role: mctree.SenderReceiver, Conn: 9, Stamp: stamp.Stamp{7, 3}},
+		{Src: 1, Event: CatchUp, Conn: 9, Stamp: stamp.Stamp{7, 3}},
+		{Src: 0, Event: Leave, Conn: 9, Stamp: stamp.Stamp{8, 3}},
+		{Src: 1, Event: None, Conn: 9, Proposal: tree, Stamp: stamp.Stamp{7, 3}},
+	}}
 	f.Add(r.Marshal())
+	f.Add(trimmed.Marshal())
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 9, 0, 0, 0, 4, 0xff, 0xff, 0xff, 0xff})
 

@@ -20,8 +20,12 @@ func FuzzDecodeLSA(f *testing.F) {
 		Proposal: tree, Stamp: stamp.Stamp{1, 0, 2}}
 	bare := &MC{Src: 2, Event: Leave, Conn: 1, Stamp: stamp.Stamp{0, 1, 1, 0}}
 	nm := &NonMC{Src: 0, Seq: 9, Change: LinkChange{A: 0, B: 2, Down: true}}
+	catchUp := &MC{Src: 2, Event: CatchUp, Role: mctree.Receiver, Conn: 1, Stamp: stamp.Stamp{3, 1, 7, 0}}
+	caughtUpGone := &MC{Src: 0, Event: CatchUp, Conn: 1, Stamp: stamp.Stamp{4, 0}}
 	f.Add(mc.Marshal())
 	f.Add(bare.Marshal())
+	f.Add(catchUp.Marshal())
+	f.Add(caughtUpGone.Marshal())
 	f.Add(nm.Marshal())
 	f.Add([]byte{})
 	f.Add([]byte{tagMC})

@@ -43,6 +43,14 @@ const (
 	// Link announces that a link/nodal event affected the connection's
 	// topology (the companion non-MC LSA carries the details).
 	Link
+	// CatchUp stands in for every event of the source switch up to and
+	// including its Stamp[Src]-th: an event from S writes nothing but S's
+	// counter and S's entry in the member list, so a switch that no longer
+	// holds S's old events answers a resync request with where they led —
+	// the counter in Stamp[Src] and the membership in Role (zero: S is not
+	// a member). Never originated by a local event and never carries a
+	// proposal; Stamp is the answering switch's received stamp.
+	CatchUp
 )
 
 // String implements fmt.Stringer.
@@ -56,13 +64,15 @@ func (e Event) String() string {
 		return "leave"
 	case Link:
 		return "link"
+	case CatchUp:
+		return "catch-up"
 	default:
 		return fmt.Sprintf("Event(%d)", uint8(e))
 	}
 }
 
 // Valid reports whether e is a defined event kind.
-func (e Event) Valid() bool { return e <= Link }
+func (e Event) Valid() bool { return e <= CatchUp }
 
 // IsEvent reports whether the LSA advertises an event (V ≠ none). Only
 // event LSAs advance received timestamps.
@@ -107,6 +117,9 @@ func (m *MC) Validate(n int) error {
 	}
 	if m.Event == Join && m.Role == 0 {
 		return fmt.Errorf("lsa: join LSA without role")
+	}
+	if m.Event == CatchUp && m.Proposal != nil {
+		return fmt.Errorf("lsa: catch-up LSA with a proposal")
 	}
 	return nil
 }

@@ -11,7 +11,7 @@ import (
 )
 
 func TestEventStringsAndPredicates(t *testing.T) {
-	cases := map[Event]string{None: "none", Join: "join", Leave: "leave", Link: "link"}
+	cases := map[Event]string{None: "none", Join: "join", Leave: "leave", Link: "link", CatchUp: "catch-up"}
 	for e, want := range cases {
 		if e.String() != want {
 			t.Errorf("%d.String() = %q, want %q", e, e.String(), want)
@@ -29,7 +29,7 @@ func TestEventStringsAndPredicates(t *testing.T) {
 	if None.IsEvent() {
 		t.Error("none should not be an event")
 	}
-	for _, e := range []Event{Join, Leave, Link} {
+	for _, e := range []Event{Join, Leave, Link, CatchUp} {
 		if !e.IsEvent() {
 			t.Errorf("%s should be an event", e)
 		}
@@ -41,7 +41,15 @@ func TestMCValidate(t *testing.T) {
 	if err := good.Validate(4); err != nil {
 		t.Errorf("good LSA rejected: %v", err)
 	}
+	// A catch-up names membership by role alone: zero means "not a member".
+	for _, role := range []mctree.Role{0, mctree.Receiver} {
+		cu := &MC{Src: 2, Event: CatchUp, Role: role, Conn: 7, Stamp: stamp.Stamp{0, 1, 5, 0}}
+		if err := cu.Validate(4); err != nil {
+			t.Errorf("catch-up with role %d rejected: %v", role, err)
+		}
+	}
 	bad := []*MC{
+		{Src: 0, Event: CatchUp, Proposal: mctree.New(mctree.Symmetric), Stamp: stamp.New(4)},
 		{Src: -1, Event: Join, Role: mctree.Sender, Stamp: stamp.New(4)},
 		{Src: 4, Event: Join, Role: mctree.Sender, Stamp: stamp.New(4)},
 		{Src: 0, Event: Event(9), Stamp: stamp.New(4)},
