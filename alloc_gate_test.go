@@ -8,6 +8,8 @@
 package dgmc_test
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -49,6 +51,52 @@ func TestAllocGateMachineStep(t *testing.T) {
 		m.HandleLocalEvent(nil, join)
 		m.HandleLocalEvent(nil, leave)
 	})
+}
+
+// TestAllocGateEventLog pins what keeping the replay log costs once it has
+// reached its working size: nothing beyond the LSA it was handed. The log
+// is a slice appended to and trimmed in place, so a window of events that
+// spans two trims must allocate exactly what a window with no trim in it
+// does, per event — one allocation per trim (a fresh slice instead of a
+// copy-down) would show as 2/1024 of an allocation per pair.
+func TestAllocGateEventLog(t *testing.T) {
+	g, err := topo.Ring(16, 5*time.Microsecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := core.NewMachine(core.MachineConfig{
+		ID: 0, Graph: g, Algorithm: route.SPH{},
+	}, nullHost{neighbors: g.Neighbors(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	join := core.LocalEvent{Conn: 1, Kind: lsa.Join, Role: mctree.SenderReceiver}
+	leave := core.LocalEvent{Conn: 1, Kind: lsa.Leave}
+	// Exact counts need a quiet runtime: one P, and no collection cycle
+	// (which allocates a little of its own) inside a window.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocsPerPair := func(pairs int) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < pairs; i++ {
+			m.HandleLocalEvent(nil, join)
+			m.HandleLocalEvent(nil, leave)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.Mallocs-before.Mallocs) / float64(pairs)
+	}
+	limit := core.EventLogLimit
+	allocsPerPair(limit) // past the first trims: the slice has its final capacity
+	acrossTrims := allocsPerPair(limit / 2)
+	if d := m.EventLogDepth(); d < limit/2 || d >= limit {
+		t.Fatalf("log depth %d after %d events, limit %d", d, 3*limit, limit)
+	}
+	m.CompactEventLogs()
+	noTrim := allocsPerPair(limit / 16)
+	if acrossTrims != noTrim {
+		t.Errorf("event log: %.4f allocs per join+leave across two trims, %.4f with none", acrossTrims, noTrim)
+	}
 }
 
 // TestAllocGateFrameCodec bounds the wire codec. The pooled append path

@@ -61,7 +61,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	listen := fs.String("listen", "", "listen address override (default: this switch's addr directive)")
 	algName := fs.String("algorithm", "sph", "topology algorithm: sph, kmb, spt, cbt, incremental")
 	resync := fs.Duration("resync", 500*time.Millisecond, "gap-recovery timeout; 0 disables (not recommended over UDP)")
-	epoch := fs.Uint64("epoch", 0, "restart epoch: bump by one on every restart of the same switch ID; a nonzero epoch cold-rejoins from the neighbors")
+	epoch := fs.Uint64("epoch", 0, "restart epoch: bump by one on every restart of the same switch ID; a nonzero epoch cold-rejoins from the neighbors (O(n) per connection, whatever the fabric's age)")
 	reopt := fs.Float64("reopt", 0, "re-optimization threshold for link recoveries (0 = off)")
 	admin := fs.String("admin", "", "admin HTTP listen address serving /metrics, /spans, /state, /healthz, /flightrec, /debug/pprof (off by default)")
 	flightrec := fs.Int("flightrec", 0, "flight-recorder ring size in records; 0 disables the recorder and /flightrec stays empty")
@@ -204,8 +204,11 @@ func newDaemon(cfg daemonConfig) (*daemon, error) {
 	d.node = node
 	if cfg.epoch > 0 {
 		// A nonzero epoch marks this process as a restarted incarnation:
-		// its volatile state is gone, so ask every neighbor to replay
-		// everything before originating anything new.
+		// its volatile state is gone, so ask every neighbor for everything
+		// before originating anything new. The answer is O(n) per
+		// connection — recent events, and one catch-up LSA per origin for
+		// whatever the neighbor has trimmed — in frames that fit a
+		// datagram, so it arrives on a fabric of any age.
 		node.RejoinFromNeighbors()
 	}
 	if cfg.admin != "" {
@@ -414,8 +417,8 @@ func (d *daemon) exec(line string, w io.Writer) (quit bool, err error) {
 		if !h.Converged {
 			state = "CONVERGING"
 		}
-		fmt.Fprintf(w, "health: %s conns=%d gapped=%v resync-armed=%v gave-up=%v gap-depth=%d fib-entries=%d\n",
-			state, h.Conns, h.GappedConns, h.ResyncArmedConns, h.GiveUpConns, h.GapBufferDepth, h.FIBEntries)
+		fmt.Fprintf(w, "health: %s conns=%d gapped=%v resync-armed=%v gave-up=%v gap-depth=%d log-depth=%d catch-ups-applied=%d fib-entries=%d\n",
+			state, h.Conns, h.GappedConns, h.ResyncArmedConns, h.GiveUpConns, h.GapBufferDepth, h.EventLogDepth, h.CatchUpsApplied, h.FIBEntries)
 		if h.Anomaly != "" {
 			fmt.Fprintf(w, "health: last anomaly %s %dms ago (flight records written: %d)\n",
 				h.Anomaly, h.AnomalyAgeMS, h.FlightWritten)

@@ -162,10 +162,10 @@ func (t *top) render(w io.Writer, rows []row, now time.Time) {
 	next := make(map[int]rateSample, len(rows))
 
 	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "SW\tSTATE\tCONNS\tFWD/s\tDLV/s\tORIG\tFWD\tDLV\tDROPS ne/nr/hb/lp\tGAP\tFIB\tANOMALY")
+	fmt.Fprintln(tw, "SW\tSTATE\tCONNS\tFWD/s\tDLV/s\tORIG\tFWD\tDLV\tDROPS ne/nr/hb/lp\tGAP\tLOG\tFIB\tANOMALY")
 	for _, r := range rows {
 		if r.err != nil {
-			fmt.Fprintf(tw, "?\tDOWN\t-\t-\t-\t-\t-\t-\t-\t-\t-\t%s: %v\n", r.target, r.err)
+			fmt.Fprintf(tw, "?\tDOWN\t-\t-\t-\t-\t-\t-\t-\t-\t-\t-\t%s: %v\n", r.target, r.err)
 			continue
 		}
 		up++
@@ -191,16 +191,27 @@ func (t *top) render(w io.Writer, rows []row, now time.Time) {
 			fwdR, dlvR = fmt.Sprintf("%.0f", fr), fmt.Sprintf("%.0f", dr)
 			dlvRate += dr
 		}
-		fmt.Fprintf(tw, "%d\t%s\t%d\t%s\t%s\t%d\t%d\t%d\t%d/%d/%d/%d\t%d\t%d\t%s\n",
+		fmt.Fprintf(tw, "%d\t%s\t%d\t%s\t%s\t%d\t%d\t%d\t%d/%d/%d/%d\t%d\t%s\t%d\t%s\n",
 			h.Switch, state, h.Conns, fwdR, dlvR,
 			h.Forward.Originated, h.Forward.Forwarded, h.Forward.Delivered,
 			h.Forward.DropNoEntry, h.Forward.DropNoRoute, h.Forward.DropHops, h.Forward.DropLoop,
-			h.GapBufferDepth, h.FIBEntries, anomalyCell(h))
+			h.GapBufferDepth, logCell(h), h.FIBEntries, anomalyCell(h))
 	}
 	tw.Flush()
 	fmt.Fprintf(w, "cluster: %d/%d up, %d/%d converged, %.0f pkt/s delivered  (%s)\n",
 		up, len(rows), converged, up, dlvRate, now.Format("15:04:05"))
 	t.prev = next
+}
+
+// logCell shows how many event LSAs the switch retains for replay, flagged
+// with the number of catch-ups it has applied: "37" recovered (if at all)
+// by replaying events, "37 ff2" was fast-forwarded over two origins'
+// trimmed history by a peer.
+func logCell(h rt.NodeHealth) string {
+	if h.CatchUpsApplied == 0 {
+		return fmt.Sprintf("%d", h.EventLogDepth)
+	}
+	return fmt.Sprintf("%d ff%d", h.EventLogDepth, h.CatchUpsApplied)
 }
 
 // anomalyCell folds a health document's warning signals into one short flag

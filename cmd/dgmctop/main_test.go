@@ -34,7 +34,7 @@ func TestTopOnce(t *testing.T) {
 		return func() rt.NodeHealth {
 			return rt.NodeHealth{
 				Switch: sw, Conns: 2, Converged: true,
-				FIBEntries: 2, AnomalyAgeMS: -1,
+				FIBEntries: 2, AnomalyAgeMS: -1, EventLogDepth: 40 + sw,
 				Forward: rt.ForwardStats{Originated: 10, Forwarded: 40, Delivered: 20},
 			}
 		}
@@ -45,6 +45,8 @@ func TestTopOnce(t *testing.T) {
 			GappedConns:      []uint32{7},
 			ResyncArmedConns: []uint32{7},
 			GapBufferDepth:   3,
+			EventLogDepth:    37,
+			CatchUpsApplied:  2,
 			Forward:          rt.ForwardStats{Forwarded: 5, DropLoop: 1},
 			Anomaly:          "drop-loop", AnomalyAgeMS: 1500,
 		}
@@ -67,6 +69,7 @@ func TestTopOnce(t *testing.T) {
 		"SW", "DROPS ne/nr/hb/lp", // header
 		"0/0/0/1",                 // the degraded switch's drop taxonomy
 		"gapped[7]", "resync[7]", "drop-loop 1.5s ago", // anomaly flags
+		"LOG", "37 ff2", // the degraded switch was fast-forwarded by catch-ups
 		"cluster: 3/3 up, 2/3 converged",
 	} {
 		if !strings.Contains(got, want) {
@@ -74,7 +77,7 @@ func TestTopOnce(t *testing.T) {
 		}
 	}
 	// One row per switch, in ID order, with the degraded daemon flagged.
-	for _, pat := range []string{`(?m)^0\s+conv`, `(?m)^1\s+conv`, `(?m)^2\s+SYNCING`} {
+	for _, pat := range []string{`(?m)^0\s+conv.*\s40\s+2\s+ok$`, `(?m)^1\s+conv.*\s41\s+2\s+ok$`, `(?m)^2\s+SYNCING`} {
 		if !regexp.MustCompile(pat).MatchString(got) {
 			t.Fatalf("frame missing row %q:\n%s", pat, got)
 		}

@@ -119,11 +119,11 @@ func (m *Machine) AllConnections() []lsa.ConnID {
 // to buf. Everything that can influence a future transition is included:
 // the unicast image and its staleness horizon, and per connection (in
 // ascending ID order) the three timestamps, the member list, the flags,
-// the installed topology, the incremental-update hint, the replay log and its
-// per-origin floor, the out-of-order buffer, and the resync bookkeeping. Pure counters (metrics,
-// install counts) are excluded. Two machines with equal encodings are
-// behaviorally indistinguishable, which is what makes the encoding a sound
-// deduplication key for state-space search.
+// the installed topology, the incremental-update hint, the replay log and
+// its per-origin floor, the out-of-order buffer, and the resync bookkeeping.
+// Pure counters (metrics, install counts) are excluded. Two machines with
+// equal encodings are behaviorally indistinguishable, which is what makes
+// the encoding a sound deduplication key for state-space search.
 func (m *Machine) AppendState(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(int32(m.id)))
 	buf = m.uni.AppendState(buf)

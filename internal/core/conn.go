@@ -84,13 +84,12 @@ type connState struct {
 
 func newConnState(id lsa.ConnID, kind mctree.Kind, n int) *connState {
 	return &connState{
-		id:      id,
-		kind:    kind,
-		members: make(mctree.Members),
-		r:       stamp.New(n),
-		e:       stamp.New(n),
-		c:       stamp.New(n),
-
+		id:       id,
+		kind:     kind,
+		members:  make(mctree.Members),
+		r:        stamp.New(n),
+		e:        stamp.New(n),
+		c:        stamp.New(n),
 		logFloor: stamp.New(n),
 	}
 }
@@ -117,7 +116,7 @@ func (cs *connState) gapped() bool {
 const eventLogRetain = 512
 
 // EventLogLimit is the depth no connection's event log reaches.
-func EventLogLimit() int { return 2 * eventLogRetain }
+const EventLogLimit = 2 * eventLogRetain
 
 // logEvent appends an applied event LSA to the replay log. Proposals are
 // kept: a replayed proposal-carrying event LSA lets a resyncing switch
@@ -129,7 +128,7 @@ func (cs *connState) logEvent(m *lsa.MC) {
 		return
 	}
 	cs.eventLog = append(cs.eventLog, m)
-	if len(cs.eventLog) >= 2*eventLogRetain {
+	if len(cs.eventLog) >= EventLogLimit {
 		cs.trimLog(eventLogRetain)
 	}
 }

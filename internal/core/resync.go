@@ -234,8 +234,9 @@ func (m *Machine) resyncCheck(cs *connState) {
 // requester has seen that we have not. The wildcard lsa.AllConns serves
 // every known connection — including dormant ones, whose counters, floors
 // and logs survive dormancy — which is how a restarted switch with no state
-// at all rebuilds from a neighbor, at a cost of one LSA per origin plus the
-// retained suffix however long the connection has lived.
+// at all rebuilds from a neighbor: one catch-up per origin whose early
+// events were trimmed and the events of the others, however long the
+// connection has lived.
 func (m *Machine) handleResyncRequest(req *lsa.ResyncRequest) {
 	if req.Conn == lsa.AllConns {
 		for _, id := range m.AllConnections() {

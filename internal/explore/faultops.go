@@ -9,13 +9,13 @@ import (
 )
 
 // This file adds whole-network fault operations — partition, heal, crash,
-// restart, log compaction — to the schedule-exploration harness. A Scenario carries an
-// ordered fault lane (Scenario.Faults); each operation becomes one enabled
-// action firing at any point of the schedule relative to everything else,
-// while the lane itself keeps program order. That is exactly the shape of
-// the runtime harness's fault surface (rt.Cluster.Partition/Heal/KillNode/
-// RestartNode), so a property verified here is a property of the same
-// operations the live soaks perform.
+// restart, log compaction — to the schedule-exploration harness. A Scenario
+// carries an ordered fault lane (Scenario.Faults); each operation becomes
+// one enabled action firing at any point of the schedule relative to
+// everything else, while the lane itself keeps program order. That is
+// exactly the shape of the runtime harness's fault surface
+// (rt.Cluster.Partition/Heal/KillNode/RestartNode), so a property verified
+// here is a property of the same operations the live soaks perform.
 //
 // Semantics, mirroring the transport and runtime layers:
 //
@@ -145,8 +145,9 @@ func groupsString(groups [][]topo.SwitchID) string {
 // order: splits and heals alternate, a split never overlaps a dead switch
 // (crash recovery and partition recovery are verified separately so each
 // failure stays attributable), crashes and compactions hit live switches,
-// restarts hit dead ones, and the lane ends with the network whole — quiescent-state
-// invariants are only meaningful once every fault has been repaired.
+// restarts hit dead ones, and the lane ends with the network whole —
+// quiescent-state invariants are only meaningful once every fault has been
+// repaired.
 func validateFaults(ops []FaultOp, g *topo.Graph) error {
 	n := g.NumSwitches()
 	splitActive := false

@@ -177,25 +177,14 @@ func (w *World) checkExchange(server topo.SwitchID, req *lsa.ResyncRequest) erro
 // sandboxHost is the Host of a machine copy that runs outside the world:
 // it records unicasts (the answers to a resync request) and swallows
 // everything else.
-type sandboxHost struct{ unicasts []any }
-
-var _ core.Host = (*sandboxHost)(nil)
+type sandboxHost struct {
+	core.NopHost
+	unicasts []any
+}
 
 func (h *sandboxHost) SendUnicast(_ topo.SwitchID, payload any) {
 	h.unicasts = append(h.unicasts, payload)
 }
-func (*sandboxHost) FloodMC(*lsa.MC)                                                {}
-func (*sandboxHost) FloodNonMC(*lsa.NonMC)                                          {}
-func (*sandboxHost) HoldCompute(any)                                                {}
-func (*sandboxHost) PendingMC(lsa.ConnID) bool                                      { return false }
-func (*sandboxHost) Neighbors() []topo.SwitchID                                     { return nil }
-func (*sandboxHost) FabricLinkChanged(lsa.LinkChange)                               {}
-func (*sandboxHost) ArmResync(lsa.ConnID)                                           {}
-func (*sandboxHost) SelfNudge(lsa.ConnID)                                           {}
-func (*sandboxHost) NoteInstall()                                                   {}
-func (*sandboxHost) ForwardingChanged(lsa.ConnID)                                   {}
-func (*sandboxHost) Trace(core.TraceKind, core.ChainID, lsa.ConnID, string, ...any) {}
-func (*sandboxHost) TraceEnabled() bool                                             { return false }
 
 // lossyStandard reports whether this schedule's history downgrades it to
 // the weakened quiescent standard. Crashes, like budgeted drops,

@@ -11,9 +11,9 @@ import (
 // checker knows must be caught on the 6-switch gate scenario within the
 // CI budget (with a log compaction before the heal for the mutation that
 // breaks serving from a trimmed log), and the mutation-free run of either
-// scenario must stay clean. This is the checker-validation loop — a mutation nobody can
-// catch is dead weight, and a checker that alarms on the correct
-// protocol is worse than none.
+// scenario must stay clean. This is the checker-validation loop — a
+// mutation nobody can catch is dead weight, and a checker that alarms on
+// the correct protocol is worse than none.
 func TestMutationCorpus(t *testing.T) {
 	cases := []struct {
 		mutation core.Mutation

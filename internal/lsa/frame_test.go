@@ -162,6 +162,59 @@ func FuzzDecodeFrame(f *testing.F) {
 	})
 }
 
+// TestResyncResponseSplit: a response cut to a size limit arrives as parts
+// that each decode on their own, each within the limit, that together carry
+// the batch in order with the closing pseudo-proposal last; an LSA bigger
+// than the limit still travels, alone; and no limit means one part,
+// byte-identical to Marshal.
+func TestResyncResponseSplit(t *testing.T) {
+	const n = 100
+	tree := mctree.New(mctree.Symmetric)
+	tree.AddEdge(1, 2)
+	r := &ResyncResponse{Conn: 9, From: 4}
+	for i := 1; i <= 300; i++ {
+		st := stamp.New(n)
+		st[7] = uint32(i)
+		r.Batch = append(r.Batch, &MC{Src: 7, Event: Join, Role: mctree.Receiver, Conn: 9, Stamp: st})
+	}
+	r.Batch = append(r.Batch, &MC{Src: 4, Event: None, Conn: 9, Proposal: tree, Stamp: stamp.New(n)})
+
+	const limit = 4096
+	var got []*MC
+	parts := 0
+	for rest := r.Batch; len(rest) > 0; parts++ {
+		var buf []byte
+		buf, rest = r.AppendMarshalWithin(nil, rest, limit)
+		if len(buf) > limit {
+			t.Fatalf("part %d is %d bytes, limit %d", parts, len(buf), limit)
+		}
+		part, err := DecodeResyncResponse(buf)
+		if err != nil {
+			t.Fatalf("part %d: %v", parts, err)
+		}
+		if part.Conn != 9 || part.From != 4 || len(part.Batch) == 0 {
+			t.Fatalf("part %d = %+v", parts, part)
+		}
+		got = append(got, part.Batch...)
+	}
+	if parts < 2 || len(got) != len(r.Batch) {
+		t.Fatalf("%d parts carrying %d of %d LSAs", parts, len(got), len(r.Batch))
+	}
+	for i, m := range got {
+		if !bytes.Equal(m.Marshal(), r.Batch[i].Marshal()) {
+			t.Fatalf("LSA %d reordered or altered across parts", i)
+		}
+	}
+
+	buf, rest := r.AppendMarshalWithin(nil, r.Batch, 64) // smaller than any one LSA
+	if part, err := DecodeResyncResponse(buf); err != nil || len(part.Batch) != 1 || len(rest) != len(r.Batch)-1 {
+		t.Fatalf("oversize LSA: part %+v err %v, %d left", part, err, len(rest))
+	}
+	if whole, rest := r.AppendMarshalWithin(nil, r.Batch, 0); !bytes.Equal(whole, r.Marshal()) || len(rest) != 0 {
+		t.Fatal("unlimited split differs from Marshal")
+	}
+}
+
 // FuzzDecodeResyncResponse guards the batch decoder against hostile counts
 // and truncated inner LSAs.
 func FuzzDecodeResyncResponse(f *testing.F) {
@@ -188,9 +241,16 @@ func FuzzDecodeResyncResponse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		re := got.Marshal()
-		if !bytes.Equal(re, data) {
-			t.Fatalf("accepted response does not re-encode identically:\n in=%x\nout=%x", data, re)
+		// Like FuzzDecodeLSA: an accepted buffer must reach an encoding
+		// fixpoint, not re-encode byte for byte — a proposal tree decodes
+		// from edges in any orientation and encodes them normalized.
+		first := got.Marshal()
+		again, err := DecodeResyncResponse(first)
+		if err != nil {
+			t.Fatalf("re-decode of accepted response failed: %v (input %x)", err, data)
+		}
+		if second := again.Marshal(); !bytes.Equal(first, second) {
+			t.Fatalf("encode not a fixpoint:\n first=%x\nsecond=%x", first, second)
 		}
 	})
 }

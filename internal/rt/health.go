@@ -32,6 +32,14 @@ type NodeHealth struct {
 	// GapBufferDepth totals event LSAs buffered out of order across
 	// connections; OutOfOrderMax is the deepest single connection.
 	GapBufferDepth int `json:"gap_buffer_depth"`
+	// EventLogDepth totals event LSAs retained for replay across
+	// connections; it stays below core.EventLogLimit per connection however
+	// long the switch has lived. CatchUpsApplied counts the times this
+	// incarnation fast-forwarded an origin's counter on a catch-up instead
+	// of applying its events one by one: non-zero means state here was
+	// recovered from a peer that had already trimmed those events.
+	EventLogDepth   int    `json:"event_log_depth"`
+	CatchUpsApplied uint64 `json:"catch_ups_applied"`
 
 	// FIBEntries / FIBCompiles describe the data plane's table; Forward
 	// its counters (sum over stripes).
@@ -82,6 +90,8 @@ func (n *Node) Health() NodeHealth {
 		}
 	}
 	h.GapBufferDepth = n.machine.GapBufferDepth()
+	h.EventLogDepth = n.machine.EventLogDepth()
+	h.CatchUpsApplied = n.machine.Metrics().CatchUpsApplied
 	n.mu.Unlock()
 
 	h.FlightWritten = n.flight.Written()

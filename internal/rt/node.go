@@ -602,19 +602,37 @@ func (n *Node) FloodMC(m *lsa.MC) {
 // FloodNonMC implements core.Host.
 func (n *Node) FloodNonMC(nm *lsa.NonMC) { n.flood(nm.AppendMarshal) }
 
+// maxResyncFrame bounds one resync-response frame on the wire. A response
+// is a batch of up to a retained log's worth of LSAs, each carrying an
+// n-vector stamp; as one datagram it outgrows UDP's 65 507-byte payload at
+// a few hundred LSAs and the send fails with EMSGSIZE. Half of that limit
+// leaves room for any single LSA to push a frame over.
+const maxResyncFrame = 32 << 10
+
 // SendUnicast implements core.Host: frame a resync message point-to-point.
+// A response is cut into as many frames as keep each within maxResyncFrame;
+// the receiver's ordered apply and out-of-order buffer absorb any
+// reordering between them.
 func (n *Node) SendUnicast(to topo.SwitchID, payload any) {
-	var appendPayload func([]byte) []byte
-	var kind lsa.FrameKind
 	switch v := payload.(type) {
 	case *lsa.ResyncRequest:
-		kind, appendPayload = lsa.FrameResyncReq, v.AppendMarshal
+		n.sendFrame(to, lsa.FrameResyncReq, v.AppendMarshal)
 	case *lsa.ResyncResponse:
-		kind, appendPayload = lsa.FrameResyncResp, v.AppendMarshal
+		rest := v.Batch
+		for more := true; more; more = len(rest) > 0 {
+			n.sendFrame(to, lsa.FrameResyncResp, func(b []byte) []byte {
+				b, rest = v.AppendMarshalWithin(b, rest, maxResyncFrame-lsa.FrameOverhead)
+				return b
+			})
+		}
 	default:
 		n.tracef("sw%d: unicast of unframeable %T dropped", n.id, payload)
-		return
 	}
+}
+
+// sendFrame sends one point-to-point frame whose payload appendPayload
+// encodes straight into a pooled buffer.
+func (n *Node) sendFrame(to topo.SwitchID, kind lsa.FrameKind, appendPayload func([]byte) []byte) {
 	buf := lsa.AppendFrameWith(getBuf(256), &lsa.Frame{
 		Version: lsa.FrameVersion, Kind: kind,
 		Origin: n.id, From: n.id, Seq: n.seq.Add(1),

@@ -150,6 +150,8 @@ func (n *Node) registerFuncs(reg *obs.Registry) {
 		{"dgmc_machine_resync_rearms_total", func(m *core.Metrics) float64 { return float64(m.ResyncRearms) }},
 		{"dgmc_machine_reconciles_total", func(m *core.Metrics) float64 { return float64(m.Reconciles) }},
 		{"dgmc_machine_replay_refloods_total", func(m *core.Metrics) float64 { return float64(m.Replays) }},
+		{"dgmc_machine_catchups_served_total", func(m *core.Metrics) float64 { return float64(m.CatchUpsServed) }},
+		{"dgmc_machine_catchups_applied_total", func(m *core.Metrics) float64 { return float64(m.CatchUpsApplied) }},
 	} {
 		reg.CounterFunc(s.name, mf(s.sel), sw)
 	}
@@ -158,6 +160,12 @@ func (n *Node) registerFuncs(reg *obs.Registry) {
 		ln.mu.Lock()
 		defer ln.mu.Unlock()
 		return float64(ln.machine.GapBufferDepth())
+	}, sw)
+	reg.GaugeFunc("dgmc_event_log_depth", func() float64 {
+		ln := n.live()
+		ln.mu.Lock()
+		defer ln.mu.Unlock()
+		return float64(ln.machine.EventLogDepth())
 	}, sw)
 	reg.GaugeFunc("dgmc_inbox_depth", func() float64 {
 		ln := n.live()

@@ -6,6 +6,7 @@
 package dgmc_test
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"testing"
 	"time"
@@ -63,6 +64,98 @@ func BenchmarkMachineStep(b *testing.B) {
 		}
 	}
 }
+
+// historySizes are how many events a benchmarked machine has applied: fewer
+// than the event log retains, four times as many, and forty times. The last
+// two leave the log at the same point of its trim cycle (545 entries) and
+// must read alike — cost follows the log's depth, which is bounded, not the
+// connection's age; the first holds a 101-entry log and reads lower.
+var historySizes = []int{100, 2080, 20000}
+
+// machineAfter returns a 16-switch-ring machine that has handled the given
+// number of local join/leave events on connection 1 and ended joined.
+func machineAfter(b *testing.B, events int) *core.Machine {
+	b.Helper()
+	g, err := topo.Ring(16, 5*time.Microsecond)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := core.NewMachine(core.MachineConfig{
+		ID: 0, Graph: g, Algorithm: route.SPH{},
+	}, nullHost{neighbors: g.Neighbors(0)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < events|1; i++ {
+		ev := core.LocalEvent{Conn: 1, Kind: lsa.Join, Role: mctree.SenderReceiver}
+		if i%2 == 1 {
+			ev = core.LocalEvent{Conn: 1, Kind: lsa.Leave}
+		}
+		m.HandleLocalEvent(nil, ev)
+	}
+	return m
+}
+
+// BenchmarkServeResync measures answering a neighbor that is eight events
+// behind — an ordinary loss recovery — as a function of how long the
+// connection has lived. It scaled with history while the log was unbounded
+// (every request scanned all of it).
+func BenchmarkServeResync(b *testing.B) {
+	for _, events := range historySizes {
+		b.Run(fmt.Sprintf("events%d", events), func(b *testing.B) {
+			m := machineAfter(b, events)
+			snap, _ := m.Connection(1)
+			behind := snap.R.Clone()
+			behind[0] -= 8
+			req := []any{&lsa.ResyncRequest{Conn: 1, From: 1, R: behind}}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.ReceiveBatch(nil, req)
+			}
+		})
+	}
+}
+
+// BenchmarkMachineClone measures core.Machine.CloneWith — paid once per
+// explored state by the checker and once per rt.Node.Snapshot — against
+// history.
+func BenchmarkMachineClone(b *testing.B) {
+	for _, events := range historySizes {
+		b.Run(fmt.Sprintf("events%d", events), func(b *testing.B) {
+			m := machineAfter(b, events)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchClone = m.CloneWith(nullHost{})
+			}
+		})
+	}
+}
+
+// BenchmarkSnapshotChecksum measures the canonical state encoding plus its
+// SHA-256 — the explorer's dedup key and the snapshot's integrity check —
+// against history.
+func BenchmarkSnapshotChecksum(b *testing.B) {
+	for _, events := range historySizes {
+		b.Run(fmt.Sprintf("events%d", events), func(b *testing.B) {
+			m := machineAfter(b, events)
+			var buf []byte
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf = m.AppendState(buf[:0])
+				benchSum = sha256.Sum256(buf)
+			}
+		})
+	}
+}
+
+// Sinks keep benchmarked results alive (typed: boxing a digest allocates).
+var (
+	benchClone *core.Machine
+	benchSum   [sha256.Size]byte
+)
 
 // benchFrame builds a representative wire frame: an MC LSA carrying a
 // 10-member proposal tree and a 64-switch vector stamp.
