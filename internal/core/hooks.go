@@ -1,9 +1,6 @@
 package core
 
-import (
-	"dgmc/internal/lsa"
-	"dgmc/internal/topo"
-)
+import "dgmc/internal/lsa"
 
 // Checker predicate hooks: read-only probes into per-connection protocol
 // state that guided/backward schedule search (internal/explore) uses to
@@ -53,26 +50,3 @@ func (m *Machine) Dormant(conn lsa.ConnID) bool {
 	cs, ok := m.conns[conn]
 	return ok && cs.dormant
 }
-
-// NopHost is the inert Host: every effect is swallowed and every query
-// answers "nothing". A machine that must exist but must not touch a network
-// is bound to it (a parked snapshot), and a Host that cares about one effect
-// embeds it and overrides that method (the explorer's sandbox records
-// unicasts).
-type NopHost struct{}
-
-var _ Host = NopHost{}
-
-func (NopHost) FloodMC(*lsa.MC)                                      {}
-func (NopHost) FloodNonMC(*lsa.NonMC)                                {}
-func (NopHost) SendUnicast(topo.SwitchID, any)                       {}
-func (NopHost) HoldCompute(any)                                      {}
-func (NopHost) PendingMC(lsa.ConnID) bool                            { return false }
-func (NopHost) Neighbors() []topo.SwitchID                           { return nil }
-func (NopHost) FabricLinkChanged(lsa.LinkChange)                     {}
-func (NopHost) ArmResync(lsa.ConnID)                                 {}
-func (NopHost) SelfNudge(lsa.ConnID)                                 {}
-func (NopHost) NoteInstall()                                         {}
-func (NopHost) ForwardingChanged(lsa.ConnID)                         {}
-func (NopHost) Trace(TraceKind, ChainID, lsa.ConnID, string, ...any) {}
-func (NopHost) TraceEnabled() bool                                   { return false }

@@ -129,30 +129,61 @@ func TestExhaustiveCrashRestartRecovers(t *testing.T) {
 // event log to nothing at EVERY point of every schedule, and the peer that
 // then has to learn from it — across a healed partition, or blank after a
 // crash — must still end up knowing everything the trimmed switch knows
-// (exchange completeness) and converge as before. The same two worlds with
-// the catch-up removed (truncate-without-catchup) must be caught, and by
-// that invariant: the omission is invisible to the convergence checks.
+// (exchange completeness) and converge as before. The same worlds with the
+// catch-up removed (truncate-without-catchup) must be caught, and by that
+// invariant: the omission is invisible to the convergence checks.
+//
+// Exhaustive search finishes for one event on the 4-switch line and for
+// two on a 2-switch line, so the worlds are split that way: the line-4
+// pair puts relays between the trimmed switch and the learner; the line-2
+// trio takes switch 0 through join and leave, so the catch-up is served
+// before, between and after the two events of one origin — a newer event
+// racing it, an out-of-order one buffered beneath it, the role-0 "gone"
+// form after the leave — to a blank peer, to the blank origin itself (its
+// own counter recovered) and across a heal.
 func TestExhaustiveCompaction(t *testing.T) {
-	g, err := topo.Line(4, 5*time.Microsecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	join := []Inject{{Switch: 0, Event: core.LocalEvent{Conn: 1, Kind: lsa.Join, Role: mctree.Sender | mctree.Receiver}}}
-	lanes := map[string][]FaultOp{
-		"split-compact-heal": {
+	both := mctree.Sender | mctree.Receiver
+	join := Inject{Switch: 0, Event: core.LocalEvent{Conn: 1, Kind: lsa.Join, Role: both}}
+	leave := Inject{Switch: 0, Event: core.LocalEvent{Conn: 1, Kind: lsa.Leave}}
+	worlds := []struct {
+		name    string
+		n       int
+		injects []Inject
+		lane    []FaultOp
+	}{
+		{"line4/split-compact-heal", 4, []Inject{join}, []FaultOp{
 			{Kind: FaultSplit, Groups: [][]topo.SwitchID{{0, 1}, {2, 3}}},
 			{Kind: FaultCompact, Switch: 1},
 			{Kind: FaultHeal},
-		},
-		"crash-compact-restart": {
+		}},
+		{"line4/crash-compact-restart", 4, []Inject{join}, []FaultOp{
 			{Kind: FaultCrash, Switch: 3},
 			{Kind: FaultCompact, Switch: 2},
 			{Kind: FaultRestart, Switch: 3},
-		},
+		}},
+		{"line2/join-leave/blank-peer", 2, []Inject{join, leave}, []FaultOp{
+			{Kind: FaultCrash, Switch: 1},
+			{Kind: FaultCompact, Switch: 0},
+			{Kind: FaultRestart, Switch: 1},
+		}},
+		{"line2/join-leave/blank-origin", 2, []Inject{join, leave}, []FaultOp{
+			{Kind: FaultCrash, Switch: 0},
+			{Kind: FaultCompact, Switch: 1},
+			{Kind: FaultRestart, Switch: 0},
+		}},
+		{"line2/join-leave/heal", 2, []Inject{join, leave}, []FaultOp{
+			{Kind: FaultSplit, Groups: [][]topo.SwitchID{{0}, {1}}},
+			{Kind: FaultCompact, Switch: 0},
+			{Kind: FaultHeal},
+		}},
 	}
-	for name, lane := range lanes {
-		t.Run(name, func(t *testing.T) {
-			scn := Scenario{Injects: join, Faults: lane}
+	for _, w := range worlds {
+		t.Run(w.name, func(t *testing.T) {
+			g, err := topo.Line(w.n, 5*time.Microsecond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scn := Scenario{Injects: w.injects, Faults: w.lane}
 			cfg := Config{Graph: g, Resync: true, ResyncMaxRounds: 2}
 			res, err := Exhaustive(cfg, scn, Options{})
 			if err != nil {

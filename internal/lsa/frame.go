@@ -75,10 +75,6 @@ type Frame struct {
 // length(4) + crc32(4).
 const frameHeaderLen = 26
 
-// FrameOverhead is what a frame adds to its payload on the wire, for
-// senders that size payloads to a datagram.
-const FrameOverhead = frameHeaderLen
-
 // frameFromOffset is the byte offset of the From field, exported to the
 // forwarding path via PatchFrameFrom.
 const frameFromOffset = 6

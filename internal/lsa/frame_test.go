@@ -162,11 +162,11 @@ func FuzzDecodeFrame(f *testing.F) {
 	})
 }
 
-// TestResyncResponseSplit: a response cut to a size limit arrives as parts
-// that each decode on their own, each within the limit, that together carry
-// the batch in order with the closing pseudo-proposal last; an LSA bigger
-// than the limit still travels, alone; and no limit means one part,
-// byte-identical to Marshal.
+// TestResyncResponseSplit: a response cut to a frame limit becomes parts
+// that each decode on their own and each fit the limit once framed, that
+// together carry the batch in order with the closing pseudo-proposal last;
+// an LSA bigger than the limit still travels, alone; and a response that
+// fits is one part, byte-identical to the whole.
 func TestResyncResponseSplit(t *testing.T) {
 	const n = 100
 	tree := mctree.New(mctree.Symmetric)
@@ -181,24 +181,23 @@ func TestResyncResponseSplit(t *testing.T) {
 
 	const limit = 4096
 	var got []*MC
-	parts := 0
-	for rest := r.Batch; len(rest) > 0; parts++ {
-		var buf []byte
-		buf, rest = r.AppendMarshalWithin(nil, rest, limit)
-		if len(buf) > limit {
-			t.Fatalf("part %d is %d bytes, limit %d", parts, len(buf), limit)
+	parts := r.Split(limit)
+	for i, p := range parts {
+		framed := AppendFrameWith(nil, &Frame{Version: FrameVersion, Kind: FrameResyncResp}, p.AppendMarshal)
+		if len(framed) > limit {
+			t.Fatalf("part %d is %d bytes framed, limit %d", i, len(framed), limit)
 		}
-		part, err := DecodeResyncResponse(buf)
+		part, err := DecodeResyncResponse(p.Marshal())
 		if err != nil {
-			t.Fatalf("part %d: %v", parts, err)
+			t.Fatalf("part %d: %v", i, err)
 		}
 		if part.Conn != 9 || part.From != 4 || len(part.Batch) == 0 {
-			t.Fatalf("part %d = %+v", parts, part)
+			t.Fatalf("part %d = %+v", i, part)
 		}
 		got = append(got, part.Batch...)
 	}
-	if parts < 2 || len(got) != len(r.Batch) {
-		t.Fatalf("%d parts carrying %d of %d LSAs", parts, len(got), len(r.Batch))
+	if len(parts) < 2 || len(got) != len(r.Batch) {
+		t.Fatalf("%d parts carrying %d of %d LSAs", len(parts), len(got), len(r.Batch))
 	}
 	for i, m := range got {
 		if !bytes.Equal(m.Marshal(), r.Batch[i].Marshal()) {
@@ -206,12 +205,14 @@ func TestResyncResponseSplit(t *testing.T) {
 		}
 	}
 
-	buf, rest := r.AppendMarshalWithin(nil, r.Batch, 64) // smaller than any one LSA
-	if part, err := DecodeResyncResponse(buf); err != nil || len(part.Batch) != 1 || len(rest) != len(r.Batch)-1 {
-		t.Fatalf("oversize LSA: part %+v err %v, %d left", part, err, len(rest))
+	if alone := r.Split(64); len(alone) != len(r.Batch) { // smaller than any one LSA
+		t.Fatalf("oversize LSAs: %d parts for %d LSAs", len(alone), len(r.Batch))
 	}
-	if whole, rest := r.AppendMarshalWithin(nil, r.Batch, 0); !bytes.Equal(whole, r.Marshal()) || len(rest) != 0 {
-		t.Fatal("unlimited split differs from Marshal")
+	if whole := r.Split(1 << 20); len(whole) != 1 || !bytes.Equal(whole[0].Marshal(), r.Marshal()) {
+		t.Fatalf("a response that fits split into %d parts", len(whole))
+	}
+	if empty := (&ResyncResponse{Conn: 9, From: 4}).Split(limit); len(empty) != 1 || len(empty[0].Batch) != 0 {
+		t.Fatalf("empty response split into %d parts", len(empty))
 	}
 }
 
@@ -241,16 +242,9 @@ func FuzzDecodeResyncResponse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Like FuzzDecodeLSA: an accepted buffer must reach an encoding
-		// fixpoint, not re-encode byte for byte — a proposal tree decodes
-		// from edges in any orientation and encodes them normalized.
-		first := got.Marshal()
-		again, err := DecodeResyncResponse(first)
-		if err != nil {
-			t.Fatalf("re-decode of accepted response failed: %v (input %x)", err, data)
-		}
-		if second := again.Marshal(); !bytes.Equal(first, second) {
-			t.Fatalf("encode not a fixpoint:\n first=%x\nsecond=%x", first, second)
+		re := got.Marshal()
+		if !bytes.Equal(re, data) {
+			t.Fatalf("accepted response does not re-encode identically:\n in=%x\nout=%x", data, re)
 		}
 	})
 }

@@ -76,37 +76,38 @@ func (r *ResyncResponse) Marshal() []byte {
 // AppendMarshal appends the response's encoding to dst and returns the
 // extended slice.
 func (r *ResyncResponse) AppendMarshal(dst []byte) []byte {
-	dst, _ = r.AppendMarshalWithin(dst, r.Batch, 0)
-	return dst
-}
-
-// AppendMarshalWithin appends the encoding of a response that carries the
-// longest prefix of batch whose encoding fits in limit bytes — at least one
-// LSA, so an oversize LSA travels alone; limit 0 means no limit — and
-// returns the LSAs left over. A sender bound to a datagram size calls it
-// in a loop: each part decodes as a response in its own right, order within
-// and across parts is the batch's, so the closing pseudo-proposal rides in
-// the last one.
-func (r *ResyncResponse) AppendMarshalWithin(dst []byte, batch []*MC, limit int) (out []byte, rest []*MC) {
-	start := len(dst)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(r.Conn))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(int32(r.From)))
-	countAt := len(dst)
-	dst = binary.BigEndian.AppendUint32(dst, 0)
-	taken := 0
-	for _, m := range batch {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(r.Batch)))
+	for _, m := range r.Batch {
 		lenAt := len(dst)
 		dst = binary.BigEndian.AppendUint32(dst, 0)
 		dst = m.AppendMarshal(dst)
-		if limit > 0 && taken > 0 && len(dst)-start > limit {
-			dst = dst[:lenAt]
-			break
-		}
 		binary.BigEndian.PutUint32(dst[lenAt:], uint32(len(dst)-lenAt-4))
-		taken++
 	}
-	binary.BigEndian.PutUint32(dst[countAt:], uint32(taken))
-	return dst, batch[taken:]
+	return dst
+}
+
+// Split cuts r into responses that each encode, frame header included, to
+// at most frameLimit bytes, for a sender bound to a datagram size. Each
+// part is a response in its own right over a run of the batch: order within
+// and across parts is the batch's, so the closing pseudo-proposal rides in
+// the last one; every part holds at least one LSA, so an LSA bigger than
+// the limit still travels, alone. An empty batch yields one empty part.
+func (r *ResyncResponse) Split(frameLimit int) []*ResyncResponse {
+	const fixed = frameHeaderLen + 12 // frame header; conn, from, count
+	var parts []*ResyncResponse
+	var scratch []byte
+	start, size := 0, fixed
+	for i, m := range r.Batch {
+		scratch = m.AppendMarshal(scratch[:0])
+		if i > start && size+4+len(scratch) > frameLimit {
+			parts = append(parts, &ResyncResponse{Conn: r.Conn, From: r.From, Batch: r.Batch[start:i]})
+			start, size = i, fixed
+		}
+		size += 4 + len(scratch)
+	}
+	return append(parts, &ResyncResponse{Conn: r.Conn, From: r.From, Batch: r.Batch[start:]})
 }
 
 // DecodeResyncResponse decodes a buffer produced by ResyncResponse.Marshal.

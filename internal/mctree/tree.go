@@ -484,29 +484,24 @@ func DecodeBinary(buf []byte) (*Tree, []byte, error) {
 		return nil, nil, fmt.Errorf("mctree: truncated edges (%d declared)", cnt)
 	}
 	t := &Tree{Kind: kind, Root: root, edges: make([]Edge, 0, cnt)}
+	// One encoding per tree: AppendBinary emits each edge low endpoint
+	// first and the edges in strictly ascending (A,B) order, and anything
+	// else is refused rather than normalised — what a switch accepts it
+	// re-encodes byte for byte, so a relayed proposal is the proposal sent.
 	for i := 0; i < cnt; i++ {
-		a := topo.SwitchID(int32(binary.BigEndian.Uint32(buf[8*i:])))
-		b := topo.SwitchID(int32(binary.BigEndian.Uint32(buf[8*i+4:])))
-		if a == b {
-			return nil, nil, fmt.Errorf("mctree: self-loop edge %d-%d", a, b)
+		e := Edge{
+			A: topo.SwitchID(int32(binary.BigEndian.Uint32(buf[8*i:]))),
+			B: topo.SwitchID(int32(binary.BigEndian.Uint32(buf[8*i+4:]))),
 		}
-		t.edges = append(t.edges, NewEdge(a, b))
-	}
-	less := func(i, j int) bool {
-		if t.edges[i].A != t.edges[j].A {
-			return t.edges[i].A < t.edges[j].A
+		if e.A >= e.B {
+			return nil, nil, fmt.Errorf("mctree: edge %d-%d is not low endpoint first", e.A, e.B)
 		}
-		return t.edges[i].B < t.edges[j].B
-	}
-	// Encoders emit canonical (sorted) edge order, so the common case skips
-	// the sort entirely; hostile or legacy inputs still get canonicalised.
-	if !sort.SliceIsSorted(t.edges, less) {
-		sort.Slice(t.edges, less)
-	}
-	for i := 1; i < len(t.edges); i++ {
-		if t.edges[i] == t.edges[i-1] {
-			return nil, nil, fmt.Errorf("mctree: duplicate edge %d-%d", t.edges[i].A, t.edges[i].B)
+		if i > 0 {
+			if prev := t.edges[i-1]; e.A < prev.A || (e.A == prev.A && e.B <= prev.B) {
+				return nil, nil, fmt.Errorf("mctree: edge %d-%d after %d-%d: not in ascending order", e.A, e.B, prev.A, prev.B)
+			}
 		}
+		t.edges = append(t.edges, e)
 	}
 	return t, buf[8*cnt:], nil
 }

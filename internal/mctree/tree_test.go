@@ -322,6 +322,12 @@ func TestDecodeBinaryErrors(t *testing.T) {
 	// self-loop edge
 	self := append(append([]byte{}, hdr...), 0, 0, 0, 2, 0, 0, 0, 2)
 	cases = append(cases, self)
+	// one encoding per tree: an edge high endpoint first, edges out of order
+	flipped := append(append([]byte{}, hdr...), 0, 0, 0, 3, 0, 0, 0, 2)
+	cases = append(cases, flipped)
+	unsorted := append([]byte{byte(Symmetric)}, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 2,
+		0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1)
+	cases = append(cases, unsorted)
 	for i, buf := range cases {
 		if _, _, err := DecodeBinary(buf); err == nil {
 			t.Errorf("case %d: decode succeeded on malformed input", i)

@@ -618,12 +618,8 @@ func (n *Node) SendUnicast(to topo.SwitchID, payload any) {
 	case *lsa.ResyncRequest:
 		n.sendFrame(to, lsa.FrameResyncReq, v.AppendMarshal)
 	case *lsa.ResyncResponse:
-		rest := v.Batch
-		for more := true; more; more = len(rest) > 0 {
-			n.sendFrame(to, lsa.FrameResyncResp, func(b []byte) []byte {
-				b, rest = v.AppendMarshalWithin(b, rest, maxResyncFrame-lsa.FrameOverhead)
-				return b
-			})
+		for _, part := range v.Split(maxResyncFrame) {
+			n.sendFrame(to, lsa.FrameResyncResp, part.AppendMarshal)
 		}
 	default:
 		n.tracef("sw%d: unicast of unframeable %T dropped", n.id, payload)

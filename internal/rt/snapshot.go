@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"dgmc/internal/core"
+	"dgmc/internal/lsa"
 	"dgmc/internal/topo"
 )
 
@@ -32,9 +33,7 @@ type NodeSnapshot struct {
 // traffic, crash, or be closed without affecting the snapshot.
 func (n *Node) Snapshot() *NodeSnapshot {
 	n.mu.Lock()
-	// A parked machine never runs, but CloneWith requires a host; the inert
-	// one guarantees that even a misuse cannot touch the network.
-	m := n.machine.CloneWith(core.NopHost{})
+	m := n.machine.CloneWith(parkedHost{})
 	n.mu.Unlock()
 	return &NodeSnapshot{
 		id:      n.id,
@@ -65,3 +64,25 @@ func (s *NodeSnapshot) verify() error {
 	}
 	return nil
 }
+
+// parkedHost is the inert core.Host a snapshot's machine is bound to while
+// parked: the machine never runs there, but CloneWith requires a host, and
+// an inert one guarantees that even a misuse (calling into the parked
+// machine) cannot touch the network.
+type parkedHost struct{}
+
+var _ core.Host = parkedHost{}
+
+func (parkedHost) FloodMC(*lsa.MC)                                                {}
+func (parkedHost) FloodNonMC(*lsa.NonMC)                                          {}
+func (parkedHost) SendUnicast(topo.SwitchID, any)                                 {}
+func (parkedHost) HoldCompute(any)                                                {}
+func (parkedHost) PendingMC(lsa.ConnID) bool                                      { return false }
+func (parkedHost) Neighbors() []topo.SwitchID                                     { return nil }
+func (parkedHost) FabricLinkChanged(lsa.LinkChange)                               {}
+func (parkedHost) ArmResync(lsa.ConnID)                                           {}
+func (parkedHost) SelfNudge(lsa.ConnID)                                           {}
+func (parkedHost) NoteInstall()                                                   {}
+func (parkedHost) ForwardingChanged(lsa.ConnID)                                   {}
+func (parkedHost) Trace(core.TraceKind, core.ChainID, lsa.ConnID, string, ...any) {}
+func (parkedHost) TraceEnabled() bool                                             { return false }
