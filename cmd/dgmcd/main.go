@@ -132,10 +132,10 @@ type daemonConfig struct {
 	algorithm route.Algorithm
 	resync    time.Duration
 	reopt     float64
-	admin     string // admin HTTP listen address; empty disables
-	flightrec int    // flight-recorder ring size; 0 disables
-	sample    int    // trace every Nth packet per source; 0 disables
-	epoch     uint64 // restart epoch; nonzero means crash-restart rejoin
+	admin     string    // admin HTTP listen address; empty disables
+	flightrec int       // flight-recorder ring size; 0 disables
+	sample    int       // trace every Nth packet per source; 0 disables
+	epoch     uint64    // restart epoch; nonzero means crash-restart rejoin
 	recvW     io.Writer // delivered payloads print here; nil discards them
 	logf      func(format string, args ...any)
 }
@@ -417,8 +417,9 @@ func (d *daemon) exec(line string, w io.Writer) (quit bool, err error) {
 		if !h.Converged {
 			state = "CONVERGING"
 		}
-		fmt.Fprintf(w, "health: %s conns=%d gapped=%v resync-armed=%v gave-up=%v gap-depth=%d log-depth=%d catch-ups-applied=%d fib-entries=%d\n",
-			state, h.Conns, h.GappedConns, h.ResyncArmedConns, h.GiveUpConns, h.GapBufferDepth, h.EventLogDepth, h.CatchUpsApplied, h.FIBEntries)
+		fmt.Fprintf(w, "health: %s conns=%d gapped=%v resync-armed=%v gave-up=%v gap-depth=%d log-depth=%d catch-ups-applied=%d fib-entries=%d rx-frames/batch=%.1f tx-frames/burst=%.1f\n",
+			state, h.Conns, h.GappedConns, h.ResyncArmedConns, h.GiveUpConns, h.GapBufferDepth, h.EventLogDepth, h.CatchUpsApplied, h.FIBEntries,
+			h.RxFramesPerBatch, h.TxFramesPerBurst)
 		if h.Anomaly != "" {
 			fmt.Fprintf(w, "health: last anomaly %s %dms ago (flight records written: %d)\n",
 				h.Anomaly, h.AnomalyAgeMS, h.FlightWritten)

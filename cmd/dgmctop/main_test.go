@@ -67,7 +67,7 @@ func TestTopOnce(t *testing.T) {
 	got := out.String()
 	for _, want := range []string{
 		"SW", "DROPS ne/nr/hb/lp", // header
-		"0/0/0/1",                 // the degraded switch's drop taxonomy
+		"0/0/0/1",                                      // the degraded switch's drop taxonomy
 		"gapped[7]", "resync[7]", "drop-loop 1.5s ago", // anomaly flags
 		"LOG", "37 ff2", // the degraded switch was fast-forwarded by catch-ups
 		"cluster: 3/3 up, 2/3 converged",
@@ -145,8 +145,8 @@ func TestTopDownTarget(t *testing.T) {
 func TestTopFlagValidation(t *testing.T) {
 	var out strings.Builder
 	for _, args := range [][]string{
-		{},                               // missing -targets
-		{"-targets", " , "},              // only empty addresses
+		{},                                   // missing -targets
+		{"-targets", " , "},                  // only empty addresses
 		{"-targets", "x", "-interval", "0"},  // bad interval
 		{"-targets", "x", "-timeout", "-1s"}, // bad timeout
 	} {

@@ -26,11 +26,11 @@ import (
 // the way an undetected split behaves, so senders see success, not errors.
 type ChanFabric struct {
 	queues []atomic.Pointer[frameQueue]
-	// inflight counts frames enqueued but not yet handed to a receiver,
-	// letting the harness distinguish "quiescent" from "packets still in
-	// flight". Every path that discards queued frames (Kill, Reset, Close)
-	// settles the count through frameQueue.close's drain tally.
-	inflight atomic.Int64
+	// counts holds each switch's half of the in-flight accounting, letting
+	// the harness distinguish "quiescent" from "packets still in flight"
+	// (see InFlight). There is no fabric-wide counter: one would be written
+	// from every core on every send and every settle.
+	counts []portCount
 	// groups holds the active partition as a switch→group map (nil when the
 	// fabric is whole). Cross-group sends are silently dropped.
 	groups atomic.Pointer[map[topo.SwitchID]int]
@@ -62,9 +62,26 @@ func mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
+// portCount is one switch's in-flight accounting: sent counts the frames its
+// port has put on queues, done the frames that have left the switch's own
+// queue for good — settled by its receiver (Release, Recv) or discarded by a
+// drain (Kill, Reset, Close, a stashed Recv batch). Each is written from the
+// switch's own goroutines only, in burst-sized steps, and sits on a cache
+// line of its own so the sending and the settling side of a switch do not
+// share one.
+type portCount struct {
+	sent atomic.Int64
+	_    [56]byte
+	done atomic.Int64
+	_    [56]byte
+}
+
 // NewChanFabric builds a fabric for switches 0..n-1.
 func NewChanFabric(n int) *ChanFabric {
-	f := &ChanFabric{queues: make([]atomic.Pointer[frameQueue], n)}
+	f := &ChanFabric{
+		queues: make([]atomic.Pointer[frameQueue], n),
+		counts: make([]portCount, n),
+	}
 	for i := range f.queues {
 		f.queues[i].Store(newFrameQueue())
 	}
@@ -76,8 +93,23 @@ func (f *ChanFabric) Transport(id topo.SwitchID) Transport {
 	return &chanPort{fabric: f, id: id}
 }
 
-// InFlight returns the number of frames sent but not yet received.
-func (f *ChanFabric) InFlight() int64 { return f.inflight.Load() }
+// InFlight returns the number of frames sent but not yet settled: queued,
+// or received in a batch that has not been released. A sender counts a frame
+// before it pushes it (and uncounts it if the push is refused), and every
+// done is read before any sent, so a frame counted as done has its send
+// counted too: the result can read high for a moment — a refused push not
+// yet taken back, a send between the two passes — but never low, and zero
+// means nothing queued anywhere and nothing mid-handling.
+func (f *ChanFabric) InFlight() int64 {
+	var done, sent int64
+	for i := range f.counts {
+		done += f.counts[i].done.Load()
+	}
+	for i := range f.counts {
+		sent += f.counts[i].sent.Load()
+	}
+	return sent - done
+}
 
 // Kill crashes switch id's attachment: its queue is closed (the node's
 // receive loop unblocks with ErrClosed, later sends to it fail) and every
@@ -87,7 +119,7 @@ func (f *ChanFabric) Kill(id topo.SwitchID) error {
 	if int(id) < 0 || int(id) >= len(f.queues) {
 		return fmt.Errorf("rt: kill of unknown switch %d", id)
 	}
-	f.inflight.Add(-int64(f.queues[id].Load().close()))
+	f.counts[id].done.Add(int64(f.queues[id].Load().close()))
 	return nil
 }
 
@@ -100,7 +132,7 @@ func (f *ChanFabric) Reset(id topo.SwitchID) error {
 	old := f.queues[id].Swap(newFrameQueue())
 	// A sender racing the swap may have pushed onto the dying queue after
 	// Kill's drain; account for anything still there.
-	f.inflight.Add(-int64(old.close()))
+	f.counts[id].done.Add(int64(old.close()))
 	return nil
 }
 
@@ -187,7 +219,7 @@ func (f *ChanFabric) blocked(from, to topo.SwitchID) bool {
 // to zero — a partly-shut fabric must not poison a later quiescence check.
 func (f *ChanFabric) Close() error {
 	for i := range f.queues {
-		f.inflight.Add(-int64(f.queues[i].Load().close()))
+		f.counts[i].done.Add(int64(f.queues[i].Load().close()))
 	}
 	return nil
 }
@@ -215,21 +247,56 @@ func (p *chanPort) Send(to topo.SwitchID, data []byte) error {
 
 // SendOwned moves buf into the destination queue as-is — no copy, no pool
 // round-trip. Every non-queued outcome (unknown switch, partition, loss,
-// closed destination) recycles buf right here.
+// closed destination) recycles buf right here. The frame is counted in
+// flight before it is pushed: counted after, a receiver that popped and
+// settled it in between would drive InFlight below what is really queued.
 func (p *chanPort) SendOwned(to topo.SwitchID, buf []byte) error {
-	if int(to) < 0 || int(to) >= len(p.fabric.queues) {
+	f := p.fabric
+	if int(to) < 0 || int(to) >= len(f.queues) {
 		putBuf(buf)
 		return fmt.Errorf("rt: send to unknown switch %d", to)
 	}
-	if p.fabric.blocked(p.id, to) || p.fabric.dropData(buf, to) {
+	if f.blocked(p.id, to) || f.dropData(buf, to) {
 		putBuf(buf)
 		return nil // vanished in the fabric; the sender never knows
 	}
-	if !p.fabric.queues[to].Load().push(buf) {
+	sent := &f.counts[p.id].sent
+	sent.Add(1)
+	if !f.queues[to].Load().push(buf) {
+		sent.Add(-1)
 		putBuf(buf)
 		return ErrClosed
 	}
-	p.fabric.inflight.Add(1)
+	return nil
+}
+
+// SendOwnedBatch moves a burst into the destination queue for the price of
+// one frame: one partition check, one in-flight count, one queue lock, one
+// wake-up. With the loss knob set each frame needs its own verdict, so the
+// burst goes frame by frame and loses exactly what SendOwned would.
+func (p *chanPort) SendOwnedBatch(to topo.SwitchID, bufs [][]byte) error {
+	f := p.fabric
+	if int(to) < 0 || int(to) >= len(f.queues) {
+		putBufs(bufs)
+		return fmt.Errorf("rt: send to unknown switch %d", to)
+	}
+	if f.loss.Load() != nil {
+		return sendOwnedEach(p, to, bufs)
+	}
+	if len(bufs) == 0 {
+		return nil
+	}
+	if f.blocked(p.id, to) {
+		putBufs(bufs)
+		return nil
+	}
+	sent := &f.counts[p.id].sent
+	sent.Add(int64(len(bufs)))
+	if !f.queues[to].Load().pushAll(bufs) {
+		sent.Add(-int64(len(bufs)))
+		putBufs(bufs)
+		return ErrClosed
+	}
 	return nil
 }
 
@@ -241,7 +308,7 @@ func (p *chanPort) Recv() ([]byte, error) {
 			p.pending[p.next] = nil
 			p.next++
 			p.mu.Unlock()
-			p.fabric.inflight.Add(-1)
+			p.fabric.counts[p.id].done.Add(1)
 			return buf, nil
 		}
 		recycle := p.pending[:0]
@@ -275,12 +342,12 @@ func (p *chanPort) RecvBatch(recycle [][]byte) ([][]byte, error) {
 
 // Release settles n batch-received frames as handled (see RecvBatch).
 func (p *chanPort) Release(n int) {
-	p.fabric.inflight.Add(-int64(n))
+	p.fabric.counts[p.id].done.Add(int64(n))
 }
 
 func (p *chanPort) Close() error {
 	f := p.fabric
-	f.inflight.Add(-int64(f.queues[p.id].Load().close()))
+	f.counts[p.id].done.Add(int64(f.queues[p.id].Load().close()))
 	p.drainPending()
 	return nil
 }
@@ -289,13 +356,12 @@ func (p *chanPort) Close() error {
 // buffers to the pool and balancing the in-flight count.
 func (p *chanPort) drainPending() {
 	p.mu.Lock()
-	for ; p.next < len(p.pending); p.next++ {
-		putBuf(p.pending[p.next])
-		p.pending[p.next] = nil
-		p.fabric.inflight.Add(-1)
-	}
+	stashed := p.pending[p.next:]
+	putBufs(stashed)
+	clear(stashed)
 	p.pending, p.next = nil, 0
 	p.mu.Unlock()
+	p.fabric.counts[p.id].done.Add(int64(len(stashed)))
 }
 
 // frameQueue is an unbounded MPSC FIFO of frames with a blocking batch
@@ -328,6 +394,22 @@ func (q *frameQueue) push(buf []byte) bool {
 		return false
 	}
 	q.back = append(q.back, buf)
+	if q.waiters > 0 {
+		q.cond.Signal()
+	}
+	q.mu.Unlock()
+	return true
+}
+
+// pushAll appends a whole burst under one lock acquisition and wakes the
+// consumer once. bufs stays the caller's; the queue copies the entries.
+func (q *frameQueue) pushAll(bufs [][]byte) bool {
+	q.mu.Lock()
+	if q.closed {
+		q.mu.Unlock()
+		return false
+	}
+	q.back = append(q.back, bufs...)
 	if q.waiters > 0 {
 		q.cond.Signal()
 	}

@@ -2,6 +2,7 @@ package rt
 
 import (
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -125,6 +126,101 @@ func TestChanFabricDrainOnClose(t *testing.T) {
 	if got := fab.InFlight(); got != 0 {
 		t.Fatalf("InFlight = %d after Close with frames queued, want 0", got)
 	}
+
+	// The same with senders still sending when the queue goes away: each
+	// frame is counted before its push and either drained by the fault,
+	// drained by the final Close, or refused and uncounted — never two of
+	// those, never none.
+	faults := map[string]func(*ChanFabric) error{
+		"Kill":  func(f *ChanFabric) error { return f.Kill(1) },
+		"Reset": func(f *ChanFabric) error { return f.Reset(1) },
+		"Close": (*ChanFabric).Close,
+	}
+	for name, fault := range faults {
+		t.Run(name, func(t *testing.T) {
+			fab := NewChanFabric(2)
+			raceSenders(t, fab, func() {
+				if err := fault(fab); err != nil {
+					t.Error(err)
+				}
+			})
+			if err := fab.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got := fab.InFlight(); got != 0 {
+				t.Fatalf("InFlight = %d after senders raced %s, want exactly 0", got, name)
+			}
+		})
+	}
+}
+
+// raceSenders runs four senders into switch 1 of fab — two frame by frame,
+// two in bursts. A quarter of the way in they line up, and they and fault
+// are let go together, so fault lands among sends, with most of the frames
+// still to come after it; it returns when all are done. Every frame travels in a buffer the test made
+// (pool-sized, so the fabric's recycling lands it in the small class), and
+// on return none of them may sit in the pool twice: a buffer recycled by two
+// paths would be rented out to two owners. The check can miss a duplicate
+// parked in another P's private slot; it cannot report one that is not there.
+func raceSenders(t *testing.T, fab *ChanFabric, fault func()) {
+	t.Helper()
+	// The pool must keep what it is given until it has been looked through.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const senders, perSender, burst = 4, 2048, 8 // perSender/4 is a multiple of burst
+	tx := fab.Transport(0)
+	mine := make(map[*byte]int, senders*perSender)
+	frames := make([][][]byte, senders)
+	for g := range frames {
+		for i := 0; i < perSender; i++ {
+			buf := append(make([]byte, 0, smallBufCap), testDataFrame(0, uint64(g*perSender+i+1))...)
+			mine[&buf[0]] = 0
+			frames[g] = append(frames[g], buf)
+		}
+	}
+	var wg, linedUp sync.WaitGroup
+	gun := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-gun
+		fault()
+	}()
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		linedUp.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perSender; i += burst {
+				if i == perSender/4 {
+					linedUp.Done()
+					<-gun
+				}
+				// Refusals are the point: the fabric still owns the frames.
+				if g%2 == 0 {
+					_ = tx.SendOwnedBatch(1, frames[g][i:i+burst])
+					continue
+				}
+				for _, buf := range frames[g][i : i+burst] {
+					_ = tx.SendOwned(1, buf)
+				}
+			}
+		}(g)
+	}
+	linedUp.Wait()
+	close(gun)
+	wg.Wait()
+	if err := fab.Close(); err != nil { // recycle whatever is still queued
+		t.Fatal(err)
+	}
+	for i := 0; i < 2*senders*perSender; i++ {
+		buf := getBuf(1)[:1]
+		if n, ok := mine[&buf[0]]; ok {
+			if n > 0 {
+				t.Fatalf("a frame buffer came out of the pool twice: it was recycled more than once")
+			}
+			mine[&buf[0]] = n + 1
+		}
+	}
 }
 
 // TestChanPortDrainOnClose covers the port-close half: a batch stashed
@@ -153,6 +249,115 @@ func TestChanPortDrainOnClose(t *testing.T) {
 	}
 	if got := fab.InFlight(); got != 0 {
 		t.Fatalf("InFlight = %d after port Close with stashed batch, want 0", got)
+	}
+
+	// A port closing under senders and a single-frame receiver: whatever the
+	// receiver had stashed, whatever was queued and whatever arrives late all
+	// settle.
+	fab = NewChanFabric(2)
+	rx = fab.Transport(1)
+	received := make(chan struct{})
+	go func() {
+		defer close(received)
+		for {
+			buf, err := rx.Recv()
+			if err != nil {
+				return
+			}
+			putBuf(buf)
+		}
+	}()
+	raceSenders(t, fab, func() {
+		if err := rx.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	<-received
+	if got := fab.InFlight(); got != 0 {
+		t.Fatalf("InFlight = %d after senders raced a port Close, want exactly 0", got)
+	}
+}
+
+// TestInFlightNeverUndercounts pins the in-flight count's one-sided error:
+// it may read high for a moment, never low. Four producers share one port —
+// two send frame by frame, two in bursts — into one batch consumer, while a
+// sampler reads InFlight as fast as it can. Each read must be at least the
+// number of frames that were certainly in flight throughout it: those whose
+// send had returned before the read began, less those whose Release had
+// begun by the time it ended. So it is never negative, and never zero while
+// a frame is queued or unsettled. Counting a frame after pushing it (the
+// old order) fails this: the consumer can pop and settle a frame before its
+// sender has counted it.
+func TestInFlightNeverUndercounts(t *testing.T) {
+	const producers, perProducer, burst = 4, 120000, 8
+	fab := NewChanFabric(2)
+	defer fab.Close()
+	tx, rx := fab.Transport(0), fab.Transport(1)
+	frame := testDataFrame(0, 1)
+	var sent, settling atomic.Int64
+
+	stop, sampled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			queued := sent.Load()
+			got := fab.InFlight()
+			if floor := queued - settling.Load(); got < 0 || got < floor {
+				t.Errorf("InFlight read %d with at least %d frames in flight", got, floor)
+				return
+			}
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for g := 0; g < producers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			stage := make([][]byte, 0, burst)
+			for i := 0; i < perProducer; i += burst {
+				if g%2 == 0 {
+					for j := 0; j < burst; j++ {
+						stage = append(stage, append(getBuf(len(frame)), frame...))
+					}
+					if err := tx.SendOwnedBatch(1, stage); err != nil {
+						t.Error(err)
+						return
+					}
+					stage = stage[:0]
+					sent.Add(burst)
+					continue
+				}
+				for j := 0; j < burst; j++ {
+					if err := tx.Send(1, frame); err != nil {
+						t.Error(err)
+						return
+					}
+					sent.Add(1)
+				}
+			}
+		}(g)
+	}
+	var batch [][]byte
+	for settled := 0; settled < producers*perProducer; settled += len(batch) {
+		var err error
+		if batch, err = rx.RecvBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		putBufs(batch)
+		settling.Add(int64(len(batch)))
+		rx.Release(len(batch))
+	}
+	wg.Wait()
+	close(stop)
+	<-sampled
+	if got := fab.InFlight(); got != 0 {
+		t.Fatalf("InFlight = %d after the last Release, want 0", got)
 	}
 }
 

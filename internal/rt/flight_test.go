@@ -65,12 +65,14 @@ func TestHandleDataInstrumentedZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSendDataInstrumentedNoExtraAlloc pins origination's instrumentation
-// cost at zero: SendData pays exactly one pre-existing allocation per frame
-// (the buffer pool's *[]byte box, see bufpool.go) with or without the
-// recorder, sampling, and registry — turning everything on must not add a
-// single allocation.
+// TestSendDataInstrumentedNoExtraAlloc pins origination at zero allocations
+// per frame — the frame pool holds array pointers, so a rental round trip
+// allocates nothing (see bufpool.go), and the stage set is borrowed — with
+// or without the recorder, sampling, and registry.
 func TestSendDataInstrumentedNoExtraAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the frame pool is lossy under the race detector")
+	}
 	members := mctree.Members{0: mctree.SenderReceiver, 1: mctree.SenderReceiver, 2: mctree.SenderReceiver}
 	base, _ := fwdNode(t, 1, mctree.Symmetric, members, fwdTree(mctree.Symmetric), nil)
 	inst, _ := instrumentedNode(t, nil)
@@ -83,12 +85,11 @@ func TestSendDataInstrumentedNoExtraAlloc(t *testing.T) {
 			}
 		})
 	}
-	baseline := measure(base)
-	if baseline > 1 {
-		t.Fatalf("uninstrumented SendData allocates %.1f/frame, budget is 1 (pool box)", baseline)
+	if baseline := measure(base); baseline != 0 {
+		t.Fatalf("uninstrumented SendData allocates %.1f/frame, budget is 0", baseline)
 	}
-	if instrumented := measure(inst); instrumented > baseline {
-		t.Fatalf("instrumentation added allocations to SendData: %.1f -> %.1f", baseline, instrumented)
+	if instrumented := measure(inst); instrumented != 0 {
+		t.Fatalf("instrumented SendData allocates %.1f/frame, budget is 0", instrumented)
 	}
 }
 
@@ -103,13 +104,8 @@ func TestFlightRecordsDataPlane(t *testing.T) {
 			cfg.SampleEvery = 4
 		})
 
-	feed := func(buf []byte) {
-		var f lsa.Frame
-		if err := lsa.DecodeFrameInto(&f, buf); err != nil {
-			t.Fatal(err)
-		}
-		n.handleData(buf, &f)
-	}
+	var rx oneFrame
+	feed := func(buf []byte) { rx.relay(n, buf) }
 
 	feed(dataBuf(fwdConn, 0, 0, 7, 8, nil))  // relayed+delivered, 7%4 != 0: not sampled
 	feed(dataBuf(fwdConn, 0, 0, 8, 8, nil))  // relayed+delivered, sampled
@@ -190,15 +186,10 @@ func TestForwardStatsRace(t *testing.T) {
 	go func() { // forwarder
 		defer writersWG.Done()
 		d := lsa.DataFrame{Conn: fwdConn, Src: 0, Hops: 8, Payload: make([]byte, 16)}
-		var f lsa.Frame
+		var rx oneFrame
 		for i := 0; i < packets; i++ {
 			// The relay moves each frame into its last link: a buffer per pass.
-			buf := lsa.AppendDataFrame(st.rent(), &d, 0)
-			if err := lsa.DecodeFrameInto(&f, buf); err != nil {
-				t.Error(err)
-				return
-			}
-			n.handleData(buf, &f)
+			rx.relay(n, lsa.AppendDataFrame(st.rent(), &d, 0))
 		}
 	}()
 	writersWG.Add(1)

@@ -13,7 +13,8 @@ import (
 // This file is the node's data plane: originate (SendDataBatch) and relay
 // (handleData) payload frames over the per-connection FIB compiled from the
 // installed MC topologies. Both end in fanOut, the only loop that puts a
-// payload frame on a link.
+// payload frame on a link — which it does by staging the frame for its
+// neighbour; a stage reaches the transport as one burst (flushStage).
 //
 // The steady-state forward path is allocation-free by construction (the
 // root alloc gate pins it at 0 allocs/op, with the flight recorder and
@@ -196,8 +197,9 @@ func (n *Node) SendData(conn lsa.ConnID, payload []byte) (uint64, error) {
 // contiguous block of data sequence numbers and returns its first value.
 // The frame is encoded once; each subsequent packet restamps the sequence
 // (and CRC) in place before fanning out, so the per-packet cost is the
-// patch plus the link sends — the setup (entitlement check, FIB lookup,
-// buffer rental, header+payload encode) is paid once per batch. Per-link
+// patch plus one staged copy per link — the setup (entitlement check, FIB
+// lookup, buffer rental, header+payload encode) is paid once per batch, and
+// each link takes the batch in bursts of up to maxBurst frames. Per-link
 // send errors are counted and traced but do not fail the packet; the
 // entitlement and route checks happen once up front, which is the batch's
 // semantics: one claim, count packets. Like handleData it consults only the
@@ -226,23 +228,30 @@ func (n *Node) SendDataBatch(conn lsa.ConnID, payload []byte, count int) (uint64
 	first := n.dataSeq.Add(uint64(count)) - uint64(count) + 1
 	d := lsa.DataFrame{Conn: conn, Src: n.id, Seq: first, Hops: DefaultDataHops, Payload: payload}
 	buf := lsa.AppendDataFrame(getBuf(64+len(payload)), &d, n.id)
-	for i := 0; i < count; i++ {
-		seq := first + uint64(i)
-		if i > 0 {
-			if err := lsa.PatchDataSeq(buf, seq); err != nil {
-				putBuf(buf)
-				return first, i, err
+	// The caller's goroutine stages for itself: it borrows a stage set for
+	// the call, so concurrent originators share nothing and a call allocates
+	// nothing once the set has grown to the switch's links.
+	tx := n.origTx.Get().(*txStages)
+	var sent int
+	var err error
+	for ; sent < count; sent++ {
+		seq := first + uint64(sent)
+		if sent > 0 {
+			if err = lsa.PatchDataSeq(buf, seq); err != nil {
+				break
 			}
 		}
 		// Recorded before the sends, so no downstream hop record of this
 		// packet can carry an earlier timestamp than its origination.
 		n.recordData(obs.RecOriginate, conn, n.id, seq, n.id)
 		// Copies on every link: buf is restamped for the next packet.
-		n.fanOut("data", links, topo.NoSwitch, -1, buf)
+		n.fanOut(tx, links, topo.NoSwitch, -1, buf, nil)
 	}
+	n.flush(tx)
+	n.origTx.Put(tx)
 	putBuf(buf)
-	n.fwd.stripe(conn).originated.Add(uint64(count))
-	return first, count, nil
+	n.fwd.stripe(conn).originated.Add(uint64(sent))
+	return first, sent, err
 }
 
 // outLinks returns the links a frame at entry e leaves on: the tree fan-out
@@ -260,43 +269,120 @@ func outLinks(e *fib.Entry, contact *[1]topo.SwitchID) (links []topo.SwitchID, o
 	return contact[:], true
 }
 
-// fanOut is the data plane's one link-send loop (originated LSA floods
-// borrow it): the frame in buf goes to every switch of links except skip.
-// Each link gets a copy (Send) — except links[moveAt], which takes buf itself
-// (SendOwned), after which the caller must not touch buf again; moveAt < 0
-// copies everywhere and leaves buf with the caller. what names the traffic
-// in error traces. It returns how many links accepted the frame.
-func (n *Node) fanOut(what string, links []topo.SwitchID, skip topo.SwitchID, moveAt int, buf []byte) (sent int) {
+// maxBurst caps a stage: a neighbour's staged frames are flushed when they
+// reach it, so a long receive batch or a large SendDataBatch feeds the next
+// switch while it is still being worked through instead of all at its end.
+const maxBurst = 32
+
+// txStage is what one goroutine has staged for one neighbour: the frames, in
+// send order, each owned by the stage until it is flushed.
+type txStage struct {
+	to   topo.SwitchID
+	bufs [][]byte
+	// relays groups the staged relay frames by the counter stripe that
+	// counts them as Forwarded once the transport has accepted the burst.
+	// Originated and control frames are in no group.
+	relays []relayRun
+}
+
+// relayRun is a run of consecutively staged relay frames of one stripe.
+type relayRun struct {
+	st *forwardCounters
+	n  uint64
+}
+
+// txStages is one goroutine's send stages, one per neighbour it has sent
+// to, found by a scan: a switch has a handful of links. Only the owning
+// goroutine touches it — the receive loop has one for relays, the machine
+// lock guards one for originated floods, and SendDataBatch borrows one per
+// call — so staging takes no lock and shares no cache line.
+type txStages struct {
+	what   string // names the traffic in send-error traces
+	stages []txStage
+}
+
+// stage returns the stage for neighbour to, adding it on first use.
+func (tx *txStages) stage(to topo.SwitchID) *txStage {
+	for i := range tx.stages {
+		if tx.stages[i].to == to {
+			return &tx.stages[i]
+		}
+	}
+	tx.stages = append(tx.stages, txStage{to: to})
+	return &tx.stages[len(tx.stages)-1]
+}
+
+// fanOut is the one link-send loop, for payload frames and originated LSA
+// floods alike: the frame in buf is staged for every switch of links except
+// skip. Each link gets a pooled copy — except links[moveAt], which takes buf
+// itself, after which the caller must not touch buf again; moveAt < 0 copies
+// everywhere and leaves buf with the caller. credit, when set, is the stripe
+// that counts each accepted link copy as Forwarded. Nothing is on a link
+// until the stage is flushed: at maxBurst frames here, otherwise by the
+// caller, which must flush tx before it lets go of whatever made it send.
+func (n *Node) fanOut(tx *txStages, links []topo.SwitchID, skip topo.SwitchID, moveAt int, buf []byte, credit *forwardCounters) {
 	for i, nb := range links {
 		if nb == skip {
 			continue
 		}
-		var err error
-		if i == moveAt {
-			err = n.tr.SendOwned(nb, buf)
-		} else {
-			err = n.tr.Send(nb, buf)
+		b := buf
+		if i != moveAt {
+			b = append(getBuf(len(buf)), buf...)
 		}
-		if err != nil {
-			n.sendFailed(what, nb, err)
-		} else {
-			sent++
+		s := tx.stage(nb)
+		s.bufs = append(s.bufs, b)
+		if credit != nil {
+			if k := len(s.relays); k > 0 && s.relays[k-1].st == credit {
+				s.relays[k-1].n++
+			} else {
+				s.relays = append(s.relays, relayRun{st: credit, n: 1})
+			}
+		}
+		if len(s.bufs) >= maxBurst {
+			n.flushStage(tx.what, s)
 		}
 	}
-	return sent
+}
+
+// flush sends everything tx has staged, one burst per neighbour.
+func (n *Node) flush(tx *txStages) {
+	for i := range tx.stages {
+		if s := &tx.stages[i]; len(s.bufs) > 0 {
+			n.flushStage(tx.what, s)
+		}
+	}
+}
+
+// flushStage hands one neighbour's staged frames to the transport as a
+// single burst and empties the stage. Relay frames count as Forwarded only
+// here, once the transport has accepted the burst: a refused burst (closed
+// or unknown destination) counts as one send failure and forwards nothing.
+func (n *Node) flushStage(what string, s *txStage) {
+	n.batching.txBursts.Add(1)
+	n.batching.txFrames.Add(uint64(len(s.bufs)))
+	if err := n.tr.SendOwnedBatch(s.to, s.bufs); err != nil {
+		n.sendFailed(what, s.to, err)
+	} else {
+		for _, r := range s.relays {
+			r.st.forwarded.Add(r.n)
+		}
+	}
+	clear(s.bufs) // the transport owns the frames now
+	s.bufs = s.bufs[:0]
+	s.relays = s.relays[:0]
 }
 
 // handleData is the steady-state forward path: deliver locally if this
 // switch is a receiving member, then relay per the FIB entry — tree fan-out
 // (minus the arrival link) on-tree, one contact hop off-tree. Runs on the
-// transport receive goroutine; zero allocations, no locks.
+// transport receive goroutine, staging into its tx; zero allocations, no
+// locks.
 //
-// consumed reports that buf moved into the transport: the relay's last
-// outgoing link takes the already-patched frame itself instead of a copy.
-// The local delivery callback runs before the move, so d.Payload (which
-// aliases buf) is safe for the handler's duration, and nothing after the
-// move reads buf.
-func (n *Node) handleData(buf []byte, f *lsa.Frame) (consumed bool) {
+// consumed reports that buf moved into a stage: the relay's last outgoing
+// link takes the already-patched frame itself instead of a copy. The local
+// delivery callback runs before the move, so d.Payload (which aliases buf)
+// is safe for the handler's duration, and nothing after the move reads buf.
+func (n *Node) handleData(tx *txStages, buf []byte, f *lsa.Frame) (consumed bool) {
 	var d lsa.DataFrame
 	if f.Origin == n.id {
 		// Our own frame came back: a transient loop while trees disagree, or
@@ -363,9 +449,9 @@ func (n *Node) handleData(buf []byte, f *lsa.Frame) (consumed bool) {
 		return false
 	}
 	// The last link takes the patched frame itself; the others get copies.
-	if sent := n.fanOut("data relay", links, skip, last, buf); sent > 0 {
-		st.forwarded.Add(uint64(sent))
-		n.recordData(obs.RecForward, d.Conn, d.Src, d.Seq, f.From)
-	}
+	// The forward is recorded ahead of the burst that carries the frame, so
+	// it predates every downstream record of the packet.
+	n.recordData(obs.RecForward, d.Conn, d.Src, d.Seq, f.From)
+	n.fanOut(tx, links, skip, last, buf, st)
 	return true
 }

@@ -18,18 +18,21 @@ const poison = 0xDB
 
 // stubTransport implements the whole Transport contract, so white-box tests
 // drive the same send calls a ChanFabric port sees in production. It counts
-// copies (Send) and moves (SendOwned) apart, and it really does own what
-// SendOwned hands it: the buffer is overwritten with poison and parked on a
-// free list, so anything that reads or re-sends a buffer after moving it
-// trips the poisoned counter or a later assertion instead of passing
-// silently. RecvBatch blocks until a test injects a frame or the stub
-// closes, so a node's goroutine cluster idles unless fed.
+// copies and moves apart — in a burst, a frame the test fed the node (rent,
+// RecvBatch) is that frame moved on, anything else a copy the node made —
+// and it really does own what it is handed: a moved buffer is overwritten
+// with poison and parked on a free list, so anything that reads or re-sends
+// a buffer after moving it trips the poisoned counter or a later assertion
+// instead of passing silently; a copy goes back to the frame pool. RecvBatch
+// blocks until a test injects a frame or the stub closes, so a node's
+// goroutine cluster idles unless fed.
 type stubTransport struct {
 	sends, moves, released, poisoned atomic.Uint64
-	lastMove                         atomic.Int64 // destination of the latest SendOwned
+	lastMove                         atomic.Int64 // destination of the latest move
 
 	mu   sync.Mutex
-	free [][]byte // moved buffers, poisoned, waiting for rent
+	free [][]byte       // moved buffers, poisoned, waiting for rent
+	fed  map[*byte]bool // by first byte: buffers the test handed the node
 
 	in     chan []byte
 	closed chan struct{}
@@ -37,7 +40,15 @@ type stubTransport struct {
 }
 
 func newStubTransport() *stubTransport {
-	return &stubTransport{in: make(chan []byte), closed: make(chan struct{})}
+	return &stubTransport{in: make(chan []byte), closed: make(chan struct{}), fed: map[*byte]bool{}}
+}
+
+// feed marks buf as a frame the node is about to be handed.
+func (s *stubTransport) feed(buf []byte) []byte {
+	s.mu.Lock()
+	s.fed[&buf[:1][0]] = true
+	s.mu.Unlock()
+	return buf
 }
 
 func (s *stubTransport) note(data []byte) {
@@ -65,17 +76,35 @@ func (s *stubTransport) SendOwned(to topo.SwitchID, buf []byte) error {
 	return nil
 }
 
-// rent returns an empty buffer the caller owns: one SendOwned gave up, if
-// there is one, so a steady send-move-rent cycle allocates nothing.
+func (s *stubTransport) SendOwnedBatch(to topo.SwitchID, bufs [][]byte) error {
+	for _, buf := range bufs {
+		s.mu.Lock()
+		moved := s.fed[&buf[:1][0]]
+		s.mu.Unlock()
+		if moved {
+			s.SendOwned(to, buf)
+			continue
+		}
+		s.note(buf)
+		s.sends.Add(1)
+		putBuf(buf)
+	}
+	return nil
+}
+
+// rent returns an empty buffer to encode a frame for the node into: one a
+// move gave up, if there is one, so a steady send-move-rent cycle allocates
+// nothing.
 func (s *stubTransport) rent() []byte {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if n := len(s.free); n > 0 {
 		buf := s.free[n-1]
 		s.free = s.free[:n-1]
+		s.mu.Unlock()
 		return buf[:0]
 	}
-	return make([]byte, 0, 256)
+	s.mu.Unlock()
+	return s.feed(make([]byte, 0, 256))
 }
 
 // stillPoisoned reports whether every parked buffer is untouched since its
@@ -96,7 +125,7 @@ func (s *stubTransport) stillPoisoned() bool {
 func (s *stubTransport) Recv() ([]byte, error) {
 	select {
 	case buf := <-s.in:
-		return buf, nil
+		return s.feed(buf), nil
 	case <-s.closed:
 		return nil, ErrClosed
 	}
@@ -166,23 +195,31 @@ func dataBuf(conn lsa.ConnID, src, from topo.SwitchID, seq uint64, hops uint8, p
 	return lsa.AppendDataFrame(nil, &d, from)
 }
 
+// oneFrame feeds a node frames the way its receive loop would, as batches of
+// one: handle the frame, flush the stages, settle. It stands in for the
+// loop's goroutine, so it owns a stage set like the loop does.
+type oneFrame struct {
+	tx    txStages
+	batch [1][]byte
+}
+
+func (r *oneFrame) relay(n *Node, buf []byte) {
+	r.batch[0] = buf
+	n.handleBatch(&r.tx, r.batch[:])
+}
+
 // relayAllocs measures the steady-state relay at n — frame decode, FIB
-// lookup, local delivery, in-place patch, fan-out — in heap allocations per
-// frame arriving from switch from. The relay moves each frame into its last
-// link, so every pass encodes into a buffer of its own: the one the stub took
-// over on the previous pass, poisoned in between.
+// lookup, local delivery, in-place patch, fan-out, burst flush, settle — in
+// heap allocations per frame arriving from switch from. The relay moves each
+// frame into its last link (checkRelayed counts the moves), so every pass
+// encodes into a buffer of its own: the one the stub took over on the
+// previous pass, poisoned in between.
 func relayAllocs(t *testing.T, n *Node, st *stubTransport, from topo.SwitchID) float64 {
 	t.Helper()
 	d := lsa.DataFrame{Conn: fwdConn, Src: 0, Seq: 7, Hops: 8, Payload: make([]byte, 32)}
-	var f lsa.Frame
+	var rx oneFrame
 	return testing.AllocsPerRun(200, func() {
-		buf := lsa.AppendDataFrame(st.rent(), &d, from)
-		if err := lsa.DecodeFrameInto(&f, buf); err != nil {
-			t.Fatal(err)
-		}
-		if !n.handleData(buf, &f) {
-			t.Fatal("relay did not move the frame into its last link")
-		}
+		rx.relay(n, lsa.AppendDataFrame(st.rent(), &d, from))
 	})
 }
 
@@ -239,7 +276,8 @@ func TestHandleDataZeroAlloc(t *testing.T) {
 
 // TestRecvLoopSettlesAndMoves feeds one frame through the stub's receive
 // side, so the node's own recvLoop runs the production sequence: handle the
-// frame, leave a moved buffer alone, settle it with Release.
+// frame, flush its copy and its move as bursts, leave the moved buffer
+// alone, settle with Release.
 func TestRecvLoopSettlesAndMoves(t *testing.T) {
 	members := mctree.Members{0: mctree.SenderReceiver, 1: mctree.SenderReceiver, 2: mctree.SenderReceiver}
 	n, st := fwdNode(t, 1, mctree.Symmetric, members, fwdTree(mctree.Symmetric), nil)
@@ -262,13 +300,8 @@ func TestHandleDataDropTaxonomy(t *testing.T) {
 	members := mctree.Members{0: mctree.SenderReceiver, 2: mctree.SenderReceiver}
 	n, _ := fwdNode(t, 1, mctree.Symmetric, members, fwdTree(mctree.Symmetric), nil)
 
-	feed := func(buf []byte) {
-		var f lsa.Frame
-		if err := lsa.DecodeFrameInto(&f, buf); err != nil {
-			t.Fatal(err)
-		}
-		n.handleData(buf, &f)
-	}
+	var rx oneFrame
+	feed := func(buf []byte) { rx.relay(n, buf) }
 
 	feed(dataBuf(fwdConn, 1, 0, 1, 8, nil)) // own frame looped back
 	if s := n.ForwardStats(); s.DropLoop != 1 {
@@ -285,12 +318,7 @@ func TestHandleDataDropTaxonomy(t *testing.T) {
 
 	// Off-tree switch of a symmetric MC: no fan-out, no contact route.
 	n4, _ := fwdNode(t, 4, mctree.Symmetric, members, fwdTree(mctree.Symmetric), nil)
-	buf := dataBuf(fwdConn, 0, 3, 3, 8, nil)
-	var f lsa.Frame
-	if err := lsa.DecodeFrameInto(&f, buf); err != nil {
-		t.Fatal(err)
-	}
-	n4.handleData(buf, &f)
+	rx.relay(n4, dataBuf(fwdConn, 0, 3, 3, 8, nil))
 	if s := n4.ForwardStats(); s.DropNoRoute != 1 {
 		t.Fatalf("no-route drop not counted: %+v", s)
 	}
@@ -298,11 +326,7 @@ func TestHandleDataDropTaxonomy(t *testing.T) {
 	// A leaf member whose only tree neighbor sent the frame terminates
 	// normally — that is delivery, not a drop, even with zero hops left.
 	n0, _ := fwdNode(t, 0, mctree.Symmetric, members, fwdTree(mctree.Symmetric), nil)
-	buf = dataBuf(fwdConn, 2, 1, 4, 0, nil)
-	if err := lsa.DecodeFrameInto(&f, buf); err != nil {
-		t.Fatal(err)
-	}
-	n0.handleData(buf, &f)
+	rx.relay(n0, dataBuf(fwdConn, 2, 1, 4, 0, nil))
 	if s := n0.ForwardStats(); s.Delivered != 1 || s.Drops() != 0 {
 		t.Fatalf("leaf termination misclassified: %+v", s)
 	}

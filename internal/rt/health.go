@@ -47,6 +47,14 @@ type NodeHealth struct {
 	FIBCompiles uint64       `json:"fib_compiles"`
 	Forward     ForwardStats `json:"forward"`
 
+	// RxFramesPerBatch is the mean number of frames a receive wake-up found
+	// waiting, TxFramesPerBurst the mean a flushed send burst carried, both
+	// since boot (0 before the first). Near 1 the switch pays a full
+	// hand-off per frame; the data plane's throughput comes from these
+	// rising under load.
+	RxFramesPerBatch float64 `json:"rx_frames_per_batch"`
+	TxFramesPerBurst float64 `json:"tx_frames_per_burst"`
+
 	// Flight summarizes the recorder: total records written, plus the most
 	// recent anomaly (drop / resync / reconcile / rejoin) and how long ago
 	// it happened. Anomaly is "" with AnomalyAgeMS -1 when the recorder is
@@ -68,6 +76,9 @@ func (n *Node) Health() NodeHealth {
 		FIBCompiles:  n.fibCompiles.Load(),
 		Forward:      n.ForwardStats(),
 		AnomalyAgeMS: -1,
+
+		RxFramesPerBatch: mean(n.batching.rxFrames.Load(), n.batching.rxBatches.Load()),
+		TxFramesPerBurst: mean(n.batching.txFrames.Load(), n.batching.txBursts.Load()),
 	}
 
 	n.mu.Lock()
@@ -104,6 +115,14 @@ func (n *Node) Health() NodeHealth {
 		}
 	}
 	return h
+}
+
+// mean is sum/count, 0 when nothing was counted.
+func mean(sum, count uint64) float64 {
+	if count == 0 {
+		return 0
+	}
+	return float64(sum) / float64(count)
 }
 
 // HealthyConn reports whether one connection is individually converged and

@@ -119,6 +119,12 @@ type Node struct {
 	dataHandler DataHandler
 	dataSeq     atomic.Uint64
 	fwd         forwardStripes
+	// origTx lends SendDataBatch callers a stage set (*txStages) for the
+	// call; floodTx stages originated floods and is guarded by mu, which
+	// every Host call runs under.
+	origTx   sync.Pool
+	floodTx  txStages
+	batching batchCounters
 
 	// flight is the event ring ("black box"); hopRec the sampled per-hop
 	// trace ring, kept separate so bursts of ordinary events cannot evict
@@ -151,8 +157,9 @@ type Node struct {
 	timers  map[*time.Timer]struct{}
 
 	// busy counts in-flight protocol handlers; activity counts completed
-	// units of work (frames handled, batches processed, events handled).
-	// The harness polls both to detect quiescence.
+	// units of work (frames handled, credited per received batch; LSA
+	// batches processed; events handled). The harness polls both to detect
+	// quiescence.
 	busy       atomic.Int64
 	activity   atomic.Uint64
 	decodeErrs atomic.Uint64
@@ -190,6 +197,8 @@ func NewNode(cfg NodeConfig, tr Transport) (*Node, error) {
 		resyncAfter: cfg.ResyncTimeout,
 		timers:      make(map[*time.Timer]struct{}),
 		closed:      make(chan struct{}),
+		origTx:      sync.Pool{New: func() any { return &txStages{what: "data"} }},
+		floodTx:     txStages{what: "flood"},
 	}
 	n.inCond = sync.NewCond(&n.inMu)
 	if cfg.FlightRecords > 0 {
@@ -396,6 +405,7 @@ func (n *Node) Close() error {
 // the decoded payload for the LSA loop.
 func (n *Node) recvLoop() {
 	defer n.wg.Done()
+	tx := txStages{what: "data relay"}
 	var batch [][]byte
 	var err error
 	for {
@@ -403,29 +413,50 @@ func (n *Node) recvLoop() {
 		if err != nil {
 			return
 		}
-		// busy covers the burst so the idle check can't see a gap between
-		// frames; each frame leaves the fabric's in-flight count only once
-		// it has actually been handled, so InFlight never undercounts (a
-		// drain loop waiting for zero stays exact) and closed-loop senders
-		// see consumption as it happens rather than in burst-sized steps.
-		n.busy.Add(1)
-		for _, buf := range batch {
-			if !n.handleFrame(buf) {
-				// Safe to recycle: every payload decoder copies out of the
-				// frame, so nothing enqueued for the LSA loop aliases buf.
-				putBuf(buf)
-			}
-			n.tr.Release(1)
-		}
-		n.busy.Add(-1)
+		n.handleBatch(&tx, batch)
 	}
 }
 
-// handleFrame processes one received frame. consumed reports that buf moved
-// into the transport (a relayed data frame's last link) — the caller
-// recycles the buffer only when it is false.
-func (n *Node) handleFrame(buf []byte) (consumed bool) {
-	defer n.activity.Add(1)
+// handleBatch is the receive loop's unit of work: handle every frame of one
+// received batch, flush what that staged in tx, then settle the batch. busy
+// covers it so the idle check can't see a gap between frames, and the order
+// at the end is the drain contract: the frames stay in the fabric's
+// in-flight count until everything they caused is on a queue and counted
+// itself, so InFlight never undercounts and a drain loop waiting for zero
+// stays exact. Settling per batch keeps the two shared counters — the
+// fabric's and activity — off the per-frame path.
+func (n *Node) handleBatch(tx *txStages, batch [][]byte) {
+	n.busy.Add(1)
+	for _, buf := range batch {
+		if !n.handleFrame(tx, buf) {
+			// Safe to recycle: every payload decoder copies out of the
+			// frame, so nothing enqueued for the LSA loop aliases buf.
+			putBuf(buf)
+		}
+	}
+	n.flush(tx)
+	n.batching.rxBatches.Add(1)
+	n.batching.rxFrames.Add(uint64(len(batch)))
+	n.activity.Add(uint64(len(batch)))
+	n.tr.Release(len(batch))
+	n.busy.Add(-1)
+}
+
+// batchCounters light the batching that decides data-plane throughput: how
+// many frames a receive wake-up finds and how many a burst carries. Bumped
+// once per batch or burst, never per frame; the receive half is written by
+// the receive loop alone, the send half by every goroutine that flushes.
+type batchCounters struct {
+	rxBatches, rxFrames atomic.Uint64
+	_                   [48]byte
+	txBursts, txFrames  atomic.Uint64
+	_                   [48]byte
+}
+
+// handleFrame processes one received frame, staging any data relay in tx.
+// consumed reports that buf moved into a stage (a relayed data frame's last
+// link) — the caller recycles the buffer only when it is false.
+func (n *Node) handleFrame(tx *txStages, buf []byte) (consumed bool) {
 	var f lsa.Frame
 	if err := lsa.DecodeFrameInto(&f, buf); err != nil {
 		n.decodeErrs.Add(1)
@@ -490,7 +521,7 @@ func (n *Node) handleFrame(buf []byte) (consumed bool) {
 		}
 		n.enqueue(resp)
 	case lsa.FrameData:
-		return n.handleData(buf, &f)
+		return n.handleData(tx, buf, &f)
 	}
 	return false
 }
@@ -580,7 +611,9 @@ func (n *Node) idle() bool {
 var _ core.Host = (*Node)(nil)
 
 // flood originates one flood frame, encoded by appendPayload directly into a
-// pooled buffer, and sends it to every neighbor.
+// pooled buffer, and sends it to every neighbor — staged like any fan-out but
+// flushed at once: control traffic is never held back for a burst. Runs
+// under mu (a Host call), which is what guards floodTx.
 func (n *Node) flood(appendPayload func([]byte) []byte) {
 	seq := n.seq.Add(1)
 	n.seen.mark(n.id, seq) // a copy looping back must not be re-delivered
@@ -589,8 +622,12 @@ func (n *Node) flood(appendPayload func([]byte) []byte) {
 		Origin: n.id, From: n.id, Seq: seq,
 	}, appendPayload)
 	n.obs.floodsOrig.Inc()
-	n.fanOut("flood", n.neighbors, topo.NoSwitch, -1, buf)
-	putBuf(buf) // every link got a copy
+	// The last neighbor takes buf itself; with none it is still ours.
+	n.fanOut(&n.floodTx, n.neighbors, topo.NoSwitch, len(n.neighbors)-1, buf, nil)
+	n.flush(&n.floodTx)
+	if len(n.neighbors) == 0 {
+		putBuf(buf)
+	}
 }
 
 // FloodMC implements core.Host.
@@ -640,7 +677,8 @@ func (n *Node) sendFrame(to topo.SwitchID, kind lsa.FrameKind, appendPayload fun
 	putBuf(buf)
 }
 
-// sendFailed accounts one link send the transport refused.
+// sendFailed accounts one link send — a frame, or a burst — the transport
+// refused.
 func (n *Node) sendFailed(what string, to topo.SwitchID, err error) {
 	n.obs.sendErrs.Inc()
 	n.tracef("sw%d: %s to %d: %v", n.id, what, to, err)

@@ -2,6 +2,7 @@ package rt
 
 import (
 	"strconv"
+	"sync/atomic"
 
 	"dgmc/internal/core"
 	"dgmc/internal/fib"
@@ -189,6 +190,19 @@ func (n *Node) registerFuncs(reg *obs.Registry) {
 		reg.CounterFunc(fs.node, func() float64 {
 			return float64(fs.pick(n.live().ForwardStats()))
 		}, withReason(fs.reason, sw)...)
+	}
+	for _, bs := range []struct {
+		name string
+		pick func(*batchCounters) *atomic.Uint64
+	}{
+		{"dgmc_rx_batches_total", func(b *batchCounters) *atomic.Uint64 { return &b.rxBatches }},
+		{"dgmc_rx_frames_total", func(b *batchCounters) *atomic.Uint64 { return &b.rxFrames }},
+		{"dgmc_tx_bursts_total", func(b *batchCounters) *atomic.Uint64 { return &b.txBursts }},
+		{"dgmc_tx_frames_total", func(b *batchCounters) *atomic.Uint64 { return &b.txFrames }},
+	} {
+		reg.CounterFunc(bs.name, func() float64 {
+			return float64(bs.pick(&n.live().batching).Load())
+		}, sw)
 	}
 }
 

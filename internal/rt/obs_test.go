@@ -235,7 +235,8 @@ func TestNodeDisabledObservability(t *testing.T) {
 // count one (frame, flood LSA, resync request, data payload), every
 // node-wide dgmc_data_* series, dgmc_fib_compiles_total and
 // dgmc_frame_decode_errors_total reads exactly what ForwardStats,
-// FIBCompiles and DecodeErrors return — they are the same atomics. A
+// FIBCompiles and DecodeErrors return — they are the same atomics — and the
+// dgmc_rx_*/dgmc_tx_* batching series read the node's batch counters. A
 // crash–restart must leave the series on the live incarnation.
 func TestDataSeriesMatchAccessors(t *testing.T) {
 	g, err := topo.Grid(3, 3, 10*time.Microsecond)
@@ -266,10 +267,10 @@ func TestDataSeriesMatchAccessors(t *testing.T) {
 	if err := c.WaitConverged(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	blast := func(packets int) {
+	blast := func(packets int, sources ...topo.SwitchID) {
 		t.Helper()
 		res, err := workload.Blast(c, workload.BlastConfig{
-			Conn: conn, Sources: members, SendersPerSource: 1, PayloadSize: 32, Batch: 8,
+			Conn: conn, Sources: sources, SendersPerSource: 1, PayloadSize: 32, Batch: 8,
 			Packets: packets, Ledger: led,
 			Expect: func(src topo.SwitchID) []topo.SwitchID {
 				var out []topo.SwitchID
@@ -289,7 +290,7 @@ func TestDataSeriesMatchAccessors(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	blast(300)
+	blast(300, members...)
 
 	// One undecodable frame per counting site, all aimed at switch 4, plus a
 	// payload for a connection it has no entry for (a counted drop).
@@ -345,10 +346,21 @@ func TestDataSeriesMatchAccessors(t *testing.T) {
 				"dgmc_frame_decode_errors_total" + sw:                n.DecodeErrors(),
 				"dgmc_conn_data_delivered_total conn=1" + sw:         n.ConnForwardStats(conn).Delivered,
 				"dgmc_conn_data_drops_total conn=1 reason=loop" + sw: n.ConnForwardStats(conn).DropLoop,
+				"dgmc_rx_batches_total" + sw:                         n.batching.rxBatches.Load(),
+				"dgmc_rx_frames_total" + sw:                          n.batching.rxFrames.Load(),
+				"dgmc_tx_bursts_total" + sw:                          n.batching.txBursts.Load(),
+				"dgmc_tx_frames_total" + sw:                          n.batching.txFrames.Load(),
 			} {
 				if v, ok := got[key]; !ok || v != float64(want) {
 					t.Errorf("%s: series %q = %v (present=%v), accessor says %d", when, key, v, ok, want)
 				}
+			}
+			// Every relayed link copy left in a burst, and a batch or burst
+			// is never empty: the means /healthz reports start at 1.
+			b, h := &n.batching, n.Health()
+			if b.txFrames.Load() < s.Forwarded || h.RxFramesPerBatch < 1 || (b.txBursts.Load() > 0 && h.TxFramesPerBurst < 1) {
+				t.Errorf("%s: switch %d flushed %d frames for %d forwarded; %.2f frames/batch, %.2f frames/burst",
+					when, n.ID(), b.txFrames.Load(), s.Forwarded, h.RxFramesPerBatch, h.TxFramesPerBurst)
 			}
 		}
 	}
@@ -374,7 +386,9 @@ func TestDataSeriesMatchAccessors(t *testing.T) {
 	if err := c.WaitConverged(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	blast(90)
+	// The senders share one packet budget and the fastest may take all of
+	// it, so switch 4 only listens: whoever sends, it has something to deliver.
+	blast(90, 0, 8)
 	if s := c.Node(4).ForwardStats(); s.Delivered == 0 || s.DropNoEntry != 0 || c.Node(4).DecodeErrors() != 0 {
 		t.Fatalf("restarted switch 4 stats %+v: want fresh counters with deliveries", s)
 	}

@@ -3,9 +3,12 @@ package rt
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
+	"dgmc/internal/lsa"
 	"dgmc/internal/topo"
 )
 
@@ -86,6 +89,29 @@ func TestTransportContract(t *testing.T) {
 			putBuf(batch[0])
 			rx.Release(1)
 
+			// SendOwnedBatch moves a burst: every frame arrives, in order, and
+			// the slice stays the caller's. An empty burst is nothing at all.
+			burst := [][]byte{owned("burst-0"), owned("burst-1"), owned("burst-2")}
+			if err := tx.SendOwnedBatch(1, burst); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.SendOwnedBatch(1, burst[:0]); err != nil {
+				t.Fatalf("empty SendOwnedBatch = %v", err)
+			}
+			for want := 0; want < len(burst); {
+				if batch, err = rx.RecvBatch(batch); err != nil {
+					t.Fatal(err)
+				}
+				for _, got := range batch {
+					if string(got) != fmt.Sprintf("burst-%d", want) {
+						t.Fatalf("burst frame %d arrived as %q", want, got)
+					}
+					want++
+					putBuf(got)
+				}
+				rx.Release(len(batch))
+			}
+
 			// Recv hands out single, already-settled frames.
 			if err := tx.SendOwned(1, owned("single")); err != nil {
 				t.Fatal(err)
@@ -101,6 +127,9 @@ func TestTransportContract(t *testing.T) {
 			}
 			if err := tx.SendOwned(7, owned("nowhere")); err == nil {
 				t.Fatal("SendOwned to unknown peer accepted")
+			}
+			if err := tx.SendOwnedBatch(7, [][]byte{owned("nowhere"), owned("either")}); err == nil {
+				t.Fatal("SendOwnedBatch to unknown peer accepted")
 			}
 
 			// Close unblocks a parked receiver and fails everything after.
@@ -124,6 +153,16 @@ func TestTransportContract(t *testing.T) {
 			if _, err := rx.Recv(); !errors.Is(err, ErrClosed) {
 				t.Fatalf("Recv after Close = %v, want ErrClosed", err)
 			}
+			if cf, ok := fab.(*ChanFabric); ok {
+				// The in-process fabric can tell a closed destination: the
+				// burst is refused whole, recycled, and never counted.
+				if err := tx.SendOwnedBatch(1, [][]byte{owned("late-0"), owned("late-1")}); !errors.Is(err, ErrClosed) {
+					t.Fatalf("SendOwnedBatch to a closed port = %v, want ErrClosed", err)
+				}
+				if got := cf.InFlight(); got != 0 {
+					t.Fatalf("InFlight = %d after a refused burst, want 0", got)
+				}
+			}
 			if err := tx.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -133,6 +172,72 @@ func TestTransportContract(t *testing.T) {
 			if err := tx.SendOwned(1, owned("late")); !errors.Is(err, ErrClosed) {
 				t.Fatalf("SendOwned after Close = %v, want ErrClosed", err)
 			}
+			if err := tx.SendOwnedBatch(1, [][]byte{owned("late")}); !errors.Is(err, ErrClosed) {
+				t.Fatalf("SendOwnedBatch after Close = %v, want ErrClosed", err)
+			}
 		})
+	}
+}
+
+// TestSendOwnedBatchFabricFaults covers the outcomes only the in-process
+// fabric has: a burst across a partition vanishes whole behind a nil error,
+// and under the loss knob a burst loses exactly the frames that the same
+// frames sent one by one lose under the same seed.
+func TestSendOwnedBatchFabricFaults(t *testing.T) {
+	fab := NewChanFabric(2)
+	defer fab.Close()
+	tx := fab.Transport(0)
+	fab.SetPartition([][]topo.SwitchID{{0}, {1}})
+	burst := [][]byte{testDataFrame(0, 1), testDataFrame(0, 2)}
+	if err := tx.SendOwnedBatch(1, burst); err != nil {
+		t.Fatalf("SendOwnedBatch across a partition = %v, want silent loss", err)
+	}
+	if got := fab.InFlight(); got != 0 {
+		t.Fatalf("InFlight = %d after a partitioned burst, want 0", got)
+	}
+
+	const frames, seed = 512, 99
+	survivors := func(send func(tx Transport, frame []byte), flush func(tx Transport)) (seqs []uint64, lost uint64) {
+		fab := NewChanFabric(2)
+		defer fab.Close()
+		fab.SetLoss(0.3, seed)
+		tx, rx := fab.Transport(0), fab.Transport(1)
+		for s := uint64(1); s <= frames; s++ {
+			send(tx, testDataFrame(0, s))
+		}
+		flush(tx)
+		for fab.InFlight() > 0 {
+			buf, err := rx.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, _, seq, _ := lsa.PeekFrameMeta(buf)
+			seqs = append(seqs, seq)
+		}
+		return seqs, fab.Lost()
+	}
+	single, lostSingle := survivors(func(tx Transport, frame []byte) {
+		if err := tx.SendOwned(1, frame); err != nil {
+			t.Fatal(err)
+		}
+	}, func(Transport) {})
+	var stage [][]byte
+	flush := func(tx Transport) {
+		if err := tx.SendOwnedBatch(1, stage); err != nil {
+			t.Fatal(err)
+		}
+		stage = stage[:0]
+	}
+	batched, lostBatched := survivors(func(tx Transport, frame []byte) {
+		if stage = append(stage, frame); len(stage) == 7 {
+			flush(tx)
+		}
+	}, flush)
+	if lostSingle == 0 || lostSingle == frames {
+		t.Fatalf("loss knob dropped %d of %d frames; inert or total", lostSingle, frames)
+	}
+	if lostBatched != lostSingle || !slices.Equal(batched, single) {
+		t.Fatalf("bursts lost %d frames and delivered %d, single sends lost %d and delivered %d: verdicts differ",
+			lostBatched, len(batched), lostSingle, len(single))
 	}
 }

@@ -86,6 +86,12 @@ func (t *UDPTransport) SendOwned(to topo.SwitchID, buf []byte) error {
 	return err
 }
 
+// SendOwnedBatch implements Transport: one datagram per frame. This is the
+// slot a sendmmsg call can fill.
+func (t *UDPTransport) SendOwnedBatch(to topo.SwitchID, bufs [][]byte) error {
+	return sendOwnedEach(t, to, bufs)
+}
+
 // Recv implements Transport.
 func (t *UDPTransport) Recv() ([]byte, error) {
 	buf := getBuf(maxUDPFrame)[:maxUDPFrame]

@@ -8,6 +8,8 @@ package dgmc_test
 import (
 	"crypto/sha256"
 	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,6 +19,7 @@ import (
 	"dgmc/internal/lsa"
 	"dgmc/internal/mctree"
 	"dgmc/internal/route"
+	"dgmc/internal/rt"
 	"dgmc/internal/sim"
 	"dgmc/internal/stamp"
 	"dgmc/internal/topo"
@@ -235,6 +238,96 @@ func BenchmarkFloodFanout(b *testing.B) {
 		k.Shutdown()
 	}
 	b.ReportMetric(float64(copies), "copies/flood")
+}
+
+// BenchmarkFabricHandoff measures what the single-goroutine hop timing
+// (rt.chan_hop64_ns in the repo benchmark) leaves out: a frame changing
+// goroutines. A producer sends 64 B data frames through one ChanFabric port
+// to a consumer that receives in batches, recycles and settles, the way a
+// relay's receive loop does; ns/frame is the producer's clock over frames
+// settled, with at most a window of frames in flight so that the queue's
+// backlog — unbounded otherwise — is not what is measured. "send" is the per-frame path (pool rental + copy + push per
+// frame); "burst32" moves 32 owned frames per SendOwnedBatch, the node's
+// fan-out path. procs=1 hands off on one core, procs=2 across two.
+func BenchmarkFabricHandoff(b *testing.B) {
+	d := lsa.DataFrame{Conn: 1, Src: 0, Seq: 1, Hops: rt.DefaultDataHops, Payload: make([]byte, 64)}
+	frame := lsa.AppendDataFrame(nil, &d, 0)
+	const burst, window, dead = 32, 1024, 2
+	for _, batched := range []bool{false, true} {
+		for _, procs := range []int{1, 2} {
+			name := fmt.Sprintf("send/procs=%d", procs)
+			if batched {
+				name = fmt.Sprintf("burst%d/procs=%d", burst, procs)
+			}
+			b.Run(name, func(b *testing.B) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				fab := rt.NewChanFabric(3)
+				defer fab.Close()
+				if err := fab.Kill(dead); err != nil {
+					b.Fatal(err)
+				}
+				tx, rx := fab.Transport(0), fab.Transport(1)
+				// The consumer gives owned buffers back to the producer's free
+				// list, one lock per batch; copies the fabric rented itself go
+				// back to its pool (a send to a dead port recycles them).
+				var mu sync.Mutex
+				var free [][]byte
+				frames := (b.N + burst - 1) / burst * burst
+				consumed := make(chan struct{})
+				go func() {
+					defer close(consumed)
+					var batch [][]byte
+					for settled := 0; settled < frames; settled += len(batch) {
+						var err error
+						if batch, err = rx.RecvBatch(batch); err != nil {
+							b.Error(err)
+							return
+						}
+						if batched {
+							mu.Lock()
+							free = append(free, batch...)
+							mu.Unlock()
+						} else {
+							_ = rx.SendOwnedBatch(dead, batch)
+						}
+						rx.Release(len(batch))
+					}
+				}()
+				stage := make([][]byte, 0, burst)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for sent := 0; sent < frames; sent += burst {
+					for fab.InFlight() > window {
+						runtime.Gosched()
+					}
+					if !batched {
+						for i := 0; i < burst; i++ {
+							if err := tx.Send(1, frame); err != nil {
+								b.Fatal(err)
+							}
+						}
+						continue
+					}
+					mu.Lock()
+					k := min(len(free), burst)
+					stage = append(stage, free[len(free)-k:]...)
+					free = free[:len(free)-k]
+					mu.Unlock()
+					for i := range stage {
+						stage[i] = append(stage[i][:0], frame...)
+					}
+					for len(stage) < burst {
+						stage = append(stage, append(make([]byte, 0, 512), frame...))
+					}
+					if err := tx.SendOwnedBatch(1, stage); err != nil {
+						b.Fatal(err)
+					}
+					stage = stage[:0]
+				}
+				<-consumed
+			})
+		}
+	}
 }
 
 // benchFIBSetup builds a 64-switch graph with installed trees on several
