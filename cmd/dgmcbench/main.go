@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -52,9 +53,12 @@ func main() {
 	}
 }
 
+// experimentNames is every name -experiment accepts.
+var experimentNames = []string{"1", "2", "3", "baselines", "trees", "burst", "hier", "loss", "partition", "delivery", "throughput", "all"}
+
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("dgmcbench", flag.ContinueOnError)
-	experiment := fs.String("experiment", "all", "1, 2, 3, baselines, trees, burst, hier, loss, partition, delivery, throughput, or all (delivery and throughput are live/timing-dependent and excluded from all)")
+	experiment := fs.String("experiment", "all", "comma-separated list of "+strings.Join(experimentNames, ", ")+" (delivery and throughput are live/timing-dependent and excluded from all)")
 	graphs := fs.Int("graphs", 20, "random graphs per network size")
 	sizes := fs.String("sizes", "20,40,60,80,100", "comma-separated network sizes")
 	events := fs.Int("events", 10, "membership events per run")
@@ -115,7 +119,11 @@ func run(args []string, w io.Writer) error {
 
 	want := map[string]bool{}
 	for _, e := range strings.Split(*experiment, ",") {
-		want[strings.TrimSpace(e)] = true
+		name := strings.TrimSpace(e)
+		if !slices.Contains(experimentNames, name) {
+			return fmt.Errorf("-experiment %q: unknown experiment (want any of %s)", name, strings.Join(experimentNames, ", "))
+		}
+		want[name] = true
 	}
 	all := want["all"]
 

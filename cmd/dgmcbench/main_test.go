@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -81,6 +82,16 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-experiment", "partition", "-heal-after", "-3"}, &sb); err == nil {
 		t.Error("negative -heal-after accepted")
 	}
+	for _, typo := range []string{"brust", "1,2,tres", ""} {
+		sb.Reset()
+		err := run([]string{"-experiment", typo}, &sb)
+		if err == nil || !strings.Contains(err.Error(), strings.Join(experimentNames, ", ")) {
+			t.Errorf("-experiment %q: err = %v, want an error listing the experiments", typo, err)
+		}
+		if sb.Len() != 0 {
+			t.Errorf("-experiment %q printed %q before failing", typo, sb.String())
+		}
+	}
 }
 
 func TestRunPartitionSmall(t *testing.T) {
@@ -98,5 +109,23 @@ func TestRunPartitionSmall(t *testing.T) {
 	}
 	if !strings.Contains(out, "nodal outage") {
 		t.Errorf("-crash not reflected in title:\n%s", out)
+	}
+}
+
+// TestExperimentTablesGolden pins the paper's experiment tables to the
+// byte: Figures 6-8 and the burst sweep (whose withdrawn/event column
+// counts the Tc races themselves) must equal the checked-in output of
+// `dgmcbench -experiment 1,2,3,burst -graphs 2 -seed 1`.
+func TestExperimentTablesGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/experiments_1_2_3_burst.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := run([]string{"-experiment", "1,2,3,burst", "-graphs", "2", "-seed", "1"}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	if sb.String() != string(want) {
+		t.Errorf("tables differ from testdata/experiments_1_2_3_burst.golden:\n%s", sb.String())
 	}
 }

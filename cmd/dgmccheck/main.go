@@ -1,12 +1,13 @@
 // Command dgmccheck model-checks the D-GMC implementation itself: it
 // drives the production core.Machine through every (bounded) interleaving
-// of LSA deliveries, local events, network faults, and resync timer
-// firings, checking invariants after every transition and at every
-// quiescent state (see internal/explore). Where dgmcmodel checks an
-// abstracted restatement of the protocol, dgmccheck checks the shipping
-// code.
+// of LSA deliveries, local events, network faults, resync timer firings
+// and — within -computes — topology-computation completions, checking
+// invariants after every transition and at every quiescent state (see
+// internal/explore). It stands in for the correctness proofs the paper
+// omits (§3.6), on the code that ships.
 //
 //	dgmccheck -topo ring -n 4 -scenario join@0,join@2
+//	dgmccheck -topo full -n 3 -computes 3 -scenario join@0,join@1,leave@1
 //	dgmccheck -topo line -n 3 -mode walk -walks 500 -seed 1 -resync -drops 1
 //	dgmccheck -topo line -n 4 -resync -scenario join@0,split@0.1|2.3,heal,crash@3,restart@3
 //	dgmccheck -topo ring -n 5 -resync -scenario join@0,leave@0,join@1,split@0.1|2.3.4,compact@1,heal
@@ -65,6 +66,7 @@ func run(args []string, w io.Writer) error {
 	resyncRounds := fs.Int("resync-rounds", 2, "resync round budget per gap")
 	drops := fs.Int("drops", 0, "message-drop budget per schedule (requires -resync)")
 	dups := fs.Int("dups", 0, "message-duplication budget per schedule")
+	computes := fs.Int("computes", 0, "budget of topology computations per schedule left pending between begin and completion (completing one becomes a schedule choice)")
 	guided := fs.Bool("guided", false, "shorthand for -mode guided")
 	suspect := fs.String("suspect", "", "backward search: suspect kinds to chase (comma list or \"all\"); implies -mode backward")
 	budget := fs.Int("budget", 0, "guided/backward: transition+probe-step budget (0 = default 200000)")
@@ -101,6 +103,7 @@ func run(args []string, w io.Writer) error {
 		ResyncMaxRounds: *resyncRounds,
 		MaxDrops:        *drops,
 		MaxDups:         *dups,
+		MaxComputes:     *computes,
 		Mutation:        mutation,
 	}
 	opt := explore.Options{MaxDepth: *depth, MaxStates: *maxStates, Walks: *walks, Seed: *seed, Budget: *budget}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -134,5 +135,23 @@ func TestRunWithFailureInjection(t *testing.T) {
 	out := sb.String()
 	if !strings.Contains(out, "failing tree link") || !strings.Contains(out, "repaired topology") {
 		t.Errorf("failure injection output missing:\n%s", out)
+	}
+}
+
+// TestBurstTraceGolden pins the simulator's virtual timeline to the byte:
+// a burst run's full protocol trace (every compute, withdraw and flood
+// instant) must equal the checked-in output of
+// `dgmcsim -n 15 -events 5 -burst -trace`.
+func TestBurstTraceGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/burst_trace.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := run([]string{"-n", "15", "-events", "5", "-burst", "-trace"}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	if sb.String() != string(want) {
+		t.Errorf("trace differs from testdata/burst_trace.golden:\n%s", sb.String())
 	}
 }

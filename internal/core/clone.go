@@ -6,6 +6,7 @@ import (
 
 	"dgmc/internal/lsa"
 	"dgmc/internal/mctree"
+	"dgmc/internal/route"
 	"dgmc/internal/topo"
 )
 
@@ -39,6 +40,10 @@ func (m *Machine) CloneWith(host Host) *Machine {
 		resyncMax: m.resyncMax,
 		metrics:   &metrics,
 		mutation:  m.mutation,
+		// Pending computations are never written after their begin.
+		computing: m.computing,
+		local:     m.local,
+		batch:     m.batch,
 	}
 	for id, cs := range m.conns {
 		c.conns[id] = cs.clone()
@@ -121,9 +126,13 @@ func (m *Machine) AllConnections() []lsa.ConnID {
 // ascending ID order) the three timestamps, the member list, the flags,
 // the installed topology, the incremental-update hint, the replay log and
 // its per-origin floor, the out-of-order buffer, and the resync bookkeeping.
-// Pure counters (metrics, install counts) are excluded. Two machines with
-// equal encodings are behaviorally indistinguishable, which is what makes
-// the encoding a sound deduplication key for state-space search.
+// Pending computations, with the rest of the calls they interrupted, follow
+// the connections — only when there are any, so a machine with both
+// entities idle encodes as it did before computations could be left
+// pending. Pure counters (metrics, install counts) are excluded. Two
+// machines with equal encodings are behaviorally indistinguishable, which
+// is what makes the encoding a sound deduplication key for state-space
+// search.
 func (m *Machine) AppendState(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(int32(m.id)))
 	buf = m.uni.AppendState(buf)
@@ -132,7 +141,7 @@ func (m *Machine) AppendState(buf []byte) []byte {
 	for _, id := range ids {
 		buf = m.conns[id].appendState(buf)
 	}
-	return buf
+	return m.appendComputing(buf)
 }
 
 func appendBool(buf []byte, b bool) []byte {
@@ -145,6 +154,25 @@ func appendBool(buf []byte, b bool) []byte {
 func appendTree(buf []byte, t *mctree.Tree) []byte {
 	// mctree's length-prefixed encoding handles nil (edge count sentinel).
 	return t.AppendBinary(buf)
+}
+
+func appendMembers(buf []byte, members mctree.Members) []byte {
+	mem := members.IDs()
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(mem)))
+	for _, s := range mem {
+		buf = binary.BigEndian.AppendUint32(buf, uint32(int32(s)))
+		buf = append(buf, byte(members[s]))
+	}
+	return buf
+}
+
+func appendDelta(buf []byte, d *route.Change) []byte {
+	if d == nil {
+		return append(buf, 0)
+	}
+	buf = append(buf, 1)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(int32(d.Switch)))
+	return appendBool(buf, d.Join)
 }
 
 func appendMC(buf []byte, msg *lsa.MC) []byte {
@@ -162,22 +190,11 @@ func (cs *connState) appendState(buf []byte) []byte {
 	buf = cs.r.AppendBinary(buf)
 	buf = cs.e.AppendBinary(buf)
 	buf = cs.c.AppendBinary(buf)
-	mem := cs.members.IDs()
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(mem)))
-	for _, s := range mem {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(int32(s)))
-		buf = append(buf, byte(cs.members[s]))
-	}
+	buf = appendMembers(buf, cs.members)
 	buf = appendBool(buf, cs.makeProposal)
 	buf = appendBool(buf, cs.dormant)
 	buf = appendTree(buf, cs.topology)
-	if cs.lastDelta == nil {
-		buf = append(buf, 0)
-	} else {
-		buf = append(buf, 1)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(int32(cs.lastDelta.Switch)))
-		buf = appendBool(buf, cs.lastDelta.Join)
-	}
+	buf = appendDelta(buf, cs.lastDelta)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(cs.eventLog)))
 	for _, msg := range cs.eventLog {
 		buf = appendMC(buf, msg)

@@ -15,8 +15,10 @@ import (
 
 // This file is the pure D-GMC state machine: one switch's EventHandler and
 // ReceiveLSA entities (Figures 4 and 5 of the paper) plus gap recovery,
-// with every runtime dependency — flooding, unicast, timers, the cost of a
-// topology computation — abstracted behind the Host interface. The same
+// with every runtime dependency — flooding, unicast, timers — abstracted
+// behind the Host interface, and every topology computation split into a
+// begin and a completion so the runtime decides what happens in between
+// (see compute.go). The same
 // Machine runs under the discrete-event simulator (internal/sim via the
 // Switch adapter in this package) and under the live concurrent runtime
 // (internal/rt), so the protocol is exercised, never forked.
@@ -40,7 +42,8 @@ type ResyncNudge struct{ Conn lsa.ConnID }
 // Host abstracts everything a Machine needs from its runtime. The
 // simulator implements it with virtual time and the flood.Network fabric;
 // the live runtime (internal/rt) implements it with goroutines, real
-// timers, and a wire transport.
+// timers, and a wire transport. NopHost is the inert implementation other
+// hosts embed.
 //
 // All methods are invoked synchronously from within Machine calls; a Host
 // must not call back into the Machine from them (except from the deferred
@@ -52,13 +55,6 @@ type Host interface {
 	FloodNonMC(nm *lsa.NonMC)
 	// SendUnicast sends a resync message point-to-point to a neighbor.
 	SendUnicast(to topo.SwitchID, payload any)
-	// HoldCompute charges the cost of one topology computation (the
-	// paper's Tc). The simulator suspends the calling process for Tc of
-	// virtual time — other entities run meanwhile, which is exactly the
-	// window the protocol's withdraw checks exist for. Live runtimes
-	// usually make this a no-op: the real computation takes real time.
-	// ctx is the opaque token passed into HandleLocalEvent/ReceiveBatch.
-	HoldCompute(ctx any)
 	// PendingMC reports whether the switch's receive queue currently
 	// holds an MC LSA for conn (Figure 5 line 22).
 	PendingMC(conn lsa.ConnID) bool
@@ -138,10 +134,25 @@ const (
 	// events it can only buffer out of order, behind a hole no replay will
 	// ever fill: its member list and stamps stay behind for good.
 	MutationTruncateWithoutCatchUp
+	// MutationCompleteWithoutRecheck completes a topology computation as if
+	// nothing could have arrived while it ran: both completion sites skip
+	// the "is R still old_R?" test (Figure 4 line 6, Figure 5 line 22). A
+	// proposal computed from a membership snapshot that events have since
+	// overtaken is then flooded and installed under the old stamp, and can
+	// overwrite the commit of a fresher one. Invisible unless something is
+	// scheduled between a computation's begin and its completion.
+	MutationCompleteWithoutRecheck
+	// MutationNoInconsistencyCheck removes Figure 5 line 15: an LSA whose
+	// stamp shows its sender unaware of this switch's own events no longer
+	// sets makeProposal. Two concurrent events whose EventHandler proposals
+	// cross in flight then leave both switches on a stale basis — neither
+	// accepts the other's single-event proposal, and neither knows it owes
+	// the network a fresh one.
+	MutationNoInconsistencyCheck
 )
 
 // Valid reports whether mu is a defined mutation.
-func (mu Mutation) Valid() bool { return mu <= MutationTruncateWithoutCatchUp }
+func (mu Mutation) Valid() bool { return mu <= MutationNoInconsistencyCheck }
 
 // String implements fmt.Stringer.
 func (mu Mutation) String() string {
@@ -156,6 +167,10 @@ func (mu Mutation) String() string {
 		return "uncapped-pseudo-proposal"
 	case MutationTruncateWithoutCatchUp:
 		return "truncate-without-catchup"
+	case MutationCompleteWithoutRecheck:
+		return "complete-without-recheck"
+	case MutationNoInconsistencyCheck:
+		return "no-inconsistency-check"
 	default:
 		return fmt.Sprintf("Mutation(%d)", uint8(mu))
 	}
@@ -227,6 +242,13 @@ type Machine struct {
 	resyncMax int
 	metrics   *Metrics
 	mutation  Mutation
+
+	// computing holds each entity's topology computation between its begin
+	// and its completion; local and batch hold the rest of the machine call
+	// that computation interrupted (see compute.go).
+	computing [2]computation
+	local     localRest
+	batch     batchRest
 }
 
 // NewMachine builds a switch's protocol state machine bound to host.
@@ -362,22 +384,32 @@ func (m *Machine) updateDormancy(cs *connState, chain ChainID) {
 	}
 }
 
-// HandleLocalEvent dispatches one injected event. A membership event
-// invokes EventHandler once; a link event floods one non-MC LSA and then
-// invokes EventHandler once per affected connection (Figure 2). ctx is an
-// opaque token handed through to Host.HoldCompute (the simulator threads
-// its *sim.Process here; live runtimes may pass nil).
-func (m *Machine) HandleLocalEvent(ctx any, ev LocalEvent) {
+// HandleLocalEvent runs one injected event to the end: BeginLocalEvent,
+// then Complete(EventHandler) until nothing is pending. The first argument
+// is unused.
+func (m *Machine) HandleLocalEvent(_ any, ev LocalEvent) {
+	for pending := m.BeginLocalEvent(ev); pending; pending = m.Complete(EventHandler) {
+	}
+}
+
+// BeginLocalEvent dispatches one injected event and runs it up to its first
+// topology computation. A membership event invokes EventHandler once; a
+// link event floods one non-MC LSA and then invokes EventHandler once per
+// affected connection (Figure 2). It reports whether EventHandler now has a
+// computation pending; the caller then owes Complete(EventHandler) calls
+// until one reports false, and must not begin another local event before.
+func (m *Machine) BeginLocalEvent(ev LocalEvent) bool {
+	m.mustBeIdle(EventHandler)
 	switch ev.Kind {
 	case lsa.Join, lsa.Leave:
-		m.eventHandler(ctx, ev.Kind, ev.Role, m.conn(ev.Conn))
+		return m.beginEvent(ev.Kind, ev.Role, m.conn(ev.Conn))
 	case lsa.Link:
 		nm, err := m.uni.ApplyLocalEvent(ev.Link)
 		if err != nil {
 			if m.host.TraceEnabled() {
 				m.host.Trace(TraceError, ChainID{}, ev.Conn, "local link event: %v", err)
 			}
-			return
+			return false
 		}
 		// Keep the runtime's fabric in sync so floods route around the
 		// failure (the physical network changed, not just images).
@@ -385,59 +417,82 @@ func (m *Machine) HandleLocalEvent(ctx any, ev LocalEvent) {
 		m.host.ForwardingChanged(lsa.AllConns)
 		m.host.FloodNonMC(nm)
 		m.metrics.NonMCLSAs++
-		// One MC LSA per connection whose topology uses the affected link.
-		for _, cs := range m.affectedConns(ev.Link) {
-			cs.lastDelta = nil
-			m.eventHandler(ctx, lsa.Link, 0, cs)
-		}
-		// §3.5 re-optimization: a recovered link may offer better trees.
-		if !ev.Link.Down && m.reopt > 0 {
-			m.reoptimize(ctx)
-		}
+		// One MC LSA per connection whose topology uses the affected link,
+		// then §3.5 re-optimization: a recovered link may offer better trees.
+		m.local = localRest{affected: m.affectedConns(ev.Link), reoptimize: !ev.Link.Down && m.reopt > 0}
+		return m.continueLocal()
 	}
+	return false
 }
 
-// reoptimize implements §3.5's policy for non-adverse changes: estimate a
-// fresh topology for each live connection on the improved image, and
-// signal a link event (re-converging the network) only when the installed
-// tree deviates from the fresh one by more than the configured threshold.
-func (m *Machine) reoptimize(ctx any) {
-	for _, id := range sortedConnIDs(m.conns) {
-		cs := m.conns[id]
-		if cs.dormant || cs.topology == nil || len(cs.members) < 2 {
-			continue
-		}
-		m.metrics.ReoptChecks++
-		m.metrics.Computations++
-		members := m.filterReachable(cs.members.Clone())
-		m.host.HoldCompute(ctx)
-		start := time.Now()
-		fresh, err := m.alg.Compute(m.uni.Image(), cs.kind, members)
-		m.metrics.ComputeNanos += uint64(time.Since(start))
-		if err != nil || cs.topology == nil {
-			continue
-		}
-		cur := float64(cs.topology.Cost(m.uni.Image()))
-		if cur <= float64(fresh.Cost(m.uni.Image()))*(1+m.reopt) {
-			continue // within tolerance of optimal: leave the tree alone
-		}
-		if m.host.TraceEnabled() {
-			m.host.Trace(TraceCompute, ChainID{}, cs.id, "re-optimizing (%.0f%% over fresh cost)",
-				100*(cur/float64(fresh.Cost(m.uni.Image()))-1))
-		}
+// continueLocal resumes a link event: the remaining affected connections,
+// then the re-optimization pass. It reports whether it stopped at another
+// computation.
+func (m *Machine) continueLocal() bool {
+	rest := &m.local
+	for len(rest.affected) > 0 {
+		cs := m.conns[rest.affected[0]]
+		rest.affected = rest.affected[1:]
 		cs.lastDelta = nil
-		m.eventHandler(ctx, lsa.Link, 0, cs)
+		if m.beginEvent(lsa.Link, 0, cs) {
+			return true
+		}
 	}
+	if rest.reoptimize {
+		rest.reoptimize = false
+		rest.estimates = sortedConnIDs(m.conns)
+	}
+	for len(rest.estimates) > 0 {
+		cs := m.conns[rest.estimates[0]]
+		rest.estimates = rest.estimates[1:]
+		if m.beginEstimate(cs) {
+			return true
+		}
+	}
+	return false
+}
+
+// beginEstimate starts §3.5's policy for non-adverse changes on one live
+// connection: estimate a fresh topology on the improved image.
+func (m *Machine) beginEstimate(cs *connState) bool {
+	if cs.dormant || cs.topology == nil || len(cs.members) < 2 {
+		return false
+	}
+	m.metrics.ReoptChecks++
+	m.metrics.Computations++
+	m.computing[EventHandler] = computation{site: siteEstimate, conn: cs.id, members: m.filterReachable(cs.members)}
+	return true
+}
+
+// completeEstimate signals a link event (re-converging the network) only
+// when the installed tree deviates from the fresh one by more than the
+// configured threshold. It reports whether that left a computation pending.
+func (m *Machine) completeEstimate(c *computation, cs *connState) bool {
+	start := time.Now()
+	fresh, err := m.alg.Compute(m.uni.Image(), cs.kind, c.members)
+	m.metrics.ComputeNanos += uint64(time.Since(start))
+	if err != nil || cs.topology == nil {
+		return false
+	}
+	cur := float64(cs.topology.Cost(m.uni.Image()))
+	if cur <= float64(fresh.Cost(m.uni.Image()))*(1+m.reopt) {
+		return false // within tolerance of optimal: leave the tree alone
+	}
+	if m.host.TraceEnabled() {
+		m.host.Trace(TraceCompute, ChainID{}, cs.id, "re-optimizing (%.0f%% over fresh cost)",
+			100*(cur/float64(fresh.Cost(m.uni.Image()))-1))
+	}
+	cs.lastDelta = nil
+	return m.beginEvent(lsa.Link, 0, cs)
 }
 
 // affectedConns returns connections whose installed topology uses the
 // changed link, in ascending connection order for determinism.
-func (m *Machine) affectedConns(change lsa.LinkChange) []*connState {
-	var out []*connState
+func (m *Machine) affectedConns(change lsa.LinkChange) []lsa.ConnID {
+	var out []lsa.ConnID
 	for _, id := range sortedConnIDs(m.conns) {
-		cs := m.conns[id]
-		if cs.topology != nil && cs.topology.Has(change.A, change.B) {
-			out = append(out, cs)
+		if t := m.conns[id].topology; t != nil && t.Has(change.A, change.B) {
+			out = append(out, id)
 		}
 	}
 	return out
@@ -456,9 +511,10 @@ func sortedConnIDs(m map[lsa.ConnID]*connState) []lsa.ConnID {
 	return out
 }
 
-// eventHandler is Figure 4 of the paper: handle one local event for one
-// connection.
-func (m *Machine) eventHandler(ctx any, event lsa.Event, role mctree.Role, cs *connState) {
+// beginEvent is Figure 4 of the paper up to its computation: handle one
+// local event for one connection. It reports whether a proposal is now
+// being computed (lines 4-5); otherwise the event is fully handled.
+func (m *Machine) beginEvent(event lsa.Event, role mctree.Role, cs *connState) bool {
 	x := int(m.id)
 	m.metrics.Events++
 	// This event is the root of a new causal chain: its flooded LSA will
@@ -478,51 +534,68 @@ func (m *Machine) eventHandler(ctx any, event lsa.Event, role mctree.Role, cs *c
 	// Line 2: any known outstanding LSAs?
 	if cs.r.Geq(cs.e) {
 		// Lines 4-5: snapshot R, compute a proposal (takes Tc).
-		oldR := cs.r.Clone()
-		proposal, err := m.computeTopology(ctx, chain, cs)
-		if err != nil {
-			if m.host.TraceEnabled() {
-				m.host.Trace(TraceError, chain, cs.id, "compute: %v", err)
-			}
-			proposal = nil
-		}
-		// Line 6: is the proposal still valid?
-		if proposal != nil && cs.r.Equal(oldR) {
-			// Lines 7-10: flood proposal, install it. The message owns oldR
-			// from here (it is a snapshot never touched again locally, and
-			// LSA stamps are read-only on every receive path).
-			msg := &lsa.MC{Src: m.id, Event: event, Role: role, Conn: cs.id, Proposal: proposal, Stamp: oldR}
-			m.floodMC(chain, msg)
-			cs.logEvent(msg)
-			cs.c.CopyFrom(oldR)
-			cs.makeProposal = false
-			m.install(cs, chain, proposal, "event-handler")
-		} else {
-			// Lines 12-13: withdraw; flood the bare event, defer to
-			// ReceiveLSA.
-			msg := &lsa.MC{Src: m.id, Event: event, Role: role, Conn: cs.id, Proposal: nil, Stamp: oldR}
-			m.floodMC(chain, msg)
-			cs.logEvent(msg)
-			cs.makeProposal = true
-			m.metrics.Withdrawn++
-			if m.host.TraceEnabled() {
-				m.host.Trace(TraceWithdraw, chain, cs.id, "event-handler proposal withdrawn")
-			}
-		}
+		c := m.beginCompute(EventHandler, siteEvent, chain, cs)
+		c.event, c.role = event, role
+		return true
+	}
+	// Lines 16-17: outstanding LSAs exist; flood the bare event and
+	// defer to ReceiveLSA.
+	msg := &lsa.MC{Src: m.id, Event: event, Role: role, Conn: cs.id, Proposal: nil, Stamp: cs.r.Clone()}
+	m.floodMC(chain, msg)
+	cs.logEvent(msg)
+	cs.makeProposal = true
+	m.endInvocation(cs, chain)
+	return false
+}
+
+// completeEvent is Figure 4 from line 6: the proposal is ready.
+func (m *Machine) completeEvent(c *computation, cs *connState) {
+	proposal := m.compute(c, cs)
+	// Line 6: is the proposal still valid? Skipping the question is the
+	// seeded-bug site for MutationCompleteWithoutRecheck (checker validation).
+	current := cs.r.Equal(c.oldR) || m.mutation == MutationCompleteWithoutRecheck
+	if proposal != nil && current {
+		// Lines 7-10: flood proposal, install it. The message owns oldR
+		// from here (it is a snapshot never touched again locally, and
+		// LSA stamps are read-only on every receive path).
+		msg := &lsa.MC{Src: m.id, Event: c.event, Role: c.role, Conn: cs.id, Proposal: proposal, Stamp: c.oldR}
+		m.floodMC(c.chain, msg)
+		cs.logEvent(msg)
+		cs.c.CopyFrom(c.oldR)
+		cs.makeProposal = false
+		m.install(cs, c.chain, proposal, "event-handler")
 	} else {
-		// Lines 16-17: outstanding LSAs exist; flood the bare event and
-		// defer to ReceiveLSA.
-		msg := &lsa.MC{Src: m.id, Event: event, Role: role, Conn: cs.id, Proposal: nil, Stamp: cs.r.Clone()}
-		m.floodMC(chain, msg)
+		// Lines 12-13: withdraw; flood the bare event, defer to
+		// ReceiveLSA.
+		msg := &lsa.MC{Src: m.id, Event: c.event, Role: c.role, Conn: cs.id, Proposal: nil, Stamp: c.oldR}
+		m.floodMC(c.chain, msg)
 		cs.logEvent(msg)
 		cs.makeProposal = true
+		m.metrics.Withdrawn++
+		if m.host.TraceEnabled() {
+			m.host.Trace(TraceWithdraw, c.chain, cs.id, "event-handler proposal withdrawn")
+		}
 	}
+	m.endInvocation(cs, c.chain)
+}
+
+// endInvocation is the tail every EventHandler and ReceiveLSA invocation
+// ends with.
+func (m *Machine) endInvocation(cs *connState, chain ChainID) {
 	m.updateDormancy(cs, chain)
 	m.host.ForwardingChanged(cs.id)
 	m.maybeScheduleResync(cs)
 }
 
-// ReceiveBatch demultiplexes a drained receive-queue batch: non-MC LSAs go
+// ReceiveBatch runs a drained receive-queue batch to the end: BeginReceive,
+// then Complete(ReceiveLSA) until nothing is pending. The first argument is
+// unused.
+func (m *Machine) ReceiveBatch(_ any, batch []any) {
+	for pending := m.BeginReceive(batch); pending; pending = m.Complete(ReceiveLSA) {
+	}
+}
+
+// BeginReceive demultiplexes a drained receive-queue batch: non-MC LSAs go
 // to the unicast substrate; MC LSAs are grouped per connection and handed
 // to ReceiveLSA (which the paper presents per-MC). Resync traffic (unicast
 // requests/replays between neighbors, and self-addressed nudges) rides the
@@ -533,19 +606,65 @@ func (m *Machine) eventHandler(ctx any, event lsa.Event, role mctree.Role, cs *c
 // their []byte wire encoding), flood.Unicast (payload *lsa.ResyncRequest
 // or *lsa.ResyncResponse), bare *lsa.MC / *lsa.NonMC / *lsa.ResyncRequest /
 // *lsa.ResyncResponse, and ResyncNudge. Anything else is ignored.
-func (m *Machine) ReceiveBatch(ctx any, batch []any) {
-	perConn := make(map[lsa.ConnID][]*lsa.MC)
-	var order []lsa.ConnID
-	var requests []*lsa.ResyncRequest
-	var replayed map[*lsa.MC]bool
-	addMC := func(mc *lsa.MC) {
-		if _, seen := perConn[mc.Conn]; !seen {
-			order = append(order, mc.Conn)
-		}
-		perConn[mc.Conn] = append(perConn[mc.Conn], mc)
+//
+// It reports whether ReceiveLSA now has a computation pending; the caller
+// then owes Complete(ReceiveLSA) calls until one reports false, and must
+// not begin another batch before.
+func (m *Machine) BeginReceive(batch []any) bool {
+	m.mustBeIdle(ReceiveLSA)
+	index := make(map[lsa.ConnID]int) // a connection's position in m.batch.groups
+	for _, raw := range batch {
+		m.consume(index, raw)
 	}
-	handleNonMC := func(nm *lsa.NonMC) {
-		changed, err := m.uni.HandleLSA(nm)
+	return m.continueBatch()
+}
+
+// consume files one batch entry into m.batch.
+func (m *Machine) consume(index map[lsa.ConnID]int, raw any) {
+	b := &m.batch
+	group := func(conn lsa.ConnID) *connGroup {
+		i, seen := index[conn]
+		if !seen {
+			i = len(b.groups)
+			index[conn] = i
+			b.groups = append(b.groups, connGroup{conn: conn})
+		}
+		return &b.groups[i]
+	}
+	switch v := raw.(type) {
+	case ResyncNudge:
+		group(v.Conn)
+	case *lsa.ResyncRequest:
+		b.requests = append(b.requests, v)
+	case *lsa.ResyncResponse:
+		for _, mc := range v.Batch {
+			if b.replayed == nil {
+				b.replayed = make(map[*lsa.MC]bool)
+			}
+			b.replayed[mc] = true
+			m.consume(index, mc)
+		}
+	case flood.Unicast:
+		m.consume(index, v.Payload)
+	case flood.Delivery:
+		payload := v.Payload
+		if wire, ok := payload.([]byte); ok {
+			mc, nm, err := lsa.Unmarshal(wire)
+			if err != nil {
+				if m.host.TraceEnabled() {
+					m.host.Trace(TraceError, ChainID{}, 0, "decode LSA: %v", err)
+				}
+				return
+			}
+			if mc != nil {
+				payload = mc
+			} else {
+				payload = nm
+			}
+		}
+		m.consume(index, payload)
+	case *lsa.NonMC:
+		changed, err := m.uni.HandleLSA(v)
 		if err != nil {
 			if m.host.TraceEnabled() {
 				m.host.Trace(TraceError, ChainID{}, 0, "unicast LSA: %v", err)
@@ -555,66 +674,38 @@ func (m *Machine) ReceiveBatch(ctx any, batch []any) {
 		if changed {
 			m.host.ForwardingChanged(lsa.AllConns)
 		}
-	}
-	var consume func(raw any)
-	consume = func(raw any) {
-		switch v := raw.(type) {
-		case ResyncNudge:
-			if _, seen := perConn[v.Conn]; !seen {
-				order = append(order, v.Conn)
-				perConn[v.Conn] = nil
-			}
-		case *lsa.ResyncRequest:
-			requests = append(requests, v)
-		case *lsa.ResyncResponse:
-			for _, mc := range v.Batch {
-				if replayed == nil {
-					replayed = make(map[*lsa.MC]bool)
-				}
-				replayed[mc] = true
-				addMC(mc)
-			}
-		case flood.Unicast:
-			consume(v.Payload)
-		case flood.Delivery:
-			payload := v.Payload
-			if wire, ok := payload.([]byte); ok {
-				mc, nm, err := lsa.Unmarshal(wire)
-				if err != nil {
-					if m.host.TraceEnabled() {
-						m.host.Trace(TraceError, ChainID{}, 0, "decode LSA: %v", err)
-					}
-					return
-				}
-				if mc != nil {
-					payload = mc
-				} else {
-					payload = nm
-				}
-			}
-			consume(payload)
-		case *lsa.NonMC:
-			handleNonMC(v)
-		case *lsa.MC:
-			addMC(v)
-		}
-	}
-	for _, raw := range batch {
-		consume(raw)
-	}
-	for _, conn := range order {
-		m.receiveLSA(ctx, m.conn(conn), perConn[conn], replayed)
-	}
-	for _, req := range requests {
-		m.handleResyncRequest(req)
+	case *lsa.MC:
+		g := group(v.Conn)
+		g.msgs = append(g.msgs, v)
 	}
 }
 
-// receiveLSA is Figure 5 of the paper: process a batch of LSAs for one
-// connection, then decide whether to compute and flood a proposal.
-// replayed marks batch entries that arrived in a resync replay rather than
-// a flood (nil when none did).
-func (m *Machine) receiveLSA(ctx any, cs *connState, batch []*lsa.MC, replayed map[*lsa.MC]bool) {
+// continueBatch carries on with the sorted batch: the per-connection groups
+// in arrival order, then the deferred resync requests. It reports whether
+// it stopped at a computation.
+func (m *Machine) continueBatch() bool {
+	b := &m.batch
+	for len(b.groups) > 0 {
+		g := b.groups[0]
+		b.groups = b.groups[1:]
+		if m.beginReceiveLSA(m.conn(g.conn), g.msgs, b.replayed) {
+			return true
+		}
+	}
+	requests := b.requests
+	m.batch = batchRest{}
+	for _, req := range requests {
+		m.handleResyncRequest(req)
+	}
+	return false
+}
+
+// beginReceiveLSA is Figure 5 of the paper up to its computation: process a
+// batch of LSAs for one connection, then decide whether to compute and
+// flood a proposal. replayed marks batch entries that arrived in a resync
+// replay rather than a flood (nil when none did). It reports whether a
+// proposal is now being computed; otherwise the batch is fully handled.
+func (m *Machine) beginReceiveLSA(cs *connState, batch []*lsa.MC, replayed map[*lsa.MC]bool) bool {
 	x := int(m.id)
 
 	// Lines 1-2. candidateStamp is only read when candidate is non-nil, and
@@ -670,53 +761,59 @@ func (m *Machine) receiveLSA(ctx any, cs *connState, batch []*lsa.MC, replayed m
 				candidateStamp = a.Stamp
 				candidateChain = chainOf(a)
 				cs.makeProposal = false
-			} else if cs.r[x] > a.Stamp[x] {
-				// Inconsistency: the sender did not know about all our local
-				// events; we owe the network a proposal.
+			} else if cs.r[x] > a.Stamp[x] && m.mutation != MutationNoInconsistencyCheck {
+				// Line 15, inconsistency: the sender did not know about all
+				// our local events; we owe the network a proposal. (Never
+				// noticing is the seeded-bug site for
+				// MutationNoInconsistencyCheck.)
 				cs.makeProposal = true
 			}
 		}
 	}
 
 	// Line 19: compute a proposal if owed, expectations met, and the basis
-	// would be fresher than the installed topology.
+	// would be fresher than the installed topology. Either way it ends, the
+	// computation replaces the candidate (lines 26 and 29).
 	if cs.makeProposal && cs.r.Geq(cs.e) && cs.r.Greater(cs.c) {
-		// Line 20-21: snapshot R, compute (takes Tc).
-		oldR := cs.r.Clone()
-		proposal, err := m.computeTopology(ctx, batchChain, cs)
-		if err != nil {
-			if m.host.TraceEnabled() {
-				m.host.Trace(TraceError, batchChain, cs.id, "compute: %v", err)
-			}
-			proposal = nil
-		}
-		// Line 22: still current, and nothing new queued for this MC?
-		if proposal != nil && !m.host.PendingMC(cs.id) && cs.r.Equal(oldR) {
-			// Lines 23-27: flood as a triggered LSA (V = none).
-			m.floodMC(batchChain, &lsa.MC{Src: m.id, Event: lsa.None, Conn: cs.id, Proposal: proposal, Stamp: oldR})
-			cs.e.CopyFrom(cs.r) // line 24: bring E up to date
-			candidate = proposal
-			candidateStamp = oldR
-			candidateChain = batchChain
-			cs.makeProposal = false
-		} else {
-			// Lines 28-30: withdraw.
-			candidate = nil
-			m.metrics.Withdrawn++
-			if m.host.TraceEnabled() {
-				m.host.Trace(TraceWithdraw, batchChain, cs.id, "triggered proposal withdrawn")
-			}
+		// Lines 20-21: snapshot R, compute (takes Tc).
+		m.beginCompute(ReceiveLSA, siteReceive, batchChain, cs)
+		return true
+	}
+	m.acceptCandidate(cs, candidate, candidateStamp, candidateChain, batchChain)
+	return false
+}
+
+// completeReceive is Figure 5 from line 22: the triggered proposal is ready.
+func (m *Machine) completeReceive(c *computation, cs *connState) {
+	proposal := m.compute(c, cs)
+	// Line 22: still current, and nothing new queued for this MC? (The
+	// first half is the second seeded-bug site for
+	// MutationCompleteWithoutRecheck.)
+	current := cs.r.Equal(c.oldR) || m.mutation == MutationCompleteWithoutRecheck
+	if proposal != nil && !m.host.PendingMC(cs.id) && current {
+		// Lines 23-27: flood as a triggered LSA (V = none).
+		m.floodMC(c.chain, &lsa.MC{Src: m.id, Event: lsa.None, Conn: cs.id, Proposal: proposal, Stamp: c.oldR})
+		cs.e.CopyFrom(cs.r) // line 24: bring E up to date
+		cs.makeProposal = false
+	} else {
+		// Lines 28-30: withdraw.
+		proposal = nil
+		m.metrics.Withdrawn++
+		if m.host.TraceEnabled() {
+			m.host.Trace(TraceWithdraw, c.chain, cs.id, "triggered proposal withdrawn")
 		}
 	}
+	m.acceptCandidate(cs, proposal, c.oldR, c.chain, c.chain)
+}
 
-	// Lines 32-35: accept the best proposal seen.
+// acceptCandidate is Figure 5 lines 32-35 — accept the best proposal seen,
+// if any — and the end of the ReceiveLSA invocation.
+func (m *Machine) acceptCandidate(cs *connState, candidate *mctree.Tree, at stamp.Stamp, candidateChain, batchChain ChainID) {
 	if candidate != nil {
-		cs.c.CopyFrom(candidateStamp)
+		cs.c.CopyFrom(at)
 		m.install(cs, candidateChain, candidate, "receive-lsa")
 	}
-	m.updateDormancy(cs, batchChain)
-	m.host.ForwardingChanged(cs.id)
-	m.maybeScheduleResync(cs)
+	m.endInvocation(cs, batchChain)
 }
 
 // filterReachable restricts a member set to switches this switch can
@@ -746,20 +843,29 @@ func (m *Machine) filterReachable(members mctree.Members) mctree.Members {
 	return out
 }
 
-// computeTopology runs the configured algorithm over this switch's local
-// image, charging Tc via the host (the computation is the protocol's
-// dominant cost, Figure 4 line 5 / Figure 5 line 21).
-func (m *Machine) computeTopology(ctx any, chain ChainID, cs *connState) (*mctree.Tree, error) {
+// beginCompute starts a proposal computation for entity e (Figure 4 lines
+// 4-5 / Figure 5 lines 20-21): snapshot R, the member list — it may change
+// during Tc — and the incremental-update hints.
+func (m *Machine) beginCompute(e Entity, site computeSite, chain ChainID, cs *connState) *computation {
 	m.metrics.Computations++
 	if m.host.TraceEnabled() {
 		m.host.Trace(TraceCompute, chain, cs.id, "computing topology (members=%d)", len(cs.members))
 	}
-	members := cs.members.Clone() // membership snapshot: may change during Tc
-	delta := cs.lastDelta
-	prev := cs.topology
-	m.host.HoldCompute(ctx)
-	// Wall-clock cost of the algorithm itself (the virtual Tc is charged by
-	// HoldCompute above and deliberately excluded here).
+	c := &m.computing[e]
+	*c = computation{
+		site: site, conn: cs.id, chain: chain,
+		oldR: cs.r.Clone(), members: cs.members.Clone(),
+		prev: cs.topology, delta: cs.lastDelta,
+	}
+	return c
+}
+
+// compute runs the configured algorithm over this switch's local image —
+// the protocol's dominant cost. A failed computation is traced and yields
+// nil, which the callers treat as a withdrawal.
+func (m *Machine) compute(c *computation, cs *connState) *mctree.Tree {
+	// Wall-clock cost of the algorithm itself (whatever the host charged
+	// between begin and completion is deliberately excluded).
 	start := time.Now()
 	defer func() { m.metrics.ComputeNanos += uint64(time.Since(start)) }()
 	// Reachability is evaluated against the image as of the end of the
@@ -767,19 +873,22 @@ func (m *Machine) computeTopology(ctx any, chain ChainID, cs *connState) (*mctre
 	// asking the algorithm to span a switch the network can no longer
 	// reach (members cut off by failures are served again after repair or
 	// timed out by the application; the paper defers partition recovery).
-	members = m.filterReachable(members)
-	t, err := m.alg.Update(m.uni.Image(), cs.kind, members, prev, delta)
-	if err != nil {
-		return nil, err
-	}
+	members := m.filterReachable(c.members)
+	t, err := m.alg.Update(m.uni.Image(), cs.kind, members, c.prev, c.delta)
 	// An incremental update is only a hint about the latest change; when
 	// several changes accumulated since the previous topology (e.g. two
 	// joins in one LSA batch) the result may not span every member. Fall
 	// back to a from-scratch computation in that case.
-	if t.Validate(m.uni.Image(), members) != nil {
-		return m.alg.Compute(m.uni.Image(), cs.kind, members)
+	if err == nil && t.Validate(m.uni.Image(), members) != nil {
+		t, err = m.alg.Compute(m.uni.Image(), cs.kind, members)
 	}
-	return t, nil
+	if err != nil {
+		if m.host.TraceEnabled() {
+			m.host.Trace(TraceError, c.chain, cs.id, "compute: %v", err)
+		}
+		return nil
+	}
+	return t
 }
 
 // floodMC floods an MC LSA network-wide via the host.

@@ -15,6 +15,7 @@ import (
 // including the adversarial interleavings the simulator's scheduler would
 // only hit by luck.
 type scriptHost struct {
+	NopHost
 	id        topo.SwitchID
 	neighbors []topo.SwitchID
 
@@ -37,16 +38,9 @@ func (h *scriptHost) FloodNonMC(nm *lsa.NonMC) { h.nonMC = append(h.nonMC, nm) }
 func (h *scriptHost) SendUnicast(to topo.SwitchID, payload any) {
 	h.unicasts = append(h.unicasts, scriptUnicast{to: to, payload: payload})
 }
-func (h *scriptHost) HoldCompute(any)                                      {}
-func (h *scriptHost) PendingMC(lsa.ConnID) bool                            { return false }
-func (h *scriptHost) Neighbors() []topo.SwitchID                           { return h.neighbors }
-func (h *scriptHost) FabricLinkChanged(lsa.LinkChange)                     {}
-func (h *scriptHost) ArmResync(conn lsa.ConnID)                            { h.armed = append(h.armed, conn) }
-func (h *scriptHost) SelfNudge(conn lsa.ConnID)                            { h.nudges = append(h.nudges, conn) }
-func (h *scriptHost) NoteInstall()                                         {}
-func (h *scriptHost) ForwardingChanged(lsa.ConnID)                         {}
-func (h *scriptHost) Trace(TraceKind, ChainID, lsa.ConnID, string, ...any) {}
-func (h *scriptHost) TraceEnabled() bool                                   { return false }
+func (h *scriptHost) Neighbors() []topo.SwitchID { return h.neighbors }
+func (h *scriptHost) ArmResync(conn lsa.ConnID)  { h.armed = append(h.armed, conn) }
+func (h *scriptHost) SelfNudge(conn lsa.ConnID)  { h.nudges = append(h.nudges, conn) }
 
 // scriptNet is a set of machines wired through scriptHosts with explicit
 // message pumping.

@@ -23,9 +23,6 @@ type Switch struct {
 	d      *Domain
 	m      *Machine
 	events *sim.Mailbox
-	// cur is the process currently executing machine code, so HoldCompute
-	// suspends the right entity. Only ever mutated from kernel context.
-	cur *sim.Process
 }
 
 func newSwitch(d *Domain, id topo.SwitchID) (*Switch, error) {
@@ -78,8 +75,9 @@ func (s *Switch) eventLoop(p *sim.Process) {
 		if !ok {
 			continue
 		}
-		s.cur = p
-		s.m.HandleLocalEvent(p, ev)
+		for pending := s.m.BeginLocalEvent(ev); pending; pending = s.m.Complete(EventHandler) {
+			s.holdCompute(p)
+		}
 	}
 }
 
@@ -90,8 +88,19 @@ func (s *Switch) lsaLoop(p *sim.Process) {
 	for {
 		first := inbox.Recv(p)
 		batch := append([]any{first}, inbox.Drain()...)
-		s.cur = p
-		s.m.ReceiveBatch(p, batch)
+		for pending := s.m.BeginReceive(batch); pending; pending = s.m.Complete(ReceiveLSA) {
+			s.holdCompute(p)
+		}
+	}
+}
+
+// holdCompute charges the cost of one topology computation (the paper's
+// Tc) to the entity that is computing: its process is suspended for Tc of
+// virtual time while the switch's other entity runs on — exactly the
+// window the protocol's withdraw checks exist for.
+func (s *Switch) holdCompute(p *sim.Process) {
+	if s.d.computeTime > 0 {
+		p.Hold(s.d.computeTime)
 	}
 }
 
@@ -122,19 +131,6 @@ func (s *Switch) FloodNonMC(nm *lsa.NonMC) {
 // unicast service.
 func (s *Switch) SendUnicast(to topo.SwitchID, payload any) {
 	s.d.net.Unicast(s.id, to, payload)
-}
-
-// HoldCompute implements Host: charge Tc of virtual time to the entity
-// that is computing. ctx is the *sim.Process threaded through the machine
-// entry point; it falls back to the process currently driving the machine.
-func (s *Switch) HoldCompute(ctx any) {
-	p, ok := ctx.(*sim.Process)
-	if !ok {
-		p = s.cur
-	}
-	if p != nil && s.d.computeTime > 0 {
-		p.Hold(s.d.computeTime)
-	}
 }
 
 // PendingMC implements Host: report whether the switch's mailbox currently

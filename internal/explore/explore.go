@@ -1,13 +1,11 @@
 // Package explore is a systematic schedule-exploration harness — an
 // implementation-level model checker — for the D-GMC state machine.
 //
-// Where internal/model checks an *abstracted* re-statement of the protocol
-// (fixed-size stamps, proposals reduced to their basis), this package
-// drives the production state machine itself: a set of core.Machine
+// It drives the production state machine itself: a set of core.Machine
 // instances, one per switch, whose every runtime effect (flooding, unicast
-// resync, timers, self-nudges) is captured as a *pending action* instead of
-// being executed at some fixed time. The set of pending actions at a world
-// state is the set of schedule choice points:
+// resync, timers, self-nudges, topology computations) is captured as a
+// *pending action* instead of being executed at some fixed time. The set of
+// pending actions at a world state is the set of schedule choice points:
 //
 //   - injecting the next scenario event at a switch (events at different
 //     switches interleave freely; events at one switch keep program order),
@@ -16,7 +14,9 @@
 //   - dropping or duplicating an in-flight message (a faults.Choice
 //     branched deterministically, within a configured budget, instead of
 //     drawn from an RNG as internal/faults does),
-//   - firing an armed resync timer.
+//   - firing an armed resync timer,
+//   - completing a topology computation an entity has begun (within
+//     Config.MaxComputes; see below).
 //
 // Exhaustive search (BFS over world states, deduplicated by a canonical
 // state hash) visits every reachable interleaving up to the configured
@@ -25,12 +25,16 @@
 // violation yields a schedule that replays byte-for-byte (see Token) and
 // shrinks to a minimal counterexample (see Shrink).
 //
-// What is deliberately *not* a choice point: the duration of a topology
-// computation. Machine calls are atomic here (Host.HoldCompute is a no-op),
-// so the Tc-induced races of the timed implementation — a computation
-// completing after further events arrived — are not explored by this
-// package; internal/model covers exactly those with its nondeterministic
-// computation-completion transitions. The two checkers are complementary.
+// The duration of a topology computation is a choice point within a budget:
+// the first Config.MaxComputes computations a schedule begins stay pending
+// (core.Machine.BeginLocalEvent / BeginReceive), and completing one
+// (Complete) is an action like any other, so anything else can be scheduled
+// inside the paper's Tc window — the schedules Figure 4 line 6 and Figure 5
+// line 22 ask "is R still old_R?" for. While EventHandler computes, the
+// switch's further injects wait; while ReceiveLSA computes, deliveries to
+// the switch wait in flight (where Host.PendingMC sees them, and faults can
+// still hit them). Computations begun after the budget is spent complete
+// inside the action that begins them, as every one does at the default of 0.
 package explore
 
 import (
@@ -68,6 +72,10 @@ type Config struct {
 	// corresponding branch.
 	MaxDrops int
 	MaxDups  int
+	// MaxComputes budgets the topology computations left pending across one
+	// schedule: the first MaxComputes it begins complete as actions of their
+	// own. Zero makes every machine call atomic.
+	MaxComputes int
 	// Mutation seeds a known protocol bug (checker self-validation).
 	Mutation core.Mutation
 }
@@ -90,6 +98,9 @@ func (c *Config) validate() error {
 	}
 	if c.MaxDrops < 0 || c.MaxDups < 0 {
 		return fmt.Errorf("explore: negative fault budget (drops=%d dups=%d)", c.MaxDrops, c.MaxDups)
+	}
+	if c.MaxComputes < 0 {
+		return fmt.Errorf("explore: negative compute budget %d", c.MaxComputes)
 	}
 	if c.MaxDrops > 0 && !c.Resync {
 		return fmt.Errorf("explore: MaxDrops > 0 requires Resync (the paper assumes reliable flooding; without gap recovery a dropped LSA diverges by construction)")
@@ -172,12 +183,17 @@ const (
 	actDup
 	actFire
 	actFault
+	actComplete
 )
+
+// entities lists a switch's protocol entities in canonical order.
+var entities = [...]core.Entity{core.EventHandler, core.ReceiveLSA}
 
 // action is one enabled transition of a world state.
 type action struct {
 	kind  actionKind
-	sw    topo.SwitchID // actInject
+	sw    topo.SwitchID // actInject, actComplete
+	ent   core.Entity   // actComplete
 	msg   int           // actDeliver/actDrop/actDup: index into pending
 	timer int           // actFire: index into timers
 	key   []byte        // canonical sort key
@@ -212,8 +228,10 @@ type World struct {
 	timers    []timer
 	dropsLeft int
 	dupsLeft  int
-	nextMsgID int
-	installs  int
+	// computesLeft is what remains of Config.MaxComputes.
+	computesLeft int
+	nextMsgID    int
+	installs     int
 
 	// Fault-lane state (see faultops.go). side is nil when no partition is
 	// active, else side[s] is s's group. ownHigh[conn][x] records the most
@@ -236,8 +254,11 @@ type World struct {
 	trace   []string
 }
 
-// worldHost adapts one machine's runtime effects into pending actions.
+// worldHost adapts one machine's runtime effects into pending actions. The
+// checker explores control-plane interleavings only: there is no FIB to
+// recompile, so ForwardingChanged stays NopHost's.
 type worldHost struct {
+	core.NopHost
 	w  *World
 	id topo.SwitchID
 }
@@ -267,6 +288,7 @@ func NewWorld(cfg Config, scn Scenario) (*World, error) {
 		injectedMembership: make(map[lsa.ConnID][]int),
 		dropsLeft:          cfg.MaxDrops,
 		dupsLeft:           cfg.MaxDups,
+		computesLeft:       cfg.MaxComputes,
 		crashed:            make([]bool, n),
 		crashedOnce:        make([]bool, n),
 		ownHigh:            make(map[lsa.ConnID][]uint32),
@@ -308,6 +330,7 @@ func (w *World) clone() *World {
 		timers:          append([]timer(nil), w.timers...),
 		dropsLeft:       w.dropsLeft,
 		dupsLeft:        w.dupsLeft,
+		computesLeft:    w.computesLeft,
 		nextMsgID:       w.nextMsgID,
 		installs:        w.installs,
 		faultPos:        w.faultPos,
@@ -362,23 +385,39 @@ func (w *World) msgKey(kind byte, pm *pendingMsg) []byte {
 }
 
 // enabled enumerates the world's enabled actions in a canonical, replay-
-// stable order: injects by switch, then per-message outcome branches
-// (deliver, then drop, then dup — the faults.Outcomes order), then timers.
+// stable order: completions by switch and entity, then per-message outcome
+// branches (deliver, then drop, then dup — the faults.Outcomes order), then
+// timers, then injects by switch, then the fault lane.
 func (w *World) enabled() []action {
-	// Key leading bytes order the canonical enumeration: deliveries (0)
-	// before faults (1, 2) before timers (3) before injects (4). Choice 0
-	// therefore drains in-flight traffic before injecting further events,
-	// so the all-zero schedule degrades to fault-free, near-sequential
-	// execution — the natural base case for shrinking.
+	// Completions lead, and key leading bytes order the rest of the
+	// canonical enumeration: deliveries (0) before faults (1, 2) before
+	// timers (3) before injects (4). Choice 0 therefore finishes what a
+	// switch is computing and drains in-flight traffic before injecting
+	// further events, so the all-zero schedule degrades to fault-free,
+	// near-sequential execution — the natural base case for shrinking.
 	var out []action
+	for s, m := range w.machines {
+		for _, e := range entities {
+			if m.Computing(e) {
+				out = append(out, action{kind: actComplete, sw: topo.SwitchID(s), ent: e})
+			}
+		}
+	}
+	completions := len(out)
 	for i := range w.pending {
 		pm := &w.pending[i]
+		// A switch whose ReceiveLSA is computing consumes nothing: copies
+		// addressed to it stay in flight, where a fault can still hit them.
+		busy := w.machines[pm.to].Computing(core.ReceiveLSA)
 		for _, o := range faults.Choices(
 			!pm.internal && w.dropsLeft > 0,
 			!pm.internal && w.dupsLeft > 0 && !pm.duped,
 		) {
 			switch o {
 			case faults.Deliver:
+				if busy {
+					continue
+				}
 				out = append(out, action{kind: actDeliver, msg: i, key: w.msgKey(0, pm)})
 			case faults.Drop:
 				out = append(out, action{kind: actDrop, msg: i, key: w.msgKey(1, pm)})
@@ -396,7 +435,8 @@ func (w *World) enabled() []action {
 	for s := 0; s < w.n; s++ {
 		// A dead switch accepts no local events; its remaining injects
 		// resume after the restart (the fault lane guarantees one comes).
-		if w.injectPos[s] < len(w.injectsBySwitch[s]) && !w.crashed[s] {
+		// Nor does one whose EventHandler is still computing.
+		if w.injectPos[s] < len(w.injectsBySwitch[s]) && !w.crashed[s] && !w.machines[s].Computing(core.EventHandler) {
 			key := binary.BigEndian.AppendUint32([]byte{4}, uint32(s))
 			out = append(out, action{kind: actInject, sw: topo.SwitchID(s), key: key})
 		}
@@ -404,8 +444,9 @@ func (w *World) enabled() []action {
 	if w.faultPos < len(w.scn.Faults) {
 		out = append(out, action{kind: actFault, key: []byte{5}})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].key, out[j].key
+	rest := out[completions:]
+	sort.Slice(rest, func(i, j int) bool {
+		a, b := rest[i].key, rest[j].key
 		for k := 0; k < len(a) && k < len(b); k++ {
 			if a[k] != b[k] {
 				return a[k] < b[k]
@@ -440,6 +481,8 @@ func (w *World) describe(a action) string {
 		return fmt.Sprintf("fire resync timer at switch %d (conn %d)", t.sw, t.conn)
 	case actFault:
 		return w.scn.Faults[w.faultPos].String()
+	case actComplete:
+		return fmt.Sprintf("complete %s computation at switch %d", a.ent, a.sw)
 	default:
 		return fmt.Sprintf("action(%d)", a.kind)
 	}
@@ -494,14 +537,14 @@ func (w *World) apply(a action) {
 			}
 			counts[inj.Switch]++
 		}
-		w.machines[a.sw].HandleLocalEvent(nil, inj.Event)
+		w.settle(a.sw, core.EventHandler, w.machines[a.sw].BeginLocalEvent(inj.Event))
 	case actDeliver:
 		pm := w.pending[a.msg]
 		w.removePending(a.msg)
 		if req, ok := pm.payload.(*lsa.ResyncRequest); ok {
 			w.exchangeErr = w.checkExchange(pm.to, req)
 		}
-		w.machines[pm.to].ReceiveBatch(nil, []any{pm.payload})
+		w.settle(pm.to, core.ReceiveLSA, w.machines[pm.to].BeginReceive([]any{pm.payload}))
 	case actDrop:
 		w.removePending(a.msg)
 		w.dropsLeft--
@@ -518,6 +561,21 @@ func (w *World) apply(a action) {
 		w.machines[t.sw].ResyncFired(t.conn)
 	case actFault:
 		w.applyFault()
+	case actComplete:
+		w.settle(a.sw, a.ent, w.machines[a.sw].Complete(a.ent))
+	}
+}
+
+// settle decides what becomes of the computation a machine call stopped at,
+// if it did: within the compute budget it stays pending, beyond it this one
+// and every further one the call goes on to begin complete here.
+func (w *World) settle(sw topo.SwitchID, e core.Entity, pending bool) {
+	for pending {
+		if w.computesLeft > 0 {
+			w.computesLeft--
+			return
+		}
+		pending = w.machines[sw].Complete(e)
 	}
 }
 
@@ -565,6 +623,11 @@ func (w *World) hash() [32]byte {
 	}
 	buf = binary.BigEndian.AppendUint32(buf, uint32(w.dropsLeft))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(w.dupsLeft))
+	if w.cfg.MaxComputes > 0 {
+		// Only when there is a budget: guided search derives its tie-breaking
+		// from these digests, and budget-0 searches keep theirs.
+		buf = binary.BigEndian.AppendUint32(buf, uint32(w.computesLeft))
+	}
 	for _, p := range w.injectPos {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(p))
 	}
@@ -673,10 +736,6 @@ func (h *worldHost) SendUnicast(to topo.SwitchID, payload any) {
 	}
 }
 
-// HoldCompute implements core.Host: computations are atomic under
-// exploration (see the package comment for why).
-func (h *worldHost) HoldCompute(any) {}
-
 // PendingMC implements core.Host: an MC LSA for conn is "queued" when an
 // in-flight flooded copy is addressed to this switch.
 func (h *worldHost) PendingMC(conn lsa.ConnID) bool {
@@ -720,10 +779,6 @@ func (h *worldHost) SelfNudge(conn lsa.ConnID) {
 
 // NoteInstall implements core.Host.
 func (h *worldHost) NoteInstall() { h.w.installs++ }
-
-// ForwardingChanged implements core.Host. The checker explores control-plane
-// interleavings only; there is no FIB to recompile.
-func (h *worldHost) ForwardingChanged(lsa.ConnID) {}
 
 // Trace implements core.Host.
 func (h *worldHost) TraceEnabled() bool { return h.w.tracing }

@@ -273,6 +273,7 @@ func TestConfigValidation(t *testing.T) {
 		{"nil graph", Config{}, Scenario{}},
 		{"drops without resync", Config{Graph: g, MaxDrops: 1}, Scenario{}},
 		{"bad mutation", Config{Graph: g, Mutation: core.Mutation(99)}, Scenario{}},
+		{"negative compute budget", Config{Graph: g, MaxComputes: -1}, Scenario{}},
 		{"switch out of range", Config{Graph: g}, Scenario{Injects: []Inject{
 			{Switch: 9, Event: core.LocalEvent{Conn: 1, Kind: lsa.Join, Role: mctree.Receiver}}}}},
 		{"join without role", Config{Graph: g}, Scenario{Injects: []Inject{

@@ -50,12 +50,35 @@ func gate6Compact(t *testing.T) (Config, Scenario) {
 	return cfg, scn
 }
 
+// computeGate is the world the two mutations of the computation window are
+// hunted on: a full mesh of three switches, two concurrent joins, and a
+// compute budget that leaves both EventHandler computations pending. It
+// runs without gap recovery, which repairs exactly what they break (a
+// commit left behind R looks like a lost proposal flood): on gate6 neither
+// is caught within the gate budget.
+func computeGate(t *testing.T) (Config, Scenario) {
+	t.Helper()
+	g, err := topo.Full(3, 5*time.Microsecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scn := Scenario{Injects: []Inject{
+		{Switch: 0, Event: core.LocalEvent{Conn: 1, Kind: lsa.Join, Role: mctree.Sender | mctree.Receiver}},
+		{Switch: 1, Event: core.LocalEvent{Conn: 1, Kind: lsa.Join, Role: mctree.Sender | mctree.Receiver}},
+	}}
+	return Config{Graph: g, MaxComputes: 2}, scn
+}
+
 // gateFor returns the gate world a mutation is hunted on: the one seeded
-// bug that needs a trimmed log to show gets the gate with a compaction.
+// bug that needs a trimmed log to show gets the gate with a compaction,
+// the two that need the computation window get computeGate.
 func gateFor(t *testing.T, mu core.Mutation) (Config, Scenario) {
 	cfg, scn := gate6(t)
-	if mu == core.MutationTruncateWithoutCatchUp {
+	switch mu {
+	case core.MutationTruncateWithoutCatchUp:
 		cfg, scn = gate6Compact(t)
+	case core.MutationCompleteWithoutRecheck, core.MutationNoInconsistencyCheck:
+		cfg, scn = computeGate(t)
 	}
 	cfg.Mutation = mu
 	return cfg, scn

@@ -37,6 +37,8 @@ import (
 // enabled; they mirror Domain.CheckConverged so the explorer enforces the
 // same consensus definition as the timed simulator:
 //
+//   - No entity is still computing (a pending computation is an enabled
+//     action, so this guards the harness itself).
 //   - Within each fabric component, every switch with state for a
 //     connection agrees on the committed stamp, member list, and installed
 //     topology, and the topology is a valid tree/forest over the members
@@ -167,6 +169,9 @@ func (w *World) checkExchange(server topo.SwitchID, req *lsa.ResyncRequest) erro
 	srv := w.machines[server].CloneWith(&answers)
 	srv.ReceiveBatch(nil, []any{req})
 	asker := w.machines[req.From].CloneWith(&sandboxHost{})
+	// The answers wait in the asker's queue for as long as it computes.
+	for asker.Complete(core.ReceiveLSA) {
+	}
 	asker.ReceiveBatch(nil, answers.unicasts)
 	for _, conn := range srv.AllConnections() {
 		if req.Conn != lsa.AllConns && req.Conn != conn {
@@ -197,25 +202,14 @@ func (w *World) compacted() bool {
 // sandboxHost is the Host of a machine copy that runs outside the world:
 // it records unicasts (the answers to a resync request) and swallows
 // everything else.
-type sandboxHost struct{ unicasts []any }
-
-var _ core.Host = (*sandboxHost)(nil)
+type sandboxHost struct {
+	core.NopHost
+	unicasts []any
+}
 
 func (h *sandboxHost) SendUnicast(_ topo.SwitchID, payload any) {
 	h.unicasts = append(h.unicasts, payload)
 }
-func (*sandboxHost) FloodMC(*lsa.MC)                                                {}
-func (*sandboxHost) FloodNonMC(*lsa.NonMC)                                          {}
-func (*sandboxHost) HoldCompute(any)                                                {}
-func (*sandboxHost) PendingMC(lsa.ConnID) bool                                      { return false }
-func (*sandboxHost) Neighbors() []topo.SwitchID                                     { return nil }
-func (*sandboxHost) FabricLinkChanged(lsa.LinkChange)                               {}
-func (*sandboxHost) ArmResync(lsa.ConnID)                                           {}
-func (*sandboxHost) SelfNudge(lsa.ConnID)                                           {}
-func (*sandboxHost) NoteInstall()                                                   {}
-func (*sandboxHost) ForwardingChanged(lsa.ConnID)                                   {}
-func (*sandboxHost) Trace(core.TraceKind, core.ChainID, lsa.ConnID, string, ...any) {}
-func (*sandboxHost) TraceEnabled() bool                                             { return false }
 
 // lossyStandard reports whether this schedule's history downgrades it to
 // the weakened quiescent standard. Crashes, like budgeted drops,
@@ -230,6 +224,13 @@ func (w *World) lossyStandard() bool {
 // checkQuiescent verifies the consensus invariants. Call only when no
 // action is enabled.
 func (w *World) checkQuiescent() error {
+	for s, m := range w.machines {
+		for _, e := range entities {
+			if m.Computing(e) {
+				return fmt.Errorf("quiescent: switch %d %s computation still pending", s, e)
+			}
+		}
+	}
 	if w.lossyStandard() {
 		return w.checkQuiescentLossy()
 	}

@@ -8,28 +8,34 @@ import (
 )
 
 // TestMutationCorpus is the corpus table gate: every seeded mutation the
-// checker knows must be caught on the 6-switch gate scenario within the
-// CI budget (with a log compaction before the heal for the mutation that
-// breaks serving from a trimmed log), and the mutation-free run of either
-// scenario must stay clean. This is the checker-validation loop — a
-// mutation nobody can catch is dead weight, and a checker that alarms on
-// the correct protocol is worse than none.
+// checker knows must be caught on its gate world within the CI budget —
+// the 6-switch gate scenario, with a log compaction before the heal for the
+// mutation that breaks serving from a trimmed log, or the compute gate for
+// the two that need something scheduled inside a computation — and the
+// mutation-free run of every gate world must stay clean. This is the
+// checker-validation loop — a mutation nobody can catch is dead weight, and
+// a checker that alarms on the correct protocol is worse than none.
 func TestMutationCorpus(t *testing.T) {
 	cases := []struct {
 		mutation core.Mutation
-		compact  bool // hunt on gate6Compact regardless of the mutation
-		caught   bool
+		// world names the gate world of a clean row ("" for gate6); a
+		// mutated row hunts on the world gateFor picks for its mutation.
+		world  string
+		caught bool
 		// errWant is a substring the violation must mention (empty for
 		// clean rows). It pins each mutation to the failure class it was
 		// seeded to produce, not just "something went wrong".
 		errWant string
 	}{
-		{core.MutationNone, false, false, ""},
-		{core.MutationNone, true, false, ""},
-		{core.MutationAcceptStaleProposal, false, true, "diverge"},
-		{core.MutationIgnoreEventOrder, false, true, "diverge"},
-		{core.MutationUncappedPseudoProposal, false, true, "diverge"},
-		{core.MutationTruncateWithoutCatchUp, false, true, "incomplete"},
+		{core.MutationNone, "", false, ""},
+		{core.MutationNone, "compact", false, ""},
+		{core.MutationNone, "computes", false, ""},
+		{core.MutationAcceptStaleProposal, "", true, "diverge"},
+		{core.MutationIgnoreEventOrder, "", true, "diverge"},
+		{core.MutationUncappedPseudoProposal, "", true, "diverge"},
+		{core.MutationTruncateWithoutCatchUp, "", true, "incomplete"},
+		{core.MutationCompleteWithoutRecheck, "", true, "diverge"},
+		{core.MutationNoInconsistencyCheck, "", true, "diverge"},
 	}
 	// The table must cover the whole corpus: a mutation added to core
 	// without a row here fails the test rather than silently shipping
@@ -43,14 +49,16 @@ func TestMutationCorpus(t *testing.T) {
 	}
 	for _, tc := range cases {
 		name := tc.mutation.String()
-		if tc.compact {
-			name += "+compact"
+		if tc.world != "" {
+			name += "+" + tc.world
 		}
 		t.Run(name, func(t *testing.T) {
 			cfg, scn := gateFor(t, tc.mutation)
-			if tc.compact {
+			switch tc.world {
+			case "compact":
 				cfg, scn = gate6Compact(t)
-				cfg.Mutation = tc.mutation
+			case "computes":
+				cfg, scn = computeGate(t)
 			}
 			res, err := Guided(cfg, scn, Options{Budget: gateBudget})
 			if err != nil {

@@ -21,12 +21,15 @@ import (
 // `dgmccheck -replay TOKEN` decodes it and re-executes the schedule
 // byte-for-byte — no flags from the original run are needed. The encoding
 // is versioned varint/fixed binary under base64url. v2 appends the fault
-// lane (partition/heal/crash/restart operations) after the injects;
-// scenarios without fault operations still encode as v1, so every token
-// this package ever emitted keeps replaying.
+// lane (partition/heal/crash/restart operations) after the injects, and v3
+// the compute budget after the (possibly empty) fault lane; scenarios
+// without fault operations still encode as v1 and configurations without a
+// compute budget as v1 or v2, so every token this package ever emitted
+// keeps replaying.
 const (
 	tokenPrefix   = "dgmc-sched-v1:"
 	tokenPrefixV2 = "dgmc-sched-v2:"
+	tokenPrefixV3 = "dgmc-sched-v3:"
 )
 
 // tokenAlgName canonicalizes an algorithm for the token: tokens carry the
@@ -103,9 +106,10 @@ func EncodeToken(cfg Config, scn Scenario, sched []int) (string, error) {
 			buf = append(buf, 0)
 		}
 	}
-	// Fault lane (v2 only — fault-free scenarios stay v1).
+	// Fault lane (v2 and v3 — fault-free scenarios without a compute
+	// budget stay v1).
 	prefix := tokenPrefix
-	if len(scn.Faults) > 0 {
+	if len(scn.Faults) > 0 || cfg.MaxComputes > 0 {
 		if err := scn.validate(cfg.Graph); err != nil {
 			return "", err
 		}
@@ -122,6 +126,10 @@ func EncodeToken(cfg Config, scn Scenario, sched []int) (string, error) {
 				}
 			}
 		}
+	}
+	if cfg.MaxComputes > 0 {
+		prefix = tokenPrefixV3
+		buf = appendUvarint(buf, uint64(cfg.MaxComputes))
 	}
 	// Schedule.
 	buf = appendUvarint(buf, uint64(len(sched)))
@@ -183,16 +191,16 @@ func (r *tokenReader) bytes(n int, what string) []byte {
 func DecodeToken(tok string) (Config, Scenario, []int, error) {
 	var cfg Config
 	var scn Scenario
-	v2 := false
+	version := 0
 	var payload string
-	switch {
-	case strings.HasPrefix(tok, tokenPrefix):
-		payload = strings.TrimPrefix(tok, tokenPrefix)
-	case strings.HasPrefix(tok, tokenPrefixV2):
-		payload = strings.TrimPrefix(tok, tokenPrefixV2)
-		v2 = true
-	default:
-		return cfg, scn, nil, fmt.Errorf("explore: not a %q or %q token", tokenPrefix, tokenPrefixV2)
+	for i, prefix := range [...]string{tokenPrefix, tokenPrefixV2, tokenPrefixV3} {
+		if strings.HasPrefix(tok, prefix) {
+			version = i + 1
+			payload = strings.TrimPrefix(tok, prefix)
+		}
+	}
+	if version == 0 {
+		return cfg, scn, nil, fmt.Errorf("explore: not a %q, %q or %q token", tokenPrefix, tokenPrefixV2, tokenPrefixV3)
 	}
 	raw, err := base64.RawURLEncoding.DecodeString(payload)
 	if err != nil {
@@ -259,7 +267,7 @@ func DecodeToken(tok string) (Config, Scenario, []int, error) {
 		injects = append(injects, inj)
 	}
 	var faultOps []FaultOp
-	if v2 {
+	if version >= 2 {
 		nFaults := int(r.uvarint("fault count"))
 		if r.err == nil && nFaults > 1<<16 {
 			return cfg, scn, nil, fmt.Errorf("explore: implausible fault count %d", nFaults)
@@ -285,6 +293,13 @@ func DecodeToken(tok string) (Config, Scenario, []int, error) {
 				op.Groups = append(op.Groups, grp)
 			}
 			faultOps = append(faultOps, op)
+		}
+	}
+	maxComputes := 0
+	if version >= 3 {
+		maxComputes = int(r.uvarint("compute budget"))
+		if r.err == nil && (maxComputes <= 0 || maxComputes > 1<<16) {
+			return cfg, scn, nil, fmt.Errorf("explore: implausible compute budget %d", maxComputes)
 		}
 	}
 	nSched := int(r.uvarint("schedule length"))
@@ -313,6 +328,7 @@ func DecodeToken(tok string) (Config, Scenario, []int, error) {
 		ResyncMaxRounds: resyncRounds,
 		MaxDrops:        maxDrops,
 		MaxDups:         maxDups,
+		MaxComputes:     maxComputes,
 		Mutation:        core.Mutation(mutation),
 	}
 	scn = Scenario{Injects: injects, Faults: faultOps}

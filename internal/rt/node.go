@@ -684,10 +684,6 @@ func (n *Node) sendFailed(what string, to topo.SwitchID, err error) {
 	n.tracef("sw%d: %s to %d: %v", n.id, what, to, err)
 }
 
-// HoldCompute implements core.Host: computation takes the real time it
-// takes here, so there is nothing to hold.
-func (n *Node) HoldCompute(any) {}
-
 // PendingMC implements core.Host: scan the inbox for an MC LSA for conn.
 // Called with the machine lock held; takes only inMu (see the lock-order
 // note on Node.mu).

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"dgmc/internal/core"
-	"dgmc/internal/lsa"
 	"dgmc/internal/topo"
 )
 
@@ -69,20 +68,4 @@ func (s *NodeSnapshot) verify() error {
 // parked: the machine never runs there, but CloneWith requires a host, and
 // an inert one guarantees that even a misuse (calling into the parked
 // machine) cannot touch the network.
-type parkedHost struct{}
-
-var _ core.Host = parkedHost{}
-
-func (parkedHost) FloodMC(*lsa.MC)                                                {}
-func (parkedHost) FloodNonMC(*lsa.NonMC)                                          {}
-func (parkedHost) SendUnicast(topo.SwitchID, any)                                 {}
-func (parkedHost) HoldCompute(any)                                                {}
-func (parkedHost) PendingMC(lsa.ConnID) bool                                      { return false }
-func (parkedHost) Neighbors() []topo.SwitchID                                     { return nil }
-func (parkedHost) FabricLinkChanged(lsa.LinkChange)                               {}
-func (parkedHost) ArmResync(lsa.ConnID)                                           {}
-func (parkedHost) SelfNudge(lsa.ConnID)                                           {}
-func (parkedHost) NoteInstall()                                                   {}
-func (parkedHost) ForwardingChanged(lsa.ConnID)                                   {}
-func (parkedHost) Trace(core.TraceKind, core.ChainID, lsa.ConnID, string, ...any) {}
-func (parkedHost) TraceEnabled() bool                                             { return false }
+type parkedHost struct{ core.NopHost }

@@ -27,21 +27,12 @@ import (
 
 // nullHost satisfies core.Host with no-ops so BenchmarkMachineStep measures
 // the machine alone, not a runtime.
-type nullHost struct{ neighbors []topo.SwitchID }
+type nullHost struct {
+	core.NopHost
+	neighbors []topo.SwitchID
+}
 
-func (nullHost) FloodMC(*lsa.MC)                                                {}
-func (nullHost) FloodNonMC(*lsa.NonMC)                                          {}
-func (nullHost) SendUnicast(topo.SwitchID, any)                                 {}
-func (nullHost) HoldCompute(any)                                                {}
-func (nullHost) PendingMC(lsa.ConnID) bool                                      { return false }
-func (h nullHost) Neighbors() []topo.SwitchID                                   { return h.neighbors }
-func (nullHost) FabricLinkChanged(lsa.LinkChange)                               {}
-func (nullHost) ArmResync(lsa.ConnID)                                           {}
-func (nullHost) SelfNudge(lsa.ConnID)                                           {}
-func (nullHost) NoteInstall()                                                   {}
-func (nullHost) ForwardingChanged(lsa.ConnID)                                   {}
-func (nullHost) Trace(core.TraceKind, core.ChainID, lsa.ConnID, string, ...any) {}
-func (nullHost) TraceEnabled() bool                                             { return false }
+func (h nullHost) Neighbors() []topo.SwitchID { return h.neighbors }
 
 // BenchmarkMachineStep measures one full EventHandler pass — stamp
 // bookkeeping, proposal computation, flood emission — on a 16-switch ring.
