@@ -318,6 +318,14 @@ func (m *Machine) ForwardingState(fn func(conn lsa.ConnID, kind mctree.Kind, mem
 	}
 }
 
+// ConnForwardingState is ForwardingState for one connection: fn is invoked,
+// under the same rules, if conn is live, and not at all otherwise.
+func (m *Machine) ConnForwardingState(conn lsa.ConnID, fn func(conn lsa.ConnID, kind mctree.Kind, members mctree.Members, t *mctree.Tree)) {
+	if cs, ok := m.conns[conn]; ok && !cs.dormant {
+		fn(conn, cs.kind, cs.members, cs.topology)
+	}
+}
+
 // Metrics returns the machine's counters.
 func (m *Machine) Metrics() *Metrics { return m.metrics }
 
@@ -824,19 +832,19 @@ func (m *Machine) acceptCandidate(cs *connState, candidate *mctree.Tree, at stam
 // out of scope, as in the paper §6).
 func (m *Machine) filterReachable(members mctree.Members) mctree.Members {
 	out := make(mctree.Members, len(members))
-	var reach map[topo.SwitchID]bool
+	var reach []bool // by switch ID; built for the first member that is not this switch
 	for mem, role := range members {
 		if mem == m.id {
 			out[mem] = role
 			continue
 		}
 		if reach == nil {
-			reach = make(map[topo.SwitchID]bool)
+			reach = make([]bool, m.n)
 			for _, r := range m.uni.Image().Component(m.id) {
 				reach[r] = true
 			}
 		}
-		if reach[mem] {
+		if mem >= 0 && int(mem) < len(reach) && reach[mem] {
 			out[mem] = role
 		}
 	}

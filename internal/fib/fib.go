@@ -2,9 +2,9 @@
 // plane: a compiled, read-only view of every installed MC topology that the
 // live runtime's forward path consults on each payload frame. The control
 // plane (core.Machine via the Host.ForwardingChanged hook) recompiles the
-// table whenever a topology is installed, withdrawn, or the unicast image
-// changes, and swaps it in atomically — forwarding never observes a
-// half-updated tree.
+// entries of the connections whose topology was installed or withdrawn — or
+// the whole table when the unicast image changes — and swaps the new table
+// in atomically: forwarding never observes a half-updated tree.
 //
 // One entry per live connection, compiled from (kind, members, tree) plus
 // the switch's link-state image:
@@ -114,6 +114,26 @@ type Builder struct {
 // (which is only read during Add calls, never retained by the Table).
 func NewBuilder(self topo.SwitchID, g *topo.Graph) *Builder {
 	return &Builder{self: self, g: g, entries: make(map[lsa.ConnID]*Entry)}
+}
+
+// NewBuilderFrom starts a compilation that differs from prev only in the
+// connections of changed: every other entry of prev is carried over as it is
+// (entries are immutable, so the two tables share them), and the caller Adds
+// each changed connection that is still live. It is NewBuilder's result for
+// the same state provided the image has not changed since prev was compiled
+// — contact routes are computed from it — so a caller that may have seen an
+// image change rebuilds with NewBuilder.
+func NewBuilderFrom(self topo.SwitchID, g *topo.Graph, prev *Table, changed []lsa.ConnID) *Builder {
+	b := &Builder{self: self, g: g, entries: make(map[lsa.ConnID]*Entry, prev.Size()+len(changed))}
+	if prev != nil {
+		for id, e := range prev.entries {
+			b.entries[id] = e
+		}
+	}
+	for _, id := range changed {
+		delete(b.entries, id)
+	}
+	return b
 }
 
 // Add compiles the entry for one connection. A nil tree is treated as

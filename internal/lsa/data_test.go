@@ -16,7 +16,7 @@ func TestDataFrameRoundTrip(t *testing.T) {
 	if err := DecodeFrameInto(&f, enc); err != nil {
 		t.Fatalf("DecodeFrameInto: %v", err)
 	}
-	if f.Kind != FrameData || f.Origin != d.Src || f.From != 5 || f.Seq != d.Seq {
+	if f.Kind != FrameData || f.Origin != d.Src || f.From != 5 || f.Seq != d.Seq || f.Hops != d.Hops {
 		t.Fatalf("outer header mismatch: %+v", f)
 	}
 	var got DataFrame
@@ -112,7 +112,7 @@ func TestPatchDataForward(t *testing.T) {
 func FuzzDecodeDataFrame(f *testing.F) {
 	f.Add(AppendDataFrame(nil, testDataFrame(), 5))
 	f.Add(AppendDataFrame(nil, &DataFrame{Conn: 1, Src: 0, Seq: 1, Hops: 0}, 0))
-	f.Add(EncodeFrame(&Frame{Version: FrameVersion, Kind: FrameData, Origin: 2, From: 3, Seq: 7, Payload: []byte{0, 0}}))
+	f.Add(EncodeFrame(&Frame{Version: FrameVersion, Kind: FrameData, Origin: 2, From: 3, Seq: 7, Hops: 1, Payload: []byte{0, 0}}))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 

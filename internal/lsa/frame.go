@@ -10,8 +10,9 @@ import (
 
 // FrameVersion is the current wire-framing version. Receivers reject other
 // versions: the framing carries no negotiation, so a version skew between
-// daemons is a deployment error to surface, not to paper over.
-const FrameVersion = 1
+// daemons is a deployment error to surface, not to paper over. Version 2
+// moved every field a forwarder rewrites into a trailer (see Frame).
+const FrameVersion = 2
 
 // FrameKind says what a frame's payload is and how it travels.
 type FrameKind uint8
@@ -53,35 +54,51 @@ func (k FrameKind) String() string {
 	}
 }
 
-// Frame is the unit a live transport sends on the wire: a small header
-// (version, kind, flood identity, link-level sender, payload length, CRC)
-// around one encoded advertisement or resync message.
+// Frame is the unit a live transport sends on the wire: one encoded
+// advertisement, resync message or data payload between a header of what is
+// fixed for the frame's life and a trailer of what a hop rewrites:
+//
+//	version (1) | kind (1) | origin (4) | length (4) | payload | from (4) | seq (8) | hops (1) | crc32 (4)
+//
+// The CRC covers every byte ahead of it, in wire order. A relay changes only
+// trailer fields, so with the checksum state as of the trailer's first byte —
+// which DecodeFrameInto keeps from its verification pass (BodySum) — it
+// re-sums those 13 bytes, not the payload.
 //
 // Origin and Seq identify a flood network-wide for duplicate suppression;
 // From is the link-level sender, updated at each store-and-forward hop so
 // receivers know which neighbor not to forward back to. For point-to-point
 // resync frames Origin == From and Seq is the sender's next flood sequence
-// (unused by receivers beyond tracing).
+// (unused by receivers beyond tracing). Hops is the data plane's hop budget
+// (see DataFrame); control frames carry zero.
 type Frame struct {
 	Version uint8
 	Kind    FrameKind
 	Origin  topo.SwitchID
 	From    topo.SwitchID
 	Seq     uint64
+	Hops    uint8
 	Payload []byte
+
+	// body is set by DecodeFrameInto; see BodySum.
+	body BodySum
 }
 
-// frameHeaderLen is version(1) + kind(1) + origin(4) + from(4) + seq(8) +
-// length(4) + crc32(4).
-const frameHeaderLen = 26
+// frameHeaderLen is version(1) + kind(1) + origin(4) + length(4).
+const frameHeaderLen = 10
 
-// frameFromOffset is the byte offset of the From field, exported to the
-// forwarding path via PatchFrameFrom.
-const frameFromOffset = 6
+// frameTrailerLen is from(4) + seq(8) + hops(1) + crc32(4); the offsets
+// below are from the trailer's first byte.
+const (
+	frameTrailerLen = 17
+	trailerFromOff  = 0
+	trailerSeqOff   = 4
+	trailerHopsOff  = 12
+	trailerCRCOff   = 13
+)
 
-// frameSeqOffset is the byte offset of the Seq field, used by the in-place
-// patch helpers (PatchDataSeq) and the header peek.
-const frameSeqOffset = 10
+// frameOverhead is what framing adds to a payload.
+const frameOverhead = frameHeaderLen + frameTrailerLen
 
 // MaxFramePayload bounds the payload length a decoder will accept. It is
 // far above anything the protocol produces (a proposal tree plus a stamp
@@ -89,10 +106,10 @@ const frameSeqOffset = 10
 // field from turning into a large allocation.
 const MaxFramePayload = 1 << 20
 
-// EncodeFrame encodes f. The CRC covers the header fields and the payload,
-// so any truncation or corruption of either is detected.
+// EncodeFrame encodes f. The CRC covers the header, the payload and the
+// trailer fields, so any truncation or corruption of any is detected.
 func EncodeFrame(f *Frame) []byte {
-	return AppendFrame(make([]byte, 0, frameHeaderLen+len(f.Payload)), f)
+	return AppendFrame(make([]byte, 0, frameOverhead+len(f.Payload)), f)
 }
 
 // AppendFrame appends f's encoding to dst and returns the extended slice —
@@ -105,70 +122,113 @@ func AppendFrame(dst []byte, f *Frame) []byte {
 
 // AppendFrameWith appends a frame to dst whose payload is produced by
 // payloadFn appending directly after the header, skipping the intermediate
-// payload slice entirely. f.Payload is ignored; the length and CRC fields are
-// patched after payloadFn returns, so the output is byte-identical to
-// EncodeFrame over the same payload bytes. payloadFn must only append.
+// payload slice entirely. f.Payload is ignored; the length field is patched
+// after payloadFn returns, so the output is byte-identical to EncodeFrame
+// over the same payload bytes. payloadFn must only append.
 func AppendFrameWith(dst []byte, f *Frame, payloadFn func([]byte) []byte) []byte {
 	base := len(dst)
 	dst = append(dst, f.Version, byte(f.Kind))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(int32(f.Origin)))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(int32(f.From)))
-	dst = binary.BigEndian.AppendUint64(dst, f.Seq)
 	dst = binary.BigEndian.AppendUint32(dst, 0) // length: patched below
-	dst = binary.BigEndian.AppendUint32(dst, 0) // crc: patched below
 	dst = payloadFn(dst)
-	hdr := dst[base : base+frameHeaderLen]
-	payload := dst[base+frameHeaderLen:]
-	binary.BigEndian.PutUint32(hdr[frameHeaderLen-8:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[frameHeaderLen-4:], frameCRC(hdr[:frameHeaderLen-4], payload))
+	binary.BigEndian.PutUint32(dst[base+frameHeaderLen-4:], uint32(len(dst)-base-frameHeaderLen))
+	body := sumBody(dst[base:])
+	dst = append(dst, make([]byte, frameTrailerLen)...)
+	body.putTrailer(dst[len(dst)-frameTrailerLen:], f.From, f.Seq, f.Hops)
 	return dst
 }
 
 // PeekFrameMeta reads the kind and identity fields (origin, link-level
 // from, outer sequence) straight out of an encoded frame's fixed-offset
-// header, without validating the length or CRC — for fabric-level
-// classification (e.g. the loss knob's per-frame drop hash) that must not
-// pay for a full decode on every send. ok is false when buf is shorter
-// than a frame header.
+// header and trailer, taking buf to be exactly one frame, without validating
+// the length or CRC — for fabric-level classification (e.g. the loss knob's
+// per-frame drop hash) that must not pay for a full decode on every send. ok
+// is false when buf is shorter than an empty frame.
 func PeekFrameMeta(buf []byte) (kind FrameKind, origin, from topo.SwitchID, seq uint64, ok bool) {
-	if len(buf) < frameHeaderLen {
+	if len(buf) < frameOverhead {
 		return 0, 0, 0, 0, false
 	}
+	tr := buf[len(buf)-frameTrailerLen:]
 	kind = FrameKind(buf[1])
 	origin = topo.SwitchID(int32(binary.BigEndian.Uint32(buf[2:])))
-	from = topo.SwitchID(int32(binary.BigEndian.Uint32(buf[frameFromOffset:])))
-	seq = binary.BigEndian.Uint64(buf[frameSeqOffset:])
+	from = topo.SwitchID(int32(binary.BigEndian.Uint32(tr[trailerFromOff:])))
+	seq = binary.BigEndian.Uint64(tr[trailerSeqOff:])
 	return kind, origin, from, seq, true
-}
-
-// PatchFrameFrom rewrites the From field of an encoded frame in place (and
-// fixes up the CRC), so a forwarder can relay the same buffer without
-// re-encoding the payload.
-func PatchFrameFrom(buf []byte, from topo.SwitchID) error {
-	if len(buf) < frameHeaderLen {
-		return fmt.Errorf("lsa: frame too short to patch (%d bytes)", len(buf))
-	}
-	binary.BigEndian.PutUint32(buf[frameFromOffset:], uint32(int32(from)))
-	binary.BigEndian.PutUint32(buf[frameHeaderLen-4:],
-		frameCRC(buf[:frameHeaderLen-4], buf[frameHeaderLen:]))
-	return nil
 }
 
 // crcTable is the frame checksum polynomial: Castagnoli, not IEEE, because
 // amd64/arm64 check it with a dedicated instruction where the IEEE
 // polynomial falls back to table lookups below the carry-less-multiply
 // kernel's minimum length — and protocol frames live exactly in that small
-// range. Under data-plane saturation the checksum (verified on every
-// receive, recomputed on every in-place forward patch) is the single
-// largest CPU item, so the polynomial choice is a throughput knob; the
-// error-detection strength is equivalent, and the framing is internal to
-// this implementation (both ends share this code), so no compatibility is
-// given up.
+// range. Under data-plane saturation the checksum (verified over every byte
+// on every receive) is the single largest CPU item, so the polynomial choice
+// is a throughput knob; the error-detection strength is equivalent, and the
+// framing is internal to this implementation (both ends share this code),
+// so no compatibility is given up.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-func frameCRC(header, payload []byte) uint32 {
-	crc := crc32.Update(0, crcTable, header)
-	return crc32.Update(crc, crcTable, payload)
+// BodySum is the frame checksum's running state after the header and the
+// payload — every byte ahead of the trailer, none of which a forwarder
+// changes. Whoever holds it for an encoded frame can rewrite trailer fields
+// and re-seal the frame by summing the trailer alone. A state taken from a
+// decode vouches only for the bytes that decode verified: a buffer damaged
+// in memory afterwards leaves with a checksum the next hop refuses.
+type BodySum uint32
+
+// SumBody computes the BodySum of the encoded frame in buf by summing its
+// header and payload — one pass over the frame, so worth it only ahead of
+// several patches (a batch restamping one frame); a receiver already has
+// the state from its decode (Frame.BodySum). A buffer too short to be a
+// frame has no body to sum, and every patch refuses it whatever the state.
+func SumBody(buf []byte) BodySum {
+	if len(buf) < frameOverhead {
+		return 0
+	}
+	return sumBody(buf[:len(buf)-frameTrailerLen])
+}
+
+func sumBody(body []byte) BodySum {
+	return BodySum(crc32.Update(0, crcTable, body))
+}
+
+// seal extends s over the trailer's fields and returns the frame's CRC.
+func (s BodySum) seal(trailer []byte) uint32 {
+	return crc32.Update(uint32(s), crcTable, trailer[:trailerCRCOff])
+}
+
+// putTrailer writes a whole trailer, CRC included.
+func (s BodySum) putTrailer(trailer []byte, from topo.SwitchID, seq uint64, hops uint8) {
+	binary.BigEndian.PutUint32(trailer[trailerFromOff:], uint32(int32(from)))
+	binary.BigEndian.PutUint64(trailer[trailerSeqOff:], seq)
+	trailer[trailerHopsOff] = hops
+	binary.BigEndian.PutUint32(trailer[trailerCRCOff:], s.seal(trailer))
+}
+
+// trailerOf returns the trailer of the encoded frame in buf.
+func trailerOf(buf []byte) ([]byte, error) {
+	if len(buf) < frameOverhead {
+		return nil, fmt.Errorf("lsa: frame too short to patch (%d bytes)", len(buf))
+	}
+	return buf[len(buf)-frameTrailerLen:], nil
+}
+
+// PatchFrom rewrites the From field of the encoded frame in buf, whose
+// BodySum s is, and fixes up the CRC — so a forwarder can relay the buffer
+// it received without re-encoding or re-reading the payload.
+func (s BodySum) PatchFrom(buf []byte, from topo.SwitchID) error {
+	tr, err := trailerOf(buf)
+	if err != nil {
+		return err
+	}
+	binary.BigEndian.PutUint32(tr[trailerFromOff:], uint32(int32(from)))
+	binary.BigEndian.PutUint32(tr[trailerCRCOff:], s.seal(tr))
+	return nil
+}
+
+// PatchFrameFrom is BodySum.PatchFrom for a caller without the state: it
+// sums the frame first.
+func PatchFrameFrom(buf []byte, from topo.SwitchID) error {
+	return SumBody(buf).PatchFrom(buf, from)
 }
 
 // DecodeFrame decodes one frame from buf. It errors on truncation, version
@@ -185,35 +245,45 @@ func DecodeFrame(buf []byte) (*Frame, error) {
 
 // DecodeFrameInto decodes one frame from buf into f, which may be a reused
 // stack or scratch value — the allocation-free form of DecodeFrame. On error
-// f is left in an unspecified state. f.Payload aliases buf.
+// f is left in an unspecified state. f.Payload aliases buf. The version is
+// judged first, on its own: nothing else about a foreign version's layout,
+// its minimum length included, means what it means here.
 func DecodeFrameInto(f *Frame, buf []byte) error {
-	if len(buf) < frameHeaderLen {
-		return fmt.Errorf("lsa: truncated frame header (%d bytes, need %d)", len(buf), frameHeaderLen)
+	if len(buf) > 0 && buf[0] != FrameVersion {
+		return fmt.Errorf("lsa: frame version %d, want %d", buf[0], FrameVersion)
 	}
+	if len(buf) < frameOverhead {
+		return fmt.Errorf("lsa: truncated frame (%d bytes, need %d)", len(buf), frameOverhead)
+	}
+	tr := buf[len(buf)-frameTrailerLen:]
 	f.Version = buf[0]
 	f.Kind = FrameKind(buf[1])
 	f.Origin = topo.SwitchID(int32(binary.BigEndian.Uint32(buf[2:])))
-	f.From = topo.SwitchID(int32(binary.BigEndian.Uint32(buf[6:])))
-	f.Seq = binary.BigEndian.Uint64(buf[10:])
+	f.From = topo.SwitchID(int32(binary.BigEndian.Uint32(tr[trailerFromOff:])))
+	f.Seq = binary.BigEndian.Uint64(tr[trailerSeqOff:])
+	f.Hops = tr[trailerHopsOff]
 	f.Payload = nil
-	if f.Version != FrameVersion {
-		return fmt.Errorf("lsa: frame version %d, want %d", f.Version, FrameVersion)
-	}
 	if !f.Kind.Valid() {
 		return fmt.Errorf("lsa: unknown frame kind %d", buf[1])
 	}
-	length := binary.BigEndian.Uint32(buf[18:])
+	length := binary.BigEndian.Uint32(buf[frameHeaderLen-4:])
 	if length > MaxFramePayload {
 		return fmt.Errorf("lsa: frame payload length %d exceeds limit %d", length, MaxFramePayload)
 	}
-	want := binary.BigEndian.Uint32(buf[22:])
-	payload := buf[frameHeaderLen:]
+	payload := buf[frameHeaderLen : len(buf)-frameTrailerLen]
 	if uint32(len(payload)) != length {
 		return fmt.Errorf("lsa: frame payload is %d bytes, header says %d", len(payload), length)
 	}
-	if got := frameCRC(buf[:frameHeaderLen-4], payload); got != want {
+	f.body = sumBody(buf[:len(buf)-frameTrailerLen])
+	want := binary.BigEndian.Uint32(tr[trailerCRCOff:])
+	if got := f.body.seal(tr); got != want {
 		return fmt.Errorf("lsa: frame checksum mismatch (got %08x, want %08x)", got, want)
 	}
 	f.Payload = payload
 	return nil
 }
+
+// BodySum returns the checksum state DecodeFrameInto reached at the trailer
+// of the buffer f was decoded from, for patching that buffer. It is
+// meaningless on a Frame that was not decoded.
+func (f *Frame) BodySum() BodySum { return f.body }

@@ -3,10 +3,17 @@ package lsa
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
+	"hash/crc32"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"dgmc/internal/mctree"
 	"dgmc/internal/stamp"
+	"dgmc/internal/topo"
 )
 
 func testFrame() *Frame {
@@ -25,7 +32,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatalf("DecodeFrame: %v", err)
 	}
 	if got.Version != f.Version || got.Kind != f.Kind || got.Origin != f.Origin ||
-		got.From != f.From || got.Seq != f.Seq || !bytes.Equal(got.Payload, f.Payload) {
+		got.From != f.From || got.Seq != f.Seq || got.Hops != f.Hops || !bytes.Equal(got.Payload, f.Payload) {
 		t.Fatalf("round trip mismatch: got %+v want %+v", got, f)
 	}
 }
@@ -68,9 +75,9 @@ func TestFrameRejectsUnknownKind(t *testing.T) {
 
 func TestFrameRejectsOversizedLength(t *testing.T) {
 	enc := EncodeFrame(testFrame())
-	binary.BigEndian.PutUint32(enc[18:], MaxFramePayload+1)
-	if _, err := DecodeFrame(enc); err == nil {
-		t.Fatal("accepted frame with oversized length field")
+	binary.BigEndian.PutUint32(enc[frameHeaderLen-4:], MaxFramePayload+1)
+	if _, err := DecodeFrame(enc); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+		t.Fatalf("oversized length field: err = %v, want the limit error", err)
 	}
 }
 
@@ -91,6 +98,129 @@ func TestPatchFrameFrom(t *testing.T) {
 	}
 	if err := PatchFrameFrom(enc[:10], 3); err == nil {
 		t.Fatal("patched a truncated frame")
+	}
+}
+
+// v1Frame encodes a flood frame the way FrameVersion 1 did — every field,
+// CRC included, in a 26-byte header ahead of the payload — for the tests
+// that a v2 receiver refuses it as version skew.
+func v1Frame(origin, from int32, seq uint64, payload []byte) []byte {
+	b := []byte{1, byte(FrameFlood)}
+	b = binary.BigEndian.AppendUint32(b, uint32(origin))
+	b = binary.BigEndian.AppendUint32(b, uint32(from))
+	b = binary.BigEndian.AppendUint64(b, seq)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(payload)))
+	crc := crc32.Update(crc32.Update(0, crcTable, b), crcTable, payload)
+	b = binary.BigEndian.AppendUint32(b, crc)
+	return append(b, payload...)
+}
+
+// TestFrameRejectsV1: a frame in the previous layout — intact by its own
+// rules — is refused, and by name: the error is the version error, whatever
+// else about the buffer would not parse, down to a payload-less frame that
+// is shorter than any v2 frame.
+func TestFrameRejectsV1(t *testing.T) {
+	for _, payload := range [][]byte{testFrame().Payload, nil} {
+		_, err := DecodeFrame(v1Frame(1, 1, 42, payload))
+		if err == nil || !strings.Contains(err.Error(), "frame version 1, want 2") {
+			t.Fatalf("v1 frame with %d payload bytes: err = %v, want the version error", len(payload), err)
+		}
+	}
+}
+
+// TestFrameGoldenBytes pins the wire layout: one flood frame and one data
+// frame against hex files. A deliberate layout change bumps FrameVersion and
+// replaces the files (the failure prints the new bytes); an accidental one
+// fails here by name.
+func TestFrameGoldenBytes(t *testing.T) {
+	flood := testFrame()
+	flood.From = 5
+	cases := map[string][]byte{
+		"flood_frame_v2.hex": EncodeFrame(flood),
+		"data_frame_v2.hex":  AppendDataFrame(nil, testDataFrame(), 5),
+	}
+	for name, got := range cases {
+		raw, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := hex.DecodeString(strings.Join(strings.Fields(string(raw)), ""))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: layout changed\n got %x\nwant %x", name, got, want)
+		}
+	}
+}
+
+// TestPatchEquivalence is the v2 format's contract, on random frames of
+// every kind with payloads of 0…2 KiB: patching an encoded frame with the
+// checksum state its decode kept, patching it with the state recomputed
+// from the buffer, and encoding the patched frame from scratch all give the
+// same bytes; and the seal still covers everything — flipping any one bit
+// of header, payload or trailer makes the decoder refuse the frame.
+func TestPatchEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	kinds := []FrameKind{FrameFlood, FrameResyncReq, FrameResyncResp, FrameData}
+	for i := 0; i < 400; i++ {
+		size := rng.Intn(2049)
+		if i < 2*len(kinds) {
+			size = (i / len(kinds)) * 2048 // both ends of the range, every kind
+		}
+		f := &Frame{Version: FrameVersion, Kind: kinds[i%len(kinds)], Origin: topo.SwitchID(rng.Int31()),
+			From: topo.SwitchID(rng.Int31()), Seq: rng.Uint64(), Hops: uint8(rng.Intn(256)), Payload: make([]byte, size)}
+		rng.Read(f.Payload)
+		enc := EncodeFrame(f)
+		var dec Frame
+		if err := DecodeFrameInto(&dec, enc); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if recomputed := SumBody(enc); recomputed != dec.BodySum() {
+			t.Fatalf("frame %d: SumBody = %08x, decode kept %08x", i, recomputed, dec.BodySum())
+		}
+
+		from, seq, hops := topo.SwitchID(rng.Int31()), rng.Uint64(), uint8(rng.Intn(256))
+		patches := []struct {
+			name      string
+			withState func(b []byte) error
+			without   func(b []byte) error
+			scratch   Frame
+		}{
+			{"From", func(b []byte) error { return dec.BodySum().PatchFrom(b, from) },
+				func(b []byte) error { return PatchFrameFrom(b, from) },
+				Frame{Version: f.Version, Kind: f.Kind, Origin: f.Origin, From: from, Seq: f.Seq, Hops: f.Hops, Payload: f.Payload}},
+			{"DataForward", func(b []byte) error { return dec.BodySum().PatchDataForward(b, from, hops) },
+				func(b []byte) error { return PatchDataForward(b, from, hops) },
+				Frame{Version: f.Version, Kind: f.Kind, Origin: f.Origin, From: from, Seq: f.Seq, Hops: hops, Payload: f.Payload}},
+			{"DataSeq", func(b []byte) error { return dec.BodySum().PatchDataSeq(b, seq) },
+				func(b []byte) error { return PatchDataSeq(b, seq) },
+				Frame{Version: f.Version, Kind: f.Kind, Origin: f.Origin, From: f.From, Seq: seq, Hops: f.Hops, Payload: f.Payload}},
+		}
+		for _, p := range patches {
+			a, b := bytes.Clone(enc), bytes.Clone(enc)
+			if err := p.withState(a); err != nil {
+				t.Fatalf("frame %d: patch %s with state: %v", i, p.name, err)
+			}
+			if err := p.without(b); err != nil {
+				t.Fatalf("frame %d: patch %s without state: %v", i, p.name, err)
+			}
+			if want := EncodeFrame(&p.scratch); !bytes.Equal(a, want) || !bytes.Equal(b, want) {
+				t.Fatalf("frame %d (%v, %d payload bytes): patch %s\n with state %x\n  without %x\n  encoded %x",
+					i, f.Kind, size, p.name, a, b, want)
+			}
+		}
+
+		if i%16 >= len(kinds) {
+			continue // every bit of a 2 KiB frame is 16 k decodes: a sample of frames, all of their bits
+		}
+		for bit := 0; bit < 8*len(enc); bit++ {
+			enc[bit/8] ^= 1 << (bit % 8)
+			if err := DecodeFrameInto(&dec, enc); err == nil {
+				t.Fatalf("frame %d (%v, %d payload bytes): accepted with bit %d of byte %d flipped", i, f.Kind, size, bit%8, bit/8)
+			}
+			enc[bit/8] ^= 1 << (bit % 8)
+		}
 	}
 }
 
@@ -141,8 +271,10 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(EncodeFrame(&Frame{Version: FrameVersion, Kind: FrameFlood, Origin: 2, From: 3, Seq: 7}))
 	f.Add([]byte{})
 	f.Add([]byte{FrameVersion})
-	f.Add([]byte{FrameVersion + 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(append([]byte{FrameVersion + 1, 1}, make([]byte, frameOverhead-2)...))
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
+	f.Add(v1Frame(1, 1, 42, fr.Payload))
+	f.Add(EncodeFrame(&Frame{Version: FrameVersion, Kind: FrameResyncResp, Origin: 4, From: 4, Seq: 9, Hops: 3, Payload: []byte{0, 0, 0, 9, 0, 0, 0, 4, 0, 0, 0, 0}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := DecodeFrame(data)

@@ -88,14 +88,15 @@ func (r *ResyncResponse) AppendMarshal(dst []byte) []byte {
 	return dst
 }
 
-// Split cuts r into responses that each encode, frame header included, to
-// at most frameLimit bytes, for a sender bound to a datagram size. Each
-// part is a response in its own right over a run of the batch: order within
-// and across parts is the batch's, so the closing pseudo-proposal rides in
-// the last one; every part holds at least one LSA, so an LSA bigger than
-// the limit still travels, alone. An empty batch yields one empty part.
+// Split cuts r into responses that each encode, frame header and trailer
+// included, to at most frameLimit bytes, for a sender bound to a datagram
+// size. Each part is a response in its own right over a run of the batch:
+// order within and across parts is the batch's, so the closing
+// pseudo-proposal rides in the last one; every part holds at least one LSA,
+// so an LSA bigger than the limit still travels, alone. An empty batch
+// yields one empty part.
 func (r *ResyncResponse) Split(frameLimit int) []*ResyncResponse {
-	const fixed = frameHeaderLen + 12 // frame header; conn, from, count
+	const fixed = frameOverhead + 12 // frame header and trailer; conn, from, count
 	var parts []*ResyncResponse
 	var scratch []byte
 	start, size := 0, fixed

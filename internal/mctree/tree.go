@@ -7,6 +7,7 @@ package mctree
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -95,7 +96,7 @@ func (m Members) IDs() []topo.SwitchID {
 	for s := range m {
 		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -239,7 +240,7 @@ func (t *Tree) Nodes() []topo.SwitchID {
 	for s := range set {
 		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -257,7 +258,16 @@ func (t *Tree) On(s topo.SwitchID) bool {
 // exactly the "routing entries for incident links" a switch installs when
 // accepting a proposal.
 func (t *Tree) Neighbors(s topo.SwitchID) []topo.SwitchID {
-	var out []topo.SwitchID
+	degree := 0
+	for _, e := range t.edges {
+		if e.A == s || e.B == s {
+			degree++
+		}
+	}
+	if degree == 0 {
+		return nil
+	}
+	out := make([]topo.SwitchID, 0, degree)
 	for _, e := range t.edges {
 		switch s {
 		case e.A:
@@ -266,7 +276,7 @@ func (t *Tree) Neighbors(s topo.SwitchID) []topo.SwitchID {
 			out = append(out, e.A)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

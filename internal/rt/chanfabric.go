@@ -3,6 +3,7 @@ package rt
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -345,6 +346,15 @@ func (p *chanPort) Release(n int) {
 	p.fabric.counts[p.id].done.Add(int64(n))
 }
 
+// RxWaits returns how many empty-queue receives on the switch's current queue
+// ended in a park and how many in a linger hit (see frameQueue.popAll).
+func (p *chanPort) RxWaits() (parks, lingerHits uint64) {
+	q := p.fabric.queues[p.id].Load()
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.parks, q.lingerHits
+}
+
 func (p *chanPort) Close() error {
 	f := p.fabric
 	f.counts[p.id].done.Add(int64(f.queues[p.id].Load().close()))
@@ -378,12 +388,37 @@ type frameQueue struct {
 	cond    *sync.Cond
 	back    [][]byte
 	waiters int // consumers parked in popAll; push only signals when > 0
+	linger  int // yields an empty popAll spends re-checking before it parks
 	closed  bool
+	// parks counts the times the consumer went to sleep on cond, lingerHits
+	// the times a frame arrived while it was still yielding (see popAll):
+	// once per wait, never per frame, and under mu, which the consumer holds
+	// at both moments anyway.
+	parks, lingerHits uint64
 }
 
+// lingerYields is how many times a consumer that finds its queue empty
+// yields its core and looks again before it parks. Parking costs the next
+// producer a futex wake of an idle P, which then takes the frame to a cold
+// core and goes back to sleep — a pair of system calls per hop that, under
+// a burst, made two cores no faster than one. A consumer that lingers stays
+// runnable: the producer's push finds no waiter to signal, and the frame is
+// picked up by whichever P runs the consumer next, usually the one that
+// wrote it. It yields rather than spins because the producer may need this
+// very P. With no traffic the linger is over in a few microseconds and the
+// consumer parks as before, so an idle fabric still costs nothing. Chosen by
+// measurement: 16, 64, 256 and 1024 were within noise of each other.
+const lingerYields = 64
+
+// newFrameQueue builds an empty queue. With one P there is no other core a
+// producer could be running on while the consumer yields — every yield just
+// delays the park — so a queue built then does not linger.
 func newFrameQueue() *frameQueue {
 	q := &frameQueue{}
 	q.cond = sync.NewCond(&q.mu)
+	if runtime.GOMAXPROCS(0) > 1 {
+		q.linger = lingerYields
+	}
 	return q
 }
 
@@ -421,11 +456,23 @@ func (q *frameQueue) pushAll(bufs [][]byte) bool {
 // entire backlog. recycle is the batch slice returned by the previous
 // popAll: its entries are cleared — no frame stays reachable beyond the
 // batch after it — and its backing array becomes the producers' next back
-// array.
+// array. An empty queue is first lingered on (lingerYields) and only then
+// parked on.
 func (q *frameQueue) popAll(recycle [][]byte) ([][]byte, bool) {
 	clear(recycle)
 	q.mu.Lock()
+	if len(q.back) == 0 {
+		for i := 0; i < q.linger && len(q.back) == 0 && !q.closed; i++ {
+			q.mu.Unlock()
+			runtime.Gosched()
+			q.mu.Lock()
+		}
+		if len(q.back) != 0 {
+			q.lingerHits++
+		}
+	}
 	for len(q.back) == 0 && !q.closed {
+		q.parks++
 		q.waiters++
 		q.cond.Wait()
 		q.waiters--

@@ -1,6 +1,8 @@
 package rt
 
 import (
+	"errors"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -151,6 +153,118 @@ func TestChanFabricDrainOnClose(t *testing.T) {
 				t.Fatalf("InFlight = %d after senders raced %s, want exactly 0", got, name)
 			}
 		})
+		// And with a receiver that the fault finds lingering on the queue (its
+		// linger made endless, so it is in it whenever it is not settling a
+		// batch): it comes back with ErrClosed, having never parked, and what
+		// it settled and what the fault drained still add up.
+		t.Run(name+"-lingering", func(t *testing.T) {
+			fab := NewChanFabric(2)
+			q := fab.queues[1].Load()
+			q.linger = math.MaxInt
+			rx := fab.Transport(1)
+			done := make(chan error, 1)
+			go func() {
+				var batch [][]byte
+				var err error
+				for {
+					if batch, err = rx.RecvBatch(batch); err != nil {
+						done <- err
+						return
+					}
+					putBufs(batch)
+					rx.Release(len(batch))
+				}
+			}()
+			raceSenders(t, fab, func() {
+				if err := fault(fab); err != nil {
+					t.Error(err)
+				}
+			})
+			if err := <-done; !errors.Is(err, ErrClosed) {
+				t.Fatalf("lingering receiver returned %v, want ErrClosed", err)
+			}
+			if parks, _ := queueWaits(q); parks != 0 {
+				t.Fatalf("receiver parked %d times inside an endless linger", parks)
+			}
+			if got := fab.InFlight(); got != 0 {
+				t.Fatalf("InFlight = %d after %s found the receiver lingering, want exactly 0", got, name)
+			}
+		})
+	}
+}
+
+// queueWaits reads a queue's wait counters.
+func queueWaits(q *frameQueue) (parks, lingerHits uint64) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.parks, q.lingerHits
+}
+
+// TestFrameQueueLingersBeforeParking pins the two ways an empty-queue wait
+// ends, on the counters, not on time. A frame pushed while the consumer is
+// lingering is returned without the consumer having parked — the linger is
+// made endless, so that it cannot have run out first. With no producer the
+// consumer does park, after the real linger, and the push that follows wakes
+// it. And a queue built while there is one P does not linger at all.
+func TestFrameQueueLingersBeforeParking(t *testing.T) {
+	q := newFrameQueue()
+	q.linger = math.MaxInt
+	popped := make(chan int)
+	pop := func(q *frameQueue) {
+		batch, _ := q.popAll(nil)
+		popped <- len(batch)
+	}
+	for round := 1; ; round++ {
+		go pop(q)
+		for i := 0; i < 100; i++ {
+			runtime.Gosched() // let the consumer find the queue empty
+		}
+		if !q.push(make([]byte, 16)) {
+			t.Fatal("push failed on open queue")
+		}
+		if n := <-popped; n != 1 {
+			t.Fatalf("popAll returned %d frames, want 1", n)
+		}
+		parks, hits := queueWaits(q)
+		if parks != 0 {
+			t.Fatalf("consumer parked %d times inside an endless linger", parks)
+		}
+		if hits > 0 {
+			break // a push landed in a linger, and was returned from it
+		}
+		if round == 1000 {
+			t.Fatal("1000 pushes all beat the consumer to the queue: no linger was exercised")
+		}
+	}
+
+	q = newFrameQueue()
+	go pop(q)
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		if parks, _ := queueWaits(q); parks == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("consumer of an empty queue with no producer never parked")
+		}
+		runtime.Gosched()
+	}
+	if !q.push(make([]byte, 16)) {
+		t.Fatal("push failed on open queue")
+	}
+	if n := <-popped; n != 1 {
+		t.Fatalf("popAll after a park returned %d frames, want 1", n)
+	}
+	if parks, hits := queueWaits(q); parks != 1 || hits != 0 {
+		t.Fatalf("after one park and its wake-up: parks=%d lingerHits=%d, want 1 and 0", parks, hits)
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	if got := newFrameQueue().linger; got != lingerYields {
+		t.Fatalf("queue built with two Ps lingers %d yields, want %d", got, lingerYields)
+	}
+	runtime.GOMAXPROCS(1)
+	if got := newFrameQueue().linger; got != 0 {
+		t.Fatalf("queue built with one P lingers %d yields, want 0", got)
 	}
 }
 

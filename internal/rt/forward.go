@@ -160,17 +160,39 @@ func (n *Node) FIB() *fib.Table { return n.fib.Load() }
 // FIBCompiles counts table recompilations since boot.
 func (n *Node) FIBCompiles() uint64 { return n.fibCompiles.Load() }
 
-// recompileFIBLocked compiles a fresh table from the machine's forwarding
-// state and swaps it in atomically. Must be called with n.mu held (or
-// before the goroutine cluster starts).
-func (n *Node) recompileFIBLocked() {
-	b := fib.NewBuilder(n.id, n.machine.Unicast().Image())
-	n.machine.ForwardingState(b.Add)
+// recompileFIBLocked compiles a table from the machine's forwarding state
+// and swaps it in atomically: from scratch when all is set, and otherwise
+// the current table with the entries of the changed connections compiled
+// anew — what an install costs must not grow with the connections it did
+// not touch. Must be called with n.mu held (or before the goroutine cluster
+// starts).
+func (n *Node) recompileFIBLocked(all bool, changed []lsa.ConnID) {
+	image := n.machine.Unicast().Image()
+	var b *fib.Builder
+	if all {
+		b = fib.NewBuilder(n.id, image)
+		n.machine.ForwardingState(b.Add)
+	} else {
+		b = fib.NewBuilderFrom(n.id, image, n.fib.Load(), changed)
+		for _, conn := range changed {
+			n.machine.ConnForwardingState(conn, b.Add)
+		}
+	}
 	t := b.Build()
 	n.fib.Store(t)
 	compiles := n.fibCompiles.Add(1)
 	n.flight.Record(obs.RecFIBSwap, 0, uint32(n.id), compiles, uint64(t.Size()))
-	n.registerConnSeries(t)
+	if n.obs.reg == nil {
+		return
+	}
+	if all {
+		changed = t.Conns()
+	}
+	for _, conn := range changed {
+		if t.Lookup(conn) != nil {
+			n.obs.connForwardSeries(n, conn)
+		}
+	}
 }
 
 // recordData writes one data-plane record: always into the event ring, and
@@ -228,6 +250,9 @@ func (n *Node) SendDataBatch(conn lsa.ConnID, payload []byte, count int) (uint64
 	first := n.dataSeq.Add(uint64(count)) - uint64(count) + 1
 	d := lsa.DataFrame{Conn: conn, Src: n.id, Seq: first, Hops: DefaultDataHops, Payload: payload}
 	buf := lsa.AppendDataFrame(getBuf(64+len(payload)), &d, n.id)
+	// Summed once for the batch: each restamp below re-seals the trailer
+	// from this state instead of re-reading the payload.
+	sum := lsa.SumBody(buf)
 	// The caller's goroutine stages for itself: it borrows a stage set for
 	// the call, so concurrent originators share nothing and a call allocates
 	// nothing once the set has grown to the switch's links.
@@ -237,7 +262,7 @@ func (n *Node) SendDataBatch(conn lsa.ConnID, payload []byte, count int) (uint64
 	for ; sent < count; sent++ {
 		seq := first + uint64(sent)
 		if sent > 0 {
-			if err = lsa.PatchDataSeq(buf, seq); err != nil {
+			if err = sum.PatchDataSeq(buf, seq); err != nil {
 				break
 			}
 		}
@@ -245,7 +270,7 @@ func (n *Node) SendDataBatch(conn lsa.ConnID, payload []byte, count int) (uint64
 		// packet can carry an earlier timestamp than its origination.
 		n.recordData(obs.RecOriginate, conn, n.id, seq, n.id)
 		// Copies on every link: buf is restamped for the next packet.
-		n.fanOut(tx, links, topo.NoSwitch, -1, buf, nil)
+		n.fanOut(tx, links, noSkip, -1, buf, nil)
 	}
 	n.flush(tx)
 	n.origTx.Put(tx)
@@ -279,15 +304,22 @@ const maxBurst = 32
 type txStage struct {
 	to   topo.SwitchID
 	bufs [][]byte
-	// relays groups the staged relay frames by the counter stripe that
-	// counts them as Forwarded once the transport has accepted the burst.
-	// Originated and control frames are in no group.
+	// relays groups the staged relay frames by the counter that counts them
+	// as forwarded once the transport has accepted the burst. Originated
+	// frames are in no group.
 	relays []relayRun
 }
 
-// relayRun is a run of consecutively staged relay frames of one stripe.
+// linkCredit counts accepted relay copies: a stripe's Forwarded for payload
+// frames, the node's forwarded-floods counter for LSAs.
+type linkCredit interface{ Add(n uint64) }
+
+// Add makes a stripe the linkCredit of the payload frames it counts.
+func (c *forwardCounters) Add(n uint64) { c.forwarded.Add(n) }
+
+// relayRun is a run of consecutively staged relay frames of one credit.
 type relayRun struct {
-	st *forwardCounters
+	to linkCredit
 	n  uint64
 }
 
@@ -312,17 +344,33 @@ func (tx *txStages) stage(to topo.SwitchID) *txStage {
 	return &tx.stages[len(tx.stages)-1]
 }
 
-// fanOut is the one link-send loop, for payload frames and originated LSA
-// floods alike: the frame in buf is staged for every switch of links except
-// skip. Each link gets a pooled copy — except links[moveAt], which takes buf
-// itself, after which the caller must not touch buf again; moveAt < 0 copies
-// everywhere and leaves buf with the caller. credit, when set, is the stripe
-// that counts each accepted link copy as Forwarded. Nothing is on a link
-// until the stage is flushed: at maxBurst frames here, otherwise by the
-// caller, which must flush tx before it lets go of whatever made it send.
-func (n *Node) fanOut(tx *txStages, links []topo.SwitchID, skip topo.SwitchID, moveAt int, buf []byte, credit *forwardCounters) {
+// noSkip is fanOut's skip set for a frame that goes out on every link.
+var noSkip = [2]topo.SwitchID{topo.NoSwitch, topo.NoSwitch}
+
+// lastLink returns the index of the last switch of links not in skip — the
+// link a relay lets take the received buffer itself — or -1 when every link
+// is skipped.
+func lastLink(links []topo.SwitchID, skip [2]topo.SwitchID) int {
+	for i := len(links) - 1; i >= 0; i-- {
+		if links[i] != skip[0] && links[i] != skip[1] {
+			return i
+		}
+	}
+	return -1
+}
+
+// fanOut is the one link-send loop, for payload frames and LSA floods,
+// originated and relayed alike: the frame in buf is staged for every switch
+// of links except the two of skip. Each link gets a pooled copy — except
+// links[moveAt], which takes buf itself, after which the caller must not
+// touch buf again; moveAt < 0 copies everywhere and leaves buf with the
+// caller. credit, when set, counts each accepted link copy of a relayed
+// frame. Nothing is on a link until the stage is flushed: at maxBurst frames
+// here, otherwise by the caller, which must flush tx before it lets go of
+// whatever made it send.
+func (n *Node) fanOut(tx *txStages, links []topo.SwitchID, skip [2]topo.SwitchID, moveAt int, buf []byte, credit linkCredit) {
 	for i, nb := range links {
-		if nb == skip {
+		if nb == skip[0] || nb == skip[1] {
 			continue
 		}
 		b := buf
@@ -332,10 +380,10 @@ func (n *Node) fanOut(tx *txStages, links []topo.SwitchID, skip topo.SwitchID, m
 		s := tx.stage(nb)
 		s.bufs = append(s.bufs, b)
 		if credit != nil {
-			if k := len(s.relays); k > 0 && s.relays[k-1].st == credit {
+			if k := len(s.relays); k > 0 && s.relays[k-1].to == credit {
 				s.relays[k-1].n++
 			} else {
-				s.relays = append(s.relays, relayRun{st: credit, n: 1})
+				s.relays = append(s.relays, relayRun{to: credit, n: 1})
 			}
 		}
 		if len(s.bufs) >= maxBurst {
@@ -354,7 +402,7 @@ func (n *Node) flush(tx *txStages) {
 }
 
 // flushStage hands one neighbour's staged frames to the transport as a
-// single burst and empties the stage. Relay frames count as Forwarded only
+// single burst and empties the stage. Relay frames count as forwarded only
 // here, once the transport has accepted the burst: a refused burst (closed
 // or unknown destination) counts as one send failure and forwards nothing.
 func (n *Node) flushStage(what string, s *txStage) {
@@ -364,7 +412,7 @@ func (n *Node) flushStage(what string, s *txStage) {
 		n.sendFailed(what, s.to, err)
 	} else {
 		for _, r := range s.relays {
-			r.st.forwarded.Add(r.n)
+			r.to.Add(r.n)
 		}
 	}
 	clear(s.bufs) // the transport owns the frames now
@@ -425,18 +473,13 @@ func (n *Node) handleData(tx *txStages, buf []byte, f *lsa.Frame) (consumed bool
 	}
 	// The tree fan-out leaves out the arrival link; a contact hop goes where
 	// the FIB points, whichever link the frame came in on.
-	skip := f.From
-	if !e.Entered() {
-		skip = topo.NoSwitch
+	skip := noSkip
+	if e.Entered() {
+		skip[0] = f.From
 	}
 	// Leaf check first: exhausting the hop budget at a switch with nowhere
 	// further to forward is normal termination, not a drop.
-	last := -1
-	for i, nb := range links {
-		if nb != skip {
-			last = i
-		}
-	}
+	last := lastLink(links, skip)
 	if last < 0 {
 		return false
 	}
@@ -445,7 +488,8 @@ func (n *Node) handleData(tx *txStages, buf []byte, f *lsa.Frame) (consumed bool
 		n.recordData(obs.RecDropHops, d.Conn, d.Src, d.Seq, f.From)
 		return false
 	}
-	if err := lsa.PatchDataForward(buf, n.id, d.Hops-1); err != nil {
+	// The decode that verified buf left the checksum state at its trailer.
+	if err := f.BodySum().PatchDataForward(buf, n.id, d.Hops-1); err != nil {
 		return false
 	}
 	// The last link takes the patched frame itself; the others get copies.

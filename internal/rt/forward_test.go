@@ -1,6 +1,9 @@
 package rt
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -140,6 +143,8 @@ func (s *stubTransport) RecvBatch(recycle [][]byte) ([][]byte, error) {
 }
 
 func (s *stubTransport) Release(n int) { s.released.Add(uint64(n)) }
+
+func (s *stubTransport) RxWaits() (parks, lingerHits uint64) { return 0, 0 }
 
 func (s *stubTransport) Close() error {
 	s.once.Do(func() { close(s.closed) })
@@ -453,4 +458,92 @@ func TestFIBTracksControlPlane(t *testing.T) {
 	if e == nil || len(e.Neighbors) != 0 {
 		t.Fatalf("sender entry after leave = %+v, want memberless self-entry", e)
 	}
+}
+
+// TestIncrementalFIBMatchesFullRebuild: a table that carried over the
+// entries of untouched connections is, at every quiescent point, the table
+// a compile from scratch gives — across installs and withdrawals on three
+// connections of three kinds (a receiver-only MC's contact routes included),
+// a partition and heal served by resync replays, and a cold rejoin.
+func TestIncrementalFIBMatchesFullRebuild(t *testing.T) {
+	g, err := topo.Grid(2, 4, 10*time.Microsecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCluster(ClusterConfig{
+		Graph: g, ResyncTimeout: resyncFast,
+		Kinds: map[lsa.ConnID]mctree.Kind{2: mctree.ReceiverOnly, 3: mctree.Asymmetric},
+	}, NewChanFabric(g.NumSwitches()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	check := func(when string) {
+		t.Helper()
+		if err := c.WaitConverged(30 * time.Second); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		for _, n := range c.Nodes() {
+			n.mu.Lock()
+			b := fib.NewBuilder(n.id, n.machine.Unicast().Image())
+			n.machine.ForwardingState(b.Add)
+			want, got := b.Build(), n.fib.Load()
+			n.mu.Unlock()
+			if !reflect.DeepEqual(got.Conns(), want.Conns()) {
+				t.Fatalf("%s: switch %d serves %v, a full rebuild %v", when, n.id, got.Conns(), want.Conns())
+			}
+			for _, conn := range want.Conns() {
+				if g, w := got.Lookup(conn), want.Lookup(conn); !reflect.DeepEqual(g, w) {
+					t.Fatalf("%s: switch %d conn %d\n  serves %+v\n rebuilt %+v", when, n.id, conn, g, w)
+				}
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewSource(23))
+	roles := map[int]mctree.Role{1: mctree.SenderReceiver, 2: mctree.Receiver, 3: mctree.SenderReceiver}
+	joined := map[[2]int]bool{}
+	churn := func(events int, checked bool) {
+		t.Helper()
+		for i := 0; i < events; i++ {
+			sw, conn := rng.Intn(g.NumSwitches()), 1+rng.Intn(3)
+			var err error
+			if k := [2]int{sw, conn}; joined[k] {
+				err = c.Leave(topo.SwitchID(sw), lsa.ConnID(conn))
+				delete(joined, k)
+			} else {
+				err = c.Join(topo.SwitchID(sw), lsa.ConnID(conn), roles[conn])
+				joined[k] = true
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if checked && i%4 == 3 {
+				check(fmt.Sprintf("after event %d", i))
+			}
+		}
+	}
+	churn(40, true)
+
+	if err := c.Partition(gridGroups(2, 4, 2)); err != nil {
+		t.Fatal(err)
+	}
+	churn(8, false) // the sides cannot agree until the heal
+	if err := c.Heal(); err != nil {
+		t.Fatal(err)
+	}
+	check("after the heal")
+
+	if err := c.KillNode(5); err != nil {
+		t.Fatal(err)
+	}
+	for conn := 1; conn <= 3; conn++ {
+		delete(joined, [2]int{5, conn}) // its memberships died with it, as far as it knows
+	}
+	if err := c.RestartNode(5, nil); err != nil {
+		t.Fatal(err)
+	}
+	check("after the cold rejoin")
+	churn(12, true)
 }

@@ -54,6 +54,11 @@ type NodeHealth struct {
 	// rising under load.
 	RxFramesPerBatch float64 `json:"rx_frames_per_batch"`
 	TxFramesPerBurst float64 `json:"tx_frames_per_burst"`
+	// RxParksPerBatch is the share of receive batches the receive loop had
+	// gone to sleep before (0 over a transport that does not count parks):
+	// near 1 every batch pays a wake-up, near 0 the loop is kept runnable by
+	// traffic — and some of the CPU it is charged is yield time.
+	RxParksPerBatch float64 `json:"rx_parks_per_batch"`
 
 	// Flight summarizes the recorder: total records written, plus the most
 	// recent anomaly (drop / resync / reconcile / rejoin) and how long ago
@@ -68,6 +73,7 @@ type NodeHealth struct {
 // briefly (same cost class as Metrics or a /state scrape); never call it
 // from the forward path.
 func (n *Node) Health() NodeHealth {
+	parks, _ := n.RxWaits()
 	h := NodeHealth{
 		Switch:       int(n.id),
 		Epoch:        n.epoch,
@@ -79,6 +85,7 @@ func (n *Node) Health() NodeHealth {
 
 		RxFramesPerBatch: mean(n.batching.rxFrames.Load(), n.batching.rxBatches.Load()),
 		TxFramesPerBurst: mean(n.batching.txFrames.Load(), n.batching.txBursts.Load()),
+		RxParksPerBatch:  mean(parks, n.batching.rxBatches.Load()),
 	}
 
 	n.mu.Lock()

@@ -2,6 +2,7 @@ package rt
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -104,12 +105,14 @@ type Node struct {
 	// mu while holding inMu.
 	mu      sync.Mutex
 	machine *core.Machine
-	// fibDirty marks that the last machine call reported a forwarding
-	// change (Host.ForwardingChanged); guarded by mu. Every machine call
-	// goes through step, which recompiles before releasing mu, so the
-	// swapped table can never lag the control plane by more than the call
-	// that is currently holding the lock.
-	fibDirty bool
+	// fibChanged lists the connections, and fibAll marks the unicast image,
+	// that the current machine call reported a forwarding change for
+	// (Host.ForwardingChanged); guarded by mu. Every machine call goes
+	// through step, which recompiles before releasing mu, so the swapped
+	// table can never lag the control plane by more than the call that is
+	// currently holding the lock.
+	fibChanged []lsa.ConnID
+	fibAll     bool
 
 	// fib is the data plane's forwarding table, recompiled from machine
 	// state on every forwarding change and swapped atomically — the forward
@@ -237,7 +240,7 @@ func NewNode(cfg NodeConfig, tr Transport) (*Node, error) {
 	n.registerFuncs(cfg.Registry)
 	// Compile the initial table before any goroutine can race on it: empty
 	// for a blank boot, the restored trees for a snapshot warm restart.
-	n.recompileFIBLocked()
+	n.recompileFIBLocked(true, nil)
 	n.wg.Add(3)
 	go n.recvLoop()
 	go n.lsaLoop()
@@ -295,9 +298,9 @@ func (n *Node) step(units uint64, fn func(*core.Machine)) {
 	n.busy.Add(1)
 	n.mu.Lock()
 	fn(n.machine)
-	if n.fibDirty {
-		n.fibDirty = false
-		n.recompileFIBLocked()
+	if n.fibAll || len(n.fibChanged) > 0 {
+		n.recompileFIBLocked(n.fibAll, n.fibChanged)
+		n.fibAll, n.fibChanged = false, n.fibChanged[:0]
 	}
 	n.mu.Unlock()
 	n.activity.Add(units)
@@ -405,7 +408,7 @@ func (n *Node) Close() error {
 // the decoded payload for the LSA loop.
 func (n *Node) recvLoop() {
 	defer n.wg.Done()
-	tx := txStages{what: "data relay"}
+	tx := txStages{what: "relay"}
 	var batch [][]byte
 	var err error
 	for {
@@ -453,9 +456,16 @@ type batchCounters struct {
 	_                   [48]byte
 }
 
-// handleFrame processes one received frame, staging any data relay in tx.
-// consumed reports that buf moved into a stage (a relayed data frame's last
-// link) — the caller recycles the buffer only when it is false.
+// RxWaits returns how the receive loop's waits for traffic ended
+// (Transport.RxWaits). Together with the received-batch count they say how
+// much of a CPU figure is the receive loop yielding between bursts instead
+// of sleeping: a park or a linger hit ends each idle spell.
+func (n *Node) RxWaits() (parks, lingerHits uint64) { return n.tr.RxWaits() }
+
+// handleFrame processes one received frame, staging any relay — of a payload
+// frame or of a flood — in tx. consumed reports that buf moved into a stage
+// (a relayed frame's last link) — the caller recycles the buffer only when
+// it is false.
 func (n *Node) handleFrame(tx *txStages, buf []byte) (consumed bool) {
 	var f lsa.Frame
 	if err := lsa.DecodeFrameInto(&f, buf); err != nil {
@@ -478,23 +488,20 @@ func (n *Node) handleFrame(tx *txStages, buf []byte) (consumed bool) {
 			return // duplicate delivery of a flood we already handled
 		}
 		n.obs.framesRecv.Inc()
-		// Store-and-forward: relay to every neighbor except the one that
-		// sent it here, rewriting the link-level From in place. Receivers
-		// suppress the duplicates this simple rule creates in cycles.
-		from := f.From
-		if err := lsa.PatchFrameFrom(buf, n.id); err == nil {
-			for _, nb := range n.neighbors {
-				if nb == from || nb == f.Origin {
-					continue
-				}
-				if err := n.tr.Send(nb, buf); err != nil {
-					n.sendFailed("forward", nb, err)
-				} else {
-					n.obs.floodsFwd.Inc()
-				}
-			}
-		}
+		// The payload is decoded before the relay below may hand buf — which
+		// it aliases — to the last neighbour's stage.
 		mc, nm, err := lsa.Unmarshal(f.Payload)
+		// Store-and-forward: relay to every neighbor except the one that
+		// sent it here and its origin, rewriting the link-level From in the
+		// received buffer from the checksum state its decode left. The last
+		// neighbour takes the buffer itself. Receivers suppress the
+		// duplicates this simple rule creates in cycles. A frame that was
+		// sealed intact is relayed whatever this switch makes of its payload.
+		skip := [2]topo.SwitchID{f.From, f.Origin}
+		if last := lastLink(n.neighbors, skip); last >= 0 && f.BodySum().PatchFrom(buf, n.id) == nil {
+			n.fanOut(tx, n.neighbors, skip, last, buf, n.obs.floodsFwd)
+			consumed = true
+		}
 		if err != nil {
 			n.decodeErrs.Add(1)
 			n.tracef("sw%d: drop LSA from %d: %v", n.id, f.Origin, err)
@@ -523,7 +530,7 @@ func (n *Node) handleFrame(tx *txStages, buf []byte) (consumed bool) {
 	case lsa.FrameData:
 		return n.handleData(tx, buf, &f)
 	}
-	return false
+	return consumed
 }
 
 // SeenOrigins returns the number of flood origins the node's duplicate
@@ -545,6 +552,9 @@ func (n *Node) enqueue(msg any) {
 // batch to the machine, mirroring the simulator's mailbox drain semantics.
 func (n *Node) lsaLoop() {
 	defer n.wg.Done()
+	// spare is the previous batch's array, emptied: it goes back to the
+	// inbox for the receive loop to refill, as the frame queue's arrays do.
+	var spare []any
 	for {
 		n.inMu.Lock()
 		for len(n.inbox) == 0 && !n.inClosed {
@@ -555,7 +565,7 @@ func (n *Node) lsaLoop() {
 			return
 		}
 		batch := n.inbox
-		n.inbox = nil
+		n.inbox = spare
 		n.busy.Add(1) // before releasing inMu, so idle() can't see a gap
 		n.inMu.Unlock()
 
@@ -569,6 +579,8 @@ func (n *Node) lsaLoop() {
 			n.obs.batchDur.Observe(time.Since(start).Seconds())
 			n.obs.batches.Inc()
 		}
+		clear(batch) // the machine keeps the messages it wants, never the batch
+		spare = batch[:0]
 		n.busy.Add(-1)
 	}
 }
@@ -623,7 +635,7 @@ func (n *Node) flood(appendPayload func([]byte) []byte) {
 	}, appendPayload)
 	n.obs.floodsOrig.Inc()
 	// The last neighbor takes buf itself; with none it is still ours.
-	n.fanOut(&n.floodTx, n.neighbors, topo.NoSwitch, len(n.neighbors)-1, buf, nil)
+	n.fanOut(&n.floodTx, n.neighbors, noSkip, len(n.neighbors)-1, buf, nil)
 	n.flush(&n.floodTx)
 	if len(n.neighbors) == 0 {
 		putBuf(buf)
@@ -751,11 +763,19 @@ func (n *Node) SelfNudge(conn lsa.ConnID) {
 // NoteInstall implements core.Host.
 func (n *Node) NoteInstall() { n.installs.Add(1) }
 
-// ForwardingChanged implements core.Host: mark the FIB stale. The machine
-// calls this mid-mutation (mu held by the step driving it), so the actual
-// recompile is deferred to the end of that step — one table swap per batch
-// however many installs the batch performed.
-func (n *Node) ForwardingChanged(lsa.ConnID) { n.fibDirty = true }
+// ForwardingChanged implements core.Host: mark conn's FIB entry — with
+// lsa.AllConns, which reports an image change, every entry — stale. The
+// machine calls this mid-mutation (mu held by the step driving it), so the
+// actual recompile is deferred to the end of that step — one table swap per
+// batch however many installs the batch performed.
+func (n *Node) ForwardingChanged(conn lsa.ConnID) {
+	switch {
+	case conn == lsa.AllConns:
+		n.fibAll = true
+	case !slices.Contains(n.fibChanged, conn):
+		n.fibChanged = append(n.fibChanged, conn)
+	}
+}
 
 // Trace implements core.Host. Entries are stamped with wall-clock
 // nanoseconds since the Unix epoch so spans collected from different nodes

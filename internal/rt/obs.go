@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"dgmc/internal/core"
-	"dgmc/internal/fib"
 	"dgmc/internal/lsa"
 	"dgmc/internal/obs"
 )
@@ -186,6 +185,14 @@ func (n *Node) registerFuncs(reg *obs.Registry) {
 	reg.CounterFunc("dgmc_frame_decode_errors_total", func() float64 {
 		return float64(n.live().DecodeErrors())
 	}, sw)
+	reg.CounterFunc("dgmc_rx_parks_total", func() float64 {
+		parks, _ := n.live().RxWaits()
+		return float64(parks)
+	}, sw)
+	reg.CounterFunc("dgmc_rx_linger_hits_total", func() float64 {
+		_, hits := n.live().RxWaits()
+		return float64(hits)
+	}, sw)
 	for _, fs := range forwardSeries {
 		reg.CounterFunc(fs.node, func() float64 {
 			return float64(fs.pick(n.live().ForwardStats()))
@@ -206,25 +213,15 @@ func (n *Node) registerFuncs(reg *obs.Registry) {
 	}
 }
 
-// registerConnSeries exports per-connection delivery series for every
-// connection in the freshly compiled table: sent/forwarded/delivered plus
-// the four-way drop taxonomy, each reading the connection's counter stripe
-// at scrape time, and a per-connection FIB fan-out gauge. Called from
-// recompileFIBLocked — the control path, never per packet — and idempotent
-// by registry dedup, so churning connections re-register for free. Stripe
-// accuracy: conns map onto 64 stripes, so two connections 64 apart share a
-// series' backing counters (exact below that).
-func (n *Node) registerConnSeries(t *fib.Table) {
-	if n.obs.reg == nil {
-		return
-	}
-	for _, conn := range t.Conns() {
-		n.obs.connForwardSeries(n, conn)
-	}
-}
-
-// connForwardSeries registers the per-connection data-plane series (scrape
-// closures follow the succession chain like every func instrument).
+// connForwardSeries exports per-connection delivery series for conn:
+// sent/forwarded/delivered plus the four-way drop taxonomy, each reading the
+// connection's counter stripe at scrape time, and a per-connection FIB
+// fan-out gauge (scrape closures follow the succession chain like every func
+// instrument). Called from recompileFIBLocked for each connection compiled —
+// the control path, never per packet — and idempotent by registry dedup, so
+// churning connections re-register for free. Stripe accuracy: conns map onto
+// 64 stripes, so two connections 64 apart share a series' backing counters
+// (exact below that).
 func (o *nodeObs) connForwardSeries(n *Node, conn lsa.ConnID) {
 	cl := obs.L("conn", strconv.Itoa(int(conn)))
 	for _, fs := range forwardSeries {

@@ -334,7 +334,10 @@ func TestDataSeriesMatchAccessors(t *testing.T) {
 		for _, n := range c.Nodes() {
 			sw := " switch=" + strconv.Itoa(int(n.ID()))
 			s := n.ForwardStats()
+			parks, lingerHits := n.RxWaits()
 			for key, want := range map[string]uint64{
+				"dgmc_rx_parks_total" + sw:                           parks,
+				"dgmc_rx_linger_hits_total" + sw:                     lingerHits,
 				"dgmc_data_frames_originated_total" + sw:             s.Originated,
 				"dgmc_data_frames_forwarded_total" + sw:              s.Forwarded,
 				"dgmc_data_delivered_total" + sw:                     s.Delivered,
@@ -361,6 +364,12 @@ func TestDataSeriesMatchAccessors(t *testing.T) {
 			if b.txFrames.Load() < s.Forwarded || h.RxFramesPerBatch < 1 || (b.txBursts.Load() > 0 && h.TxFramesPerBurst < 1) {
 				t.Errorf("%s: switch %d flushed %d frames for %d forwarded; %.2f frames/batch, %.2f frames/burst",
 					when, n.ID(), b.txFrames.Load(), s.Forwarded, h.RxFramesPerBatch, h.TxFramesPerBurst)
+			}
+			// A wait ends in one park or one linger hit, never both, and a
+			// batch follows each — but for the park the idle loop is in now.
+			if batches := b.rxBatches.Load(); parks == 0 || parks+lingerHits > batches+1 || h.RxParksPerBatch <= 0 {
+				t.Errorf("%s: switch %d parked %d times and lingered into %d frames over %d batches (%.2f parks/batch)",
+					when, n.ID(), parks, lingerHits, batches, h.RxParksPerBatch)
 			}
 		}
 	}

@@ -65,6 +65,12 @@ type Transport interface {
 	// made it stage: what a frame caused is counted before the frame stops
 	// being counted.
 	Release(n int)
+	// RxWaits counts how the receiver's waits on an empty queue have ended:
+	// in a park (it went to sleep, and the next frame paid for its wake-up)
+	// or in a linger hit (a frame arrived while it was still yielding; see
+	// frameQueue.popAll). A transport whose receiver waits in the kernel
+	// (UDP) counts neither.
+	RxWaits() (parks, lingerHits uint64)
 	// Close detaches from the fabric and unblocks blocked receivers.
 	Close() error
 }

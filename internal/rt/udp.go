@@ -119,6 +119,9 @@ func (t *UDPTransport) RecvBatch(recycle [][]byte) ([][]byte, error) {
 // sockets, so there is nothing to settle.
 func (t *UDPTransport) Release(int) {}
 
+// RxWaits reports nothing: the receiver waits in the kernel, uncounted.
+func (t *UDPTransport) RxWaits() (parks, lingerHits uint64) { return 0, 0 }
+
 // Close implements Transport.
 func (t *UDPTransport) Close() error {
 	t.closed.Store(true)

@@ -10,7 +10,7 @@ package topo
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -137,7 +137,7 @@ func (g *Graph) Neighbors(s SwitchID) []SwitchID {
 		}
 		out = append(out, g.links[idx].Other(s))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -205,18 +205,22 @@ func (g *Graph) Connected() bool {
 }
 
 // Component returns the set of switches reachable from start over up links,
-// including start itself, in BFS discovery order.
+// including start itself, in BFS discovery order (a switch's links are
+// followed in the order they were added, not by neighbor ID).
 func (g *Graph) Component(start SwitchID) []SwitchID {
 	if start < 0 || int(start) >= g.n {
 		return nil
 	}
 	seen := make([]bool, g.n)
 	seen[start] = true
-	order := []SwitchID{start}
+	order := append(make([]SwitchID, 0, g.n), start)
 	for qi := 0; qi < len(order); qi++ {
 		s := order[qi]
-		for _, nb := range g.Neighbors(s) {
-			if !seen[nb] {
+		for _, idx := range g.adj[s] {
+			if g.links[idx].Down {
+				continue
+			}
+			if nb := g.links[idx].Other(s); !seen[nb] {
 				seen[nb] = true
 				order = append(order, nb)
 			}
