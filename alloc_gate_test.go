@@ -8,6 +8,7 @@
 package dgmc_test
 
 import (
+	"fmt"
 	"runtime"
 	"runtime/debug"
 	"sync/atomic"
@@ -53,6 +54,42 @@ func TestAllocGateMachineStep(t *testing.T) {
 		m.HandleLocalEvent(nil, join)
 		m.HandleLocalEvent(nil, leave)
 	})
+}
+
+// TestAllocGateTopoCompute bounds the proposal path's allocations to what it
+// returns: SPH.Compute allocates the tree and the doublings of its edge slice
+// — its working sets live in the pooled kernel scratch — and Tree.Validate
+// nothing at all.
+func TestAllocGateTopoCompute(t *testing.T) {
+	for _, n := range []int{16, 64} {
+		g, err := topo.Waxman(topo.DefaultGenConfig(n, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		members := mctree.Members{}
+		for s := 0; len(members) < 6; s += 5 {
+			members[topo.SwitchID(s%n)] = mctree.SenderReceiver
+		}
+		tree, err := (route.SPH{}).Compute(g, mctree.Symmetric, members)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One Tree, and an edge slice grown by doubling from 1 past NumEdges.
+		budget := 1.0
+		for c := 1; c < 2*tree.NumEdges(); c *= 2 {
+			budget++
+		}
+		gate(t, fmt.Sprintf("route.SPH.Compute (n=%d, %d edges)", n, tree.NumEdges()), budget, func() {
+			if _, err := (route.SPH{}).Compute(g, mctree.Symmetric, members); err != nil {
+				t.Fatal(err)
+			}
+		})
+		gate(t, fmt.Sprintf("mctree.Tree.Validate (n=%d)", n), 0, func() {
+			if err := tree.Validate(g, members); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }
 
 // TestAllocGateEventLog pins what keeping the replay log costs once it has

@@ -468,7 +468,7 @@ func (m *Machine) beginEstimate(cs *connState) bool {
 	}
 	m.metrics.ReoptChecks++
 	m.metrics.Computations++
-	m.computing[EventHandler] = computation{site: siteEstimate, conn: cs.id, members: m.filterReachable(cs.members)}
+	m.computing[EventHandler] = computation{site: siteEstimate, conn: cs.id, members: m.filterReachable(cs.members.Clone())}
 	return true
 }
 
@@ -829,22 +829,33 @@ func (m *Machine) acceptCandidate(cs *connState, candidate *mctree.Tree, at stam
 // failures are excluded from topology computations so the reachable part
 // of the network still converges on a serviceable tree — each partition
 // proceeds with the members it can see (full partition *recovery* remains
-// out of scope, as in the paper §6).
+// out of scope, as in the paper §6). With nobody cut off — the network as
+// it nearly always is — the result is members itself, not a copy.
 func (m *Machine) filterReachable(members mctree.Members) mctree.Members {
-	out := make(mctree.Members, len(members))
+	sc := topo.AcquireSSSP()
+	defer topo.ReleaseSSSP(sc)
 	var reach []bool // by switch ID; built for the first member that is not this switch
-	for mem, role := range members {
+	reachable := func(mem topo.SwitchID) bool {
 		if mem == m.id {
-			out[mem] = role
-			continue
+			return true
 		}
 		if reach == nil {
-			reach = make([]bool, m.n)
-			for _, r := range m.uni.Image().Component(m.id) {
-				reach[r] = true
-			}
+			reach = m.uni.Image().Reach(sc, m.id)
 		}
-		if mem >= 0 && int(mem) < len(reach) && reach[mem] {
+		return mem >= 0 && int(mem) < len(reach) && reach[mem]
+	}
+	cut := 0
+	for mem := range members {
+		if !reachable(mem) {
+			cut++
+		}
+	}
+	if cut == 0 {
+		return members
+	}
+	out := make(mctree.Members, len(members)-cut)
+	for mem, role := range members {
+		if reachable(mem) {
 			out[mem] = role
 		}
 	}

@@ -92,12 +92,18 @@ func (m Members) Clone() Members {
 
 // IDs returns the member switch IDs in ascending order.
 func (m Members) IDs() []topo.SwitchID {
-	out := make([]topo.SwitchID, 0, len(m))
+	return m.AppendIDs(make([]topo.SwitchID, 0, len(m)))
+}
+
+// AppendIDs appends the member switch IDs to buf in ascending order: IDs
+// into the caller's buffer.
+func (m Members) AppendIDs(buf []topo.SwitchID) []topo.SwitchID {
+	at := len(buf)
 	for s := range m {
-		out = append(out, s)
+		buf = append(buf, s)
 	}
-	slices.Sort(out)
-	return out
+	slices.Sort(buf[at:])
+	return buf
 }
 
 // Receivers returns member IDs with a receiving role, ascending.
@@ -181,6 +187,10 @@ func (t *Tree) Clone() *Tree {
 
 // NumEdges returns the number of edges.
 func (t *Tree) NumEdges() int { return len(t.edges) }
+
+// Edge returns the i-th edge in canonical order, 0 ≤ i < NumEdges: the
+// edge set without Edges' copy.
+func (t *Tree) Edge(i int) Edge { return t.edges[i] }
 
 // Edges returns a copy of the edge set in canonical order.
 func (t *Tree) Edges() []Edge {
@@ -334,35 +344,63 @@ func (t *Tree) Validate(g *topo.Graph, members Members) error {
 			return fmt.Errorf("mctree: edge (%d,%d) uses a failed link", e.A, e.B)
 		}
 	}
-	nodes := t.Nodes()
-	if len(t.edges) != len(nodes)-1 {
-		return fmt.Errorf("mctree: %d edges over %d nodes (cycle or forest)", len(t.edges), len(nodes))
+	// Every endpoint is now known to be a switch of g, so the rest runs on
+	// flat scratch indexed by switch ID: the tree's node set as marks, and a
+	// union-find forest over it in place of an adjacency map and a BFS.
+	sc := topo.AcquireSSSP()
+	defer topo.ReleaseSSSP(sc)
+	n := g.NumSwitches()
+	on := sc.Marks(n)
+	if cap(sc.IDs) < n {
+		sc.IDs = make([]topo.SwitchID, n)
 	}
-	// Connectivity over tree edges.
-	adj := make(map[topo.SwitchID][]topo.SwitchID, len(nodes))
+	parent := sc.IDs[:n] // meaningful only where on[s]
+	nodes := 0
 	for _, e := range t.edges {
-		adj[e.A] = append(adj[e.A], e.B)
-		adj[e.B] = append(adj[e.B], e.A)
-	}
-	seen := map[topo.SwitchID]bool{nodes[0]: true}
-	queue := []topo.SwitchID{nodes[0]}
-	for qi := 0; qi < len(queue); qi++ {
-		for _, nb := range adj[queue[qi]] {
-			if !seen[nb] {
-				seen[nb] = true
-				queue = append(queue, nb)
+		for _, s := range [2]topo.SwitchID{e.A, e.B} {
+			if !on[s] {
+				on[s], parent[s] = true, s
+				nodes++
 			}
 		}
 	}
-	if len(seen) != len(nodes) {
-		return fmt.Errorf("mctree: tree is disconnected (%d of %d nodes reachable)", len(seen), len(nodes))
+	if len(t.edges) != nodes-1 {
+		return fmt.Errorf("mctree: %d edges over %d nodes (cycle or forest)", len(t.edges), nodes)
 	}
+	find := func(s topo.SwitchID) topo.SwitchID {
+		for parent[s] != s {
+			parent[s] = parent[parent[s]]
+			s = parent[s]
+		}
+		return s
+	}
+	// nodes-1 edges connect nodes switches exactly when none closes a cycle.
+	connected := true
+	for _, e := range t.edges {
+		if a, b := find(e.A), find(e.B); a != b {
+			parent[a] = b
+		} else {
+			connected = false
+		}
+	}
+	if !connected {
+		// What a search from the lowest-numbered node — the first edge's A,
+		// edges being sorted — would have reached.
+		first, reached := find(t.edges[0].A), 0
+		for s := range on {
+			if on[s] && find(topo.SwitchID(s)) == first {
+				reached++
+			}
+		}
+		return fmt.Errorf("mctree: tree is disconnected (%d of %d nodes reachable)", reached, nodes)
+	}
+	onTree := func(s topo.SwitchID) bool { return s >= 0 && int(s) < n && on[s] }
 	for s := range members {
-		if !seen[s] {
+		if !onTree(s) {
 			return fmt.Errorf("mctree: member %d not on tree", s)
 		}
 	}
-	if t.Kind == Asymmetric && t.Root != topo.NoSwitch && !seen[t.Root] {
+	if t.Kind == Asymmetric && t.Root != topo.NoSwitch && !onTree(t.Root) {
 		return fmt.Errorf("mctree: root %d not on tree", t.Root)
 	}
 	return nil

@@ -3,6 +3,7 @@ package route
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"dgmc/internal/mctree"
@@ -42,7 +43,7 @@ func (a DelayBounded) Compute(g *topo.Graph, kind mctree.Kind, members mctree.Me
 	if a.Bound <= 0 {
 		return nil, fmt.Errorf("route: non-positive delay bound %v", a.Bound)
 	}
-	span, root, err := anchor(kind, members)
+	span, root, err := anchor(kind, members, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -54,31 +55,21 @@ func (a DelayBounded) Compute(g *topo.Graph, kind mctree.Kind, members mctree.Me
 		return t, nil
 	}
 	rootSPT := g.ShortestPaths(root)
-	onTree := map[topo.SwitchID]bool{root: true}
-	remaining := make(map[topo.SwitchID]bool, len(span))
-	for _, s := range span {
-		if s != root {
-			remaining[s] = true
-		}
-	}
+	sc := topo.AcquireSSSP()
+	defer topo.ReleaseSSSP(sc)
+	onTree := sc.Marks(g.NumSwitches())
+	onTree[root] = true
+	remaining := without(slices.Clone(span), slices.Index(span, root))
 	// delay[s] is the current tree delay from the root to on-tree switch s.
 	delay := map[topo.SwitchID]time.Duration{root: 0}
 
-	sc := topo.AcquireSSSP()
-	defer topo.ReleaseSSSP(sc)
 	for len(remaining) > 0 {
 		dist, pred := nearestToTree(g, onTree, sc)
-		best := topo.NoSwitch
-		bestD := inf
-		for s := range remaining {
-			if dist[s] < bestD || (dist[s] == bestD && s < best) {
-				bestD = dist[s]
-				best = s
-			}
+		at := nearest(remaining, dist)
+		if at < 0 {
+			return nil, unreachable(remaining)
 		}
-		if best == topo.NoSwitch || bestD == inf {
-			return nil, fmt.Errorf("%w: %v", ErrUnreachable, keys(remaining))
-		}
+		best, bestD := remaining[at], dist[remaining[at]]
 		// Where would the graft attach, and what root delay would result?
 		attach := best
 		for !onTree[attach] {
@@ -112,7 +103,7 @@ func (a DelayBounded) Compute(g *topo.Graph, kind mctree.Kind, members mctree.Me
 				}
 			}
 		}
-		delete(remaining, best)
+		remaining = without(remaining, at)
 	}
 	// Direct-path attachment can close cycles with earlier grafts; rebuild
 	// a clean subtree if so, preferring low-delay paths.
@@ -141,7 +132,7 @@ func (a DelayBounded) Compute(g *topo.Graph, kind mctree.Kind, members mctree.Me
 
 // graftWithDelays grafts the path to target and records root delays of the
 // new on-tree switches.
-func (a DelayBounded) graftWithDelays(g *topo.Graph, t *mctree.Tree, onTree map[topo.SwitchID]bool,
+func (a DelayBounded) graftWithDelays(g *topo.Graph, t *mctree.Tree, onTree []bool,
 	delay map[topo.SwitchID]time.Duration, pred []topo.SwitchID, target topo.SwitchID) {
 	// Collect the path back to the tree, then walk it forward.
 	var rev []topo.SwitchID

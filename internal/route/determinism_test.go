@@ -110,46 +110,6 @@ func refShortestPaths(g *topo.Graph, src topo.SwitchID) *topo.SPT {
 	return t
 }
 
-// refSPHCompute is SPH.Compute with the reference scan substituted in.
-func refSPHCompute(g *topo.Graph, kind mctree.Kind, members mctree.Members) (*mctree.Tree, error) {
-	span, root, err := anchor(kind, members)
-	if err != nil {
-		return nil, err
-	}
-	t := mctree.NewWithRoot(kind, root)
-	if len(span) <= 1 {
-		return t, nil
-	}
-	start := root
-	if start == topo.NoSwitch {
-		start = span[0]
-	}
-	onTree := map[topo.SwitchID]bool{start: true}
-	remaining := make(map[topo.SwitchID]bool, len(span))
-	for _, s := range span {
-		if s != start {
-			remaining[s] = true
-		}
-	}
-	for len(remaining) > 0 {
-		dist, pred := refNearestToTree(g, onTree)
-		best := topo.NoSwitch
-		bestD := inf
-		for s := range remaining {
-			if dist[s] < bestD || (dist[s] == bestD && s < best) {
-				bestD = dist[s]
-				best = s
-			}
-		}
-		if best == topo.NoSwitch || bestD == inf {
-			return nil, ErrUnreachable
-		}
-		graft(t, onTree, pred, best)
-		delete(remaining, best)
-	}
-	return t, nil
-}
-
 // degradedCopy clones g and deterministically fails every fifth link, so the
 // comparison also covers Down handling and unreachable switches.
 func degradedCopy(t *testing.T, g *topo.Graph) *topo.Graph {
@@ -191,7 +151,11 @@ func TestKernelMatchesLinearScanReference(t *testing.T) {
 					{topo.SwitchID(n / 2): true, topo.SwitchID(n - 1): true},
 					{1: true, topo.SwitchID(n / 3): true, topo.SwitchID(2 * n / 3): true},
 				} {
-					gotD, gotP := nearestToTree(g, onTree, sc)
+					flat := make([]bool, n)
+					for s := range onTree {
+						flat[s] = true
+					}
+					gotD, gotP := nearestToTree(g, flat, sc)
 					wantD, wantP := refNearestToTree(g, onTree)
 					for i := 0; i < n; i++ {
 						if gotD[i] != wantD[i] || gotP[i] != wantP[i] {
@@ -207,7 +171,7 @@ func TestKernelMatchesLinearScanReference(t *testing.T) {
 					members[topo.SwitchID(s)] = mctree.SenderReceiver
 				}
 				gotT, gotErr := (SPH{}).Compute(g, mctree.Symmetric, members)
-				wantT, wantErr := refSPHCompute(g, mctree.Symmetric, members)
+				wantT, wantErr := refSPHCompute(g, mctree.Symmetric, members, refNearestToTree)
 				if (gotErr == nil) != (wantErr == nil) {
 					t.Fatalf("n=%d seed=%d: kernel err %v, reference err %v", n, seed, gotErr, wantErr)
 				}

@@ -9,7 +9,7 @@ package route
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"dgmc/internal/mctree"
@@ -55,48 +55,84 @@ var (
 	_ Algorithm = (*Incremental)(nil)
 )
 
-// anchor picks the switches a tree must span for the given kind, plus the
-// root annotation. For asymmetric MCs the tree is rooted at the
-// lowest-numbered sender and spans all receivers (and remaining senders, so
-// they stay attached for management traffic as ATM UNI does with its
-// root-initiated joins).
-func anchor(kind mctree.Kind, members mctree.Members) (span []topo.SwitchID, root topo.SwitchID, err error) {
+// anchor picks the switches a tree must span for the given kind — appended
+// to buf in ascending order — plus the root annotation. For asymmetric MCs
+// the tree is rooted at the lowest-numbered sender and spans all receivers
+// (and remaining senders, so they stay attached for management traffic as
+// ATM UNI does with its root-initiated joins).
+func anchor(kind mctree.Kind, members mctree.Members, buf []topo.SwitchID) (span []topo.SwitchID, root topo.SwitchID, err error) {
+	root = topo.NoSwitch
 	switch kind {
 	case mctree.Asymmetric:
-		senders := members.Senders()
-		if len(senders) == 0 {
-			if len(members) <= 1 {
-				return members.IDs(), topo.NoSwitch, nil
+		for s, r := range members {
+			if r.CanSend() && (root == topo.NoSwitch || s < root) {
+				root = s
 			}
+		}
+		if root == topo.NoSwitch && len(members) > 1 {
 			return nil, topo.NoSwitch, ErrNoSource
 		}
-		return members.IDs(), senders[0], nil
 	case mctree.Symmetric, mctree.ReceiverOnly:
-		return members.IDs(), topo.NoSwitch, nil
 	default:
 		return nil, topo.NoSwitch, fmt.Errorf("route: invalid MC kind %d", kind)
 	}
+	return members.AppendIDs(buf), root, nil
 }
 
 const inf = topo.Unreachable
 
+// The SPH-style attachment loops keep their working sets flat, in the
+// scratch they rent for the kernel: the switches on the tree so far as a
+// []bool by switch ID (SSSPScratch.Marks), the members still to attach as a
+// slice. Nothing here ranges over a map, so nothing depends on map order —
+// and nothing allocates per computation but the tree itself.
+
 // nearestToTree runs a deterministic multi-source Dijkstra from the tree's
 // node set and returns, for every switch, the delay to the tree and the
 // predecessor toward it. The returned slices alias sc and stay valid until
-// sc's next use; sc lets the SPH-style attachment loops reuse one scratch
-// across their O(members) Dijkstra runs without allocating.
-func nearestToTree(g *topo.Graph, onTree map[topo.SwitchID]bool, sc *topo.SSSPScratch) (dist []time.Duration, pred []topo.SwitchID) {
+// sc's next use; sc lets the attachment loops reuse one scratch across their
+// O(members) Dijkstra runs without allocating. Seeding order is irrelevant
+// by the kernel's contract.
+func nearestToTree(g *topo.Graph, onTree []bool, sc *topo.SSSPScratch) (dist []time.Duration, pred []topo.SwitchID) {
 	sc.Reset(g.NumSwitches())
-	for s := range onTree {
-		sc.Seed(s)
+	for s, on := range onTree {
+		if on {
+			sc.Seed(topo.SwitchID(s))
+		}
 	}
 	g.RunSSSP(sc, 0)
 	return sc.Dist, sc.Pred
 }
 
+// nearest returns the index in remaining of the member closest to the tree,
+// ties to the lowest ID, or -1 when none of them is reachable.
+func nearest(remaining []topo.SwitchID, dist []time.Duration) int {
+	at, best, bestD := -1, topo.NoSwitch, inf
+	for i, s := range remaining {
+		if dist[s] < bestD || (dist[s] == bestD && s < best) {
+			at, best, bestD = i, s, dist[s]
+		}
+	}
+	return at
+}
+
+// unreachable is the error for members no path attaches, listed ascending.
+func unreachable(remaining []topo.SwitchID) error {
+	rest := slices.Clone(remaining)
+	slices.Sort(rest)
+	return fmt.Errorf("%w: %v", ErrUnreachable, rest)
+}
+
+// without removes remaining[at]; the order of the rest is not kept.
+func without(remaining []topo.SwitchID, at int) []topo.SwitchID {
+	last := len(remaining) - 1
+	remaining[at] = remaining[last]
+	return remaining[:last]
+}
+
 // graft adds the shortest path from target back to the tree (following
 // pred) into t and marks the new nodes in onTree.
-func graft(t *mctree.Tree, onTree map[topo.SwitchID]bool, pred []topo.SwitchID, target topo.SwitchID) {
+func graft(t *mctree.Tree, onTree []bool, pred []topo.SwitchID, target topo.SwitchID) {
 	for s := target; !onTree[s]; s = pred[s] {
 		p := pred[s]
 		if p == topo.NoSwitch {
@@ -118,10 +154,13 @@ func (SPH) Name() string { return "sph" }
 
 // Compute implements Algorithm.
 func (SPH) Compute(g *topo.Graph, kind mctree.Kind, members mctree.Members) (*mctree.Tree, error) {
-	span, root, err := anchor(kind, members)
+	sc := topo.AcquireSSSP()
+	defer topo.ReleaseSSSP(sc)
+	span, root, err := anchor(kind, members, sc.IDs[:0])
 	if err != nil {
 		return nil, err
 	}
+	sc.IDs = span[:0] // keep what anchor grew
 	t := mctree.NewWithRoot(kind, root)
 	if len(span) <= 1 {
 		return t, nil
@@ -130,31 +169,17 @@ func (SPH) Compute(g *topo.Graph, kind mctree.Kind, members mctree.Members) (*mc
 	if start == topo.NoSwitch {
 		start = span[0]
 	}
-	onTree := map[topo.SwitchID]bool{start: true}
-	remaining := make(map[topo.SwitchID]bool, len(span))
-	for _, s := range span {
-		if s != start {
-			remaining[s] = true
-		}
-	}
-	sc := topo.AcquireSSSP()
-	defer topo.ReleaseSSSP(sc)
+	onTree := sc.Marks(g.NumSwitches())
+	onTree[start] = true
+	remaining := without(span, slices.Index(span, start))
 	for len(remaining) > 0 {
 		dist, pred := nearestToTree(g, onTree, sc)
-		// Pick the closest remaining member; ties by lowest ID.
-		best := topo.NoSwitch
-		bestD := inf
-		for s := range remaining {
-			if dist[s] < bestD || (dist[s] == bestD && s < best) {
-				bestD = dist[s]
-				best = s
-			}
+		at := nearest(remaining, dist)
+		if at < 0 {
+			return nil, unreachable(remaining)
 		}
-		if best == topo.NoSwitch || bestD == inf {
-			return nil, fmt.Errorf("%w: %v", ErrUnreachable, keys(remaining))
-		}
-		graft(t, onTree, pred, best)
-		delete(remaining, best)
+		graft(t, onTree, pred, remaining[at])
+		remaining = without(remaining, at)
 	}
 	return t, nil
 }
@@ -163,15 +188,6 @@ func (SPH) Compute(g *topo.Graph, kind mctree.Kind, members mctree.Members) (*mc
 // to wrap SPH with cheap per-event updates.
 func (a SPH) Update(g *topo.Graph, kind mctree.Kind, members mctree.Members, _ *mctree.Tree, _ *Change) (*mctree.Tree, error) {
 	return a.Compute(g, kind, members)
-}
-
-func keys(m map[topo.SwitchID]bool) []topo.SwitchID {
-	out := make([]topo.SwitchID, 0, len(m))
-	for s := range m {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // KMB is the Kou–Markowsky–Berman Steiner heuristic: build the complete
@@ -186,7 +202,7 @@ func (KMB) Name() string { return "kmb" }
 
 // Compute implements Algorithm.
 func (KMB) Compute(g *topo.Graph, kind mctree.Kind, members mctree.Members) (*mctree.Tree, error) {
-	span, root, err := anchor(kind, members)
+	span, root, err := anchor(kind, members, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -300,7 +316,7 @@ func (SPT) Name() string { return "spt" }
 
 // Compute implements Algorithm.
 func (SPT) Compute(g *topo.Graph, kind mctree.Kind, members mctree.Members) (*mctree.Tree, error) {
-	span, root, err := anchor(kind, members)
+	span, root, err := anchor(kind, members, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -387,7 +403,7 @@ func (c *CoreBased) SelectCore(g *topo.Graph, members mctree.Members) (topo.Swit
 
 // Compute implements Algorithm.
 func (c *CoreBased) Compute(g *topo.Graph, kind mctree.Kind, members mctree.Members) (*mctree.Tree, error) {
-	span, _, err := anchor(kind, members)
+	span, _, err := anchor(kind, members, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -449,7 +465,7 @@ func (a *Incremental) Update(g *topo.Graph, kind mctree.Kind, members mctree.Mem
 	if prev == nil || delta == nil {
 		return a.Base.Compute(g, kind, members)
 	}
-	span, root, err := anchor(kind, members)
+	span, root, err := anchor(kind, members, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -468,11 +484,14 @@ func (a *Incremental) Update(g *topo.Graph, kind mctree.Kind, members mctree.Mem
 }
 
 func (a *Incremental) graftJoin(g *topo.Graph, t *mctree.Tree, span []topo.SwitchID, joined topo.SwitchID) (*mctree.Tree, error) {
-	onTree := map[topo.SwitchID]bool{}
-	for _, s := range t.Nodes() {
-		onTree[s] = true
+	sc := topo.AcquireSSSP()
+	defer topo.ReleaseSSSP(sc)
+	onTree := sc.Marks(g.NumSwitches())
+	for i := 0; i < t.NumEdges(); i++ {
+		e := t.Edge(i)
+		onTree[e.A], onTree[e.B] = true, true
 	}
-	if len(onTree) == 0 {
+	if t.NumEdges() == 0 {
 		// Previous tree was a singleton (no edges); seed it with the other
 		// members so the graft has a target.
 		for _, s := range span {
@@ -484,8 +503,6 @@ func (a *Incremental) graftJoin(g *topo.Graph, t *mctree.Tree, span []topo.Switc
 	if onTree[joined] {
 		return t, nil // already spanned as a relay
 	}
-	sc := topo.AcquireSSSP()
-	defer topo.ReleaseSSSP(sc)
 	dist, pred := nearestToTree(g, onTree, sc)
 	if dist[joined] == inf {
 		return nil, fmt.Errorf("%w: %d", ErrUnreachable, joined)

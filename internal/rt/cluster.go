@@ -337,10 +337,8 @@ func (c *Cluster) aliveNode(sw topo.SwitchID) *Node {
 	return c.nodes[sw]
 }
 
-// activity sums the live nodes' work counters.
-func (c *Cluster) activity() uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+// activityLocked sums the live nodes' work counters; c.mu is held.
+func (c *Cluster) activityLocked() uint64 {
 	var sum uint64
 	for _, n := range c.nodes {
 		if n != nil {
@@ -350,40 +348,93 @@ func (c *Cluster) activity() uint64 {
 	return sum
 }
 
-// quiet reports whether every live node is idle and (when countable) no
-// frames are in flight.
-func (c *Cluster) quiet() bool {
+// quiescent reports whether nothing is pending anywhere in the cluster, and
+// the activity count it saw that at. It reads activity, scans every live
+// node's idle() and the fabric's in-flight count, and reads activity again —
+// all atomic loads under the cluster's read lock, no node or queue lock.
+//
+// Why a quiet scan between two equal activity readings is exact: every unit
+// of pending work is covered, from before it exists until after everything
+// it caused is covered itself, by a count the scan reads — a frame by the
+// fabric's sent/done, an injected event by pendingEvents, an inbox entry by
+// inDepth and then by busy (raised first, read last), a running step or batch
+// by busy — and every cover but the inbox's hand-over drops only after
+// activity was bumped. Equal readings mean no bump in between, so no cover
+// that was up at the first reading came down before the second except that
+// hand-over, which idle's read order sees through: whatever was pending at
+// the first reading is still covered when the scan passes over it. A scan
+// that finds nothing therefore had nothing to find. Armed resync timers are
+// future events, not pending work: they fire into no-ops on a converged
+// network, and counting them would make every wait as long as the timeout.
+//
+// Over UDP, datagrams in flight are invisible and only the idle half holds.
+func (c *Cluster) quiescent() (act uint64, ok bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
+	act = c.activityLocked()
 	for _, n := range c.nodes {
 		if n != nil && !n.idle() {
-			return false
+			return act, false
 		}
 	}
-	return c.chanFab == nil || c.chanFab.InFlight() == 0
+	if c.chanFab != nil && c.chanFab.InFlight() != 0 {
+		return act, false
+	}
+	return act, c.activityLocked() == act
 }
 
-// Settle blocks until the cluster has been quiescent — every node idle, no
-// countable frames in flight, and no work completed anywhere — for idleFor,
-// or errors after timeout. Over UDP, in-flight datagrams are invisible, so
-// idleFor must comfortably exceed the fabric's delivery latency (loopback:
-// sub-millisecond; the defaults used by tests are far above it).
+// poll paces a quiescence wait: every 20 µs for the first 2 ms — a burst on
+// an in-process fabric is agreed within that, and the wait should end when
+// it is — then doubling up to 2 ms, which is what waiting out a resync
+// timeout or a soak's drain should cost.
+type poll struct {
+	start time.Time
+	every time.Duration
+}
+
+func (p *poll) wait() {
+	const fine, coarse = 20 * time.Microsecond, 2 * time.Millisecond
+	if p.every == 0 {
+		p.start, p.every = time.Now(), fine
+	} else if time.Since(p.start) >= coarse {
+		p.every = min(2*p.every, coarse)
+	}
+	time.Sleep(p.every)
+}
+
+// Settle blocks until the cluster has been quiescent (see quiescent) with
+// no work completed anywhere for idleFor, or errors after timeout. Over UDP,
+// in-flight datagrams are invisible, so idleFor must comfortably exceed the
+// fabric's delivery latency (loopback: sub-millisecond; the defaults used by
+// tests are far above it).
 func (c *Cluster) Settle(idleFor, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	last := c.activity()
-	lastChange := time.Now()
+	if _, ok := c.settle(new(poll), idleFor, time.Now().Add(timeout)); !ok {
+		return fmt.Errorf("rt: cluster did not settle within %v", timeout)
+	}
+	return nil
+}
+
+// settle is Settle on the caller's poll and deadline; it returns the activity
+// count the cluster settled at, or false once the deadline has passed.
+func (c *Cluster) settle(p *poll, idleFor time.Duration, deadline time.Time) (uint64, bool) {
+	var since time.Time // when the current quiet spell was first seen; zero: none
+	var last uint64
 	for {
-		time.Sleep(2 * time.Millisecond)
 		now := time.Now()
-		if act := c.activity(); act != last || !c.quiet() {
-			last = act
-			lastChange = now
-		} else if now.Sub(lastChange) >= idleFor {
-			return nil
+		if act, ok := c.quiescent(); !ok {
+			since = time.Time{}
+		} else {
+			if since.IsZero() || act != last {
+				since, last = now, act
+			}
+			if now.Sub(since) >= idleFor {
+				return act, true
+			}
 		}
 		if now.After(deadline) {
-			return fmt.Errorf("rt: cluster did not settle within %v", timeout)
+			return 0, false
 		}
+		p.wait()
 	}
 }
 
@@ -450,33 +501,44 @@ func (c *Cluster) CheckAgreement() error {
 	return nil
 }
 
-// WaitConverged settles and checks agreement repeatedly until it holds or
-// timeout elapses. Over lossy transports convergence can require resync
-// rounds, so a failed check is retried, not fatal.
+// WaitConverged blocks until the cluster is quiescent and in agreement, or
+// timeout elapses. On a ChanFabric every pending unit of work is counted, so
+// it returns at the first poll that finds nothing pending, CheckAgreement
+// holding, and still nothing pending and nothing done since; over UDP it
+// first waits out an idle window that covers datagrams in flight. Over lossy
+// transports convergence can require resync rounds, so a failed check is
+// retried, not fatal — but only once something has been done since:
+// agreement cannot change without activity, and CheckAgreement takes every
+// node's lock, which a fine poll waiting out a resync timer must not. (A
+// kill or restart changes what is checked without any work done, so an
+// unchanged count still earns a re-check every recheck.)
 func (c *Cluster) WaitConverged(timeout time.Duration) error {
+	const recheck = 25 * time.Millisecond
 	deadline := time.Now().Add(timeout)
-	idleFor := 25 * time.Millisecond
+	var idleFor time.Duration
 	if c.chanFab == nil {
 		idleFor = 100 * time.Millisecond // UDP: cover in-flight datagrams
 	}
-	var lastErr error
+	var p poll
+	var failedAt uint64 // activity at the last failed check
+	var failed time.Time
+	err := fmt.Errorf("rt: never settled")
 	for {
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			if lastErr == nil {
-				lastErr = fmt.Errorf("rt: never settled")
+		act, ok := c.settle(&p, idleFor, deadline)
+		if !ok {
+			return fmt.Errorf("rt: cluster did not converge within %v: %w", timeout, err)
+		}
+		if failed.IsZero() || act != failedAt || time.Since(failed) >= recheck {
+			if err = c.CheckAgreement(); err == nil {
+				if again, ok := c.quiescent(); ok && again == act {
+					return nil
+				}
+				err = fmt.Errorf("rt: work arrived during the agreement check")
+			} else {
+				failedAt, failed = act, time.Now()
 			}
-			return fmt.Errorf("rt: cluster did not converge within %v: %w", timeout, lastErr)
 		}
-		if err := c.Settle(idleFor, remain); err != nil {
-			lastErr = err
-			continue
-		}
-		if err := c.CheckAgreement(); err != nil {
-			lastErr = err
-			continue
-		}
-		return nil
+		p.wait()
 	}
 }
 

@@ -144,8 +144,15 @@ type Node struct {
 	inCond   *sync.Cond
 	inbox    []any
 	inClosed bool
+	// inDepth mirrors len(inbox), written under inMu, so the quiescence scan
+	// reads the depth without the lock the receive and LSA loops contend on.
+	inDepth atomic.Int64
 
-	events chan core.LocalEvent
+	// events carries injected local events to the event loop; pendingEvents
+	// counts them from before Inject's channel send until after their step,
+	// so one taken off the channel and not yet inside step still shows.
+	events        chan core.LocalEvent
+	pendingEvents atomic.Int64
 
 	// seq numbers this node's originated floods; seen suppresses duplicate
 	// flood deliveries by (origin, seq) in O(origins) space (see seen.go —
@@ -161,8 +168,9 @@ type Node struct {
 
 	// busy counts in-flight protocol handlers; activity counts completed
 	// units of work (frames handled, credited per received batch; LSA
-	// batches processed; events handled). The harness polls both to detect
-	// quiescence.
+	// batches processed; events handled), each credited before the cover of
+	// the work that did it — busy, the fabric's in-flight count,
+	// pendingEvents — is dropped. Cluster.quiescent reads them all.
 	busy       atomic.Int64
 	activity   atomic.Uint64
 	decodeErrs atomic.Uint64
@@ -318,8 +326,10 @@ func (n *Node) Inject(ev core.LocalEvent) error {
 		return ErrClosed
 	default:
 	}
+	n.pendingEvents.Add(1)
 	select {
 	case <-n.closed:
+		n.pendingEvents.Add(-1)
 		return ErrClosed
 	case n.events <- ev:
 		return nil
@@ -543,6 +553,7 @@ func (n *Node) enqueue(msg any) {
 	n.inMu.Lock()
 	if !n.inClosed {
 		n.inbox = append(n.inbox, msg)
+		n.inDepth.Add(1)
 		n.inCond.Signal()
 	}
 	n.inMu.Unlock()
@@ -566,7 +577,8 @@ func (n *Node) lsaLoop() {
 		}
 		batch := n.inbox
 		n.inbox = spare
-		n.busy.Add(1) // before releasing inMu, so idle() can't see a gap
+		n.busy.Add(1) // before the depth drops: idle reads inDepth, then busy
+		n.inDepth.Store(0)
 		n.inMu.Unlock()
 
 		var start time.Time
@@ -593,6 +605,9 @@ func (n *Node) eventLoop() {
 		case <-n.closed:
 			return
 		case ev := <-n.events:
+			if testHookEventDequeued != nil {
+				testHookEventDequeued(n)
+			}
 			var start time.Time
 			if n.obs.enabled() {
 				start = time.Now()
@@ -602,20 +617,23 @@ func (n *Node) eventLoop() {
 				n.obs.eventDur.Observe(time.Since(start).Seconds())
 				n.obs.eventsIn.Inc()
 			}
+			n.pendingEvents.Add(-1)
 		}
 	}
 }
 
-// idle reports whether the node has no queued or in-flight work. Racy by
-// nature; the harness requires it to hold across a grace window.
+// testHookEventDequeued, when set by a test, runs in the event loop between
+// taking an event off the channel and stepping the machine with it.
+var testHookEventDequeued func(*Node)
+
+// idle reports whether the node has no queued or in-flight work: no injected
+// event short of the end of its step, an empty inbox, no handler running.
+// Atomic loads only — the poll must not contend with the loops it watches —
+// and in that order: the LSA loop raises busy before it zeroes inDepth, so a
+// batch it is taking shows in one or the other. One reading proves nothing
+// by itself; see Cluster.quiescent for the argument that uses it.
 func (n *Node) idle() bool {
-	if n.busy.Load() != 0 || len(n.events) != 0 {
-		return false
-	}
-	n.inMu.Lock()
-	empty := len(n.inbox) == 0
-	n.inMu.Unlock()
-	return empty
+	return n.pendingEvents.Load() == 0 && n.inDepth.Load() == 0 && n.busy.Load() == 0
 }
 
 // --- core.Host implementation ---

@@ -314,6 +314,12 @@ func TestDataSeriesMatchAccessors(t *testing.T) {
 	if err := c.WaitConverged(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
+	// The undecodable flood woke every receive loop, and converged only
+	// means nothing is pending: a loop still lingering would park — and
+	// count it — between check's two readings. Let them all go back to sleep.
+	if err := c.Settle(50*time.Millisecond, 30*time.Second); err != nil {
+		t.Fatal(err)
+	}
 	if got := c.Node(4).DecodeErrors(); got != 4 {
 		t.Fatalf("switch 4 counted %d decode errors, want 4", got)
 	}

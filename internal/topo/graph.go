@@ -211,22 +211,37 @@ func (g *Graph) Component(start SwitchID) []SwitchID {
 	if start < 0 || int(start) >= g.n {
 		return nil
 	}
-	seen := make([]bool, g.n)
-	seen[start] = true
-	order := append(make([]SwitchID, 0, g.n), start)
-	for qi := 0; qi < len(order); qi++ {
-		s := order[qi]
+	sc := AcquireSSSP()
+	defer ReleaseSSSP(sc)
+	g.Reach(sc, start)
+	return slices.Clone(sc.IDs)
+}
+
+// Reach marks the switches reachable from start over up links, start
+// included, in sc's workspace: the returned slice is sc.Marks, indexed by
+// switch ID, and sc.IDs lists the same switches in BFS discovery order; both
+// are valid until sc's next use. It is Component for callers that ask "is s
+// reachable" of many switches and keep nothing.
+func (g *Graph) Reach(sc *SSSPScratch, start SwitchID) []bool {
+	seen := sc.Marks(g.n)
+	queue := sc.IDs[:0]
+	if start >= 0 && int(start) < g.n {
+		seen[start] = true
+		queue = append(queue, start)
+	}
+	for qi := 0; qi < len(queue); qi++ {
+		s := queue[qi]
 		for _, idx := range g.adj[s] {
-			if g.links[idx].Down {
-				continue
-			}
-			if nb := g.links[idx].Other(s); !seen[nb] {
-				seen[nb] = true
-				order = append(order, nb)
+			if l := &g.links[idx]; !l.Down {
+				if nb := l.Other(s); !seen[nb] {
+					seen[nb] = true
+					queue = append(queue, nb)
+				}
 			}
 		}
 	}
-	return order
+	sc.IDs = queue
+	return seen
 }
 
 // HopDistances returns the hop count from src to every switch over up

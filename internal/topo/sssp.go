@@ -46,8 +46,27 @@ type SSSPScratch struct {
 	// and unreachable switches).
 	Pred []SwitchID
 
+	// IDs and the slice Marks returns are workspace for the kernel's
+	// callers, which rent the scratch anyway and want the same two things
+	// beside it — a list of switches and a set of them by ID — without
+	// allocating either per computation. The kernel touches neither.
+	IDs  []SwitchID
+	mark []bool
+
 	done []bool
 	heap []ssspEntry
+}
+
+// Marks returns the scratch's switch set sized for an n-switch graph, all
+// false. The slice stays the caller's until the next Marks call; Reset and
+// RunSSSP leave it alone.
+func (sc *SSSPScratch) Marks(n int) []bool {
+	if cap(sc.mark) < n {
+		sc.mark = make([]bool, n)
+	}
+	sc.mark = sc.mark[:n]
+	clear(sc.mark)
+	return sc.mark
 }
 
 // Reset prepares the scratch for a run over an n-switch graph, clearing any

@@ -426,11 +426,41 @@ func BenchmarkTopoCompute(b *testing.B) {
 			members[topo.SwitchID(s%n)] = mctree.SenderReceiver
 		}
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := (route.SPH{}).Compute(g, mctree.Symmetric, members); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkColdBoot is bench/'s setup_s outside bench/: a 16-switch grid
+// cluster booted from nothing, ten concurrent joins on two connections, and
+// the wait for network-wide agreement — boot cost plus burst-convergence cost,
+// with no fixed quiet window on top since WaitConverged counts pending work.
+func BenchmarkColdBoot(b *testing.B) {
+	g, err := topo.Grid(4, 4, 10*time.Microsecond)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c, err := rt.NewCluster(rt.ClusterConfig{Graph: g, ResyncTimeout: 50 * time.Millisecond}, rt.NewChanFabric(g.NumSwitches()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j := 0; j < 10; j++ {
+			if err := c.Join(topo.SwitchID(3*j%16), lsa.ConnID(1+j%2), mctree.SenderReceiver); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := c.WaitConverged(30 * time.Second); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		c.Close()
+		b.StartTimer()
 	}
 }
