@@ -4,7 +4,8 @@
 // per-call allocation — a lost pooled buffer, an un-elided clone, a
 // variadic Trace call un-guarded — fails loudly rather than rotting
 // silently. Budgets are per operation and generous by ~25%; they gate
-// regressions, they are not the measured values (see BENCH_pr5.json).
+// regressions, they are not the measured values (see the pr5 column of
+// EXPERIMENTS.md's "Performance trajectory" table).
 package dgmc_test
 
 import (

@@ -79,7 +79,8 @@ func (s BodySum) PatchDataSeq(buf []byte, seq uint64) error {
 		return err
 	}
 	binary.BigEndian.PutUint64(tr[trailerSeqOff:], seq)
-	binary.BigEndian.PutUint32(tr[trailerCRCOff:], s.seal(tr))
+	from := topo.SwitchID(int32(binary.BigEndian.Uint32(tr[trailerFromOff:])))
+	binary.BigEndian.PutUint32(tr[trailerCRCOff:], s.seal(from, seq, tr[trailerHopsOff]))
 	return nil
 }
 
@@ -93,7 +94,7 @@ func (s BodySum) PatchDataForward(buf []byte, from topo.SwitchID, hops uint8) er
 	}
 	binary.BigEndian.PutUint32(tr[trailerFromOff:], uint32(int32(from)))
 	tr[trailerHopsOff] = hops
-	binary.BigEndian.PutUint32(tr[trailerCRCOff:], s.seal(tr))
+	binary.BigEndian.PutUint32(tr[trailerCRCOff:], s.seal(from, binary.BigEndian.Uint64(tr[trailerSeqOff:]), hops))
 	return nil
 }
 

@@ -275,6 +275,13 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 	f.Add(v1Frame(1, 1, 42, fr.Payload))
 	f.Add(EncodeFrame(&Frame{Version: FrameVersion, Kind: FrameResyncResp, Origin: 4, From: 4, Seq: 9, Hops: 3, Payload: []byte{0, 0, 0, 9, 0, 0, 0, 4, 0, 0, 0, 0}}))
+	// Bodies the checksum splits three ways, once and after whole blocks.
+	rng := rand.New(rand.NewSource(28))
+	for _, n := range []int{crc32cSplitMin, 1404, 32 << 10} {
+		payload := make([]byte, n)
+		rng.Read(payload)
+		f.Add(EncodeFrame(&Frame{Version: FrameVersion, Kind: FrameData, Origin: -2, From: 5, Seq: uint64(n), Hops: 16, Payload: payload}))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := DecodeFrame(data)

@@ -205,6 +205,27 @@ func BenchmarkFrameDecode(b *testing.B) {
 	}
 }
 
+// BenchmarkFrameChecksum measures a relay's whole checksum work on one data
+// frame: summing the body (header and payload, the sub-benchmark's size)
+// and sealing a patched trailer. 78 and 1 414 B are the fanout64 and
+// fanout1400 bodies; 32 KiB takes the kernel's block loop.
+func BenchmarkFrameChecksum(b *testing.B) {
+	for _, body := range []int{78, 300, 1414, 32 << 10} {
+		b.Run(fmt.Sprint(body), func(b *testing.B) {
+			d := &lsa.DataFrame{Conn: 1, Src: 3, Seq: 9, Hops: 16, Payload: make([]byte, body-14)}
+			buf := lsa.AppendDataFrame(nil, d, 3)
+			b.SetBytes(int64(body))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := lsa.SumBody(buf).PatchDataForward(buf, 4, 15); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkFloodFanout measures hop-by-hop flood fan-out on a 60-switch
 // random graph: every switch forwards each new LSA to its other neighbors,
 // so one flood costs O(links) simulator events.
