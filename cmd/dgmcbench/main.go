@@ -11,13 +11,12 @@
 //	dgmcbench -experiment loss       # convergence under injected loss
 //	dgmcbench -experiment partition  # split/heal reconciliation cost
 //	dgmcbench -experiment delivery   # live data-plane delivery ratio sweep
-//	dgmcbench -experiment throughput # live data-plane saturation (pkts/sec) sweep
 //	dgmcbench -experiment all        # every simulator experiment above
 //
-// The delivery and throughput sweeps drive live goroutine clusters under
-// wall-clock timing, so unlike the simulator experiments their figures vary
-// slightly run to run; they are therefore opt-in rather than part of
-// -experiment all, which stays byte-deterministic for a fixed -seed.
+// The delivery sweep drives live goroutine clusters under wall-clock
+// timing, so unlike the simulator experiments its figures vary slightly run
+// to run; it is therefore opt-in rather than part of -experiment all, which
+// stays byte-deterministic for a fixed -seed.
 //
 // Use -graphs and -sizes to trade fidelity for speed, and -csv for
 // machine-readable output.
@@ -54,11 +53,11 @@ func main() {
 }
 
 // experimentNames is every name -experiment accepts.
-var experimentNames = []string{"1", "2", "3", "baselines", "trees", "burst", "hier", "loss", "partition", "delivery", "throughput", "all"}
+var experimentNames = []string{"1", "2", "3", "baselines", "trees", "burst", "hier", "loss", "partition", "delivery", "all"}
 
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("dgmcbench", flag.ContinueOnError)
-	experiment := fs.String("experiment", "all", "comma-separated list of "+strings.Join(experimentNames, ", ")+" (delivery and throughput are live/timing-dependent and excluded from all)")
+	experiment := fs.String("experiment", "all", "comma-separated list of "+strings.Join(experimentNames, ", ")+" (delivery is live/timing-dependent and excluded from all)")
 	graphs := fs.Int("graphs", 20, "random graphs per network size")
 	sizes := fs.String("sizes", "20,40,60,80,100", "comma-separated network sizes")
 	events := fs.Int("events", 10, "membership events per run")
@@ -231,20 +230,6 @@ func run(args []string, w io.Writer) error {
 			RunsPerPoint: runs,
 			BaseSeed:     *seed,
 		})
-		if err != nil {
-			return err
-		}
-		if err := emit(t); err != nil {
-			return err
-		}
-	}
-	// Opt-in only, like delivery: wall-clock saturation measurements.
-	if want["throughput"] {
-		runs := *graphs / 4
-		if runs < 1 {
-			runs = 1
-		}
-		t, err := exp.Throughput(exp.ThroughputParams{RunsPerPoint: runs})
 		if err != nil {
 			return err
 		}

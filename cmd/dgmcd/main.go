@@ -417,8 +417,8 @@ func (d *daemon) exec(line string, w io.Writer) (quit bool, err error) {
 		if !h.Converged {
 			state = "CONVERGING"
 		}
-		fmt.Fprintf(w, "health: %s conns=%d gapped=%v resync-armed=%v gave-up=%v gap-depth=%d log-depth=%d catch-ups-applied=%d fib-entries=%d rx-frames/batch=%.1f rx-parks/batch=%.2f tx-frames/burst=%.1f\n",
-			state, h.Conns, h.GappedConns, h.ResyncArmedConns, h.GiveUpConns, h.GapBufferDepth, h.EventLogDepth, h.CatchUpsApplied, h.FIBEntries,
+		fmt.Fprintf(w, "health: %s conns=%d gapped=%v resync-armed=%v gave-up=%v gap-depth=%d log-depth=%d log-bytes=%d catch-ups-applied=%d fib-entries=%d rx-frames/batch=%.1f rx-parks/batch=%.2f tx-frames/burst=%.1f\n",
+			state, h.Conns, h.GappedConns, h.ResyncArmedConns, h.GiveUpConns, h.GapBufferDepth, h.EventLogDepth, h.EventLogBytes, h.CatchUpsApplied, h.FIBEntries,
 			h.RxFramesPerBatch, h.RxParksPerBatch, h.TxFramesPerBurst)
 		if h.Anomaly != "" {
 			fmt.Fprintf(w, "health: last anomaly %s %dms ago (flight records written: %d)\n",

@@ -203,15 +203,17 @@ func (t *top) render(w io.Writer, rows []row, now time.Time) {
 	t.prev = next
 }
 
-// logCell shows how many event LSAs the switch retains for replay, flagged
-// with the number of catch-ups it has applied: "37" recovered (if at all)
-// by replaying events, "37 ff2" was fast-forwarded over two origins'
-// trimmed history by a peer.
+// logCell shows what the switch's replay log occupies in KiB and how many
+// event LSAs it retains, flagged with the number of catch-ups it has
+// applied: "9.5K 37" recovered (if at all) by replaying events,
+// "9.5K 37 ff2" was fast-forwarded over two origins' trimmed history by a
+// peer.
 func logCell(h rt.NodeHealth) string {
+	cell := fmt.Sprintf("%.1fK %d", float64(h.EventLogBytes)/1024, h.EventLogDepth)
 	if h.CatchUpsApplied == 0 {
-		return fmt.Sprintf("%d", h.EventLogDepth)
+		return cell
 	}
-	return fmt.Sprintf("%d ff%d", h.EventLogDepth, h.CatchUpsApplied)
+	return fmt.Sprintf("%s ff%d", cell, h.CatchUpsApplied)
 }
 
 // anomalyCell folds a health document's warning signals into one short flag

@@ -46,6 +46,7 @@ func TestTopOnce(t *testing.T) {
 			ResyncArmedConns: []uint32{7},
 			GapBufferDepth:   3,
 			EventLogDepth:    37,
+			EventLogBytes:    9728,
 			CatchUpsApplied:  2,
 			Forward:          rt.ForwardStats{Forwarded: 5, DropLoop: 1},
 			Anomaly:          "drop-loop", AnomalyAgeMS: 1500,
@@ -69,7 +70,7 @@ func TestTopOnce(t *testing.T) {
 		"SW", "DROPS ne/nr/hb/lp", // header
 		"0/0/0/1",                                      // the degraded switch's drop taxonomy
 		"gapped[7]", "resync[7]", "drop-loop 1.5s ago", // anomaly flags
-		"LOG", "37 ff2", // the degraded switch was fast-forwarded by catch-ups
+		"LOG", "9.5K 37 ff2", // the degraded switch was fast-forwarded by catch-ups
 		"cluster: 3/3 up, 2/3 converged",
 	} {
 		if !strings.Contains(got, want) {

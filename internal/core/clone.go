@@ -6,7 +6,6 @@ import (
 
 	"dgmc/internal/lsa"
 	"dgmc/internal/mctree"
-	"dgmc/internal/route"
 	"dgmc/internal/topo"
 )
 
@@ -51,9 +50,9 @@ func (m *Machine) CloneWith(host Host) *Machine {
 	return c
 }
 
-// clone returns a deep copy of the connection state. Logged and buffered
-// LSAs and the installed topology are shared by pointer (immutable by
-// protocol convention).
+// clone returns a deep copy of the connection state. Buffered LSAs and
+// the installed topology are shared by pointer (immutable by protocol
+// convention), and the replay log's records by array.
 func (cs *connState) clone() *connState {
 	c := &connState{
 		id:              cs.id,
@@ -63,6 +62,7 @@ func (cs *connState) clone() *connState {
 		e:               cs.e.Clone(),
 		c:               cs.c.Clone(),
 		logFloor:        cs.logFloor.Clone(),
+		logLast:         cs.logLast.Clone(),
 		topology:        cs.topology,
 		makeProposal:    cs.makeProposal,
 		lastDelta:       cs.lastDelta,
@@ -80,9 +80,17 @@ func (cs *connState) clone() *connState {
 	if cs.gaveUpE != nil {
 		c.gaveUpE = cs.gaveUpE.Clone()
 	}
-	if len(cs.eventLog) > 0 {
-		c.eventLog = make([]*lsa.MC, len(cs.eventLog))
-		copy(c.eventLog, cs.eventLog)
+	if n := len(cs.eventLog); n > 0 {
+		// The records are immutable and the array is shared: capped at
+		// its length, so an append on either side never writes into what
+		// the other sees, and marked, so neither trims it in place. The
+		// original's mark is written once, which keeps cloning a clone
+		// (a snapshot restored twice) free of writes.
+		c.eventLog = cs.eventLog[:n:n]
+		c.logShared = true
+		if !cs.logShared {
+			cs.logShared = true
+		}
 	}
 	if len(cs.ooo) > 0 {
 		c.ooo = make(map[topo.SwitchID]map[uint32]*lsa.MC, len(cs.ooo))
@@ -166,13 +174,13 @@ func appendMembers(buf []byte, members mctree.Members) []byte {
 	return buf
 }
 
-func appendDelta(buf []byte, d *route.Change) []byte {
-	if d == nil {
+func appendDelta(buf []byte, d changeHint) []byte {
+	if !d.ok {
 		return append(buf, 0)
 	}
 	buf = append(buf, 1)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(int32(d.Switch)))
-	return appendBool(buf, d.Join)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(int32(d.change.Switch)))
+	return appendBool(buf, d.change.Join)
 }
 
 func appendMC(buf []byte, msg *lsa.MC) []byte {
@@ -195,10 +203,7 @@ func (cs *connState) appendState(buf []byte) []byte {
 	buf = appendBool(buf, cs.dormant)
 	buf = appendTree(buf, cs.topology)
 	buf = appendDelta(buf, cs.lastDelta)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(cs.eventLog)))
-	for _, msg := range cs.eventLog {
-		buf = appendMC(buf, msg)
-	}
+	buf = cs.appendLog(buf)
 	buf = cs.logFloor.AppendBinary(buf)
 	// Out-of-order buffer in (origin, index) order.
 	srcs := make([]topo.SwitchID, 0, len(cs.ooo))

@@ -6,7 +6,6 @@ import (
 
 	"dgmc/internal/lsa"
 	"dgmc/internal/mctree"
-	"dgmc/internal/route"
 	"dgmc/internal/stamp"
 	"dgmc/internal/topo"
 )
@@ -62,7 +61,7 @@ type computation struct {
 	oldR    stamp.Stamp
 	members mctree.Members
 	prev    *mctree.Tree
-	delta   *route.Change
+	delta   changeHint
 	// event and role are what an EventHandler proposal's LSA announces.
 	event lsa.Event
 	role  mctree.Role
@@ -82,8 +81,21 @@ type localRest struct {
 // entries that arrived in a resync replay, the resync requests served last.
 type batchRest struct {
 	groups   []connGroup
-	replayed map[*lsa.MC]bool
+	replayed replayMarks
 	requests []*lsa.ResyncRequest
+}
+
+// replayMarks records which LSAs of a batch arrived in a resync replay, by
+// encoding: every copy of one LSA shares it, so a copy that arrived by
+// flood counts as replayed when the same batch replays it too. A replay
+// carries copies decoded from the server's event log, never the objects a
+// fabric that shares LSAs by pointer delivered, so marking by object would
+// tell flood and replay copies apart only on a fabric that decodes every
+// frame.
+type replayMarks map[string]bool
+
+func (r replayMarks) has(m *lsa.MC) bool {
+	return r != nil && r[string(m.Marshal())]
 }
 
 // connGroup is one connection's MC LSAs of a batch, in arrival order (none
@@ -153,7 +165,7 @@ func (m *Machine) appendComputing(buf []byte) []byte {
 			buf = binary.BigEndian.AppendUint32(buf, uint32(g.conn))
 			buf = binary.BigEndian.AppendUint32(buf, uint32(len(g.msgs)))
 			for _, msg := range g.msgs {
-				buf = appendBool(appendMC(buf, msg), b.replayed[msg])
+				buf = appendBool(appendMC(buf, msg), b.replayed.has(msg))
 			}
 		}
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(b.requests)))

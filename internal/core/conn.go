@@ -27,8 +27,9 @@ type connState struct {
 	makeProposal bool
 
 	// lastDelta remembers the most recent membership change applied, as a
-	// hint for incremental topology updates. nil forces from-scratch.
-	lastDelta *route.Change
+	// hint for incremental topology updates. The zero value forces
+	// from-scratch.
+	lastDelta changeHint
 
 	// installs counts accepted/installed topologies (for convergence
 	// bookkeeping and metrics).
@@ -43,13 +44,23 @@ type connState struct {
 	dormant bool
 
 	// eventLog retains the most recently applied event LSAs in application
-	// order, so this switch can replay missed events to a resyncing
-	// neighbor (the OSPF database-exchange analogue). The entry for switch
-	// x's i-th event has Stamp[x] == i, which is how resync responses are
-	// filtered. It is a bounded suffix of history: logEvent is its only
-	// writer and trimLog its only trimmer. Like the counters, the log
-	// survives dormancy.
-	eventLog []*lsa.MC
+	// order, as compact records (eventlog.go), so this switch can replay
+	// missed events to a resyncing neighbor (the OSPF database-exchange
+	// analogue). The record of switch x's i-th event has src x and idx i,
+	// which is how resync responses are filtered. It is a bounded suffix of
+	// history: logEvent is its only writer and trimLog its only trimmer.
+	// Like the counters, the log survives dormancy.
+	eventLog []logRecord
+
+	// logShared marks eventLog's array as shared with a clone (clone.go):
+	// both sides may append past their own length, but neither may rewrite
+	// what the other sees, so the next trim starts a new array instead of
+	// compacting in place.
+	logShared bool
+
+	// logLast is the stamp of the newest event ever logged — the point
+	// every record's stamp is rebuilt from. It outlives the entry itself.
+	logLast stamp.Stamp
 
 	// logFloor[x] is the index of origin x's newest event that is NOT in
 	// the log any more — trimmed away, or skipped by a catch-up. Every
@@ -91,6 +102,7 @@ func newConnState(id lsa.ConnID, kind mctree.Kind, n int) *connState {
 		e:        stamp.New(n),
 		c:        stamp.New(n),
 		logFloor: stamp.New(n),
+		logLast:  stamp.New(n),
 	}
 }
 
@@ -104,52 +116,6 @@ func (cs *connState) gapped() bool {
 		return true
 	}
 	return !cs.dormant && cs.r.Greater(cs.c)
-}
-
-// eventLogRetain is how many applied event LSAs a connection keeps for
-// replay. The deepest suffix any resync request reached for across the
-// fault soaks, the loss soaks and the simulator's loss sweep was 90 log
-// entries (10 events of one origin); this is the next power of two above
-// four times that (DESIGN.md §13). The log is trimmed back to it whenever
-// it reaches twice this length, so depth stays below 2×eventLogRetain and
-// the trim's copy is amortized over eventLogRetain appends.
-const eventLogRetain = 512
-
-// EventLogLimit is the depth no connection's event log reaches.
-const EventLogLimit = 2 * eventLogRetain
-
-// logEvent appends an applied event LSA to the replay log. Proposals are
-// kept: a replayed proposal-carrying event LSA lets a resyncing switch
-// adopt the topology it missed, not just the event. A catch-up is not one
-// of its origin's events and is not kept (applyEventLSA raises the floor
-// for it instead).
-func (cs *connState) logEvent(m *lsa.MC) {
-	if !m.Event.IsEvent() || m.Event == lsa.CatchUp {
-		return
-	}
-	cs.eventLog = append(cs.eventLog, m)
-	if len(cs.eventLog) >= EventLogLimit {
-		cs.trimLog(eventLogRetain)
-	}
-}
-
-// trimLog drops all but the newest keep entries, in place, raising each
-// dropped origin's floor to the dropped index. The vacated tail is cleared
-// so the dropped LSAs (and the proposal trees they hold) can be collected.
-func (cs *connState) trimLog(keep int) {
-	drop := len(cs.eventLog) - keep
-	if drop <= 0 {
-		return
-	}
-	for _, m := range cs.eventLog[:drop] {
-		x := int(m.Src)
-		if idx := m.Stamp[x]; idx > cs.logFloor[x] {
-			cs.logFloor[x] = idx
-		}
-	}
-	copy(cs.eventLog, cs.eventLog[drop:])
-	clear(cs.eventLog[keep:])
-	cs.eventLog = cs.eventLog[:keep]
 }
 
 // buffer stashes an out-of-order event LSA for later application; it
@@ -201,20 +167,27 @@ func (cs *connState) applyMembership(event lsa.Event, src int, role mctree.Role)
 	switch event {
 	case lsa.Join:
 		cs.members[switchID(src)] = role
-		cs.lastDelta = &route.Change{Switch: switchID(src), Join: true}
+		cs.lastDelta = changeHint{route.Change{Switch: switchID(src), Join: true}, true}
 	case lsa.Leave:
 		delete(cs.members, switchID(src))
-		cs.lastDelta = &route.Change{Switch: switchID(src), Join: false}
+		cs.lastDelta = changeHint{route.Change{Switch: switchID(src), Join: false}, true}
 	case lsa.Link:
-		cs.lastDelta = nil // force from-scratch around the failed link
+		cs.lastDelta = changeHint{} // force from-scratch around the failed link
 	case lsa.CatchUp:
 		if role != 0 {
 			cs.members[switchID(src)] = role
 		} else {
 			delete(cs.members, switchID(src))
 		}
-		cs.lastDelta = nil // any number of changes were skipped
+		cs.lastDelta = changeHint{} // any number of changes were skipped
 	}
+}
+
+// changeHint is an incremental-update hint held by value: the change, if
+// ok. It saves the allocation a *route.Change per applied event cost.
+type changeHint struct {
+	change route.Change
+	ok     bool
 }
 
 // Snapshot is a read-only copy of a connection's state, for inspection by

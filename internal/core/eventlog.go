@@ -1,0 +1,337 @@
+package core
+
+import (
+	"encoding/binary"
+	"unsafe"
+
+	"dgmc/internal/lsa"
+	"dgmc/internal/mctree"
+	"dgmc/internal/stamp"
+	"dgmc/internal/topo"
+)
+
+// The replay log (connState.eventLog) keeps each applied event LSA as a
+// compact record rather than as the decoded *lsa.MC: a switch holds up to
+// EventLogLimit of them per connection, and the decoded form — struct,
+// n-component stamp, proposal tree — costs hundreds of bytes an entry
+// where the record costs tens (DESIGN.md §13).
+//
+// A record's enc is the LSA as unsigned varints, in this order:
+//
+//	src, event, role,
+//	proposal kind (0: no proposal), then for a proposal its root (zigzag),
+//	edge count, and each edge's endpoints A and B,
+//	the stamp delta: (gap, zigzag difference) pairs to the end of enc.
+//
+// The connection is left out: a log belongs to one connection. The stamp
+// is stored as its difference from the previous entry's, listing only the
+// components that changed — the gap is how many unchanged components lie
+// between one listed component and the last. The differences are signed,
+// because a switch that applies events out of per-origin order
+// (MutationIgnoreEventOrder) logs stamps that fall as well as rise.
+// connState.logLast holds the newest entry's full stamp; since a
+// difference can be undone, any entry's stamp is rebuilt by walking back
+// from there, and the oldest entries can be dropped without touching the
+// rest. The log treats every stamp as an n-vector: components past n are
+// not kept, and missing ones read as zero.
+
+// logRecord is one applied event LSA in the replay log: its encoding, and
+// the origin and per-origin index that serveResync and trimLog scan by.
+type logRecord struct {
+	enc string
+	src int32
+	idx uint32
+}
+
+// recordSize is what one record costs beyond its encoding.
+const recordSize = int(unsafe.Sizeof(logRecord{}))
+
+// eventLogRetain is how many applied event LSAs a connection keeps for
+// replay. The deepest suffix any resync request reached for across the
+// fault soaks, the loss soaks and the simulator's loss sweep was 90 log
+// entries (10 events of one origin); this is the next power of two above
+// four times that (DESIGN.md §13). The log is trimmed back to it whenever
+// it reaches twice this length, so depth stays below 2×eventLogRetain and
+// the trim's copy is amortized over eventLogRetain appends.
+const eventLogRetain = 512
+
+// EventLogLimit is the depth no connection's event log reaches.
+const EventLogLimit = 2 * eventLogRetain
+
+// logEvent appends an applied event LSA to the replay log. Proposals are
+// kept: a replayed proposal-carrying event LSA lets a resyncing switch
+// adopt the topology it missed, not just the event. A catch-up is not one
+// of its origin's events and is not kept (applyEventLSA raises the floor
+// for it instead).
+func (cs *connState) logEvent(m *lsa.MC) {
+	if !m.Event.IsEvent() || m.Event == lsa.CatchUp {
+		return
+	}
+	var scratch [256]byte
+	enc := appendRecord(scratch[:0], m, cs.logLast)
+	cs.eventLog = append(cs.eventLog, logRecord{enc: string(enc), src: int32(m.Src), idx: m.Stamp[int(m.Src)]})
+	clear(cs.logLast[copy(cs.logLast, m.Stamp):])
+	if len(cs.eventLog) >= EventLogLimit {
+		cs.trimLog(eventLogRetain)
+	}
+}
+
+// trimLog drops all but the newest keep entries, in place, raising each
+// dropped origin's floor to the dropped index. The vacated tail is cleared
+// so the dropped encodings can be collected. Nothing is re-encoded: the
+// oldest kept entry's difference now refers to a dropped entry, and no
+// walk back from logLast ever reads it. An array shared with a clone is
+// left as it is; the kept entries move to a new one.
+func (cs *connState) trimLog(keep int) {
+	drop := len(cs.eventLog) - keep
+	if drop <= 0 {
+		return
+	}
+	for _, rec := range cs.eventLog[:drop] {
+		if x := int(rec.src); rec.idx > cs.logFloor[x] {
+			cs.logFloor[x] = rec.idx
+		}
+	}
+	if cs.logShared {
+		cs.eventLog = append([]logRecord(nil), cs.eventLog[drop:]...)
+		cs.logShared = false
+		return
+	}
+	copy(cs.eventLog, cs.eventLog[drop:])
+	clear(cs.eventLog[keep:])
+	cs.eventLog = cs.eventLog[:keep]
+}
+
+// logBytes is what the retained records occupy: their encodings plus the
+// records themselves.
+func (cs *connState) logBytes() int {
+	total := recordSize * len(cs.eventLog)
+	for _, rec := range cs.eventLog {
+		total += len(rec.enc)
+	}
+	return total
+}
+
+// appendReplay appends, oldest first, a decoded copy of every log entry
+// want selects. It walks back from logLast only as far as the oldest
+// selected entry and decodes only the selected ones; their structs and
+// stamps share one allocation each.
+func (cs *connState) appendReplay(batch []*lsa.MC, want func(logRecord) bool) []*lsa.MC {
+	first, count := -1, 0
+	for i, rec := range cs.eventLog {
+		if want(rec) {
+			if first < 0 {
+				first = i
+			}
+			count++
+		}
+	}
+	if count == 0 {
+		return batch
+	}
+	n := len(cs.logLast)
+	msgs := make([]lsa.MC, count)
+	stamps := make([]uint32, count*n)
+	cur := cs.logLast.Clone()
+	k := count
+	for j := len(cs.eventLog) - 1; ; j-- {
+		rec := cs.eventLog[j]
+		if want(rec) {
+			k--
+			st := stamps[k*n : (k+1)*n : (k+1)*n]
+			copy(st, cur)
+			msgs[k] = decodeRecord(rec.enc, cs.id, st)
+		}
+		if j == first {
+			break
+		}
+		stepBack(cur, rec.enc)
+	}
+	for i := range msgs {
+		batch = append(batch, &msgs[i])
+	}
+	return batch
+}
+
+// appendLog appends the log to the canonical state encoding exactly as the
+// decoded LSAs it holds would encode (appendMC), oldest first.
+func (cs *connState) appendLog(buf []byte) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(cs.eventLog)))
+	if len(cs.eventLog) == 0 {
+		return buf
+	}
+	cur := cs.logLast.Clone()
+	for j := len(cs.eventLog) - 1; j > 0; j-- {
+		stepBack(cur, cs.eventLog[j].enc)
+	}
+	for j, rec := range cs.eventLog {
+		buf = appendRecordMC(buf, rec.enc, cs.id, cur, j > 0)
+	}
+	return buf
+}
+
+// component is s[i], or zero past its end.
+func component(s stamp.Stamp, i int) uint32 {
+	if i < len(s) {
+		return s[i]
+	}
+	return 0
+}
+
+// appendRecord appends m's record encoding to buf, its stamp as the
+// difference from prev (the previous entry's stamp).
+func appendRecord(buf []byte, m *lsa.MC, prev stamp.Stamp) []byte {
+	buf = binary.AppendUvarint(buf, uint64(uint32(int32(m.Src))))
+	buf = binary.AppendUvarint(buf, uint64(m.Event))
+	buf = binary.AppendUvarint(buf, uint64(m.Role))
+	if t := m.Proposal; t == nil {
+		buf = append(buf, 0)
+	} else {
+		buf = binary.AppendUvarint(buf, uint64(t.Kind))
+		buf = binary.AppendVarint(buf, int64(int32(t.Root)))
+		buf = binary.AppendUvarint(buf, uint64(t.NumEdges()))
+		for i := 0; i < t.NumEdges(); i++ {
+			e := t.Edge(i)
+			buf = binary.AppendUvarint(buf, uint64(uint32(e.A)))
+			buf = binary.AppendUvarint(buf, uint64(uint32(e.B)))
+		}
+	}
+	next := 0
+	for i, p := range prev {
+		if d := int64(component(m.Stamp, i)) - int64(p); d != 0 {
+			buf = binary.AppendUvarint(buf, uint64(i-next))
+			buf = binary.AppendVarint(buf, d)
+			next = i + 1
+		}
+	}
+	return buf
+}
+
+// recordReader reads a record encoding front to back. Records are only
+// ever written by appendRecord, so it does no bounds or overflow checks
+// beyond the language's own.
+type recordReader struct {
+	enc string
+	pos int
+}
+
+func (r *recordReader) uvarint() uint64 {
+	if b := r.enc[r.pos]; b < 0x80 {
+		r.pos++
+		return uint64(b)
+	}
+	var x uint64
+	for shift := uint(0); ; shift += 7 {
+		b := r.enc[r.pos]
+		r.pos++
+		x |= uint64(b&0x7f) << shift
+		if b < 0x80 {
+			return x
+		}
+	}
+}
+
+func (r *recordReader) varint() int64 {
+	ux := r.uvarint()
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
+	}
+	return x
+}
+
+// header reads src, event and role.
+func (r *recordReader) header() (src topo.SwitchID, event lsa.Event, role mctree.Role) {
+	src = topo.SwitchID(int32(uint32(r.uvarint())))
+	event = lsa.Event(r.uvarint())
+	role = mctree.Role(r.uvarint())
+	return src, event, role
+}
+
+// appendTree reads the proposal and appends it to buf as
+// mctree.Tree.AppendBinary would.
+func (r *recordReader) appendTree(buf []byte) []byte {
+	kind := byte(r.uvarint())
+	if kind == 0 {
+		return append(buf, 0)
+	}
+	buf = append(buf, kind)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(int32(r.varint())))
+	edges := r.uvarint()
+	buf = binary.BigEndian.AppendUint32(buf, uint32(edges))
+	for i := uint64(0); i < 2*edges; i++ {
+		buf = binary.BigEndian.AppendUint32(buf, uint32(r.uvarint()))
+	}
+	return buf
+}
+
+// skip reads past k varints.
+func (r *recordReader) skip(k int) {
+	for ; k > 0; r.pos++ {
+		if r.enc[r.pos] < 0x80 {
+			k--
+		}
+	}
+}
+
+// skipBody reads past everything before the stamp difference.
+func (r *recordReader) skipBody() {
+	r.skip(3)
+	if r.uvarint() == 0 {
+		return
+	}
+	r.skip(1)
+	r.skip(2 * int(r.uvarint()))
+}
+
+// step reads the stamp difference and applies it to s: the previous
+// entry's stamp becomes this one's (forward) or the other way round.
+func (r *recordReader) step(s stamp.Stamp, forward bool) {
+	for i := 0; r.pos < len(r.enc); i++ {
+		i += int(r.uvarint())
+		d := uint32(r.varint())
+		if forward {
+			s[i] += d
+		} else {
+			s[i] -= d
+		}
+	}
+}
+
+// stepBack turns the stamp of enc's entry into the previous entry's.
+func stepBack(s stamp.Stamp, enc string) {
+	r := recordReader{enc: enc}
+	r.skipBody()
+	r.step(s, false)
+}
+
+// appendRecordMC appends the record as appendMC appends the LSA it was
+// made from, given the connection and the entry's stamp. With step set, st
+// holds the previous entry's stamp and is advanced to this one's first.
+func appendRecordMC(buf []byte, enc string, conn lsa.ConnID, st stamp.Stamp, step bool) []byte {
+	r := recordReader{enc: enc}
+	src, event, role := r.header()
+	buf = binary.BigEndian.AppendUint32(buf, uint32(int32(src)))
+	buf = append(buf, byte(event), byte(role))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(conn))
+	buf = r.appendTree(buf)
+	if step {
+		r.step(st, true)
+	}
+	return st.AppendBinary(buf)
+}
+
+// decodeRecord rebuilds the LSA a record was made from, given the
+// connection and the entry's stamp (which the LSA takes).
+func decodeRecord(enc string, conn lsa.ConnID, st stamp.Stamp) lsa.MC {
+	r := recordReader{enc: enc}
+	src, event, role := r.header()
+	m := lsa.MC{Src: src, Event: event, Role: role, Conn: conn, Stamp: st}
+	var scratch [256]byte
+	t, _, err := mctree.DecodeBinary(r.appendTree(scratch[:0]))
+	if err != nil {
+		panic("core: undecodable event log record: " + err.Error())
+	}
+	m.Proposal = t
+	return m
+}

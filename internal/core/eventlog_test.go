@@ -38,8 +38,8 @@ func (sn *scriptNet) churn(id topo.SwitchID, events int) {
 // logIndexes lists (origin, index) of every retained entry, in log order.
 func logIndexes(cs *connState) [][2]uint32 {
 	var out [][2]uint32
-	for _, m := range cs.eventLog {
-		out = append(out, [2]uint32{uint32(m.Src), m.Stamp[int(m.Src)]})
+	for _, rec := range cs.eventLog {
+		out = append(out, [2]uint32{uint32(rec.src), rec.idx})
 	}
 	return out
 }
@@ -255,6 +255,31 @@ func TestCatchUpApply(t *testing.T) {
 	for _, mc := range batch[1:] {
 		if mc.Event.IsEvent() {
 			t.Fatalf("served %s alongside the catch-up that covers it", mc)
+		}
+	}
+}
+
+// TestReplayMarkedByEncoding: a batch carrying one event both by flood and
+// in a replay treats the event as replay-learned — re-flooded once —
+// whether or not the two copies are one object. A replay is decoded from
+// the server's records, so on a fabric that shares LSAs by pointer the
+// copies stopped being one object when the log stopped holding pointers.
+func TestReplayMarkedByEncoding(t *testing.T) {
+	g := line(t, 3)
+	for _, shared := range []bool{true, false} {
+		h := &scriptHost{id: 1, neighbors: g.Neighbors(1)}
+		m, err := NewMachine(MachineConfig{ID: 1, Graph: g, Algorithm: route.SPH{}, Resync: true}, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flooded := eventMC(3, 0, 1, 1, lsa.Join)
+		replayed := flooded
+		if !shared {
+			replayed = eventMC(3, 0, 1, 1, lsa.Join)
+		}
+		m.ReceiveBatch(nil, []any{flooded, &lsa.ResyncResponse{Conn: 1, From: 2, Batch: []*lsa.MC{replayed}}})
+		if n := m.Metrics().Replays; n != 1 {
+			t.Fatalf("shared=%v: %d re-floods of the replayed event, want 1", shared, n)
 		}
 	}
 }

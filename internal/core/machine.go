@@ -249,6 +249,10 @@ type Machine struct {
 	computing [2]computation
 	local     localRest
 	batch     batchRest
+
+	// delta is the slot compute hands Algorithm.Update its change hint
+	// through: a pointer into the machine, so the call allocates nothing.
+	delta route.Change
 }
 
 // NewMachine builds a switch's protocol state machine bound to host.
@@ -380,7 +384,7 @@ func (m *Machine) updateDormancy(cs *connState, chain ChainID) {
 		if !cs.dormant {
 			cs.dormant = true
 			cs.topology = nil
-			cs.lastDelta = nil
+			cs.lastDelta = changeHint{}
 			if m.host.TraceEnabled() {
 				m.host.Trace(TraceDestroy, chain, cs.id, "connection state destroyed")
 			}
@@ -441,7 +445,7 @@ func (m *Machine) continueLocal() bool {
 	for len(rest.affected) > 0 {
 		cs := m.conns[rest.affected[0]]
 		rest.affected = rest.affected[1:]
-		cs.lastDelta = nil
+		cs.lastDelta = changeHint{}
 		if m.beginEvent(lsa.Link, 0, cs) {
 			return true
 		}
@@ -490,7 +494,7 @@ func (m *Machine) completeEstimate(c *computation, cs *connState) bool {
 		m.host.Trace(TraceCompute, ChainID{}, cs.id, "re-optimizing (%.0f%% over fresh cost)",
 			100*(cur/float64(fresh.Cost(m.uni.Image()))-1))
 	}
-	cs.lastDelta = nil
+	cs.lastDelta = changeHint{}
 	return m.beginEvent(lsa.Link, 0, cs)
 }
 
@@ -647,9 +651,9 @@ func (m *Machine) consume(index map[lsa.ConnID]int, raw any) {
 	case *lsa.ResyncResponse:
 		for _, mc := range v.Batch {
 			if b.replayed == nil {
-				b.replayed = make(map[*lsa.MC]bool)
+				b.replayed = make(replayMarks)
 			}
-			b.replayed[mc] = true
+			b.replayed[string(mc.Marshal())] = true
 			m.consume(index, mc)
 		}
 	case flood.Unicast:
@@ -713,7 +717,7 @@ func (m *Machine) continueBatch() bool {
 // flood a proposal. replayed marks batch entries that arrived in a resync
 // replay rather than a flood (nil when none did). It reports whether a
 // proposal is now being computed; otherwise the batch is fully handled.
-func (m *Machine) beginReceiveLSA(cs *connState, batch []*lsa.MC, replayed map[*lsa.MC]bool) bool {
+func (m *Machine) beginReceiveLSA(cs *connState, batch []*lsa.MC, replayed replayMarks) bool {
 	x := int(m.id)
 
 	// Lines 1-2. candidateStamp is only read when candidate is non-nil, and
@@ -737,7 +741,8 @@ func (m *Machine) beginReceiveLSA(cs *connState, batch []*lsa.MC, replayed map[*
 		// ones buffered, and applying one event can release buffered
 		// successors — which are then consumed as if freshly received. On a
 		// loss-free transport this degenerates to the paper's lines 5-9.
-		for _, a := range m.applyEventLSA(cs, msg) {
+		var one [1]*lsa.MC // what applyEventLSA returns but for released successors
+		for _, a := range m.applyEventLSA(one[:0], cs, msg) {
 			if a.Event.IsEvent() {
 				batchChain = chainOf(a)
 				// An event learned through a replay was never flooded to the
@@ -749,7 +754,7 @@ func (m *Machine) beginReceiveLSA(cs *connState, batch []*lsa.MC, replayed map[*
 				// already applied the event are stale-dropped; re-flooding
 				// is bounded because only replay arrivals qualify — the
 				// forwarded copies themselves arrive as ordinary floods.
-				if replayed[a] {
+				if replayed.has(a) {
 					m.metrics.Replays++
 					m.floodMC(batchChain, a)
 				}
@@ -893,7 +898,12 @@ func (m *Machine) compute(c *computation, cs *connState) *mctree.Tree {
 	// reach (members cut off by failures are served again after repair or
 	// timed out by the application; the paper defers partition recovery).
 	members := m.filterReachable(c.members)
-	t, err := m.alg.Update(m.uni.Image(), cs.kind, members, c.prev, c.delta)
+	var delta *route.Change
+	if c.delta.ok {
+		m.delta = c.delta.change
+		delta = &m.delta
+	}
+	t, err := m.alg.Update(m.uni.Image(), cs.kind, members, c.prev, delta)
 	// An incremental update is only a hint about the latest change; when
 	// several changes accumulated since the previous topology (e.g. two
 	// joins in one LSA batch) the result may not span every member. Fall
@@ -938,6 +948,17 @@ func (m *Machine) EventLogDepth() int {
 	total := 0
 	for _, cs := range m.conns {
 		total += len(cs.eventLog)
+	}
+	return total
+}
+
+// EventLogBytes returns what the event logs counted by EventLogDepth
+// occupy, in bytes: the records' encodings plus the records themselves
+// (observability: what the replay log costs, not just how deep it is).
+func (m *Machine) EventLogBytes() int {
+	total := 0
+	for _, cs := range m.conns {
+		total += cs.logBytes()
 	}
 	return total
 }

@@ -52,15 +52,15 @@ import (
 // in internal/lsa so live transports can frame them.
 
 // applyEventLSA performs Figure 5 lines 5-9 under per-origin ordering and
-// returns the LSAs the caller should continue processing: nil for a stale
-// or buffered copy, otherwise the LSA itself followed by any buffered
-// successors it released (R advanced and membership applied for each).
-// Non-event (triggered) LSAs pass through untouched. On a loss-free fabric
-// every event arrives exactly once and in order, so this reduces to the
-// paper's unconditional apply.
-func (m *Machine) applyEventLSA(cs *connState, msg *lsa.MC) []*lsa.MC {
+// appends to out the LSAs the caller should continue processing: none for
+// a stale or buffered copy, otherwise the LSA itself followed by any
+// buffered successors it released (R advanced and membership applied for
+// each). Non-event (triggered) LSAs pass through untouched. On a loss-free
+// fabric every event arrives exactly once and in order, so this reduces to
+// the paper's unconditional apply.
+func (m *Machine) applyEventLSA(out []*lsa.MC, cs *connState, msg *lsa.MC) []*lsa.MC {
 	if !msg.Event.IsEvent() {
-		return []*lsa.MC{msg}
+		return append(out, msg)
 	}
 	src := msg.Src
 	x := int(src)
@@ -74,15 +74,15 @@ func (m *Machine) applyEventLSA(cs *connState, msg *lsa.MC) []*lsa.MC {
 		}
 		cs.applyMembership(msg.Event, x, msg.Role)
 		cs.logEvent(msg)
-		return []*lsa.MC{msg}
+		return append(out, msg)
 	}
 	switch {
 	case idx <= cs.r[x]:
 		// Already applied: a retransmitted, fault-duplicated, or replayed
 		// copy. Its stamp was merged into E when the first copy arrived.
-		return nil
+		return out
 	case idx == cs.r[x]+1 || msg.Event == lsa.CatchUp:
-		out := []*lsa.MC{msg}
+		out = append(out, msg)
 		if msg.Event == lsa.CatchUp {
 			// Fast-forward over events this switch will never see: the
 			// server no longer holds them. Whatever of them sits buffered
@@ -122,7 +122,7 @@ func (m *Machine) applyEventLSA(cs *connState, msg *lsa.MC) []*lsa.MC {
 					"buffered out-of-order event from %d (idx %d, applied %d)", src, idx, cs.r[x])
 			}
 		}
-		return nil
+		return out
 	}
 }
 
@@ -289,12 +289,10 @@ func (m *Machine) serveResync(cs *connState, from topo.SwitchID, r stamp.Stamp) 
 		})
 	}
 	m.metrics.CatchUpsServed += uint64(len(batch))
-	for _, msg := range cs.eventLog {
-		x := int(msg.Src)
-		if msg.Stamp[x] > rAt(x) && !belowFloor(x) {
-			batch = append(batch, msg)
-		}
-	}
+	batch = cs.appendReplay(batch, func(rec logRecord) bool {
+		x := int(rec.src)
+		return rec.idx > rAt(x) && !belowFloor(x)
+	})
 	if cs.topology != nil {
 		// The capstone must carry C — the stamp the topology was actually
 		// committed at. Stamping it with E is the seeded-bug site for

@@ -38,7 +38,9 @@ type NodeHealth struct {
 	// incarnation fast-forwarded an origin's counter on a catch-up instead
 	// of applying its events one by one: non-zero means state here was
 	// recovered from a peer that had already trimmed those events.
+	// EventLogBytes is what those retained events occupy in memory.
 	EventLogDepth   int    `json:"event_log_depth"`
+	EventLogBytes   int    `json:"event_log_bytes"`
 	CatchUpsApplied uint64 `json:"catch_ups_applied"`
 
 	// FIBEntries / FIBCompiles describe the data plane's table; Forward
@@ -109,6 +111,7 @@ func (n *Node) Health() NodeHealth {
 	}
 	h.GapBufferDepth = n.machine.GapBufferDepth()
 	h.EventLogDepth = n.machine.EventLogDepth()
+	h.EventLogBytes = n.machine.EventLogBytes()
 	h.CatchUpsApplied = n.machine.Metrics().CatchUpsApplied
 	n.mu.Unlock()
 

@@ -177,8 +177,12 @@ func TestLongChurnSoak(t *testing.T) {
 	var served float64
 	for _, n := range c.Nodes() {
 		sw := strconv.Itoa(int(n.ID()))
-		if got, want := scraped["dgmc_event_log_depth/"+sw], float64(n.Health().EventLogDepth); got != want || want == 0 {
+		h := n.Health()
+		if got, want := scraped["dgmc_event_log_depth/"+sw], float64(h.EventLogDepth); got != want || want == 0 {
 			t.Fatalf("switch %s: scraped log depth %v, health says %v", sw, got, want)
+		}
+		if got, want := scraped["dgmc_event_log_bytes/"+sw], float64(h.EventLogBytes); got != want || h.EventLogBytes < h.EventLogDepth {
+			t.Fatalf("switch %s: scraped log bytes %v, health says %v for %d entries", sw, got, want, h.EventLogDepth)
 		}
 		served += scraped["dgmc_machine_catchups_served_total/"+sw]
 	}

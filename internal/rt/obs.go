@@ -167,6 +167,12 @@ func (n *Node) registerFuncs(reg *obs.Registry) {
 		defer ln.mu.Unlock()
 		return float64(ln.machine.EventLogDepth())
 	}, sw)
+	reg.GaugeFunc("dgmc_event_log_bytes", func() float64 {
+		ln := n.live()
+		ln.mu.Lock()
+		defer ln.mu.Unlock()
+		return float64(ln.machine.EventLogBytes())
+	}, sw)
 	reg.GaugeFunc("dgmc_inbox_depth", func() float64 {
 		ln := n.live()
 		ln.inMu.Lock()

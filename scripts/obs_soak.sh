@@ -1,7 +1,7 @@
 #!/bin/sh
 # Observability soak: boot a 3-daemon UDP fabric with admin listeners, drive
-# a membership change, scrape /metrics and /spans, and fail on empty or
-# malformed output. Scraped files are left in the directory given as $1
+# a membership change, scrape /metrics, /spans, /state and /healthz, and fail
+# on empty or malformed output. Scraped files are left in the directory given as $1
 # (default: ./obs-soak-artifacts) so CI can upload them as artifacts.
 #
 # Usage: scripts/obs_soak.sh [artifact-dir]
@@ -62,6 +62,7 @@ for id in 0 1 2; do
     curl -sf "http://127.0.0.1:$port/metrics" > "$artifacts/metrics$id.prom"
     curl -sf "http://127.0.0.1:$port/spans" > "$artifacts/spans$id.json"
     curl -sf "http://127.0.0.1:$port/state" > "$artifacts/state$id.json"
+    curl -sf "http://127.0.0.1:$port/healthz" > "$artifacts/healthz$id.json"
 
     # /metrics must be non-empty Prometheus text showing a completed install.
     grep -q '^# TYPE dgmc_machine_installs_total counter$' "$artifacts/metrics$id.prom" || {
@@ -70,6 +71,16 @@ for id in 0 1 2; do
         echo "daemon $id: /metrics shows no installs" >&2; fail=1; }
     grep -q '^# TYPE dgmc_lsa_batch_seconds histogram$' "$artifacts/metrics$id.prom" || {
         echo "daemon $id: /metrics missing batch histogram" >&2; fail=1; }
+
+    # The two joins sit in every replay log: /healthz and /metrics report
+    # how deep it is and what it costs.
+    python3 - "$artifacts/healthz$id.json" <<'PY' || { echo "daemon $id: bad /healthz" >&2; fail=1; }
+import json, sys
+h = json.load(open(sys.argv[1]))
+assert h["event_log_depth"] == 2 and h["event_log_bytes"] > 0, h
+PY
+    grep -q "^dgmc_event_log_bytes{switch=\"$id\"} [1-9]" "$artifacts/metrics$id.prom" || {
+        echo "daemon $id: /metrics shows no event log bytes" >&2; fail=1; }
 
     # /spans must be valid JSON with at least one converged span.
     python3 - "$artifacts/spans$id.json" <<'PY' || { echo "daemon $id: bad /spans" >&2; fail=1; }
