@@ -287,101 +287,16 @@ func (d *Domain) trace(kind TraceKind, chain ChainID, sw topo.SwitchID, conn lsa
 	})
 }
 
-// CheckConverged verifies that the domain has reached consensus. Because
-// flooding cannot cross failed links, consistency is required within each
-// connected component of the (current) network: inside a component, every
-// switch must hold identical member lists, identical C stamps with
-// C == R == E, and identical installed topologies; each topology must be a
-// valid tree spanning the component's reachable members. Call it only when
-// the kernel is quiescent.
+// CheckConverged verifies that the domain has reached consensus by
+// CheckAgreement over the current network graph. Call it only when the
+// kernel is quiescent.
 func (d *Domain) CheckConverged() error {
-	seen := make(map[topo.SwitchID]bool, d.n)
-	var comps [][]topo.SwitchID
-	maxSize := 0
-	for s := 0; s < d.n; s++ {
-		start := topo.SwitchID(s)
-		if seen[start] {
-			continue
-		}
-		comp := d.net.Graph().Component(start)
-		for _, c := range comp {
-			seen[c] = true
-		}
-		comps = append(comps, comp)
-		if len(comp) > maxSize {
-			maxSize = len(comp)
-		}
+	views := make([]View, d.n)
+	for i, sw := range d.switches {
+		views[i] = sw
 	}
-	for _, comp := range comps {
-		inComp := make(map[topo.SwitchID]bool, len(comp))
-		for _, c := range comp {
-			inComp[c] = true
-		}
-		// Majority components must satisfy the full quiescence invariant;
-		// minority fragments (e.g. a failed switch cut off mid-flood) may
-		// hold legitimately stale state and are checked for internal
-		// agreement only — the paper defers partition recovery (§6).
-		strict := len(comp) == maxSize
-		if err := d.checkComponent(comp, inComp, strict); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// checkComponent verifies consensus among the switches of one component.
-func (d *Domain) checkComponent(comp []topo.SwitchID, inComp map[topo.SwitchID]bool, strict bool) error {
-	conns := map[lsa.ConnID]bool{}
-	for _, s := range comp {
-		for _, id := range d.switches[s].Connections() {
-			conns[id] = true
-		}
-	}
-	for conn := range conns {
-		var ref *Snapshot
-		var refSwitch topo.SwitchID
-		for _, s := range comp {
-			sw := d.switches[s]
-			snap, ok := sw.Connection(conn)
-			if !ok {
-				return fmt.Errorf("core: switch %d has no state for conn %d", sw.ID(), conn)
-			}
-			if strict && (!snap.R.Equal(snap.E) || !snap.R.Equal(snap.C)) {
-				return fmt.Errorf("core: switch %d conn %d stamps diverge: R=%s E=%s C=%s",
-					sw.ID(), conn, snap.R, snap.E, snap.C)
-			}
-			if ref == nil {
-				sn := snap
-				ref = &sn
-				refSwitch = sw.ID()
-				continue
-			}
-			if !snap.C.Equal(ref.C) {
-				return fmt.Errorf("core: conn %d: switch %d C=%s but switch %d C=%s",
-					conn, sw.ID(), snap.C, refSwitch, ref.C)
-			}
-			if !snap.Members.Equal(ref.Members) {
-				return fmt.Errorf("core: conn %d: member lists diverge between switches %d and %d",
-					conn, sw.ID(), refSwitch)
-			}
-			if (snap.Topology == nil) != (ref.Topology == nil) ||
-				(snap.Topology != nil && !snap.Topology.Equal(ref.Topology)) {
-				return fmt.Errorf("core: conn %d: topologies diverge between switches %d and %d: %v vs %v",
-					conn, sw.ID(), refSwitch, snap.Topology, ref.Topology)
-			}
-		}
-		if strict && ref != nil && ref.Topology != nil {
-			// The topology serves the members this component can reach.
-			local := make(mctree.Members, len(ref.Members))
-			for m, role := range ref.Members {
-				if inComp[m] {
-					local[m] = role
-				}
-			}
-			if err := ref.Topology.Validate(d.net.Graph(), local); err != nil {
-				return fmt.Errorf("core: conn %d: converged topology invalid: %w", conn, err)
-			}
-		}
+	if err := CheckAgreement(d.net.Graph(), views); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	return nil
 }

@@ -24,16 +24,6 @@ func (m *Machine) ResyncArmed(conn lsa.ConnID) bool {
 	return ok && cs.resyncScheduled
 }
 
-// ResyncRoundsUsed returns how many resync rounds conn's current gap has
-// consumed (0 when healthy; resyncMax+1 after a give-up).
-func (m *Machine) ResyncRoundsUsed(conn lsa.ConnID) int {
-	cs, ok := m.conns[conn]
-	if !ok {
-		return 0
-	}
-	return cs.resyncRounds
-}
-
 // OutOfOrderDepth returns the number of event LSAs buffered out of
 // per-origin order for conn.
 func (m *Machine) OutOfOrderDepth(conn lsa.ConnID) int {

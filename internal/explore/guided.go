@@ -361,9 +361,6 @@ func (g *guidedSearch) expand() bool {
 		}
 	}
 	g.res.Stats.States = len(g.visited)
-	if g.opt.Progress != nil && g.res.Stats.States%1000 == 0 {
-		g.opt.Progress(g.res.Stats)
-	}
 	return true
 }
 

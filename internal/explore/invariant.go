@@ -5,7 +5,6 @@ import (
 
 	"dgmc/internal/core"
 	"dgmc/internal/lsa"
-	"dgmc/internal/mctree"
 	"dgmc/internal/topo"
 )
 
@@ -34,19 +33,19 @@ import (
 //     first compact operation on — until then every log is whole.
 //
 // Quiescent invariants (checkQuiescent) must hold whenever no action is
-// enabled; they mirror Domain.CheckConverged so the explorer enforces the
-// same consensus definition as the timed simulator:
+// enabled:
 //
 //   - No entity is still computing (a pending computation is an enabled
 //     action, so this guards the harness itself).
-//   - Within each fabric component, every switch with state for a
-//     connection agrees on the committed stamp, member list, and installed
-//     topology, and the topology is a valid tree/forest over the members
-//     reachable in that component.
-//   - In maximum-size components the stamps have also settled: R == E == C
-//     (no lost events, no lost proposal-wakeups). Minority fragments may
-//     hold legitimately stale state — the paper defers partition recovery —
-//     and are checked for internal agreement only.
+//   - core.CheckAgreement over the fabric as it stands: the verdict
+//     Domain.CheckConverged and the live cluster's CheckAgreement give,
+//     on the production machines. Within each fabric component every
+//     switch agrees on the committed stamp, member list and installed
+//     topology; maximum-size components have also settled (R == E == C:
+//     no lost events, no lost proposal-wakeups) on a valid tree over the
+//     members reachable in them. Minority fragments may hold legitimately
+//     stale state — the paper defers partition recovery — and are checked
+//     for internal agreement only.
 //   - Event conservation: each switch's own event counter covers every
 //     membership event the scenario injected there (nothing vanished
 //     before reaching the protocol).
@@ -234,31 +233,8 @@ func (w *World) checkQuiescent() error {
 	if w.lossyStandard() {
 		return w.checkQuiescentLossy()
 	}
-	seen := make(map[topo.SwitchID]bool, w.n)
-	var comps [][]topo.SwitchID
-	maxSize := 0
-	for s := 0; s < w.n; s++ {
-		start := topo.SwitchID(s)
-		if seen[start] {
-			continue
-		}
-		comp := w.graph.Component(start)
-		for _, c := range comp {
-			seen[c] = true
-		}
-		comps = append(comps, comp)
-		if len(comp) > maxSize {
-			maxSize = len(comp)
-		}
-	}
-	for _, comp := range comps {
-		inComp := make(map[topo.SwitchID]bool, len(comp))
-		for _, c := range comp {
-			inComp[c] = true
-		}
-		if err := w.checkComponent(comp, inComp, len(comp) == maxSize); err != nil {
-			return err
-		}
+	if err := core.CheckAgreement(w.graph, w.views()); err != nil {
+		return fmt.Errorf("quiescent: %w", err)
 	}
 	return w.checkEventConservation()
 }
@@ -279,77 +255,13 @@ func (w *World) checkQuiescentLossy() error {
 	return w.checkEventConservation()
 }
 
-// checkComponent mirrors core.Domain's checkComponent: agreement among the
-// switches of one fabric component, plus settled stamps and topology
-// validity in strict (maximum-size) components.
-func (w *World) checkComponent(comp []topo.SwitchID, inComp map[topo.SwitchID]bool, strict bool) error {
-	conns := map[lsa.ConnID]bool{}
-	for _, s := range comp {
-		for _, id := range w.machines[s].Connections() {
-			conns[id] = true
-		}
+// views presents the world's machines to core.CheckAgreement.
+func (w *World) views() []core.View {
+	views := make([]core.View, len(w.machines))
+	for i, m := range w.machines {
+		views[i] = m
 	}
-	for _, conn := range sortedConns(conns) {
-		var ref *connView
-		for _, s := range comp {
-			m := w.machines[s]
-			snap, ok := m.Connection(conn)
-			if !ok {
-				return fmt.Errorf("quiescent: switch %d has no state for conn %d", s, conn)
-			}
-			if strict && (!snap.R.Equal(snap.E) || !snap.R.Equal(snap.C)) {
-				return fmt.Errorf("quiescent: switch %d conn %d stamps diverge: R=%s E=%s C=%s",
-					s, conn, snap.R, snap.E, snap.C)
-			}
-			if ref == nil {
-				ref = &connView{sw: s, snap: snap}
-				continue
-			}
-			if !snap.C.Equal(ref.snap.C) {
-				return fmt.Errorf("quiescent: conn %d: switch %d C=%s but switch %d C=%s",
-					conn, s, snap.C, ref.sw, ref.snap.C)
-			}
-			if !snap.Members.Equal(ref.snap.Members) {
-				return fmt.Errorf("quiescent: conn %d: member lists diverge between switches %d and %d: %v vs %v",
-					conn, s, ref.sw, snap.Members, ref.snap.Members)
-			}
-			if (snap.Topology == nil) != (ref.snap.Topology == nil) ||
-				(snap.Topology != nil && !snap.Topology.Equal(ref.snap.Topology)) {
-				return fmt.Errorf("quiescent: conn %d: topologies diverge between switches %d and %d: %v vs %v",
-					conn, s, ref.sw, snap.Topology, ref.snap.Topology)
-			}
-		}
-		if strict && ref != nil && ref.snap.Topology != nil {
-			local := make(mctree.Members, len(ref.snap.Members))
-			for m, role := range ref.snap.Members {
-				if inComp[m] {
-					local[m] = role
-				}
-			}
-			if err := ref.snap.Topology.Validate(w.graph, local); err != nil {
-				return fmt.Errorf("quiescent: conn %d: converged topology invalid: %w", conn, err)
-			}
-		}
-	}
-	return nil
-}
-
-type connView struct {
-	sw   topo.SwitchID
-	snap core.Snapshot
-}
-
-func sortedConns(set map[lsa.ConnID]bool) []lsa.ConnID {
-	out := make([]lsa.ConnID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	return views
 }
 
 // checkEventConservation verifies that every membership event the scenario

@@ -7,7 +7,6 @@ import (
 	"dgmc/internal/core"
 	"dgmc/internal/lsa"
 	"dgmc/internal/mctree"
-	"dgmc/internal/topo"
 )
 
 // TestInvariantEmptyConnectionSet: a world with no injected events holds
@@ -94,7 +93,7 @@ func TestInvariantOwnHighCarryover(t *testing.T) {
 // switch 3 leaves it with no state for the connection — a strict
 // agreement violation — but no surviving switch is gapped, so the lossy
 // standard accepts the world. checkQuiescent must route on lossyStandard
-// and pass; the strict component check on the same world must fail.
+// and pass; the strict agreement check on the same world must fail.
 func TestInvariantLossyDowngrade(t *testing.T) {
 	cfg := Config{Graph: ring4(t), MaxDrops: 32, Resync: true, ResyncMaxRounds: 2}
 	w, err := NewWorld(cfg, twoJoins())
@@ -134,13 +133,8 @@ func TestInvariantLossyDowngrade(t *testing.T) {
 	if _, ok := w.machines[3].Connection(1); ok {
 		t.Fatal("switch 3 heard about the connection despite the drops")
 	}
-	comp := w.graph.Component(0)
-	full := make(map[topo.SwitchID]bool, len(comp))
-	for _, s := range comp {
-		full[s] = true
-	}
-	if err := w.checkComponent(comp, full, true); err == nil {
-		t.Fatal("strict component check passed a world where switch 3 has no state")
+	if err := core.CheckAgreement(w.graph, w.views()); err == nil {
+		t.Fatal("strict agreement check passed a world where switch 3 has no state")
 	}
 	if err := w.checkQuiescent(); err != nil {
 		t.Fatalf("lossy standard rejected a legitimate lossy outcome: %v", err)

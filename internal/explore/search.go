@@ -40,8 +40,6 @@ type Options struct {
 	// BackDepth bounds the exhaustive neighborhood explored around each
 	// minimized suspect state (default 6).
 	BackDepth int
-	// Progress, when non-nil, receives periodic search statistics.
-	Progress func(Stats)
 
 	// expandHook observes every frontier expansion of guided/backward
 	// search in order (tests pin search-order determinism with it).
@@ -207,9 +205,6 @@ func Exhaustive(cfg Config, scn Scenario, opt Options) (*Result, error) {
 			queue = append(queue, bfsNode{w: child, sched: sched})
 		}
 		res.Stats.States = len(visited)
-		if opt.Progress != nil && res.Stats.States%1000 == 0 {
-			opt.Progress(res.Stats)
-		}
 	}
 	res.Stats.States = len(visited)
 	return res, nil
@@ -263,9 +258,6 @@ func RandomWalk(cfg Config, scn Scenario, opt Options) (*Result, error) {
 			return res, nil
 		}
 		res.Stats.States++
-		if opt.Progress != nil && (walk+1)%32 == 0 {
-			opt.Progress(res.Stats)
-		}
 	}
 	return res, nil
 }

@@ -197,7 +197,7 @@ func (w *World) hasPendingMC(s topo.SwitchID, conn lsa.ConnID) bool {
 // live switches holding state for the same connection.
 func (w *World) suspects() suspectCounts {
 	var sc suspectCounts
-	views := make(map[lsa.ConnID][]connView)
+	views := make(map[lsa.ConnID][]core.Snapshot)
 	for s := 0; s < w.n; s++ {
 		if w.crashed[s] {
 			continue
@@ -217,7 +217,7 @@ func (w *World) suspects() suspectCounts {
 			if m.ProposalOwed(conn) && !m.ResyncArmed(conn) && !w.hasPendingMC(sw, conn) {
 				sc[SuspectOrphanedProposal]++
 			}
-			views[conn] = append(views[conn], connView{sw: sw, snap: snap})
+			views[conn] = append(views[conn], snap)
 		}
 	}
 	for _, conn := range sortedViewConns(views) {
@@ -225,12 +225,12 @@ func (w *World) suspects() suspectCounts {
 		for i := 0; i < len(vs); i++ {
 			for j := i + 1; j < len(vs); j++ {
 				a, b := &vs[i], &vs[j]
-				if !a.snap.R.Equal(b.snap.R) || !a.snap.C.Equal(b.snap.C) {
+				if !a.R.Equal(b.R) || !a.C.Equal(b.C) {
 					continue
 				}
-				if !a.snap.Members.Equal(b.snap.Members) ||
-					(a.snap.Topology == nil) != (b.snap.Topology == nil) ||
-					(a.snap.Topology != nil && !a.snap.Topology.Equal(b.snap.Topology)) {
+				if !a.Members.Equal(b.Members) ||
+					(a.Topology == nil) != (b.Topology == nil) ||
+					(a.Topology != nil && !a.Topology.Equal(b.Topology)) {
 					sc[SuspectSettledDivergence]++
 				}
 			}
@@ -249,7 +249,7 @@ func (w *World) suspects() suspectCounts {
 	return sc
 }
 
-func sortedViewConns(views map[lsa.ConnID][]connView) []lsa.ConnID {
+func sortedViewConns(views map[lsa.ConnID][]core.Snapshot) []lsa.ConnID {
 	out := make([]lsa.ConnID, 0, len(views))
 	for id := range views {
 		out = append(out, id)

@@ -251,9 +251,6 @@ func sortSwitches(ids []topo.SwitchID) {
 	}
 }
 
-// NumAreas returns the number of level-1 areas.
-func (d *Domain) NumAreas() int { return len(d.areas) }
-
 // Area returns area ai's core domain (for inspection).
 func (d *Domain) Area(ai int) *core.Domain { return d.areas[ai].domain }
 

@@ -304,8 +304,8 @@ func (c *Cluster) SendData(sw topo.SwitchID, conn lsa.ConnID, payload []byte) (u
 }
 
 // SendDataBatch originates count copies of payload on conn at switch sw in
-// one batched call (see Node.SendDataBatch); it satisfies
-// workload.BatchSender so the load generator amortizes per-send setup.
+// one batched call (see Node.SendDataBatch), amortizing per-send setup
+// across the batch.
 func (c *Cluster) SendDataBatch(sw topo.SwitchID, conn lsa.ConnID, payload []byte, count int) (uint64, int, error) {
 	n := c.aliveNode(sw)
 	if n == nil {
@@ -438,67 +438,17 @@ func (c *Cluster) settle(p *poll, idleFor time.Duration, deadline time.Time) (ui
 	}
 }
 
-// CheckAgreement verifies the cluster-wide convergence invariant, the live
-// counterpart of core.Domain.CheckConverged: for every live connection,
-// every node agrees on the member list and the committed stamp, each node's
-// stamps are mutually consistent (R = C, R ≥ E), and with two or more
-// members all nodes have installed the same valid topology spanning them.
+// CheckAgreement verifies the cluster-wide convergence invariant: the same
+// check as core.Domain.CheckConverged (core.CheckAgreement), over the live
+// nodes, with dead switches skipped.
 func (c *Cluster) CheckAgreement() error {
-	nodes := c.Nodes()
-	alive := nodes[:0]
-	for _, n := range nodes {
+	views := make([]core.View, c.graph.NumSwitches())
+	for i, n := range c.Nodes() {
 		if n != nil {
-			alive = append(alive, n)
+			views[i] = n
 		}
 	}
-	nodes = alive
-	conns := map[lsa.ConnID]bool{}
-	for _, n := range nodes {
-		for _, id := range n.Connections() {
-			conns[id] = true
-		}
-	}
-	for conn := range conns {
-		var ref core.Snapshot
-		var refNode topo.SwitchID
-		first := true
-		for _, n := range nodes {
-			snap, ok := n.Connection(conn)
-			if !ok {
-				return fmt.Errorf("conn %d: switch %d has no state", conn, n.ID())
-			}
-			if !snap.R.Equal(snap.C) {
-				return fmt.Errorf("conn %d: switch %d uncommitted (R=%s C=%s)", conn, n.ID(), snap.R, snap.C)
-			}
-			if !snap.R.Geq(snap.E) {
-				return fmt.Errorf("conn %d: switch %d still expects LSAs (R=%s E=%s)", conn, n.ID(), snap.R, snap.E)
-			}
-			if first {
-				ref, refNode, first = snap, n.ID(), false
-				continue
-			}
-			if !snap.Members.Equal(ref.Members) {
-				return fmt.Errorf("conn %d: members disagree between switches %d and %d", conn, refNode, n.ID())
-			}
-			if !snap.C.Equal(ref.C) {
-				return fmt.Errorf("conn %d: commit stamps disagree between switches %d and %d (%s vs %s)",
-					conn, refNode, n.ID(), ref.C, snap.C)
-			}
-			if (snap.Topology == nil) != (ref.Topology == nil) ||
-				(snap.Topology != nil && !snap.Topology.Equal(ref.Topology)) {
-				return fmt.Errorf("conn %d: topologies disagree between switches %d and %d", conn, refNode, n.ID())
-			}
-		}
-		if len(ref.Members) >= 2 {
-			if ref.Topology == nil {
-				return fmt.Errorf("conn %d: %d members but no installed topology", conn, len(ref.Members))
-			}
-			if err := ref.Topology.Validate(c.graph, ref.Members); err != nil {
-				return fmt.Errorf("conn %d: installed topology invalid: %v", conn, err)
-			}
-		}
-	}
-	return nil
+	return core.CheckAgreement(c.graph, views)
 }
 
 // WaitConverged blocks until the cluster is quiescent and in agreement, or

@@ -163,9 +163,11 @@ func (n *Node) FIBCompiles() uint64 { return n.fibCompiles.Load() }
 // recompileFIBLocked compiles a table from the machine's forwarding state
 // and swaps it in atomically: from scratch when all is set, and otherwise
 // the current table with the entries of the changed connections compiled
-// anew — what an install costs must not grow with the connections it did
-// not touch. Must be called with n.mu held (or before the goroutine cluster
-// starts).
+// anew. Only those entries are compiled, but fib.NewBuilderFrom copies
+// every other entry of the current table into the new one, so an install
+// still costs time and memory in proportion to the live connections
+// (BenchmarkFIBInstall). Must be called with n.mu held (or before the
+// goroutine cluster starts).
 func (n *Node) recompileFIBLocked(all bool, changed []lsa.ConnID) {
 	image := n.machine.Unicast().Image()
 	var b *fib.Builder

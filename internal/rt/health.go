@@ -18,8 +18,8 @@ type NodeHealth struct {
 	Epoch  uint64 `json:"epoch"`
 
 	// Conns counts live (non-dormant) connections; Converged is true when
-	// every one of them is individually converged: received == computed
-	// stamp, received ≥ expected, and no detected gap.
+	// every one of them is individually converged (core.Machine.Settled):
+	// received == computed == expected stamp, and no detected gap.
 	Conns     int  `json:"conns"`
 	Converged bool `json:"converged"`
 
@@ -94,12 +94,10 @@ func (n *Node) Health() NodeHealth {
 	conns := n.machine.Connections()
 	h.Conns = len(conns)
 	for _, conn := range conns {
-		snap, ok := n.machine.Connection(conn)
-		gapped := n.machine.Gapped(conn)
-		if ok && (!snap.R.Equal(snap.C) || !snap.R.Geq(snap.E) || gapped) {
+		if !n.machine.Settled(conn) {
 			h.Converged = false
 		}
-		if gapped {
+		if n.machine.Gapped(conn) {
 			h.GappedConns = append(h.GappedConns, uint32(conn))
 		}
 		if n.machine.ResyncArmed(conn) {
@@ -140,9 +138,5 @@ func mean(sum, count uint64) float64 {
 func (n *Node) HealthyConn(conn lsa.ConnID) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	snap, ok := n.machine.Connection(conn)
-	if !ok {
-		return false
-	}
-	return snap.R.Equal(snap.C) && snap.R.Geq(snap.E) && !n.machine.Gapped(conn)
+	return n.machine.Settled(conn)
 }

@@ -231,7 +231,7 @@ func TestNodeDisabledObservability(t *testing.T) {
 }
 
 // TestDataSeriesMatchAccessors pins the single set of data-plane counters:
-// after a ledgered blast, and after a decode error at each of the sites that
+// after a ledgered closed-loop send, and after a decode error at each of the sites that
 // count one (frame, flood LSA, resync request, data payload), every
 // node-wide dgmc_data_* series, dgmc_fib_compiles_total and
 // dgmc_frame_decode_errors_total reads exactly what ForwardStats,
@@ -269,22 +269,9 @@ func TestDataSeriesMatchAccessors(t *testing.T) {
 	}
 	blast := func(packets int, sources ...topo.SwitchID) {
 		t.Helper()
-		res, err := workload.Blast(c, workload.BlastConfig{
-			Conn: conn, Sources: sources, SendersPerSource: 1, PayloadSize: 32, Batch: 8,
-			Packets: packets, Ledger: led,
-			Expect: func(src topo.SwitchID) []topo.SwitchID {
-				var out []topo.SwitchID
-				for _, sw := range members {
-					if sw != src {
-						out = append(out, sw)
-					}
-				}
-				return out
-			},
-			InFlight: fab.InFlight, MaxInFlight: 128,
-		})
-		if err != nil || res.Sent != uint64(packets) || res.Refused != 0 {
-			t.Fatalf("blast sent %d of %d (refused %d): %v", res.Sent, packets, res.Refused, err)
+		sent, refused := closedLoop(c, led, conn, members, sources, 1, 8, packets, fab.InFlight)
+		if sent != uint64(packets) || refused != 0 {
+			t.Fatalf("closed loop sent %d of %d (refused %d)", sent, packets, refused)
 		}
 		if err := c.Settle(50*time.Millisecond, 30*time.Second); err != nil {
 			t.Fatal(err)

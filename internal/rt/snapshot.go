@@ -48,10 +48,6 @@ func (s *NodeSnapshot) ID() topo.SwitchID { return s.id }
 // Epoch returns the restart epoch of the incarnation that was captured.
 func (s *NodeSnapshot) Epoch() uint64 { return s.epoch }
 
-// Checksum returns the SHA-256 over the snapshot's canonical state
-// encoding.
-func (s *NodeSnapshot) Checksum() [sha256.Size]byte { return s.sum }
-
 // verify recomputes the checksum and compares it with the one taken at
 // capture time.
 func (s *NodeSnapshot) verify() error {

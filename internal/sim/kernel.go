@@ -169,8 +169,8 @@ func (k *Kernel) ScheduleAt(at Time, fn func()) {
 	k.Schedule(at-k.now, fn)
 }
 
-// Run executes events until the queue is empty (quiescence) or, when a prior
-// SetHorizon is in effect, until the next event would exceed the horizon.
+// Run executes events until the queue is empty (quiescence) or, inside
+// RunUntil, until the next event would exceed its horizon.
 // Processes blocked on mailboxes at quiescence are considered idle servers,
 // not errors. Run may be called repeatedly; each call resumes from the
 // current state.
@@ -206,10 +206,6 @@ func (k *Kernel) RunUntil(t Time) (Stats, error) {
 	}
 	return st, err
 }
-
-// SetHorizon bounds all subsequent Run calls to virtual time t. A zero t
-// removes the bound.
-func (k *Kernel) SetHorizon(t Time) { k.horizon = t }
 
 // Shutdown terminates every process that is still blocked (in Hold or Recv)
 // and waits for all process goroutines to exit. It must be called once the

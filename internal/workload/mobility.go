@@ -19,23 +19,24 @@ type MobilityConfig struct {
 	// random connected cuts of it and flaps hit its real links. Required.
 	Graph *topo.Graph
 	// Partitions is the number of split/heal cycles spread evenly across
-	// the event sequence (zero for none).
+	// the event sequence (zero for none). Each split lasts an eighth of the
+	// event span.
 	Partitions int
-	// PartitionHold is how long each split lasts. Defaults to an eighth of
-	// the event span when zero.
-	PartitionHold sim.Time
 	// FlapLinks is how many distinct links flap periodically (zero for
-	// none); FlapPeriod, FlapDuty, and FlapCycles parameterize each link's
-	// flapping as in PeriodicFlaps (defaults: span/8, 0.3, 4).
-	FlapLinks  int
-	FlapPeriod sim.Time
-	FlapDuty   float64
-	FlapCycles int
+	// none), each as PeriodicFlaps with a period of an eighth of the event
+	// span, flapDuty and flapCycles.
+	FlapLinks int
 }
+
+// The flapping links' duty cycle and cycle count (see PeriodicFlaps).
+const (
+	flapDuty   = 0.3
+	flapCycles = 4
+)
 
 // Mobility generates a churn event sequence plus the fault plan that
 // batters it: Partitions random bipartitions of the graph, each held for
-// PartitionHold and then healed, and FlapLinks links flapping periodically
+// an eighth of the event span and then healed, and FlapLinks links flapping periodically
 // throughout. Everything derives from cfg.Seed, so a mobility run is
 // reproducible from its config alone. Pair the returned plan with
 // core.Domain.SchedulePartitionHeal so each heal also triggers protocol
@@ -64,13 +65,7 @@ func Mobility(cfg MobilityConfig) ([]Event, faults.Plan, error) {
 	plan := faults.Plan{Seed: cfg.Seed}
 
 	if cfg.Partitions > 0 {
-		hold := cfg.PartitionHold
-		if hold <= 0 {
-			hold = span / 8
-			if hold < 1 {
-				hold = 1
-			}
-		}
+		hold := max(span/8, 1)
 		// Spread the splits evenly across the span, each healing before the
 		// next begins (one partition at a time keeps heals attributable).
 		gap := span / sim.Time(cfg.Partitions+1)
@@ -94,25 +89,11 @@ func Mobility(cfg MobilityConfig) ([]Event, faults.Plan, error) {
 			return nil, faults.Plan{}, fmt.Errorf("workload: %d flap links but the graph has %d", cfg.FlapLinks, len(links))
 		}
 		rng.Shuffle(len(links), func(i, j int) { links[i], links[j] = links[j], links[i] })
-		period := cfg.FlapPeriod
-		if period <= 0 {
-			period = span / 8
-			if period < 2 {
-				period = 2
-			}
-		}
-		duty := cfg.FlapDuty
-		if duty <= 0 || duty >= 1 {
-			duty = 0.3
-		}
-		cycles := cfg.FlapCycles
-		if cycles <= 0 {
-			cycles = 4
-		}
+		period := max(span/8, 2)
 		for _, l := range links[:cfg.FlapLinks] {
 			// Stagger starts so the flapping links are not phase-locked.
 			start := first + sim.Time(rng.Int63n(int64(period)))
-			plan.Flaps = append(plan.Flaps, faults.PeriodicFlaps(l[0], l[1], start, period, duty, cycles)...)
+			plan.Flaps = append(plan.Flaps, faults.PeriodicFlaps(l[0], l[1], start, period, flapDuty, flapCycles)...)
 		}
 	}
 

@@ -433,6 +433,32 @@ func BenchmarkFIBCompile(b *testing.B) {
 	}
 }
 
+// BenchmarkFIBInstall measures what one install costs a switch's data
+// plane: the table rebuilt for one changed connection and swapped in, as
+// rt's recompileFIBLocked does, with 1, 1 024 and 4 096 connections live.
+// Only the changed entry is compiled, but fib.NewBuilderFrom copies every
+// other entry into the new table, so the cost grows with the connections
+// the install did not touch.
+func BenchmarkFIBInstall(b *testing.B) {
+	for _, conns := range []int{1, 1024, 4096} {
+		g, states, self := benchFIBSetup(b, conns)
+		tbl := compileFIB(g, states, self)
+		st := states[0]
+		changed := []lsa.ConnID{st.conn}
+		b.Run(fmt.Sprintf("conns%d", conns), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bl := fib.NewBuilderFrom(self, g, tbl, changed)
+				bl.Add(st.conn, mctree.Symmetric, st.members, st.tree)
+				tbl = bl.Build()
+			}
+			if tbl.Size() != conns {
+				b.Fatalf("install left %d entries, want %d", tbl.Size(), conns)
+			}
+		})
+	}
+}
+
 // BenchmarkTopoCompute measures one from-scratch topology computation (the
 // paper's Tc) at three network sizes; n250 exists to expose the asymptotic
 // gap between the old O(n²) linear-min Dijkstra and the heap kernel.
