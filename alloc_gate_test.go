@@ -95,10 +95,11 @@ func TestAllocGateTopoCompute(t *testing.T) {
 
 // TestAllocGateEventLog pins what keeping the replay log costs once it has
 // reached its working size: nothing beyond the LSA it was handed. The log
-// is a slice appended to and trimmed in place, so a window of events that
-// spans two trims must allocate exactly what a window with no trim in it
-// does, per event — one allocation per trim (a fresh slice instead of a
-// copy-down) would show as 2/1024 of an allocation per pair.
+// is a byte arena and an index appended to and trimmed in place, so a
+// window of events that spans two trims must allocate exactly what an
+// equal window with no trim in it does — one allocation per trim (a fresh
+// array instead of a copy-down) would show as 2/64 of an allocation per
+// pair.
 func TestAllocGateEventLog(t *testing.T) {
 	g, err := topo.Ring(16, 5*time.Microsecond)
 	if err != nil {
@@ -126,14 +127,15 @@ func TestAllocGateEventLog(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return float64(after.Mallocs-before.Mallocs) / float64(pairs)
 	}
-	limit := core.EventLogLimit
-	allocsPerPair(limit) // past the first trims: the slice has its final capacity
-	acrossTrims := allocsPerPair(limit / 2)
-	if d := m.EventLogDepth(); d < limit/2 || d >= limit {
-		t.Fatalf("log depth %d after %d events, limit %d", d, 3*limit, limit)
+	limit, retain := core.EventLogLimit, core.EventLogRetain
+	period := limit - retain // events between two trims, and join+leave pairs in two
+	allocsPerPair(limit)     // past the first trims: the arrays have their final capacity
+	acrossTrims := allocsPerPair(period)
+	if d := m.EventLogDepth(); d < retain || d >= limit {
+		t.Fatalf("log depth %d after %d events, limit %d", d, 2*(limit+period), limit)
 	}
 	m.CompactEventLogs()
-	noTrim := allocsPerPair(limit / 16)
+	noTrim := allocsPerPair(period)
 	if acrossTrims != noTrim {
 		t.Errorf("event log: %.4f allocs per join+leave across two trims, %.4f with none", acrossTrims, noTrim)
 	}

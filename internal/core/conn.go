@@ -12,8 +12,31 @@ import (
 // the member list, the three vector timestamps, the installed topology, and
 // the shared makeProposal flag (paper §3.2–3.3).
 type connState struct {
-	id      lsa.ConnID
-	kind    mctree.Kind
+	id   lsa.ConnID
+	kind mctree.Kind
+
+	// The three flags share one word with id and kind; spread out, each
+	// would take a word of its own and push the struct past its 320-byte
+	// size class.
+
+	// makeProposal is the flag shared between EventHandler and ReceiveLSA:
+	// true when this switch owes the network a topology proposal.
+	makeProposal bool
+
+	// dormant marks state for a connection whose member list has emptied
+	// (§3.4 "destroyed"). The heavy state (members, topology) is gone, but
+	// the event counters persist — like OSPF LSA sequence numbers — so
+	// that LSAs still in flight when the last member left cannot be
+	// mistaken for a fresh incarnation of the connection. A new event
+	// resurrects the state.
+	dormant bool
+
+	// logShared marks logArena's and logIndex's arrays as shared with a
+	// clone (clone.go): both sides may append past their own length, but
+	// neither may rewrite what the other sees, so the next trim starts new
+	// arrays instead of compacting in place.
+	logShared bool
+
 	members mctree.Members
 
 	r, e, c stamp.Stamp
@@ -21,10 +44,6 @@ type connState struct {
 	// topology is the currently installed MC topology (nil before the
 	// first accepted proposal).
 	topology *mctree.Tree
-
-	// makeProposal is the flag shared between EventHandler and ReceiveLSA:
-	// true when this switch owes the network a topology proposal.
-	makeProposal bool
 
 	// lastDelta remembers the most recent membership change applied, as a
 	// hint for incremental topology updates. The zero value forces
@@ -35,28 +54,18 @@ type connState struct {
 	// bookkeeping and metrics).
 	installs uint64
 
-	// dormant marks state for a connection whose member list has emptied
-	// (§3.4 "destroyed"). The heavy state (members, topology) is gone, but
-	// the event counters persist — like OSPF LSA sequence numbers — so
-	// that LSAs still in flight when the last member left cannot be
-	// mistaken for a fresh incarnation of the connection. A new event
-	// resurrects the state.
-	dormant bool
-
-	// eventLog retains the most recently applied event LSAs in application
-	// order, as compact records (eventlog.go), so this switch can replay
-	// missed events to a resyncing neighbor (the OSPF database-exchange
-	// analogue). The record of switch x's i-th event has src x and idx i,
-	// which is how resync responses are filtered. It is a bounded suffix of
-	// history: logEvent is its only writer and trimLog its only trimmer.
-	// Like the counters, the log survives dormancy.
-	eventLog []logRecord
-
-	// logShared marks eventLog's array as shared with a clone (clone.go):
-	// both sides may append past their own length, but neither may rewrite
-	// what the other sees, so the next trim starts a new array instead of
-	// compacting in place.
-	logShared bool
+	// logArena and logIndex are the replay log: the most recently applied
+	// event LSAs in application order, as compact records (eventlog.go),
+	// so this switch can replay missed events to a resyncing neighbor (the
+	// OSPF database-exchange analogue). The arena holds the records'
+	// encodings back to back; logIndex[i] says where record i's ends and
+	// its per-origin index — switch x's i-th event has idx i, and x is the
+	// encoding's first varint — which is how resync responses are
+	// filtered. It is a bounded suffix of history: logEvent is its only
+	// writer and trimLog its only trimmer. Like the counters, the log
+	// survives dormancy.
+	logArena []byte
+	logIndex []logEntry
 
 	// logLast is the stamp of the newest event ever logged — the point
 	// every record's stamp is rebuilt from. It outlives the entry itself.

@@ -10,18 +10,21 @@ import (
 	"dgmc/internal/topo"
 )
 
-// The replay log (connState.eventLog) keeps each applied event LSA as a
-// compact record rather than as the decoded *lsa.MC: a switch holds up to
-// EventLogLimit of them per connection, and the decoded form — struct,
-// n-component stamp, proposal tree — costs hundreds of bytes an entry
-// where the record costs tens (DESIGN.md §13).
+// The replay log keeps each applied event LSA as a compact record rather
+// than as the decoded *lsa.MC: a switch holds up to EventLogLimit of them
+// per connection, and the decoded form — struct, n-component stamp,
+// proposal tree — costs hundreds of bytes an entry where the record costs
+// tens (DESIGN.md §13). The records of one connection lie back to back in
+// one byte arena (connState.logArena); an 8-byte logEntry per record
+// (connState.logIndex) says where its encoding ends and which per-origin
+// index it has. Once both arrays have grown, an append allocates nothing.
 //
-// A record's enc is the LSA as unsigned varints, in this order:
+// A record's encoding is the LSA as unsigned varints, in this order:
 //
 //	src, event, role,
 //	proposal kind (0: no proposal), then for a proposal its root (zigzag),
 //	edge count, and each edge's endpoints A and B,
-//	the stamp delta: (gap, zigzag difference) pairs to the end of enc.
+//	the stamp delta: (gap, zigzag difference) pairs to the end of the record.
 //
 // The connection is left out: a log belongs to one connection. The stamp
 // is stored as its difference from the previous entry's, listing only the
@@ -35,28 +38,28 @@ import (
 // rest. The log treats every stamp as an n-vector: components past n are
 // not kept, and missing ones read as zero.
 
-// logRecord is one applied event LSA in the replay log: its encoding, and
-// the origin and per-origin index that serveResync and trimLog scan by.
-type logRecord struct {
-	enc string
-	src int32
+// logEntry indexes one record in the arena: the offset its encoding ends
+// at (it starts where the previous entry's ends, or at 0) and its
+// origin's per-origin index. The origin is the encoding's first uvarint.
+type logEntry struct {
+	end uint32
 	idx uint32
 }
 
-// recordSize is what one record costs beyond its encoding.
-const recordSize = int(unsafe.Sizeof(logRecord{}))
-
-// eventLogRetain is how many applied event LSAs a connection keeps for
+// EventLogRetain is how many applied event LSAs a connection keeps for
 // replay. The deepest suffix any resync request reached for across the
 // fault soaks, the loss soaks and the simulator's loss sweep was 90 log
 // entries (10 events of one origin); this is the next power of two above
 // four times that (DESIGN.md §13). The log is trimmed back to it whenever
-// it reaches twice this length, so depth stays below 2×eventLogRetain and
-// the trim's copy is amortized over eventLogRetain appends.
-const eventLogRetain = 512
+// it reaches EventLogLimit, so depth stays in [EventLogRetain,
+// EventLogLimit) once it has first filled, and the trim's copy is
+// amortized over EventLogLimit-EventLogRetain appends.
+const EventLogRetain = 512
 
-// EventLogLimit is the depth no connection's event log reaches.
-const EventLogLimit = 2 * eventLogRetain
+// EventLogLimit is the depth no connection's event log reaches: an eighth
+// above EventLogRetain, so a full log's arrays are never sized for more
+// than that.
+const EventLogLimit = EventLogRetain + EventLogRetain/8
 
 // logEvent appends an applied event LSA to the replay log. Proposals are
 // kept: a replayed proposal-carrying event LSA lets a resyncing switch
@@ -67,59 +70,82 @@ func (cs *connState) logEvent(m *lsa.MC) {
 	if !m.Event.IsEvent() || m.Event == lsa.CatchUp {
 		return
 	}
-	var scratch [256]byte
-	enc := appendRecord(scratch[:0], m, cs.logLast)
-	cs.eventLog = append(cs.eventLog, logRecord{enc: string(enc), src: int32(m.Src), idx: m.Stamp[int(m.Src)]})
+	if n := len(cs.logIndex); n == cap(cs.logIndex) {
+		// Doubling, but never past EventLogLimit entries: a full log's
+		// index is exactly as large as its deepest depth.
+		grown := make([]logEntry, n, min(max(2*n, 1), EventLogLimit))
+		copy(grown, cs.logIndex)
+		cs.logIndex = grown
+	}
+	cs.logArena = appendRecord(cs.logArena, m, cs.logLast)
+	cs.logIndex = append(cs.logIndex, logEntry{end: uint32(len(cs.logArena)), idx: m.Stamp[int(m.Src)]})
 	clear(cs.logLast[copy(cs.logLast, m.Stamp):])
-	if len(cs.eventLog) >= EventLogLimit {
-		cs.trimLog(eventLogRetain)
+	if len(cs.logIndex) >= EventLogLimit {
+		cs.trimLog(EventLogRetain)
 	}
 }
 
-// trimLog drops all but the newest keep entries, in place, raising each
-// dropped origin's floor to the dropped index. The vacated tail is cleared
-// so the dropped encodings can be collected. Nothing is re-encoded: the
-// oldest kept entry's difference now refers to a dropped entry, and no
-// walk back from logLast ever reads it. An array shared with a clone is
-// left as it is; the kept entries move to a new one.
+// record is the encoding of log entry i.
+func (cs *connState) record(i int) []byte {
+	start := uint32(0)
+	if i > 0 {
+		start = cs.logIndex[i-1].end
+	}
+	return cs.logArena[start:cs.logIndex[i].end]
+}
+
+// recordSrc is the origin of the record enc.
+func recordSrc(enc []byte) int {
+	r := recordReader{enc: enc}
+	return int(int32(uint32(r.uvarint())))
+}
+
+// trimLog drops all but the newest keep entries, raising each dropped
+// origin's floor to the dropped index. Nothing is re-encoded: the oldest
+// kept entry's difference now refers to a dropped entry, and no walk back
+// from logLast ever reads it. The kept encodings and index entries are
+// copied down in place, the index rebased to the arena's new start; arrays
+// shared with a clone are left as they are, and the kept entries move to
+// new ones.
 func (cs *connState) trimLog(keep int) {
-	drop := len(cs.eventLog) - keep
+	drop := len(cs.logIndex) - keep
 	if drop <= 0 {
 		return
 	}
-	for _, rec := range cs.eventLog[:drop] {
-		if x := int(rec.src); rec.idx > cs.logFloor[x] {
-			cs.logFloor[x] = rec.idx
+	for i, e := range cs.logIndex[:drop] {
+		if x := recordSrc(cs.record(i)); e.idx > cs.logFloor[x] {
+			cs.logFloor[x] = e.idx
 		}
 	}
+	base := cs.logIndex[drop-1].end
+	arena, index := cs.logArena[base:], cs.logIndex[drop:]
 	if cs.logShared {
-		cs.eventLog = append([]logRecord(nil), cs.eventLog[drop:]...)
+		cs.logArena = append([]byte(nil), arena...)
+		cs.logIndex = append([]logEntry(nil), index...)
 		cs.logShared = false
-		return
+	} else {
+		cs.logArena = cs.logArena[:copy(cs.logArena, arena)]
+		cs.logIndex = cs.logIndex[:copy(cs.logIndex, index)]
 	}
-	copy(cs.eventLog, cs.eventLog[drop:])
-	clear(cs.eventLog[keep:])
-	cs.eventLog = cs.eventLog[:keep]
+	for i := range cs.logIndex {
+		cs.logIndex[i].end -= base
+	}
 }
 
-// logBytes is what the retained records occupy: their encodings plus the
-// records themselves.
+// logBytes is what the log occupies: the capacity of its arena and its
+// index, filled or not.
 func (cs *connState) logBytes() int {
-	total := recordSize * len(cs.eventLog)
-	for _, rec := range cs.eventLog {
-		total += len(rec.enc)
-	}
-	return total
+	return cap(cs.logArena) + int(unsafe.Sizeof(logEntry{}))*cap(cs.logIndex)
 }
 
 // appendReplay appends, oldest first, a decoded copy of every log entry
-// want selects. It walks back from logLast only as far as the oldest
-// selected entry and decodes only the selected ones; their structs and
-// stamps share one allocation each.
-func (cs *connState) appendReplay(batch []*lsa.MC, want func(logRecord) bool) []*lsa.MC {
+// want selects by origin and per-origin index. It walks back from logLast
+// only as far as the oldest selected entry and decodes only the selected
+// ones; their structs and stamps share one allocation each.
+func (cs *connState) appendReplay(batch []*lsa.MC, want func(src int, idx uint32) bool) []*lsa.MC {
 	first, count := -1, 0
-	for i, rec := range cs.eventLog {
-		if want(rec) {
+	for i, e := range cs.logIndex {
+		if want(recordSrc(cs.record(i)), e.idx) {
 			if first < 0 {
 				first = i
 			}
@@ -134,18 +160,18 @@ func (cs *connState) appendReplay(batch []*lsa.MC, want func(logRecord) bool) []
 	stamps := make([]uint32, count*n)
 	cur := cs.logLast.Clone()
 	k := count
-	for j := len(cs.eventLog) - 1; ; j-- {
-		rec := cs.eventLog[j]
-		if want(rec) {
+	for j := len(cs.logIndex) - 1; ; j-- {
+		enc := cs.record(j)
+		if want(recordSrc(enc), cs.logIndex[j].idx) {
 			k--
 			st := stamps[k*n : (k+1)*n : (k+1)*n]
 			copy(st, cur)
-			msgs[k] = decodeRecord(rec.enc, cs.id, st)
+			msgs[k] = decodeRecord(enc, cs.id, st)
 		}
 		if j == first {
 			break
 		}
-		stepBack(cur, rec.enc)
+		stepBack(cur, enc)
 	}
 	for i := range msgs {
 		batch = append(batch, &msgs[i])
@@ -156,16 +182,16 @@ func (cs *connState) appendReplay(batch []*lsa.MC, want func(logRecord) bool) []
 // appendLog appends the log to the canonical state encoding exactly as the
 // decoded LSAs it holds would encode (appendMC), oldest first.
 func (cs *connState) appendLog(buf []byte) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(cs.eventLog)))
-	if len(cs.eventLog) == 0 {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(cs.logIndex)))
+	if len(cs.logIndex) == 0 {
 		return buf
 	}
 	cur := cs.logLast.Clone()
-	for j := len(cs.eventLog) - 1; j > 0; j-- {
-		stepBack(cur, cs.eventLog[j].enc)
+	for j := len(cs.logIndex) - 1; j > 0; j-- {
+		stepBack(cur, cs.record(j))
 	}
-	for j, rec := range cs.eventLog {
-		buf = appendRecordMC(buf, rec.enc, cs.id, cur, j > 0)
+	for j := range cs.logIndex {
+		buf = appendRecordMC(buf, cs.record(j), cs.id, cur, j > 0)
 	}
 	return buf
 }
@@ -211,7 +237,7 @@ func appendRecord(buf []byte, m *lsa.MC, prev stamp.Stamp) []byte {
 // ever written by appendRecord, so it does no bounds or overflow checks
 // beyond the language's own.
 type recordReader struct {
-	enc string
+	enc []byte
 	pos int
 }
 
@@ -299,7 +325,7 @@ func (r *recordReader) step(s stamp.Stamp, forward bool) {
 }
 
 // stepBack turns the stamp of enc's entry into the previous entry's.
-func stepBack(s stamp.Stamp, enc string) {
+func stepBack(s stamp.Stamp, enc []byte) {
 	r := recordReader{enc: enc}
 	r.skipBody()
 	r.step(s, false)
@@ -308,7 +334,7 @@ func stepBack(s stamp.Stamp, enc string) {
 // appendRecordMC appends the record as appendMC appends the LSA it was
 // made from, given the connection and the entry's stamp. With step set, st
 // holds the previous entry's stamp and is advanced to this one's first.
-func appendRecordMC(buf []byte, enc string, conn lsa.ConnID, st stamp.Stamp, step bool) []byte {
+func appendRecordMC(buf []byte, enc []byte, conn lsa.ConnID, st stamp.Stamp, step bool) []byte {
 	r := recordReader{enc: enc}
 	src, event, role := r.header()
 	buf = binary.BigEndian.AppendUint32(buf, uint32(int32(src)))
@@ -323,7 +349,7 @@ func appendRecordMC(buf []byte, enc string, conn lsa.ConnID, st stamp.Stamp, ste
 
 // decodeRecord rebuilds the LSA a record was made from, given the
 // connection and the entry's stamp (which the LSA takes).
-func decodeRecord(enc string, conn lsa.ConnID, st stamp.Stamp) lsa.MC {
+func decodeRecord(enc []byte, conn lsa.ConnID, st stamp.Stamp) lsa.MC {
 	r := recordReader{enc: enc}
 	src, event, role := r.header()
 	m := lsa.MC{Src: src, Event: event, Role: role, Conn: conn, Stamp: st}

@@ -28,7 +28,7 @@ func (cs *refLog) logEvent(m *lsa.MC) {
 	}
 	cs.eventLog = append(cs.eventLog, m)
 	if len(cs.eventLog) >= EventLogLimit {
-		cs.trimLog(eventLogRetain)
+		cs.trimLog(EventLogRetain)
 	}
 }
 

@@ -38,8 +38,8 @@ func (sn *scriptNet) churn(id topo.SwitchID, events int) {
 // logIndexes lists (origin, index) of every retained entry, in log order.
 func logIndexes(cs *connState) [][2]uint32 {
 	var out [][2]uint32
-	for _, rec := range cs.eventLog {
-		out = append(out, [2]uint32{uint32(rec.src), rec.idx})
+	for i, e := range cs.logIndex {
+		out = append(out, [2]uint32{uint32(recordSrc(cs.record(i))), e.idx})
 	}
 	return out
 }
@@ -78,8 +78,8 @@ func TestEventLogBounded(t *testing.T) {
 		t.Fatalf("heap grew with history: %d B after 2 000 events, %d B after 20 000", at2k, at20k)
 	}
 	cs := m.conns[1]
-	if cs.r[0] != 20000 || cs.logFloor[0] != cs.r[0]-uint32(len(cs.eventLog)) {
-		t.Fatalf("floor does not meet the suffix: r=%d floor=%d retained=%d", cs.r[0], cs.logFloor[0], len(cs.eventLog))
+	if cs.r[0] != 20000 || cs.logFloor[0] != cs.r[0]-uint32(len(cs.logIndex)) {
+		t.Fatalf("floor does not meet the suffix: r=%d floor=%d retained=%d", cs.r[0], cs.logFloor[0], len(cs.logIndex))
 	}
 	runtime.KeepAlive(m)
 }
@@ -92,7 +92,7 @@ func TestEventLogBounded(t *testing.T) {
 func TestColdRejoinBelowFloor(t *testing.T) {
 	g := line(t, 3)
 	sn := newScriptNet(t, g, 4, 0, 1)
-	sn.churn(0, 3*eventLogRetain+1) // ends joined
+	sn.churn(0, 3*EventLogRetain+1) // ends joined
 	sn.churn(1, 5)                  // ends joined; still inside the suffix
 	srv := sn.machines[1]
 	if srv.conns[1].logFloor[0] == 0 {

@@ -947,14 +947,15 @@ func (m *Machine) install(cs *connState, chain ChainID, t *mctree.Tree, via stri
 func (m *Machine) EventLogDepth() int {
 	total := 0
 	for _, cs := range m.conns {
-		total += len(cs.eventLog)
+		total += len(cs.logIndex)
 	}
 	return total
 }
 
 // EventLogBytes returns what the event logs counted by EventLogDepth
-// occupy, in bytes: the records' encodings plus the records themselves
-// (observability: what the replay log costs, not just how deep it is).
+// occupy, in bytes: the capacity of every connection's record arena and
+// index, filled or not (observability: what the replay log costs, not
+// just how deep it is).
 func (m *Machine) EventLogBytes() int {
 	total := 0
 	for _, cs := range m.conns {
@@ -964,10 +965,11 @@ func (m *Machine) EventLogBytes() int {
 }
 
 // CompactEventLogs trims every connection's event log to nothing, now —
-// what logEvent does to the oldest half of a full log, done to all of it.
-// Retention only decides how much is replayed rather than caught up, never
-// what a resyncing neighbor ends up knowing, so a switch may do this at
-// any moment; the schedule explorer makes that moment a choice point.
+// what logEvent does to all but the newest EventLogRetain entries of a
+// full log, done to all of it. Retention only decides how much is
+// replayed rather than caught up, never what a resyncing neighbor ends up
+// knowing, so a switch may do this at any moment; the schedule explorer
+// makes that moment a choice point.
 func (m *Machine) CompactEventLogs() {
 	for _, cs := range m.conns {
 		cs.trimLog(0)

@@ -35,7 +35,7 @@ import (
 //     wedged switches recomputes and floods a fresh proposal.
 //
 //  4. The log a replay is served from is a bounded suffix of history
-//     (connState.eventLog, eventLogRetain). An event from origin x writes
+//     (connState.logArena, EventLogRetain). An event from origin x writes
 //     nothing but r[x] and members[x], so whatever lies below the suffix is
 //     served from the state itself: one catch-up LSA per such origin,
 //     built from (r[x], members[x]) and stamped with the server's R, in
@@ -289,9 +289,8 @@ func (m *Machine) serveResync(cs *connState, from topo.SwitchID, r stamp.Stamp) 
 		})
 	}
 	m.metrics.CatchUpsServed += uint64(len(batch))
-	batch = cs.appendReplay(batch, func(rec logRecord) bool {
-		x := int(rec.src)
-		return rec.idx > rAt(x) && !belowFloor(x)
+	batch = cs.appendReplay(batch, func(x int, idx uint32) bool {
+		return idx > rAt(x) && !belowFloor(x)
 	})
 	if cs.topology != nil {
 		// The capstone must carry C — the stamp the topology was actually

@@ -38,7 +38,8 @@ type NodeHealth struct {
 	// incarnation fast-forwarded an origin's counter on a catch-up instead
 	// of applying its events one by one: non-zero means state here was
 	// recovered from a peer that had already trimmed those events.
-	// EventLogBytes is what those retained events occupy in memory.
+	// EventLogBytes is what the replay logs occupy in memory: the capacity
+	// of every connection's record arena and index, filled or not.
 	EventLogDepth   int    `json:"event_log_depth"`
 	EventLogBytes   int    `json:"event_log_bytes"`
 	CatchUpsApplied uint64 `json:"catch_ups_applied"`

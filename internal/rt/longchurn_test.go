@@ -70,7 +70,7 @@ func TestLongChurnSoak(t *testing.T) {
 
 	const conn = lsa.ConnID(1)
 	const flapper = topo.SwitchID(5)
-	retain := core.EventLogLimit / 2
+	retain := core.EventLogRetain
 	for _, sw := range []topo.SwitchID{0, 3} {
 		if err := c.Join(sw, conn, mctree.SenderReceiver); err != nil {
 			t.Fatal(err)

@@ -145,6 +145,49 @@ func BenchmarkSnapshotChecksum(b *testing.B) {
 	}
 }
 
+// BenchmarkMachineIdleConns measures what a switch keeps per connection at
+// rest: one machine on an n-switch grid that is the one member of each of
+// 1 024 connections, its live heap divided by the connections (B/conn) —
+// member list, the four stamps, floor, installed tree, a one-entry replay
+// log and the machine's maps that hold them.
+func BenchmarkMachineIdleConns(b *testing.B) {
+	const conns = 1024
+	for _, side := range []int{4, 10} {
+		b.Run(fmt.Sprintf("n%d", side*side), func(b *testing.B) {
+			g, err := topo.Grid(side, side, 5*time.Microsecond)
+			if err != nil {
+				b.Fatal(err)
+			}
+			join := core.LocalEvent{Kind: lsa.Join, Role: mctree.SenderReceiver}
+			var perConn float64
+			for i := 0; i < b.N; i++ {
+				m, err := core.NewMachine(core.MachineConfig{
+					ID: 0, Graph: g, Algorithm: route.SPH{},
+				}, nullHost{neighbors: g.Neighbors(0)})
+				if err != nil {
+					b.Fatal(err)
+				}
+				before := liveHeap()
+				for c := 1; c <= conns; c++ {
+					join.Conn = lsa.ConnID(c)
+					m.HandleLocalEvent(nil, join)
+				}
+				perConn += float64(liveHeap()-before) / conns
+				runtime.KeepAlive(m)
+			}
+			b.ReportMetric(perConn/float64(b.N), "B/conn")
+		})
+	}
+}
+
+// liveHeap is the heap in use after a collection.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
 // Sinks keep benchmarked results alive (typed: boxing a digest allocates).
 var (
 	benchClone *core.Machine
