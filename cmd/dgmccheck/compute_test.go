@@ -45,7 +45,7 @@ func TestComputeRaceGates(t *testing.T) {
 		t.Run(g.name, func(t *testing.T) {
 			args := []string{"-topo", "full", "-n", strconv.Itoa(g.n), "-computes", strconv.Itoa(g.computes), "-scenario", g.scenario}
 			if g.guided > 0 {
-				args = append(args, "-guided", "-budget", strconv.Itoa(g.guided))
+				args = append(args, "-mode", "guided", "-budget", strconv.Itoa(g.guided))
 			}
 			var out strings.Builder
 			if err := run(args, &out); err != nil {

@@ -11,9 +11,8 @@
 //	dgmccheck -topo line -n 3 -mode walk -walks 500 -seed 1 -resync -drops 1
 //	dgmccheck -topo line -n 4 -resync -scenario join@0,split@0.1|2.3,heal,crash@3,restart@3
 //	dgmccheck -topo ring -n 5 -resync -scenario join@0,leave@0,join@1,split@0.1|2.3.4,compact@1,heal
-//	dgmccheck -topo ring -n 6 -resync -guided -budget 200000 \
+//	dgmccheck -topo ring -n 6 -resync -mode guided -budget 200000 \
 //	    -scenario join@0,leave@0,join@1,join@3,split@0.1.2|3.4.5,heal
-//	dgmccheck -topo ring -n 6 -resync -suspect all -scenario join@0,join@3,split@0.1.2|3.4.5,heal
 //	dgmccheck -mutate accept-stale            # seeded bug: must report a violation
 //	dgmccheck -replay dgmc-sched-v1:...       # re-execute a counterexample token
 //
@@ -57,19 +56,17 @@ func run(args []string, w io.Writer) error {
 	scenario := fs.String("scenario", "join@0,join@2",
 		"comma-separated events: join@S, leave@S, fail@A-B, restore@A-B (append /C for a connection other than 1); "+
 			"fault lane: split@0.1|2.3 (groups of dot-separated switches), heal, crash@S, restart@S, compact@S (require -resync)")
-	mode := fs.String("mode", "exhaustive", "search mode: exhaustive (BFS), walk (seeded random schedules), guided (best-first with drain probes), or backward (suspect-driven)")
+	mode := fs.String("mode", "exhaustive", "search mode: exhaustive (BFS), walk (seeded random schedules), or guided (best-first with drain probes)")
 	depth := fs.Int("depth", 0, "exhaustive: max schedule depth (0 = unbounded)")
 	maxStates := fs.Int("max-states", 0, "exhaustive: max distinct states (0 = default 2000000)")
 	walks := fs.Int("walks", 256, "walk: number of random schedules")
-	seed := fs.Int64("seed", 1, "walk: RNG seed")
+	seed := fs.Int64("seed", 1, "walk: RNG seed; guided: tie-break jitter seed")
 	resync := fs.Bool("resync", false, "enable gap recovery (timer firings become schedule choices)")
 	resyncRounds := fs.Int("resync-rounds", 2, "resync round budget per gap")
 	drops := fs.Int("drops", 0, "message-drop budget per schedule (requires -resync)")
 	dups := fs.Int("dups", 0, "message-duplication budget per schedule")
 	computes := fs.Int("computes", 0, "budget of topology computations per schedule left pending between begin and completion (completing one becomes a schedule choice)")
-	guided := fs.Bool("guided", false, "shorthand for -mode guided")
-	suspect := fs.String("suspect", "", "backward search: suspect kinds to chase (comma list or \"all\"); implies -mode backward")
-	budget := fs.Int("budget", 0, "guided/backward: transition+probe-step budget (0 = default 200000)")
+	budget := fs.Int("budget", 0, "guided: transition+probe-step budget (0 = default 200000)")
 	mutate := fs.String("mutate", "none", "seed a known bug: "+strings.Join(mutationNames(), ", "))
 	replay := fs.String("replay", "", "replay a counterexample token instead of searching")
 	verbose := fs.Bool("v", false, "print the full counterexample trace")
@@ -108,41 +105,18 @@ func run(args []string, w io.Writer) error {
 	}
 	opt := explore.Options{MaxDepth: *depth, MaxStates: *maxStates, Walks: *walks, Seed: *seed, Budget: *budget}
 
-	searchMode := *mode
-	if *guided {
-		if searchMode != "exhaustive" && searchMode != "guided" {
-			return fmt.Errorf("-guided conflicts with -mode %s", searchMode)
-		}
-		searchMode = "guided"
-	}
-	if *suspect != "" {
-		if searchMode != "exhaustive" && searchMode != "guided" && searchMode != "backward" {
-			return fmt.Errorf("-suspect conflicts with -mode %s", searchMode)
-		}
-		kinds, err := explore.ParseSuspectKinds(*suspect)
-		if err != nil {
-			return err
-		}
-		opt.SuspectKinds = kinds
-		searchMode = "backward"
-	} else if searchMode == "backward" {
-		opt.SuspectKinds = explore.AllSuspectKinds()
-	}
-
-	fmt.Fprintf(w, "checking %s on %s-%d (%s), mode %s\n", *scenario, *topoName, *n, alg.Name(), searchMode)
+	fmt.Fprintf(w, "checking %s on %s-%d (%s), mode %s\n", *scenario, *topoName, *n, alg.Name(), *mode)
 	start := time.Now()
 	var res *explore.Result
-	switch searchMode {
+	switch *mode {
 	case "exhaustive":
 		res, err = explore.Exhaustive(cfg, scn, opt)
 	case "walk":
 		res, err = explore.RandomWalk(cfg, scn, opt)
 	case "guided":
 		res, err = explore.Guided(cfg, scn, opt)
-	case "backward":
-		res, err = explore.Backward(cfg, scn, opt)
 	default:
-		return fmt.Errorf("unknown mode %q (want exhaustive, walk, guided, or backward)", *mode)
+		return fmt.Errorf("unknown mode %q (want exhaustive, walk, or guided)", *mode)
 	}
 	if err != nil {
 		return err
@@ -168,42 +142,21 @@ func run(args []string, w io.Writer) error {
 	fmt.Fprintf(w, "explored: %d states, %d transitions, %d quiescent states in %v\n",
 		res.Stats.States, res.Stats.Transitions, res.Stats.Quiescent, elapsed)
 	fmt.Fprintf(w, "deepest schedule: %d steps\n", res.Stats.MaxDepthSeen)
-	if searchMode == "guided" || searchMode == "backward" {
+	if *mode == "guided" {
 		fmt.Fprintf(w, "coverage: %d stamp shapes, fault depth %d/%d, %d drain probes (%d probe steps)\n",
 			len(res.Stats.Coverage.StampShapes), res.Stats.Coverage.FaultDepth, len(scn.Faults),
 			res.Stats.Probes, res.Stats.ProbeSteps)
 	}
-	printSuspects(w, res)
 	if res.Stats.Truncated {
 		fmt.Fprintf(w, "WARNING: search truncated by depth/state/budget bounds; absence of violations is not exhaustive\n")
-	} else if searchMode == "exhaustive" {
+	} else if *mode == "exhaustive" {
 		fmt.Fprintf(w, "no invariant violations: every reachable interleaving converges\n")
-	} else if searchMode == "walk" {
+	} else if *mode == "walk" {
 		fmt.Fprintf(w, "no invariant violations in %d sampled schedules\n", *walks)
 	} else {
-		fmt.Fprintf(w, "no invariant violations found by %s search\n", searchMode)
+		fmt.Fprintf(w, "no invariant violations found by guided search\n")
 	}
 	return nil
-}
-
-// printSuspects renders backward-search suspect reports: minimized
-// near-violation states that never escalated into a real violation, each
-// with a replayable prefix token.
-func printSuspects(w io.Writer, res *explore.Result) {
-	if len(res.Suspects) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "suspects: %d distinct harvested, %d minimized and explored:\n",
-		res.Stats.SuspectsFound, len(res.Suspects))
-	const maxShown = 8
-	for i, rep := range res.Suspects {
-		if i >= maxShown {
-			fmt.Fprintf(w, "  ... %d more\n", len(res.Suspects)-maxShown)
-			break
-		}
-		fmt.Fprintf(w, "  [score %3d, %2d steps] %s\n", rep.Score, len(rep.Schedule), strings.Join(rep.Kinds, "+"))
-		fmt.Fprintf(w, "    reach with: dgmccheck -replay %s\n", rep.Token)
-	}
 }
 
 func mutationNames() []string {

@@ -189,7 +189,7 @@ func gateArgs(extra ...string) []string {
 // within its budget, prints the coverage map, and reports no violation.
 func TestGuidedGateClean(t *testing.T) {
 	var out strings.Builder
-	err := run(gateArgs("-guided"), &out)
+	err := run(gateArgs("-mode", "guided"), &out)
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
@@ -209,7 +209,7 @@ func TestGuidedGateCatchesCorpus(t *testing.T) {
 	for _, mu := range []string{"accept-stale", "ignore-event-order", "uncapped-pseudo-proposal"} {
 		t.Run(mu, func(t *testing.T) {
 			var out strings.Builder
-			err := run(gateArgs("-guided", "-budget", "200000", "-mutate", mu), &out)
+			err := run(gateArgs("-mode", "guided", "-budget", "200000", "-mutate", mu), &out)
 			if !errors.Is(err, errViolation) {
 				t.Fatalf("want errViolation, got %v\n%s", err, out.String())
 			}
@@ -225,46 +225,18 @@ func TestGuidedGateCatchesCorpus(t *testing.T) {
 	}
 }
 
-// TestBackwardSuspectReports: backward mode harvests, minimizes, and
-// prints suspect reports with replayable prefix tokens on the clean gate.
-func TestBackwardSuspectReports(t *testing.T) {
-	var out strings.Builder
-	err := run(gateArgs("-suspect", "all", "-budget", "60000"), &out)
-	if err != nil {
-		t.Fatalf("run: %v\n%s", err, out.String())
-	}
-	text := out.String()
-	if !strings.Contains(text, "mode backward") || !strings.Contains(text, "suspects:") {
-		t.Fatalf("missing suspect report:\n%s", text)
-	}
-	tok := regexp.MustCompile(`dgmc-sched-v2:[A-Za-z0-9_-]+`).FindString(text)
-	if tok == "" {
-		t.Fatalf("no suspect prefix token:\n%s", text)
-	}
-	// A suspect prefix is a near-violation, not a violation: replaying it
-	// (with deterministic completion) must come up clean.
-	var replayOut strings.Builder
-	if err := run([]string{"-replay", tok}, &replayOut); err != nil {
-		t.Fatalf("suspect prefix replay: %v\n%s", err, replayOut.String())
-	}
-}
-
-// TestGuidedFlagValidation covers the new flag surface: suspect-kind
-// parsing, mode conflicts, and the mutation registry wiring.
+// TestGuidedFlagValidation: guided search is selected one way, -mode
+// guided. There is no backward mode, -suspect flag or -guided shorthand;
+// each is a flag error.
 func TestGuidedFlagValidation(t *testing.T) {
 	for _, args := range [][]string{
-		{"-suspect", "no-such-kind"},
-		{"-guided", "-mode", "walk"},
-		{"-suspect", "all", "-mode", "walk"},
+		{"-mode", "backward"},
+		{"-suspect", "all"},
+		{"-guided"},
 	} {
 		var out strings.Builder
-		if err := run(args, &out); err == nil || errors.Is(err, errViolation) {
+		if err := run(gateArgs(args...), &out); err == nil || errors.Is(err, errViolation) {
 			t.Errorf("args %v: want flag error, got %v", args, err)
 		}
-	}
-	// -mode backward without -suspect defaults to all kinds.
-	var out strings.Builder
-	if err := run(gateArgs("-mode", "backward", "-budget", "20000"), &out); err != nil {
-		t.Fatalf("-mode backward: %v\n%s", err, out.String())
 	}
 }

@@ -3,7 +3,7 @@ package core
 import "dgmc/internal/lsa"
 
 // Checker predicate hooks: read-only probes into per-connection protocol
-// state that guided/backward schedule search (internal/explore) uses to
+// state that guided schedule search (internal/explore) uses to
 // rank world states by near-violation signals — a switch owing a proposal
 // with nothing in flight to trigger it, recovery machinery armed or
 // exhausted, events buffered out of order. They expose no state a Snapshot

@@ -210,70 +210,6 @@ func TestGuidedBudgetTruncates(t *testing.T) {
 	}
 }
 
-// TestBackwardReportsSuspects: on the mutation-free gate, backward search
-// must harvest suspect states, minimize the schedules reaching them, and
-// emit replayable reports — each report's token must decode, and running
-// its schedule as a prefix must land in a state that still exhibits every
-// reported suspect kind (the signature the minimizer preserved).
-func TestBackwardReportsSuspects(t *testing.T) {
-	cfg, scn := gate6(t)
-	res, err := Backward(cfg, scn, Options{Budget: 60000, SuspectKinds: AllSuspectKinds()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Violation != nil {
-		t.Fatalf("false alarm on mutation-free gate: %v", res.Violation.Err)
-	}
-	if res.Stats.SuspectsFound == 0 || len(res.Suspects) == 0 {
-		t.Fatalf("no suspects harvested: found=%d reports=%d", res.Stats.SuspectsFound, len(res.Suspects))
-	}
-	for i, rep := range res.Suspects {
-		if i >= 4 {
-			break
-		}
-		if len(rep.Kinds) == 0 || rep.Token == "" {
-			t.Fatalf("report %d incomplete: %+v", i, rep)
-		}
-		tcfg, tscn, tsched, err := DecodeToken(rep.Token)
-		if err != nil {
-			t.Fatalf("report %d token: %v", i, err)
-		}
-		w, err := runPrefix(tcfg, tscn, tsched)
-		if err != nil {
-			t.Fatalf("report %d prefix: %v", i, err)
-		}
-		sc := w.suspects()
-		for _, name := range rep.Kinds {
-			kinds, err := ParseSuspectKinds(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sc[kinds[0]] == 0 {
-				t.Fatalf("report %d: replayed prefix no longer exhibits %s (counts %v)", i, name, sc)
-			}
-		}
-	}
-	t.Logf("backward: %d suspects found, %d reported, best %+v", res.Stats.SuspectsFound, len(res.Suspects), res.Suspects[0].Kinds)
-}
-
-// TestBackwardCatchesMutation: backward mode must also convert a seeded
-// bug into a violation (its phase-one sweep and neighborhood probes check
-// the same invariants), and clear the reports when it does.
-func TestBackwardCatchesMutation(t *testing.T) {
-	cfg, scn := gate6(t)
-	cfg.Mutation = core.MutationUncappedPseudoProposal
-	res, err := Backward(cfg, scn, Options{Budget: gateBudget, SuspectKinds: AllSuspectKinds()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Violation == nil {
-		t.Fatalf("backward search missed the mutation: %+v", res.Stats)
-	}
-	if len(res.Suspects) != 0 {
-		t.Fatalf("violation result still carries %d suspect reports", len(res.Suspects))
-	}
-}
-
 // TestGuidedOnlyCatchWithinCIBudget is the acceptance contrast of the
 // issue: at least one corpus mutation must be caught by guided search
 // within the CI budget while exhaustive search, given a comparable state

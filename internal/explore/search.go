@@ -2,6 +2,7 @@ package explore
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -25,24 +26,15 @@ type Options struct {
 	// seeds reproduce the same search.
 	Seed int64
 	// Budget caps the total transitions — frontier expansions plus
-	// drain-probe steps — of guided and backward search (default 200,000).
+	// drain-probe steps — of guided search (default 200,000).
 	Budget int
 	// Frontier caps the guided priority queue: when more states are live,
 	// the lowest-priority ones are discarded (beam behavior, marks
 	// Truncated). Default 4,096.
 	Frontier int
-	// SuspectKinds restricts backward search to schedules reaching the
-	// given suspect kinds (nil/empty = all kinds).
-	SuspectKinds []SuspectKind
-	// TopSuspects is how many minimized suspect states backward search
-	// expands in its second phase (default 16).
-	TopSuspects int
-	// BackDepth bounds the exhaustive neighborhood explored around each
-	// minimized suspect state (default 6).
-	BackDepth int
 
-	// expandHook observes every frontier expansion of guided/backward
-	// search in order (tests pin search-order determinism with it).
+	// expandHook observes every frontier expansion of guided search in
+	// order (tests pin search-order determinism with it).
 	expandHook func(depth, score int, hash [32]byte)
 }
 
@@ -59,33 +51,16 @@ func (o *Options) fill() {
 	if o.Frontier <= 0 {
 		o.Frontier = 4096
 	}
-	if o.TopSuspects <= 0 {
-		o.TopSuspects = 16
-	}
-	if o.BackDepth <= 0 {
-		o.BackDepth = 6
-	}
 }
 
 // Coverage is the exploration map guided search persists in Stats: which
-// qualitative stamp-vector shapes the search reached, how often each
-// suspect kind was observed, and how far into the fault lane it got.
-// Exhaustive and walk modes leave it zero.
+// qualitative stamp-vector shapes the search reached and how far into the
+// fault lane it got. Exhaustive and walk modes leave it zero.
 type Coverage struct {
 	// StampShapes counts states per qualitative shape (see stampShape).
 	StampShapes map[string]int
-	// SuspectKinds counts states exhibiting each suspect kind, keyed by
-	// SuspectKind.String().
-	SuspectKinds map[string]int
 	// FaultDepth is the deepest fault-lane position reached.
 	FaultDepth int
-}
-
-func newCoverage() Coverage {
-	return Coverage{
-		StampShapes:  make(map[string]int),
-		SuspectKinds: make(map[string]int),
-	}
 }
 
 // Stats summarizes a search.
@@ -108,32 +83,13 @@ type Stats struct {
 	// Budget alongside Transitions).
 	Probes     int
 	ProbeSteps int
-	// SuspectsFound counts distinct suspect states harvested by backward
-	// search's forward sweep.
-	SuspectsFound int
 	// Coverage is the guided-search exploration map (zero for exhaustive
 	// and walk modes).
 	Coverage Coverage
 }
 
-// spent is the total budget consumption of a guided/backward search.
+// spent is the total budget consumption of a guided search.
 func (s *Stats) spent() int { return s.Transitions + s.ProbeSteps }
-
-// SuspectReport is one minimized suspect state found by backward search:
-// not a violation, but a near-violation worth human (or further machine)
-// attention, replayable via its token.
-type SuspectReport struct {
-	// Kinds names the suspect kinds the state exhibits.
-	Kinds []string
-	// Score is the weighted suspicion total.
-	Score int
-	// Schedule reaches the suspect state from the initial world (already
-	// ddmin-minimized against the suspect signature).
-	Schedule []int
-	// Token replays the schedule via `dgmccheck -replay` (the run is
-	// clean — the token documents how to reach the state, not a failure).
-	Token string
-}
 
 // Result is the outcome of a search.
 type Result struct {
@@ -141,9 +97,6 @@ type Result struct {
 	// Violation is nil when every explored schedule satisfied the
 	// invariants.
 	Violation *Violation
-	// Suspects are the minimized suspect states backward search expanded
-	// (nil outside backward mode, and omitted once a violation is found).
-	Suspects []SuspectReport
 }
 
 type bfsNode struct {
@@ -286,36 +239,21 @@ func runSchedule(cfg Config, scn Scenario, sched []int, trace bool) (*runOutcome
 	}
 	w.tracing = trace
 	out := &runOutcome{w: w}
-	step := func(choice int) (bool, error) {
+	for _, choice := range sched {
 		if out.steps > autoCompleteCap {
-			return false, fmt.Errorf("explore: schedule exceeded %d steps without quiescing", autoCompleteCap)
+			return nil, fmt.Errorf("explore: schedule exceeded %d steps without quiescing", autoCompleteCap)
 		}
 		if _, ok := w.applyIndex(choice); !ok {
-			return false, nil
+			break
 		}
 		out.steps++
-		if err := w.checkStep(); err != nil {
-			out.violation = err
-			return false, nil
-		}
-		return true, nil
-	}
-	for _, choice := range sched {
-		cont, err := step(choice)
-		if err != nil {
-			return nil, err
-		}
-		if !cont {
+		if out.violation = w.checkStep(); out.violation != nil {
 			break
 		}
 	}
-	for out.violation == nil {
-		cont, err := step(0)
-		if err != nil {
+	if out.violation == nil {
+		if out.violation, _, err = drain(w, 0, &out.steps, math.MaxInt, "schedule"); err != nil {
 			return nil, err
-		}
-		if !cont {
-			break
 		}
 	}
 	if out.violation == nil && w.Quiescent() {
@@ -325,6 +263,29 @@ func runSchedule(cfg Config, scn Scenario, sched []int, trace bool) (*runOutcome
 		}
 	}
 	return out, nil
+}
+
+// drain applies choice to w until it quiesces, a transition breaks a
+// per-step invariant (returned as violation), or *steps — the transitions
+// applied so far, which drain advances — reaches limit (cut). A drain
+// still running past autoCompleteCap steps has livelocked: that is an
+// error, naming what was being drained.
+func drain(w *World, choice int, steps *int, limit int, what string) (violation error, cut bool, err error) {
+	for {
+		if *steps >= limit {
+			return nil, true, nil
+		}
+		if *steps > autoCompleteCap {
+			return nil, false, fmt.Errorf("explore: %s exceeded %d steps without quiescing", what, autoCompleteCap)
+		}
+		if _, ok := w.applyIndex(choice); !ok {
+			return nil, false, nil
+		}
+		*steps++
+		if err := w.checkStep(); err != nil {
+			return err, false, nil
+		}
+	}
 }
 
 // Replay executes an explicit schedule with tracing and returns the final
@@ -342,44 +303,16 @@ func Replay(cfg Config, scn Scenario, sched []int) (*World, *Violation, error) {
 	return out.w, v, nil
 }
 
-// runPrefix executes exactly sched — no auto-completion tail — and
-// returns the resulting world (which is generally not quiescent). Backward
-// search uses it to re-derive suspect states while minimizing the prefix
-// that reaches them; invariant violations during the prefix are ignored
-// here (the violation path reports through runSchedule instead).
-func runPrefix(cfg Config, scn Scenario, sched []int) (*World, error) {
-	w, err := NewWorld(cfg, scn)
-	if err != nil {
-		return nil, err
-	}
-	for i, choice := range sched {
-		if i > autoCompleteCap {
-			return nil, fmt.Errorf("explore: prefix exceeded %d steps", autoCompleteCap)
-		}
-		if _, ok := w.applyIndex(choice); !ok {
-			break
-		}
-	}
-	return w, nil
-}
-
 // Shrink minimizes a violating schedule, delta-debugging style: first
 // remove chunks of decreasing size, then lower each surviving choice to 0.
 // Clamped indices plus deterministic auto-completion keep every candidate
 // schedule executable, so shrinking never has to repair a broken prefix.
 // The result still violates an invariant (not necessarily the same one).
 func Shrink(cfg Config, scn Scenario, sched []int) []int {
-	return shrinkWith(sched, func(s []int) bool {
+	keep := func(s []int) bool {
 		out, err := runSchedule(cfg, scn, s, false)
 		return err == nil && out.violation != nil
-	})
-}
-
-// shrinkWith is the generalized ddmin core: minimize sched while keep
-// still holds. Shrink instantiates it with "the run violates"; backward
-// search instantiates it with "the prefix still reaches the suspect
-// signature".
-func shrinkWith(sched []int, keep func([]int) bool) []int {
+	}
 	if !keep(sched) {
 		return sched
 	}

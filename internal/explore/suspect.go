@@ -14,11 +14,11 @@ import (
 // "Systematic Testing of Multicast Routing Protocols"): instead of asking
 // "does any reachable state violate an invariant?" — which blind BFS can
 // only answer near the root of a multi-event state space — ask "which
-// reachable states *look like* the precursor of a violation?", minimize
-// the schedules that reach them, and search outward from there. A suspect
-// is not a bug: every kind below occurs transiently in correct runs. What
-// makes it worth chasing is that every known violation class passes
-// through one of them on its way to a bad quiescent state.
+// reachable states *look like* the precursor of a violation?" and spend
+// the search budget around them first (guided.go). A suspect is not a
+// bug: every kind below occurs transiently in correct runs. What makes it
+// worth chasing is that every known violation class passes through one of
+// them on its way to a bad quiescent state.
 
 // SuspectKind classifies a stamp-invariant near-violation.
 type SuspectKind uint8
@@ -55,7 +55,7 @@ const (
 )
 
 // suspectWeights scores each kind by how directly it precedes a violation
-// (used by the guided frontier ranking and backward suspect harvest).
+// (used by the guided frontier ranking).
 var suspectWeights = [numSuspectKinds]int{
 	SuspectREDivergence:      1,
 	SuspectCommitLag:         3,
@@ -85,44 +85,6 @@ func (k SuspectKind) String() string {
 	}
 }
 
-// AllSuspectKinds lists every defined kind in declaration order.
-func AllSuspectKinds() []SuspectKind {
-	out := make([]SuspectKind, numSuspectKinds)
-	for i := range out {
-		out[i] = SuspectKind(i)
-	}
-	return out
-}
-
-// ParseSuspectKinds parses a comma-separated list of kind names, or "all".
-func ParseSuspectKinds(s string) ([]SuspectKind, error) {
-	if strings.TrimSpace(s) == "all" {
-		return AllSuspectKinds(), nil
-	}
-	var out []SuspectKind
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		found := false
-		for _, k := range AllSuspectKinds() {
-			if k.String() == part {
-				out = append(out, k)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("explore: unknown suspect kind %q", part)
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("explore: empty suspect kind list")
-	}
-	return out, nil
-}
-
 // suspectCounts tallies suspect instances per kind at one world state.
 type suspectCounts [numSuspectKinds]int
 
@@ -133,36 +95,6 @@ func (sc *suspectCounts) score() int {
 		total += suspectWeights[k] * n
 	}
 	return total
-}
-
-// any reports whether at least one of the given kinds is present (all
-// kinds when the filter is empty).
-func (sc *suspectCounts) any(kinds []SuspectKind) bool {
-	if len(kinds) == 0 {
-		for _, n := range sc {
-			if n > 0 {
-				return true
-			}
-		}
-		return false
-	}
-	for _, k := range kinds {
-		if sc[k] > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// covers reports whether sc exhibits every kind present in want — the
-// predicate backward search preserves while minimizing a suspect prefix.
-func (sc *suspectCounts) covers(want *suspectCounts) bool {
-	for k := range want {
-		if want[k] > 0 && sc[k] == 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // hasPendingMC reports whether an MC LSA for conn is in flight to switch s

@@ -246,11 +246,14 @@ func (p *chanPort) Send(to topo.SwitchID, data []byte) error {
 	return p.SendOwned(to, append(getBuf(len(data)), data...))
 }
 
-// SendOwned moves buf into the destination queue as-is — no copy, no pool
-// round-trip. Every non-queued outcome (unknown switch, partition, loss,
-// closed destination) recycles buf right here. The frame is counted in
-// flight before it is pushed: counted after, a receiver that popped and
-// settled it in between would drive InFlight below what is really queued.
+// SendOwned moves one frame into the destination queue as-is — no copy, no
+// pool round-trip. It is Send's back half and the lossy burst's per-frame
+// send; it stays exported for the benchmark's hop timing, which hands
+// received frames back to the pool through it. Every non-queued outcome
+// (unknown switch, partition, loss, closed destination) recycles buf right
+// here. The frame is counted in flight before it is pushed: counted after,
+// a receiver that popped and settled it in between would drive InFlight
+// below what is really queued.
 func (p *chanPort) SendOwned(to topo.SwitchID, buf []byte) error {
 	f := p.fabric
 	if int(to) < 0 || int(to) >= len(f.queues) {
@@ -274,7 +277,8 @@ func (p *chanPort) SendOwned(to topo.SwitchID, buf []byte) error {
 // SendOwnedBatch moves a burst into the destination queue for the price of
 // one frame: one partition check, one in-flight count, one queue lock, one
 // wake-up. With the loss knob set each frame needs its own verdict, so the
-// burst goes frame by frame and loses exactly what SendOwned would.
+// burst goes frame by frame by SendOwned, all of its frames tried, the
+// first failure reported.
 func (p *chanPort) SendOwnedBatch(to topo.SwitchID, bufs [][]byte) error {
 	f := p.fabric
 	if int(to) < 0 || int(to) >= len(f.queues) {
@@ -282,7 +286,13 @@ func (p *chanPort) SendOwnedBatch(to topo.SwitchID, bufs [][]byte) error {
 		return fmt.Errorf("rt: send to unknown switch %d", to)
 	}
 	if f.loss.Load() != nil {
-		return sendOwnedEach(p, to, bufs)
+		var first error
+		for _, buf := range bufs {
+			if err := p.SendOwned(to, buf); err != nil && first == nil {
+				first = err
+			}
+		}
+		return first
 	}
 	if len(bufs) == 0 {
 		return nil

@@ -281,7 +281,7 @@ func raceSenders(t *testing.T, fab *ChanFabric, fault func()) {
 	// The pool must keep what it is given until it has been looked through.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const senders, perSender, burst = 4, 2048, 8 // perSender/4 is a multiple of burst
-	tx := fab.Transport(0)
+	tx := fab.Transport(0).(*chanPort)
 	mine := make(map[*byte]int, senders*perSender)
 	frames := make([][][]byte, senders)
 	for g := range frames {

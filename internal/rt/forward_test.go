@@ -66,7 +66,8 @@ func (s *stubTransport) Send(_ topo.SwitchID, data []byte) error {
 	return nil
 }
 
-func (s *stubTransport) SendOwned(to topo.SwitchID, buf []byte) error {
+// move takes one frame fed by feed: poisons it and keeps it for reuse.
+func (s *stubTransport) move(to topo.SwitchID, buf []byte) {
 	s.note(buf)
 	for i := range buf {
 		buf[i] = poison
@@ -76,7 +77,6 @@ func (s *stubTransport) SendOwned(to topo.SwitchID, buf []byte) error {
 	s.mu.Unlock()
 	s.lastMove.Store(int64(to))
 	s.moves.Add(1)
-	return nil
 }
 
 func (s *stubTransport) SendOwnedBatch(to topo.SwitchID, bufs [][]byte) error {
@@ -85,7 +85,7 @@ func (s *stubTransport) SendOwnedBatch(to topo.SwitchID, bufs [][]byte) error {
 		moved := s.fed[&buf[:1][0]]
 		s.mu.Unlock()
 		if moved {
-			s.SendOwned(to, buf)
+			s.move(to, buf)
 			continue
 		}
 		s.note(buf)

@@ -178,7 +178,6 @@ type Node struct {
 	busy       atomic.Int64
 	activity   atomic.Uint64
 	decodeErrs atomic.Uint64
-	installs   atomic.Uint64
 
 	closed    chan struct{}
 	closeOnce sync.Once
@@ -782,8 +781,9 @@ func (n *Node) SelfNudge(conn lsa.ConnID) {
 	n.enqueue(core.ResyncNudge{Conn: conn})
 }
 
-// NoteInstall implements core.Host.
-func (n *Node) NoteInstall() { n.installs.Add(1) }
+// NoteInstall implements core.Host; the machine's own Installs metric
+// already counts what it reports.
+func (n *Node) NoteInstall() {}
 
 // ForwardingChanged implements core.Host: mark conn's FIB entry — with
 // lsa.AllConns, which reports an image change, every entry — stale. The

@@ -26,10 +26,10 @@ var ErrClosed = errors.New("rt: transport closed")
 // protocol goroutines send.
 //
 // Buffer ownership is the whole contract. Send copies: data stays the
-// caller's, to patch and send again. SendOwned and SendOwnedBatch move: each
-// buffer must be the caller's alone, and on every outcome — delivered,
-// dropped in the fabric, unknown peer, closed — the transport has consumed it
-// and the caller must not touch it again. Received frames belong to the
+// caller's, to patch and send again. SendOwnedBatch moves: each buffer must
+// be the caller's alone, and on every outcome — delivered, dropped in the
+// fabric, unknown peer, closed — the transport has consumed it and the
+// caller must not touch it again. Received frames belong to the
 // receiver, which recycles them (putBuf) or moves them on. After Close,
 // receives return ErrClosed (possibly wrapped), and so does every send the
 // fabric can tell has nowhere left to go.
@@ -38,17 +38,14 @@ type Transport interface {
 	// is best-effort: a lossy fabric (UDP under pressure) may drop frames,
 	// which is exactly what the protocol's gap recovery exists for.
 	Send(to topo.SwitchID, data []byte) error
-	// SendOwned is Send without the copy: buf itself goes to the named
-	// switch.
-	SendOwned(to topo.SwitchID, buf []byte) error
 	// SendOwnedBatch moves a burst of frames to one switch, in order, for
-	// one hand-off: every frame of bufs is consumed as by SendOwned on every
-	// outcome, while the bufs slice itself stays the caller's, to clear and
-	// refill. A nil error means the fabric took the whole burst (and may
-	// still lose frames of it, as it may lose a Send); an error means at
-	// least one frame had nowhere to go. This is how the node's data plane
-	// sends: its fan-out stages frames per neighbour and flushes each stage
-	// as one burst.
+	// one hand-off: the frames of bufs go without a copy and are consumed
+	// on every outcome, while the bufs slice itself stays the caller's, to
+	// clear and refill. A nil error means the fabric took the whole burst
+	// (and may still lose frames of it, as it may lose a Send); an error
+	// means at least one frame had nowhere to go. This is how the node's
+	// data plane sends: its fan-out stages frames per neighbour and flushes
+	// each stage as one burst.
 	SendOwnedBatch(to topo.SwitchID, bufs [][]byte) error
 	// Recv blocks until a frame arrives and returns it, already settled. The
 	// node never calls it — tools and tests that want one frame do.
@@ -73,16 +70,4 @@ type Transport interface {
 	RxWaits() (parks, lingerHits uint64)
 	// Close detaches from the fabric and unblocks blocked receivers.
 	Close() error
-}
-
-// sendOwnedEach is SendOwnedBatch where a burst buys nothing: every frame
-// goes by SendOwned, in order, all of them tried, the first failure reported.
-func sendOwnedEach(t Transport, to topo.SwitchID, bufs [][]byte) error {
-	var first error
-	for _, buf := range bufs {
-		if err := t.SendOwned(to, buf); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }

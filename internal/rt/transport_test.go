@@ -77,14 +77,14 @@ func TestTransportContract(t *testing.T) {
 			putBuf(batch[0])
 			rx.Release(1)
 
-			// SendOwned moves: the frame arrives intact and the batch slice
-			// is reused for the next burst.
-			if err := tx.SendOwned(1, owned("moved")); err != nil {
+			// A one-frame SendOwnedBatch moves: the frame arrives intact and
+			// the batch slice is reused for the next burst.
+			if err := tx.SendOwnedBatch(1, [][]byte{owned("moved")}); err != nil {
 				t.Fatal(err)
 			}
 			batch, err = rx.RecvBatch(batch)
 			if err != nil || len(batch) != 1 || string(batch[0]) != "moved" {
-				t.Fatalf("RecvBatch after SendOwned = %q, %v; want one frame %q", batch, err, "moved")
+				t.Fatalf("RecvBatch after a one-frame SendOwnedBatch = %q, %v; want one frame %q", batch, err, "moved")
 			}
 			putBuf(batch[0])
 			rx.Release(1)
@@ -113,20 +113,20 @@ func TestTransportContract(t *testing.T) {
 			}
 
 			// Recv hands out single, already-settled frames.
-			if err := tx.SendOwned(1, owned("single")); err != nil {
+			if err := tx.SendOwnedBatch(1, [][]byte{owned("single")}); err != nil {
 				t.Fatal(err)
 			}
 			if got, err := rx.Recv(); err != nil || !bytes.Equal(got, []byte("single")) {
 				t.Fatalf("Recv = %q, %v; want %q", got, err, "single")
 			}
 
-			// An unknown peer is an error on both sends, and SendOwned has
-			// still consumed its buffer.
+			// An unknown peer is an error on both sends, and SendOwnedBatch
+			// has still consumed its buffers.
 			if err := tx.Send(7, msg); err == nil {
 				t.Fatal("Send to unknown peer accepted")
 			}
-			if err := tx.SendOwned(7, owned("nowhere")); err == nil {
-				t.Fatal("SendOwned to unknown peer accepted")
+			if err := tx.SendOwnedBatch(7, [][]byte{owned("nowhere")}); err == nil {
+				t.Fatal("one-frame SendOwnedBatch to unknown peer accepted")
 			}
 			if err := tx.SendOwnedBatch(7, [][]byte{owned("nowhere"), owned("either")}); err == nil {
 				t.Fatal("SendOwnedBatch to unknown peer accepted")
@@ -168,9 +168,6 @@ func TestTransportContract(t *testing.T) {
 			}
 			if err := tx.Send(1, msg); !errors.Is(err, ErrClosed) {
 				t.Fatalf("Send after Close = %v, want ErrClosed", err)
-			}
-			if err := tx.SendOwned(1, owned("late")); !errors.Is(err, ErrClosed) {
-				t.Fatalf("SendOwned after Close = %v, want ErrClosed", err)
 			}
 			if err := tx.SendOwnedBatch(1, [][]byte{owned("late")}); !errors.Is(err, ErrClosed) {
 				t.Fatalf("SendOwnedBatch after Close = %v, want ErrClosed", err)
@@ -217,7 +214,7 @@ func TestSendOwnedBatchFabricFaults(t *testing.T) {
 		return seqs, fab.Lost()
 	}
 	single, lostSingle := survivors(func(tx Transport, frame []byte) {
-		if err := tx.SendOwned(1, frame); err != nil {
+		if err := tx.SendOwnedBatch(1, [][]byte{frame}); err != nil {
 			t.Fatal(err)
 		}
 	}, func(Transport) {})

@@ -78,18 +78,19 @@ func (t *UDPTransport) Send(to topo.SwitchID, data []byte) error {
 	return err
 }
 
-// SendOwned implements Transport. A socket write copies into the kernel,
-// so moving a buffer into a socket is writing it and recycling it.
-func (t *UDPTransport) SendOwned(to topo.SwitchID, buf []byte) error {
-	err := t.Send(to, buf)
-	putBuf(buf)
-	return err
-}
-
-// SendOwnedBatch implements Transport: one datagram per frame. This is the
-// slot a sendmmsg call can fill.
+// SendOwnedBatch implements Transport: one datagram per frame, all of them
+// tried, the first failure reported. A socket write copies into the kernel,
+// so moving a buffer into a socket is writing it and recycling it. This is
+// the slot a sendmmsg call can fill.
 func (t *UDPTransport) SendOwnedBatch(to topo.SwitchID, bufs [][]byte) error {
-	return sendOwnedEach(t, to, bufs)
+	var first error
+	for _, buf := range bufs {
+		if err := t.Send(to, buf); err != nil && first == nil {
+			first = err
+		}
+		putBuf(buf)
+	}
+	return first
 }
 
 // Recv implements Transport.
