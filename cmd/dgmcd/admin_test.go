@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -29,10 +30,29 @@ func httpGet(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
+// syncBuffer collects a node's trace lines, written from its goroutines.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
+}
+
 // TestThreeDaemonAdminSurfaces boots three daemons over UDP loopback with
 // admin listeners, drives one membership change, and then — from the scraped
 // HTTP surfaces alone — reconstructs the event→compute→flood→recv→install
-// chain of that change and reads its measured convergence latency.
+// chain of that change and reads its measured convergence latency. Daemon 0
+// also runs with -v: its trace lines go to a writer beside the spans.
 func TestThreeDaemonAdminSurfaces(t *testing.T) {
 	ports := reservePorts(t, 3)
 	path := writeTopoFile(t, ports)
@@ -41,15 +61,20 @@ func TestThreeDaemonAdminSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	var trace syncBuffer
 	daemons := make([]*daemon, 3)
 	for i := range daemons {
-		d, err := newDaemon(daemonConfig{
+		cfg := daemonConfig{
 			id:        topo.SwitchID(i),
 			topology:  tf,
 			algorithm: route.SPH{},
 			resync:    100 * time.Millisecond,
 			admin:     "127.0.0.1:0",
-		})
+		}
+		if i == 0 {
+			cfg.traceW = &trace
+		}
+		d, err := newDaemon(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,6 +88,11 @@ func TestThreeDaemonAdminSurfaces(t *testing.T) {
 	var out strings.Builder
 	if _, err := daemons[0].exec("join 7 both", &out); err != nil {
 		t.Fatal(err)
+	}
+	// The join is handled before the command returns, so its trace line is
+	// already written.
+	if got := trace.String(); !strings.Contains(got, "sw0 conn7 chain0/1 [event] ") {
+		t.Fatalf("-v trace lacks the join's event line:\n%s", got)
 	}
 	if _, err := daemons[2].exec("join 7 both", &out); err != nil {
 		t.Fatal(err)

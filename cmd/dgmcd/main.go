@@ -110,7 +110,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		recvW:     stdout,
 	}
 	if *verbose {
-		cfg.logf = func(format string, a ...any) { fmt.Fprintf(os.Stderr, format+"\n", a...) }
+		cfg.traceW = os.Stderr
 	}
 	d, err := newDaemon(cfg)
 	if err != nil {
@@ -137,7 +137,16 @@ type daemonConfig struct {
 	sample    int       // trace every Nth packet per source; 0 disables
 	epoch     uint64    // restart epoch; nonzero means crash-restart rejoin
 	recvW     io.Writer // delivered payloads print here; nil discards them
-	logf      func(format string, args ...any)
+	traceW    io.Writer // protocol trace lines print here (-v); nil disables
+}
+
+// lineTracer prints each protocol trace entry as one line. A line is one
+// Write, so entries from the node's goroutines never interleave mid-line on
+// a writer, like os.Stderr, that is safe for concurrent writes.
+type lineTracer struct{ w io.Writer }
+
+func (t lineTracer) Trace(e core.TraceEntry) {
+	fmt.Fprintf(t.w, "sw%d conn%d chain%s [%v] %s\n", e.Switch, e.Conn, e.Chain, e.Kind, e.Detail)
 }
 
 // daemon is one live switch: a UDP transport plus its rt.Node, and — with
@@ -180,7 +189,6 @@ func newDaemon(cfg daemonConfig) (*daemon, error) {
 		Epoch:               cfg.epoch,
 		FlightRecords:       cfg.flightrec,
 		SampleEvery:         cfg.sample,
-		Logf:                cfg.logf,
 	}
 	if cfg.recvW != nil {
 		w := cfg.recvW
@@ -194,6 +202,13 @@ func newDaemon(cfg daemonConfig) (*daemon, error) {
 		d.registry = obs.NewRegistry()
 		d.spans = obs.NewSpanCollector(0)
 		nodeCfg.Registry = d.registry
+	}
+	switch {
+	case cfg.traceW != nil && d.spans != nil:
+		nodeCfg.Tracer = core.MultiTracer{lineTracer{cfg.traceW}, d.spans}
+	case cfg.traceW != nil:
+		nodeCfg.Tracer = lineTracer{cfg.traceW}
+	case d.spans != nil:
 		nodeCfg.Tracer = d.spans
 	}
 	node, err := rt.NewNode(nodeCfg, tr)

@@ -327,7 +327,12 @@ func TestDaemonCrashRestartRejoin(t *testing.T) {
 	if _, err := daemons[0].exec("join 8 both", &out); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(300 * time.Millisecond)
+	// The join is handled before the command returns: switch 0 already
+	// lists itself on conn 8 when switch 1 comes back.
+	snap, ok := daemons[0].node.Connection(8)
+	if _, self := snap.Members[0]; !ok || !self || snap.R[0] != 1 {
+		t.Fatalf("switch 0 right after its join of conn 8: ok=%v snap=%+v", ok, snap)
+	}
 
 	daemons[1] = boot(1, 1)
 	if got := daemons[1].node.Epoch(); got != 1 {

@@ -28,11 +28,10 @@ type ClusterConfig struct {
 	Algorithm route.Algorithm
 	// Kinds maps connection IDs to their MC type.
 	Kinds map[lsa.ConnID]mctree.Kind
-	// ReoptimizeThreshold, ResyncTimeout, and Logf are applied to every
-	// node; see NodeConfig.
+	// ReoptimizeThreshold and ResyncTimeout are applied to every node; see
+	// NodeConfig.
 	ReoptimizeThreshold float64
 	ResyncTimeout       time.Duration
-	Logf                func(format string, args ...any)
 	// Tracer and Registry are shared by every node (one network-wide span
 	// collector and one registry with per-switch labels); see NodeConfig.
 	Tracer   core.Tracer
@@ -130,7 +129,6 @@ func (c *Cluster) newNode(id topo.SwitchID, epoch uint64, snap *NodeSnapshot) (*
 		Kinds:               c.cfg.Kinds,
 		ReoptimizeThreshold: c.cfg.ReoptimizeThreshold,
 		ResyncTimeout:       c.cfg.ResyncTimeout,
-		Logf:                c.cfg.Logf,
 		Tracer:              c.cfg.Tracer,
 		Registry:            c.cfg.Registry,
 		Epoch:               epoch,
@@ -356,8 +354,8 @@ func (c *Cluster) activityLocked() uint64 {
 // Why a quiet scan between two equal activity readings is exact: every unit
 // of pending work is covered, from before it exists until after everything
 // it caused is covered itself, by a count the scan reads — a frame by the
-// fabric's sent/done, an injected event by pendingEvents, an inbox entry by
-// inDepth and then by busy (raised first, read last), a running step or batch
+// fabric's sent/done, an inbox entry by inDepth and then by busy (raised
+// first, read last), a running step or batch, an injected event's included,
 // by busy — and every cover but the inbox's hand-over drops only after
 // activity was bumped. Equal readings mean no bump in between, so no cover
 // that was up at the first reading came down before the second except that

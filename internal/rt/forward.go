@@ -331,7 +331,6 @@ type relayRun struct {
 // lock guards one for originated floods, and SendDataBatch borrows one per
 // call — so staging takes no lock and shares no cache line.
 type txStages struct {
-	what   string // names the traffic in send-error traces
 	stages []txStage
 }
 
@@ -389,7 +388,7 @@ func (n *Node) fanOut(tx *txStages, links []topo.SwitchID, skip [2]topo.SwitchID
 			}
 		}
 		if len(s.bufs) >= maxBurst {
-			n.flushStage(tx.what, s)
+			n.flushStage(s)
 		}
 	}
 }
@@ -398,7 +397,7 @@ func (n *Node) fanOut(tx *txStages, links []topo.SwitchID, skip [2]topo.SwitchID
 func (n *Node) flush(tx *txStages) {
 	for i := range tx.stages {
 		if s := &tx.stages[i]; len(s.bufs) > 0 {
-			n.flushStage(tx.what, s)
+			n.flushStage(s)
 		}
 	}
 }
@@ -407,11 +406,11 @@ func (n *Node) flush(tx *txStages) {
 // single burst and empties the stage. Relay frames count as forwarded only
 // here, once the transport has accepted the burst: a refused burst (closed
 // or unknown destination) counts as one send failure and forwards nothing.
-func (n *Node) flushStage(what string, s *txStage) {
+func (n *Node) flushStage(s *txStage) {
 	n.batching.txBursts.Add(1)
 	n.batching.txFrames.Add(uint64(len(s.bufs)))
 	if err := n.tr.SendOwnedBatch(s.to, s.bufs); err != nil {
-		n.sendFailed(what, s.to, err)
+		n.obs.sendErrs.Inc()
 	} else {
 		for _, r := range s.relays {
 			r.to.Add(r.n)

@@ -14,8 +14,8 @@ import (
 )
 
 // flap injects total alternating join/leave events for conn at switch sw,
-// starting with a join (the switch must not be a member), in bursts small
-// enough for the event queue, checking every node's log depth in between.
+// starting with a join (the switch must not be a member), checking every
+// node's log depth after each 128.
 func flap(t *testing.T, c *Cluster, sw topo.SwitchID, conn lsa.ConnID, total int) {
 	t.Helper()
 	for i := 0; i < total; i++ {

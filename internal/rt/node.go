@@ -17,13 +17,6 @@ import (
 	"dgmc/internal/topo"
 )
 
-// eventBuffer sizes a node's local-event queue; Inject blocks beyond it.
-// The deepest queue measured right after an Inject was 2 events in every
-// benchmark workload, 11 in TestMobilityFaultSoak and 24 in the churn soaks;
-// only a deliberate burst fills it, and that would fill any bound
-// (DESIGN.md §13). A slot is a 32-byte core.LocalEvent.
-const eventBuffer = 64
-
 // NodeConfig configures one live switch.
 type NodeConfig struct {
 	// ID is the switch's network ID in [0, Graph.NumSwitches()).
@@ -40,8 +33,6 @@ type NodeConfig struct {
 	// ResyncTimeout enables gap recovery with the given wall-clock timeout;
 	// zero disables. Mandatory in practice over lossy transports (UDP).
 	ResyncTimeout time.Duration
-	// Logf, when set, receives protocol trace lines.
-	Logf func(format string, args ...any)
 	// Tracer, when set, receives structured protocol trace entries (for
 	// span collection); it must be safe for concurrent use.
 	Tracer core.Tracer
@@ -84,16 +75,15 @@ type NodeConfig struct {
 }
 
 // Node is one live switch: a core.Machine guarded by a mutex, driven by the
-// goroutine cluster NewNode starts — a transport receive loop (decode,
-// duplicate-suppress, store-and-forward re-flood, enqueue), an LSA loop
-// (drain the inbox, run ReceiveLSA batches), an event loop (run
-// EventHandler per injected local event), and wall-clock resync timers.
+// two goroutines NewNode starts — a transport receive loop (decode,
+// duplicate-suppress, store-and-forward re-flood, enqueue) and an LSA loop
+// (drain the inbox, run ReceiveLSA batches) — by wall-clock resync timers,
+// and by the callers of Inject, which run EventHandler themselves.
 type Node struct {
 	id        topo.SwitchID
 	epoch     uint64
 	tr        Transport
 	neighbors []topo.SwitchID
-	logf      func(format string, args ...any)
 	tracer    core.Tracer
 	obs       nodeObs
 
@@ -152,12 +142,6 @@ type Node struct {
 	// reads the depth without the lock the receive and LSA loops contend on.
 	inDepth atomic.Int64
 
-	// events carries injected local events to the event loop; pendingEvents
-	// counts them from before Inject's channel send until after their step,
-	// so one taken off the channel and not yet inside step still shows.
-	events        chan core.LocalEvent
-	pendingEvents atomic.Int64
-
 	// seq numbers this node's originated floods; seen suppresses duplicate
 	// flood deliveries by (origin, seq) in O(origins) space (see seen.go —
 	// this used to be an unbounded map that grew with every flood ever
@@ -173,8 +157,8 @@ type Node struct {
 	// busy counts in-flight protocol handlers; activity counts completed
 	// units of work (frames handled, credited per received batch; LSA
 	// batches processed; events handled), each credited before the cover of
-	// the work that did it — busy, the fabric's in-flight count,
-	// pendingEvents — is dropped. Cluster.quiescent reads them all.
+	// the work that did it — busy or the fabric's in-flight count — is
+	// dropped. Cluster.quiescent reads them all.
 	busy       atomic.Int64
 	activity   atomic.Uint64
 	decodeErrs atomic.Uint64
@@ -203,16 +187,13 @@ func NewNode(cfg NodeConfig, tr Transport) (*Node, error) {
 		epoch:       cfg.Epoch,
 		tr:          tr,
 		neighbors:   cfg.Graph.Neighbors(cfg.ID),
-		logf:        cfg.Logf,
 		tracer:      cfg.Tracer,
 		obs:         newNodeObs(cfg.Registry, int(cfg.ID)),
-		events:      make(chan core.LocalEvent, eventBuffer),
 		dataHandler: cfg.DataHandler,
 		resyncAfter: cfg.ResyncTimeout,
 		timers:      make(map[*time.Timer]struct{}),
 		closed:      make(chan struct{}),
-		origTx:      sync.Pool{New: func() any { return &txStages{what: "data"} }},
-		floodTx:     txStages{what: "flood"},
+		origTx:      sync.Pool{New: func() any { return new(txStages) }},
 	}
 	n.inCond = sync.NewCond(&n.inMu)
 	if cfg.FlightRecords > 0 {
@@ -252,10 +233,9 @@ func NewNode(cfg NodeConfig, tr Transport) (*Node, error) {
 	// Compile the initial table before any goroutine can race on it: empty
 	// for a blank boot, the restored trees for a snapshot warm restart.
 	n.recompileFIBLocked(true, nil)
-	n.wg.Add(3)
+	n.wg.Add(2)
 	go n.recvLoop()
 	go n.lsaLoop()
-	go n.eventLoop()
 	if cfg.Restore != nil {
 		// Gap timers pending at snapshot time died with the old runtime.
 		n.machine.ResumeTimers()
@@ -319,24 +299,28 @@ func (n *Node) step(units uint64, fn func(*core.Machine)) {
 }
 
 // Inject hands the node one local event (a join, leave, or link change),
-// as the co-resident host application would. It blocks only if the event
-// queue is full.
+// as the co-resident host application would, and runs EventHandler on the
+// caller's goroutine: it returns once the event is applied at this switch
+// and its flood is on the neighbours' queues. The caller must hold neither
+// of the node's locks. Inject after Close returns ErrClosed; one that races
+// Close may still step the closing machine, as a resync timer or Reconcile
+// can.
 func (n *Node) Inject(ev core.LocalEvent) error {
 	select {
 	case <-n.closed:
-		// Checked separately first: the select below could otherwise pick
-		// the buffered send even on a closed node.
 		return ErrClosed
 	default:
 	}
-	n.pendingEvents.Add(1)
-	select {
-	case <-n.closed:
-		n.pendingEvents.Add(-1)
-		return ErrClosed
-	case n.events <- ev:
-		return nil
+	var start time.Time
+	if n.obs.enabled() {
+		start = time.Now()
 	}
+	n.step(1, func(m *core.Machine) { m.HandleLocalEvent(nil, ev) })
+	if n.obs.enabled() {
+		n.obs.eventDur.Observe(time.Since(start).Seconds())
+		n.obs.eventsIn.Inc()
+	}
+	return nil
 }
 
 // Join injects a membership join for conn with the given role.
@@ -421,7 +405,7 @@ func (n *Node) Close() error {
 // the decoded payload for the LSA loop.
 func (n *Node) recvLoop() {
 	defer n.wg.Done()
-	tx := txStages{what: "relay"}
+	var tx txStages
 	var batch [][]byte
 	var err error
 	for {
@@ -483,7 +467,6 @@ func (n *Node) handleFrame(tx *txStages, buf []byte) (consumed bool) {
 	var f lsa.Frame
 	if err := lsa.DecodeFrameInto(&f, buf); err != nil {
 		n.decodeErrs.Add(1)
-		n.tracef("sw%d: drop frame: %v", n.id, err)
 		return
 	}
 	switch f.Kind {
@@ -517,7 +500,6 @@ func (n *Node) handleFrame(tx *txStages, buf []byte) (consumed bool) {
 		}
 		if err != nil {
 			n.decodeErrs.Add(1)
-			n.tracef("sw%d: drop LSA from %d: %v", n.id, f.Origin, err)
 			return
 		}
 		if mc != nil {
@@ -600,43 +582,14 @@ func (n *Node) lsaLoop() {
 	}
 }
 
-// eventLoop is the EventHandler entity: one injected local event at a time.
-func (n *Node) eventLoop() {
-	defer n.wg.Done()
-	for {
-		select {
-		case <-n.closed:
-			return
-		case ev := <-n.events:
-			if testHookEventDequeued != nil {
-				testHookEventDequeued(n)
-			}
-			var start time.Time
-			if n.obs.enabled() {
-				start = time.Now()
-			}
-			n.step(1, func(m *core.Machine) { m.HandleLocalEvent(nil, ev) })
-			if n.obs.enabled() {
-				n.obs.eventDur.Observe(time.Since(start).Seconds())
-				n.obs.eventsIn.Inc()
-			}
-			n.pendingEvents.Add(-1)
-		}
-	}
-}
-
-// testHookEventDequeued, when set by a test, runs in the event loop between
-// taking an event off the channel and stepping the machine with it.
-var testHookEventDequeued func(*Node)
-
-// idle reports whether the node has no queued or in-flight work: no injected
-// event short of the end of its step, an empty inbox, no handler running.
-// Atomic loads only — the poll must not contend with the loops it watches —
-// and in that order: the LSA loop raises busy before it zeroes inDepth, so a
-// batch it is taking shows in one or the other. One reading proves nothing
-// by itself; see Cluster.quiescent for the argument that uses it.
+// idle reports whether the node has no queued or in-flight work: an empty
+// inbox, no handler running. Atomic loads only — the poll must not contend
+// with the loops it watches — and in that order: the LSA loop raises busy
+// before it zeroes inDepth, so a batch it is taking shows in one or the
+// other. One reading proves nothing by itself; see Cluster.quiescent for
+// the argument that uses it.
 func (n *Node) idle() bool {
-	return n.pendingEvents.Load() == 0 && n.inDepth.Load() == 0 && n.busy.Load() == 0
+	return n.inDepth.Load() == 0 && n.busy.Load() == 0
 }
 
 // --- core.Host implementation ---
@@ -692,7 +645,7 @@ func (n *Node) SendUnicast(to topo.SwitchID, payload any) {
 			n.sendFrame(to, lsa.FrameResyncResp, part.AppendMarshal)
 		}
 	default:
-		n.tracef("sw%d: unicast of unframeable %T dropped", n.id, payload)
+		n.obs.sendErrs.Inc() // unframeable: dropped, counted as a refused send
 	}
 }
 
@@ -705,16 +658,9 @@ func (n *Node) sendFrame(to topo.SwitchID, kind lsa.FrameKind, appendPayload fun
 	}, appendPayload)
 	n.obs.unicasts.Inc()
 	if err := n.tr.Send(to, buf); err != nil {
-		n.sendFailed("unicast", to, err)
+		n.obs.sendErrs.Inc()
 	}
 	putBuf(buf)
-}
-
-// sendFailed accounts one link send — a frame, or a burst — the transport
-// refused.
-func (n *Node) sendFailed(what string, to topo.SwitchID, err error) {
-	n.obs.sendErrs.Inc()
-	n.tracef("sw%d: %s to %d: %v", n.id, what, to, err)
 }
 
 // PendingMC implements core.Host: scan the inbox for an MC LSA for conn.
@@ -804,30 +750,18 @@ func (n *Node) ForwardingChanged(conn lsa.ConnID) {
 // (or different daemon processes on one machine) share a comparable
 // timeline.
 func (n *Node) Trace(kind core.TraceKind, chain core.ChainID, conn lsa.ConnID, format string, args ...any) {
-	if n.tracer == nil && n.logf == nil {
+	if n.tracer == nil {
 		return
 	}
-	detail := fmt.Sprintf(format, args...)
-	if n.tracer != nil {
-		n.tracer.Trace(core.TraceEntry{
-			At:     time.Duration(time.Now().UnixNano()),
-			Kind:   kind,
-			Switch: n.id,
-			Conn:   conn,
-			Chain:  chain,
-			Detail: detail,
-		})
-	}
-	if n.logf != nil {
-		n.logf("sw%d conn%d chain%s [%v] %s", n.id, conn, chain, kind, detail)
-	}
+	n.tracer.Trace(core.TraceEntry{
+		At:     time.Duration(time.Now().UnixNano()),
+		Kind:   kind,
+		Switch: n.id,
+		Conn:   conn,
+		Chain:  chain,
+		Detail: fmt.Sprintf(format, args...),
+	})
 }
 
 // TraceEnabled implements core.Host.
-func (n *Node) TraceEnabled() bool { return n.tracer != nil || n.logf != nil }
-
-func (n *Node) tracef(format string, args ...any) {
-	if n.logf != nil {
-		n.logf(format, args...)
-	}
-}
+func (n *Node) TraceEnabled() bool { return n.tracer != nil }

@@ -23,7 +23,7 @@ type nodeObs struct {
 	floodsOrig *obs.Counter // floods this node originated
 	floodsFwd  *obs.Counter // store-and-forward relays of others' floods
 	unicasts   *obs.Counter // resync unicasts sent
-	sendErrs   *obs.Counter // transport send failures (flood, forward, unicast)
+	sendErrs   *obs.Counter // transport send failures (flood, forward, unicast) and unframeable unicasts
 
 	// protocol plane
 	batches   *obs.Counter   // ReceiveBatch invocations
@@ -146,7 +146,6 @@ func (n *Node) registerFuncs(reg *obs.Registry) {
 		{"dgmc_machine_resync_requests_total", func(m *core.Metrics) float64 { return float64(m.ResyncRequests) }},
 		{"dgmc_machine_resync_responses_total", func(m *core.Metrics) float64 { return float64(m.ResyncResponses) }},
 		{"dgmc_machine_resync_giveups_total", func(m *core.Metrics) float64 { return float64(m.ResyncGiveUps) }},
-		{"dgmc_resync_gave_up_total", func(m *core.Metrics) float64 { return float64(m.ResyncGiveUps) }},
 		{"dgmc_machine_resync_rearms_total", func(m *core.Metrics) float64 { return float64(m.ResyncRearms) }},
 		{"dgmc_machine_reconciles_total", func(m *core.Metrics) float64 { return float64(m.Reconciles) }},
 		{"dgmc_machine_replay_refloods_total", func(m *core.Metrics) float64 { return float64(m.Replays) }},

@@ -182,7 +182,7 @@ func TestFaultMetricsExported(t *testing.T) {
 	}
 	out := sb.String()
 	for _, want := range []string{
-		"# TYPE dgmc_resync_gave_up_total counter",
+		"# TYPE dgmc_machine_resync_giveups_total counter",
 		"# TYPE dgmc_partitions_healed_total counter",
 		"# TYPE dgmc_node_restarts_total counter",
 		"dgmc_partitions_healed_total 1",

@@ -78,42 +78,45 @@ func TestQuiescentNeverEarly(t *testing.T) {
 	}
 }
 
-// TestDequeuedEventIsPending parks the event loop where the old idle() could
-// not see it — the event is off the channel, step has not raised busy — and
-// checks that the node, and so the cluster, counts as busy there.
-func TestDequeuedEventIsPending(t *testing.T) {
+// TestInjectRacesClose has several goroutines join and leave at one switch
+// while another closes it, halfway through the first one's calls: every
+// call returns nil or ErrClosed, and none blocks.
+func TestInjectRacesClose(t *testing.T) {
+	const drivers, calls = 4, 200
 	c := gridCluster(t)
 	defer c.Close()
-	entered, release := make(chan struct{}), make(chan struct{})
-	testHookEventDequeued = func(n *Node) {
-		if n.ID() == 5 {
-			entered <- struct{}{}
-			<-release
-		}
-	}
-	defer func() { testHookEventDequeued = nil }()
-	if err := c.Join(5, 1, mctree.SenderReceiver); err != nil {
-		t.Fatal(err)
-	}
-	<-entered
 	n := c.Node(5)
-	if len(n.events) != 0 || n.busy.Load() != 0 {
-		t.Fatalf("event loop is not between dequeue and step: %d queued, busy %d", len(n.events), n.busy.Load())
+	half := make(chan struct{})
+	var wg sync.WaitGroup
+	for d := 0; d < drivers; d++ {
+		wg.Add(1)
+		go func(d int) {
+			defer wg.Done()
+			conn := lsa.ConnID(1 + d)
+			for i := 0; i < calls; i++ {
+				if d == 0 && i == calls/2 {
+					close(half)
+				}
+				err := n.Join(conn, mctree.SenderReceiver)
+				if err == nil {
+					err = n.Leave(conn)
+				}
+				if err != nil && err != ErrClosed {
+					t.Errorf("conn %d call %d: %v", conn, i, err)
+				}
+			}
+		}(d)
 	}
-	if n.idle() {
-		t.Error("node reads idle with a dequeued event not yet stepped")
-	}
-	if _, ok := c.quiescent(); ok {
-		t.Error("cluster reads quiescent with a dequeued event not yet stepped")
-	}
-	if err := c.Settle(0, 5*time.Millisecond); err == nil {
-		t.Error("Settle returned with a dequeued event not yet stepped")
-	}
-	close(release)
-	if err := c.WaitConverged(15 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if snap, ok := n.Connection(1); !ok || len(snap.Members) != 1 {
-		t.Fatalf("join was not applied after release: %+v", snap)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-half
+		if err := n.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+	wg.Wait()
+	if err := n.Join(1, mctree.SenderReceiver); err != ErrClosed {
+		t.Fatalf("Join after Close = %v, want ErrClosed", err)
 	}
 }

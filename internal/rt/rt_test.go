@@ -126,11 +126,24 @@ func TestClusterBasicJoinLeave(t *testing.T) {
 	}
 	defer c.Close()
 
+	// Join and Leave return with the event applied at the switch that took
+	// it: a member there, with its own entry of R advanced, and no wait.
 	conn := lsa.ConnID(5)
+	applied := func(sw topo.SwitchID, member bool, events uint32) {
+		t.Helper()
+		snap, ok := c.Node(sw).Connection(conn)
+		if !ok {
+			t.Fatalf("switch %d has no state for conn %d right after its event", sw, conn)
+		}
+		if _, in := snap.Members[sw]; in != member || snap.R[sw] != events {
+			t.Fatalf("switch %d right after its event: member %v, R[self] %d; want %v, %d", sw, in, snap.R[sw], member, events)
+		}
+	}
 	for _, sw := range []topo.SwitchID{0, 3, 5} {
 		if err := c.Join(sw, conn, mctree.SenderReceiver); err != nil {
 			t.Fatal(err)
 		}
+		applied(sw, true, 1)
 	}
 	if err := c.WaitConverged(10 * time.Second); err != nil {
 		t.Fatal(err)
@@ -146,6 +159,7 @@ func TestClusterBasicJoinLeave(t *testing.T) {
 	if err := c.Leave(3, conn); err != nil {
 		t.Fatal(err)
 	}
+	applied(3, false, 2)
 	if err := c.WaitConverged(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
