@@ -412,28 +412,26 @@ func writeMetrics(path string, m *core.Metrics, net *flood.Network, kernelEvents
 	reg := obs.NewRegistry()
 	for _, c := range []struct {
 		name string
-		v    uint64
+		v    float64
 	}{
-		{"dgmc_machine_events_total", m.Events},
-		{"dgmc_machine_computations_total", m.Computations},
-		{"dgmc_machine_withdrawn_total", m.Withdrawn},
-		{"dgmc_machine_installs_total", m.Installs},
-		{"dgmc_machine_mc_lsas_total", m.MCLSAs},
-		{"dgmc_machine_non_mc_lsas_total", m.NonMCLSAs},
-		{"dgmc_machine_reopt_checks_total", m.ReoptChecks},
-		{"dgmc_machine_out_of_order_lsas_total", m.OutOfOrderLSAs},
-		{"dgmc_machine_resync_requests_total", m.ResyncRequests},
-		{"dgmc_machine_resync_responses_total", m.ResyncResponses},
-		{"dgmc_machine_resync_giveups_total", m.ResyncGiveUps},
-		{"dgmc_floods_originated_total", net.Floodings()},
-		{"dgmc_flood_copies_total", net.Copies()},
-		{"dgmc_kernel_events_total", kernelEvents},
+		{"dgmc_machine_events_total", float64(m.Events)},
+		{"dgmc_machine_computations_total", float64(m.Computations)},
+		{"dgmc_machine_withdrawn_total", float64(m.Withdrawn)},
+		{"dgmc_machine_compute_seconds_total", float64(m.ComputeNanos) / 1e9},
+		{"dgmc_machine_installs_total", float64(m.Installs)},
+		{"dgmc_machine_mc_lsas_total", float64(m.MCLSAs)},
+		{"dgmc_machine_non_mc_lsas_total", float64(m.NonMCLSAs)},
+		{"dgmc_machine_reopt_checks_total", float64(m.ReoptChecks)},
+		{"dgmc_machine_out_of_order_lsas_total", float64(m.OutOfOrderLSAs)},
+		{"dgmc_machine_resync_requests_total", float64(m.ResyncRequests)},
+		{"dgmc_machine_resync_responses_total", float64(m.ResyncResponses)},
+		{"dgmc_machine_resync_giveups_total", float64(m.ResyncGiveUps)},
+		{"dgmc_floods_originated_total", float64(net.Floodings())},
+		{"dgmc_flood_copies_total", float64(net.Copies())},
+		{"dgmc_kernel_events_total", float64(kernelEvents)},
 	} {
-		reg.Counter(c.name).Add(c.v)
+		reg.CounterFunc(c.name, func() float64 { return c.v })
 	}
-	reg.CounterFunc("dgmc_machine_compute_seconds_total", func() float64 {
-		return float64(m.ComputeNanos) / 1e9
-	})
 	f, err := os.Create(path)
 	if err != nil {
 		return err

@@ -27,7 +27,7 @@ func get(t *testing.T, srv *httptest.Server, path string) (int, string) {
 
 func TestAdminMux(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("dgmc_test_total").Add(9)
+	reg.CounterFunc("dgmc_test_total", func() float64 { return 9 })
 	spans := NewSpanCollector(0)
 	spans.Trace(core.TraceEntry{
 		At: sim.Time(5), Kind: core.TraceEvent, Switch: 1, Conn: 2,

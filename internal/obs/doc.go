@@ -1,21 +1,21 @@
 // Package obs is the protocol observability layer: a lock-cheap metrics
-// registry (atomic counters, gauges, and fixed-bucket histograms with
-// snapshot/delta and Prometheus text export), a causal span collector that
-// reconstructs distributed event→compute→flood→recv→install chains from
-// core.TraceEntry streams, and the HTTP admin surfaces (/metrics, /spans,
-// /state, /debug/pprof) the live daemon exposes.
+// registry (scrape-time counter and gauge callbacks plus fixed-bucket
+// histograms, with snapshots and Prometheus text export), a causal span
+// collector that reconstructs distributed event→compute→flood→recv→install
+// chains from core.TraceEntry streams, and the HTTP admin surfaces
+// (/metrics, /spans, /state, /debug/pprof) the live daemon exposes.
 //
 // The package is designed around two constraints:
 //
-//   - Near-zero cost when disabled. Every instrument is nil-safe: a nil
-//     *Registry hands out nil *Counter/*Gauge/*Histogram handles whose
-//     methods return immediately, so instrumented hot paths pay one
-//     predictable nil check when observability is off.
+//   - No cost on the paths that count. A count lives with its owner — an
+//     atomic, or state behind the owner's lock — and the registry reads it
+//     at scrape time through CounterFunc/GaugeFunc. Histograms are the one
+//     push instrument; a nil *Registry hands out nil *Histogram handles
+//     whose methods return immediately.
 //
-//   - Race-free when enabled. Instruments are plain atomics, the span
-//     collector is mutex-guarded, and scrape-time callbacks (CounterFunc/
-//     GaugeFunc) let runtimes export state guarded by their own locks
-//     without touching the hot path at all.
+//   - Race-free when enabled. Histograms are plain atomics, the span
+//     collector is mutex-guarded, and the registry's own lock is taken only
+//     to register a series and to list series for a scrape.
 //
 // Both the discrete-event simulator (internal/core driving internal/sim)
 // and the live runtime (internal/rt, cmd/dgmcd) feed the same types; only

@@ -191,41 +191,3 @@ func hopLatency(parentAt map[uint32]int64, h PathHop) int64 {
 	}
 	return 0
 }
-
-// PathLatencyBounds are the histogram bucket upper bounds (seconds) used by
-// ExportPathMetrics: 1µs to ~4s in powers of 4.
-var PathLatencyBounds = []float64{
-	1e-6, 4e-6, 16e-6, 64e-6, 256e-6, 1024e-6, 4096e-6, 16384e-6, 65536e-6, 0.26, 1.05, 4.2,
-}
-
-// ExportPathMetrics folds reconstructed path reports into the registry:
-// per-hop and end-to-end latency histograms (seconds), plus counters for
-// reconstructed/complete paths and traced drops. Call it after each
-// reconstruction pass; it observes every report it is handed, so pass only
-// new reports (or a fresh registry) to avoid double counting.
-func ExportPathMetrics(reg *Registry, reports []PathReport) {
-	if reg == nil {
-		return
-	}
-	hopH := reg.Histogram("dgmc_path_hop_seconds", PathLatencyBounds)
-	e2eH := reg.Histogram("dgmc_path_e2e_seconds", PathLatencyBounds)
-	total := reg.Counter("dgmc_path_reports_total")
-	complete := reg.Counter("dgmc_path_reports_complete_total")
-	drops := reg.Counter("dgmc_path_traced_drops_total")
-	for _, rep := range reports {
-		total.Inc()
-		if rep.Complete {
-			complete.Inc()
-		}
-		drops.Add(uint64(rep.Dropped))
-		for _, h := range rep.Hops {
-			if h.Kind == RecOriginate || h.LatencyNS < 0 {
-				continue
-			}
-			hopH.Observe(float64(h.LatencyNS) / 1e9)
-		}
-		if rep.EndToEndNS > 0 {
-			e2eH.Observe(float64(rep.EndToEndNS) / 1e9)
-		}
-	}
-}

@@ -162,34 +162,3 @@ func TestReconstructDuplicateScrapes(t *testing.T) {
 		t.Fatalf("hops = %d, want 2 (dedup)", len(reports[0].Hops))
 	}
 }
-
-func TestExportPathMetrics(t *testing.T) {
-	reg := NewRegistry()
-	docs := []*FlightDoc{
-		docFor(1, hop(RecOriginate, 7, 1, 40, 0, 1000)),
-		docFor(2, hop(RecForward, 7, 1, 40, 1, 1500)),
-		docFor(3, hop(RecDeliver, 7, 1, 40, 2, 2100)),
-		docFor(4, hop(RecDropLoop, 7, 1, 40, 9, 2200)), // unresolvable upstream
-	}
-	reports := ReconstructPaths(docs)
-	ExportPathMetrics(reg, reports)
-
-	if got := reg.Counter("dgmc_path_reports_total").Value(); got != 1 {
-		t.Fatalf("reports_total = %d, want 1", got)
-	}
-	if got := reg.Counter("dgmc_path_traced_drops_total").Value(); got != 1 {
-		t.Fatalf("traced_drops_total = %d, want 1", got)
-	}
-	hopH := reg.Histogram("dgmc_path_hop_seconds", PathLatencyBounds)
-	// Two resolved hops (forward at 2, deliver at 3); the drop's upstream
-	// is missing so it is excluded from the histogram.
-	if got := hopH.Count(); got != 2 {
-		t.Fatalf("hop histogram count = %d, want 2", got)
-	}
-	e2eH := reg.Histogram("dgmc_path_e2e_seconds", PathLatencyBounds)
-	if got := e2eH.Count(); got != 1 {
-		t.Fatalf("e2e histogram count = %d, want 1", got)
-	}
-	// ExportPathMetrics(nil, ...) must be a no-op.
-	ExportPathMetrics(nil, reports)
-}

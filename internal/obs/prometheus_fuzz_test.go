@@ -120,7 +120,7 @@ newline`)
 
 	f.Fuzz(func(t *testing.T, name, labelKey, labelValue string) {
 		reg := NewRegistry()
-		reg.Counter(name, Label{Key: labelKey, Value: labelValue}).Add(3)
+		reg.CounterFunc(name, func() float64 { return 3 }, Label{Key: labelKey, Value: labelValue})
 
 		var buf bytes.Buffer
 		if err := reg.WritePrometheus(&buf); err != nil {

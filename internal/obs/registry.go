@@ -42,56 +42,6 @@ func (k Kind) String() string {
 	}
 }
 
-// Counter is a monotonically increasing metric. The nil *Counter a nil
-// Registry hands out discards all operations.
-type Counter struct{ v atomic.Uint64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c == nil {
-		return
-	}
-	c.v.Add(n)
-}
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
-// Gauge is an instantaneous integer value. Nil-safe like Counter.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores v.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Add adjusts the gauge by d (d may be negative).
-func (g *Gauge) Add(d int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(d)
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
 // atomicFloat is a float64 updated by CAS, for histogram sums.
 type atomicFloat struct{ bits atomic.Uint64 }
 
@@ -107,7 +57,8 @@ func (f *atomicFloat) add(v float64) {
 func (f *atomicFloat) load() float64 { return math.Float64frombits(f.bits.Load()) }
 
 // Histogram distributes observations over fixed upper-bound buckets (an
-// implicit +Inf bucket catches the rest). Nil-safe like Counter.
+// implicit +Inf bucket catches the rest). The nil *Histogram a nil Registry
+// hands out discards every observation and reads zero.
 type Histogram struct {
 	bounds []float64
 	counts []atomic.Uint64 // len(bounds)+1; counts[i] ≤ bounds[i], last = +Inf
@@ -142,18 +93,6 @@ func (h *Histogram) Sum() float64 {
 	return h.sum.load()
 }
 
-// ExponentialBuckets returns n upper bounds starting at start, each factor
-// times the previous — the usual latency-bucket shape.
-func ExponentialBuckets(start, factor float64, n int) []float64 {
-	out := make([]float64, n)
-	v := start
-	for i := range out {
-		out[i] = v
-		v *= factor
-	}
-	return out
-}
-
 // DurationBuckets spans 10µs–10s in decade-and-a-half steps, suitable for
 // protocol handling latencies in seconds.
 var DurationBuckets = []float64{
@@ -166,20 +105,19 @@ type instrument struct {
 	labels []Label
 	kind   Kind
 
-	counter *Counter
-	gauge   *Gauge
-	hist    *Histogram
-	fn      func() float64 // scrape-time callback (counter or gauge semantics)
+	hist *Histogram
+	fn   func() float64 // scrape-time callback (counter or gauge semantics)
 }
 
-// Registry holds a process's instruments. The zero registry is not usable;
-// call NewRegistry. A nil *Registry is the disabled fast path: every
-// constructor returns a nil instrument and every callback registration is
-// dropped.
+// Registry holds a process's instruments: scrape-time callbacks over
+// counts their owners keep (CounterFunc, GaugeFunc) and histograms, the one
+// instrument a scrape cannot read back from a count. The zero registry is
+// not usable; call NewRegistry. A nil *Registry is the disabled fast path:
+// Histogram returns nil and every callback registration is dropped.
 //
-// Constructors are idempotent: asking twice for the same (name, labels)
-// returns the same instrument, so callers may either cache handles at
-// setup (hot paths) or look them up lazily (per-connection series).
+// Registration is idempotent: the first instrument registered for a
+// (name, labels) is the one kept, so a caller registers a series once and
+// caches the histograms it observes.
 type Registry struct {
 	mu    sync.Mutex
 	byKey map[string]*instrument
@@ -235,28 +173,6 @@ func (r *Registry) register(name string, labels []Label, kind Kind, mk func() *i
 	return in
 }
 
-// Counter returns (registering on first use) the counter for (name, labels).
-func (r *Registry) Counter(name string, labels ...Label) *Counter {
-	if r == nil {
-		return nil
-	}
-	in := r.register(name, labels, KindCounter, func() *instrument {
-		return &instrument{counter: &Counter{}}
-	})
-	return in.counter
-}
-
-// Gauge returns (registering on first use) the gauge for (name, labels).
-func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
-	if r == nil {
-		return nil
-	}
-	in := r.register(name, labels, KindGauge, func() *instrument {
-		return &instrument{gauge: &Gauge{}}
-	})
-	return in.gauge
-}
-
 // Histogram returns (registering on first use) the histogram for
 // (name, labels) with the given ascending upper bounds. Bounds are fixed at
 // first registration; later calls with different bounds get the original.
@@ -273,8 +189,9 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Hi
 }
 
 // CounterFunc registers a scrape-time callback exported with counter
-// semantics (monotonic). Use it to surface counters that already live
-// behind another lock — the hot path pays nothing.
+// semantics (monotonic). The count lives with whatever keeps it — an
+// atomic, or state behind its owner's lock — so the path that counts never
+// touches the registry.
 func (r *Registry) CounterFunc(name string, fn func() float64, labels ...Label) {
 	if r == nil {
 		return
@@ -333,10 +250,6 @@ func (r *Registry) Snapshot() Snap {
 		switch {
 		case in.fn != nil:
 			p.Value = in.fn()
-		case in.counter != nil:
-			p.Value = float64(in.counter.Value())
-		case in.gauge != nil:
-			p.Value = float64(in.gauge.Value())
 		case in.hist != nil:
 			var cum uint64
 			p.Buckets = make([]Bucket, 0, len(in.hist.bounds)+1)
@@ -357,39 +270,5 @@ func (r *Registry) Snapshot() Snap {
 		}
 		return seriesKey("", out[i].Labels) < seriesKey("", out[j].Labels)
 	})
-	return out
-}
-
-// Delta returns s with every counter and histogram reduced by its value in
-// prev (matched by name and labels); gauges pass through unchanged, and
-// series absent from prev pass through whole. Use it to report per-interval
-// rates from cumulative instruments.
-func (s Snap) Delta(prev Snap) Snap {
-	idx := make(map[string]*Point, len(prev))
-	for i := range prev {
-		p := &prev[i]
-		idx[seriesKey(p.Name, p.Labels)] = p
-	}
-	out := make(Snap, 0, len(s))
-	for _, p := range s {
-		old, ok := idx[seriesKey(p.Name, p.Labels)]
-		if ok && old.Kind == p.Kind {
-			switch p.Kind {
-			case KindCounter:
-				p.Value -= old.Value
-			case KindHistogram:
-				p.Count -= old.Count
-				p.Sum -= old.Sum
-				bs := append([]Bucket(nil), p.Buckets...)
-				for i := range bs {
-					if i < len(old.Buckets) && bs[i].Le == old.Buckets[i].Le {
-						bs[i].Count -= old.Buckets[i].Count
-					}
-				}
-				p.Buckets = bs
-			}
-		}
-		out = append(out, p)
-	}
 	return out
 }

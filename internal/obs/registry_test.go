@@ -4,23 +4,18 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
 func TestNilRegistrySafe(t *testing.T) {
 	var r *Registry
-	c := r.Counter("x")
-	g := r.Gauge("y")
 	h := r.Histogram("z", DurationBuckets)
-	c.Inc()
-	c.Add(5)
-	g.Set(3)
-	g.Add(-1)
 	h.Observe(0.5)
 	r.CounterFunc("f", func() float64 { return 1 })
 	r.GaugeFunc("f2", func() float64 { return 2 })
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
-		t.Fatal("nil instruments must read zero")
+	if h != nil || h.Count() != 0 || h.Sum() != 0 {
+		t.Fatal("a nil registry must hand out a nil histogram that reads zero")
 	}
 	if snap := r.Snapshot(); snap != nil {
 		t.Fatalf("nil registry snapshot = %v, want nil", snap)
@@ -36,30 +31,32 @@ func TestNilRegistrySafe(t *testing.T) {
 
 func TestRegistryIdempotentAndCounts(t *testing.T) {
 	r := NewRegistry()
-	a := r.Counter("reqs", L("sw", "1"))
-	b := r.Counter("reqs", L("sw", "1"))
-	if a != b {
-		t.Fatal("same (name, labels) must return the same counter")
+	r.CounterFunc("reqs", func() float64 { return 3 }, L("sw", "1"))
+	r.CounterFunc("reqs", func() float64 { return 99 }, L("sw", "1"))
+	r.CounterFunc("reqs", func() float64 { return 1 }, L("sw", "2"))
+	r.GaugeFunc("depth", func() float64 { return 7 })
+	byKey := map[string]float64{}
+	for _, p := range r.Snapshot() {
+		key := p.Name
+		for _, l := range p.Labels {
+			key += " " + l.Key + "=" + l.Value
+		}
+		byKey[key] = p.Value
 	}
-	other := r.Counter("reqs", L("sw", "2"))
-	if a == other {
-		t.Fatal("different labels must be distinct series")
+	if len(byKey) != 3 {
+		t.Fatalf("want 3 series (same name and labels is one series), got %v", byKey)
 	}
-	a.Inc()
-	a.Add(2)
-	other.Inc()
-	if a.Value() != 3 || other.Value() != 1 {
-		t.Fatalf("counter values = %d, %d", a.Value(), other.Value())
+	if byKey["reqs sw=1"] != 3 || byKey["reqs sw=2"] != 1 {
+		t.Fatalf("the first closure per series must be kept: %v", byKey)
 	}
-
-	g := r.Gauge("depth")
-	g.Set(10)
-	g.Add(-3)
-	if g.Value() != 7 {
-		t.Fatalf("gauge = %d, want 7", g.Value())
+	if byKey["depth"] != 7 {
+		t.Fatalf("gauge = %v, want 7", byKey["depth"])
 	}
 
 	h := r.Histogram("lat", []float64{0.1, 1, 10})
+	if r.Histogram("lat", nil) != h {
+		t.Fatal("same (name, labels) must return the same histogram")
+	}
 	for _, v := range []float64{0.05, 0.5, 5, 50} {
 		h.Observe(v)
 	}
@@ -71,27 +68,26 @@ func TestRegistryIdempotentAndCounts(t *testing.T) {
 	}
 }
 
-func TestSnapshotAndDelta(t *testing.T) {
+func TestSnapshot(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("c")
-	g := r.Gauge("g")
+	var c atomic.Uint64
+	r.CounterFunc("c", func() float64 { return float64(c.Load()) })
+	r.GaugeFunc("g", func() float64 { return 5 })
 	h := r.Histogram("h", []float64{1, 2})
-	r.CounterFunc("fn", func() float64 { return 42 })
 	c.Add(10)
-	g.Set(5)
 	h.Observe(0.5)
 	h.Observe(1.5)
 	h.Observe(9)
 
-	prev := r.Snapshot()
-	if len(prev) != 4 {
-		t.Fatalf("snapshot has %d points, want 4", len(prev))
+	snap := r.Snapshot()
+	if len(snap) != 3 {
+		t.Fatalf("snapshot has %d points, want 3", len(snap))
 	}
 	byName := map[string]Point{}
-	for _, p := range prev {
+	for _, p := range snap {
 		byName[p.Name] = p
 	}
-	if byName["c"].Value != 10 || byName["g"].Value != 5 || byName["fn"].Value != 42 {
+	if byName["c"].Value != 10 || byName["c"].Kind != KindCounter || byName["g"].Value != 5 || byName["g"].Kind != KindGauge {
 		t.Fatalf("unexpected values: %+v", byName)
 	}
 	hp := byName["h"]
@@ -105,37 +101,27 @@ func TestSnapshotAndDelta(t *testing.T) {
 	if !math.IsInf(hp.Buckets[2].Le, 1) {
 		t.Fatalf("last bucket bound = %v, want +Inf", hp.Buckets[2].Le)
 	}
-
+	// A scrape reads the count where it lives.
 	c.Add(7)
-	g.Set(2)
-	h.Observe(0.1)
-	delta := r.Snapshot().Delta(prev)
-	byName = map[string]Point{}
-	for _, p := range delta {
-		byName[p.Name] = p
-	}
-	if byName["c"].Value != 7 {
-		t.Fatalf("counter delta = %v, want 7", byName["c"].Value)
-	}
-	if byName["g"].Value != 2 {
-		t.Fatalf("gauge must pass through, got %v", byName["g"].Value)
-	}
-	if byName["h"].Count != 1 || byName["h"].Buckets[0].Count != 1 {
-		t.Fatalf("hist delta = %+v", byName["h"])
+	for _, p := range r.Snapshot() {
+		if p.Name == "c" && p.Value != 17 {
+			t.Fatalf("counter func read %v after the count moved, want 17", p.Value)
+		}
 	}
 }
 
 func TestConcurrentInstruments(t *testing.T) {
 	r := NewRegistry()
+	var shared atomic.Uint64
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c := r.Counter("shared")
+			r.CounterFunc("shared", func() float64 { return float64(shared.Load()) })
 			h := r.Histogram("hist", []float64{0.5})
 			for j := 0; j < 1000; j++ {
-				c.Inc()
+				shared.Add(1)
 				h.Observe(float64(j%2) * 0.9)
 				if j%100 == 0 {
 					r.Snapshot()
@@ -144,8 +130,14 @@ func TestConcurrentInstruments(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := r.Counter("shared").Value(); got != 8000 {
-		t.Fatalf("counter = %d, want 8000", got)
+	snap := r.Snapshot()
+	if len(snap) != 2 {
+		t.Fatalf("snapshot has %d series, want 2: %+v", len(snap), snap)
+	}
+	for _, p := range snap {
+		if p.Name == "shared" && p.Value != 8000 {
+			t.Fatalf("counter = %v, want 8000", p.Value)
+		}
 	}
 	if got := r.Histogram("hist", nil).Count(); got != 8000 {
 		t.Fatalf("hist count = %d, want 8000", got)
@@ -154,8 +146,8 @@ func TestConcurrentInstruments(t *testing.T) {
 
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("dgmc_floods_total", L("switch", "3")).Add(2)
-	r.Gauge("dgmc_depth").Set(4)
+	r.CounterFunc("dgmc_floods_total", func() float64 { return 2 }, L("switch", "3"))
+	r.GaugeFunc("dgmc_depth", func() float64 { return 4 })
 	h := r.Histogram("dgmc_lat_seconds", []float64{0.5, 1})
 	h.Observe(0.25)
 	h.Observe(2)
@@ -184,7 +176,7 @@ func TestWritePrometheus(t *testing.T) {
 
 func TestPrometheusSanitization(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("bad name-1", L("bad key", "line\nbreak \"quoted\" back\\slash")).Inc()
+	r.CounterFunc("bad name-1", func() float64 { return 1 }, L("bad key", "line\nbreak \"quoted\" back\\slash"))
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
@@ -192,39 +184,6 @@ func TestPrometheusSanitization(t *testing.T) {
 	out := sb.String()
 	if !strings.Contains(out, `bad_name_1{bad_key="line\nbreak \"quoted\" back\\slash"} 1`) {
 		t.Fatalf("sanitization wrong:\n%s", out)
-	}
-}
-
-func TestExponentialBuckets(t *testing.T) {
-	got := ExponentialBuckets(1, 10, 3)
-	want := []float64{1, 10, 100}
-	if len(got) != len(want) {
-		t.Fatalf("len = %d", len(got))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("bucket %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-// BenchmarkCounterDisabled bounds the nil-registry fast path: the cost an
-// instrumented hot path pays when observability is off.
-func BenchmarkCounterDisabled(b *testing.B) {
-	var r *Registry
-	c := r.Counter("x")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Inc()
-	}
-}
-
-// BenchmarkCounterEnabled is the enabled counterpart (one atomic add).
-func BenchmarkCounterEnabled(b *testing.B) {
-	c := NewRegistry().Counter("x")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Inc()
 	}
 }
 

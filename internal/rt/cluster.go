@@ -3,6 +3,7 @@ package rt
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dgmc/internal/core"
@@ -63,10 +64,7 @@ type Cluster struct {
 	chanFab *ChanFabric // non-nil when fabric supports in-flight counting
 
 	// healed / restarts count fault-recovery operations cluster-wide.
-	// Plain counters (not funcs) so re-registration across restarts is a
-	// no-op by registry idempotency.
-	healed   *obs.Counter
-	restarts *obs.Counter
+	healed, restarts atomic.Uint64
 
 	// mu guards nodes, last, epochs, and partition against concurrent fault
 	// operations; steady-state reads (Settle, CheckAgreement) take it too.
@@ -92,13 +90,13 @@ func NewCluster(cfg ClusterConfig, fabric Fabric) (*Cluster, error) {
 		return nil, fmt.Errorf("rt: fabric graph is not connected")
 	}
 	c := &Cluster{
-		cfg:      cfg,
-		graph:    cfg.Graph,
-		fabric:   fabric,
-		healed:   cfg.Registry.Counter("dgmc_partitions_healed_total"),
-		restarts: cfg.Registry.Counter("dgmc_node_restarts_total"),
-		epochs:   make([]uint64, cfg.Graph.NumSwitches()),
+		cfg:    cfg,
+		graph:  cfg.Graph,
+		fabric: fabric,
+		epochs: make([]uint64, cfg.Graph.NumSwitches()),
 	}
+	cfg.Registry.CounterFunc("dgmc_partitions_healed_total", func() float64 { return float64(c.healed.Load()) })
+	cfg.Registry.CounterFunc("dgmc_node_restarts_total", func() float64 { return float64(c.restarts.Load()) })
 	c.chanFab, _ = fabric.(*ChanFabric)
 	for i := 0; i < cfg.Graph.NumSwitches(); i++ {
 		n, err := c.newNode(topo.SwitchID(i), 0, nil)
@@ -213,7 +211,7 @@ func (c *Cluster) RestartNode(id topo.SwitchID, snap *NodeSnapshot) error {
 	}
 	c.nodes[id] = n
 	c.last[id] = n
-	c.restarts.Inc()
+	c.restarts.Add(1)
 	n.RejoinFromNeighbors()
 	return nil
 }
@@ -272,7 +270,7 @@ func (c *Cluster) Heal() error {
 			}
 		}
 	}
-	c.healed.Inc()
+	c.healed.Add(1)
 	return nil
 }
 

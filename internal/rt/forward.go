@@ -184,15 +184,16 @@ func (n *Node) recompileFIBLocked(all bool, changed []lsa.ConnID) {
 	n.fib.Store(t)
 	compiles := n.fibCompiles.Add(1)
 	n.flight.Record(obs.RecFIBSwap, 0, uint32(n.id), compiles, uint64(t.Size()))
-	if n.obs.reg == nil {
+	if n.reg == nil {
 		return
 	}
 	if all {
 		changed = t.Conns()
 	}
 	for _, conn := range changed {
-		if t.Lookup(conn) != nil {
-			n.obs.connForwardSeries(n, conn)
+		if _, done := n.connSeries[conn]; !done && t.Lookup(conn) != nil {
+			n.connSeries[conn] = struct{}{}
+			n.connForwardSeries(conn)
 		}
 	}
 }
@@ -307,21 +308,15 @@ type txStage struct {
 	to   topo.SwitchID
 	bufs [][]byte
 	// relays groups the staged relay frames by the counter that counts them
-	// as forwarded once the transport has accepted the burst. Originated
-	// frames are in no group.
+	// as forwarded once the transport has accepted the burst: a stripe's
+	// forwarded for payload frames, the node's floodsFwd for LSAs.
+	// Originated frames are in no group.
 	relays []relayRun
 }
 
-// linkCredit counts accepted relay copies: a stripe's Forwarded for payload
-// frames, the node's forwarded-floods counter for LSAs.
-type linkCredit interface{ Add(n uint64) }
-
-// Add makes a stripe the linkCredit of the payload frames it counts.
-func (c *forwardCounters) Add(n uint64) { c.forwarded.Add(n) }
-
 // relayRun is a run of consecutively staged relay frames of one credit.
 type relayRun struct {
-	to linkCredit
+	to *atomic.Uint64
 	n  uint64
 }
 
@@ -369,7 +364,7 @@ func lastLink(links []topo.SwitchID, skip [2]topo.SwitchID) int {
 // frame. Nothing is on a link until the stage is flushed: at maxBurst frames
 // here, otherwise by the caller, which must flush tx before it lets go of
 // whatever made it send.
-func (n *Node) fanOut(tx *txStages, links []topo.SwitchID, skip [2]topo.SwitchID, moveAt int, buf []byte, credit linkCredit) {
+func (n *Node) fanOut(tx *txStages, links []topo.SwitchID, skip [2]topo.SwitchID, moveAt int, buf []byte, credit *atomic.Uint64) {
 	for i, nb := range links {
 		if nb == skip[0] || nb == skip[1] {
 			continue
@@ -410,7 +405,7 @@ func (n *Node) flushStage(s *txStage) {
 	n.batching.txBursts.Add(1)
 	n.batching.txFrames.Add(uint64(len(s.bufs)))
 	if err := n.tr.SendOwnedBatch(s.to, s.bufs); err != nil {
-		n.obs.sendErrs.Inc()
+		n.ctl.sendErrs.Add(1)
 	} else {
 		for _, r := range s.relays {
 			r.to.Add(r.n)
@@ -497,6 +492,6 @@ func (n *Node) handleData(tx *txStages, buf []byte, f *lsa.Frame) (consumed bool
 	// The forward is recorded ahead of the burst that carries the frame, so
 	// it predates every downstream record of the packet.
 	n.recordData(obs.RecForward, d.Conn, d.Src, d.Seq, f.From)
-	n.fanOut(tx, links, skip, last, buf, st)
+	n.fanOut(tx, links, skip, last, buf, &st.forwarded)
 	return true
 }

@@ -85,12 +85,20 @@ type Node struct {
 	tr        Transport
 	neighbors []topo.SwitchID
 	tracer    core.Tracer
-	obs       nodeObs
+
+	// reg is the registry the node's series are exported to (nil disables
+	// metrics); connSeries, guarded by mu, holds the connections whose
+	// series recompileFIBLocked has registered. batchDur and eventDur time
+	// each LSA batch and local event with the machine lock held; they are
+	// nil without a registry, which keeps their time.Now pairs off.
+	reg                *obs.Registry
+	connSeries         map[lsa.ConnID]struct{}
+	batchDur, eventDur *obs.Histogram
 
 	// succ points to the node that replaced this one after a crash–restart.
-	// Metric closures registered by the first incarnation follow the chain
-	// (see nodeObs), so a shared registry keeps reporting the live machine
-	// instead of a corpse.
+	// Scrape closures registered by the first incarnation follow the chain
+	// (see registerFuncs), so a shared registry keeps reporting the live
+	// node's counters instead of a corpse's.
 	succ atomic.Pointer[Node]
 
 	// mu serializes all access to machine (it is not concurrency-safe).
@@ -122,6 +130,8 @@ type Node struct {
 	origTx   sync.Pool
 	floodTx  txStages
 	batching batchCounters
+	ctl      ctlCounters
+	mcLSAs   mcLSAStripes
 
 	// flight is the event ring ("black box"); hopRec the sampled per-hop
 	// trace ring, kept separate so bursts of ordinary events cannot evict
@@ -188,7 +198,7 @@ func NewNode(cfg NodeConfig, tr Transport) (*Node, error) {
 		tr:          tr,
 		neighbors:   cfg.Graph.Neighbors(cfg.ID),
 		tracer:      cfg.Tracer,
-		obs:         newNodeObs(cfg.Registry, int(cfg.ID)),
+		reg:         cfg.Registry,
 		dataHandler: cfg.DataHandler,
 		resyncAfter: cfg.ResyncTimeout,
 		timers:      make(map[*time.Timer]struct{}),
@@ -312,13 +322,12 @@ func (n *Node) Inject(ev core.LocalEvent) error {
 	default:
 	}
 	var start time.Time
-	if n.obs.enabled() {
+	if n.eventDur != nil {
 		start = time.Now()
 	}
 	n.step(1, func(m *core.Machine) { m.HandleLocalEvent(nil, ev) })
-	if n.obs.enabled() {
-		n.obs.eventDur.Observe(time.Since(start).Seconds())
-		n.obs.eventsIn.Inc()
+	if n.eventDur != nil {
+		n.eventDur.Observe(time.Since(start).Seconds())
 	}
 	return nil
 }
@@ -476,14 +485,14 @@ func (n *Node) handleFrame(tx *txStages, buf []byte) (consumed bool) {
 			// rule skips the origin, so this should not happen) or a frame
 			// originated by a pre-crash incarnation of this switch. Neither
 			// must re-enter the machine.
-			n.obs.framesDup.Inc()
+			n.ctl.framesDup.Add(1)
 			return
 		}
 		if !n.seen.mark(f.Origin, f.Seq) {
-			n.obs.framesDup.Inc()
+			n.ctl.framesDup.Add(1)
 			return // duplicate delivery of a flood we already handled
 		}
-		n.obs.framesRecv.Inc()
+		n.ctl.framesRecv.Add(1)
 		// The payload is decoded before the relay below may hand buf — which
 		// it aliases — to the last neighbour's stage.
 		mc, nm, err := lsa.Unmarshal(f.Payload)
@@ -495,7 +504,7 @@ func (n *Node) handleFrame(tx *txStages, buf []byte) (consumed bool) {
 		// sealed intact is relayed whatever this switch makes of its payload.
 		skip := [2]topo.SwitchID{f.From, f.Origin}
 		if last := lastLink(n.neighbors, skip); last >= 0 && f.BodySum().PatchFrom(buf, n.id) == nil {
-			n.fanOut(tx, n.neighbors, skip, last, buf, n.obs.floodsFwd)
+			n.fanOut(tx, n.neighbors, skip, last, buf, &n.ctl.floodsFwd)
 			consumed = true
 		}
 		if err != nil {
@@ -503,7 +512,7 @@ func (n *Node) handleFrame(tx *txStages, buf []byte) (consumed bool) {
 			return
 		}
 		if mc != nil {
-			n.obs.mcReceived(mc.Conn)
+			n.mcLSAs.stripe(mc.Conn).received.Add(1)
 			n.enqueue(mc)
 		} else {
 			n.enqueue(nm)
@@ -567,14 +576,13 @@ func (n *Node) lsaLoop() {
 		n.inMu.Unlock()
 
 		var start time.Time
-		if n.obs.enabled() {
+		if n.batchDur != nil {
 			start = time.Now()
 		}
 		n.flight.Record(obs.RecLSAApply, 0, uint32(n.id), 0, uint64(len(batch)))
 		n.step(uint64(len(batch)), func(m *core.Machine) { m.ReceiveBatch(nil, batch) })
-		if n.obs.enabled() {
-			n.obs.batchDur.Observe(time.Since(start).Seconds())
-			n.obs.batches.Inc()
+		if n.batchDur != nil {
+			n.batchDur.Observe(time.Since(start).Seconds())
 		}
 		clear(batch) // the machine keeps the messages it wants, never the batch
 		spare = batch[:0]
@@ -607,7 +615,7 @@ func (n *Node) flood(appendPayload func([]byte) []byte) {
 		Version: lsa.FrameVersion, Kind: lsa.FrameFlood,
 		Origin: n.id, From: n.id, Seq: seq,
 	}, appendPayload)
-	n.obs.floodsOrig.Inc()
+	n.ctl.floodsOrig.Add(1)
 	// The last neighbor takes buf itself; with none it is still ours.
 	n.fanOut(&n.floodTx, n.neighbors, noSkip, len(n.neighbors)-1, buf, nil)
 	n.flush(&n.floodTx)
@@ -618,7 +626,7 @@ func (n *Node) flood(appendPayload func([]byte) []byte) {
 
 // FloodMC implements core.Host.
 func (n *Node) FloodMC(m *lsa.MC) {
-	n.obs.mcFlooded(m.Conn)
+	n.mcLSAs.stripe(m.Conn).flooded.Add(1)
 	n.flood(m.AppendMarshal)
 }
 
@@ -645,7 +653,7 @@ func (n *Node) SendUnicast(to topo.SwitchID, payload any) {
 			n.sendFrame(to, lsa.FrameResyncResp, part.AppendMarshal)
 		}
 	default:
-		n.obs.sendErrs.Inc() // unframeable: dropped, counted as a refused send
+		n.ctl.sendErrs.Add(1) // unframeable: dropped, counted as a refused send
 	}
 }
 
@@ -656,9 +664,9 @@ func (n *Node) sendFrame(to topo.SwitchID, kind lsa.FrameKind, appendPayload fun
 		Version: lsa.FrameVersion, Kind: kind,
 		Origin: n.id, From: n.id, Seq: n.seq.Add(1),
 	}, appendPayload)
-	n.obs.unicasts.Inc()
+	n.ctl.unicasts.Add(1)
 	if err := n.tr.Send(to, buf); err != nil {
-		n.obs.sendErrs.Inc()
+		n.ctl.sendErrs.Add(1)
 	}
 	putBuf(buf)
 }
@@ -709,7 +717,7 @@ func (n *Node) ArmResync(conn lsa.ConnID) {
 			return
 		default:
 		}
-		n.obs.resyncTmr.Inc()
+		n.ctl.resyncTmr.Add(1)
 		n.flight.Record(obs.RecResyncFired, uint32(conn), uint32(n.id), 0, 0)
 		n.step(1, func(m *core.Machine) { m.ResyncFired(conn) })
 	})

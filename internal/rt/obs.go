@@ -9,77 +9,29 @@ import (
 	"dgmc/internal/obs"
 )
 
-// nodeObs caches a node's metric handles. With no registry configured every
-// handle is nil and the instruments' nil-receiver fast path makes each
-// update site a single predictable branch — the disabled cost the
-// micro-benchmarks bound.
-type nodeObs struct {
-	reg *obs.Registry
-	sw  obs.Label
-
-	// transport plane
-	framesRecv *obs.Counter // flood frames accepted (first delivery)
-	framesDup  *obs.Counter // duplicate flood deliveries suppressed
-	floodsOrig *obs.Counter // floods this node originated
-	floodsFwd  *obs.Counter // store-and-forward relays of others' floods
-	unicasts   *obs.Counter // resync unicasts sent
-	sendErrs   *obs.Counter // transport send failures (flood, forward, unicast) and unframeable unicasts
-
-	// protocol plane
-	batches   *obs.Counter   // ReceiveBatch invocations
-	batchDur  *obs.Histogram // seconds per batch, machine lock held
-	eventsIn  *obs.Counter   // local events handled
-	eventDur  *obs.Histogram // seconds per event, machine lock held
-	resyncTmr *obs.Counter   // resync timer firings
-
-	// The data plane has no handles here: its outcomes are counted once, in
-	// the node's own atomics, and exported by registerFuncs at scrape time.
+// ctlCounters are the node's control-plane counts, kept whether or not a
+// registry is attached and exported by registerFuncs at scrape time.
+type ctlCounters struct {
+	framesRecv atomic.Uint64 // flood frames accepted (first delivery)
+	framesDup  atomic.Uint64 // duplicate flood deliveries suppressed
+	floodsOrig atomic.Uint64 // floods this node originated
+	floodsFwd  atomic.Uint64 // flood relay link copies the transport accepted
+	unicasts   atomic.Uint64 // resync unicasts sent
+	sendErrs   atomic.Uint64 // refused sends (flood, forward, unicast) and unframeable unicasts
+	resyncTmr  atomic.Uint64 // resync timer firings
 }
 
-// newNodeObs registers the node's series (labeled by switch) and returns the
-// cached handles. A nil registry yields the all-nil zero value.
-func newNodeObs(reg *obs.Registry, id int) nodeObs {
-	if reg == nil {
-		return nodeObs{}
-	}
-	sw := obs.L("switch", strconv.Itoa(id))
-	return nodeObs{
-		reg:        reg,
-		sw:         sw,
-		framesRecv: reg.Counter("dgmc_frames_received_total", sw),
-		framesDup:  reg.Counter("dgmc_frames_duplicate_suppressed_total", sw),
-		floodsOrig: reg.Counter("dgmc_floods_originated_total", sw),
-		floodsFwd:  reg.Counter("dgmc_floods_forwarded_total", sw),
-		unicasts:   reg.Counter("dgmc_unicasts_sent_total", sw),
-		sendErrs:   reg.Counter("dgmc_transport_send_errors_total", sw),
-		batches:    reg.Counter("dgmc_lsa_batches_total", sw),
-		batchDur:   reg.Histogram("dgmc_lsa_batch_seconds", obs.DurationBuckets, sw),
-		eventsIn:   reg.Counter("dgmc_local_events_total", sw),
-		eventDur:   reg.Histogram("dgmc_event_handle_seconds", obs.DurationBuckets, sw),
-		resyncTmr:  reg.Counter("dgmc_resync_timer_fires_total", sw),
-	}
-}
+// mcLSACounters count the MC LSAs of one connection stripe (conn & 63, as
+// for forwardStripes) this switch originated and consumed from the fabric.
+// Unpadded: they move once per LSA, not per packet.
+type mcLSACounters struct{ flooded, received atomic.Uint64 }
 
-// enabled reports whether metrics are on (used to gate time.Now() pairs and
-// per-connection series lookups off the disabled path entirely).
-func (o *nodeObs) enabled() bool { return o.reg != nil }
+// mcLSAStripes is the node's per-connection LSA counter set, 1 KB per switch.
+type mcLSAStripes [fwdStripes]mcLSACounters
 
-// mcFlooded counts one originated MC LSA on the per-connection series.
-func (o *nodeObs) mcFlooded(conn lsa.ConnID) {
-	if o.reg == nil {
-		return
-	}
-	o.reg.Counter("dgmc_mc_lsas_flooded_total", o.sw,
-		obs.L("conn", strconv.Itoa(int(conn)))).Inc()
-}
-
-// mcReceived counts one consumed MC LSA on the per-connection series.
-func (o *nodeObs) mcReceived(conn lsa.ConnID) {
-	if o.reg == nil {
-		return
-	}
-	o.reg.Counter("dgmc_mc_lsas_received_total", o.sw,
-		obs.L("conn", strconv.Itoa(int(conn)))).Inc()
+// stripe returns the LSA counter stripe for conn.
+func (s *mcLSAStripes) stripe(conn lsa.ConnID) *mcLSACounters {
+	return &s[uint32(conn)&(fwdStripes-1)]
 }
 
 // forwardSeries names each data-plane outcome once, for the node-wide
@@ -106,21 +58,25 @@ func withReason(reason string, labels ...obs.Label) []obs.Label {
 }
 
 // registerFuncs exports, as scrape-time callbacks, every counter the node
-// already keeps for its own purposes: the protocol machine's (guarded by
-// n.mu — each scrape briefly takes the node lock, exactly like
-// Node.Metrics()) and the data plane's (plain atomics). The hot paths are
-// untouched, and a series can never disagree with the accessor that reads
-// the same value.
+// keeps: the protocol machine's (guarded by n.mu — each scrape briefly takes
+// the node lock, exactly like Node.Metrics()) and the control and data
+// planes' plain atomics. Nothing that counts touches the registry, and a
+// series can never disagree with the accessor that reads the same value.
 //
 // The registry deduplicates func-instruments by (name, labels) and keeps the
 // first closure, so a restarted switch cannot re-register its series — the
 // closures instead follow the succession chain (Node.live) to whatever
-// incarnation currently serves the switch ID.
+// incarnation currently serves the switch ID, and report its counts, which
+// start from zero. It also registers the node's two histograms, the only
+// series the node pushes to.
 func (n *Node) registerFuncs(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
 	sw := obs.L("switch", strconv.Itoa(int(n.id)))
+	n.batchDur = reg.Histogram("dgmc_lsa_batch_seconds", obs.DurationBuckets, sw)
+	n.eventDur = reg.Histogram("dgmc_event_handle_seconds", obs.DurationBuckets, sw)
+	n.connSeries = make(map[lsa.ConnID]struct{})
 	mf := func(sel func(*core.Metrics) float64) func() float64 {
 		return func() float64 {
 			ln := n.live()
@@ -173,22 +129,13 @@ func (n *Node) registerFuncs(reg *obs.Registry) {
 		return float64(ln.machine.EventLogBytes())
 	}, sw)
 	reg.GaugeFunc("dgmc_inbox_depth", func() float64 {
-		ln := n.live()
-		ln.inMu.Lock()
-		defer ln.inMu.Unlock()
-		return float64(len(ln.inbox))
+		return float64(n.live().inDepth.Load())
 	}, sw)
 	reg.GaugeFunc("dgmc_seen_origins", func() float64 {
 		return float64(n.live().seen.size())
 	}, sw)
 	reg.GaugeFunc("dgmc_fib_entries", func() float64 {
 		return float64(n.live().fib.Load().Size())
-	}, sw)
-	reg.CounterFunc("dgmc_fib_compiles_total", func() float64 {
-		return float64(n.live().FIBCompiles())
-	}, sw)
-	reg.CounterFunc("dgmc_frame_decode_errors_total", func() float64 {
-		return float64(n.live().DecodeErrors())
 	}, sw)
 	reg.CounterFunc("dgmc_rx_parks_total", func() float64 {
 		parks, _ := n.live().RxWaits()
@@ -203,42 +150,57 @@ func (n *Node) registerFuncs(reg *obs.Registry) {
 			return float64(fs.pick(n.live().ForwardStats()))
 		}, withReason(fs.reason, sw)...)
 	}
-	for _, bs := range []struct {
+	for _, as := range []struct {
 		name string
-		pick func(*batchCounters) *atomic.Uint64
+		pick func(*Node) *atomic.Uint64
 	}{
-		{"dgmc_rx_batches_total", func(b *batchCounters) *atomic.Uint64 { return &b.rxBatches }},
-		{"dgmc_rx_frames_total", func(b *batchCounters) *atomic.Uint64 { return &b.rxFrames }},
-		{"dgmc_tx_bursts_total", func(b *batchCounters) *atomic.Uint64 { return &b.txBursts }},
-		{"dgmc_tx_frames_total", func(b *batchCounters) *atomic.Uint64 { return &b.txFrames }},
+		{"dgmc_frames_received_total", func(ln *Node) *atomic.Uint64 { return &ln.ctl.framesRecv }},
+		{"dgmc_frames_duplicate_suppressed_total", func(ln *Node) *atomic.Uint64 { return &ln.ctl.framesDup }},
+		{"dgmc_floods_originated_total", func(ln *Node) *atomic.Uint64 { return &ln.ctl.floodsOrig }},
+		{"dgmc_floods_forwarded_total", func(ln *Node) *atomic.Uint64 { return &ln.ctl.floodsFwd }},
+		{"dgmc_unicasts_sent_total", func(ln *Node) *atomic.Uint64 { return &ln.ctl.unicasts }},
+		{"dgmc_transport_send_errors_total", func(ln *Node) *atomic.Uint64 { return &ln.ctl.sendErrs }},
+		{"dgmc_resync_timer_fires_total", func(ln *Node) *atomic.Uint64 { return &ln.ctl.resyncTmr }},
+		{"dgmc_fib_compiles_total", func(ln *Node) *atomic.Uint64 { return &ln.fibCompiles }},
+		{"dgmc_frame_decode_errors_total", func(ln *Node) *atomic.Uint64 { return &ln.decodeErrs }},
+		{"dgmc_rx_batches_total", func(ln *Node) *atomic.Uint64 { return &ln.batching.rxBatches }},
+		{"dgmc_rx_frames_total", func(ln *Node) *atomic.Uint64 { return &ln.batching.rxFrames }},
+		{"dgmc_tx_bursts_total", func(ln *Node) *atomic.Uint64 { return &ln.batching.txBursts }},
+		{"dgmc_tx_frames_total", func(ln *Node) *atomic.Uint64 { return &ln.batching.txFrames }},
 	} {
-		reg.CounterFunc(bs.name, func() float64 {
-			return float64(bs.pick(&n.live().batching).Load())
+		reg.CounterFunc(as.name, func() float64 {
+			return float64(as.pick(n.live()).Load())
 		}, sw)
 	}
 }
 
-// connForwardSeries exports per-connection delivery series for conn:
-// sent/forwarded/delivered plus the four-way drop taxonomy, each reading the
-// connection's counter stripe at scrape time, and a per-connection FIB
-// fan-out gauge (scrape closures follow the succession chain like every func
-// instrument). Called from recompileFIBLocked for each connection compiled —
-// the control path, never per packet — and idempotent by registry dedup, so
-// churning connections re-register for free. Stripe accuracy: conns map onto
-// 64 stripes, so two connections 64 apart share a series' backing counters
-// (exact below that).
-func (o *nodeObs) connForwardSeries(n *Node, conn lsa.ConnID) {
+// connForwardSeries exports conn's per-connection series: sent/forwarded/
+// delivered plus the four-way drop taxonomy, read from the connection's
+// forward stripe; MC LSAs flooded and received, read from its LSA stripe;
+// and a FIB fan-out gauge. Like every func series the closures follow
+// Node.live. recompileFIBLocked calls it once per connection, the first time
+// a compiled table holds an entry for it, so churn never reaches the
+// registry. Stripe accuracy: conns map onto 64 stripes, so two connections
+// 64 apart share a series' backing counters (exact below that).
+func (n *Node) connForwardSeries(conn lsa.ConnID) {
+	sw := obs.L("switch", strconv.Itoa(int(n.id)))
 	cl := obs.L("conn", strconv.Itoa(int(conn)))
 	for _, fs := range forwardSeries {
-		o.reg.CounterFunc(fs.conn, func() float64 {
+		n.reg.CounterFunc(fs.conn, func() float64 {
 			return float64(fs.pick(n.live().ConnForwardStats(conn)))
-		}, withReason(fs.reason, o.sw, cl)...)
+		}, withReason(fs.reason, sw, cl)...)
 	}
-	o.reg.GaugeFunc("dgmc_conn_fib_fanout", func() float64 {
+	n.reg.CounterFunc("dgmc_mc_lsas_flooded_total", func() float64 {
+		return float64(n.live().mcLSAs.stripe(conn).flooded.Load())
+	}, sw, cl)
+	n.reg.CounterFunc("dgmc_mc_lsas_received_total", func() float64 {
+		return float64(n.live().mcLSAs.stripe(conn).received.Load())
+	}, sw, cl)
+	n.reg.GaugeFunc("dgmc_conn_fib_fanout", func() float64 {
 		e := n.live().fib.Load().Lookup(conn)
 		if e == nil {
 			return 0
 		}
 		return float64(len(e.Neighbors))
-	}, o.sw, cl)
+	}, sw, cl)
 }

@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -32,23 +33,20 @@ func TestChurnSoakWithObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Concurrent scraper: exercise snapshot, delta, Prometheus rendering,
-	// and span assembly while the cluster is under churn.
+	// Concurrent scraper: exercise snapshot, Prometheus rendering, and span
+	// assembly while the cluster is under churn.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		var prev obs.Snap
 		for {
 			select {
 			case <-stop:
 				return
 			case <-time.After(5 * time.Millisecond):
 			}
-			snap := reg.Snapshot()
-			snap.Delta(prev)
-			prev = snap
+			reg.Snapshot()
 			var sb strings.Builder
 			if err := reg.WritePrometheus(&sb); err != nil {
 				t.Errorf("WritePrometheus: %v", err)
@@ -120,6 +118,63 @@ func TestChurnSoakWithObservability(t *testing.T) {
 	}
 	if !found {
 		t.Error("no span reconstructs a multi-switch event→flood→install chain")
+	}
+}
+
+// TestRegistryAddsNoAllocsPerEvent holds a shared registry to its budget on
+// the control path: on the 4×4 grid with four members on conn 1, each
+// join/leave at switch 3, awaited with WaitConverged, may allocate at most
+// 5 % more with the registry attached than without one. The control plane
+// counts in node atomics and conn 1's series are registered once, so after
+// the warm-up no event reaches the registry.
+func TestRegistryAddsNoAllocsPerEvent(t *testing.T) {
+	const warmup, events = 20, 200
+	perEvent := func(reg *obs.Registry) float64 {
+		g, err := topo.Grid(4, 4, 10*time.Microsecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := NewCluster(ClusterConfig{Graph: g, Registry: reg}, NewChanFabric(g.NumSwitches()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		conn := lsa.ConnID(1)
+		for _, sw := range []topo.SwitchID{0, 6, 9, 15} {
+			if err := c.Join(sw, conn, mctree.SenderReceiver); err != nil {
+				t.Fatal(err)
+			}
+		}
+		toggle := func(i int) {
+			var err error
+			if i%2 == 0 {
+				err = c.Join(3, conn, mctree.SenderReceiver)
+			} else {
+				err = c.Leave(3, conn)
+			}
+			if err == nil {
+				err = c.WaitConverged(30 * time.Second)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < warmup; i++ {
+			toggle(i)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < events; i++ {
+			toggle(i)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.Mallocs-before.Mallocs) / events
+	}
+	without := perEvent(nil)
+	with := perEvent(obs.NewRegistry())
+	t.Logf("allocs per event: %.0f without a registry, %.0f with one", without, with)
+	if with > 1.05*without {
+		t.Fatalf("a registry raises allocs per event from %.0f to %.0f (> 1.05x)", without, with)
 	}
 }
 
@@ -206,8 +261,8 @@ func TestFaultMetricsExported(t *testing.T) {
 }
 
 // TestNodeDisabledObservability pins the disabled path: a cluster without a
-// registry or tracer must work exactly as before and keep all instrument
-// handles nil.
+// registry or tracer must work exactly as before and keep its histograms
+// nil, so no event or batch is timed.
 func TestNodeDisabledObservability(t *testing.T) {
 	g := soakGraph(t, 4)
 	c, err := NewCluster(ClusterConfig{Graph: g}, NewChanFabric(4))
@@ -216,8 +271,8 @@ func TestNodeDisabledObservability(t *testing.T) {
 	}
 	defer c.Close()
 	n := c.Node(0)
-	if n.obs.enabled() || n.obs.framesRecv != nil || n.obs.batchDur != nil {
-		t.Fatal("disabled node must carry nil instruments")
+	if n.reg != nil || n.batchDur != nil || n.eventDur != nil {
+		t.Fatal("disabled node must carry nil histograms")
 	}
 	if err := c.Join(0, 1, mctree.SenderReceiver); err != nil {
 		t.Fatal(err)
@@ -230,13 +285,15 @@ func TestNodeDisabledObservability(t *testing.T) {
 	}
 }
 
-// TestDataSeriesMatchAccessors pins the single set of data-plane counters:
-// after a ledgered closed-loop send, and after a decode error at each of the sites that
-// count one (frame, flood LSA, resync request, data payload), every
-// node-wide dgmc_data_* series, dgmc_fib_compiles_total and
+// TestDataSeriesMatchAccessors pins the single set of counters behind
+// /metrics: after joins, a ledgered closed-loop send, and a decode error at
+// each of the sites that count one (frame, flood LSA, resync request, data
+// payload), every node-wide dgmc_data_* series, dgmc_fib_compiles_total and
 // dgmc_frame_decode_errors_total reads exactly what ForwardStats,
-// FIBCompiles and DecodeErrors return — they are the same atomics — and the
-// dgmc_rx_*/dgmc_tx_* batching series read the node's batch counters. A
+// FIBCompiles and DecodeErrors return — they are the same atomics — the
+// dgmc_rx_*/dgmc_tx_* batching series read the node's batch counters, each
+// node-wide control series reads the node atomic behind it, and the
+// per-connection LSA series are there for conn 1 and read its stripe. A
 // crash–restart must leave the series on the live incarnation.
 func TestDataSeriesMatchAccessors(t *testing.T) {
 	g, err := topo.Grid(3, 3, 10*time.Microsecond)
@@ -346,6 +403,15 @@ func TestDataSeriesMatchAccessors(t *testing.T) {
 				"dgmc_rx_frames_total" + sw:                          n.batching.rxFrames.Load(),
 				"dgmc_tx_bursts_total" + sw:                          n.batching.txBursts.Load(),
 				"dgmc_tx_frames_total" + sw:                          n.batching.txFrames.Load(),
+				"dgmc_frames_received_total" + sw:                    n.ctl.framesRecv.Load(),
+				"dgmc_frames_duplicate_suppressed_total" + sw:        n.ctl.framesDup.Load(),
+				"dgmc_floods_originated_total" + sw:                  n.ctl.floodsOrig.Load(),
+				"dgmc_floods_forwarded_total" + sw:                   n.ctl.floodsFwd.Load(),
+				"dgmc_unicasts_sent_total" + sw:                      n.ctl.unicasts.Load(),
+				"dgmc_transport_send_errors_total" + sw:              n.ctl.sendErrs.Load(),
+				"dgmc_resync_timer_fires_total" + sw:                 n.ctl.resyncTmr.Load(),
+				"dgmc_mc_lsas_flooded_total conn=1" + sw:             n.mcLSAs.stripe(conn).flooded.Load(),
+				"dgmc_mc_lsas_received_total conn=1" + sw:            n.mcLSAs.stripe(conn).received.Load(),
 			} {
 				if v, ok := got[key]; !ok || v != float64(want) {
 					t.Errorf("%s: series %q = %v (present=%v), accessor says %d", when, key, v, ok, want)
@@ -367,6 +433,18 @@ func TestDataSeriesMatchAccessors(t *testing.T) {
 		}
 	}
 	check("after blast")
+	// The joins flooded MC LSAs to every switch: the counts compared above
+	// are not all zero.
+	for _, n := range c.Nodes() {
+		if n.ctl.framesRecv.Load() == 0 || n.ctl.floodsFwd.Load() == 0 || n.mcLSAs.stripe(conn).received.Load() == 0 {
+			t.Errorf("switch %d counted no received or relayed flood", n.ID())
+		}
+	}
+	for _, sw := range members {
+		if n := c.Node(sw); n.ctl.floodsOrig.Load() == 0 || n.mcLSAs.stripe(conn).flooded.Load() == 0 {
+			t.Errorf("member %d counted no originated flood", sw)
+		}
+	}
 	if s := c.Node(4).ForwardStats(); s.Delivered == 0 || s.DropNoEntry != 1 {
 		t.Fatalf("switch 4 stats %+v: want deliveries and one no-entry drop", s)
 	}
