@@ -11,8 +11,8 @@
 //     switch. This is what standard first-copy-wins flooding produces when
 //     forwarding is immediate, at a fraction of the simulator cost.
 //   - HopByHop spawns a forwarder process per switch that receives copies,
-//     suppresses duplicates by (origin, sequence), and relays to its other
-//     neighbors. It exists to validate the Direct model and to exercise
+//     and accepts and relays each flood by the rule internal/rt runs too
+//     (relay.go). It exists to validate the Direct model and to exercise
 //     the simulator under realistic message loads.
 //   - TreeBased forwards only along a shortest-path tree (see below).
 //   - Reliable is HopByHop hardened for lossy fabrics: every link
@@ -73,7 +73,7 @@ func (m Mode) String() string {
 type Delivery struct {
 	// Origin is the switch that initiated the flood.
 	Origin topo.SwitchID
-	// Seq is the flood's sequence number at the origin (for tracing).
+	// Seq is the flood's sequence number at its origin (for tracing).
 	Seq uint64
 	// Payload is the flooded advertisement.
 	Payload any
@@ -107,9 +107,10 @@ type Network struct {
 
 	inboxes []*sim.Mailbox // client-visible, one per switch
 
+	relays []*Relay // per switch: numbers floods, accepts copies (hop-by-hop)
+
 	// HopByHop/Reliable plumbing.
 	transport []*sim.Mailbox
-	seen      []map[floodID]bool
 
 	// nbrs[s] caches s's neighbors in ascending order with their link
 	// indices, so the per-copy forwarding loop touches no maps and
@@ -124,14 +125,8 @@ type Network struct {
 	pending     []map[pendKey]*pendingTx
 	rstats      ReliabilityStats
 
-	seq       uint64
 	floodings uint64
 	copies    uint64
-}
-
-type floodID struct {
-	origin topo.SwitchID
-	seq    uint64
 }
 
 // nbLink is one cached adjacency entry: the neighbor and the index of the
@@ -185,8 +180,10 @@ func New(k *sim.Kernel, g *topo.Graph, perHop time.Duration, mode Mode, opts ...
 		return nil, fmt.Errorf("flood: negative retry budget %d", n.retryBudget)
 	}
 	n.inboxes = make([]*sim.Mailbox, g.NumSwitches())
+	n.relays = make([]*Relay, g.NumSwitches())
 	for i := range n.inboxes {
 		n.inboxes[i] = sim.NewMailbox(k, fmt.Sprintf("lsa-inbox-%d", i))
+		n.relays[i] = NewRelay(topo.SwitchID(i), g.NumSwitches(), 0)
 	}
 	// Cache the full adjacency (down links included — flaps are re-checked
 	// through the link index at send time), sorted by neighbor for the same
@@ -205,23 +202,17 @@ func New(k *sim.Kernel, g *topo.Graph, perHop time.Duration, mode Mode, opts ...
 	}
 	if mode == HopByHop || mode == Reliable {
 		n.transport = make([]*sim.Mailbox, g.NumSwitches())
-		n.seen = make([]map[floodID]bool, g.NumSwitches())
 		if mode == Reliable {
 			n.pending = make([]map[pendKey]*pendingTx, g.NumSwitches())
 		}
 		for i := range n.transport {
 			n.transport[i] = sim.NewMailbox(k, fmt.Sprintf("flood-transport-%d", i))
-			n.seen[i] = make(map[floodID]bool)
 			if mode == Reliable {
 				n.pending[i] = make(map[pendKey]*pendingTx)
 			}
 			s := topo.SwitchID(i)
-			body := n.forward
-			if mode == Reliable {
-				body = n.forwardReliable
-			}
 			k.Spawn(fmt.Sprintf("forwarder-%d", i), func(p *sim.Process) {
-				body(p, s)
+				n.forward(p, s)
 			})
 		}
 	}
@@ -243,7 +234,9 @@ func (n *Network) Floodings() uint64 { return n.floodings }
 
 // Copies returns the total number of point-to-point transmissions used.
 // HopByHop counts actual sends; Direct charges what classic flooding would
-// transmit (every switch relays to all neighbours but the inbound one);
+// transmit (every switch relays to all neighbours but the inbound one), one
+// more than HopByHop for each neighbour of the origin that first hears the
+// flood from another switch, since RelaySkip spares the origin that copy;
 // TreeBased charges one transmission per delivered switch (the
 // switch-aided optimum).
 func (n *Network) Copies() uint64 { return n.copies }
@@ -254,30 +247,13 @@ func (n *Network) ResetCounters() { n.floodings, n.copies = 0, 0 }
 // Flood initiates a flooding operation from origin carrying payload. The
 // advertisement is delivered to every switch reachable from origin except
 // origin itself (the originator already knows its own advertisement, as in
-// OSPF). Returns the flood's sequence number.
-func (n *Network) Flood(origin topo.SwitchID, payload any) uint64 {
-	n.seq++
+// OSPF).
+func (n *Network) Flood(origin topo.SwitchID, payload any) {
 	n.floodings++
-	d := Delivery{Origin: origin, Seq: n.seq, Payload: payload}
+	d := Delivery{Origin: origin, Seq: n.relays[origin].Next(), Payload: payload}
 	switch n.mode {
-	case HopByHop:
-		n.seen[origin][floodID{origin, d.Seq}] = true
-		for _, e := range n.nbrs[origin] {
-			l := n.g.LinkAt(e.idx)
-			if l.Down {
-				continue
-			}
-			n.copies++
-			n.transport[e.to].Send(copyMsg{Delivery: d, from: origin}, l.Delay+n.perHop)
-		}
-	case Reliable:
-		n.seen[origin][floodID{origin, d.Seq}] = true
-		for _, e := range n.nbrs[origin] {
-			if n.g.LinkAt(e.idx).Down {
-				continue
-			}
-			n.sendReliable(origin, e.to, copyMsg{Delivery: d, from: origin})
-		}
+	case HopByHop, Reliable:
+		n.relay(origin, origin, d)
 	case TreeBased:
 		for dst, delay := range n.arrivalDelays(origin) {
 			if topo.SwitchID(dst) == origin || delay < 0 {
@@ -298,7 +274,6 @@ func (n *Network) Flood(origin topo.SwitchID, payload any) uint64 {
 			n.inboxes[dst].Send(d, delay)
 		}
 	}
-	return n.seq
 }
 
 // Unicast sends payload point-to-point from switch `from` to its direct
@@ -313,10 +288,9 @@ func (n *Network) Unicast(from, to topo.SwitchID, payload any) {
 	if !ok || l.Down {
 		return
 	}
-	n.seq++
 	u := Unicast{From: from, To: to, Payload: payload}
 	if n.mode == Reliable {
-		d := Delivery{Origin: from, Seq: n.seq, Payload: payload}
+		d := Delivery{Origin: from, Seq: n.relays[from].Next(), Payload: payload}
 		n.sendReliable(from, to, copyMsg{Delivery: d, from: from, unicast: true, dst: to})
 		return
 	}
@@ -340,31 +314,60 @@ func (n *Network) arrivalDelays(origin topo.SwitchID) []time.Duration {
 	return dist
 }
 
-// forward is the per-switch forwarder process body in HopByHop mode.
+// forward is the per-switch forwarder process body in HopByHop and Reliable
+// modes: a flood's first copy is delivered and relayed, later ones dropped.
+// Reliable re-acks a dropped copy (the first ack may have been lost) and acks
+// after the data path, so a fault-free run reproduces HopByHop's schedule.
 func (n *Network) forward(p *sim.Process, self topo.SwitchID) {
+	reliable := n.mode == Reliable
 	for {
-		raw := n.transport[self].Recv(p)
-		msg, ok := raw.(copyMsg)
-		if !ok {
+		switch msg := n.transport[self].Recv(p).(type) {
+		case ackMsg:
+			key := pendKey{msg.id, msg.acker}
+			if pt, ok := n.pending[self][key]; ok {
+				pt.acked = true
+				delete(n.pending[self], key)
+				n.rstats.AcksReceived++
+			}
+		case copyMsg:
+			id := floodID{msg.Origin, msg.Seq}
+			if !n.relays[self].Accept(msg.Origin, msg.Seq) {
+				if reliable {
+					n.rstats.DupSuppressed++
+					n.sendAck(self, msg.from, id)
+				}
+				continue
+			}
+			switch {
+			case !msg.unicast:
+				n.inboxes[self].Send(msg.Delivery, 0)
+				n.relay(self, msg.from, msg.Delivery)
+			case msg.dst == self:
+				n.inboxes[self].Send(Unicast{From: msg.Origin, To: msg.dst, Payload: msg.Payload}, 0)
+			}
+			if reliable {
+				n.sendAck(self, msg.from, id)
+			}
+		}
+	}
+}
+
+// relay sends d, which reached self from `from`, to every up neighbour but
+// the two RelaySkip names — acknowledged and retransmitted in Reliable mode.
+func (n *Network) relay(self, from topo.SwitchID, d Delivery) {
+	skip := RelaySkip(from, d.Origin)
+	msg := copyMsg{Delivery: d, from: self}
+	for _, e := range n.nbrs[self] {
+		l := n.g.LinkAt(e.idx)
+		if e.to == skip[0] || e.to == skip[1] || l.Down {
 			continue
 		}
-		id := floodID{msg.Origin, msg.Seq}
-		if n.seen[self][id] {
-			continue // duplicate: suppress
+		if n.mode == Reliable {
+			n.sendReliable(self, e.to, msg)
+			continue
 		}
-		n.seen[self][id] = true
-		n.inboxes[self].Send(msg.Delivery, 0)
-		for _, e := range n.nbrs[self] {
-			if e.to == msg.from {
-				continue
-			}
-			l := n.g.LinkAt(e.idx)
-			if l.Down {
-				continue
-			}
-			n.copies++
-			n.transport[e.to].Send(copyMsg{Delivery: msg.Delivery, from: self}, l.Delay+n.perHop)
-		}
+		n.copies++
+		n.transport[e.to].Send(msg, l.Delay+n.perHop)
 	}
 }
 

@@ -13,9 +13,9 @@ import (
 // over a link is tracked by the sender until the receiving switch
 // acknowledges it; unacknowledged transmissions are retried with
 // exponential backoff up to a bounded retry budget. Duplicates created by
-// retransmission (or injected by a fault plan) are absorbed by the existing
-// (origin, sequence) suppression, and every received copy is re-acked so a
-// lost ack cannot wedge the sender.
+// retransmission (or injected by a fault plan) are absorbed by the switch's
+// Relay, and every received copy is re-acked so a lost ack cannot wedge the
+// sender; forward, in flood.go, is the receiving side.
 
 // ReliabilityStats counts the reliable transport's activity. All counters
 // are cumulative; ResetCounters does not clear them (use Reliability once
@@ -48,6 +48,12 @@ func (s ReliabilityStats) String() string {
 // Reliability returns the reliable transport's counters (zero for other
 // modes).
 func (n *Network) Reliability() ReliabilityStats { return n.rstats }
+
+// floodID names one message by its origin and the origin's sequence number.
+type floodID struct {
+	origin topo.SwitchID
+	seq    uint64
+}
 
 // ackMsg acknowledges receipt of data message id by acker, addressed to the
 // pending entry at the link peer that sent it.
@@ -170,45 +176,5 @@ func (n *Network) sendAck(from, to topo.SwitchID, id floodID) {
 		}
 	} else {
 		n.transport[to].Send(a, delay)
-	}
-}
-
-// forwardReliable is the per-switch forwarder process body in Reliable
-// mode. The data path (suppress, deliver, relay) mirrors forward() exactly
-// so that a fault-free Reliable run reproduces HopByHop's arrivals; the ack
-// is sent after the data path so the data-relay schedule order matches too.
-func (n *Network) forwardReliable(p *sim.Process, self topo.SwitchID) {
-	for {
-		switch msg := n.transport[self].Recv(p).(type) {
-		case ackMsg:
-			key := pendKey{msg.id, msg.acker}
-			if pt, ok := n.pending[self][key]; ok {
-				pt.acked = true
-				delete(n.pending[self], key)
-				n.rstats.AcksReceived++
-			}
-		case copyMsg:
-			id := floodID{msg.Origin, msg.Seq}
-			if n.seen[self][id] {
-				n.rstats.DupSuppressed++
-				n.sendAck(self, msg.from, id) // re-ack: the first ack may have been lost
-				continue
-			}
-			n.seen[self][id] = true
-			if msg.unicast {
-				if msg.dst == self {
-					n.inboxes[self].Send(Unicast{From: msg.Origin, To: msg.dst, Payload: msg.Payload}, 0)
-				}
-			} else {
-				n.inboxes[self].Send(msg.Delivery, 0)
-				for _, e := range n.nbrs[self] {
-					if e.to == msg.from || n.g.LinkAt(e.idx).Down {
-						continue
-					}
-					n.sendReliable(self, e.to, copyMsg{Delivery: msg.Delivery, from: self})
-				}
-			}
-			n.sendAck(self, msg.from, id)
-		}
 	}
 }

@@ -457,7 +457,9 @@ func (c *Cluster) CheckAgreement() error {
 // agreement cannot change without activity, and CheckAgreement takes every
 // node's lock, which a fine poll waiting out a resync timer must not. (A
 // kill or restart changes what is checked without any work done, so an
-// unchanged count still earns a re-check every recheck.)
+// unchanged count still earns a re-check every recheck.) A cluster that
+// stays quiescent in disagreement fails at the deadline with the last
+// disagreement; settle alone would return at every poll and never reach it.
 func (c *Cluster) WaitConverged(timeout time.Duration) error {
 	const recheck = 25 * time.Millisecond
 	deadline := time.Now().Add(timeout)
@@ -471,7 +473,7 @@ func (c *Cluster) WaitConverged(timeout time.Duration) error {
 	err := fmt.Errorf("rt: never settled")
 	for {
 		act, ok := c.settle(&p, idleFor, deadline)
-		if !ok {
+		if !ok || time.Now().After(deadline) {
 			return fmt.Errorf("rt: cluster did not converge within %v: %w", timeout, err)
 		}
 		if failed.IsZero() || act != failedAt || time.Since(failed) >= recheck {

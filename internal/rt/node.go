@@ -10,6 +10,7 @@ import (
 
 	"dgmc/internal/core"
 	"dgmc/internal/fib"
+	"dgmc/internal/flood"
 	"dgmc/internal/lsa"
 	"dgmc/internal/mctree"
 	"dgmc/internal/obs"
@@ -152,12 +153,12 @@ type Node struct {
 	// reads the depth without the lock the receive and LSA loops contend on.
 	inDepth atomic.Int64
 
-	// seq numbers this node's originated floods; seen suppresses duplicate
-	// flood deliveries by (origin, seq) in O(origins) space (see seen.go —
-	// this used to be an unbounded map that grew with every flood ever
-	// delivered, a memory leak under soak).
-	seq  atomic.Uint64
-	seen seenTracker
+	// relay numbers this node's floods and unicasts and accepts the first
+	// copy of each flood from another of the graph's switches; relayMu
+	// serializes the origination paths and the receive loop on it.
+	switches int
+	relayMu  sync.Mutex
+	relay    *flood.Relay
 
 	resyncAfter time.Duration
 
@@ -197,6 +198,8 @@ func NewNode(cfg NodeConfig, tr Transport) (*Node, error) {
 		epoch:       cfg.Epoch,
 		tr:          tr,
 		neighbors:   cfg.Graph.Neighbors(cfg.ID),
+		switches:    cfg.Graph.NumSwitches(),
+		relay:       flood.NewRelay(cfg.ID, cfg.Graph.NumSwitches(), cfg.Epoch),
 		tracer:      cfg.Tracer,
 		reg:         cfg.Registry,
 		dataHandler: cfg.DataHandler,
@@ -213,11 +216,7 @@ func NewNode(cfg NodeConfig, tr Transport) (*Node, error) {
 			n.sampleEvery = cfg.SampleEvery
 		}
 	}
-	// Seed the flood sequence counter into this incarnation's epoch window.
-	// 48 bits of counter per epoch is beyond any realistic uptime, and the
-	// jump past every prior epoch is what invalidates stale pre-crash frames
-	// at the receivers' duplicate-suppression windows.
-	n.seq.Store(cfg.Epoch << 48)
+	// Data frames are numbered in their epoch window as floods are.
 	n.dataSeq.Store(cfg.Epoch << 48)
 	if cfg.Restore != nil {
 		if err := cfg.Restore.verify(); err != nil {
@@ -480,29 +479,30 @@ func (n *Node) handleFrame(tx *txStages, buf []byte) (consumed bool) {
 	}
 	switch f.Kind {
 	case lsa.FrameFlood:
-		if f.Origin == n.id {
-			// Our own flood came back — either a forwarding loop (the relay
-			// rule skips the origin, so this should not happen) or a frame
-			// originated by a pre-crash incarnation of this switch. Neither
-			// must re-enter the machine.
-			n.ctl.framesDup.Add(1)
+		if f.Origin < 0 || int(f.Origin) >= n.switches {
+			// No switch of the graph sent this: refused before it can take
+			// a window or be relayed.
+			n.decodeErrs.Add(1)
 			return
 		}
-		if !n.seen.mark(f.Origin, f.Seq) {
+		n.relayMu.Lock()
+		fresh := n.relay.Accept(f.Origin, f.Seq)
+		n.relayMu.Unlock()
+		if !fresh { // a duplicate, or a pre-crash incarnation's own flood
 			n.ctl.framesDup.Add(1)
-			return // duplicate delivery of a flood we already handled
+			return
 		}
 		n.ctl.framesRecv.Add(1)
 		// The payload is decoded before the relay below may hand buf — which
 		// it aliases — to the last neighbour's stage.
 		mc, nm, err := lsa.Unmarshal(f.Payload)
-		// Store-and-forward: relay to every neighbor except the one that
-		// sent it here and its origin, rewriting the link-level From in the
-		// received buffer from the checksum state its decode left. The last
-		// neighbour takes the buffer itself. Receivers suppress the
-		// duplicates this simple rule creates in cycles. A frame that was
-		// sealed intact is relayed whatever this switch makes of its payload.
-		skip := [2]topo.SwitchID{f.From, f.Origin}
+		// Store-and-forward by flood.RelaySkip's rule, rewriting the
+		// link-level From in the received buffer from the checksum state its
+		// decode left. The last neighbour takes the buffer itself. Receivers
+		// suppress the duplicates this simple rule creates in cycles. A frame
+		// that was sealed intact is relayed whatever this switch makes of its
+		// payload.
+		skip := flood.RelaySkip(f.From, f.Origin)
 		if last := lastLink(n.neighbors, skip); last >= 0 && f.BodySum().PatchFrom(buf, n.id) == nil {
 			n.fanOut(tx, n.neighbors, skip, last, buf, &n.ctl.floodsFwd)
 			consumed = true
@@ -540,7 +540,11 @@ func (n *Node) handleFrame(tx *txStages, buf []byte) (consumed bool) {
 // SeenOrigins returns the number of flood origins the node's duplicate
 // suppressor currently tracks — its total state, since each origin costs a
 // fixed-size window (the soak test pins this as bounded).
-func (n *Node) SeenOrigins() int { return n.seen.size() }
+func (n *Node) SeenOrigins() int {
+	n.relayMu.Lock()
+	defer n.relayMu.Unlock()
+	return n.relay.Origins()
+}
 
 // enqueue appends one decoded message to the inbox and wakes the LSA loop.
 func (n *Node) enqueue(msg any) {
@@ -609,11 +613,9 @@ var _ core.Host = (*Node)(nil)
 // flushed at once: control traffic is never held back for a burst. Runs
 // under mu (a Host call), which is what guards floodTx.
 func (n *Node) flood(appendPayload func([]byte) []byte) {
-	seq := n.seq.Add(1)
-	n.seen.mark(n.id, seq) // a copy looping back must not be re-delivered
 	buf := lsa.AppendFrameWith(getBuf(256), &lsa.Frame{
 		Version: lsa.FrameVersion, Kind: lsa.FrameFlood,
-		Origin: n.id, From: n.id, Seq: seq,
+		Origin: n.id, From: n.id, Seq: n.nextSeq(),
 	}, appendPayload)
 	n.ctl.floodsOrig.Add(1)
 	// The last neighbor takes buf itself; with none it is still ours.
@@ -662,13 +664,20 @@ func (n *Node) SendUnicast(to topo.SwitchID, payload any) {
 func (n *Node) sendFrame(to topo.SwitchID, kind lsa.FrameKind, appendPayload func([]byte) []byte) {
 	buf := lsa.AppendFrameWith(getBuf(256), &lsa.Frame{
 		Version: lsa.FrameVersion, Kind: kind,
-		Origin: n.id, From: n.id, Seq: n.seq.Add(1),
+		Origin: n.id, From: n.id, Seq: n.nextSeq(),
 	}, appendPayload)
 	n.ctl.unicasts.Add(1)
 	if err := n.tr.Send(to, buf); err != nil {
 		n.ctl.sendErrs.Add(1)
 	}
 	putBuf(buf)
+}
+
+// nextSeq numbers one originated flood or unicast.
+func (n *Node) nextSeq() uint64 {
+	n.relayMu.Lock()
+	defer n.relayMu.Unlock()
+	return n.relay.Next()
 }
 
 // PendingMC implements core.Host: scan the inbox for an MC LSA for conn.

@@ -132,7 +132,7 @@ func (n *Node) registerFuncs(reg *obs.Registry) {
 		return float64(n.live().inDepth.Load())
 	}, sw)
 	reg.GaugeFunc("dgmc_seen_origins", func() float64 {
-		return float64(n.live().seen.size())
+		return float64(n.live().SeenOrigins())
 	}, sw)
 	reg.GaugeFunc("dgmc_fib_entries", func() float64 {
 		return float64(n.live().fib.Load().Size())

@@ -2,6 +2,7 @@ package rt
 
 import (
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -117,5 +118,51 @@ func TestInjectRacesClose(t *testing.T) {
 	wg.Wait()
 	if err := n.Join(1, mctree.SenderReceiver); err != ErrClosed {
 		t.Fatalf("Join after Close = %v, want ErrClosed", err)
+	}
+}
+
+// TestWaitConvergedFailsOnWedge holds WaitConverged to its timeout on a
+// cluster that goes quiescent without agreeing: on a 2×2 grid, an
+// asymmetric connection with receivers at switches 1 and 2 and no sender
+// never converges (ROADMAP item 1), so the wait must fail with the stamps
+// that diverge — not poll forever because nothing is pending. When the
+// protocol learns to settle such a connection (item 1(c)), the expectation
+// flips to success.
+func TestWaitConvergedFailsOnWedge(t *testing.T) {
+	const timeout = 500 * time.Millisecond
+	g, err := topo.Grid(2, 2, 10*time.Microsecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCluster(ClusterConfig{
+		Graph: g,
+		Kinds: map[lsa.ConnID]mctree.Kind{3: mctree.Asymmetric},
+	}, NewChanFabric(g.NumSwitches()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, sw := range []topo.SwitchID{1, 2} {
+		if err := c.Join(sw, 3, mctree.Receiver); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() { done <- c.WaitConverged(timeout) }()
+	select {
+	case err := <-done:
+		took := time.Since(start)
+		if err == nil {
+			t.Fatal("WaitConverged succeeded on a connection with no sender")
+		}
+		if !strings.Contains(err.Error(), "stamps diverge") {
+			t.Errorf("error %q does not name the diverging stamps", err)
+		}
+		if took > timeout+time.Second {
+			t.Errorf("WaitConverged(%v) returned after %v", timeout, took)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("WaitConverged(%v) still polling after 10 s on a quiescent, disagreeing cluster", timeout)
 	}
 }

@@ -1,83 +1,13 @@
 package rt
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"dgmc/internal/lsa"
 	"dgmc/internal/topo"
 )
-
-// TestSeenWindowSemantics pins the per-origin window tracker against the
-// behaviours the flood path depends on.
-func TestSeenWindowSemantics(t *testing.T) {
-	var w seenWin
-
-	if !w.mark(1) {
-		t.Fatal("first seq 1 reported dup")
-	}
-	if w.mark(1) {
-		t.Fatal("second seq 1 reported new")
-	}
-	if w.floor != 1 {
-		t.Fatalf("floor = %d after contiguous 1, want 1", w.floor)
-	}
-
-	// Out-of-order within the window: accepted, and the floor advances only
-	// over the contiguous prefix.
-	if !w.mark(3) || !w.mark(5) {
-		t.Fatal("in-window out-of-order seqs reported dup")
-	}
-	if w.floor != 1 {
-		t.Fatalf("floor advanced to %d past a gap", w.floor)
-	}
-	if !w.mark(2) {
-		t.Fatal("gap fill 2 reported dup")
-	}
-	if w.floor != 3 {
-		t.Fatalf("floor = %d after filling 2, want 3", w.floor)
-	}
-	if !w.mark(4) {
-		t.Fatal("gap fill 4 reported dup")
-	}
-	if w.floor != 5 {
-		t.Fatalf("floor = %d after filling 4, want 5", w.floor)
-	}
-	for _, s := range []uint64{1, 2, 3, 4, 5} {
-		if w.mark(s) {
-			t.Fatalf("replayed seq %d reported new", s)
-		}
-	}
-
-	// A jump far beyond the window slides it (disjoint: ring fully reset).
-	// The skipped range becomes "seen" — the documented false-dup case the
-	// resync layer recovers — while in-window sequences stay fresh.
-	jump := w.floor + 10*seenWindow
-	if !w.mark(jump) {
-		t.Fatal("post-jump seq reported dup")
-	}
-	if w.mark(jump - seenWindow) {
-		t.Fatal("seq at slid floor reported new")
-	}
-	if !w.mark(jump - 1) {
-		t.Fatal("in-window seq after slide reported dup")
-	}
-
-	// A small (overlapping) slide must clear the bits it slides past:
-	// otherwise a stale bit from the previous lap of the ring would make a
-	// never-seen sequence at the same position report as a duplicate.
-	var w2 seenWin
-	w2.mark(1) // floor = 1
-	w2.mark(5) // stale bit at ring position 5
-	if !w2.mark(1 + seenWindow + 5) {
-		t.Fatal("sliding seq reported dup")
-	}
-	// floor slid 1→6, clearing positions 2..6; seq 1029 (position 5 on the
-	// new lap) was never marked and must be fresh.
-	if !w2.mark(seenWindow + 5) {
-		t.Fatal("stale ring bit resurrected as duplicate after slide")
-	}
-}
 
 // TestSeenSoak pushes >10^5 distinct floods from many origins through a live
 // node — every frame delivered twice, each batch in reverse order — and
@@ -88,7 +18,7 @@ func TestSeenSoak(t *testing.T) {
 	const (
 		origins         = 8
 		floodsPerOrigin = 13_000 // 8 × 13k > 10^5 distinct floods
-		batch           = 100    // reorder depth, well inside seenWindow
+		batch           = 100    // reorder depth, well inside the 1024-sequence window
 	)
 	g := topo.New(origins + 1)
 	for i := 1; i <= origins; i++ {
@@ -121,7 +51,7 @@ func TestSeenSoak(t *testing.T) {
 	}
 
 	// Interleave origins; within each origin deliver a batch of frames in
-	// reverse (heavy reorder, still inside seenWindow), then re-deliver the
+	// reverse (heavy reorder, still inside the window), then re-deliver the
 	// whole batch as duplicates.
 	for lo := uint64(1); lo <= floodsPerOrigin; lo += batch {
 		for o := 1; o <= origins; o++ {
@@ -172,12 +102,101 @@ func TestSeenSoak(t *testing.T) {
 	if got := node.SeenOrigins(); got > origins {
 		t.Fatalf("suppression state tracks %d origins, want ≤ %d", got, origins)
 	}
-	// And every origin's window swallowed its whole soak contiguously.
-	node.seen.mu.Lock()
-	defer node.seen.mu.Unlock()
-	for origin, w := range node.seen.origins {
-		if w.floor != floodsPerOrigin {
-			t.Fatalf("origin %d floor = %d, want %d", origin, w.floor, uint64(floodsPerOrigin))
+	// And every origin's window holds its whole soak: each of its floods is
+	// refused as seen, and the next sequence is still fresh.
+	node.relayMu.Lock()
+	defer node.relayMu.Unlock()
+	for o := 1; o <= origins; o++ {
+		origin := topo.SwitchID(o)
+		for s := uint64(1); s <= floodsPerOrigin; s++ {
+			if node.relay.Accept(origin, s) {
+				t.Fatalf("origin %d seq %d accepted after the soak delivered it", o, s)
+			}
 		}
+		if !node.relay.Accept(origin, floodsPerOrigin+1) {
+			t.Fatalf("origin %d: the seq after the soak refused", o)
+		}
+	}
+}
+
+// TestFloodForeignOriginRefused sends the middle switch of a 3-switch line
+// 5 000 intact flood frames whose origins are no switch of the graph. Each
+// must be counted as a decode error and take no window, no relay and no
+// enqueue — else the suppression state grows with whatever origins the wire
+// carries, and every such frame is flooded on. A frame from a real origin
+// afterwards is still accepted and relayed.
+func TestFloodForeignOriginRefused(t *testing.T) {
+	const foreign = 5000
+	g, err := topo.Line(3, time.Microsecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fab := NewChanFabric(3)
+	defer fab.Close()
+	node, err := NewNode(NodeConfig{ID: 1, Graph: g}, fab.Transport(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	var relayed atomic.Int64
+	go func(tr Transport) {
+		for {
+			buf, err := tr.Recv()
+			if err != nil {
+				return
+			}
+			relayed.Add(1)
+			putBuf(buf)
+		}
+	}(fab.Transport(2))
+
+	frame := func(origin topo.SwitchID) []byte {
+		nm := &lsa.NonMC{Src: origin, Seq: 1, Change: lsa.LinkChange{A: 0, B: 1}}
+		return lsa.EncodeFrame(&lsa.Frame{
+			Version: lsa.FrameVersion, Kind: lsa.FrameFlood,
+			Origin: origin, From: 0, Seq: 1, Payload: nm.Marshal(),
+		})
+	}
+	send := fab.Transport(0)
+	drain := func(want uint64) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for fab.InFlight() != 0 || !node.idle() || node.activity.Load() < want {
+			if time.Now().After(deadline) {
+				t.Fatalf("node did not drain: %d in flight, activity %d/%d",
+					fab.InFlight(), node.activity.Load(), want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for i := 0; i < foreign; i++ {
+		if err := send.Send(1, frame(topo.SwitchID(1000+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drain(foreign)
+	if got := node.activity.Load(); got != foreign {
+		t.Errorf("activity = %d, want %d: a foreign flood reached the LSA loop", got, foreign)
+	}
+	if got := node.DecodeErrors(); got != foreign {
+		t.Errorf("decode errors = %d, want %d", got, foreign)
+	}
+	if got := node.SeenOrigins(); got != 0 {
+		t.Errorf("suppression state tracks %d origins after foreign floods, want 0", got)
+	}
+	if got := relayed.Load(); got != 0 {
+		t.Errorf("%d foreign floods relayed to switch 2", got)
+	}
+
+	if err := send.Send(1, frame(0)); err != nil {
+		t.Fatal(err)
+	}
+	drain(foreign + 2) // the frame, then its enqueued LSA
+	for deadline := time.Now().Add(time.Second); relayed.Load() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond) // the drain goroutine counts after its Recv
+	}
+	if node.SeenOrigins() != 1 || relayed.Load() != 1 {
+		t.Errorf("flood from switch 0: %d origins tracked, %d relayed; want 1 and 1",
+			node.SeenOrigins(), relayed.Load())
 	}
 }

@@ -51,8 +51,19 @@ for id in 0 1 2; do
     done
 done
 
-# Drive a membership change: switches 0 and 2 join MC 7.
+# Drive a membership change: switches 0 and 2 join MC 7. Switch 2 joins
+# only once every daemon's replay log holds switch 0's join (or after 5 s),
+# so the two joins do not interleave at switch 1.
 echo "join 7 both" >&4
+i=0
+for id in 0 1 2; do
+    until curl -sf "http://127.0.0.1:$((admin_base + id))/healthz" |
+        python3 -c 'import json, sys; sys.exit(json.load(sys.stdin)["event_log_depth"] != 1)'; do
+        i=$((i + 1))
+        [ "$i" -gt 50 ] && break 2
+        sleep 0.1
+    done
+done
 echo "join 7 both" >&6
 sleep 2
 
