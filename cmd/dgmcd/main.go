@@ -142,7 +142,9 @@ type daemonConfig struct {
 
 // lineTracer prints each protocol trace entry as one line. A line is one
 // Write, so entries from the node's goroutines never interleave mid-line on
-// a writer, like os.Stderr, that is safe for concurrent writes.
+// a writer, like os.Stderr, that is safe for concurrent writes. Entries
+// about received LSAs are written on the node's receive goroutine, so a
+// writer that blocks (a full pipe) stalls the switch's data plane too.
 type lineTracer struct{ w io.Writer }
 
 func (t lineTracer) Trace(e core.TraceEntry) {

@@ -35,8 +35,10 @@ type LocalEvent struct {
 
 // ResyncNudge is a self-addressed receive-path entry: it runs ReceiveLSA
 // with an empty batch, giving Figure 5 line 19 a chance to fire after gap
-// recovery set makeProposal (commit-lag recovery). Runtimes deliver it to
-// their own switch's receive path when Host.SelfNudge is called.
+// recovery set makeProposal (commit-lag recovery). When Host.SelfNudge is
+// called, the simulator and the checker queue it on the switch's own
+// receive path; the live node runs it before the step that asked for it
+// releases the machine.
 type ResyncNudge struct{ Conn lsa.ConnID }
 
 // Host abstracts everything a Machine needs from its runtime. The
@@ -56,7 +58,9 @@ type Host interface {
 	// SendUnicast sends a resync message point-to-point to a neighbor.
 	SendUnicast(to topo.SwitchID, payload any)
 	// PendingMC reports whether the switch's receive queue currently
-	// holds an MC LSA for conn (Figure 5 line 22).
+	// holds an MC LSA for conn (Figure 5 line 22). A runtime that hands
+	// each received batch to the machine as it takes it — the live node —
+	// has no such queue and reports false.
 	PendingMC(conn lsa.ConnID) bool
 	// Neighbors lists the switch's current direct neighbors.
 	Neighbors() []topo.SwitchID
@@ -70,7 +74,8 @@ type Host interface {
 	// with Resync enabled.
 	ArmResync(conn lsa.ConnID)
 	// SelfNudge delivers ResyncNudge{conn} to this switch's own receive
-	// path (a future ReceiveBatch).
+	// path (a later ReceiveBatch, which the live node runs within the
+	// current step).
 	SelfNudge(conn lsa.ConnID)
 	// NoteInstall records that a topology was installed (convergence
 	// bookkeeping).

@@ -352,16 +352,15 @@ func (c *Cluster) activityLocked() uint64 {
 // Why a quiet scan between two equal activity readings is exact: every unit
 // of pending work is covered, from before it exists until after everything
 // it caused is covered itself, by a count the scan reads — a frame by the
-// fabric's sent/done, an inbox entry by inDepth and then by busy (raised
-// first, read last), a running step or batch, an injected event's included,
-// by busy — and every cover but the inbox's hand-over drops only after
-// activity was bumped. Equal readings mean no bump in between, so no cover
-// that was up at the first reading came down before the second except that
-// hand-over, which idle's read order sees through: whatever was pending at
-// the first reading is still covered when the scan passes over it. A scan
-// that finds nothing therefore had nothing to find. Armed resync timers are
-// future events, not pending work: they fire into no-ops on a converged
-// network, and counting them would make every wait as long as the timeout.
+// fabric's sent/done until the batch that carried it, LSA step included, is
+// settled; a running step or batch, an injected event's included, by busy —
+// and every cover drops only after activity was bumped. Equal readings mean
+// no bump in between, so no cover that was up at the first reading came
+// down before the second: whatever was pending at the first reading is
+// still covered when the scan passes over it. A scan that finds nothing
+// therefore had nothing to find. Armed resync timers are future events, not
+// pending work: they fire into no-ops on a converged network, and counting
+// them would make every wait as long as the timeout.
 //
 // Over UDP, datagrams in flight are invisible and only the idle half holds.
 func (c *Cluster) quiescent() (act uint64, ok bool) {

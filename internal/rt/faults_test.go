@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"dgmc/internal/core"
 	"dgmc/internal/lsa"
 	"dgmc/internal/mctree"
 	"dgmc/internal/topo"
@@ -103,6 +104,75 @@ func TestPartitionHealConverges(t *testing.T) {
 				t.Fatalf("switch %d is missing member %d after heal", n.ID(), m)
 			}
 		}
+	}
+}
+
+// TestSelfNudgeFloodsWithinStep drives a live switch into commit lag — every
+// event it knows of applied, no accepted proposal covering them — and
+// recovers it through the self-nudge. On a 3-switch line, switches 0 and 2
+// join on opposite sides of a partition that first cuts 0 off, then 2, and
+// switch 1 learns 0's join by reconciling with 0 in between: it holds both
+// events, but each came with a proposal that knew of only one, and neither
+// proposer can hear the other. Firing switch 1's resync check through step,
+// as its timer would, must flood the owed proposal before that step
+// returns; after the heal the cluster must agree.
+func TestSelfNudgeFloodsWithinStep(t *testing.T) {
+	g, err := topo.Line(3, 10*time.Microsecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An hour: no gap timer fires by itself; the test fires the checks.
+	c, err := NewCluster(ClusterConfig{Graph: g, ResyncTimeout: time.Hour}, NewChanFabric(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	settle := func() {
+		t.Helper()
+		if err := c.Settle(0, 10*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const conn = lsa.ConnID(1)
+	resync := func(m *core.Machine) { m.ResyncFired(conn) }
+
+	if err := c.Partition([][]topo.SwitchID{{0}, {1, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, sw := range []topo.SwitchID{0, 2} {
+		if err := c.Join(sw, conn, mctree.SenderReceiver); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settle()
+	if err := c.Partition([][]topo.SwitchID{{0, 1}, {2}}); err != nil {
+		t.Fatal(err)
+	}
+	n1 := c.Node(1)
+	n1.Reconcile(0) // replays 0's join and the proposal that came with it
+	settle()
+	lag, _ := n1.Connection(conn)
+	if len(lag.Members) != 2 || !lag.R.Geq(lag.E) || !lag.R.Greater(lag.C) {
+		t.Fatalf("switch 1 is not in commit lag: members %v R=%s E=%s C=%s", lag.Members, lag.R, lag.E, lag.C)
+	}
+
+	before := n1.ctl.floodsOrig.Load()
+	n1.step(1, resync)
+	if got := n1.ctl.floodsOrig.Load(); got <= before {
+		t.Fatalf("the nudged proposal was not flooded within the step: %d floods before, %d after", before, got)
+	}
+	settle()
+
+	if err := c.Heal(); err != nil {
+		t.Fatal(err)
+	}
+	settle()
+	c.Node(0).step(1, resync) // 0 still lacks 2's join: it asks switch 1
+	if err := c.WaitConverged(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CheckAgreement(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -322,9 +322,10 @@ type relayRun struct {
 
 // txStages is one goroutine's send stages, one per neighbour it has sent
 // to, found by a scan: a switch has a handful of links. Only the owning
-// goroutine touches it — the receive loop has one for relays, the machine
-// lock guards one for originated floods, and SendDataBatch borrows one per
-// call — so staging takes no lock and shares no cache line.
+// goroutine touches it — the receive loop keeps one in its rxState for
+// relays, the machine lock guards one for originated floods, and
+// SendDataBatch borrows one per call — so staging takes no lock and shares
+// no cache line.
 type txStages struct {
 	stages []txStage
 }

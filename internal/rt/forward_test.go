@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"dgmc/internal/fib"
 	"dgmc/internal/lsa"
 	"dgmc/internal/mctree"
+	"dgmc/internal/stamp"
 	"dgmc/internal/topo"
 )
 
@@ -40,6 +42,9 @@ type stubTransport struct {
 	in     chan []byte
 	closed chan struct{}
 	once   sync.Once
+
+	// onRelease, when set, runs at the start of every Release.
+	onRelease func()
 }
 
 func newStubTransport() *stubTransport {
@@ -142,7 +147,12 @@ func (s *stubTransport) RecvBatch(recycle [][]byte) ([][]byte, error) {
 	return append(recycle[:0], buf), nil
 }
 
-func (s *stubTransport) Release(n int) { s.released.Add(uint64(n)) }
+func (s *stubTransport) Release(n int) {
+	if s.onRelease != nil {
+		s.onRelease()
+	}
+	s.released.Add(uint64(n))
+}
 
 func (s *stubTransport) RxWaits() (parks, lingerHits uint64) { return 0, 0 }
 
@@ -201,16 +211,17 @@ func dataBuf(conn lsa.ConnID, src, from topo.SwitchID, seq uint64, hops uint8, p
 }
 
 // oneFrame feeds a node frames the way its receive loop would, as batches of
-// one: handle the frame, flush the stages, settle. It stands in for the
-// loop's goroutine, so it owns a stage set like the loop does.
+// one: handle the frame, flush the stages, step the machine, settle. It
+// stands in for the loop's goroutine, so it owns an rxState like the loop
+// does.
 type oneFrame struct {
-	tx    txStages
+	rx    rxState
 	batch [1][]byte
 }
 
 func (r *oneFrame) relay(n *Node, buf []byte) {
 	r.batch[0] = buf
-	n.handleBatch(&r.tx, r.batch[:])
+	n.handleBatch(&r.rx, r.batch[:])
 }
 
 // relayAllocs measures the steady-state relay at n — frame decode, FIB
@@ -298,6 +309,102 @@ func TestRecvLoopSettlesAndMoves(t *testing.T) {
 	if n.DecodeErrors() != 1 {
 		t.Fatalf("decode errors = %d, want 1", n.DecodeErrors())
 	}
+}
+
+// TestReceivedBatchAppliedBeforeRelease pins the receive contract: one
+// handleBatch call relays a neighbour's join, runs ReceiveLSA on it and only
+// then settles the frame, so the member is listed by the time the transport
+// sees Release. A DataHandler, which runs on the same goroutine but outside
+// the machine lock, may Join and Leave without deadlocking it. And a
+// cluster runs one goroutine per switch: the 4×4 grid adds 16.
+func TestReceivedBatchAppliedBeforeRelease(t *testing.T) {
+	const joinConn, appConn = lsa.ConnID(5), lsa.ConnID(6)
+	var n *Node
+	var handled int
+	var handlerErr error
+	dh := func(lsa.ConnID, topo.SwitchID, uint64, []byte) {
+		if handled++; handled == 1 {
+			handlerErr = n.Join(appConn, mctree.Receiver)
+		} else {
+			handlerErr = n.Leave(appConn)
+		}
+	}
+	members := mctree.Members{0: mctree.SenderReceiver, 1: mctree.SenderReceiver, 2: mctree.SenderReceiver}
+	n, st := fwdNode(t, 1, mctree.Symmetric, members, fwdTree(mctree.Symmetric), dh)
+	listed := func(conn lsa.ConnID, sw topo.SwitchID) bool {
+		snap, _ := n.Connection(conn)
+		_, ok := snap.Members[sw]
+		return ok
+	}
+	var atRelease []bool
+	st.onRelease = func() { atRelease = append(atRelease, listed(joinConn, 0)) }
+
+	join := &lsa.MC{Src: 0, Event: lsa.Join, Conn: joinConn, Role: mctree.SenderReceiver,
+		Proposal: mctree.New(mctree.Symmetric), Stamp: stamp.Stamp{1, 0, 0, 0, 0, 0}}
+	var rx oneFrame
+	rx.relay(n, st.feed(lsa.EncodeFrame(&lsa.Frame{
+		Version: lsa.FrameVersion, Kind: lsa.FrameFlood,
+		Origin: 0, From: 0, Seq: 1, Payload: join.Marshal(),
+	})))
+	if len(atRelease) != 1 || !atRelease[0] {
+		t.Fatalf("member listed at each Release: %v, want [true]", atRelease)
+	}
+	if !listed(joinConn, 0) || st.released.Load() != 1 || n.ctl.floodsFwd.Load() != 1 {
+		t.Fatalf("after the batch: member listed %v, %d frames released, %d relayed; want true, 1, 1",
+			listed(joinConn, 0), st.released.Load(), n.ctl.floodsFwd.Load())
+	}
+
+	st.onRelease = nil
+	// Each payload's delivery toggles this switch's membership of appConn.
+	for seq, want := range []bool{true, false} {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			rx.relay(n, st.feed(dataBuf(fwdConn, 0, 0, uint64(seq+1), 8, []byte("payload"))))
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("a DataHandler calling Join or Leave deadlocked the receive path")
+		}
+		if handlerErr != nil || handled != seq+1 || listed(appConn, 1) != want {
+			t.Fatalf("delivery %d: handler ran %d times (err %v), member listed %v, want %v",
+				seq+1, handled, handlerErr, listed(appConn, 1), want)
+		}
+	}
+
+	g, err := topo.Grid(4, 4, 10*time.Microsecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := stableGoroutines()
+	c, err := NewCluster(ClusterConfig{Graph: g}, NewChanFabric(g.NumSwitches()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := runtime.NumGoroutine() - base; got != g.NumSwitches() {
+		t.Errorf("NewCluster on the 4×4 grid added %d goroutines, want %d", got, g.NumSwitches())
+	}
+	c.Close()
+	if got := stableGoroutines(); got != base {
+		t.Errorf("%d goroutines after Close, %d before NewCluster", got, base)
+	}
+}
+
+// stableGoroutines returns the goroutine count once it has held still for
+// 20 ms (or after a second), so goroutines an earlier test left exiting do
+// not count.
+func stableGoroutines() int {
+	n := runtime.NumGoroutine()
+	for deadline, still := time.Now().Add(time.Second), time.Now(); time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, still = m, time.Now()
+		} else if time.Since(still) >= 20*time.Millisecond {
+			break
+		}
+	}
+	return n
 }
 
 // TestHandleDataDropTaxonomy walks each drop reason through the real path.

@@ -35,7 +35,10 @@ type NodeConfig struct {
 	// zero disables. Mandatory in practice over lossy transports (UDP).
 	ResyncTimeout time.Duration
 	// Tracer, when set, receives structured protocol trace entries (for
-	// span collection); it must be safe for concurrent use.
+	// span collection); it must be safe for concurrent use. It is called
+	// with the machine lock held, on whichever goroutine steps the machine —
+	// for received LSAs that is the transport receive goroutine, so a tracer
+	// that blocks stalls this switch's data plane too.
 	Tracer core.Tracer
 	// Registry, when set, receives the node's runtime metrics (counters,
 	// gauges, histograms, labeled per switch). nil disables metrics with
@@ -45,7 +48,8 @@ type NodeConfig struct {
 	// switch's co-resident application by the data plane (the switch is a
 	// receiving member of conn). It is called from the transport receive
 	// goroutine and must not block or retain payload, which aliases a pooled
-	// receive buffer valid only for the duration of the call.
+	// receive buffer valid only for the duration of the call. It runs
+	// outside the machine lock, so it may call Join or Leave.
 	DataHandler DataHandler
 	// FlightRecords, when positive, enables the node's flight recorder: a
 	// lock-free, allocation-free ring holding the last N data/control
@@ -76,10 +80,10 @@ type NodeConfig struct {
 }
 
 // Node is one live switch: a core.Machine guarded by a mutex, driven by the
-// two goroutines NewNode starts — a transport receive loop (decode,
-// duplicate-suppress, store-and-forward re-flood, enqueue) and an LSA loop
-// (drain the inbox, run ReceiveLSA batches) — by wall-clock resync timers,
-// and by the callers of Inject, which run EventHandler themselves.
+// one goroutine NewNode starts — a transport receive loop that decodes,
+// duplicate-suppresses and re-floods each received batch, then runs
+// ReceiveLSA on the batch's messages — by wall-clock resync timers, and by
+// the callers of Inject, which run EventHandler themselves.
 type Node struct {
 	id        topo.SwitchID
 	epoch     uint64
@@ -103,11 +107,11 @@ type Node struct {
 	succ atomic.Pointer[Node]
 
 	// mu serializes all access to machine (it is not concurrency-safe).
-	// Lock order: mu before inMu — the machine calls PendingMC/SelfNudge
-	// (which take inMu) while mu is held, and the LSA loop never acquires
-	// mu while holding inMu.
 	mu      sync.Mutex
 	machine *core.Machine
+	// nudges holds the ResyncNudges the current machine call asked for
+	// (Host.SelfNudge); guarded by mu. step runs them before it releases mu.
+	nudges []any
 	// fibChanged lists the connections, and fibAll marks the unicast image,
 	// that the current machine call reported a forwarding change for
 	// (Host.ForwardingChanged); guarded by mu. Every machine call goes
@@ -142,20 +146,10 @@ type Node struct {
 	hopRec      *obs.FlightRecorder
 	sampleEvery int
 
-	// inbox is the receive queue feeding the LSA loop: decoded LSAs and
-	// resync messages. Unbounded — backpressure on the receive path would
-	// deadlock flood storms (see ChanFabric).
-	inMu     sync.Mutex
-	inCond   *sync.Cond
-	inbox    []any
-	inClosed bool
-	// inDepth mirrors len(inbox), written under inMu, so the quiescence scan
-	// reads the depth without the lock the receive and LSA loops contend on.
-	inDepth atomic.Int64
-
 	// relay numbers this node's floods and unicasts and accepts the first
 	// copy of each flood from another of the graph's switches; relayMu
-	// serializes the origination paths and the receive loop on it.
+	// serializes the receive loop's Accept and the Next of whichever
+	// goroutine is stepping the machine.
 	switches int
 	relayMu  sync.Mutex
 	relay    *flood.Relay
@@ -166,9 +160,9 @@ type Node struct {
 	timers  map[*time.Timer]struct{}
 
 	// busy counts in-flight protocol handlers; activity counts completed
-	// units of work (frames handled, credited per received batch; LSA
-	// batches processed; events handled), each credited before the cover of
-	// the work that did it — busy or the fabric's in-flight count — is
+	// units of work (frames handled and the messages they carried, credited
+	// per received batch; events handled), each credited before the cover
+	// of the work that did it — busy or the fabric's in-flight count — is
 	// dropped. Cluster.quiescent reads them all.
 	busy       atomic.Int64
 	activity   atomic.Uint64
@@ -179,7 +173,7 @@ type Node struct {
 	wg        sync.WaitGroup
 }
 
-// NewNode builds the node, binds it to tr, and starts its goroutines.
+// NewNode builds the node, binds it to tr, and starts its receive loop.
 func NewNode(cfg NodeConfig, tr Transport) (*Node, error) {
 	if cfg.Graph == nil {
 		return nil, fmt.Errorf("rt: NodeConfig.Graph is required")
@@ -208,7 +202,6 @@ func NewNode(cfg NodeConfig, tr Transport) (*Node, error) {
 		closed:      make(chan struct{}),
 		origTx:      sync.Pool{New: func() any { return new(txStages) }},
 	}
-	n.inCond = sync.NewCond(&n.inMu)
 	if cfg.FlightRecords > 0 {
 		n.flight = obs.NewFlightRecorder(cfg.FlightRecords)
 		if cfg.SampleEvery > 0 {
@@ -242,9 +235,8 @@ func NewNode(cfg NodeConfig, tr Transport) (*Node, error) {
 	// Compile the initial table before any goroutine can race on it: empty
 	// for a blank boot, the restored trees for a snapshot warm restart.
 	n.recompileFIBLocked(true, nil)
-	n.wg.Add(2)
+	n.wg.Add(1)
 	go n.recvLoop()
-	go n.lsaLoop()
 	if cfg.Restore != nil {
 		// Gap timers pending at snapshot time died with the old runtime.
 		n.machine.ResumeTimers()
@@ -290,7 +282,8 @@ func (n *Node) RejoinFromNeighbors() {
 }
 
 // step is the one way into the protocol machine from the runtime: fn runs
-// under the machine lock, the FIB is recompiled before the lock drops if fn
+// under the machine lock, then any ResyncNudge fn asked for runs as a
+// ReceiveLSA batch, the FIB is recompiled before the lock drops if either
 // changed forwarding, and the whole step sits inside a busy window that
 // closes by crediting units of completed work — so the quiescence check
 // sees the step either pending, running, or counted.
@@ -298,6 +291,11 @@ func (n *Node) step(units uint64, fn func(*core.Machine)) {
 	n.busy.Add(1)
 	n.mu.Lock()
 	fn(n.machine)
+	for len(n.nudges) > 0 {
+		nudges := n.nudges
+		n.nudges = nil
+		n.machine.ReceiveBatch(nil, nudges)
+	}
 	if n.fibAll || len(n.fibChanged) > 0 {
 		n.recompileFIBLocked(n.fibAll, n.fibChanged)
 		n.fibAll, n.fibChanged = false, n.fibChanged[:0]
@@ -385,8 +383,8 @@ func (n *Node) FlightDoc() *obs.FlightDoc {
 	}
 }
 
-// Close stops the goroutine cluster and detaches from the transport. It is
-// idempotent and waits for the loops to exit.
+// Close stops the receive loop and the resync timers and detaches from the
+// transport. It is idempotent and waits for the loop to exit.
 func (n *Node) Close() error {
 	n.closeOnce.Do(func() {
 		close(n.closed)
@@ -397,23 +395,26 @@ func (n *Node) Close() error {
 		n.timers = nil
 		n.timerMu.Unlock()
 		n.tr.Close() // unblocks recvLoop
-		n.inMu.Lock()
-		n.inClosed = true
-		n.inCond.Broadcast()
-		n.inMu.Unlock()
 		n.wg.Wait()
 	})
 	return nil
 }
 
-// --- goroutine cluster ---
+// --- receive loop ---
 
-// recvLoop is the transport receive loop: decode each frame, suppress
-// duplicate floods, re-forward (store-and-forward flooding), and enqueue
-// the decoded payload for the LSA loop.
+// rxState is what the receive loop keeps across batches: the send stages its
+// relays fill, and the decoded LSAs and resync messages of the batch being
+// handled, which ReceiveLSA takes in one step.
+type rxState struct {
+	tx   txStages
+	msgs []any
+}
+
+// recvLoop is the transport receive loop: it hands each received batch to
+// handleBatch until the transport closes.
 func (n *Node) recvLoop() {
 	defer n.wg.Done()
-	var tx txStages
+	var rx rxState
 	var batch [][]byte
 	var err error
 	for {
@@ -421,28 +422,43 @@ func (n *Node) recvLoop() {
 		if err != nil {
 			return
 		}
-		n.handleBatch(&tx, batch)
+		n.handleBatch(&rx, batch)
 	}
 }
 
 // handleBatch is the receive loop's unit of work: handle every frame of one
-// received batch, flush what that staged in tx, then settle the batch. busy
-// covers it so the idle check can't see a gap between frames, and the order
-// at the end is the drain contract: the frames stay in the fabric's
+// received batch, flush the relays that staged, run ReceiveLSA on the
+// batch's messages, then settle the batch. Relays leave before the machine
+// runs, so a flood's next hop never waits for this switch's computation.
+// busy covers it so the idle check can't see a gap between frames, and the
+// order at the end is the drain contract: the frames stay in the fabric's
 // in-flight count until everything they caused is on a queue and counted
 // itself, so InFlight never undercounts and a drain loop waiting for zero
 // stays exact. Settling per batch keeps the two shared counters — the
 // fabric's and activity — off the per-frame path.
-func (n *Node) handleBatch(tx *txStages, batch [][]byte) {
+func (n *Node) handleBatch(rx *rxState, batch [][]byte) {
 	n.busy.Add(1)
 	for _, buf := range batch {
-		if !n.handleFrame(tx, buf) {
+		if !n.handleFrame(rx, buf) {
 			// Safe to recycle: every payload decoder copies out of the
-			// frame, so nothing enqueued for the LSA loop aliases buf.
+			// frame, so no message in rx.msgs aliases buf.
 			putBuf(buf)
 		}
 	}
-	n.flush(tx)
+	n.flush(&rx.tx)
+	if msgs := rx.msgs; len(msgs) > 0 {
+		var start time.Time
+		if n.batchDur != nil {
+			start = time.Now()
+		}
+		n.flight.Record(obs.RecLSAApply, 0, uint32(n.id), 0, uint64(len(msgs)))
+		n.step(uint64(len(msgs)), func(m *core.Machine) { m.ReceiveBatch(nil, msgs) })
+		if n.batchDur != nil {
+			n.batchDur.Observe(time.Since(start).Seconds())
+		}
+		clear(msgs) // the machine keeps the messages it wants, never the batch
+		rx.msgs = msgs[:0]
+	}
 	n.batching.rxBatches.Add(1)
 	n.batching.rxFrames.Add(uint64(len(batch)))
 	n.activity.Add(uint64(len(batch)))
@@ -468,10 +484,11 @@ type batchCounters struct {
 func (n *Node) RxWaits() (parks, lingerHits uint64) { return n.tr.RxWaits() }
 
 // handleFrame processes one received frame, staging any relay — of a payload
-// frame or of a flood — in tx. consumed reports that buf moved into a stage
-// (a relayed frame's last link) — the caller recycles the buffer only when
-// it is false.
-func (n *Node) handleFrame(tx *txStages, buf []byte) (consumed bool) {
+// frame or of a flood — in rx.tx and appending any decoded LSA or resync
+// message to rx.msgs. consumed reports that buf moved into a stage (a
+// relayed frame's last link) — the caller recycles the buffer only when it
+// is false.
+func (n *Node) handleFrame(rx *rxState, buf []byte) (consumed bool) {
 	var f lsa.Frame
 	if err := lsa.DecodeFrameInto(&f, buf); err != nil {
 		n.decodeErrs.Add(1)
@@ -504,7 +521,7 @@ func (n *Node) handleFrame(tx *txStages, buf []byte) (consumed bool) {
 		// payload.
 		skip := flood.RelaySkip(f.From, f.Origin)
 		if last := lastLink(n.neighbors, skip); last >= 0 && f.BodySum().PatchFrom(buf, n.id) == nil {
-			n.fanOut(tx, n.neighbors, skip, last, buf, &n.ctl.floodsFwd)
+			n.fanOut(&rx.tx, n.neighbors, skip, last, buf, &n.ctl.floodsFwd)
 			consumed = true
 		}
 		if err != nil {
@@ -513,9 +530,9 @@ func (n *Node) handleFrame(tx *txStages, buf []byte) (consumed bool) {
 		}
 		if mc != nil {
 			n.mcLSAs.stripe(mc.Conn).received.Add(1)
-			n.enqueue(mc)
+			rx.msgs = append(rx.msgs, mc)
 		} else {
-			n.enqueue(nm)
+			rx.msgs = append(rx.msgs, nm)
 		}
 	case lsa.FrameResyncReq:
 		req, err := lsa.DecodeResyncRequest(f.Payload)
@@ -523,16 +540,16 @@ func (n *Node) handleFrame(tx *txStages, buf []byte) (consumed bool) {
 			n.decodeErrs.Add(1)
 			return
 		}
-		n.enqueue(req)
+		rx.msgs = append(rx.msgs, req)
 	case lsa.FrameResyncResp:
 		resp, err := lsa.DecodeResyncResponse(f.Payload)
 		if err != nil {
 			n.decodeErrs.Add(1)
 			return
 		}
-		n.enqueue(resp)
+		rx.msgs = append(rx.msgs, resp)
 	case lsa.FrameData:
-		return n.handleData(tx, buf, &f)
+		return n.handleData(&rx.tx, buf, &f)
 	}
 	return consumed
 }
@@ -546,62 +563,12 @@ func (n *Node) SeenOrigins() int {
 	return n.relay.Origins()
 }
 
-// enqueue appends one decoded message to the inbox and wakes the LSA loop.
-func (n *Node) enqueue(msg any) {
-	n.inMu.Lock()
-	if !n.inClosed {
-		n.inbox = append(n.inbox, msg)
-		n.inDepth.Add(1)
-		n.inCond.Signal()
-	}
-	n.inMu.Unlock()
-}
-
-// lsaLoop is the ReceiveLSA entity: it drains the inbox and hands each
-// batch to the machine, mirroring the simulator's mailbox drain semantics.
-func (n *Node) lsaLoop() {
-	defer n.wg.Done()
-	// spare is the previous batch's array, emptied: it goes back to the
-	// inbox for the receive loop to refill, as the frame queue's arrays do.
-	var spare []any
-	for {
-		n.inMu.Lock()
-		for len(n.inbox) == 0 && !n.inClosed {
-			n.inCond.Wait()
-		}
-		if n.inClosed {
-			n.inMu.Unlock()
-			return
-		}
-		batch := n.inbox
-		n.inbox = spare
-		n.busy.Add(1) // before the depth drops: idle reads inDepth, then busy
-		n.inDepth.Store(0)
-		n.inMu.Unlock()
-
-		var start time.Time
-		if n.batchDur != nil {
-			start = time.Now()
-		}
-		n.flight.Record(obs.RecLSAApply, 0, uint32(n.id), 0, uint64(len(batch)))
-		n.step(uint64(len(batch)), func(m *core.Machine) { m.ReceiveBatch(nil, batch) })
-		if n.batchDur != nil {
-			n.batchDur.Observe(time.Since(start).Seconds())
-		}
-		clear(batch) // the machine keeps the messages it wants, never the batch
-		spare = batch[:0]
-		n.busy.Add(-1)
-	}
-}
-
-// idle reports whether the node has no queued or in-flight work: an empty
-// inbox, no handler running. Atomic loads only — the poll must not contend
-// with the loops it watches — and in that order: the LSA loop raises busy
-// before it zeroes inDepth, so a batch it is taking shows in one or the
-// other. One reading proves nothing by itself; see Cluster.quiescent for
-// the argument that uses it.
+// idle reports whether the node has no handler running: no received batch,
+// step or injected event. An atomic load only — the poll must not contend
+// with the loop it watches. One reading proves nothing by itself; see
+// Cluster.quiescent for the argument that uses it.
 func (n *Node) idle() bool {
-	return n.inDepth.Load() == 0 && n.busy.Load() == 0
+	return n.busy.Load() == 0
 }
 
 // --- core.Host implementation ---
@@ -680,19 +647,14 @@ func (n *Node) nextSeq() uint64 {
 	return n.relay.Next()
 }
 
-// PendingMC implements core.Host: scan the inbox for an MC LSA for conn.
-// Called with the machine lock held; takes only inMu (see the lock-order
-// note on Node.mu).
-func (n *Node) PendingMC(conn lsa.ConnID) bool {
-	n.inMu.Lock()
-	defer n.inMu.Unlock()
-	for _, raw := range n.inbox {
-		if m, ok := raw.(*lsa.MC); ok && m.Conn == conn {
-			return true
-		}
-	}
-	return false
-}
+// PendingMC implements core.Host and reports false: the live node keeps no
+// receive queue for the machine to look into. A ReceiveLSA computation runs
+// on the receive goroutine, which takes the next batch only after it; one
+// on another goroutine (an injected event, a timer) may leave a decoded
+// batch waiting for the lock, which reaches the machine in the next step.
+// Either way Figure 5 line 22 sees what it would see if that LSA arrived
+// just after the computation finished — a schedule the checker explores.
+func (n *Node) PendingMC(lsa.ConnID) bool { return false }
 
 // Neighbors implements core.Host. The returned slice is the node's own
 // (fixed at construction, read-only by the Host contract); callers must not
@@ -739,9 +701,11 @@ func (n *Node) ArmResync(conn lsa.ConnID) {
 	n.timerMu.Unlock()
 }
 
-// SelfNudge implements core.Host: deliver a ResyncNudge through the inbox.
+// SelfNudge implements core.Host: the step making this call runs
+// ResyncNudge{conn} as a ReceiveLSA batch before it releases the machine
+// lock, as ForwardingChanged defers the recompile. Called with mu held.
 func (n *Node) SelfNudge(conn lsa.ConnID) {
-	n.enqueue(core.ResyncNudge{Conn: conn})
+	n.nudges = append(n.nudges, core.ResyncNudge{Conn: conn})
 }
 
 // NoteInstall implements core.Host; the machine's own Installs metric

@@ -128,9 +128,6 @@ func (n *Node) registerFuncs(reg *obs.Registry) {
 		defer ln.mu.Unlock()
 		return float64(ln.machine.EventLogBytes())
 	}, sw)
-	reg.GaugeFunc("dgmc_inbox_depth", func() float64 {
-		return float64(n.live().inDepth.Load())
-	}, sw)
 	reg.GaugeFunc("dgmc_seen_origins", func() float64 {
 		return float64(n.live().SeenOrigins())
 	}, sw)

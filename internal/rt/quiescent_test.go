@@ -31,8 +31,9 @@ func gridCluster(t *testing.T) *Cluster {
 // replaced, the quiet window: bursts of concurrent joins and leaves from
 // four goroutines, and each time WaitConverged returns, nothing may complete
 // anywhere for the next 30 ms and agreement must still hold. A unit of work
-// the predicate does not count — an inbox batch between the queue and its
-// step, a frame between two queues — would complete inside that window.
+// the predicate does not count — a received batch's LSA step after its
+// frames settle, a frame between two queues — would complete inside that
+// window.
 func TestQuiescentNeverEarly(t *testing.T) {
 	const rounds, drivers, window = 200, 4, 30 * time.Millisecond
 	c := gridCluster(t)

@@ -1,8 +1,8 @@
 // Package rt is the live concurrent runtime for D-GMC: each switch runs as
-// its own goroutine pair (a transport receive loop and an LSA drain loop),
-// plus wall-clock resync timers and local events stepped on the caller's
-// goroutine, around the same runtime-agnostic core.Machine that the
-// discrete-event simulator drives.
+// one goroutine (a transport receive loop that also runs ReceiveLSA on what
+// it receives), plus wall-clock resync timers and local events stepped on
+// the caller's goroutine, around the same runtime-agnostic core.Machine that
+// the discrete-event simulator drives.
 // Nodes speak to each other only through a Transport carrying the wire
 // frames of internal/lsa — an in-process channel fabric for tests and
 // equivalence checking, or UDP sockets for real deployments (cmd/dgmcd).

@@ -76,8 +76,8 @@ func TestSeenSoak(t *testing.T) {
 	}
 
 	// Activity counts every frame handled (dup or not) plus every message
-	// the LSA loop drained. With suppression working, exactly the first
-	// delivery of each flood is enqueued.
+	// a received batch handed the machine. With suppression working,
+	// exactly the first delivery of each flood is handed over.
 	const (
 		frames   = 2 * origins * floodsPerOrigin
 		enqueued = origins * floodsPerOrigin
@@ -122,9 +122,9 @@ func TestSeenSoak(t *testing.T) {
 // TestFloodForeignOriginRefused sends the middle switch of a 3-switch line
 // 5 000 intact flood frames whose origins are no switch of the graph. Each
 // must be counted as a decode error and take no window, no relay and no
-// enqueue — else the suppression state grows with whatever origins the wire
-// carries, and every such frame is flooded on. A frame from a real origin
-// afterwards is still accepted and relayed.
+// machine step — else the suppression state grows with whatever origins the
+// wire carries, and every such frame is flooded on. A frame from a real
+// origin afterwards is still accepted and relayed.
 func TestFloodForeignOriginRefused(t *testing.T) {
 	const foreign = 5000
 	g, err := topo.Line(3, time.Microsecond)
@@ -176,7 +176,7 @@ func TestFloodForeignOriginRefused(t *testing.T) {
 	}
 	drain(foreign)
 	if got := node.activity.Load(); got != foreign {
-		t.Errorf("activity = %d, want %d: a foreign flood reached the LSA loop", got, foreign)
+		t.Errorf("activity = %d, want %d: a foreign flood reached the machine", got, foreign)
 	}
 	if got := node.DecodeErrors(); got != foreign {
 		t.Errorf("decode errors = %d, want %d", got, foreign)
@@ -191,7 +191,7 @@ func TestFloodForeignOriginRefused(t *testing.T) {
 	if err := send.Send(1, frame(0)); err != nil {
 		t.Fatal(err)
 	}
-	drain(foreign + 2) // the frame, then its enqueued LSA
+	drain(foreign + 2) // the frame, then its LSA
 	for deadline := time.Now().Add(time.Second); relayed.Load() == 0 && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond) // the drain goroutine counts after its Recv
 	}
