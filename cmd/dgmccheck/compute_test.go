@@ -17,15 +17,14 @@ import (
 // carries. At a budget marked "every", every computation of every schedule
 // is split. The two worlds the
 // model needed a million states for do not finish here (300 000 states
-// reach depth 11 and no quiescent state) and run guided; CI gives them a
-// larger budget.
+// reach depth 11 and no quiescent state) and run as 4 096 seeded walks.
 func TestComputeRaceGates(t *testing.T) {
 	gates := []struct {
 		name     string
 		n        int
 		scenario string
 		computes int // "every": raising it adds no state
-		guided   int // transition budget; 0 = exhaustive
+		walks    int // 0 = exhaustive
 	}{
 		{"SingleJoin/n2", 2, "join@0", 2, 0},                        // every
 		{"SingleJoin/n3", 3, "join@0", 2, 0},                        // every
@@ -34,8 +33,8 @@ func TestComputeRaceGates(t *testing.T) {
 		{"ConcurrentJoins/n3", 3, "join@0,join@1", 4, 0},            // every
 		{"ConcurrentJoins/n3-all", 3, "join@0,join@1,join@2", 1, 0}, // CI runs -computes 3
 		{"JoinLeaveRaces/n3", 3, "join@0,join@1,leave@1", 10, 0},    // every
-		{"JoinLeaveRaces/n3-all", 3, "join@0,join@1,join@2,leave@2", 4, 50000},
-		{"FourSwitchBurst", 4, "join@0,join@1,join@2", 3, 50000},
+		{"JoinLeaveRaces/n3-all", 3, "join@0,join@1,join@2,leave@2", 4, 4096},
+		{"FourSwitchBurst", 4, "join@0,join@1,join@2", 3, 4096},
 		{"ResurrectionRaces/n2", 2, "join@0,leave@0,join@1", 8, 0}, // every
 		{"ResurrectionRaces/n3", 3, "join@0,leave@0,join@1", 3, 0},
 		{"CrossingLeaveAndJoin", 3, "join@0,leave@0,join@2", 3, 0},
@@ -44,8 +43,8 @@ func TestComputeRaceGates(t *testing.T) {
 	for _, g := range gates {
 		t.Run(g.name, func(t *testing.T) {
 			args := []string{"-topo", "full", "-n", strconv.Itoa(g.n), "-computes", strconv.Itoa(g.computes), "-scenario", g.scenario}
-			if g.guided > 0 {
-				args = append(args, "-mode", "guided", "-budget", strconv.Itoa(g.guided))
+			if g.walks > 0 {
+				args = append(args, "-mode", "walk", "-walks", strconv.Itoa(g.walks))
 			}
 			var out strings.Builder
 			if err := run(args, &out); err != nil {
@@ -53,7 +52,7 @@ func TestComputeRaceGates(t *testing.T) {
 			}
 			text := out.String()
 			// Printed only by an exhaustive search that no bound cut short.
-			if g.guided == 0 && !strings.Contains(text, "no invariant violations: every reachable interleaving converges") {
+			if g.walks == 0 && !strings.Contains(text, "no invariant violations: every reachable interleaving converges") {
 				t.Fatalf("exhaustive gate did not finish:\n%s", text)
 			}
 			if m := regexp.MustCompile(`, (\d+) quiescent states`).FindStringSubmatch(text); m == nil || m[1] == "0" {

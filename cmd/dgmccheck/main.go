@@ -11,7 +11,7 @@
 //	dgmccheck -topo line -n 3 -mode walk -walks 500 -seed 1 -resync -drops 1
 //	dgmccheck -topo line -n 4 -resync -scenario join@0,split@0.1|2.3,heal,crash@3,restart@3
 //	dgmccheck -topo ring -n 5 -resync -scenario join@0,leave@0,join@1,split@0.1|2.3.4,compact@1,heal
-//	dgmccheck -topo ring -n 6 -resync -mode guided -budget 200000 \
+//	dgmccheck -topo ring -n 6 -resync -mode walk -walks 1024 \
 //	    -scenario join@0,leave@0,join@1,join@3,split@0.1.2|3.4.5,heal
 //	dgmccheck -mutate accept-stale            # seeded bug: must report a violation
 //	dgmccheck -replay dgmc-sched-v1:...       # re-execute a counterexample token
@@ -56,17 +56,16 @@ func run(args []string, w io.Writer) error {
 	scenario := fs.String("scenario", "join@0,join@2",
 		"comma-separated events: join@S, leave@S, fail@A-B, restore@A-B (append /C for a connection other than 1); "+
 			"fault lane: split@0.1|2.3 (groups of dot-separated switches), heal, crash@S, restart@S, compact@S (require -resync)")
-	mode := fs.String("mode", "exhaustive", "search mode: exhaustive (BFS), walk (seeded random schedules), or guided (best-first with drain probes)")
+	mode := fs.String("mode", "exhaustive", "search mode: exhaustive (BFS) or walk (seeded random schedules)")
 	depth := fs.Int("depth", 0, "exhaustive: max schedule depth (0 = unbounded)")
 	maxStates := fs.Int("max-states", 0, "exhaustive: max distinct states (0 = default 2000000)")
-	walks := fs.Int("walks", 256, "walk: number of random schedules")
-	seed := fs.Int64("seed", 1, "walk: RNG seed; guided: tie-break jitter seed")
+	walks := fs.Int("walks", 256, "walk: number of random schedules (0 = default 256)")
+	seed := fs.Int64("seed", 1, "walk: RNG seed")
 	resync := fs.Bool("resync", false, "enable gap recovery (timer firings become schedule choices)")
 	resyncRounds := fs.Int("resync-rounds", 2, "resync round budget per gap")
 	drops := fs.Int("drops", 0, "message-drop budget per schedule (requires -resync)")
 	dups := fs.Int("dups", 0, "message-duplication budget per schedule")
 	computes := fs.Int("computes", 0, "budget of topology computations per schedule left pending between begin and completion (completing one becomes a schedule choice)")
-	budget := fs.Int("budget", 0, "guided: transition+probe-step budget (0 = default 200000)")
 	mutate := fs.String("mutate", "none", "seed a known bug: "+strings.Join(mutationNames(), ", "))
 	replay := fs.String("replay", "", "replay a counterexample token instead of searching")
 	verbose := fs.Bool("v", false, "print the full counterexample trace")
@@ -75,6 +74,14 @@ func run(args []string, w io.Writer) error {
 	}
 	if *replay != "" {
 		return runReplay(w, *replay, *verbose)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"walks", *walks}, {"depth", *depth}, {"max-states", *maxStates}} {
+		if f.v < 0 {
+			return fmt.Errorf("-%s must not be negative, got %d", f.name, f.v)
+		}
 	}
 
 	g, err := buildTopo(*topoName, *n)
@@ -103,7 +110,7 @@ func run(args []string, w io.Writer) error {
 		MaxComputes:     *computes,
 		Mutation:        mutation,
 	}
-	opt := explore.Options{MaxDepth: *depth, MaxStates: *maxStates, Walks: *walks, Seed: *seed, Budget: *budget}
+	opt := explore.Options{MaxDepth: *depth, MaxStates: *maxStates, Walks: *walks, Seed: *seed}
 
 	fmt.Fprintf(w, "checking %s on %s-%d (%s), mode %s\n", *scenario, *topoName, *n, alg.Name(), *mode)
 	start := time.Now()
@@ -113,10 +120,8 @@ func run(args []string, w io.Writer) error {
 		res, err = explore.Exhaustive(cfg, scn, opt)
 	case "walk":
 		res, err = explore.RandomWalk(cfg, scn, opt)
-	case "guided":
-		res, err = explore.Guided(cfg, scn, opt)
 	default:
-		return fmt.Errorf("unknown mode %q (want exhaustive, walk, or guided)", *mode)
+		return fmt.Errorf("unknown mode %q (want exhaustive or walk)", *mode)
 	}
 	if err != nil {
 		return err
@@ -142,19 +147,12 @@ func run(args []string, w io.Writer) error {
 	fmt.Fprintf(w, "explored: %d states, %d transitions, %d quiescent states in %v\n",
 		res.Stats.States, res.Stats.Transitions, res.Stats.Quiescent, elapsed)
 	fmt.Fprintf(w, "deepest schedule: %d steps\n", res.Stats.MaxDepthSeen)
-	if *mode == "guided" {
-		fmt.Fprintf(w, "coverage: %d stamp shapes, fault depth %d/%d, %d drain probes (%d probe steps)\n",
-			len(res.Stats.Coverage.StampShapes), res.Stats.Coverage.FaultDepth, len(scn.Faults),
-			res.Stats.Probes, res.Stats.ProbeSteps)
-	}
 	if res.Stats.Truncated {
-		fmt.Fprintf(w, "WARNING: search truncated by depth/state/budget bounds; absence of violations is not exhaustive\n")
+		fmt.Fprintf(w, "WARNING: search truncated by depth/state bounds; absence of violations is not exhaustive\n")
 	} else if *mode == "exhaustive" {
 		fmt.Fprintf(w, "no invariant violations: every reachable interleaving converges\n")
-	} else if *mode == "walk" {
-		fmt.Fprintf(w, "no invariant violations in %d sampled schedules\n", *walks)
 	} else {
-		fmt.Fprintf(w, "no invariant violations found by guided search\n")
+		fmt.Fprintf(w, "no invariant violations in %d sampled schedules\n", res.Stats.Quiescent)
 	}
 	return nil
 }

@@ -176,40 +176,38 @@ func TestBadFlags(t *testing.T) {
 	}
 }
 
-// gateArgs is the guided-search CI gate scenario: a 6-switch ring with a
-// join/leave pair at switch 0, joins at 1 and 3, and a 3|3 split/heal —
-// far beyond what exhaustive search can drain within a CI state budget.
+// gateArgs is the CI gate scenario: a 6-switch ring with a join/leave
+// pair at switch 0, joins at 1 and 3, and a 3|3 split/heal — far beyond
+// what exhaustive search can drain within a CI state budget.
 func gateArgs(extra ...string) []string {
 	args := []string{"-topo", "ring", "-n", "6", "-resync",
 		"-scenario", "join@0,leave@0,join@1,join@3,split@0.1.2|3.4.5,heal"}
 	return append(args, extra...)
 }
 
-// TestGuidedGateClean: guided mode runs the gate scenario mutation-free
-// within its budget, prints the coverage map, and reports no violation.
-func TestGuidedGateClean(t *testing.T) {
+// TestWalkGateClean: 1 024 seeded walks of the mutation-free gate scenario
+// each run to a checked quiescent state, and the summary counts them. CI
+// runs the same world at 4 096.
+func TestWalkGateClean(t *testing.T) {
 	var out strings.Builder
-	err := run(gateArgs("-mode", "guided"), &out)
+	err := run(gateArgs("-mode", "walk", "-walks", "1024"), &out)
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
-	text := out.String()
-	if !strings.Contains(text, "mode guided") || !strings.Contains(text, "coverage:") {
-		t.Fatalf("missing guided coverage report:\n%s", text)
-	}
-	if !strings.Contains(text, "fault depth 2/2") {
-		t.Fatalf("guided search did not complete the fault lane:\n%s", text)
+	if text := out.String(); !strings.Contains(text, "1024 quiescent states") ||
+		!strings.Contains(text, "no invariant violations in 1024 sampled schedules") {
+		t.Fatalf("missing walk verdict:\n%s", text)
 	}
 }
 
-// TestGuidedGateCatchesCorpus: every seeded mutation is caught by guided
-// mode on the gate scenario, and each printed v2 token reproduces the
-// same violation through -replay.
-func TestGuidedGateCatchesCorpus(t *testing.T) {
+// TestWalkGateCatchesCorpus: every gate mutation is caught by 1 024 walks
+// of the gate scenario, and each printed v2 token reproduces the violation
+// through -replay.
+func TestWalkGateCatchesCorpus(t *testing.T) {
 	for _, mu := range []string{"accept-stale", "ignore-event-order", "uncapped-pseudo-proposal"} {
 		t.Run(mu, func(t *testing.T) {
 			var out strings.Builder
-			err := run(gateArgs("-mode", "guided", "-budget", "200000", "-mutate", mu), &out)
+			err := run(gateArgs("-mode", "walk", "-walks", "1024", "-mutate", mu), &out)
 			if !errors.Is(err, errViolation) {
 				t.Fatalf("want errViolation, got %v\n%s", err, out.String())
 			}
@@ -225,18 +223,30 @@ func TestGuidedGateCatchesCorpus(t *testing.T) {
 	}
 }
 
-// TestGuidedFlagValidation: guided search is selected one way, -mode
-// guided. There is no backward mode, -suspect flag or -guided shorthand;
-// each is a flag error.
-func TestGuidedFlagValidation(t *testing.T) {
+// TestSearchFlagValidation: the checker has two searches, -mode exhaustive
+// and -mode walk. There is no guided or backward mode, and no -budget or
+// -guided flag; each is a flag error. Negative bounds are flag
+// errors too, and -walks 0 means the default, counted as run.
+func TestSearchFlagValidation(t *testing.T) {
 	for _, args := range [][]string{
+		{"-mode", "guided"},
 		{"-mode", "backward"},
-		{"-suspect", "all"},
+		{"-budget", "200000"},
 		{"-guided"},
+		{"-mode", "walk", "-walks", "-3"},
+		{"-depth", "-1"},
+		{"-max-states", "-1"},
 	} {
 		var out strings.Builder
 		if err := run(gateArgs(args...), &out); err == nil || errors.Is(err, errViolation) {
 			t.Errorf("args %v: want flag error, got %v", args, err)
 		}
+	}
+	var out strings.Builder
+	if err := run([]string{"-mode", "walk", "-walks", "0"}, &out); err != nil {
+		t.Fatalf("-walks 0: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "no invariant violations in 256 sampled schedules") {
+		t.Fatalf("-walks 0 must report the 256 walks it ran:\n%s", out.String())
 	}
 }

@@ -122,6 +122,12 @@ func (m *Machine) ResyncGaveUp(conn lsa.ConnID) bool {
 	return ok && cs.resyncRounds > m.resyncMax
 }
 
+// ResyncArmed reports whether a gap-check timer is pending for conn.
+func (m *Machine) ResyncArmed(conn lsa.ConnID) bool {
+	cs, ok := m.conns[conn]
+	return ok && cs.resyncScheduled
+}
+
 // AllConnections lists every connection ID the switch holds state for,
 // including dormant ones, in ascending order. Connections() hides dormant
 // state on purpose; checkers need the counters that survive it.

@@ -623,11 +623,7 @@ func (w *World) hash() [32]byte {
 	}
 	buf = binary.BigEndian.AppendUint32(buf, uint32(w.dropsLeft))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(w.dupsLeft))
-	if w.cfg.MaxComputes > 0 {
-		// Only when there is a budget: guided search derives its tie-breaking
-		// from these digests, and budget-0 searches keep theirs.
-		buf = binary.BigEndian.AppendUint32(buf, uint32(w.computesLeft))
-	}
+	buf = binary.BigEndian.AppendUint32(buf, uint32(w.computesLeft))
 	for _, p := range w.injectPos {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(p))
 	}

@@ -162,11 +162,78 @@ func TestRandomWalkCatchesMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Violation == nil {
-		t.Skip("seed 7 found no violating walk (BFS test covers detection)")
+		t.Fatalf("256 walks at seed 7 found no violating schedule: %+v", res.Stats)
 	}
 	if len(res.Violation.Schedule) > 10 {
 		t.Fatalf("walk counterexample not shrunk: %d steps", len(res.Violation.Schedule))
 	}
+}
+
+// TestRandomWalkDeterministic pins what RandomWalk's doc comment promises:
+// equal (cfg, scn, Seed, Walks) sample the same schedules, so a walk gate's
+// verdict — its counterexample token, or its clean statistics — reproduces
+// exactly.
+func TestRandomWalkDeterministic(t *testing.T) {
+	run := func(mu core.Mutation, walks int) *Result {
+		cfg, scn := gate6(t)
+		cfg.Mutation = mu
+		res, err := RandomWalk(cfg, scn, Options{Seed: 1, Walks: walks})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	a, b := run(core.MutationAcceptStaleProposal, gateWalks), run(core.MutationAcceptStaleProposal, gateWalks)
+	if a.Violation == nil || b.Violation == nil {
+		t.Fatalf("accept-stale not caught: %+v", a.Stats)
+	}
+	if a.Violation.Token != b.Violation.Token || a.Stats != b.Stats {
+		t.Fatalf("same seed, different walks:\n %s %+v\n %s %+v", a.Violation.Token, a.Stats, b.Violation.Token, b.Stats)
+	}
+	a, b = run(core.MutationNone, 256), run(core.MutationNone, 256)
+	if a.Violation != nil || b.Violation != nil {
+		t.Fatalf("false alarm on the clean gate: %v / %v", a.Violation, b.Violation)
+	}
+	if a.Stats != b.Stats {
+		t.Fatalf("same seed, different clean walks:\n %+v\n %+v", a.Stats, b.Stats)
+	}
+}
+
+// TestWalkCatchesWhatExhaustiveCannot is the contrast a sampling search
+// exists for: on the gate world with uncapped-pseudo-proposal, random walks
+// catch the mutation within the gate's walk count, while exhaustive search
+// at a comparable state budget truncates without a violation and without
+// ever reaching a quiescent state.
+func TestWalkCatchesWhatExhaustiveCannot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exhaustive contrast too slow for -short")
+	}
+	cfg, scn := gate6(t)
+	cfg.Mutation = core.MutationUncappedPseudoProposal
+
+	wres, err := RandomWalk(cfg, scn, Options{Seed: 1, Walks: gateWalks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wres.Violation == nil {
+		t.Fatalf("random walks missed the mutation: %+v", wres.Stats)
+	}
+
+	eres, err := Exhaustive(cfg, scn, Options{MaxStates: 20000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eres.Violation != nil {
+		t.Fatalf("exhaustive search unexpectedly caught the mutation within budget: %v", eres.Violation.Err)
+	}
+	if !eres.Stats.Truncated {
+		t.Fatalf("exhaustive search was not even truncated: %+v", eres.Stats)
+	}
+	if eres.Stats.Quiescent != 0 {
+		t.Logf("exhaustive reached %d quiescent states before truncation", eres.Stats.Quiescent)
+	}
+	t.Logf("walks caught after %d clean walks; exhaustive truncated at %d states with %d quiescent",
+		wres.Stats.States, eres.Stats.States, eres.Stats.Quiescent)
 }
 
 // TestDropWithResyncExplored: a drop budget with resync enabled explores

@@ -2,7 +2,6 @@ package explore
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 )
 
@@ -22,20 +21,8 @@ type Options struct {
 	MaxStates int
 	// Walks is the number of random schedules in walk mode (default 256).
 	Walks int
-	// Seed seeds walk mode, and perturbs guided-mode tie-breaking. Equal
-	// seeds reproduce the same search.
+	// Seed seeds walk mode. Equal seeds reproduce the same walks.
 	Seed int64
-	// Budget caps the total transitions — frontier expansions plus
-	// drain-probe steps — of guided search (default 200,000).
-	Budget int
-	// Frontier caps the guided priority queue: when more states are live,
-	// the lowest-priority ones are discarded (beam behavior, marks
-	// Truncated). Default 4,096.
-	Frontier int
-
-	// expandHook observes every frontier expansion of guided search in
-	// order (tests pin search-order determinism with it).
-	expandHook func(depth, score int, hash [32]byte)
 }
 
 func (o *Options) fill() {
@@ -45,28 +32,12 @@ func (o *Options) fill() {
 	if o.Walks <= 0 {
 		o.Walks = 256
 	}
-	if o.Budget <= 0 {
-		o.Budget = 200000
-	}
-	if o.Frontier <= 0 {
-		o.Frontier = 4096
-	}
-}
-
-// Coverage is the exploration map guided search persists in Stats: which
-// qualitative stamp-vector shapes the search reached and how far into the
-// fault lane it got. Exhaustive and walk modes leave it zero.
-type Coverage struct {
-	// StampShapes counts states per qualitative shape (see stampShape).
-	StampShapes map[string]int
-	// FaultDepth is the deepest fault-lane position reached.
-	FaultDepth int
 }
 
 // Stats summarizes a search.
 type Stats struct {
 	// States is the number of distinct world states visited (exhaustive)
-	// or transitions executed (walk).
+	// or walks that ran to a clean quiescent state (walk).
 	States int
 	// Transitions is the number of state transitions applied.
 	Transitions int
@@ -74,22 +45,10 @@ type Stats struct {
 	Quiescent int
 	// MaxDepthSeen is the longest schedule prefix explored.
 	MaxDepthSeen int
-	// Truncated reports that a bound (MaxDepth, MaxStates, Budget, or
-	// Frontier) cut the search short, so absence of violations is not a
-	// proof.
+	// Truncated reports that a bound (MaxDepth or MaxStates) cut an
+	// exhaustive search short, so absence of violations is not a proof.
 	Truncated bool
-	// Probes counts drain-to-quiescence probes run by guided search;
-	// ProbeSteps counts the transitions they executed (charged against
-	// Budget alongside Transitions).
-	Probes     int
-	ProbeSteps int
-	// Coverage is the guided-search exploration map (zero for exhaustive
-	// and walk modes).
-	Coverage Coverage
 }
-
-// spent is the total budget consumption of a guided search.
-func (s *Stats) spent() int { return s.Transitions + s.ProbeSteps }
 
 // Result is the outcome of a search.
 type Result struct {
@@ -222,9 +181,6 @@ type runOutcome struct {
 	violation error
 	// quiescentViolation marks violation as a quiescent-state property.
 	quiescentViolation bool
-	// steps counts all transitions executed, including the deterministic
-	// auto-completion tail beyond the explicit schedule.
-	steps int
 }
 
 // runSchedule executes sched from the initial world of (cfg, scn), then
@@ -239,21 +195,19 @@ func runSchedule(cfg Config, scn Scenario, sched []int, trace bool) (*runOutcome
 	}
 	w.tracing = trace
 	out := &runOutcome{w: w}
-	for _, choice := range sched {
-		if out.steps > autoCompleteCap {
+	for i := 0; ; i++ {
+		if i > autoCompleteCap {
 			return nil, fmt.Errorf("explore: schedule exceeded %d steps without quiescing", autoCompleteCap)
+		}
+		choice := 0
+		if i < len(sched) {
+			choice = sched[i]
 		}
 		if _, ok := w.applyIndex(choice); !ok {
 			break
 		}
-		out.steps++
 		if out.violation = w.checkStep(); out.violation != nil {
 			break
-		}
-	}
-	if out.violation == nil {
-		if out.violation, _, err = drain(w, 0, &out.steps, math.MaxInt, "schedule"); err != nil {
-			return nil, err
 		}
 	}
 	if out.violation == nil && w.Quiescent() {
@@ -263,29 +217,6 @@ func runSchedule(cfg Config, scn Scenario, sched []int, trace bool) (*runOutcome
 		}
 	}
 	return out, nil
-}
-
-// drain applies choice to w until it quiesces, a transition breaks a
-// per-step invariant (returned as violation), or *steps — the transitions
-// applied so far, which drain advances — reaches limit (cut). A drain
-// still running past autoCompleteCap steps has livelocked: that is an
-// error, naming what was being drained.
-func drain(w *World, choice int, steps *int, limit int, what string) (violation error, cut bool, err error) {
-	for {
-		if *steps >= limit {
-			return nil, true, nil
-		}
-		if *steps > autoCompleteCap {
-			return nil, false, fmt.Errorf("explore: %s exceeded %d steps without quiescing", what, autoCompleteCap)
-		}
-		if _, ok := w.applyIndex(choice); !ok {
-			return nil, false, nil
-		}
-		*steps++
-		if err := w.checkStep(); err != nil {
-			return err, false, nil
-		}
-	}
 }
 
 // Replay executes an explicit schedule with tracing and returns the final
