@@ -42,7 +42,6 @@ func runFigure(b *testing.B, p exp.Params) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		k.Shutdown()
 		round := tf + p.Tc
 		cfg := workload.Config{N: benchSize, Events: p.Events, Seed: int64(i) + 1, Start: round}
 		var events []workload.Event
@@ -108,7 +107,6 @@ func BenchmarkBaselines(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		k.Shutdown()
 		round := tf + p.Tc
 		events, err := workload.Sparse(workload.Config{
 			N: benchSize, Events: p.Events, Seed: int64(i) + 1,
@@ -294,11 +292,8 @@ func BenchmarkFloodModes(b *testing.B) {
 				for f := 0; f < 10; f++ {
 					net.Flood(topo.SwitchID(f*5), f)
 				}
-				if _, err := k.Run(); err != nil {
-					b.Fatal(err)
-				}
+				k.Run()
 				copies = net.Copies()
-				k.Shutdown()
 			}
 			b.ReportMetric(float64(copies)/10, "copies/flood")
 		})
@@ -388,12 +383,9 @@ func BenchmarkHierarchy(b *testing.B) {
 // BenchmarkKernel measures raw simulator event throughput.
 func BenchmarkKernel(b *testing.B) {
 	k := sim.NewKernel()
-	defer k.Shutdown()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k.Schedule(1, func() {})
-		if _, err := k.Run(); err != nil {
-			b.Fatal(err)
-		}
+		k.Run()
 	}
 }

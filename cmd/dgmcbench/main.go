@@ -308,7 +308,6 @@ func tracedRun(seed int64) (*obs.SpanCollector, error) {
 		return nil, err
 	}
 	k := sim.NewKernel()
-	defer k.Shutdown()
 	net, err := flood.New(k, g, 10*time.Microsecond, flood.HopByHop)
 	if err != nil {
 		return nil, err
@@ -342,9 +341,7 @@ func tracedRun(seed int64) (*obs.SpanCollector, error) {
 			d.Leave(e.At, e.Switch, 1)
 		}
 	}
-	if _, err := k.Run(); err != nil {
-		return nil, err
-	}
+	k.Run()
 	if err := d.CheckConverged(); err != nil {
 		return nil, fmt.Errorf("traced run did not converge: %w", err)
 	}

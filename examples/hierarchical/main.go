@@ -54,7 +54,6 @@ func run() error {
 	}
 
 	k := sim.NewKernel()
-	defer k.Shutdown()
 	d, err := hier.NewDomain(k, hier.Config{
 		Global: g,
 		Areas:  areas,
@@ -79,9 +78,7 @@ func run() error {
 	if err := d.Join(6*time.Millisecond, 15, conn, mctree.SenderReceiver); err != nil {
 		return err
 	}
-	if _, err := k.Run(); err != nil {
-		return err
-	}
+	k.Run()
 	if err := d.CheckConverged(); err != nil {
 		return fmt.Errorf("hierarchy did not converge: %w", err)
 	}

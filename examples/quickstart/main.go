@@ -33,7 +33,6 @@ func run() error {
 
 	// One simulation kernel carries the whole network.
 	k := sim.NewKernel()
-	defer k.Shutdown()
 
 	// The flooding fabric delivers LSAs; 2µs per-hop forwarding cost.
 	net, err := flood.New(k, g, 2*time.Microsecond, flood.Direct)
@@ -59,9 +58,7 @@ func run() error {
 	d.Join(2*time.Millisecond, 3, conn, mctree.SenderReceiver)
 	d.Leave(5*time.Millisecond, 2, conn)
 
-	if _, err := k.Run(); err != nil {
-		return err
-	}
+	k.Run()
 	if err := d.CheckConverged(); err != nil {
 		return fmt.Errorf("network did not converge: %w", err)
 	}

@@ -34,7 +34,6 @@ func run() error {
 		return err
 	}
 	k := sim.NewKernel()
-	defer k.Shutdown()
 	net, err := flood.New(k, g, 10*time.Microsecond, flood.Direct)
 	if err != nil {
 		return err
@@ -55,9 +54,7 @@ func run() error {
 	for i, v := range viewers {
 		d.Join(sim.Time(i+1)*2*time.Millisecond, v, conn, mctree.Receiver)
 	}
-	if _, err := k.Run(); err != nil {
-		return err
-	}
+	k.Run()
 	if err := d.CheckConverged(); err != nil {
 		return fmt.Errorf("broadcast setup did not converge: %w", err)
 	}
@@ -74,9 +71,7 @@ func run() error {
 	edge := snap.Topology.Edges()[0]
 	fmt.Printf("\nfailing tree link (%d,%d)...\n", edge.A, edge.B)
 	d.FailLink(k.Now()+time.Millisecond, edge.A, edge.B)
-	if _, err := k.Run(); err != nil {
-		return err
-	}
+	k.Run()
 	if err := d.CheckConverged(); err != nil {
 		return fmt.Errorf("repair did not converge: %w", err)
 	}
@@ -90,9 +85,7 @@ func run() error {
 	d.Leave(k.Now()+time.Millisecond, viewers[0], conn)
 	d.Leave(k.Now()+2*time.Millisecond, viewers[1], conn)
 	d.Join(k.Now()+3*time.Millisecond, 9, conn, mctree.Receiver)
-	if _, err := k.Run(); err != nil {
-		return err
-	}
+	k.Run()
 	if err := d.CheckConverged(); err != nil {
 		return fmt.Errorf("churn did not converge: %w", err)
 	}

@@ -65,9 +65,13 @@ type bswitch struct {
 	image    *topo.Graph
 	members  map[lsa.ConnID]mctree.Members
 	topology map[lsa.ConnID]*mctree.Tree
+	// computing is set while the switch computes a topology; LSAs arriving
+	// meanwhile stay queued.
+	computing bool
 }
 
-// NewDomain builds per-switch state and spawns the LSA process per switch.
+// NewDomain builds per-switch state and registers each switch's LSA
+// receiver.
 func NewDomain(k *sim.Kernel, cfg Config) (*Domain, error) {
 	if cfg.Net == nil {
 		return nil, errors.New("bruteforce: Config.Net is required")
@@ -96,7 +100,7 @@ func NewDomain(k *sim.Kernel, cfg Config) (*Domain, error) {
 			topology: make(map[lsa.ConnID]*mctree.Tree),
 		}
 		d.switches[i] = sw
-		k.Spawn(fmt.Sprintf("brute-%d", i), sw.loop)
+		cfg.Net.Mailbox(sw.id).OnDeliver(sw.serve)
 	}
 	return d, nil
 }
@@ -138,11 +142,18 @@ func (d *Domain) event(at sim.Time, m membershipLSA) {
 	})
 }
 
-// loop applies every received membership LSA and recomputes immediately —
-// the defining behaviour of the brute-force protocol.
-func (sw *bswitch) loop(p *sim.Process) {
-	for {
-		del, ok := sw.d.net.Mailbox(sw.id).Recv(p).(flood.Delivery)
+// serve applies every received membership LSA and recomputes immediately —
+// the defining behaviour of the brute-force protocol. Each computation holds
+// the switch for the compute time; LSAs arriving meanwhile are served when
+// it ends.
+func (sw *bswitch) serve() {
+	inbox := sw.d.net.Mailbox(sw.id)
+	for !sw.computing {
+		raw, ok := inbox.TryRecv()
+		if !ok {
+			return
+		}
+		del, ok := raw.(flood.Delivery)
 		if !ok {
 			continue
 		}
@@ -166,12 +177,15 @@ func (sw *bswitch) loop(p *sim.Process) {
 			continue
 		}
 		sw.d.metrics.Computations++
-		p.Hold(sw.d.computeTime)
-		t, err := sw.d.algorithm.Compute(sw.image, mctree.Symmetric, sw.members[m.conn].Clone())
-		if err != nil {
-			continue
-		}
-		sw.topology[m.conn] = t
-		sw.d.metrics.Installs++
+		sw.computing = true
+		sw.d.k.Schedule(sw.d.computeTime, func() {
+			sw.computing = false
+			t, err := sw.d.algorithm.Compute(sw.image, mctree.Symmetric, sw.members[m.conn].Clone())
+			if err == nil {
+				sw.topology[m.conn] = t
+				sw.d.metrics.Installs++
+			}
+			sw.serve()
+		})
 	}
 }

@@ -16,9 +16,10 @@ import (
 // call that reaches a computation leaves it pending — plain data, one slot
 // per entity — and returns; Complete finishes it against the state as of
 // then and carries on with the interrupted call. What happens in between is
-// the host's choice: the simulator holds the entity's process for Tc, the
-// schedule explorer makes the completion a choice point, a live runtime
-// completes at once (HandleLocalEvent and ReceiveBatch are that loop).
+// the host's choice: the simulator schedules the completion Tc of virtual
+// time later, the schedule explorer makes the completion a choice point, a
+// live runtime completes at once (HandleLocalEvent and ReceiveBatch are
+// that loop).
 
 // Entity names one of a switch's two protocol entities. Each computes at
 // most one topology at a time; the two run concurrently.

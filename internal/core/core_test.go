@@ -28,7 +28,6 @@ type fixture struct {
 func newFixture(t *testing.T, g *topo.Graph, opts ...func(*Config)) *fixture {
 	t.Helper()
 	k := sim.NewKernel()
-	t.Cleanup(k.Shutdown)
 	net, err := flood.New(k, g, testPerHop, flood.Direct)
 	if err != nil {
 		t.Fatal(err)
@@ -46,9 +45,7 @@ func newFixture(t *testing.T, g *topo.Graph, opts ...func(*Config)) *fixture {
 
 func (f *fixture) run(t *testing.T) {
 	t.Helper()
-	if _, err := f.k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	f.k.Run()
 }
 
 func lineFixture(t *testing.T, n int) *fixture {
@@ -66,7 +63,6 @@ func TestNewDomainValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := sim.NewKernel()
-	defer k.Shutdown()
 	net, err := flood.New(k, g, 0, flood.Direct)
 	if err != nil {
 		t.Fatal(err)
@@ -414,9 +410,7 @@ func TestEGeqRInvariantThroughout(t *testing.T) {
 	}
 	deadline := sim.Time(time.Second)
 	for step := sim.Time(50 * time.Microsecond); step < deadline; step += 50 * time.Microsecond {
-		if _, err := f.k.RunUntil(step); err != nil {
-			t.Fatal(err)
-		}
+		f.k.RunUntil(step)
 		for s := 0; s < 20; s++ {
 			if snap, ok := f.d.Switch(topo.SwitchID(s)).Connection(2); ok {
 				if !snap.E.Geq(snap.R) {
@@ -441,7 +435,6 @@ func TestDeterministicReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 		k := sim.NewKernel()
-		defer k.Shutdown()
 		net, err := flood.New(k, g, testPerHop, flood.Direct)
 		if err != nil {
 			t.Fatal(err)
@@ -454,9 +447,7 @@ func TestDeterministicReplay(t *testing.T) {
 		for i := 0; i < 7; i++ {
 			d.Join(sim.Time(rng.Intn(int(testTc))), topo.SwitchID(rng.Intn(20)), 3, mctree.SenderReceiver)
 		}
-		if _, err := k.Run(); err != nil {
-			t.Fatal(err)
-		}
+		k.Run()
 		if err := d.CheckConverged(); err != nil {
 			t.Fatal(err)
 		}
@@ -505,7 +496,6 @@ func TestHopByHopFloodingMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := sim.NewKernel()
-	defer k.Shutdown()
 	net, err := flood.New(k, g, testPerHop, flood.HopByHop)
 	if err != nil {
 		t.Fatal(err)
@@ -516,9 +506,7 @@ func TestHopByHopFloodingMode(t *testing.T) {
 	}
 	d.Join(0, 0, 1, mctree.SenderReceiver)
 	d.Join(50*time.Microsecond, 8, 1, mctree.SenderReceiver)
-	if _, err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	k.Run()
 	if err := d.CheckConverged(); err != nil {
 		t.Fatalf("not converged over hop-by-hop flooding: %v", err)
 	}

@@ -36,13 +36,13 @@
 //
 // # Mapping to the simulator
 //
-// Each switch runs two sim processes sharing the switch state — exactly
-// the concurrency model of the paper, where timestamp accesses are atomic
-// between the two entities (our kernel's cooperative scheduling yields
-// only inside Hold, i.e. during topology computations, which is when the
-// paper's protocol must tolerate interleaving and does so via the old_R
-// checks). Topology computation occupies Tc of virtual time; flooding is
-// provided by internal/flood.
+// Each switch's two entities are receivers on its mailboxes, sharing the
+// switch state — the concurrency model of the paper, where timestamp
+// accesses are atomic between the two entities. Every event runs to its
+// end, so the entities interleave only across topology computations: an
+// entity that begins one completes it Tc of virtual time later, and
+// whatever the other entity does meanwhile is what the paper's old_R
+// checks exist for. Flooding is provided by internal/flood.
 //
 // The protocol is independent of the topology-computation algorithm
 // (internal/route) and serves symmetric, receiver-only, and asymmetric MCs

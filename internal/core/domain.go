@@ -130,8 +130,9 @@ type Domain struct {
 	lastInstall sim.Time
 }
 
-// NewDomain builds the per-switch protocol state and spawns the two
-// protocol entities on every switch.
+// NewDomain builds the per-switch protocol state and registers every
+// switch's two protocol entities as the receivers of its local-event and
+// LSA mailboxes.
 func NewDomain(k *sim.Kernel, cfg Config) (*Domain, error) {
 	if cfg.Net == nil {
 		return nil, errors.New("core: Config.Net is required")
@@ -175,8 +176,6 @@ func NewDomain(k *sim.Kernel, cfg Config) (*Domain, error) {
 			return nil, err
 		}
 		d.switches[i] = sw
-		k.Spawn(fmt.Sprintf("dgmc-%d-events", i), sw.eventLoop)
-		k.Spawn(fmt.Sprintf("dgmc-%d-lsa", i), sw.lsaLoop)
 	}
 	return d, nil
 }
@@ -246,7 +245,7 @@ func (d *Domain) FailSwitch(at sim.Time, s topo.SwitchID) {
 // advertising a's R stamps (see Machine.ReconcileNeighbor). Call it for
 // both directions of every boundary link when a partition heals.
 func (d *Domain) Reconcile(at sim.Time, a, b topo.SwitchID) {
-	d.k.After(at-d.k.Now(), func() { d.switches[a].m.ReconcileNeighbor(b) })
+	d.k.ScheduleAt(at, func() { d.switches[a].m.ReconcileNeighbor(b) })
 }
 
 // SchedulePartitionHeal schedules the protocol half of a transport

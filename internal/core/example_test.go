@@ -21,7 +21,6 @@ func Example() {
 		log.Fatal(err)
 	}
 	k := sim.NewKernel()
-	defer k.Shutdown()
 	net, err := flood.New(k, g, 2*time.Microsecond, flood.Direct)
 	if err != nil {
 		log.Fatal(err)
@@ -37,9 +36,7 @@ func Example() {
 
 	d.Join(0, 0, 1, mctree.SenderReceiver)
 	d.Join(time.Millisecond, 2, 1, mctree.SenderReceiver)
-	if _, err := k.Run(); err != nil {
-		log.Fatal(err)
-	}
+	k.Run()
 	if err := d.CheckConverged(); err != nil {
 		log.Fatal(err)
 	}

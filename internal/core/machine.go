@@ -232,7 +232,7 @@ type MachineConfig struct {
 // Machine is one switch's D-GMC protocol state: its unicast LSR instance,
 // its per-connection protocol state, and the EventHandler/ReceiveLSA
 // logic. A Machine is not safe for concurrent use; the hosting runtime
-// must serialize calls into it (the simulator by running one process at a
+// must serialize calls into it (the simulator by running one event at a
 // time, the live runtime with a per-node mutex).
 type Machine struct {
 	id        topo.SwitchID

@@ -59,7 +59,6 @@ func TestPartitionHealSimConverges(t *testing.T) {
 	}
 	plan := faults.Plan{Seed: 7, Partitions: []faults.Partition{p}}
 	k := sim.NewKernel()
-	t.Cleanup(k.Shutdown)
 	inj, err := faults.New(k, plan)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +93,7 @@ func TestPartitionHealSimConverges(t *testing.T) {
 
 	// Mid-split probe: the sides must hold genuinely divergent views, or
 	// the heal below proves nothing.
-	k.After(25*round, func() {
+	k.Schedule(25*round, func() {
 		sa, ok := d.Switch(1).Connection(conn)
 		if !ok {
 			t.Error("side A holds no connection state mid-split")
@@ -116,9 +115,7 @@ func TestPartitionHealSimConverges(t *testing.T) {
 		}
 	})
 
-	if _, err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	k.Run()
 	if err := d.CheckConverged(); err != nil {
 		t.Fatalf("did not converge after heal: %v", err)
 	}
@@ -195,7 +192,6 @@ func TestMobilitySimSoak(t *testing.T) {
 	t.Log(plan.Describe())
 
 	k := sim.NewKernel()
-	t.Cleanup(k.Shutdown)
 	inj, err := faults.New(k, plan)
 	if err != nil {
 		t.Fatal(err)
@@ -225,9 +221,7 @@ func TestMobilitySimSoak(t *testing.T) {
 		}
 	}
 
-	if _, err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	k.Run()
 	if err := d.CheckConverged(); err != nil {
 		t.Fatalf("mobility soak did not converge: %v", err)
 	}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"dgmc/internal/flood"
 	"dgmc/internal/lsa"
 	"dgmc/internal/lsr"
@@ -15,8 +13,8 @@ func switchID(x int) topo.SwitchID { return topo.SwitchID(x) }
 // Switch is one simulated network switch running the D-GMC protocol: the
 // runtime-agnostic state machine (Machine) plus the simulation adapter that
 // drives it — the two protocol entities (EventHandler and ReceiveLSA) as
-// simulated processes, virtual-time compute costs, and the flood.Network
-// fabric. It implements Host. The live runtime equivalent is
+// receivers on their mailboxes, virtual-time compute costs, and the
+// flood.Network fabric. It implements Host. The live runtime equivalent is
 // internal/rt.Node, driving the exact same Machine.
 type Switch struct {
 	id     topo.SwitchID
@@ -29,7 +27,7 @@ func newSwitch(d *Domain, id topo.SwitchID) (*Switch, error) {
 	s := &Switch{
 		id:     id,
 		d:      d,
-		events: sim.NewMailbox(d.k, fmt.Sprintf("events-%d", id)),
+		events: sim.NewMailbox(d.k),
 	}
 	m, err := NewMachine(MachineConfig{
 		ID:                  id,
@@ -45,6 +43,8 @@ func newSwitch(d *Domain, id topo.SwitchID) (*Switch, error) {
 		return nil, err
 	}
 	s.m = m
+	s.events.OnDeliver(func() { s.serve(EventHandler) })
+	d.net.Mailbox(id).OnDeliver(func() { s.serve(ReceiveLSA) })
 	return s, nil
 }
 
@@ -67,40 +67,52 @@ func (s *Switch) Connection(conn lsa.ConnID) (Snapshot, bool) {
 // switch.
 func (s *Switch) Connections() []lsa.ConnID { return s.m.Connections() }
 
-// eventLoop is the process body that invokes EventHandler for each injected
-// local event, in arrival order.
-func (s *Switch) eventLoop(p *sim.Process) {
-	for {
-		ev, ok := s.events.Recv(p).(LocalEvent)
-		if !ok {
-			continue
+// serve runs entity e on what its mailbox holds for as long as e is idle:
+// EventHandler begins one local event at a time, ReceiveLSA drains its
+// inbox into one batch. It is each mailbox's OnDeliver receiver, so a busy
+// entity leaves deliveries queued; compute calls serve again when the
+// computation ends.
+func (s *Switch) serve(e Entity) {
+	for !s.m.Computing(e) {
+		var pending bool
+		if e == EventHandler {
+			msg, ok := s.events.TryRecv()
+			if !ok {
+				return
+			}
+			ev, ok := msg.(LocalEvent)
+			if !ok {
+				continue
+			}
+			pending = s.m.BeginLocalEvent(ev)
+		} else {
+			batch := s.d.net.Mailbox(s.id).Drain()
+			if len(batch) == 0 {
+				return
+			}
+			pending = s.m.BeginReceive(batch)
 		}
-		for pending := s.m.BeginLocalEvent(ev); pending; pending = s.m.Complete(EventHandler) {
-			s.holdCompute(p)
-		}
+		s.compute(e, pending)
 	}
 }
 
-// lsaLoop is the process body for the ReceiveLSA entity: it wakes whenever
-// the switch's LSA mailbox is non-empty.
-func (s *Switch) lsaLoop(p *sim.Process) {
-	inbox := s.d.net.Mailbox(s.id)
-	for {
-		first := inbox.Recv(p)
-		batch := append([]any{first}, inbox.Drain()...)
-		for pending := s.m.BeginReceive(batch); pending; pending = s.m.Complete(ReceiveLSA) {
-			s.holdCompute(p)
+// compute charges the cost of each topology computation e has pending (the
+// paper's Tc): the completion runs Tc of virtual time later while the
+// switch's other entity runs on — exactly the window the protocol's
+// withdraw checks exist for — and then e serves what queued meanwhile.
+// With Tc zero it completes inline.
+func (s *Switch) compute(e Entity, pending bool) {
+	if s.d.computeTime == 0 {
+		for pending {
+			pending = s.m.Complete(e)
 		}
+		return
 	}
-}
-
-// holdCompute charges the cost of one topology computation (the paper's
-// Tc) to the entity that is computing: its process is suspended for Tc of
-// virtual time while the switch's other entity runs on — exactly the
-// window the protocol's withdraw checks exist for.
-func (s *Switch) holdCompute(p *sim.Process) {
-	if s.d.computeTime > 0 {
-		p.Hold(s.d.computeTime)
+	if pending {
+		s.d.k.Schedule(s.d.computeTime, func() {
+			s.compute(e, s.m.Complete(e))
+			s.serve(e)
+		})
 	}
 }
 
@@ -172,7 +184,7 @@ func (s *Switch) FabricLinkChanged(change lsa.LinkChange) {
 // ArmResync implements Host: schedule the machine's gap check after the
 // domain's resync timeout of virtual time.
 func (s *Switch) ArmResync(conn lsa.ConnID) {
-	s.d.k.After(s.d.resyncAfter, func() { s.m.ResyncFired(conn) })
+	s.d.k.Schedule(s.d.resyncAfter, func() { s.m.ResyncFired(conn) })
 }
 
 // SelfNudge implements Host: deliver a ResyncNudge through the switch's

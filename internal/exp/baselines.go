@@ -17,7 +17,6 @@ import (
 func RunBruteForce(p Params, g *topo.Graph, events []workload.Event) (float64, error) {
 	p = p.normalized()
 	k := sim.NewKernel()
-	defer k.Shutdown()
 	net, err := flood.New(k, g, p.PerHop, flood.Direct)
 	if err != nil {
 		return 0, err
@@ -33,9 +32,7 @@ func RunBruteForce(p Params, g *topo.Graph, events []workload.Event) (float64, e
 			d.Leave(e.At, e.Switch, experimentConn)
 		}
 	}
-	if _, err := k.Run(); err != nil {
-		return 0, err
-	}
+	k.Run()
 	m := d.Metrics()
 	if m.Events == 0 {
 		return 0, fmt.Errorf("exp: brute-force run saw no events")
@@ -50,7 +47,6 @@ func RunBruteForce(p Params, g *topo.Graph, events []workload.Event) (float64, e
 func RunMOSPF(p Params, g *topo.Graph, events []workload.Event) (float64, error) {
 	p = p.normalized()
 	k := sim.NewKernel()
-	defer k.Shutdown()
 	net, err := flood.New(k, g, p.PerHop, flood.Direct)
 	if err != nil {
 		return 0, err
@@ -84,9 +80,7 @@ func RunMOSPF(p Params, g *topo.Graph, events []workload.Event) (float64, error)
 			d.SendDatagram(e.At+round, source, group)
 		}
 	}
-	if _, err := k.Run(); err != nil {
-		return 0, err
-	}
+	k.Run()
 	m := d.Metrics()
 	if m.Events == 0 {
 		return 0, fmt.Errorf("exp: MOSPF run saw no events")

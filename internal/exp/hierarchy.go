@@ -174,29 +174,21 @@ func Hierarchy(p HierarchyParams) (*metrics.Table, error) {
 				Global: g, Areas: specs, PerHop: p.PerHop, Tc: p.Tc,
 			})
 			if err != nil {
-				k1.Shutdown()
 				return hierPoint{}, err
 			}
 			for _, e := range events {
 				if err := hd.Join(e.At, e.S, 1, mctree.SenderReceiver); err != nil {
-					k1.Shutdown()
 					return hierPoint{}, err
 				}
 			}
-			if _, err := k1.Run(); err != nil {
-				k1.Shutdown()
-				return hierPoint{}, err
-			}
+			k1.Run()
 			if err := hd.CheckConverged(); err != nil {
-				k1.Shutdown()
 				return hierPoint{}, fmt.Errorf("hier areas=%d run=%d: %w", areaCount, run, err)
 			}
 			hs := hd.Stats()
-			k1.Shutdown()
 
 			// Flat run.
 			k2 := sim.NewKernel()
-			defer k2.Shutdown()
 			net, err := flood.New(k2, g, p.PerHop, flood.Direct)
 			if err != nil {
 				return hierPoint{}, err
@@ -208,9 +200,7 @@ func Hierarchy(p HierarchyParams) (*metrics.Table, error) {
 			for _, e := range events {
 				fd.Join(e.At, e.S, lsa.ConnID(1), mctree.SenderReceiver)
 			}
-			if _, err := k2.Run(); err != nil {
-				return hierPoint{}, err
-			}
+			k2.Run()
 			if err := fd.CheckConverged(); err != nil {
 				return hierPoint{}, fmt.Errorf("flat areas=%d run=%d: %w", areaCount, run, err)
 			}

@@ -206,7 +206,6 @@ func runPartition(p PartitionParams, n, run int) (partitionResult, error) {
 	}
 
 	k := sim.NewKernel()
-	defer k.Shutdown()
 	inj, err := faults.New(k, faults.Plan{Seed: seed, Partitions: parts})
 	if err != nil {
 		return partitionResult{}, err
@@ -239,9 +238,7 @@ func runPartition(p PartitionParams, n, run int) (partitionResult, error) {
 			d.Leave(e.At, e.Switch, experimentConn)
 		}
 	}
-	if _, err := k.Run(); err != nil {
-		return partitionResult{}, err
-	}
+	k.Run()
 	if err := d.CheckConverged(); err != nil {
 		return partitionResult{}, fmt.Errorf("run did not converge: %w", err)
 	}

@@ -273,7 +273,7 @@ type Outcome struct {
 }
 
 // Injector applies a Plan to individual transmissions. It must only be used
-// from kernel context (simulation events and processes); the kernel's
+// from kernel context (inside simulation events); the kernel's
 // deterministic scheduling then makes the draw sequence — and hence the
 // whole faulty run — reproducible.
 type Injector struct {

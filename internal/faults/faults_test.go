@@ -42,7 +42,6 @@ func TestInjectorDeterminism(t *testing.T) {
 	plan := Plan{Seed: 42, Default: LinkFaults{Drop: 0.3, Dup: 0.2, Jitter: 10 * time.Microsecond}}
 	draw := func() []Outcome {
 		k := sim.NewKernel()
-		defer k.Shutdown()
 		in, err := New(k, plan)
 		if err != nil {
 			t.Fatal(err)
@@ -88,7 +87,6 @@ func TestInjectorDeterminism(t *testing.T) {
 func TestFlapWindow(t *testing.T) {
 	plan := Plan{Flaps: []Flap{{A: 1, B: 2, DownAt: sim.Time(10 * time.Microsecond), UpAt: sim.Time(20 * time.Microsecond)}}}
 	k := sim.NewKernel()
-	defer k.Shutdown()
 	in, err := New(k, plan)
 	if err != nil {
 		t.Fatal(err)
@@ -105,18 +103,15 @@ func TestFlapWindow(t *testing.T) {
 		{at: sim.Time(15 * time.Microsecond), a: 0, b: 1, flapped: false}, // other links unaffected
 		{at: sim.Time(20 * time.Microsecond), a: 1, b: 2, flapped: false}, // window end is exclusive
 	}
-	k.Spawn("probe", func(p *sim.Process) {
-		for _, pr := range probes {
-			p.Hold(pr.at - p.Now())
+	for _, pr := range probes {
+		k.ScheduleAt(pr.at, func() {
 			o := in.Apply(pr.a, pr.b)
 			if o.Flapped != pr.flapped || o.Drop != pr.flapped {
 				t.Errorf("t=%v link(%d,%d): outcome %+v, want flapped=%v", pr.at, pr.a, pr.b, o, pr.flapped)
 			}
-		}
-	})
-	if _, err := k.Run(); err != nil {
-		t.Fatal(err)
+		})
 	}
+	k.Run()
 }
 
 func TestPerLinkOverrideAndDescribe(t *testing.T) {
@@ -183,7 +178,6 @@ func TestPartitionWindowInjector(t *testing.T) {
 		HealAt: sim.Time(20 * time.Microsecond),
 	}}}
 	k := sim.NewKernel()
-	defer k.Shutdown()
 	in, err := New(k, plan)
 	if err != nil {
 		t.Fatal(err)
@@ -201,18 +195,15 @@ func TestPartitionWindowInjector(t *testing.T) {
 		{at: sim.Time(14 * time.Microsecond), a: 0, b: 1, partitioned: false}, // intra-group unaffected
 		{at: sim.Time(20 * time.Microsecond), a: 0, b: 2, partitioned: false}, // heal is exclusive
 	}
-	k.Spawn("probe", func(p *sim.Process) {
-		for _, pr := range probes {
-			p.Hold(pr.at - p.Now())
+	for _, pr := range probes {
+		k.ScheduleAt(pr.at, func() {
 			o := in.Apply(pr.a, pr.b)
 			if o.Partitioned != pr.partitioned || o.Drop != pr.partitioned {
 				t.Errorf("t=%v link(%d,%d): outcome %+v, want partitioned=%v", pr.at, pr.a, pr.b, o, pr.partitioned)
 			}
-		}
-	})
-	if _, err := k.Run(); err != nil {
-		t.Fatal(err)
+		})
 	}
+	k.Run()
 }
 
 func TestPeriodicFlaps(t *testing.T) {

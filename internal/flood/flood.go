@@ -10,10 +10,10 @@
 //     over delay+perHop weights) and schedules one delivery event per
 //     switch. This is what standard first-copy-wins flooding produces when
 //     forwarding is immediate, at a fraction of the simulator cost.
-//   - HopByHop spawns a forwarder process per switch that receives copies,
-//     and accepts and relays each flood by the rule internal/rt runs too
-//     (relay.go). It exists to validate the Direct model and to exercise
-//     the simulator under realistic message loads.
+//   - HopByHop gives every switch a forwarder that takes each copy as the
+//     kernel delivers it, and accepts and relays each flood by the rule
+//     internal/rt runs too (relay.go). It exists to validate the Direct
+//     model and to exercise the simulator under realistic message loads.
 //   - TreeBased forwards only along a shortest-path tree (see below).
 //   - Reliable is HopByHop hardened for lossy fabrics: every link
 //     transmission is acknowledged and retransmitted with exponential
@@ -38,9 +38,9 @@ type Mode uint8
 const (
 	// Direct schedules analytically computed arrivals (default).
 	Direct Mode = iota + 1
-	// HopByHop forwards copies switch-to-switch via processes, with
-	// duplicate suppression — classic OSPF-style flooding (≈2·|links|
-	// transmissions per flood).
+	// HopByHop forwards copies switch-to-switch, each switch relaying a
+	// copy as the kernel delivers it, with duplicate suppression — classic
+	// OSPF-style flooding (≈2·|links| transmissions per flood).
 	HopByHop
 	// TreeBased forwards copies only along a shortest-path tree rooted at
 	// the flood's origin, as in the authors' companion "switch-aided
@@ -182,7 +182,7 @@ func New(k *sim.Kernel, g *topo.Graph, perHop time.Duration, mode Mode, opts ...
 	n.inboxes = make([]*sim.Mailbox, g.NumSwitches())
 	n.relays = make([]*Relay, g.NumSwitches())
 	for i := range n.inboxes {
-		n.inboxes[i] = sim.NewMailbox(k, fmt.Sprintf("lsa-inbox-%d", i))
+		n.inboxes[i] = sim.NewMailbox(k)
 		n.relays[i] = NewRelay(topo.SwitchID(i), g.NumSwitches(), 0)
 	}
 	// Cache the full adjacency (down links included — flaps are re-checked
@@ -206,14 +206,12 @@ func New(k *sim.Kernel, g *topo.Graph, perHop time.Duration, mode Mode, opts ...
 			n.pending = make([]map[pendKey]*pendingTx, g.NumSwitches())
 		}
 		for i := range n.transport {
-			n.transport[i] = sim.NewMailbox(k, fmt.Sprintf("flood-transport-%d", i))
+			n.transport[i] = sim.NewMailbox(k)
 			if mode == Reliable {
 				n.pending[i] = make(map[pendKey]*pendingTx)
 			}
 			s := topo.SwitchID(i)
-			k.Spawn(fmt.Sprintf("forwarder-%d", i), func(p *sim.Process) {
-				n.forward(p, s)
-			})
+			n.transport[i].OnDeliver(func() { n.forward(s) })
 		}
 	}
 	return n, nil
@@ -314,14 +312,15 @@ func (n *Network) arrivalDelays(origin topo.SwitchID) []time.Duration {
 	return dist
 }
 
-// forward is the per-switch forwarder process body in HopByHop and Reliable
+// forward is the per-switch transport receiver in HopByHop and Reliable
 // modes: a flood's first copy is delivered and relayed, later ones dropped.
 // Reliable re-acks a dropped copy (the first ack may have been lost) and acks
 // after the data path, so a fault-free run reproduces HopByHop's schedule.
-func (n *Network) forward(p *sim.Process, self topo.SwitchID) {
+func (n *Network) forward(self topo.SwitchID) {
 	reliable := n.mode == Reliable
-	for {
-		switch msg := n.transport[self].Recv(p).(type) {
+	mb := n.transport[self]
+	for raw, ok := mb.TryRecv(); ok; raw, ok = mb.TryRecv() {
+		switch msg := raw.(type) {
 		case ackMsg:
 			key := pendKey{msg.id, msg.acker}
 			if pt, ok := n.pending[self][key]; ok {

@@ -17,7 +17,6 @@ func lineNet(t *testing.T, mode Mode) (*sim.Kernel, *Network) {
 		t.Fatal(err)
 	}
 	k := sim.NewKernel()
-	t.Cleanup(k.Shutdown)
 	n, err := New(k, g, hop, mode)
 	if err != nil {
 		t.Fatal(err)
@@ -25,15 +24,15 @@ func lineNet(t *testing.T, mode Mode) (*sim.Kernel, *Network) {
 	return k, n
 }
 
-// collect spawns sink processes recording per-switch arrival times.
+// collect registers sink receivers recording per-switch arrival times.
 func collect(k *sim.Kernel, n *Network, numSwitches int) []([]sim.Time) {
 	arrivals := make([][]sim.Time, numSwitches)
 	for i := 0; i < numSwitches; i++ {
-		i := i
-		k.Spawn("sink", func(p *sim.Process) {
-			for {
-				if _, ok := n.Mailbox(topo.SwitchID(i)).Recv(p).(Delivery); ok {
-					arrivals[i] = append(arrivals[i], p.Now())
+		inbox := n.Mailbox(topo.SwitchID(i))
+		inbox.OnDeliver(func() {
+			for _, raw := range inbox.Drain() {
+				if _, ok := raw.(Delivery); ok {
+					arrivals[i] = append(arrivals[i], k.Now())
 				}
 			}
 		})
@@ -45,9 +44,7 @@ func TestDirectArrivalTimes(t *testing.T) {
 	k, n := lineNet(t, Direct)
 	arrivals := collect(k, n, 4)
 	n.Flood(0, "hello")
-	if _, err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	k.Run()
 	// Per hop: 10µs link + 2µs perHop = 12µs.
 	if len(arrivals[0]) != 0 {
 		t.Error("origin received its own flood")
@@ -85,11 +82,8 @@ func TestHopByHopMatchesDirect(t *testing.T) {
 			}
 			arrivals := collect(k, n, g.NumSwitches())
 			n.Flood(2, "payload")
-			if _, err := k.Run(); err != nil {
-				t.Fatal(err)
-			}
+			k.Run()
 			results[mi] = arrivals
-			k.Shutdown()
 		}
 		for s := 0; s < g.NumSwitches(); s++ {
 			if len(results[0][s]) != len(results[1][s]) {
@@ -110,16 +104,13 @@ func TestHopByHopSuppressesDuplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := sim.NewKernel()
-	defer k.Shutdown()
 	n, err := New(k, g, hop, HopByHop)
 	if err != nil {
 		t.Fatal(err)
 	}
 	arrivals := collect(k, n, 5)
 	n.Flood(0, "x")
-	if _, err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	k.Run()
 	for s := 1; s < 5; s++ {
 		if len(arrivals[s]) != 1 {
 			t.Errorf("switch %d received %d copies", s, len(arrivals[s]))
@@ -143,16 +134,13 @@ func TestFloodRespectsDownLinks(t *testing.T) {
 		}
 		arrivals := collect(k, n, 4)
 		n.Flood(0, "x")
-		if _, err := k.Run(); err != nil {
-			t.Fatal(err)
-		}
+		k.Run()
 		if len(arrivals[1]) != 1 {
 			t.Errorf("%v: reachable switch missed flood", mode)
 		}
 		if len(arrivals[2]) != 0 || len(arrivals[3]) != 0 {
 			t.Errorf("%v: flood crossed failed link", mode)
 		}
-		k.Shutdown()
 	}
 }
 
@@ -161,9 +149,7 @@ func TestMultipleFloodsInterleave(t *testing.T) {
 	arrivals := collect(k, n, 4)
 	n.Flood(0, "a")
 	n.Flood(3, "b")
-	if _, err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	k.Run()
 	// Switch 1 hears from 0 at 12µs and from 3 at 24µs.
 	if len(arrivals[1]) != 2 {
 		t.Fatalf("switch 1 arrivals = %v", arrivals[1])
@@ -203,7 +189,6 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := sim.NewKernel()
-	defer k.Shutdown()
 	if _, err := New(k, g, -time.Microsecond, Direct); err == nil {
 		t.Error("negative per-hop accepted")
 	}

@@ -142,18 +142,12 @@ func TestFloodStateBounded(t *testing.T) {
 		}
 		for s := 0; s < switches; s++ {
 			inbox := n.Mailbox(topo.SwitchID(s))
-			k.Spawn("drain", func(p *sim.Process) {
-				for {
-					inbox.Recv(p)
-				}
-			})
+			inbox.OnDeliver(func() { inbox.Drain() })
 		}
 		var before uint64
 		for f := 1; f <= floods; f++ {
 			n.Flood(topo.SwitchID(f%switches), f)
-			if _, err := k.Run(); err != nil {
-				t.Fatal(err)
-			}
+			k.Run()
 			if f == warm {
 				before = heap()
 			}
@@ -165,6 +159,5 @@ func TestFloodStateBounded(t *testing.T) {
 			t.Errorf("%v: heap grew %d B between flood %d and %d, budget %d B", mode, growth, warm, floods, budget)
 		}
 		runtime.KeepAlive(n)
-		k.Shutdown()
 	}
 }

@@ -127,7 +127,7 @@ func (n *Network) transmit(pt *pendingTx, key pendKey) {
 	} else {
 		n.transport[pt.to].Send(pt.msg, delay)
 	}
-	n.k.After(n.rtoFor(l, attempt), func() {
+	n.k.Schedule(n.rtoFor(l, attempt), func() {
 		if pt.acked {
 			return
 		}

@@ -34,9 +34,7 @@ func TestReliableMatchesHopByHop(t *testing.T) {
 			arrivals := collect(k, n, g.NumSwitches())
 			n.Flood(2, "payload")
 			n.Flood(5, "second")
-			if _, err := k.Run(); err != nil {
-				t.Fatal(err)
-			}
+			k.Run()
 			results[mi] = arrivals
 			copies[mi] = n.Copies()
 			if mode == Reliable {
@@ -48,7 +46,6 @@ func TestReliableMatchesHopByHop(t *testing.T) {
 					t.Errorf("graph %d: ack accounting off: %s", gi, rs)
 				}
 			}
-			k.Shutdown()
 		}
 		if copies[0] != copies[1] {
 			t.Errorf("graph %d: data copies %d (hop-by-hop) vs %d (reliable)", gi, copies[0], copies[1])
@@ -74,7 +71,6 @@ func TestReliableDeliversUnderLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := sim.NewKernel()
-	defer k.Shutdown()
 	inj, err := faults.New(k, faults.Plan{
 		Seed:    99,
 		Default: faults.LinkFaults{Drop: 0.3, Dup: 0.1, Jitter: 3 * time.Microsecond},
@@ -90,9 +86,7 @@ func TestReliableDeliversUnderLoss(t *testing.T) {
 	for origin := 0; origin < 3; origin++ {
 		n.Flood(topo.SwitchID(origin), origin)
 	}
-	if _, err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	k.Run()
 	for s := 0; s < 15; s++ {
 		want := 3
 		if s < 3 {
@@ -141,9 +135,10 @@ func TestUnicastNeighborsOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got []Unicast
-		k.Spawn("sink", func(p *sim.Process) {
-			for {
-				if u, ok := n.Mailbox(1).Recv(p).(Unicast); ok {
+		inbox := n.Mailbox(1)
+		inbox.OnDeliver(func() {
+			for _, raw := range inbox.Drain() {
+				if u, ok := raw.(Unicast); ok {
 					got = append(got, u)
 				}
 			}
@@ -151,13 +146,10 @@ func TestUnicastNeighborsOnly(t *testing.T) {
 		n.Unicast(0, 1, "ping")  // neighbors: delivered
 		n.Unicast(0, 3, "drop")  // not adjacent: silently discarded
 		n.Unicast(0, 2, "drop2") // not adjacent either
-		if _, err := k.Run(); err != nil {
-			t.Fatal(err)
-		}
+		k.Run()
 		if len(got) != 1 || got[0].Payload != "ping" || got[0].From != 0 || got[0].To != 1 {
 			t.Errorf("%v: unicast deliveries = %+v, want one ping 0→1", mode, got)
 		}
-		k.Shutdown()
 	}
 }
 
@@ -167,7 +159,6 @@ func TestFaultOptionsValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := sim.NewKernel()
-	defer k.Shutdown()
 	inj, err := faults.New(k, faults.Plan{Default: faults.LinkFaults{Drop: 0.5}})
 	if err != nil {
 		t.Fatal(err)

@@ -56,7 +56,6 @@ func fourAreas(t *testing.T) (*topo.Graph, []AreaSpec) {
 func newDomain(t *testing.T, g *topo.Graph, areas []AreaSpec) (*sim.Kernel, *Domain) {
 	t.Helper()
 	k := sim.NewKernel()
-	t.Cleanup(k.Shutdown)
 	d, err := NewDomain(k, Config{Global: g, Areas: areas, PerHop: testPerHop, Tc: testTc})
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +66,6 @@ func newDomain(t *testing.T, g *topo.Graph, areas []AreaSpec) (*sim.Kernel, *Dom
 func TestPartitionValidation(t *testing.T) {
 	g, areas := fourAreas(t)
 	k := sim.NewKernel()
-	defer k.Shutdown()
 
 	if _, err := NewDomain(k, Config{Areas: areas}); err == nil {
 		t.Error("missing global graph accepted")
@@ -132,9 +130,7 @@ func TestSingleAreaMCStaysLocal(t *testing.T) {
 	if err := d.Join(time.Millisecond, 5, 1, mctree.SenderReceiver); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	k.Run()
 	if err := d.CheckConverged(); err != nil {
 		t.Fatal(err)
 	}
@@ -164,9 +160,7 @@ func TestMultiAreaMCSpansHierarchy(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	k.Run()
 	if err := d.CheckConverged(); err != nil {
 		t.Fatal(err)
 	}
@@ -207,9 +201,7 @@ func TestShrinkingToOneAreaRemovesAnchors(t *testing.T) {
 	if err := d.Join(2*time.Millisecond, 12, 1, mctree.SenderReceiver); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	k.Run()
 	if err := d.CheckConverged(); err != nil {
 		t.Fatal(err)
 	}
@@ -221,9 +213,7 @@ func TestShrinkingToOneAreaRemovesAnchors(t *testing.T) {
 	if err := d.Leave(k.Now()+2*time.Millisecond, 12, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	k.Run()
 	if err := d.CheckConverged(); err != nil {
 		t.Fatal(err)
 	}
@@ -275,9 +265,7 @@ func TestHierarchicalFloodingCheaperThanFlat(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := k1.Run(); err != nil {
-		t.Fatal(err)
-	}
+	k1.Run()
 	if err := d1.CheckConverged(); err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +273,6 @@ func TestHierarchicalFloodingCheaperThanFlat(t *testing.T) {
 
 	// Flat D-GMC over the same global graph and events.
 	k2 := sim.NewKernel()
-	defer k2.Shutdown()
 	net, err := flood.New(k2, g, testPerHop, flood.Direct)
 	if err != nil {
 		t.Fatal(err)
@@ -301,9 +288,7 @@ func TestHierarchicalFloodingCheaperThanFlat(t *testing.T) {
 			flat.Leave(e.at, e.s, 1)
 		}
 	}
-	if _, err := k2.Run(); err != nil {
-		t.Fatal(err)
-	}
+	k2.Run()
 	if err := flat.CheckConverged(); err != nil {
 		t.Fatal(err)
 	}
@@ -345,9 +330,7 @@ func TestMultipleConnectionsAcrossHierarchy(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	k.Run()
 	if err := d.CheckConverged(); err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +358,6 @@ func TestHierarchyDeterministicReplay(t *testing.T) {
 	runOnce := func() (string, Stats) {
 		g, areas := fourAreas(t)
 		k := sim.NewKernel()
-		defer k.Shutdown()
 		d, err := NewDomain(k, Config{Global: g, Areas: areas, PerHop: testPerHop, Tc: testTc})
 		if err != nil {
 			t.Fatal(err)
@@ -385,9 +367,7 @@ func TestHierarchyDeterministicReplay(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := k.Run(); err != nil {
-			t.Fatal(err)
-		}
+		k.Run()
 		tree, err := d.GlobalTopology(1)
 		if err != nil {
 			t.Fatal(err)

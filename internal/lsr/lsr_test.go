@@ -195,17 +195,16 @@ func TestDomainConvergenceViaFlooding(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := sim.NewKernel()
-	defer k.Shutdown()
 	net, err := flood.New(k, g, time.Microsecond, flood.Direct)
 	if err != nil {
 		t.Fatal(err)
 	}
 	instances := newDomain(t, g)
 	for s := 0; s < g.NumSwitches(); s++ {
-		s := s
-		k.Spawn("lsr", func(p *sim.Process) {
-			for {
-				d, ok := net.Mailbox(topo.SwitchID(s)).Recv(p).(flood.Delivery)
+		inbox := net.Mailbox(topo.SwitchID(s))
+		inbox.OnDeliver(func() {
+			for _, raw := range inbox.Drain() {
+				d, ok := raw.(flood.Delivery)
 				if !ok {
 					continue
 				}
@@ -248,9 +247,7 @@ func TestDomainConvergenceViaFlooding(t *testing.T) {
 		}
 		net.Flood(fail.A, nm)
 	})
-	if _, err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	k.Run()
 
 	for s := 0; s < g.NumSwitches(); s++ {
 		l, ok := instances[s].Image().Link(fail.A, fail.B)

@@ -88,10 +88,13 @@ type mswitch struct {
 	members map[GroupID]mctree.Members
 	cache   map[cacheKey]*mctree.Tree
 	data    *sim.Mailbox
+	// computing is set while the data path holds a datagram for an SPT
+	// computation; datagrams arriving meanwhile stay queued.
+	computing bool
 }
 
-// NewDomain builds the per-switch state and spawns the LSA and data-plane
-// processes.
+// NewDomain builds the per-switch state and registers each switch's LSA
+// and data-plane receivers.
 func NewDomain(k *sim.Kernel, cfg Config) (*Domain, error) {
 	if cfg.Net == nil {
 		return nil, errors.New("mospf: Config.Net is required")
@@ -114,11 +117,11 @@ func NewDomain(k *sim.Kernel, cfg Config) (*Domain, error) {
 			image:   cfg.Net.Graph().Clone(),
 			members: make(map[GroupID]mctree.Members),
 			cache:   make(map[cacheKey]*mctree.Tree),
-			data:    sim.NewMailbox(k, fmt.Sprintf("mospf-data-%d", i)),
+			data:    sim.NewMailbox(k),
 		}
 		d.switches[i] = sw
-		k.Spawn(fmt.Sprintf("mospf-%d-lsa", i), sw.lsaLoop)
-		k.Spawn(fmt.Sprintf("mospf-%d-data", i), sw.dataLoop)
+		cfg.Net.Mailbox(sw.id).OnDeliver(sw.receiveLSAs)
+		sw.data.OnDeliver(sw.serveData)
 	}
 	return d, nil
 }
@@ -183,56 +186,69 @@ func (sw *mswitch) applyMembership(m membershipLSA) {
 	}
 }
 
-// lsaLoop applies flooded membership LSAs.
-func (sw *mswitch) lsaLoop(p *sim.Process) {
-	for {
-		del, ok := sw.d.net.Mailbox(sw.id).Recv(p).(flood.Delivery)
-		if !ok {
-			continue
-		}
-		if m, ok := del.Payload.(membershipLSA); ok {
-			sw.applyMembership(m)
+// receiveLSAs applies flooded membership LSAs.
+func (sw *mswitch) receiveLSAs() {
+	for _, raw := range sw.d.net.Mailbox(sw.id).Drain() {
+		if del, ok := raw.(flood.Delivery); ok {
+			if m, ok := del.Payload.(membershipLSA); ok {
+				sw.applyMembership(m)
+			}
 		}
 	}
 }
 
-// dataLoop forwards datagrams, computing an SPT on cache miss — the heart
-// of the data-driven cost model.
-func (sw *mswitch) dataLoop(p *sim.Process) {
-	for {
-		dg, ok := sw.data.Recv(p).(datagram)
+// serveData forwards queued datagrams, computing an SPT on cache miss — the
+// heart of the data-driven cost model. A miss holds the data path for the
+// computation time; the datagram is forwarded, and the queue served on, when
+// the computation ends.
+func (sw *mswitch) serveData() {
+	for !sw.computing {
+		raw, ok := sw.data.TryRecv()
+		if !ok {
+			return
+		}
+		dg, ok := raw.(datagram)
 		if !ok {
 			continue
 		}
 		key := cacheKey{dg.source, dg.group}
-		tree, cached := sw.cache[key]
-		if !cached {
-			sw.d.metrics.Computations++
-			p.Hold(sw.d.computeTime)
+		if tree, cached := sw.cache[key]; cached {
+			sw.forward(dg, tree)
+			continue
+		}
+		sw.d.metrics.Computations++
+		sw.computing = true
+		sw.d.k.Schedule(sw.d.computeTime, func() {
+			sw.computing = false
 			members := sw.members[dg.group]
 			t, err := (route.SPT{}).Compute(sw.image, mctree.Asymmetric, withSource(members, dg.source))
-			if err != nil {
-				continue // no route to some member; drop
+			if err == nil { // else no route to some member; drop
+				sw.cache[key] = t
+				sw.forward(dg, t)
 			}
-			sw.cache[key] = t
-			tree = t
+			sw.serveData()
+		})
+	}
+}
+
+// forward delivers dg locally if this switch is a receiving member and
+// sends it on along tree.
+func (sw *mswitch) forward(dg datagram, tree *mctree.Tree) {
+	if m, ok := sw.members[dg.group][sw.id]; ok && m.CanReceive() {
+		sw.d.metrics.Delivered++
+	}
+	for _, nb := range tree.Neighbors(sw.id) {
+		if nb == dg.from {
+			continue
 		}
-		if m, ok := sw.members[dg.group][sw.id]; ok && m.CanReceive() {
-			sw.d.metrics.Delivered++
+		l, ok := sw.image.Link(sw.id, nb)
+		if !ok || l.Down {
+			continue
 		}
-		for _, nb := range tree.Neighbors(sw.id) {
-			if nb == dg.from {
-				continue
-			}
-			l, ok := sw.image.Link(sw.id, nb)
-			if !ok || l.Down {
-				continue
-			}
-			sw.d.metrics.Forwards++
-			fwd := dg
-			fwd.from = sw.id
-			sw.d.switches[nb].data.Send(fwd, l.Delay+sw.d.net.PerHop())
-		}
+		sw.d.metrics.Forwards++
+		fwd := dg
+		fwd.from = sw.id
+		sw.d.switches[nb].data.Send(fwd, l.Delay+sw.d.net.PerHop())
 	}
 }
 

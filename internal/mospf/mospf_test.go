@@ -17,7 +17,6 @@ const (
 func newDomain(t *testing.T, g *topo.Graph) (*sim.Kernel, *Domain) {
 	t.Helper()
 	k := sim.NewKernel()
-	t.Cleanup(k.Shutdown)
 	net, err := flood.New(k, g, testPerHop, flood.Direct)
 	if err != nil {
 		t.Fatal(err)
@@ -31,7 +30,6 @@ func newDomain(t *testing.T, g *topo.Graph) (*sim.Kernel, *Domain) {
 
 func TestConfigValidation(t *testing.T) {
 	k := sim.NewKernel()
-	defer k.Shutdown()
 	if _, err := NewDomain(k, Config{}); err == nil {
 		t.Error("missing Net accepted")
 	}
@@ -56,9 +54,7 @@ func TestMembershipLSAsReachAllSwitches(t *testing.T) {
 	k, d := newDomain(t, g)
 	d.Join(0, 3, 1)
 	d.Join(time.Millisecond, 0, 1)
-	if _, err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	k.Run()
 	for s := 0; s < 4; s++ {
 		m := d.Members(topo.SwitchID(s), 1)
 		if len(m) != 2 {
@@ -81,9 +77,7 @@ func TestDatagramTriggersComputationAtEveryOnTreeSwitch(t *testing.T) {
 	d.Join(0, 0, 1)
 	d.Join(0, 3, 1)
 	d.SendDatagram(time.Millisecond, 0, 1)
-	if _, err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	k.Run()
 	m := d.Metrics()
 	if m.Computations != 4 {
 		t.Errorf("computations = %d, want 4 (every on-tree switch)", m.Computations)
@@ -106,9 +100,7 @@ func TestCacheAvoidsRecomputationUntilEvent(t *testing.T) {
 	d.Join(0, 3, 1)
 	d.SendDatagram(time.Millisecond, 0, 1)
 	d.SendDatagram(2*time.Millisecond, 0, 1) // cache hit everywhere
-	if _, err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	k.Run()
 	if m := d.Metrics(); m.Computations != 4 {
 		t.Errorf("computations = %d, want 4 (second datagram cached)", m.Computations)
 	}
@@ -119,9 +111,7 @@ func TestCacheAvoidsRecomputationUntilEvent(t *testing.T) {
 	// A membership event invalidates caches: the next datagram recomputes.
 	d.Join(3*time.Millisecond, 2, 1)
 	d.SendDatagram(4*time.Millisecond, 0, 1)
-	if _, err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	k.Run()
 	if m := d.Metrics(); m.Computations != 8 {
 		t.Errorf("computations = %d, want 8 after cache flush", m.Computations)
 	}
@@ -139,9 +129,7 @@ func TestPerSourceTreesMultiplyComputations(t *testing.T) {
 	d.Join(0, 3, 1)
 	d.SendDatagram(time.Millisecond, 0, 1)
 	d.SendDatagram(2*time.Millisecond, 3, 1)
-	if _, err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	k.Run()
 	if m := d.Metrics(); m.Computations != 8 {
 		t.Errorf("computations = %d, want 8 (4 per source)", m.Computations)
 	}
@@ -157,9 +145,7 @@ func TestLeaveShrinksTree(t *testing.T) {
 	d.Join(0, 3, 1)
 	d.Leave(time.Millisecond, 3, 1)
 	d.SendDatagram(2*time.Millisecond, 0, 1)
-	if _, err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	k.Run()
 	m := d.Metrics()
 	if m.Delivered != 1 {
 		t.Errorf("delivered = %d, want only member 0", m.Delivered)

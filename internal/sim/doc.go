@@ -1,23 +1,17 @@
-// Package sim implements a deterministic, process-oriented discrete-event
-// simulation kernel, in the spirit of the CSIM simulation language used by
-// the original D-GMC study.
+// Package sim implements a deterministic discrete-event simulation kernel.
 //
 // A simulation consists of a Kernel owning a virtual clock and an event
-// queue, and a set of Processes. Each Process is backed by a goroutine, but
-// the kernel enforces strictly sequential, cooperative execution: at any
-// instant at most one process runs, and control returns to the kernel
-// whenever a process holds (advances virtual time) or blocks on a Mailbox.
-// Events scheduled for the same virtual time are executed in scheduling
-// order (a monotone sequence number breaks ties), so a simulation with a
-// fixed seed is fully reproducible.
+// queue. An event is a function the kernel calls at its virtual time, or a
+// delivery into a Mailbox. Events scheduled for the same virtual time run in
+// scheduling order (a monotone sequence number breaks ties), so a simulation
+// with a fixed seed is fully reproducible. Everything runs on the caller's
+// goroutine inside Run; the kernel starts none of its own.
 //
-// The package deliberately mirrors the CSIM primitives the paper relies on:
-//
-//   - Process creation (Kernel.Spawn),
-//   - hold(t) (Process.Hold),
-//   - mailboxes with blocking receive (Mailbox.Recv) and timed send
-//     (Mailbox.Send).
-//
-// On top of these the D-GMC simulator models switches as processes that
-// exchange link-state advertisements through mailboxes.
+// A Mailbox is an unbounded FIFO queue whose sends are timed deliveries. Its
+// receiver registers with OnDeliver and is called after every delivery; it
+// takes what it is ready for with TryRecv or Drain and leaves the rest
+// queued. A receiver busy for some virtual time (the paper's Tc, the time a
+// switch's entity spends computing a topology) schedules the end of that
+// work with Schedule, and takes what queued meanwhile when it ends — the
+// event-callback form of the CSIM study's hold(t) on a mailbox server.
 package sim

@@ -2,34 +2,32 @@ package sim_test
 
 import (
 	"fmt"
-	"log"
 
 	"dgmc/internal/sim"
 )
 
-// Example shows the CSIM-style primitives: processes that hold virtual
-// time and exchange messages through mailboxes, scheduled deterministically.
+// Example shows the kernel's primitives: a producer that schedules its next
+// step 10µs of virtual time on, and a consumer that takes each message from
+// its mailbox when the kernel delivers it, in deterministic order.
 func Example() {
 	k := sim.NewKernel()
-	defer k.Shutdown()
 
-	inbox := sim.NewMailbox(k, "inbox")
-	k.Spawn("producer", func(p *sim.Process) {
-		for i := 1; i <= 3; i++ {
-			p.Hold(10 * sim.Microsecond)
-			inbox.Send(i, 5*sim.Microsecond) // 5µs transmission delay
+	inbox := sim.NewMailbox(k)
+	inbox.OnDeliver(func() {
+		for v, ok := inbox.TryRecv(); ok; v, ok = inbox.TryRecv() {
+			fmt.Printf("t=%v received %v\n", k.Now(), v)
 		}
 	})
-	k.Spawn("consumer", func(p *sim.Process) {
-		for i := 0; i < 3; i++ {
-			v := inbox.Recv(p)
-			fmt.Printf("t=%v received %v\n", p.Now(), v)
+	var produce func(i int)
+	produce = func(i int) {
+		inbox.Send(i, 5*sim.Microsecond) // 5µs transmission delay
+		if i < 3 {
+			k.Schedule(10*sim.Microsecond, func() { produce(i + 1) })
 		}
-	})
-
-	if _, err := k.Run(); err != nil {
-		log.Fatal(err)
 	}
+	k.Schedule(10*sim.Microsecond, func() { produce(1) })
+
+	k.Run()
 	// Output:
 	// t=15µs received 1
 	// t=25µs received 2

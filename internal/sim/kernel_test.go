@@ -6,17 +6,13 @@ import (
 
 func TestScheduleOrdering(t *testing.T) {
 	k := NewKernel()
-	defer k.Shutdown()
 
 	var got []int
 	k.Schedule(30*Microsecond, func() { got = append(got, 3) })
 	k.Schedule(10*Microsecond, func() { got = append(got, 1) })
 	k.Schedule(20*Microsecond, func() { got = append(got, 2) })
 
-	st, err := k.Run()
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	st := k.Run()
 	if st.Events != 3 {
 		t.Errorf("events = %d, want 3", st.Events)
 	}
@@ -33,16 +29,13 @@ func TestScheduleOrdering(t *testing.T) {
 
 func TestSimultaneousEventsRunInScheduleOrder(t *testing.T) {
 	k := NewKernel()
-	defer k.Shutdown()
 
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
 		k.Schedule(5*Microsecond, func() { got = append(got, i) })
 	}
-	if _, err := k.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	k.Run()
 	for i := 0; i < 10; i++ {
 		if got[i] != i {
 			t.Fatalf("tie-break order = %v", got)
@@ -52,16 +45,13 @@ func TestSimultaneousEventsRunInScheduleOrder(t *testing.T) {
 
 func TestNestedScheduling(t *testing.T) {
 	k := NewKernel()
-	defer k.Shutdown()
 
 	var fired []Time
 	k.Schedule(10, func() {
 		fired = append(fired, k.Now())
 		k.Schedule(5, func() { fired = append(fired, k.Now()) })
 	})
-	if _, err := k.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	k.Run()
 	if len(fired) != 2 || fired[0] != 10 || fired[1] != 15 {
 		t.Fatalf("fired = %v, want [10 15]", fired)
 	}
@@ -69,13 +59,10 @@ func TestNestedScheduling(t *testing.T) {
 
 func TestNegativeDelayClampsToNow(t *testing.T) {
 	k := NewKernel()
-	defer k.Shutdown()
 
 	ran := false
 	k.Schedule(-5, func() { ran = true })
-	if _, err := k.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	k.Run()
 	if !ran {
 		t.Fatal("negative-delay event did not run")
 	}
@@ -86,13 +73,10 @@ func TestNegativeDelayClampsToNow(t *testing.T) {
 
 func TestScheduleAt(t *testing.T) {
 	k := NewKernel()
-	defer k.Shutdown()
 
 	var at Time
 	k.ScheduleAt(42, func() { at = k.Now() })
-	if _, err := k.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	k.Run()
 	if at != 42 {
 		t.Fatalf("ran at %v, want 42", at)
 	}
@@ -100,15 +84,12 @@ func TestScheduleAt(t *testing.T) {
 
 func TestRunUntilLeavesLaterEventsQueued(t *testing.T) {
 	k := NewKernel()
-	defer k.Shutdown()
 
 	var got []int
 	k.Schedule(10, func() { got = append(got, 1) })
 	k.Schedule(100, func() { got = append(got, 2) })
 
-	if _, err := k.RunUntil(50); err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
+	k.RunUntil(50)
 	if len(got) != 1 || got[0] != 1 {
 		t.Fatalf("after RunUntil(50) got %v, want [1]", got)
 	}
@@ -118,239 +99,8 @@ func TestRunUntilLeavesLaterEventsQueued(t *testing.T) {
 	if k.Pending() != 1 {
 		t.Fatalf("pending = %d, want 1", k.Pending())
 	}
-	if _, err := k.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	k.Run()
 	if len(got) != 2 {
 		t.Fatalf("after Run got %v, want both events", got)
-	}
-}
-
-func TestProcessHoldAdvancesTime(t *testing.T) {
-	k := NewKernel()
-	defer k.Shutdown()
-
-	var times []Time
-	k.Spawn("holder", func(p *Process) {
-		times = append(times, p.Now())
-		p.Hold(7 * Microsecond)
-		times = append(times, p.Now())
-		p.Hold(3 * Microsecond)
-		times = append(times, p.Now())
-	})
-	if _, err := k.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	want := []Time{0, 7 * Microsecond, 10 * Microsecond}
-	for i, w := range want {
-		if times[i] != w {
-			t.Fatalf("times = %v, want %v", times, want)
-		}
-	}
-}
-
-func TestProcessesInterleaveDeterministically(t *testing.T) {
-	run := func() []string {
-		k := NewKernel()
-		defer k.Shutdown()
-		var log []string
-		for _, name := range []string{"a", "b", "c"} {
-			name := name
-			k.Spawn(name, func(p *Process) {
-				for i := 0; i < 3; i++ {
-					log = append(log, name)
-					p.Hold(10)
-				}
-			})
-		}
-		if _, err := k.Run(); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		return log
-	}
-	first := run()
-	for trial := 0; trial < 20; trial++ {
-		again := run()
-		if len(again) != len(first) {
-			t.Fatalf("nondeterministic length: %d vs %d", len(again), len(first))
-		}
-		for i := range first {
-			if again[i] != first[i] {
-				t.Fatalf("nondeterministic schedule at trial %d: %v vs %v", trial, again, first)
-			}
-		}
-	}
-}
-
-func TestMailboxSendRecv(t *testing.T) {
-	k := NewKernel()
-	defer k.Shutdown()
-
-	mb := NewMailbox(k, "inbox")
-	var got []int
-	k.Spawn("receiver", func(p *Process) {
-		for i := 0; i < 3; i++ {
-			v, ok := mb.Recv(p).(int)
-			if !ok {
-				t.Error("non-int message")
-				return
-			}
-			got = append(got, v)
-		}
-	})
-	mb.Send(1, 10)
-	mb.Send(2, 20)
-	mb.Send(3, 30)
-	if _, err := k.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("got %v, want [1 2 3]", got)
-	}
-}
-
-func TestMailboxRecvBlocksUntilDelivery(t *testing.T) {
-	k := NewKernel()
-	defer k.Shutdown()
-
-	mb := NewMailbox(k, "inbox")
-	var recvAt Time
-	k.Spawn("receiver", func(p *Process) {
-		mb.Recv(p)
-		recvAt = p.Now()
-	})
-	k.Spawn("sender", func(p *Process) {
-		p.Hold(25)
-		mb.Send("hello", 5)
-	})
-	if _, err := k.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if recvAt != 30 {
-		t.Fatalf("received at %v, want 30", recvAt)
-	}
-}
-
-func TestMailboxTryRecvAndDrain(t *testing.T) {
-	k := NewKernel()
-	defer k.Shutdown()
-
-	mb := NewMailbox(k, "inbox")
-	if _, ok := mb.TryRecv(); ok {
-		t.Fatal("TryRecv on empty mailbox returned ok")
-	}
-	mb.Send("x", 0)
-	mb.Send("y", 0)
-	if _, err := k.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if mb.Len() != 2 {
-		t.Fatalf("len = %d, want 2", mb.Len())
-	}
-	if v, ok := mb.Peek(); !ok || v != "x" {
-		t.Fatalf("peek = %v,%v", v, ok)
-	}
-	if v, ok := mb.TryRecv(); !ok || v != "x" {
-		t.Fatalf("TryRecv = %v,%v", v, ok)
-	}
-	rest := mb.Drain()
-	if len(rest) != 1 || rest[0] != "y" {
-		t.Fatalf("drain = %v", rest)
-	}
-	if mb.Len() != 0 {
-		t.Fatalf("len after drain = %d", mb.Len())
-	}
-}
-
-func TestMailboxMultipleWaitersFIFO(t *testing.T) {
-	k := NewKernel()
-	defer k.Shutdown()
-
-	mb := NewMailbox(k, "inbox")
-	var order []string
-	for _, name := range []string{"first", "second"} {
-		name := name
-		k.Spawn(name, func(p *Process) {
-			mb.Recv(p)
-			order = append(order, name)
-		})
-	}
-	mb.Send(1, 10)
-	mb.Send(2, 20)
-	if _, err := k.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if len(order) != 2 || order[0] != "first" || order[1] != "second" {
-		t.Fatalf("waiter order = %v", order)
-	}
-}
-
-func TestShutdownUnwindsBlockedProcesses(t *testing.T) {
-	k := NewKernel()
-	mb := NewMailbox(k, "never")
-	started := false
-	k.Spawn("stuck-recv", func(p *Process) {
-		started = true
-		mb.Recv(p) // never satisfied
-		t.Error("stuck-recv resumed unexpectedly")
-	})
-	k.Spawn("stuck-hold", func(p *Process) {
-		p.Hold(1)
-		mb.Recv(p)
-		t.Error("stuck-hold resumed unexpectedly")
-	})
-	if _, err := k.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if !started {
-		t.Fatal("process never started")
-	}
-	k.Shutdown() // must not hang and must reap both goroutines
-	if _, err := k.Run(); err != ErrStopped {
-		t.Fatalf("Run after Shutdown = %v, want ErrStopped", err)
-	}
-	k.Shutdown() // idempotent
-}
-
-func TestSpawnFromProcess(t *testing.T) {
-	k := NewKernel()
-	defer k.Shutdown()
-
-	var childRan bool
-	k.Spawn("parent", func(p *Process) {
-		p.Hold(5)
-		k.Spawn("child", func(c *Process) {
-			c.Hold(5)
-			childRan = true
-		})
-		p.Hold(20)
-	})
-	if _, err := k.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if !childRan {
-		t.Fatal("child process did not run")
-	}
-}
-
-func TestProcessAccessors(t *testing.T) {
-	k := NewKernel()
-	defer k.Shutdown()
-
-	p := k.Spawn("worker", func(p *Process) {})
-	if p.Name() != "worker" {
-		t.Errorf("name = %q", p.Name())
-	}
-	if p.ID() != 0 {
-		t.Errorf("id = %d", p.ID())
-	}
-	if p.Kernel() != k {
-		t.Error("kernel accessor mismatch")
-	}
-	if s := p.String(); s != "proc(0,worker)" {
-		t.Errorf("string = %q", s)
-	}
-	if _, err := k.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
 	}
 }

@@ -1,67 +1,56 @@
 package sim
 
-// Mailbox is an unbounded, FIFO message queue between simulated processes.
-// Sends are timestamped deliveries scheduled on the kernel; receives block
-// the calling process until a message is available. Because the kernel runs
-// processes one at a time, no locking is needed.
+// Mailbox is an unbounded, FIFO message queue. Sends are timestamped
+// deliveries scheduled on the kernel; after each delivery the kernel calls
+// the receiver registered with OnDeliver, which takes messages with TryRecv
+// or Drain. Because the kernel runs one event at a time, no locking is
+// needed.
 type Mailbox struct {
-	k       *Kernel
-	name    string
-	queue   []any
-	waiters []*Process
+	k         *Kernel
+	queue     []any
+	onDeliver func()
 }
 
 // NewMailbox returns an empty mailbox attached to kernel k.
-func NewMailbox(k *Kernel, name string) *Mailbox {
-	return &Mailbox{k: k, name: name}
+func NewMailbox(k *Kernel) *Mailbox {
+	return &Mailbox{k: k}
 }
 
-// Name returns the mailbox name given at creation.
-func (m *Mailbox) Name() string { return m.name }
-
-// Len returns the number of queued (already delivered) messages.
-func (m *Mailbox) Len() int { return len(m.queue) }
+// OnDeliver registers fn to run in kernel context after every delivery,
+// replacing any earlier receiver. A receiver that is not ready returns at
+// once and leaves its messages queued for a later call.
+func (m *Mailbox) OnDeliver(fn func()) { m.onDeliver = fn }
 
 // Send schedules msg to arrive after delay of virtual time. A zero delay
 // delivers at the current time, after already-queued simultaneous events.
-// Send may be called from kernel context or from any process.
 func (m *Mailbox) Send(msg any, delay Time) {
 	m.k.scheduleDelivery(delay, m, msg)
 }
 
-// deliver enqueues msg and wakes the longest-waiting receiver, if any.
+// deliver enqueues msg and calls the receiver, if any.
 func (m *Mailbox) deliver(msg any) {
 	m.queue = append(m.queue, msg)
-	if len(m.waiters) == 0 {
-		return
+	if m.onDeliver != nil {
+		m.onDeliver()
 	}
-	p := m.waiters[0]
-	copy(m.waiters, m.waiters[1:])
-	m.waiters = m.waiters[:len(m.waiters)-1]
-	m.k.step(p)
 }
 
-// Recv blocks the calling process until a message is available, then
-// removes and returns the oldest message.
-func (m *Mailbox) Recv(p *Process) any {
-	for len(m.queue) == 0 {
-		m.waiters = append(m.waiters, p)
-		p.yieldToKernel()
-		p.waitResume()
-	}
-	return m.pop()
-}
-
-// TryRecv removes and returns the oldest message if one is queued. It never
-// blocks; ok reports whether a message was returned.
+// TryRecv removes and returns the oldest message if one is queued; ok
+// reports whether a message was returned.
 func (m *Mailbox) TryRecv() (msg any, ok bool) {
 	if len(m.queue) == 0 {
 		return nil, false
 	}
-	return m.pop(), true
+	msg = m.queue[0]
+	m.queue[0] = nil
+	m.queue = m.queue[1:]
+	if len(m.queue) == 0 {
+		m.queue = nil // release the backing array once drained
+	}
+	return msg, true
 }
 
-// Drain removes and returns all currently queued messages. It never blocks.
+// Drain removes and returns all currently queued messages.
 func (m *Mailbox) Drain() []any {
 	out := m.queue
 	m.queue = nil
@@ -73,22 +62,4 @@ func (m *Mailbox) Snapshot() []any {
 	out := make([]any, len(m.queue))
 	copy(out, m.queue)
 	return out
-}
-
-// Peek returns the oldest queued message without removing it.
-func (m *Mailbox) Peek() (msg any, ok bool) {
-	if len(m.queue) == 0 {
-		return nil, false
-	}
-	return m.queue[0], true
-}
-
-func (m *Mailbox) pop() any {
-	msg := m.queue[0]
-	m.queue[0] = nil
-	m.queue = m.queue[1:]
-	if len(m.queue) == 0 {
-		m.queue = nil // release the backing array once drained
-	}
-	return msg
 }
