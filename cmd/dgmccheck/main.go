@@ -56,8 +56,7 @@ func run(args []string, w io.Writer) error {
 	scenario := fs.String("scenario", "join@0,join@2",
 		"comma-separated events: join@S, leave@S, fail@A-B, restore@A-B (append /C for a connection other than 1); "+
 			"fault lane: split@0.1|2.3 (groups of dot-separated switches), heal, crash@S, restart@S, compact@S (require -resync)")
-	mode := fs.String("mode", "exhaustive", "search mode: exhaustive (BFS) or walk (seeded random schedules)")
-	depth := fs.Int("depth", 0, "exhaustive: max schedule depth (0 = unbounded)")
+	mode := fs.String("mode", "exhaustive", "search mode: exhaustive (depth-first) or walk (seeded random schedules)")
 	maxStates := fs.Int("max-states", 0, "exhaustive: max distinct states (0 = default 2000000)")
 	walks := fs.Int("walks", 256, "walk: number of random schedules (0 = default 256)")
 	seed := fs.Int64("seed", 1, "walk: RNG seed")
@@ -78,7 +77,7 @@ func run(args []string, w io.Writer) error {
 	for _, f := range []struct {
 		name string
 		v    int
-	}{{"walks", *walks}, {"depth", *depth}, {"max-states", *maxStates}} {
+	}{{"walks", *walks}, {"max-states", *maxStates}} {
 		if f.v < 0 {
 			return fmt.Errorf("-%s must not be negative, got %d", f.name, f.v)
 		}
@@ -110,7 +109,7 @@ func run(args []string, w io.Writer) error {
 		MaxComputes:     *computes,
 		Mutation:        mutation,
 	}
-	opt := explore.Options{MaxDepth: *depth, MaxStates: *maxStates, Walks: *walks, Seed: *seed}
+	opt := explore.Options{MaxStates: *maxStates, Walks: *walks, Seed: *seed}
 
 	fmt.Fprintf(w, "checking %s on %s-%d (%s), mode %s\n", *scenario, *topoName, *n, alg.Name(), *mode)
 	start := time.Now()
@@ -129,13 +128,6 @@ func run(args []string, w io.Writer) error {
 	elapsed := time.Since(start).Round(time.Millisecond)
 
 	if v := res.Violation; v != nil {
-		// BFS counterexamples are minimal-length already; shrinking still
-		// lowers choices toward the canonical schedule, and is what makes
-		// walk-mode counterexamples readable at all.
-		shrunk := explore.Shrink(cfg, scn, v.Schedule)
-		if _, sv, rerr := explore.Replay(cfg, scn, shrunk); rerr == nil && sv != nil {
-			v = sv
-		}
 		fmt.Fprintf(w, "VIOLATION after %d states / %d transitions (%v):\n  %v\n",
 			res.Stats.States, res.Stats.Transitions, elapsed, v.Err)
 		fmt.Fprintf(w, "schedule (%d steps): %v\n", len(v.Schedule), v.Schedule)
@@ -148,7 +140,7 @@ func run(args []string, w io.Writer) error {
 		res.Stats.States, res.Stats.Transitions, res.Stats.Quiescent, elapsed)
 	fmt.Fprintf(w, "deepest schedule: %d steps\n", res.Stats.MaxDepthSeen)
 	if res.Stats.Truncated {
-		fmt.Fprintf(w, "WARNING: search truncated by depth/state bounds; absence of violations is not exhaustive\n")
+		fmt.Fprintf(w, "WARNING: search truncated by -max-states; absence of violations is not exhaustive\n")
 	} else if *mode == "exhaustive" {
 		fmt.Fprintf(w, "no invariant violations: every reachable interleaving converges\n")
 	} else {

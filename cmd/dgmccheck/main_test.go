@@ -224,8 +224,9 @@ func TestWalkGateCatchesCorpus(t *testing.T) {
 }
 
 // TestSearchFlagValidation: the checker has two searches, -mode exhaustive
-// and -mode walk. There is no guided or backward mode, and no -budget or
-// -guided flag; each is a flag error. Negative bounds are flag
+// and -mode walk. There is no guided or backward mode, no -budget or
+// -guided flag, and no -depth bound (-max-states is the one bound of an
+// exhaustive search); each is a flag error. Negative bounds are flag
 // errors too, and -walks 0 means the default, counted as run.
 func TestSearchFlagValidation(t *testing.T) {
 	for _, args := range [][]string{
@@ -235,6 +236,7 @@ func TestSearchFlagValidation(t *testing.T) {
 		{"-guided"},
 		{"-mode", "walk", "-walks", "-3"},
 		{"-depth", "-1"},
+		{"-depth", "4"},
 		{"-max-states", "-1"},
 	} {
 		var out strings.Builder

@@ -18,12 +18,12 @@
 //   - completing a topology computation an entity has begun (within
 //     Config.MaxComputes; see below).
 //
-// Exhaustive search (BFS over world states, deduplicated by a canonical
-// state hash) visits every reachable interleaving up to the configured
-// bounds; seeded random walks sample unboundedly deep schedules. Invariants
-// are checked after every transition and at every quiescent state; a
-// violation yields a schedule that replays byte-for-byte (see Token) and
-// shrinks to a minimal counterexample (see Shrink).
+// Exhaustive search (depth-first over world states, deduplicated by a
+// canonical state hash) visits every reachable interleaving up to the
+// state bound; seeded random walks sample unboundedly deep schedules.
+// Invariants are checked after every transition and at every quiescent
+// state; a violation yields a schedule that replays byte-for-byte (see
+// Token) and shrinks to a minimal counterexample (see Shrink).
 //
 // The duration of a topology computation is a choice point within a budget:
 // the first Config.MaxComputes computations a schedule begins stay pending

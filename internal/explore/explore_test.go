@@ -154,7 +154,7 @@ func TestRandomWalkClean(t *testing.T) {
 }
 
 // TestRandomWalkCatchesMutation: enough seeded walks also find the bug
-// (and shrink it), independent of BFS.
+// (and shrink it), independent of exhaustive search.
 func TestRandomWalkCatchesMutation(t *testing.T) {
 	cfg := Config{Graph: ring4(t), Mutation: core.MutationAcceptStaleProposal}
 	res, err := RandomWalk(cfg, twoJoins(), Options{Walks: 256, Seed: 7})
@@ -200,16 +200,16 @@ func TestRandomWalkDeterministic(t *testing.T) {
 }
 
 // TestWalkCatchesWhatExhaustiveCannot is the contrast a sampling search
-// exists for: on the gate world with uncapped-pseudo-proposal, random walks
-// catch the mutation within the gate's walk count, while exhaustive search
-// at a comparable state budget truncates without a violation and without
-// ever reaching a quiescent state.
+// exists for: on the gate world with accept-stale, random walks catch the
+// mutation within the gate's walk count, while exhaustive search at a
+// comparable state budget truncates without a violation, having reached
+// only a handful of quiescent states.
 func TestWalkCatchesWhatExhaustiveCannot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive contrast too slow for -short")
 	}
 	cfg, scn := gate6(t)
-	cfg.Mutation = core.MutationUncappedPseudoProposal
+	cfg.Mutation = core.MutationAcceptStaleProposal
 
 	wres, err := RandomWalk(cfg, scn, Options{Seed: 1, Walks: gateWalks})
 	if err != nil {

@@ -14,8 +14,8 @@ import (
 // gate6 is the CI gate scenario: a 6-switch ring with four membership
 // events (a join/leave pair at switch 0, a join at switch 1, and a join at
 // switch 3) interleaved with a 3|3 partition and its heal. Exhaustive
-// search cannot reach a single quiescent state of this world within any
-// CI-sized state budget — the interesting behavior (stale resync
+// search reaches only a handful of this world's quiescent states within
+// any CI-sized state budget — the interesting behavior (stale resync
 // capstones, reordered same-origin events, cross-partition stamp races)
 // lives tens of forced choices deep. Random walks must catch every corpus
 // mutation here, and report the mutation-free world clean.

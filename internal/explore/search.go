@@ -3,6 +3,7 @@ package explore
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 // autoCompleteCap bounds the deterministic run-to-quiescence tail appended
@@ -13,9 +14,6 @@ const autoCompleteCap = 100000
 
 // Options bounds a search.
 type Options struct {
-	// MaxDepth caps schedule length in exhaustive mode (0 = unbounded:
-	// rely on quiescence and MaxStates).
-	MaxDepth int
 	// MaxStates caps distinct states visited in exhaustive mode
 	// (default 2,000,000).
 	MaxStates int
@@ -45,8 +43,8 @@ type Stats struct {
 	Quiescent int
 	// MaxDepthSeen is the longest schedule prefix explored.
 	MaxDepthSeen int
-	// Truncated reports that a bound (MaxDepth or MaxStates) cut an
-	// exhaustive search short, so absence of violations is not a proof.
+	// Truncated reports that MaxStates cut an exhaustive search short, so
+	// absence of violations is not a proof.
 	Truncated bool
 }
 
@@ -58,67 +56,83 @@ type Result struct {
 	Violation *Violation
 }
 
-type bfsNode struct {
-	w     *World
-	sched []int
+// frame is one world on the depth-first stack: its enabled actions and the
+// index of the next one to branch on.
+type frame struct {
+	w    *World
+	acts []action
+	next int
 }
 
 // Exhaustive explores every reachable interleaving of (cfg, scn) by
-// breadth-first search over world states, deduplicating by canonical state
-// hash. BFS order means the first violation found has a minimal-length
-// schedule. The search is deterministic: equal inputs explore identical
-// state sequences and return identical results.
+// depth-first search over world states, deduplicating by canonical state
+// hash. The stack holds one world per schedule step, so memory grows with
+// the depth of the schedules, not the breadth of the state space. The
+// first violation found is shrunk (see Shrink) before it is reported. The
+// search is deterministic: equal inputs explore identical state sequences
+// and return identical results.
 func Exhaustive(cfg Config, scn Scenario, opt Options) (*Result, error) {
 	opt.fill()
 	root, err := NewWorld(cfg, scn)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{}
+	res := &Result{Stats: Stats{States: 1}}
 	visited := map[[32]byte]bool{root.hash(): true}
-	queue := []bfsNode{{w: root, sched: nil}}
-	for len(queue) > 0 {
-		node := queue[0]
-		queue = queue[1:]
-		if len(node.sched) > res.Stats.MaxDepthSeen {
-			res.Stats.MaxDepthSeen = len(node.sched)
+	var stack []frame
+	// sched[i] is the index of the action stack[i] branched on last, so
+	// sched is the schedule that reaches the world most recently entered.
+	var sched []int
+	enter := func(w *World) error {
+		res.Stats.MaxDepthSeen = max(res.Stats.MaxDepthSeen, len(sched))
+		if acts := w.enabled(); len(acts) > 0 {
+			stack = append(stack, frame{w: w, acts: acts})
+			return nil
 		}
-		acts := node.w.enabled()
-		if len(acts) == 0 {
-			res.Stats.Quiescent++
-			if err := node.w.checkQuiescent(); err != nil {
-				res.Violation = buildViolation(cfg, scn, node.sched, err, true)
-				return res, nil
-			}
+		res.Stats.Quiescent++
+		return w.checkQuiescent()
+	}
+	if err := enter(root); err != nil {
+		res.Violation = buildViolation(cfg, scn, Shrink(cfg, scn, sched), err, true)
+		return res, nil
+	}
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		if top.next == len(top.acts) {
+			*top = frame{}
+			stack = stack[:len(stack)-1]
 			continue
 		}
-		if opt.MaxDepth > 0 && len(node.sched) >= opt.MaxDepth {
+		i := top.next
+		top.next++
+		// The last branch takes the frame's own world, which nothing reads
+		// again: one clone fewer per expanded state.
+		child := top.w
+		if top.next < len(top.acts) {
+			child = child.clone()
+		}
+		child.apply(top.acts[i])
+		res.Stats.Transitions++
+		sched = append(sched[:len(stack)-1], i)
+		if err := child.checkStep(); err != nil {
+			res.Violation = buildViolation(cfg, scn, Shrink(cfg, scn, sched), err, false)
+			return res, nil
+		}
+		h := child.hash()
+		if visited[h] {
+			continue
+		}
+		if len(visited) >= opt.MaxStates {
 			res.Stats.Truncated = true
 			continue
 		}
-		for i := range acts {
-			child := node.w.clone()
-			child.apply(acts[i])
-			res.Stats.Transitions++
-			sched := append(append([]int(nil), node.sched...), i)
-			if err := child.checkStep(); err != nil {
-				res.Violation = buildViolation(cfg, scn, sched, err, false)
-				return res, nil
-			}
-			h := child.hash()
-			if visited[h] {
-				continue
-			}
-			if len(visited) >= opt.MaxStates {
-				res.Stats.Truncated = true
-				continue
-			}
-			visited[h] = true
-			queue = append(queue, bfsNode{w: child, sched: sched})
+		visited[h] = true
+		res.Stats.States++
+		if err := enter(child); err != nil {
+			res.Violation = buildViolation(cfg, scn, Shrink(cfg, scn, sched), err, true)
+			return res, nil
 		}
-		res.Stats.States = len(visited)
 	}
-	res.Stats.States = len(visited)
 	return res, nil
 }
 
@@ -155,8 +169,7 @@ func RandomWalk(cfg Config, scn Scenario, opt Options) (*Result, error) {
 			w.applyIndex(choice)
 			res.Stats.Transitions++
 			if err := w.checkStep(); err != nil {
-				shrunk := Shrink(cfg, scn, sched)
-				res.Violation = buildViolation(cfg, scn, shrunk, err, false)
+				res.Violation = buildViolation(cfg, scn, Shrink(cfg, scn, sched), err, false)
 				return res, nil
 			}
 		}
@@ -165,8 +178,7 @@ func RandomWalk(cfg Config, scn Scenario, opt Options) (*Result, error) {
 		}
 		res.Stats.Quiescent++
 		if err := w.checkQuiescent(); err != nil {
-			shrunk := Shrink(cfg, scn, sched)
-			res.Violation = buildViolation(cfg, scn, shrunk, err, true)
+			res.Violation = buildViolation(cfg, scn, Shrink(cfg, scn, sched), err, true)
 			return res, nil
 		}
 		res.Stats.States++
@@ -235,10 +247,12 @@ func Replay(cfg Config, scn Scenario, sched []int) (*World, *Violation, error) {
 }
 
 // Shrink minimizes a violating schedule, delta-debugging style: first
-// remove chunks of decreasing size, then lower each surviving choice to 0.
-// Clamped indices plus deterministic auto-completion keep every candidate
-// schedule executable, so shrinking never has to repair a broken prefix.
-// The result still violates an invariant (not necessarily the same one).
+// remove chunks of decreasing size, then lower each surviving choice to 0,
+// then shrink the result again until a round changes nothing (a lowered
+// choice can make a step removable). Clamped indices plus deterministic
+// auto-completion keep every candidate schedule executable, so shrinking
+// never has to repair a broken prefix. The result still violates an
+// invariant (not necessarily the same one).
 func Shrink(cfg Config, scn Scenario, sched []int) []int {
 	keep := func(s []int) bool {
 		out, err := runSchedule(cfg, scn, s, false)
@@ -259,9 +273,6 @@ func Shrink(cfg Config, scn Scenario, sched []int) []int {
 				start += chunk
 			}
 		}
-		if chunk == 1 && !removed {
-			break
-		}
 		if chunk > 1 {
 			chunk /= 2
 		} else if !removed {
@@ -277,6 +288,9 @@ func Shrink(cfg Config, scn Scenario, sched []int) []int {
 		if keep(cand) {
 			cur = cand
 		}
+	}
+	if !slices.Equal(cur, sched) {
+		return Shrink(cfg, scn, cur)
 	}
 	return cur
 }
