@@ -138,7 +138,11 @@ func run(args []string, w io.Writer) error {
 
 	fmt.Fprintf(w, "explored: %d states, %d transitions, %d quiescent states in %v\n",
 		res.Stats.States, res.Stats.Transitions, res.Stats.Quiescent, elapsed)
-	fmt.Fprintf(w, "deepest schedule: %d steps\n", res.Stats.MaxDepthSeen)
+	if *mode == "exhaustive" {
+		fmt.Fprintf(w, "deepest stack: %d steps\n", res.Stats.MaxStack)
+	} else {
+		fmt.Fprintf(w, "longest walk: %d steps\n", res.Stats.MaxStack)
+	}
 	if res.Stats.Truncated {
 		fmt.Fprintf(w, "WARNING: search truncated by -max-states; absence of violations is not exhaustive\n")
 	} else if *mode == "exhaustive" {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"slices"
 	"sort"
 
 	"dgmc/internal/lsa"
@@ -23,7 +24,10 @@ import (
 // algorithm, the kind table — are shared by pointer, matching the
 // protocol's own treatment of them (a flooded LSA or installed tree is
 // never modified in place). Metrics are copied by value so the clone
-// counts independently.
+// counts independently. A receive batch the machine is part way through is
+// copied into arrays of the clone's own, since the machine reuses its
+// arrays for its next batch, and the clone starts with an empty working
+// set of its own.
 func (m *Machine) CloneWith(host Host) *Machine {
 	metrics := *m.metrics
 	c := &Machine{
@@ -42,12 +46,26 @@ func (m *Machine) CloneWith(host Host) *Machine {
 		// Pending computations are never written after their begin.
 		computing: m.computing,
 		local:     m.local,
-		batch:     m.batch,
+		batch:     m.batch.clone(),
 	}
 	for id, cs := range m.conns {
 		c.conns[id] = cs.clone()
 	}
 	return c
+}
+
+// clone copies the groups of b into arrays that share nothing with the
+// machine's receive working set.
+func (b batchRest) clone() batchRest {
+	if b.groups == nil {
+		return b
+	}
+	groups := make([]connGroup, len(b.groups))
+	for i, g := range b.groups {
+		groups[i] = connGroup{conn: g.conn, msgs: slices.Clone(g.msgs)}
+	}
+	b.groups = groups
+	return b
 }
 
 // clone returns a deep copy of the connection state. Buffered LSAs and

@@ -315,3 +315,37 @@ func TestAppendStateCoversPending(t *testing.T) {
 		t.Fatal("original and clone diverged over the same completion")
 	}
 }
+
+// TestCloneOwnsPendingBatch: BeginReceive reuses its index and group arrays
+// from batch to batch, and a clone taken part way through a batch must not
+// see the original reuse them. The original finishes the batch and runs two
+// more through the same arrays; the clone still encodes the batch it was
+// cloned in, and finishing it lands where the original's finish did.
+func TestCloneOwnsPendingBatch(t *testing.T) {
+	sn := newScriptNet(t, full3(t), 2, 0)
+	m := sn.machines[0]
+	m.HandleLocalEvent(nil, join(splitConn))
+	m.HandleLocalEvent(nil, join(7))
+	other := eventMC(3, 1, 7, 1, lsa.Join)
+	other.Proposal = mctree.New(mctree.Symmetric)
+	// Switch 1's joins knew of neither of ours: each connection owes a
+	// proposal, so the batch stops at the first and keeps the second.
+	if !m.BeginReceive([]any{foreignJoin(1), other}) {
+		t.Fatal("ReceiveLSA did not begin a computation")
+	}
+	pending := m.AppendState(nil)
+	c := m.CloneWith(&scriptHost{})
+	for more := m.Complete(ReceiveLSA); more; more = m.Complete(ReceiveLSA) {
+	}
+	finished := m.AppendState(nil)
+	m.ReceiveBatch(nil, []any{eventMC(3, 2, 7, 1, lsa.Join), eventMC(3, 2, splitConn, 1, lsa.Join)})
+	m.ReceiveBatch(nil, []any{eventMC(3, 2, splitConn, 2, lsa.Leave)})
+	if !bytes.Equal(c.AppendState(nil), pending) {
+		t.Fatal("the original's later batches changed the batch its clone is part way through")
+	}
+	for more := c.Complete(ReceiveLSA); more; more = c.Complete(ReceiveLSA) {
+	}
+	if !bytes.Equal(c.AppendState(nil), finished) {
+		t.Fatal("the clone finished its batch differently from the original")
+	}
+}

@@ -255,6 +255,15 @@ type Machine struct {
 	local     localRest
 	batch     batchRest
 
+	// recv is BeginReceive's working set, kept across batches so a batch
+	// allocates neither: index places a connection in batch.groups, and
+	// groups is the array batch.groups is cut from, each group keeping its
+	// message slice's array. A clone gets neither (CloneWith).
+	recv struct {
+		index  map[lsa.ConnID]int
+		groups []connGroup
+	}
+
 	// delta is the slot compute hands Algorithm.Update its change hint
 	// through: a pointer into the machine, so the call allocates nothing.
 	delta route.Change
@@ -629,22 +638,31 @@ func (m *Machine) ReceiveBatch(_ any, batch []any) {
 // not begin another batch before.
 func (m *Machine) BeginReceive(batch []any) bool {
 	m.mustBeIdle(ReceiveLSA)
-	index := make(map[lsa.ConnID]int) // a connection's position in m.batch.groups
-	for _, raw := range batch {
-		m.consume(index, raw)
+	if m.recv.index == nil {
+		m.recv.index = make(map[lsa.ConnID]int)
 	}
+	m.batch.groups = m.recv.groups[:0]
+	for _, raw := range batch {
+		m.consume(raw)
+	}
+	m.recv.groups = m.batch.groups // keep what the batch grew
 	return m.continueBatch()
 }
 
 // consume files one batch entry into m.batch.
-func (m *Machine) consume(index map[lsa.ConnID]int, raw any) {
+func (m *Machine) consume(raw any) {
 	b := &m.batch
 	group := func(conn lsa.ConnID) *connGroup {
-		i, seen := index[conn]
+		i, seen := m.recv.index[conn]
 		if !seen {
 			i = len(b.groups)
-			index[conn] = i
-			b.groups = append(b.groups, connGroup{conn: conn})
+			m.recv.index[conn] = i
+			if i < cap(b.groups) {
+				b.groups = b.groups[:i+1]
+				b.groups[i].conn = conn
+			} else {
+				b.groups = append(b.groups, connGroup{conn: conn})
+			}
 		}
 		return &b.groups[i]
 	}
@@ -659,10 +677,10 @@ func (m *Machine) consume(index map[lsa.ConnID]int, raw any) {
 				b.replayed = make(replayMarks)
 			}
 			b.replayed[string(mc.Marshal())] = true
-			m.consume(index, mc)
+			m.consume(mc)
 		}
 	case flood.Unicast:
-		m.consume(index, v.Payload)
+		m.consume(v.Payload)
 	case flood.Delivery:
 		payload := v.Payload
 		if wire, ok := payload.([]byte); ok {
@@ -679,7 +697,7 @@ func (m *Machine) consume(index map[lsa.ConnID]int, raw any) {
 				payload = nm
 			}
 		}
-		m.consume(index, payload)
+		m.consume(payload)
 	case *lsa.NonMC:
 		changed, err := m.uni.HandleLSA(v)
 		if err != nil {
@@ -711,10 +729,23 @@ func (m *Machine) continueBatch() bool {
 	}
 	requests := b.requests
 	m.batch = batchRest{}
+	m.endBatch()
 	for _, req := range requests {
 		m.handleResyncRequest(req)
 	}
 	return false
+}
+
+// endBatch readies the working set for the next batch: the index emptied,
+// and every group's messages dropped (the array kept, the LSAs not) so a
+// finished batch holds nothing alive.
+func (m *Machine) endBatch() {
+	clear(m.recv.index)
+	for i := range m.recv.groups {
+		g := &m.recv.groups[i]
+		clear(g.msgs)
+		g.msgs = g.msgs[:0]
+	}
 }
 
 // beginReceiveLSA is Figure 5 of the paper up to its computation: process a

@@ -38,9 +38,12 @@
 package explore
 
 import (
+	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"dgmc/internal/core"
@@ -355,29 +358,30 @@ func (w *World) clone() *World {
 	return c
 }
 
-// encodePayload renders a pending payload canonically (for sort keys and
-// state hashing). Every payload the harness enqueues is covered.
-func encodePayload(p any) []byte {
+// appendPayload appends a canonical rendering of a pending payload to buf
+// (for sort keys and state hashing). Every payload the harness enqueues is
+// covered.
+func appendPayload(buf []byte, p any) []byte {
 	switch v := p.(type) {
 	case *lsa.MC:
-		return append([]byte{'M'}, v.Marshal()...)
+		return v.AppendMarshal(append(buf, 'M'))
 	case *lsa.NonMC:
-		return append([]byte{'L'}, v.Marshal()...)
+		return v.AppendMarshal(append(buf, 'L'))
 	case *lsa.ResyncRequest:
-		return append([]byte{'R'}, v.Marshal()...)
+		return v.AppendMarshal(append(buf, 'R'))
 	case *lsa.ResyncResponse:
-		return append([]byte{'S'}, v.Marshal()...)
+		return v.AppendMarshal(append(buf, 'S'))
 	case core.ResyncNudge:
-		return binary.BigEndian.AppendUint32([]byte{'N'}, uint32(v.Conn))
+		return binary.BigEndian.AppendUint32(append(buf, 'N'), uint32(v.Conn))
 	default:
-		return []byte{'?'}
+		return append(buf, '?')
 	}
 }
 
 func (w *World) msgKey(kind byte, pm *pendingMsg) []byte {
 	key := []byte{kind}
 	key = binary.BigEndian.AppendUint32(key, uint32(int32(pm.to)))
-	key = append(key, encodePayload(pm.payload)...)
+	key = appendPayload(key, pm.payload)
 	// Tie-break identical messages (dup copies) by creation order so the
 	// enumeration is a total order.
 	key = binary.BigEndian.AppendUint32(key, uint32(pm.id))
@@ -592,30 +596,44 @@ func (w *World) Machine(s topo.SwitchID) *core.Machine { return w.machines[s] }
 // Trace returns the recorded trace (tracing worlds only).
 func (w *World) Trace() []string { return w.trace }
 
-// hash returns the canonical state digest used for search deduplication.
-// In-flight messages hash as a multiset (two interleavings that produced
-// the same pending messages in different orders are the same state).
+// hash returns the canonical state digest used for search deduplication
+// (see hasher.sum), through buffers of its own.
 func (w *World) hash() [32]byte {
-	var buf []byte
+	var h hasher
+	return h.sum(w)
+}
+
+// hasher computes state digests through buffers it keeps from one call to
+// the next: a search hashes every state it reaches, and one hasher serves
+// it throughout.
+type hasher struct {
+	buf   []byte   // the state encoding
+	msgs  []byte   // the pending messages' encodings, back to back
+	spans [][2]int // each encoding's [start, end) in msgs
+	ts    []timer
+}
+
+// sum returns w's canonical state digest. In-flight messages hash as a
+// multiset (two interleavings that produced the same pending messages in
+// different orders are the same state).
+func (h *hasher) sum(w *World) [32]byte {
+	buf := h.buf[:0]
 	for _, m := range w.machines {
 		buf = m.AppendState(buf)
 	}
-	for _, l := range w.graph.Links() {
-		if l.Down {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
+	for i := 0; i < w.graph.NumLinks(); i++ {
+		buf = appendFlag(buf, w.graph.LinkAt(i).Down)
 	}
-	buf = appendMsgMultiset(buf, w.pending)
-	buf = appendMsgMultiset(buf, w.held)
-	ts := append([]timer(nil), w.timers...)
-	sort.Slice(ts, func(i, j int) bool {
-		if ts[i].sw != ts[j].sw {
-			return ts[i].sw < ts[j].sw
+	buf = h.appendMsgMultiset(buf, w.pending)
+	buf = h.appendMsgMultiset(buf, w.held)
+	ts := append(h.ts[:0], w.timers...)
+	slices.SortFunc(ts, func(a, b timer) int {
+		if a.sw != b.sw {
+			return cmp.Compare(a.sw, b.sw)
 		}
-		return ts[i].conn < ts[j].conn
+		return cmp.Compare(a.conn, b.conn)
 	})
+	h.ts = ts
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(ts)))
 	for _, t := range ts {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(int32(t.sw)))
@@ -632,44 +650,41 @@ func (w *World) hash() [32]byte {
 	// path-dependent but only relaxes an invariant bound — excluding it
 	// from dedup at worst re-checks a state against a looser bound.)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(w.faultPos))
+	h.buf = buf
 	return sha256.Sum256(buf)
+}
+
+func appendFlag(buf []byte, b bool) []byte {
+	if b {
+		return append(buf, 1)
+	}
+	return append(buf, 0)
 }
 
 // appendMsgMultiset appends msgs to buf as an order-independent multiset
 // (two interleavings that produced the same messages in different orders
-// hash identically).
-func appendMsgMultiset(buf []byte, msgs []pendingMsg) []byte {
-	encs := make([][]byte, 0, len(msgs))
+// hash identically): each message's encoding, length-prefixed, in
+// ascending byte order.
+func (h *hasher) appendMsgMultiset(buf []byte, msgs []pendingMsg) []byte {
+	enc, spans := h.msgs[:0], h.spans[:0]
 	for i := range msgs {
 		pm := &msgs[i]
-		enc := binary.BigEndian.AppendUint32(nil, uint32(int32(pm.to)))
-		if pm.duped {
-			enc = append(enc, 1)
-		} else {
-			enc = append(enc, 0)
-		}
-		if pm.internal {
-			enc = append(enc, 1)
-		} else {
-			enc = append(enc, 0)
-		}
-		enc = append(enc, encodePayload(pm.payload)...)
-		encs = append(encs, enc)
+		start := len(enc)
+		enc = binary.BigEndian.AppendUint32(enc, uint32(int32(pm.to)))
+		enc = appendFlag(enc, pm.duped)
+		enc = appendFlag(enc, pm.internal)
+		enc = appendPayload(enc, pm.payload)
+		spans = append(spans, [2]int{start, len(enc)})
 	}
-	sort.Slice(encs, func(i, j int) bool {
-		a, b := encs[i], encs[j]
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return len(a) < len(b)
+	slices.SortFunc(spans, func(a, b [2]int) int {
+		return bytes.Compare(enc[a[0]:a[1]], enc[b[0]:b[1]])
 	})
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(encs)))
-	for _, enc := range encs {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(enc)))
-		buf = append(buf, enc...)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(spans)))
+	for _, sp := range spans {
+		buf = binary.BigEndian.AppendUint32(buf, uint32(sp[1]-sp[0]))
+		buf = append(buf, enc[sp[0]:sp[1]]...)
 	}
+	h.msgs, h.spans = enc, spans
 	return buf
 }
 

@@ -179,7 +179,7 @@ func TestWalkCleanGate(t *testing.T) {
 	if ops := len(scn.Injects) + len(scn.Faults); res.Stats.Transitions < gateWalks*ops {
 		t.Fatalf("%d transitions over %d walks cannot cover the %d scenario operations of each", res.Stats.Transitions, gateWalks, ops)
 	}
-	t.Logf("clean gate: %d walks, %d transitions, deepest %d steps", res.Stats.States, res.Stats.Transitions, res.Stats.MaxDepthSeen)
+	t.Logf("clean gate: %d walks, %d transitions, longest %d steps", res.Stats.States, res.Stats.Transitions, res.Stats.MaxStack)
 }
 
 // TestWalkCatchesGateCorpus: every seeded mutation in the corpus must be

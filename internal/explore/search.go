@@ -41,8 +41,12 @@ type Stats struct {
 	Transitions int
 	// Quiescent is the number of quiescent states checked.
 	Quiescent int
-	// MaxDepthSeen is the longest schedule prefix explored.
-	MaxDepthSeen int
+	// MaxStack is how many steps from the initial world the search got:
+	// the depth-first stack's high-water mark (exhaustive) or the longest
+	// walk (walk). The stack stops at states already visited, so it bounds
+	// the schedules this search order took, not the depth of the state
+	// space.
+	MaxStack int
 	// Truncated reports that MaxStates cut an exhaustive search short, so
 	// absence of violations is not a proof.
 	Truncated bool
@@ -78,13 +82,14 @@ func Exhaustive(cfg Config, scn Scenario, opt Options) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{Stats: Stats{States: 1}}
-	visited := map[[32]byte]bool{root.hash(): true}
+	var hs hasher
+	visited := map[[32]byte]bool{hs.sum(root): true}
 	var stack []frame
 	// sched[i] is the index of the action stack[i] branched on last, so
 	// sched is the schedule that reaches the world most recently entered.
 	var sched []int
 	enter := func(w *World) error {
-		res.Stats.MaxDepthSeen = max(res.Stats.MaxDepthSeen, len(sched))
+		res.Stats.MaxStack = max(res.Stats.MaxStack, len(sched))
 		if acts := w.enabled(); len(acts) > 0 {
 			stack = append(stack, frame{w: w, acts: acts})
 			return nil
@@ -93,7 +98,7 @@ func Exhaustive(cfg Config, scn Scenario, opt Options) (*Result, error) {
 		return w.checkQuiescent()
 	}
 	if err := enter(root); err != nil {
-		res.Violation = buildViolation(cfg, scn, Shrink(cfg, scn, sched), err, true)
+		res.Violation = shrunkViolation(cfg, scn, sched, err, true)
 		return res, nil
 	}
 	for len(stack) > 0 {
@@ -115,10 +120,10 @@ func Exhaustive(cfg Config, scn Scenario, opt Options) (*Result, error) {
 		res.Stats.Transitions++
 		sched = append(sched[:len(stack)-1], i)
 		if err := child.checkStep(); err != nil {
-			res.Violation = buildViolation(cfg, scn, Shrink(cfg, scn, sched), err, false)
+			res.Violation = shrunkViolation(cfg, scn, sched, err, false)
 			return res, nil
 		}
-		h := child.hash()
+		h := hs.sum(child)
 		if visited[h] {
 			continue
 		}
@@ -129,7 +134,7 @@ func Exhaustive(cfg Config, scn Scenario, opt Options) (*Result, error) {
 		visited[h] = true
 		res.Stats.States++
 		if err := enter(child); err != nil {
-			res.Violation = buildViolation(cfg, scn, Shrink(cfg, scn, sched), err, true)
+			res.Violation = shrunkViolation(cfg, scn, sched, err, true)
 			return res, nil
 		}
 	}
@@ -169,16 +174,14 @@ func RandomWalk(cfg Config, scn Scenario, opt Options) (*Result, error) {
 			w.applyIndex(choice)
 			res.Stats.Transitions++
 			if err := w.checkStep(); err != nil {
-				res.Violation = buildViolation(cfg, scn, Shrink(cfg, scn, sched), err, false)
+				res.Violation = shrunkViolation(cfg, scn, sched, err, false)
 				return res, nil
 			}
 		}
-		if len(sched) > res.Stats.MaxDepthSeen {
-			res.Stats.MaxDepthSeen = len(sched)
-		}
+		res.Stats.MaxStack = max(res.Stats.MaxStack, len(sched))
 		res.Stats.Quiescent++
 		if err := w.checkQuiescent(); err != nil {
-			res.Violation = buildViolation(cfg, scn, Shrink(cfg, scn, sched), err, true)
+			res.Violation = shrunkViolation(cfg, scn, sched, err, true)
 			return res, nil
 		}
 		res.Stats.States++
@@ -241,9 +244,7 @@ func Replay(cfg Config, scn Scenario, sched []int) (*World, *Violation, error) {
 	if out.violation == nil {
 		return out.w, nil, nil
 	}
-	v := buildViolation(cfg, scn, sched, out.violation, out.quiescentViolation)
-	v.Trace = out.w.Trace()
-	return out.w, v, nil
+	return out.w, buildViolation(cfg, scn, sched, out), nil
 }
 
 // Shrink minimizes a violating schedule, delta-debugging style: first
@@ -295,29 +296,40 @@ func Shrink(cfg Config, scn Scenario, sched []int) []int {
 	return cur
 }
 
-// buildViolation assembles a Violation for sched: replays it with tracing
-// for the human-readable trace and encodes the replay token.
-func buildViolation(cfg Config, scn Scenario, sched []int, err error, quiescent bool) *Violation {
+// shrunkViolation shrinks a violating schedule a search found (err is the
+// violation it hit, quiescent its kind) and reports the result from one
+// traced run of it. err stands in if that run fails or shows none.
+func shrunkViolation(cfg Config, scn Scenario, sched []int, err error, quiescent bool) *Violation {
+	sched = Shrink(cfg, scn, sched)
+	out, runErr := runSchedule(cfg, scn, sched, true)
+	if runErr != nil {
+		out = &runOutcome{}
+	}
+	if out.violation == nil {
+		out.violation, out.quiescentViolation = err, quiescent
+	}
+	return buildViolation(cfg, scn, sched, out)
+}
+
+// buildViolation assembles a Violation for sched from out, the outcome of
+// one traced run of it (out.w nil when the run did not finish): its
+// failure, its trace and the replay token. The shrunk schedule's own
+// failure is authoritative: ddmin only preserves "some violation", so the
+// minimized schedule may fail differently than the state the search first
+// hit, and Err must be exactly what Token replays to.
+func buildViolation(cfg Config, scn Scenario, sched []int, out *runOutcome) *Violation {
 	v := &Violation{
-		Err:       err,
+		Err:       out.violation,
 		Schedule:  append([]int(nil), sched...),
-		Quiescent: quiescent,
+		Quiescent: out.quiescentViolation,
 	}
 	if tok, tokErr := EncodeToken(cfg, scn, sched); tokErr == nil {
 		v.Token = tok
 	} else {
 		v.Token = fmt.Sprintf("<token error: %v>", tokErr)
 	}
-	if out, runErr := runSchedule(cfg, scn, sched, true); runErr == nil {
+	if out.w != nil {
 		v.Trace = out.w.Trace()
-		if out.violation != nil {
-			// The shrunk schedule's own failure is authoritative: ddmin
-			// only preserves "some violation", so the minimized schedule
-			// may fail differently than the state the search first hit,
-			// and Err must be exactly what Token replays to.
-			v.Err = out.violation
-			v.Quiescent = out.quiescentViolation
-		}
 	}
 	return v
 }

@@ -264,10 +264,16 @@ func (t *Tree) On(s topo.SwitchID) bool {
 	return false
 }
 
-// Neighbors returns the tree-adjacent switches of s, ascending. These are
-// exactly the "routing entries for incident links" a switch installs when
-// accepting a proposal.
+// Neighbors returns the tree-adjacent switches of s, ascending (nil when s
+// is off the tree). These are exactly the "routing entries for incident
+// links" a switch installs when accepting a proposal.
 func (t *Tree) Neighbors(s topo.SwitchID) []topo.SwitchID {
+	return t.AppendNeighbors(nil, s)
+}
+
+// AppendNeighbors appends the tree-adjacent switches of s, ascending, to
+// buf, growing it at most once.
+func (t *Tree) AppendNeighbors(buf []topo.SwitchID, s topo.SwitchID) []topo.SwitchID {
 	degree := 0
 	for _, e := range t.edges {
 		if e.A == s || e.B == s {
@@ -275,19 +281,20 @@ func (t *Tree) Neighbors(s topo.SwitchID) []topo.SwitchID {
 		}
 	}
 	if degree == 0 {
-		return nil
+		return buf
 	}
-	out := make([]topo.SwitchID, 0, degree)
+	buf = slices.Grow(buf, degree)
+	from := len(buf)
 	for _, e := range t.edges {
 		switch s {
 		case e.A:
-			out = append(out, e.B)
+			buf = append(buf, e.B)
 		case e.B:
-			out = append(out, e.A)
+			buf = append(buf, e.A)
 		}
 	}
-	slices.Sort(out)
-	return out
+	slices.Sort(buf[from:])
+	return buf
 }
 
 // Equal reports structural equality (kind, root, edge set).

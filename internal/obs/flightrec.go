@@ -74,7 +74,8 @@ const (
 	RecDropHops
 	// RecDropLoop: own payload looped back to its origin.
 	RecDropLoop
-	// RecFIBSwap: the forwarding table was recompiled (arg = entry count).
+	// RecFIBSwap: a recompiled forwarding table was swapped in (seq =
+	// swaps since boot, arg = entry count).
 	RecFIBSwap
 	// RecLSAApply: a batch of LSAs entered the machine (arg = batch size).
 	RecLSAApply

@@ -63,8 +63,11 @@ func (a DelayBounded) Compute(g *topo.Graph, kind mctree.Kind, members mctree.Me
 	// delay[s] is the current tree delay from the root to on-tree switch s.
 	delay := map[topo.SwitchID]time.Duration{root: 0}
 
-	for len(remaining) > 0 {
-		dist, pred := nearestToTree(g, onTree, sc)
+	// Like SPH, one distance-to-tree array serves every attachment: each
+	// switch either path below puts on the tree is seeded in sc, and a
+	// RelaxSSSP brings dist and pred up to date before the next pick.
+	dist, pred := nearestToTree(g, onTree, sc)
+	for ; len(remaining) > 0; g.RelaxSSSP(sc, 0) {
 		at := nearest(remaining, dist)
 		if at < 0 {
 			return nil, unreachable(remaining)
@@ -77,7 +80,7 @@ func (a DelayBounded) Compute(g *topo.Graph, kind mctree.Kind, members mctree.Me
 		}
 		grafted := delay[attach] + bestD
 		if grafted <= a.Bound {
-			a.graftWithDelays(g, t, onTree, delay, pred, best)
+			a.graftWithDelays(g, t, onTree, delay, sc, best)
 		} else {
 			// Attach along the direct shortest path from the root.
 			direct := rootSPT.Delay[best]
@@ -94,7 +97,10 @@ func (a DelayBounded) Compute(g *topo.Graph, kind mctree.Kind, members mctree.Me
 				if !t.Has(u, v) {
 					t.AddEdge(u, v)
 				}
-				onTree[v] = true
+				if !onTree[v] {
+					onTree[v] = true
+					sc.Seed(v)
+				}
 				l, _ := g.Link(u, v)
 				if du, ok := delay[u]; ok {
 					if dv, seen := delay[v]; !seen || du+l.Delay < dv {
@@ -130,16 +136,16 @@ func (a DelayBounded) Compute(g *topo.Graph, kind mctree.Kind, members mctree.Me
 	return t, nil
 }
 
-// graftWithDelays grafts the path to target and records root delays of the
-// new on-tree switches.
+// graftWithDelays grafts the path to target (following sc.Pred), records
+// root delays of the new on-tree switches and seeds them in sc.
 func (a DelayBounded) graftWithDelays(g *topo.Graph, t *mctree.Tree, onTree []bool,
-	delay map[topo.SwitchID]time.Duration, pred []topo.SwitchID, target topo.SwitchID) {
+	delay map[topo.SwitchID]time.Duration, sc *topo.SSSPScratch, target topo.SwitchID) {
 	// Collect the path back to the tree, then walk it forward.
 	var rev []topo.SwitchID
 	s := target
 	for !onTree[s] {
 		rev = append(rev, s)
-		s = pred[s]
+		s = sc.Pred[s]
 	}
 	attach := s
 	d := delay[attach]
@@ -149,6 +155,7 @@ func (a DelayBounded) graftWithDelays(g *topo.Graph, t *mctree.Tree, onTree []bo
 		d += l.Delay
 		t.AddEdge(s, next)
 		onTree[next] = true
+		sc.Seed(next)
 		delay[next] = d
 		s = next
 	}

@@ -90,9 +90,10 @@ const inf = topo.Unreachable
 // nearestToTree runs a deterministic multi-source Dijkstra from the tree's
 // node set and returns, for every switch, the delay to the tree and the
 // predecessor toward it. The returned slices alias sc and stay valid until
-// sc's next use; sc lets the attachment loops reuse one scratch across their
-// O(members) Dijkstra runs without allocating. Seeding order is irrelevant
-// by the kernel's contract.
+// sc's next use. Seeding order is irrelevant by the kernel's contract. The
+// attachment loops run it once, then keep its result current as the tree
+// grows: they seed each switch they graft and run topo.Graph.RelaxSSSP
+// (see graft).
 func nearestToTree(g *topo.Graph, onTree []bool, sc *topo.SSSPScratch) (dist []time.Duration, pred []topo.SwitchID) {
 	sc.Reset(g.NumSwitches())
 	for s, on := range onTree {
@@ -131,15 +132,18 @@ func without(remaining []topo.SwitchID, at int) []topo.SwitchID {
 }
 
 // graft adds the shortest path from target back to the tree (following
-// pred) into t and marks the new nodes in onTree.
-func graft(t *mctree.Tree, onTree []bool, pred []topo.SwitchID, target topo.SwitchID) {
-	for s := target; !onTree[s]; s = pred[s] {
-		p := pred[s]
+// sc.Pred after a run from the tree) into t, marks the new nodes in onTree
+// and seeds them in sc, so a RelaxSSSP brings sc.Dist and sc.Pred to the
+// distances to the grown tree.
+func graft(t *mctree.Tree, onTree []bool, sc *topo.SSSPScratch, target topo.SwitchID) {
+	for s, p := target, topo.NoSwitch; !onTree[s]; s = p {
+		p = sc.Pred[s] // read before Seed clears it
 		if p == topo.NoSwitch {
 			return
 		}
 		t.AddEdge(s, p)
 		onTree[s] = true
+		sc.Seed(s)
 	}
 }
 
@@ -147,6 +151,13 @@ func graft(t *mctree.Tree, onTree []bool, pred []topo.SwitchID, target topo.Swit
 // trees: start from one member and repeatedly attach the member closest to
 // the current tree via its shortest path. Its worst-case cost is within 2×
 // optimal.
+//
+// It keeps one distance-to-tree array for the whole computation: one
+// Dijkstra from the start switch, then after each graft a RelaxSSSP seeded
+// only by the switches the graft added, which touches only the switches
+// the grown tree brought closer. The arrays equal what a fresh multi-source
+// Dijkstra from the whole tree would give before every attachment, so the
+// tree is the one the per-member loop builds (TestSPHMatchesMultiDijkstra).
 type SPH struct{}
 
 // Name implements Algorithm.
@@ -172,16 +183,18 @@ func (SPH) Compute(g *topo.Graph, kind mctree.Kind, members mctree.Members) (*mc
 	onTree := sc.Marks(g.NumSwitches())
 	onTree[start] = true
 	remaining := without(span, slices.Index(span, start))
-	for len(remaining) > 0 {
-		dist, pred := nearestToTree(g, onTree, sc)
+	dist, _ := nearestToTree(g, onTree, sc)
+	for {
 		at := nearest(remaining, dist)
 		if at < 0 {
 			return nil, unreachable(remaining)
 		}
-		graft(t, onTree, pred, remaining[at])
-		remaining = without(remaining, at)
+		graft(t, onTree, sc, remaining[at])
+		if remaining = without(remaining, at); len(remaining) == 0 {
+			return t, nil
+		}
+		g.RelaxSSSP(sc, 0)
 	}
-	return t, nil
 }
 
 // Update implements Algorithm by recomputing from scratch; use Incremental
@@ -503,11 +516,10 @@ func (a *Incremental) graftJoin(g *topo.Graph, t *mctree.Tree, span []topo.Switc
 	if onTree[joined] {
 		return t, nil // already spanned as a relay
 	}
-	dist, pred := nearestToTree(g, onTree, sc)
-	if dist[joined] == inf {
+	if dist, _ := nearestToTree(g, onTree, sc); dist[joined] == inf {
 		return nil, fmt.Errorf("%w: %d", ErrUnreachable, joined)
 	}
-	graft(t, onTree, pred, joined)
+	graft(t, onTree, sc, joined)
 	return t, nil
 }
 

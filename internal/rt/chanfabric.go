@@ -357,12 +357,13 @@ func (p *chanPort) Release(n int) {
 }
 
 // RxWaits returns how many empty-queue receives on the switch's current queue
-// ended in a park and how many in a linger hit (see frameQueue.popAll).
-func (p *chanPort) RxWaits() (parks, lingerHits uint64) {
+// ended in a park and how many in a linger hit, and how many yields the
+// lingering took (see frameQueue.popAll).
+func (p *chanPort) RxWaits() (parks, lingerHits, yields uint64) {
 	q := p.fabric.queues[p.id].Load()
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.parks, q.lingerHits
+	return q.parks, q.lingerHits, q.yields
 }
 
 func (p *chanPort) Close() error {
@@ -401,10 +402,10 @@ type frameQueue struct {
 	linger  int // yields an empty popAll spends re-checking before it parks
 	closed  bool
 	// parks counts the times the consumer went to sleep on cond, lingerHits
-	// the times a frame arrived while it was still yielding (see popAll):
-	// once per wait, never per frame, and under mu, which the consumer holds
-	// at both moments anyway.
-	parks, lingerHits uint64
+	// the times a frame arrived while it was still yielding, and yields the
+	// yields all lingers took (see popAll): once per wait, never per frame,
+	// and under mu, which the consumer holds at those moments anyway.
+	parks, lingerHits, yields uint64
 }
 
 // lingerYields is how many times a consumer that finds its queue empty
@@ -472,11 +473,13 @@ func (q *frameQueue) popAll(recycle [][]byte) ([][]byte, bool) {
 	clear(recycle)
 	q.mu.Lock()
 	if len(q.back) == 0 {
-		for i := 0; i < q.linger && len(q.back) == 0 && !q.closed; i++ {
+		i := 0
+		for ; i < q.linger && len(q.back) == 0 && !q.closed; i++ {
 			q.mu.Unlock()
 			runtime.Gosched()
 			q.mu.Lock()
 		}
+		q.yields += uint64(i)
 		if len(q.back) != 0 {
 			q.lingerHits++
 		}

@@ -183,7 +183,7 @@ func TestChanFabricDrainOnClose(t *testing.T) {
 			if err := <-done; !errors.Is(err, ErrClosed) {
 				t.Fatalf("lingering receiver returned %v, want ErrClosed", err)
 			}
-			if parks, _ := queueWaits(q); parks != 0 {
+			if parks, _, _ := queueWaits(q); parks != 0 {
 				t.Fatalf("receiver parked %d times inside an endless linger", parks)
 			}
 			if got := fab.InFlight(); got != 0 {
@@ -194,18 +194,19 @@ func TestChanFabricDrainOnClose(t *testing.T) {
 }
 
 // queueWaits reads a queue's wait counters.
-func queueWaits(q *frameQueue) (parks, lingerHits uint64) {
+func queueWaits(q *frameQueue) (parks, lingerHits, yields uint64) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.parks, q.lingerHits
+	return q.parks, q.lingerHits, q.yields
 }
 
 // TestFrameQueueLingersBeforeParking pins the two ways an empty-queue wait
 // ends, on the counters, not on time. A frame pushed while the consumer is
 // lingering is returned without the consumer having parked — the linger is
 // made endless, so that it cannot have run out first. With no producer the
-// consumer does park, after the real linger, and the push that follows wakes
-// it. And a queue built while there is one P does not linger at all.
+// consumer does park, after the real linger — all of whose yields are
+// counted — and the push that follows wakes it. And a queue built while
+// there is one P does not linger at all.
 func TestFrameQueueLingersBeforeParking(t *testing.T) {
 	q := newFrameQueue()
 	q.linger = math.MaxInt
@@ -225,11 +226,14 @@ func TestFrameQueueLingersBeforeParking(t *testing.T) {
 		if n := <-popped; n != 1 {
 			t.Fatalf("popAll returned %d frames, want 1", n)
 		}
-		parks, hits := queueWaits(q)
+		parks, hits, yields := queueWaits(q)
 		if parks != 0 {
 			t.Fatalf("consumer parked %d times inside an endless linger", parks)
 		}
 		if hits > 0 {
+			if yields == 0 {
+				t.Fatal("a linger hit counted no yields")
+			}
 			break // a push landed in a linger, and was returned from it
 		}
 		if round == 1000 {
@@ -240,7 +244,7 @@ func TestFrameQueueLingersBeforeParking(t *testing.T) {
 	q = newFrameQueue()
 	go pop(q)
 	for deadline := time.Now().Add(10 * time.Second); ; {
-		if parks, _ := queueWaits(q); parks == 1 {
+		if parks, _, _ := queueWaits(q); parks == 1 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -254,8 +258,8 @@ func TestFrameQueueLingersBeforeParking(t *testing.T) {
 	if n := <-popped; n != 1 {
 		t.Fatalf("popAll after a park returned %d frames, want 1", n)
 	}
-	if parks, hits := queueWaits(q); parks != 1 || hits != 0 {
-		t.Fatalf("after one park and its wake-up: parks=%d lingerHits=%d, want 1 and 0", parks, hits)
+	if parks, hits, yields := queueWaits(q); parks != 1 || hits != 0 || yields != uint64(q.linger) {
+		t.Fatalf("after one park and its wake-up: parks=%d lingerHits=%d yields=%d, want 1, 0 and %d", parks, hits, yields, q.linger)
 	}
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))

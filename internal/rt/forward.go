@@ -157,34 +157,50 @@ func (n *Node) ConnForwardStats(conn lsa.ConnID) ForwardStats {
 // read-only).
 func (n *Node) FIB() *fib.Table { return n.fib.Load() }
 
-// FIBCompiles counts table recompilations since boot.
+// FIBCompiles counts table recompilations since boot, whether or not the
+// recompiled table differed from the installed one.
 func (n *Node) FIBCompiles() uint64 { return n.fibCompiles.Load() }
+
+// FIBSwaps counts the tables swapped in since boot: the compiles whose
+// table differed from the installed one.
+func (n *Node) FIBSwaps() uint64 { return n.fibSwaps.Load() }
 
 // recompileFIBLocked compiles a table from the machine's forwarding state
 // and swaps it in atomically: from scratch when all is set, and otherwise
 // the current table with the entries of the changed connections compiled
-// anew. Only those entries are compiled, but fib.NewBuilderFrom copies
-// every other entry of the current table into the new one, so an install
-// still costs time and memory in proportion to the live connections
+// anew (fib.Patch). When every one of those comes out as the installed
+// entry — an event away from this switch's branch of the tree — the
+// current table stays and nothing is allocated; otherwise the new table
+// shares the unchanged entries but copies the map that holds them, so a
+// swap still costs in proportion to the live connections
 // (BenchmarkFIBInstall). Must be called with n.mu held (or before the
 // goroutine cluster starts).
 func (n *Node) recompileFIBLocked(all bool, changed []lsa.ConnID) {
 	image := n.machine.Unicast().Image()
-	var b *fib.Builder
+	cur := n.fib.Load()
+	var t *fib.Table
 	if all {
-		b = fib.NewBuilder(n.id, image)
+		b := fib.NewBuilder(n.id, image)
 		n.machine.ForwardingState(b.Add)
+		t = b.Build()
 	} else {
-		b = fib.NewBuilderFrom(n.id, image, n.fib.Load(), changed)
+		p := &n.fibPatch
+		p.Reset(n.id, image, cur)
 		for _, conn := range changed {
-			n.machine.ConnForwardingState(conn, b.Add)
+			p.Drop(conn)
+			n.machine.ConnForwardingState(conn, p.Add)
 		}
+		t = p.Table()
 	}
-	t := b.Build()
-	n.fib.Store(t)
-	compiles := n.fibCompiles.Add(1)
-	n.flight.Record(obs.RecFIBSwap, 0, uint32(n.id), compiles, uint64(t.Size()))
-	if n.reg == nil {
+	swapped := t != cur
+	if swapped {
+		n.fib.Store(t)
+		n.flight.Record(obs.RecFIBSwap, 0, uint32(n.id), n.fibSwaps.Add(1), uint64(t.Size()))
+	}
+	// Counted after the swap: an observer that sees the count advance
+	// sees the installed table.
+	n.fibCompiles.Add(1)
+	if !swapped || n.reg == nil {
 		return
 	}
 	if all {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -154,7 +155,7 @@ func (s *stubTransport) Release(n int) {
 	s.released.Add(uint64(n))
 }
 
-func (s *stubTransport) RxWaits() (parks, lingerHits uint64) { return 0, 0 }
+func (s *stubTransport) RxWaits() (parks, lingerHits, yields uint64) { return 0, 0, 0 }
 
 func (s *stubTransport) Close() error {
 	s.once.Do(func() { close(s.closed) })
@@ -653,4 +654,64 @@ func TestIncrementalFIBMatchesFullRebuild(t *testing.T) {
 	}
 	check("after the cold rejoin")
 	churn(12, true)
+}
+
+// TestFIBKeepsTableWhenEntryUnchanged: on a five-switch line, an install
+// that leaves a switch's entry as it was keeps that switch's table — the
+// same pointer, one compile more, no swap — while an install that changes
+// the entry swaps, and so does one that only moves an off-tree switch's
+// contact route on a receiver-only connection.
+func TestFIBKeepsTableWhenEntryUnchanged(t *testing.T) {
+	g, err := topo.Line(5, 10*time.Microsecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCluster(ClusterConfig{
+		Graph: g, Kinds: map[lsa.ConnID]mctree.Kind{2: mctree.ReceiverOnly},
+	}, NewChanFabric(g.NumSwitches()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	far := c.Nodes()[4]
+	// install runs one join to completion and reports what it did to the
+	// far switch's table.
+	install := func(sw topo.SwitchID, conn lsa.ConnID, role mctree.Role) (kept bool, compiles, swaps uint64) {
+		t.Helper()
+		tbl, c0, s0 := far.FIB(), far.FIBCompiles(), far.FIBSwaps()
+		if err := c.Join(sw, conn, role); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.WaitConverged(30 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		return far.FIB() == tbl, far.FIBCompiles() - c0, far.FIBSwaps() - s0
+	}
+
+	install(0, 1, mctree.SenderReceiver)
+	install(1, 1, mctree.SenderReceiver)
+	// Switch 2 joining grows the tree to 0-1-2: switch 4 stays off it.
+	if kept, compiles, swaps := install(2, 1, mctree.SenderReceiver); !kept || compiles != 1 || swaps != 0 {
+		t.Fatalf("unchanged entry: kept %v, %d compiles, %d swaps; want kept, 1, 0", kept, compiles, swaps)
+	}
+	// Switch 4 joining puts it on the tree: its entry changes.
+	if kept, compiles, swaps := install(4, 1, mctree.SenderReceiver); kept || compiles != 1 || swaps != 1 {
+		t.Fatalf("changed entry: kept %v, %d compiles, %d swaps; want swapped, 1, 1", kept, compiles, swaps)
+	}
+	if e := far.FIB().Lookup(1); e == nil || !slices.Equal(e.Neighbors, []topo.SwitchID{3}) {
+		t.Fatalf("switch 4 serves %+v after its join, want fan-out to 3", e)
+	}
+
+	// Receiver-only: switch 4 stays off the tree, and its contact moves
+	// from switch 0 to switch 3 when 3 joins.
+	install(0, 2, mctree.Receiver)
+	if e := far.FIB().Lookup(2); e == nil || e.Contact != 0 || e.ContactNext != 3 {
+		t.Fatalf("switch 4 serves %+v, want contact 0 via 3", e)
+	}
+	if kept, compiles, swaps := install(3, 2, mctree.Receiver); kept || compiles != 1 || swaps != 1 {
+		t.Fatalf("contact-route change: kept %v, %d compiles, %d swaps; want swapped, 1, 1", kept, compiles, swaps)
+	}
+	if e := far.FIB().Lookup(2); e == nil || e.Contact != 3 || e.ContactNext != 3 || len(e.Neighbors) != 0 {
+		t.Fatalf("switch 4 serves %+v, want contact 3 via 3", e)
+	}
 }

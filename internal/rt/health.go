@@ -76,7 +76,7 @@ type NodeHealth struct {
 // briefly (same cost class as Metrics or a /state scrape); never call it
 // from the forward path.
 func (n *Node) Health() NodeHealth {
-	parks, _ := n.RxWaits()
+	parks, _, _ := n.RxWaits()
 	h := NodeHealth{
 		Switch:       int(n.id),
 		Epoch:        n.epoch,

@@ -48,7 +48,7 @@ func TestIdleClusterCostsNothing(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for _, n := range c.Nodes() {
-		for parks, _ := n.RxWaits(); parks == 0; parks, _ = n.RxWaits() {
+		for parks, _, _ := n.RxWaits(); parks == 0; parks, _, _ = n.RxWaits() {
 			if time.Now().After(deadline) {
 				t.Fatalf("switch %d: receive loop has not parked 5 s after convergence", n.ID())
 			}

@@ -126,6 +126,9 @@ type Node struct {
 	// hot path (handleData/SendData) reads it without taking mu.
 	fib         atomic.Pointer[fib.Table]
 	fibCompiles atomic.Uint64
+	fibSwaps    atomic.Uint64
+	// fibPatch is recompileFIBLocked's reusable staging; guarded by mu.
+	fibPatch    fib.Patch
 	dataHandler DataHandler
 	dataSeq     atomic.Uint64
 	fwd         forwardStripes
@@ -477,11 +480,12 @@ type batchCounters struct {
 	_                   [48]byte
 }
 
-// RxWaits returns how the receive loop's waits for traffic ended
-// (Transport.RxWaits). Together with the received-batch count they say how
-// much of a CPU figure is the receive loop yielding between bursts instead
-// of sleeping: a park or a linger hit ends each idle spell.
-func (n *Node) RxWaits() (parks, lingerHits uint64) { return n.tr.RxWaits() }
+// RxWaits returns how the receive loop's waits for traffic ended, and how
+// many yields its lingering took (Transport.RxWaits). Together with the
+// received-batch count they say how much of a CPU figure is the receive
+// loop yielding between bursts instead of sleeping: a park or a linger hit
+// ends each idle spell.
+func (n *Node) RxWaits() (parks, lingerHits, yields uint64) { return n.tr.RxWaits() }
 
 // handleFrame processes one received frame, staging any relay — of a payload
 // frame or of a flood — in rx.tx and appending any decoded LSA or resync

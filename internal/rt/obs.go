@@ -135,12 +135,16 @@ func (n *Node) registerFuncs(reg *obs.Registry) {
 		return float64(n.live().fib.Load().Size())
 	}, sw)
 	reg.CounterFunc("dgmc_rx_parks_total", func() float64 {
-		parks, _ := n.live().RxWaits()
+		parks, _, _ := n.live().RxWaits()
 		return float64(parks)
 	}, sw)
 	reg.CounterFunc("dgmc_rx_linger_hits_total", func() float64 {
-		_, hits := n.live().RxWaits()
+		_, hits, _ := n.live().RxWaits()
 		return float64(hits)
+	}, sw)
+	reg.CounterFunc("dgmc_rx_linger_yields_total", func() float64 {
+		_, _, yields := n.live().RxWaits()
+		return float64(yields)
 	}, sw)
 	for _, fs := range forwardSeries {
 		reg.CounterFunc(fs.node, func() float64 {
@@ -159,6 +163,7 @@ func (n *Node) registerFuncs(reg *obs.Registry) {
 		{"dgmc_transport_send_errors_total", func(ln *Node) *atomic.Uint64 { return &ln.ctl.sendErrs }},
 		{"dgmc_resync_timer_fires_total", func(ln *Node) *atomic.Uint64 { return &ln.ctl.resyncTmr }},
 		{"dgmc_fib_compiles_total", func(ln *Node) *atomic.Uint64 { return &ln.fibCompiles }},
+		{"dgmc_fib_swaps_total", func(ln *Node) *atomic.Uint64 { return &ln.fibSwaps }},
 		{"dgmc_frame_decode_errors_total", func(ln *Node) *atomic.Uint64 { return &ln.decodeErrs }},
 		{"dgmc_rx_batches_total", func(ln *Node) *atomic.Uint64 { return &ln.batching.rxBatches }},
 		{"dgmc_rx_frames_total", func(ln *Node) *atomic.Uint64 { return &ln.batching.rxFrames }},

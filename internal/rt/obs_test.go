@@ -384,10 +384,11 @@ func TestDataSeriesMatchAccessors(t *testing.T) {
 		for _, n := range c.Nodes() {
 			sw := " switch=" + strconv.Itoa(int(n.ID()))
 			s := n.ForwardStats()
-			parks, lingerHits := n.RxWaits()
+			parks, lingerHits, yields := n.RxWaits()
 			for key, want := range map[string]uint64{
 				"dgmc_rx_parks_total" + sw:                           parks,
 				"dgmc_rx_linger_hits_total" + sw:                     lingerHits,
+				"dgmc_rx_linger_yields_total" + sw:                   yields,
 				"dgmc_data_frames_originated_total" + sw:             s.Originated,
 				"dgmc_data_frames_forwarded_total" + sw:              s.Forwarded,
 				"dgmc_data_delivered_total" + sw:                     s.Delivered,
@@ -396,6 +397,7 @@ func TestDataSeriesMatchAccessors(t *testing.T) {
 				"dgmc_data_drops_total reason=hop-budget" + sw:       s.DropHops,
 				"dgmc_data_drops_total reason=loop" + sw:             s.DropLoop,
 				"dgmc_fib_compiles_total" + sw:                       n.FIBCompiles(),
+				"dgmc_fib_swaps_total" + sw:                          n.FIBSwaps(),
 				"dgmc_frame_decode_errors_total" + sw:                n.DecodeErrors(),
 				"dgmc_conn_data_delivered_total conn=1" + sw:         n.ConnForwardStats(conn).Delivered,
 				"dgmc_conn_data_drops_total conn=1 reason=loop" + sw: n.ConnForwardStats(conn).DropLoop,

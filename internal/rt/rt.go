@@ -66,9 +66,10 @@ type Transport interface {
 	// RxWaits counts how the receiver's waits on an empty queue have ended:
 	// in a park (it went to sleep, and the next frame paid for its wake-up)
 	// or in a linger hit (a frame arrived while it was still yielding; see
-	// frameQueue.popAll). A transport whose receiver waits in the kernel
-	// (UDP) counts neither.
-	RxWaits() (parks, lingerHits uint64)
+	// frameQueue.popAll) — and how many yields the lingering took, parked
+	// or hit. A transport whose receiver waits in the kernel (UDP) counts
+	// none of them.
+	RxWaits() (parks, lingerHits, yields uint64)
 	// Close detaches from the fabric and unblocks blocked receivers.
 	Close() error
 }

@@ -121,7 +121,7 @@ func (t *UDPTransport) RecvBatch(recycle [][]byte) ([][]byte, error) {
 func (t *UDPTransport) Release(int) {}
 
 // RxWaits reports nothing: the receiver waits in the kernel, uncounted.
-func (t *UDPTransport) RxWaits() (parks, lingerHits uint64) { return 0, 0 }
+func (t *UDPTransport) RxWaits() (parks, lingerHits, yields uint64) { return 0, 0, 0 }
 
 // Close implements Transport.
 func (t *UDPTransport) Close() error {

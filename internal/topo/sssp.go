@@ -9,7 +9,7 @@ import (
 // This file is the shared single-source shortest-path kernel behind every
 // Dijkstra-shaped computation in the repository: unicast route tables
 // (Graph.ShortestPaths / internal/lsr), the MC topology heuristics
-// (internal/route's nearestToTree), and flooding arrival analysis
+// (internal/route's SPH and nearestToTree), and flooding arrival analysis
 // (internal/flood's arrivalDelays). It replaces the O(n²) linear-min scans
 // those call sites used to carry individually with one O((n+m)·log n)
 // binary-heap implementation that runs on caller-provided scratch, so
@@ -88,14 +88,16 @@ func (sc *SSSPScratch) Reset(n int) {
 	sc.heap = sc.heap[:0]
 }
 
-// Seed marks s as a source (distance zero). Call between Reset and RunSSSP;
-// seeding order does not affect the result (the heap settles equal-distance
-// nodes lowest-ID first).
+// Seed marks s as a source (distance zero, no predecessor). Call between
+// Reset and RunSSSP, or between a finished run and RelaxSSSP; seeding order
+// does not affect the result (the heap settles equal-distance nodes
+// lowest-ID first).
 func (sc *SSSPScratch) Seed(s SwitchID) {
 	if int(s) < 0 || int(s) >= len(sc.Dist) {
 		return
 	}
 	sc.Dist[s] = 0
+	sc.Pred[s] = NoSwitch
 	sc.push(ssspEntry{0, s})
 }
 
@@ -171,6 +173,45 @@ func (g *Graph) RunSSSP(sc *SSSPScratch, perHop time.Duration) {
 				// Equal-cost tie: keep the lowest-ID predecessor, exactly as
 				// the historical linear-scan kernels did.
 				sc.Pred[v] = u
+			}
+		}
+	}
+}
+
+// RelaxSSSP adds the sources seeded since a finished run to it: it relaxes
+// only from switches that got closer, so it costs the region the new
+// sources brought closer rather than the graph, and leaves Dist and Pred
+// exactly as Reset, seeding the old and the new sources together and
+// RunSSSP would. Every switch that gets closer lies on a path whose
+// switches all got closer (one that did not bounds its successors' old
+// distances), so nothing is missed. Every lowest-cost predecessor of a
+// switch that got closer got closer itself and settles before it, and a
+// switch whose distance stands gains tie predecessors only from
+// neighbours that got closer, each of which relaxes it: so the equal-cost
+// rule picks as a rerun would. Both rest on hop weights being positive
+// (AddLink refuses a delay <= 0, and perHop is never negative), which is
+// also why this loop needs no settled marks: RunSSSP's are all set by
+// then, and nothing relaxed after a switch settles can reach its distance.
+func (g *Graph) RelaxSSSP(sc *SSSPScratch, perHop time.Duration) {
+	for len(sc.heap) > 0 {
+		e := sc.pop()
+		u := e.s
+		if e.d != sc.Dist[u] {
+			continue // stale entry superseded by a shorter path
+		}
+		du := sc.Dist[u]
+		for _, li := range g.adj[u] {
+			l := &g.links[li]
+			if l.Down {
+				continue
+			}
+			v := l.Other(u)
+			if nd := du + l.Delay + perHop; nd < sc.Dist[v] {
+				sc.Dist[v] = nd
+				sc.Pred[v] = u
+				sc.push(ssspEntry{nd, v})
+			} else if nd == sc.Dist[v] && sc.Pred[v] > u {
+				sc.Pred[v] = u // RunSSSP's equal-cost rule
 			}
 		}
 	}

@@ -474,28 +474,45 @@ func BenchmarkFIBCompile(b *testing.B) {
 }
 
 // BenchmarkFIBInstall measures what one install costs a switch's data
-// plane: the table rebuilt for one changed connection and swapped in, as
-// rt's recompileFIBLocked does, with 1, 1 024 and 4 096 connections live.
-// Only the changed entry is compiled, but fib.NewBuilderFrom copies every
-// other entry into the new table, so the cost grows with the connections
-// the install did not touch.
+// plane, as rt's recompileFIBLocked pays it through fib.Patch, with 1,
+// 1 024 and 4 096 connections live. kept re-installs the entry the table
+// already holds — the switches an event leaves alone — and costs one entry
+// compile however many connections are live; swapped alternates the
+// changed connection between its tree and none, so every install builds a
+// new table, which copies the map of every other entry and so grows with
+// the connections the install did not touch.
 func BenchmarkFIBInstall(b *testing.B) {
 	for _, conns := range []int{1, 1024, 4096} {
 		g, states, self := benchFIBSetup(b, conns)
-		tbl := compileFIB(g, states, self)
 		st := states[0]
-		changed := []lsa.ConnID{st.conn}
-		b.Run(fmt.Sprintf("conns%d", conns), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				bl := fib.NewBuilderFrom(self, g, tbl, changed)
-				bl.Add(st.conn, mctree.Symmetric, st.members, st.tree)
-				tbl = bl.Build()
+		for _, swap := range []bool{false, true} {
+			name := "kept"
+			if swap {
+				name = "swapped"
 			}
-			if tbl.Size() != conns {
-				b.Fatalf("install left %d entries, want %d", tbl.Size(), conns)
-			}
-		})
+			b.Run(fmt.Sprintf("conns%d/%s", conns, name), func(b *testing.B) {
+				tbl := compileFIB(g, states, self)
+				var p fib.Patch
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					tree := st.tree
+					if swap && i%2 == 0 {
+						tree = nil
+					}
+					p.Reset(self, g, tbl)
+					p.Drop(st.conn)
+					p.Add(st.conn, mctree.Symmetric, st.members, tree)
+					next := p.Table()
+					if (next != tbl) != swap {
+						b.Fatalf("install %d: swapped %v, want %v", i, next != tbl, swap)
+					}
+					tbl = next
+				}
+				if tbl.Size() != conns {
+					b.Fatalf("install left %d entries, want %d", tbl.Size(), conns)
+				}
+			})
+		}
 	}
 }
 
