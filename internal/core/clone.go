@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"slices"
-	"sort"
 
 	"dgmc/internal/lsa"
 	"dgmc/internal/mctree"
@@ -11,28 +10,26 @@ import (
 )
 
 // This file is the deterministic clone/encode API that implementation-level
-// model checking (internal/explore) is built on: CloneWith branches a
+// model checking (internal/explore) is built on: Clone branches a
 // machine's complete protocol state at a schedule choice point, and
 // AppendState writes a canonical byte encoding of everything that affects
 // the machine's future behavior, so two interleavings that reach the same
 // protocol state hash equal and the explorer can deduplicate them.
 
-// CloneWith returns a deep copy of the machine bound to host. The copy
-// shares nothing mutable with the original: the unicast image, every
-// connection's timestamps, member list, out-of-order buffer, and replay log
-// are copied. Immutable values — installed topologies, logged LSAs, the
+// Clone returns a deep copy of the machine. The copy shares nothing mutable
+// with the original: the unicast image, every connection's timestamps,
+// member list, out-of-order buffer, and replay log are copied. Immutable values — installed topologies, logged LSAs, the
 // algorithm, the kind table — are shared by pointer, matching the
 // protocol's own treatment of them (a flooded LSA or installed tree is
 // never modified in place). Metrics are copied by value so the clone
 // counts independently. A receive batch the machine is part way through is
 // copied into arrays of the clone's own, since the machine reuses its
 // arrays for its next batch, and the clone starts with an empty working
-// set of its own.
-func (m *Machine) CloneWith(host Host) *Machine {
+// set and an empty effect list of its own.
+func (m *Machine) Clone() *Machine {
 	metrics := *m.metrics
 	c := &Machine{
 		id:        m.id,
-		host:      host,
 		uni:       m.uni.Clone(),
 		conns:     make(map[lsa.ConnID]*connState, len(m.conns)),
 		n:         m.n,
@@ -166,10 +163,14 @@ func (m *Machine) AllConnections() []lsa.ConnID {
 // machines with equal encodings are behaviorally indistinguishable, which
 // is what makes the encoding a sound deduplication key for state-space
 // search.
+//
+// It allocates nothing beyond growing buf: its sort scratch lives on the
+// stack up to sizes a checker's worlds never exceed.
 func (m *Machine) AppendState(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(int32(m.id)))
 	buf = m.uni.AppendState(buf)
-	ids := sortedConnIDs(m.conns)
+	var scratch [16]lsa.ConnID
+	ids := appendSortedConnIDs(scratch[:0], m.conns)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(ids)))
 	for _, id := range ids {
 		buf = m.conns[id].appendState(buf)
@@ -190,7 +191,8 @@ func appendTree(buf []byte, t *mctree.Tree) []byte {
 }
 
 func appendMembers(buf []byte, members mctree.Members) []byte {
-	mem := members.IDs()
+	var scratch [16]topo.SwitchID
+	mem := members.AppendIDs(scratch[:0])
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(mem)))
 	for _, s := range mem {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(int32(s)))
@@ -231,21 +233,23 @@ func (cs *connState) appendState(buf []byte) []byte {
 	buf = cs.appendLog(buf)
 	buf = cs.logFloor.AppendBinary(buf)
 	// Out-of-order buffer in (origin, index) order.
-	srcs := make([]topo.SwitchID, 0, len(cs.ooo))
+	var srcScratch [16]topo.SwitchID
+	srcs := srcScratch[:0]
 	for src, byIdx := range cs.ooo {
 		if len(byIdx) > 0 {
 			srcs = append(srcs, src)
 		}
 	}
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
+	slices.Sort(srcs)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(srcs)))
+	var idxScratch [16]uint32
 	for _, src := range srcs {
 		byIdx := cs.ooo[src]
-		idxs := make([]uint32, 0, len(byIdx))
+		idxs := idxScratch[:0]
 		for idx := range byIdx {
 			idxs = append(idxs, idx)
 		}
-		sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
+		slices.Sort(idxs)
 		buf = binary.BigEndian.AppendUint32(buf, uint32(int32(src)))
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(idxs)))
 		for _, idx := range idxs {

@@ -7,7 +7,6 @@ import (
 	"dgmc/internal/lsa"
 	"dgmc/internal/mctree"
 	"dgmc/internal/stamp"
-	"dgmc/internal/topo"
 )
 
 // The paper's entities save old_R, compute for Tc, and only then ask whether
@@ -116,14 +115,20 @@ func (m *Machine) mustBeIdle(e Entity) {
 	}
 }
 
+// ComputingConn names the connection entity e's pending computation is for
+// (meaningful only while Computing(e)).
+func (m *Machine) ComputingConn(e Entity) lsa.ConnID { return m.computing[e].conn }
+
 // Complete finishes entity e's pending computation against the machine's
 // state as of now: reachability, the algorithm run, then the paper's
 // question — is R still old_R (and, for ReceiveLSA, nothing queued for the
-// connection)? — and flood and install, or withdraw. The interrupted call
-// then carries on to its next computation or its end. It reports whether e
-// has a computation pending afterwards; on an idle entity it reports false
-// and changes nothing.
-func (m *Machine) Complete(e Entity) bool {
+// connection)? — and flood and install, or withdraw. queued answers the
+// second half: whether the switch's receive queue holds an MC LSA for
+// ComputingConn(e); only a ReceiveLSA completion reads it. The interrupted
+// call then carries on to its next computation or its end. It reports
+// whether e has a computation pending afterwards; on an idle entity it
+// reports false and changes nothing.
+func (m *Machine) Complete(e Entity, queued bool) bool {
 	c := m.computing[e]
 	if c.site == siteIdle {
 		return false
@@ -138,7 +143,7 @@ func (m *Machine) Complete(e Entity) bool {
 			return true
 		}
 	case siteReceive:
-		m.completeReceive(&c, cs)
+		m.completeReceive(&c, cs, queued)
 		return m.continueBatch()
 	}
 	return m.continueLocal()
@@ -197,23 +202,3 @@ func appendConnIDs(buf []byte, ids []lsa.ConnID) []byte {
 	}
 	return buf
 }
-
-// NopHost is the inert Host: nothing happens, nothing is queued, there are
-// no neighbors and no trace. Hosts that care about a few of the runtime
-// effects embed it and override those.
-type NopHost struct{}
-
-var _ Host = NopHost{}
-
-func (NopHost) FloodMC(*lsa.MC)                                      {}
-func (NopHost) FloodNonMC(*lsa.NonMC)                                {}
-func (NopHost) SendUnicast(topo.SwitchID, any)                       {}
-func (NopHost) PendingMC(lsa.ConnID) bool                            { return false }
-func (NopHost) Neighbors() []topo.SwitchID                           { return nil }
-func (NopHost) FabricLinkChanged(lsa.LinkChange)                     {}
-func (NopHost) ArmResync(lsa.ConnID)                                 {}
-func (NopHost) SelfNudge(lsa.ConnID)                                 {}
-func (NopHost) NoteInstall()                                         {}
-func (NopHost) ForwardingChanged(lsa.ConnID)                         {}
-func (NopHost) Trace(TraceKind, ChainID, lsa.ConnID, string, ...any) {}
-func (NopHost) TraceEnabled() bool                                   { return false }

@@ -58,6 +58,7 @@ func TestReceiveCompletionWithdrawsAfterLocalEvent(t *testing.T) {
 	sn := newScriptNet(t, full3(t), 2, 0)
 	m, h := sn.machines[0], sn.hosts[0]
 	m.HandleLocalEvent(nil, join(splitConn))
+	h.take()
 	h.floods = nil
 
 	// Switch 1's join did not know of ours: line 15 sets makeProposal and
@@ -73,9 +74,10 @@ func TestReceiveCompletionWithdrawsAfterLocalEvent(t *testing.T) {
 		t.Fatal("EventHandler did not begin a computation")
 	}
 	withdrawn, computations := m.Metrics().Withdrawn, m.Metrics().Computations
-	if m.Complete(ReceiveLSA) {
+	if m.Complete(ReceiveLSA, false) {
 		t.Fatal("ReceiveLSA still computing after its only computation completed")
 	}
+	h.take()
 	if got := m.Metrics().Withdrawn; got != withdrawn+1 {
 		t.Errorf("Withdrawn = %d, want %d", got, withdrawn+1)
 	}
@@ -91,6 +93,7 @@ func TestReceiveCompletionWithdrawsAfterLocalEvent(t *testing.T) {
 	if got := m.Metrics().Computations; got != computations+1 {
 		t.Errorf("Computations = %d, want %d", got, computations+1)
 	}
+	h.take()
 	tr := triggered(h.floods)
 	if len(tr) != 1 || tr[0].Proposal == nil || !tr[0].Stamp.Equal(stamp.Stamp{2, 1, 0}) {
 		t.Fatalf("triggered LSAs after the next batch: %v", tr)
@@ -108,15 +111,18 @@ func TestEventCompletionFloodsBareEventAfterLSA(t *testing.T) {
 	if !m.BeginLocalEvent(join(splitConn)) {
 		t.Fatal("EventHandler did not begin a computation")
 	}
+	h.take()
 	if len(h.floods) != 0 {
 		t.Fatalf("flooded %v before the computation completed", h.floods)
 	}
 	m.ReceiveBatch(nil, []any{foreignJoin(1)})
+	h.take()
 	h.floods = nil
 	withdrawn := m.Metrics().Withdrawn
-	if m.Complete(EventHandler) {
+	if m.Complete(EventHandler, false) {
 		t.Fatal("EventHandler still computing")
 	}
+	h.take()
 	if len(h.floods) != 1 {
 		t.Fatalf("floods = %v, want the one event LSA", h.floods)
 	}
@@ -144,18 +150,20 @@ func TestBothEntitiesPendingEitherOrder(t *testing.T) {
 			t.Fatal("EventHandler did not begin a computation")
 		}
 		sn.machines[1].HandleLocalEvent(nil, join(splitConn))
+		sn.hosts[1].take()
 		theirs := sn.hosts[1].floods[0]
 		if !m0.BeginReceive([]any{theirs}) {
 			t.Fatal("ReceiveLSA did not begin a computation")
 		}
 		for _, e := range order {
-			if m0.Complete(e) {
+			if m0.Complete(e, false) {
 				t.Fatalf("%s still computing", e)
 			}
 		}
 		// Switch 0 has consumed switch 1's join already; everything else is
 		// still to be delivered.
 		sn.machines[2].ReceiveBatch(nil, []any{theirs})
+		sn.hosts[1].take()
 		sn.hosts[1].floods = nil
 		sn.pump()
 		var ref Snapshot
@@ -180,24 +188,12 @@ func TestBothEntitiesPendingEitherOrder(t *testing.T) {
 	}
 }
 
-// fwdHost records ForwardingChanged notifications.
-type fwdHost struct {
-	scriptHost
-	changed []lsa.ConnID
-}
-
-func (h *fwdHost) ForwardingChanged(conn lsa.ConnID) { h.changed = append(h.changed, conn) }
-
 // TestLinkEventComputesPerConnectionInOrder: a link event touching two
 // connections is two EventHandler computations, in ascending connection
 // order, behind one image-wide forwarding notification.
 func TestLinkEventComputesPerConnectionInOrder(t *testing.T) {
 	g := full3(t)
-	h := &fwdHost{scriptHost: scriptHost{id: 0, neighbors: g.Neighbors(0)}}
-	m, err := NewMachine(MachineConfig{ID: 0, Graph: g, Algorithm: route.SPH{}}, h)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, h := newScriptMachine(t, MachineConfig{ID: 0, Graph: g, Algorithm: route.SPH{}}, g.Neighbors(0))
 	// Connections 2 and 1, in that order, each spanning switches 0 and 1
 	// over the direct link.
 	for _, conn := range []lsa.ConnID{2, 1} {
@@ -209,13 +205,15 @@ func TestLinkEventComputesPerConnectionInOrder(t *testing.T) {
 			t.Fatalf("conn %d: tree %v does not use link 0-1", conn, snap.Topology)
 		}
 	}
+	h.take()
 	h.changed, h.floods = nil, nil
 	computations := m.Metrics().Computations
 
 	fail := LocalEvent{Kind: lsa.Link, Link: lsa.LinkChange{A: 0, B: 1, Down: true}}
 	var order []lsa.ConnID
-	for pending := m.BeginLocalEvent(fail); pending; pending = m.Complete(EventHandler) {
-		order = append(order, m.computing[EventHandler].conn)
+	for pending := m.BeginLocalEvent(fail); pending; pending = m.Complete(EventHandler, false) {
+		order = append(order, m.ComputingConn(EventHandler))
+		h.take()
 		if len(h.floods) != len(order)-1 {
 			t.Fatalf("%d MC LSAs flooded with computation %d pending", len(h.floods), len(order))
 		}
@@ -226,6 +224,7 @@ func TestLinkEventComputesPerConnectionInOrder(t *testing.T) {
 	if got := m.Metrics().Computations; got != computations+2 {
 		t.Errorf("Computations = %d, want %d", got, computations+2)
 	}
+	h.take()
 	all := 0
 	for _, conn := range h.changed {
 		if conn == lsa.AllConns {
@@ -248,7 +247,7 @@ func TestCompleteIdleEntity(t *testing.T) {
 	m := seasonedMachine(t)
 	before := m.AppendState(nil)
 	for _, e := range []Entity{EventHandler, ReceiveLSA} {
-		if m.Complete(e) {
+		if m.Complete(e, false) {
 			t.Errorf("Complete(%s) on an idle entity reported a pending computation", e)
 		}
 	}
@@ -302,15 +301,15 @@ func TestAppendStateCoversPending(t *testing.T) {
 	if bytes.Equal(pending, idle) {
 		t.Fatal("a pending computation does not show in the encoding")
 	}
-	c := m.CloneWith(&scriptHost{})
+	c := m.Clone()
 	if !bytes.Equal(c.AppendState(nil), pending) {
 		t.Fatal("clone of a computing machine encodes differently")
 	}
-	m.Complete(EventHandler)
+	m.Complete(EventHandler, false)
 	if !c.Computing(EventHandler) {
 		t.Fatal("completing the original completed its clone")
 	}
-	c.Complete(EventHandler)
+	c.Complete(EventHandler, false)
 	if !bytes.Equal(c.AppendState(nil), m.AppendState(nil)) {
 		t.Fatal("original and clone diverged over the same completion")
 	}
@@ -334,8 +333,8 @@ func TestCloneOwnsPendingBatch(t *testing.T) {
 		t.Fatal("ReceiveLSA did not begin a computation")
 	}
 	pending := m.AppendState(nil)
-	c := m.CloneWith(&scriptHost{})
-	for more := m.Complete(ReceiveLSA); more; more = m.Complete(ReceiveLSA) {
+	c := m.Clone()
+	for more := m.Complete(ReceiveLSA, false); more; more = m.Complete(ReceiveLSA, false) {
 	}
 	finished := m.AppendState(nil)
 	m.ReceiveBatch(nil, []any{eventMC(3, 2, 7, 1, lsa.Join), eventMC(3, 2, splitConn, 1, lsa.Join)})
@@ -343,7 +342,7 @@ func TestCloneOwnsPendingBatch(t *testing.T) {
 	if !bytes.Equal(c.AppendState(nil), pending) {
 		t.Fatal("the original's later batches changed the batch its clone is part way through")
 	}
-	for more := c.Complete(ReceiveLSA); more; more = c.Complete(ReceiveLSA) {
+	for more := c.Complete(ReceiveLSA, false); more; more = c.Complete(ReceiveLSA, false) {
 	}
 	if !bytes.Equal(c.AppendState(nil), finished) {
 		t.Fatal("the clone finished its batch differently from the original")

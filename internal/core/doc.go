@@ -44,6 +44,15 @@
 // whatever the other entity does meanwhile is what the paper's old_R
 // checks exist for. Flooding is provided by internal/flood.
 //
+// # The machine and its hosts
+//
+// Machine is one switch's protocol with no I/O. Its entry points take what
+// they need to know as arguments and append what they need done — floods,
+// unicasts, timers, self-nudges, install and forwarding notices, trace
+// records — to an effect list (see Effect) that the host drains after each
+// call: Switch in the simulator, internal/rt's Node live, and
+// internal/explore's World in the model checker.
+//
 // The protocol is independent of the topology-computation algorithm
 // (internal/route) and serves symmetric, receiver-only, and asymmetric MCs
 // with the same code.

@@ -180,14 +180,6 @@ func NewDomain(k *sim.Kernel, cfg Config) (*Domain, error) {
 	return d, nil
 }
 
-// kindOf returns the declared MC type for conn (default Symmetric).
-func (d *Domain) kindOf(conn lsa.ConnID) mctree.Kind {
-	if k, ok := d.kinds[conn]; ok {
-		return k
-	}
-	return mctree.Symmetric
-}
-
 // Switch returns switch s.
 func (d *Domain) Switch(s topo.SwitchID) *Switch { return d.switches[s] }
 
@@ -245,7 +237,10 @@ func (d *Domain) FailSwitch(at sim.Time, s topo.SwitchID) {
 // advertising a's R stamps (see Machine.ReconcileNeighbor). Call it for
 // both directions of every boundary link when a partition heals.
 func (d *Domain) Reconcile(at sim.Time, a, b topo.SwitchID) {
-	d.k.ScheduleAt(at, func() { d.switches[a].m.ReconcileNeighbor(b) })
+	d.k.ScheduleAt(at, func() {
+		d.switches[a].m.ReconcileNeighbor(b)
+		d.switches[a].drain()
+	})
 }
 
 // SchedulePartitionHeal schedules the protocol half of a transport
@@ -269,21 +264,6 @@ func (d *Domain) SchedulePartitionHeal(p faults.Partition) {
 			}
 		}
 	}
-}
-
-// trace forwards to the configured tracer, if any.
-func (d *Domain) trace(kind TraceKind, chain ChainID, sw topo.SwitchID, conn lsa.ConnID, format string, args ...any) {
-	if d.tracer == nil {
-		return
-	}
-	d.tracer.Trace(TraceEntry{
-		At:     d.k.Now(),
-		Kind:   kind,
-		Switch: sw,
-		Conn:   conn,
-		Chain:  chain,
-		Detail: fmt.Sprintf(format, args...),
-	})
 }
 
 // CheckConverged verifies that the domain has reached consensus by

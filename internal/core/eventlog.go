@@ -186,7 +186,8 @@ func (cs *connState) appendLog(buf []byte) []byte {
 	if len(cs.logIndex) == 0 {
 		return buf
 	}
-	cur := cs.logLast.Clone()
+	var scratch [64]uint32 // cur on the stack, up to 64 switches
+	cur := append(stamp.Stamp(scratch[:0]), cs.logLast...)
 	for j := len(cs.logIndex) - 1; j > 0; j-- {
 		stepBack(cur, cs.record(j))
 	}

@@ -219,8 +219,8 @@ func TestEventLogMatchesPointerReference(t *testing.T) {
 			t.Run(fmt.Sprintf("n%d/seed%d", n, seed), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed*1000 + int64(n)))
 				d := &logDraw{rng: rng, n: n, conn: 7, last: stamp.New(n)}
-				h := &scriptHost{id: 0}
-				m := &Machine{id: 0, host: h, n: n, conns: map[lsa.ConnID]*connState{}, metrics: &Metrics{}}
+				m := &Machine{id: 0, n: n, conns: map[lsa.ConnID]*connState{}, metrics: &Metrics{}}
+				h := &scriptHost{m: m}
 				type pair struct {
 					cs  *connState
 					ref *refLog
@@ -250,6 +250,7 @@ func TestEventLogMatchesPointerReference(t *testing.T) {
 						for _, r := range d.requesters(ref) {
 							h.unicasts = nil
 							m.serveResync(cs, 1, r)
+							h.take()
 							var got []*lsa.MC
 							if len(h.unicasts) == 1 {
 								got = h.unicasts[0].payload.(*lsa.ResyncResponse).Batch

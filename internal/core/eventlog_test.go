@@ -50,8 +50,7 @@ func logIndexes(cs *connState) [][2]uint32 {
 // difference was the whole log, ≈ 6 MB for this machine alone), and the log
 // never reaches EventLogLimit.
 func TestEventLogBounded(t *testing.T) {
-	h := &scriptHost{id: 0}
-	m, err := NewMachine(MachineConfig{ID: 0, Graph: line(t, 16), Algorithm: route.SPH{}}, h)
+	m, err := NewMachine(MachineConfig{ID: 0, Graph: line(t, 16), Algorithm: route.SPH{}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +61,7 @@ func TestEventLogBounded(t *testing.T) {
 				kind, role = lsa.Leave, 0
 			}
 			m.HandleLocalEvent(nil, LocalEvent{Conn: 1, Kind: kind, Role: role})
-			h.floods = h.floods[:0]
+			m.ClearEffects()
 			if d := m.EventLogDepth(); d >= EventLogLimit {
 				t.Fatalf("log depth %d reached the limit %d", d, EventLogLimit)
 			}
@@ -99,13 +98,9 @@ func TestColdRejoinBelowFloor(t *testing.T) {
 		t.Fatal("server never trimmed; the test is not testing anything")
 	}
 
-	h := &scriptHost{id: 2, neighbors: g.Neighbors(2)}
-	blank, err := NewMachine(MachineConfig{ID: 2, Graph: g, Algorithm: route.SPH{}, Resync: true, ResyncMaxRounds: 4}, h)
-	if err != nil {
-		t.Fatal(err)
-	}
+	blank, h := newScriptMachine(t, MachineConfig{ID: 2, Graph: g, Algorithm: route.SPH{}, Resync: true, ResyncMaxRounds: 4}, g.Neighbors(2))
 	sn.machines[2], sn.hosts[2] = blank, h
-	blank.RequestFullResync()
+	blank.RequestFullResync(h.neighbors)
 	sn.pump()
 
 	want, _ := srv.Connection(1)
@@ -155,8 +150,10 @@ func TestServeResyncPerOrigin(t *testing.T) {
 	cs.trimLog(3) // drops 0's events 1..4; keeps 0/5, 1/1, 1/2
 
 	serve := func(r stamp.Stamp) []*lsa.MC {
+		host.take()
 		host.unicasts = nil
 		srv.ReceiveBatch(nil, []any{&lsa.ResyncRequest{Conn: 1, From: 2, R: r}})
+		host.take()
 		if len(host.unicasts) != 1 {
 			t.Fatalf("R=%s: %d responses", r, len(host.unicasts))
 		}
@@ -201,11 +198,7 @@ func TestServeResyncPerOrigin(t *testing.T) {
 // the fast-forward are never served again.
 func TestCatchUpApply(t *testing.T) {
 	g := line(t, 3)
-	h := &scriptHost{id: 1, neighbors: g.Neighbors(1)}
-	m, err := NewMachine(MachineConfig{ID: 1, Graph: g, Algorithm: route.SPH{}, Resync: true}, h)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, h := newScriptMachine(t, MachineConfig{ID: 1, Graph: g, Algorithm: route.SPH{}, Resync: true}, g.Neighbors(1))
 	role := mctree.SenderReceiver
 	ev := func(idx uint32, e lsa.Event) *lsa.MC {
 		mc := eventMC(3, 0, 1, idx, e)
@@ -246,8 +239,10 @@ func TestCatchUpApply(t *testing.T) {
 
 	// The 1st event is still in the log but below the floor: a requester at
 	// zero is caught up and then replayed only the 6th.
+	h.take()
 	h.unicasts = nil
 	m.ReceiveBatch(nil, []any{&lsa.ResyncRequest{Conn: 1, From: 2, R: stamp.New(3)}})
+	h.take()
 	batch := h.unicasts[0].payload.(*lsa.ResyncResponse).Batch
 	if len(batch) < 1 || batch[0].Event != lsa.CatchUp || batch[0].Stamp[0] != 6 {
 		t.Fatalf("served %d LSAs, first %s; want a catch-up at 6", len(batch), batch[0])
@@ -267,8 +262,7 @@ func TestCatchUpApply(t *testing.T) {
 func TestReplayMarkedByEncoding(t *testing.T) {
 	g := line(t, 3)
 	for _, shared := range []bool{true, false} {
-		h := &scriptHost{id: 1, neighbors: g.Neighbors(1)}
-		m, err := NewMachine(MachineConfig{ID: 1, Graph: g, Algorithm: route.SPH{}, Resync: true}, h)
+		m, err := NewMachine(MachineConfig{ID: 1, Graph: g, Algorithm: route.SPH{}, Resync: true}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,7 +288,7 @@ func TestCloneCarriesFloor(t *testing.T) {
 	if m.EventLogDepth() != 0 {
 		t.Fatalf("depth after compaction = %d", m.EventLogDepth())
 	}
-	c := m.CloneWith(&scriptHost{id: 1})
+	c := m.Clone()
 	if string(c.AppendState(nil)) != string(m.AppendState(nil)) {
 		t.Fatal("clone encodes differently")
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"dgmc/internal/flood"
@@ -14,13 +15,13 @@ import (
 )
 
 // This file is the pure D-GMC state machine: one switch's EventHandler and
-// ReceiveLSA entities (Figures 4 and 5 of the paper) plus gap recovery,
-// with every runtime dependency — flooding, unicast, timers — abstracted
-// behind the Host interface, and every topology computation split into a
+// ReceiveLSA entities (Figures 4 and 5 of the paper) plus gap recovery. It
+// does no I/O: flooding, unicast, timers and trace are effects it returns
+// as values (see effect.go), and every topology computation is split into a
 // begin and a completion so the runtime decides what happens in between
-// (see compute.go). The same
-// Machine runs under the discrete-event simulator (internal/sim via the
-// Switch adapter in this package) and under the live concurrent runtime
+// (see compute.go). The same Machine runs under the discrete-event
+// simulator (internal/sim via the Switch adapter in this package), the
+// schedule explorer (internal/explore) and the live concurrent runtime
 // (internal/rt), so the protocol is exercised, never forked.
 
 // LocalEvent is what the hosting runtime injects into a switch's event
@@ -35,69 +36,11 @@ type LocalEvent struct {
 
 // ResyncNudge is a self-addressed receive-path entry: it runs ReceiveLSA
 // with an empty batch, giving Figure 5 line 19 a chance to fire after gap
-// recovery set makeProposal (commit-lag recovery). When Host.SelfNudge is
-// called, the simulator and the checker queue it on the switch's own
-// receive path; the live node runs it before the step that asked for it
-// releases the machine.
+// recovery set makeProposal (commit-lag recovery). For an EffectSelfNudge,
+// the simulator and the checker queue it on the switch's own receive path;
+// the live node runs it before the step that asked for it releases the
+// machine.
 type ResyncNudge struct{ Conn lsa.ConnID }
-
-// Host abstracts everything a Machine needs from its runtime. The
-// simulator implements it with virtual time and the flood.Network fabric;
-// the live runtime (internal/rt) implements it with goroutines, real
-// timers, and a wire transport. NopHost is the inert implementation other
-// hosts embed.
-//
-// All methods are invoked synchronously from within Machine calls; a Host
-// must not call back into the Machine from them (except from the deferred
-// callbacks it schedules for ArmResync and SelfNudge).
-type Host interface {
-	// FloodMC floods an MC LSA network-wide.
-	FloodMC(m *lsa.MC)
-	// FloodNonMC floods a non-MC (link-state) LSA network-wide.
-	FloodNonMC(nm *lsa.NonMC)
-	// SendUnicast sends a resync message point-to-point to a neighbor.
-	SendUnicast(to topo.SwitchID, payload any)
-	// PendingMC reports whether the switch's receive queue currently
-	// holds an MC LSA for conn (Figure 5 line 22). A runtime that hands
-	// each received batch to the machine as it takes it — the live node —
-	// has no such queue and reports false.
-	PendingMC(conn lsa.ConnID) bool
-	// Neighbors lists the switch's current direct neighbors.
-	Neighbors() []topo.SwitchID
-	// FabricLinkChanged tells the runtime a locally detected link event
-	// was applied. The simulator mirrors it into the shared fabric graph
-	// so floods route around failures; live runtimes, where each node
-	// owns only its image, may ignore it.
-	FabricLinkChanged(change lsa.LinkChange)
-	// ArmResync schedules Machine.ResyncFired(conn) to run once after the
-	// runtime's resync timeout. Called only when the Machine was built
-	// with Resync enabled.
-	ArmResync(conn lsa.ConnID)
-	// SelfNudge delivers ResyncNudge{conn} to this switch's own receive
-	// path (a later ReceiveBatch, which the live node runs within the
-	// current step).
-	SelfNudge(conn lsa.ConnID)
-	// NoteInstall records that a topology was installed (convergence
-	// bookkeeping).
-	NoteInstall()
-	// ForwardingChanged tells the runtime that forwarding-relevant state
-	// for conn (installed topology, membership, or dormancy) may have
-	// changed, or — with conn == lsa.AllConns — that the unicast link-state
-	// image changed, invalidating contact routes for every connection.
-	// Hosts with a data plane recompile their FIB from ForwardingState
-	// after the current Machine call returns (not from inside the hook);
-	// control-plane-only hosts ignore it.
-	ForwardingChanged(conn lsa.ConnID)
-	// Trace observes protocol activity; implementations may drop entries.
-	// chain names the causal chain the step belongs to (zero when no
-	// single local event caused it).
-	Trace(kind TraceKind, chain ChainID, conn lsa.ConnID, format string, args ...any)
-	// TraceEnabled reports whether Trace currently does anything. The
-	// machine's hot paths consult it before building Trace arguments — the
-	// variadic call boxes every argument even when the host drops the
-	// entry, and those boxes were a measurable share of per-step garbage.
-	TraceEnabled() bool
-}
 
 // Mutation selects a deliberately seeded protocol bug. The schedule
 // exploration harness (internal/explore) uses mutations to validate its
@@ -214,7 +157,7 @@ type MachineConfig struct {
 	// ReoptimizeThreshold enables §3.5 re-optimization on link recovery
 	// (see Config.ReoptimizeThreshold). Zero disables.
 	ReoptimizeThreshold float64
-	// Resync enables gap recovery; the timeout itself lives in the Host
+	// Resync enables gap recovery; the timeout itself is the host's
 	// (virtual for the simulator, wall-clock for live runtimes).
 	Resync bool
 	// ResyncMaxRounds bounds resync requests per connection per gap
@@ -236,7 +179,6 @@ type MachineConfig struct {
 // time, the live runtime with a per-node mutex).
 type Machine struct {
 	id        topo.SwitchID
-	host      Host
 	uni       *lsr.Instance
 	conns     map[lsa.ConnID]*connState
 	n         int
@@ -258,7 +200,7 @@ type Machine struct {
 	// recv is BeginReceive's working set, kept across batches so a batch
 	// allocates neither: index places a connection in batch.groups, and
 	// groups is the array batch.groups is cut from, each group keeping its
-	// message slice's array. A clone gets neither (CloneWith).
+	// message slice's array. A clone gets neither (Clone).
 	recv struct {
 		index  map[lsa.ConnID]int
 		groups []connGroup
@@ -267,18 +209,22 @@ type Machine struct {
 	// delta is the slot compute hands Algorithm.Update its change hint
 	// through: a pointer into the machine, so the call allocates nothing.
 	delta route.Change
+
+	// fx is the effect list the host drains (see effect.go).
+	fx []Effect
+	// host, when set, takes the MC floods of HandleLocalEvent and
+	// ReceiveBatch (see Host); nil for every runtime.
+	host Host
 }
 
-// NewMachine builds a switch's protocol state machine bound to host.
+// NewMachine builds a switch's protocol state machine. host is nil except
+// for the benchmark's stand-alone machines (see Host).
 func NewMachine(cfg MachineConfig, host Host) (*Machine, error) {
 	if cfg.Graph == nil {
 		return nil, fmt.Errorf("core: MachineConfig.Graph is required")
 	}
 	if cfg.Algorithm == nil {
 		return nil, fmt.Errorf("core: MachineConfig.Algorithm is required")
-	}
-	if host == nil {
-		return nil, fmt.Errorf("core: nil Host")
 	}
 	if cfg.ReoptimizeThreshold < 0 {
 		return nil, fmt.Errorf("core: negative re-optimization threshold %v", cfg.ReoptimizeThreshold)
@@ -399,9 +345,7 @@ func (m *Machine) updateDormancy(cs *connState, chain ChainID) {
 			cs.dormant = true
 			cs.topology = nil
 			cs.lastDelta = changeHint{}
-			if m.host.TraceEnabled() {
-				m.host.Trace(TraceDestroy, chain, cs.id, "connection state destroyed")
-			}
+			m.trace(TraceRecord{Kind: TraceDestroy, Chain: chain, Conn: cs.id, site: trDestroyed})
 		}
 		return
 	}
@@ -411,11 +355,12 @@ func (m *Machine) updateDormancy(cs *connState, chain ChainID) {
 }
 
 // HandleLocalEvent runs one injected event to the end: BeginLocalEvent,
-// then Complete(EventHandler) until nothing is pending. The first argument
-// is unused.
+// then Complete(EventHandler, false) until nothing is pending. The first
+// argument is unused.
 func (m *Machine) HandleLocalEvent(_ any, ev LocalEvent) {
-	for pending := m.BeginLocalEvent(ev); pending; pending = m.Complete(EventHandler) {
+	for pending := m.BeginLocalEvent(ev); pending; pending = m.Complete(EventHandler, false) {
 	}
+	m.replay()
 }
 
 // BeginLocalEvent dispatches one injected event and runs it up to its first
@@ -432,16 +377,14 @@ func (m *Machine) BeginLocalEvent(ev LocalEvent) bool {
 	case lsa.Link:
 		nm, err := m.uni.ApplyLocalEvent(ev.Link)
 		if err != nil {
-			if m.host.TraceEnabled() {
-				m.host.Trace(TraceError, ChainID{}, ev.Conn, "local link event: %v", err)
-			}
+			m.trace(TraceRecord{Kind: TraceError, Conn: ev.Conn, site: trError, v: fmt.Errorf("local link event: %w", err)})
 			return false
 		}
 		// Keep the runtime's fabric in sync so floods route around the
 		// failure (the physical network changed, not just images).
-		m.host.FabricLinkChanged(ev.Link)
-		m.host.ForwardingChanged(lsa.AllConns)
-		m.host.FloodNonMC(nm)
+		m.emit(Effect{Kind: EffectFabricLinkChanged, Link: ev.Link})
+		m.emit(Effect{Kind: EffectForwardingChanged, Conn: lsa.AllConns})
+		m.emit(Effect{Kind: EffectFloodNonMC, NonMC: nm})
 		m.metrics.NonMCLSAs++
 		// One MC LSA per connection whose topology uses the affected link,
 		// then §3.5 re-optimization: a recovered link may offer better trees.
@@ -504,10 +447,8 @@ func (m *Machine) completeEstimate(c *computation, cs *connState) bool {
 	if cur <= float64(fresh.Cost(m.uni.Image()))*(1+m.reopt) {
 		return false // within tolerance of optimal: leave the tree alone
 	}
-	if m.host.TraceEnabled() {
-		m.host.Trace(TraceCompute, ChainID{}, cs.id, "re-optimizing (%.0f%% over fresh cost)",
-			100*(cur/float64(fresh.Cost(m.uni.Image()))-1))
-	}
+	m.trace(TraceRecord{Kind: TraceCompute, Conn: cs.id, site: trReoptimize,
+		v: 100 * (cur/float64(fresh.Cost(m.uni.Image())) - 1)})
 	cs.lastDelta = changeHint{}
 	return m.beginEvent(lsa.Link, 0, cs)
 }
@@ -525,16 +466,17 @@ func (m *Machine) affectedConns(change lsa.LinkChange) []lsa.ConnID {
 }
 
 func sortedConnIDs(m map[lsa.ConnID]*connState) []lsa.ConnID {
-	out := make([]lsa.ConnID, 0, len(m))
+	return appendSortedConnIDs(make([]lsa.ConnID, 0, len(m)), m)
+}
+
+// appendSortedConnIDs appends m's connection IDs to buf in ascending order.
+func appendSortedConnIDs(buf []lsa.ConnID, m map[lsa.ConnID]*connState) []lsa.ConnID {
+	at := len(buf)
 	for id := range m {
-		out = append(out, id)
+		buf = append(buf, id)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	slices.Sort(buf[at:])
+	return buf
 }
 
 // beginEvent is Figure 4 of the paper up to its computation: handle one
@@ -546,9 +488,7 @@ func (m *Machine) beginEvent(event lsa.Event, role mctree.Role, cs *connState) b
 	// This event is the root of a new causal chain: its flooded LSA will
 	// carry Stamp[x] == cs.r[x]+1, so remote steps derive the same ID.
 	chain := ChainID{Origin: m.id, Seq: cs.r[x] + 1}
-	if m.host.TraceEnabled() {
-		m.host.Trace(TraceEvent, chain, cs.id, "local %s event", event)
-	}
+	m.trace(TraceRecord{Kind: TraceEvent, Chain: chain, Conn: cs.id, site: trLocalEvent, n: [3]uint32{uint32(event)}})
 
 	// Line 1: R[x]++, E[x]++.
 	cs.r.Inc(x)
@@ -589,7 +529,7 @@ func (m *Machine) completeEvent(c *computation, cs *connState) {
 		cs.logEvent(msg)
 		cs.c.CopyFrom(c.oldR)
 		cs.makeProposal = false
-		m.install(cs, c.chain, proposal, "event-handler")
+		m.install(cs, c.chain, proposal, EventHandler)
 	} else {
 		// Lines 12-13: withdraw; flood the bare event, defer to
 		// ReceiveLSA.
@@ -598,9 +538,7 @@ func (m *Machine) completeEvent(c *computation, cs *connState) {
 		cs.logEvent(msg)
 		cs.makeProposal = true
 		m.metrics.Withdrawn++
-		if m.host.TraceEnabled() {
-			m.host.Trace(TraceWithdraw, c.chain, cs.id, "event-handler proposal withdrawn")
-		}
+		m.trace(TraceRecord{Kind: TraceWithdraw, Chain: c.chain, Conn: cs.id, site: trEventWithdrawn})
 	}
 	m.endInvocation(cs, c.chain)
 }
@@ -609,16 +547,18 @@ func (m *Machine) completeEvent(c *computation, cs *connState) {
 // ends with.
 func (m *Machine) endInvocation(cs *connState, chain ChainID) {
 	m.updateDormancy(cs, chain)
-	m.host.ForwardingChanged(cs.id)
+	m.emit(Effect{Kind: EffectForwardingChanged, Conn: cs.id})
 	m.maybeScheduleResync(cs)
 }
 
 // ReceiveBatch runs a drained receive-queue batch to the end: BeginReceive,
-// then Complete(ReceiveLSA) until nothing is pending. The first argument is
-// unused.
+// then Complete(ReceiveLSA, false) until nothing is pending — the answer of
+// a runtime that hands each batch to the machine as it takes it, and so
+// keeps no queue behind it. The first argument is unused.
 func (m *Machine) ReceiveBatch(_ any, batch []any) {
-	for pending := m.BeginReceive(batch); pending; pending = m.Complete(ReceiveLSA) {
+	for pending := m.BeginReceive(batch); pending; pending = m.Complete(ReceiveLSA, false) {
 	}
+	m.replay()
 }
 
 // BeginReceive demultiplexes a drained receive-queue batch: non-MC LSAs go
@@ -686,9 +626,7 @@ func (m *Machine) consume(raw any) {
 		if wire, ok := payload.([]byte); ok {
 			mc, nm, err := lsa.Unmarshal(wire)
 			if err != nil {
-				if m.host.TraceEnabled() {
-					m.host.Trace(TraceError, ChainID{}, 0, "decode LSA: %v", err)
-				}
+				m.trace(TraceRecord{Kind: TraceError, site: trError, v: fmt.Errorf("decode LSA: %w", err)})
 				return
 			}
 			if mc != nil {
@@ -701,13 +639,11 @@ func (m *Machine) consume(raw any) {
 	case *lsa.NonMC:
 		changed, err := m.uni.HandleLSA(v)
 		if err != nil {
-			if m.host.TraceEnabled() {
-				m.host.Trace(TraceError, ChainID{}, 0, "unicast LSA: %v", err)
-			}
+			m.trace(TraceRecord{Kind: TraceError, site: trError, v: fmt.Errorf("unicast LSA: %w", err)})
 			return
 		}
 		if changed {
-			m.host.ForwardingChanged(lsa.AllConns)
+			m.emit(Effect{Kind: EffectForwardingChanged, Conn: lsa.AllConns})
 		}
 	case *lsa.MC:
 		g := group(v.Conn)
@@ -768,9 +704,7 @@ func (m *Machine) beginReceiveLSA(cs *connState, batch []*lsa.MC, replayed repla
 
 	// Lines 3-18: consume the LSAs.
 	for _, msg := range batch {
-		if m.host.TraceEnabled() {
-			m.host.Trace(TraceRecv, chainOf(msg), cs.id, "recv %s", msg)
-		}
+		m.trace(TraceRecord{Kind: TraceRecv, Chain: chainOf(msg), Conn: cs.id, site: trRecv, v: msg})
 		// Lines 5-9: an event LSA advances R and the member list. A lossy
 		// transport can deliver copies duplicated or out of per-origin
 		// order, so application is ordered: stale copies are dropped, early
@@ -833,13 +767,15 @@ func (m *Machine) beginReceiveLSA(cs *connState, batch []*lsa.MC, replayed repla
 }
 
 // completeReceive is Figure 5 from line 22: the triggered proposal is ready.
-func (m *Machine) completeReceive(c *computation, cs *connState) {
+// queued is the host's answer to the line's "is an MC LSA for this
+// connection still queued?".
+func (m *Machine) completeReceive(c *computation, cs *connState, queued bool) {
 	proposal := m.compute(c, cs)
 	// Line 22: still current, and nothing new queued for this MC? (The
 	// first half is the second seeded-bug site for
 	// MutationCompleteWithoutRecheck.)
 	current := cs.r.Equal(c.oldR) || m.mutation == MutationCompleteWithoutRecheck
-	if proposal != nil && !m.host.PendingMC(cs.id) && current {
+	if proposal != nil && !queued && current {
 		// Lines 23-27: flood as a triggered LSA (V = none).
 		m.floodMC(c.chain, &lsa.MC{Src: m.id, Event: lsa.None, Conn: cs.id, Proposal: proposal, Stamp: c.oldR})
 		cs.e.CopyFrom(cs.r) // line 24: bring E up to date
@@ -848,9 +784,7 @@ func (m *Machine) completeReceive(c *computation, cs *connState) {
 		// Lines 28-30: withdraw.
 		proposal = nil
 		m.metrics.Withdrawn++
-		if m.host.TraceEnabled() {
-			m.host.Trace(TraceWithdraw, c.chain, cs.id, "triggered proposal withdrawn")
-		}
+		m.trace(TraceRecord{Kind: TraceWithdraw, Chain: c.chain, Conn: cs.id, site: trTriggeredWithdrawn})
 	}
 	m.acceptCandidate(cs, proposal, c.oldR, c.chain, c.chain)
 }
@@ -860,7 +794,7 @@ func (m *Machine) completeReceive(c *computation, cs *connState) {
 func (m *Machine) acceptCandidate(cs *connState, candidate *mctree.Tree, at stamp.Stamp, candidateChain, batchChain ChainID) {
 	if candidate != nil {
 		cs.c.CopyFrom(at)
-		m.install(cs, candidateChain, candidate, "receive-lsa")
+		m.install(cs, candidateChain, candidate, ReceiveLSA)
 	}
 	m.endInvocation(cs, batchChain)
 }
@@ -908,9 +842,7 @@ func (m *Machine) filterReachable(members mctree.Members) mctree.Members {
 // during Tc — and the incremental-update hints.
 func (m *Machine) beginCompute(e Entity, site computeSite, chain ChainID, cs *connState) *computation {
 	m.metrics.Computations++
-	if m.host.TraceEnabled() {
-		m.host.Trace(TraceCompute, chain, cs.id, "computing topology (members=%d)", len(cs.members))
-	}
+	m.trace(TraceRecord{Kind: TraceCompute, Chain: chain, Conn: cs.id, site: trComputing, n: [3]uint32{uint32(len(cs.members))}})
 	c := &m.computing[e]
 	*c = computation{
 		site: site, conn: cs.id, chain: chain,
@@ -948,33 +880,27 @@ func (m *Machine) compute(c *computation, cs *connState) *mctree.Tree {
 		t, err = m.alg.Compute(m.uni.Image(), cs.kind, members)
 	}
 	if err != nil {
-		if m.host.TraceEnabled() {
-			m.host.Trace(TraceError, c.chain, cs.id, "compute: %v", err)
-		}
+		m.trace(TraceRecord{Kind: TraceError, Chain: c.chain, Conn: cs.id, site: trError, v: fmt.Errorf("compute: %w", err)})
 		return nil
 	}
 	return t
 }
 
-// floodMC floods an MC LSA network-wide via the host.
+// floodMC asks the host to flood an MC LSA network-wide.
 func (m *Machine) floodMC(chain ChainID, msg *lsa.MC) {
 	m.metrics.MCLSAs++
-	if m.host.TraceEnabled() {
-		m.host.Trace(TraceFlood, chain, msg.Conn, "flood %s", msg)
-	}
-	m.host.FloodMC(msg)
+	m.trace(TraceRecord{Kind: TraceFlood, Chain: chain, Conn: msg.Conn, site: trFlood, v: msg})
+	m.emit(Effect{Kind: EffectFloodMC, MC: msg})
 }
 
 // install records the accepted topology and updates the switch's MC routing
 // entries (its tree-adjacent links).
-func (m *Machine) install(cs *connState, chain ChainID, t *mctree.Tree, via string) {
+func (m *Machine) install(cs *connState, chain ChainID, t *mctree.Tree, via Entity) {
 	cs.topology = t
 	cs.installs++
 	m.metrics.Installs++
-	m.host.NoteInstall()
-	if m.host.TraceEnabled() {
-		m.host.Trace(TraceInstall, chain, cs.id, "installed %s via %s", t, via)
-	}
+	m.emit(Effect{Kind: EffectNoteInstall})
+	m.trace(TraceRecord{Kind: TraceInstall, Chain: chain, Conn: cs.id, site: trInstalled, v: t, n: [3]uint32{uint32(via)}})
 }
 
 // EventLogDepth returns the number of event LSAs currently retained for

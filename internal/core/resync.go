@@ -117,10 +117,8 @@ func (m *Machine) applyEventLSA(out []*lsa.MC, cs *connState, msg *lsa.MC) []*ls
 		if cs.buffer(msg) {
 			cs.e.MaxInPlace(msg.Stamp)
 			m.metrics.OutOfOrderLSAs++
-			if m.host.TraceEnabled() {
-				m.host.Trace(TraceResync, chainOf(msg), cs.id,
-					"buffered out-of-order event from %d (idx %d, applied %d)", src, idx, cs.r[x])
-			}
+			m.trace(TraceRecord{Kind: TraceResync, Chain: chainOf(msg), Conn: cs.id, site: trBuffered,
+				n: [3]uint32{uint32(src), uint32(idx), uint32(cs.r[x])}})
 		}
 		return out
 	}
@@ -151,13 +149,11 @@ func (m *Machine) maybeScheduleResync(cs *connState) {
 		}
 		cs.clearGiveUp()
 		m.metrics.ResyncRearms++
-		if m.host.TraceEnabled() {
-			m.host.Trace(TraceResync, ChainID{}, cs.id,
-				"new evidence after give-up: re-arming recovery (R=%s E=%s ooo=%d)", cs.r, cs.e, cs.oooCount)
-		}
+		m.trace(TraceRecord{Kind: TraceResync, Conn: cs.id, site: trRearm,
+			n: [3]uint32{uint32(cs.oooCount)}, v: &[3]stamp.Stamp{cs.r.Clone(), cs.e.Clone()}})
 	}
 	cs.resyncScheduled = true
-	m.host.ArmResync(cs.id)
+	m.emit(Effect{Kind: EffectArmResync, Conn: cs.id})
 }
 
 // clearGiveUp resets the round budget and forgets the give-up signature
@@ -170,21 +166,22 @@ func (cs *connState) clearGiveUp() {
 }
 
 // ResyncFired is the gap-check timer callback: the host calls it once per
-// ArmResync, after its resync timeout has elapsed. The hosting runtime
-// must serialize it with every other Machine call.
-func (m *Machine) ResyncFired(conn lsa.ConnID) {
+// EffectArmResync, after its resync timeout has elapsed, with the switch's
+// current direct neighbors (the candidates for a resync request). The
+// hosting runtime must serialize it with every other Machine call.
+func (m *Machine) ResyncFired(conn lsa.ConnID, neighbors []topo.SwitchID) {
 	cs, ok := m.conns[conn]
 	if !ok {
 		return
 	}
 	cs.resyncScheduled = false
-	m.resyncCheck(cs)
+	m.resyncCheck(cs, neighbors)
 }
 
 // resyncCheck runs when the gap-check timer fires: if the gap healed in the
 // meantime it does nothing; otherwise it spends one resync round on the
 // appropriate recovery action and re-arms.
-func (m *Machine) resyncCheck(cs *connState) {
+func (m *Machine) resyncCheck(cs *connState, nbs []topo.SwitchID) {
 	if !cs.gapped() {
 		cs.clearGiveUp()
 		return
@@ -198,10 +195,8 @@ func (m *Machine) resyncCheck(cs *connState) {
 		cs.gaveUpE = cs.e.Clone()
 		cs.gaveUpOOO = cs.oooCount
 		m.metrics.ResyncGiveUps++
-		if m.host.TraceEnabled() {
-			m.host.Trace(TraceGiveUp, ChainID{}, cs.id,
-				"giving up after %d resync rounds (R=%s E=%s C=%s)", m.resyncMax, cs.r, cs.e, cs.c)
-		}
+		m.trace(TraceRecord{Kind: TraceGiveUp, Conn: cs.id, site: trGiveUp,
+			n: [3]uint32{uint32(m.resyncMax)}, v: &[3]stamp.Stamp{cs.gaveUpR, cs.gaveUpE, cs.c.Clone()}})
 		return
 	}
 	cs.resyncRounds++
@@ -210,20 +205,17 @@ func (m *Machine) resyncCheck(cs *connState) {
 		// proposal's flood was lost. Owe the network a proposal and nudge
 		// ReceiveLSA so line 19 recomputes and floods a triggered one.
 		cs.makeProposal = true
-		if m.host.TraceEnabled() {
-			m.host.Trace(TraceResync, ChainID{}, cs.id,
-				"commit lag (R=%s C=%s): self-nudging a proposal (round %d)", cs.r, cs.c, cs.resyncRounds)
-		}
-		m.host.SelfNudge(cs.id)
-	} else if nbs := m.host.Neighbors(); len(nbs) > 0 {
+		m.trace(TraceRecord{Kind: TraceResync, Conn: cs.id, site: trCommitLag,
+			n: [3]uint32{uint32(cs.resyncRounds)}, v: &[3]stamp.Stamp{cs.r.Clone(), nil, cs.c.Clone()}})
+		m.emit(Effect{Kind: EffectSelfNudge, Conn: cs.id})
+	} else if len(nbs) > 0 {
 		nb := nbs[cs.resyncNext%len(nbs)]
 		cs.resyncNext++
 		m.metrics.ResyncRequests++
-		if m.host.TraceEnabled() {
-			m.host.Trace(TraceResync, ChainID{}, cs.id,
-				"requesting resync from %d (round %d, R=%s E=%s ooo=%d)", nb, cs.resyncRounds, cs.r, cs.e, cs.oooCount)
-		}
-		m.host.SendUnicast(nb, &lsa.ResyncRequest{Conn: cs.id, From: m.id, R: cs.r.Clone()})
+		req := &lsa.ResyncRequest{Conn: cs.id, From: m.id, R: cs.r.Clone()}
+		m.trace(TraceRecord{Kind: TraceResync, Conn: cs.id, site: trRequest,
+			n: [3]uint32{uint32(nb), uint32(cs.resyncRounds), uint32(cs.oooCount)}, v: &[3]stamp.Stamp{req.R, cs.e.Clone()}})
+		m.emit(Effect{Kind: EffectUnicast, To: nb, Payload: req})
 	}
 	m.maybeScheduleResync(cs)
 }
@@ -309,10 +301,8 @@ func (m *Machine) serveResync(cs *connState, from topo.SwitchID, r stamp.Stamp) 
 	}
 	if len(batch) > 0 {
 		m.metrics.ResyncResponses++
-		if m.host.TraceEnabled() {
-			m.host.Trace(TraceResync, ChainID{}, cs.id, "replaying %d LSAs to %d", len(batch), from)
-		}
-		m.host.SendUnicast(from, &lsa.ResyncResponse{Conn: cs.id, From: m.id, Batch: batch})
+		m.trace(TraceRecord{Kind: TraceResync, Conn: cs.id, site: trReplay, n: [3]uint32{uint32(len(batch)), uint32(from)}})
+		m.emit(Effect{Kind: EffectUnicast, To: from, Payload: &lsa.ResyncResponse{Conn: cs.id, From: m.id, Batch: batch}})
 	}
 }
 
@@ -327,7 +317,7 @@ func (m *Machine) ResumeTimers() {
 	}
 	for _, id := range m.AllConnections() {
 		if m.conns[id].resyncScheduled {
-			m.host.ArmResync(id)
+			m.emit(Effect{Kind: EffectArmResync, Conn: id})
 		}
 	}
 }
@@ -347,11 +337,10 @@ func (m *Machine) ReconcileNeighbor(nb topo.SwitchID) {
 		cs := m.conns[id]
 		m.metrics.Reconciles++
 		m.metrics.ResyncRequests++
-		if m.host.TraceEnabled() {
-			m.host.Trace(TraceHeal, ChainID{}, cs.id,
-				"reconciling with %d after heal (R=%s E=%s C=%s)", nb, cs.r, cs.e, cs.c)
-		}
-		m.host.SendUnicast(nb, &lsa.ResyncRequest{Conn: cs.id, From: m.id, R: cs.r.Clone()})
+		req := &lsa.ResyncRequest{Conn: cs.id, From: m.id, R: cs.r.Clone()}
+		m.trace(TraceRecord{Kind: TraceHeal, Conn: cs.id, site: trReconcile,
+			n: [3]uint32{uint32(nb)}, v: &[3]stamp.Stamp{req.R, cs.e.Clone(), cs.c.Clone()}})
+		m.emit(Effect{Kind: EffectUnicast, To: nb, Payload: req})
 		m.maybeScheduleResync(cs)
 	}
 }
@@ -366,16 +355,13 @@ func (m *Machine) ReconcileNeighbor(nb topo.SwitchID) {
 // safe: a fresh event flooded with a reset counter would be stale-dropped
 // network-wide.
 //
-// The hosting runtime must serialize this with every other Machine call.
-func (m *Machine) RequestFullResync() {
-	nbs := m.host.Neighbors()
-	for _, nb := range nbs {
+// neighbors are the switch's current direct neighbors. The hosting runtime
+// must serialize this with every other Machine call.
+func (m *Machine) RequestFullResync(neighbors []topo.SwitchID) {
+	for _, nb := range neighbors {
 		m.metrics.Reconciles++
 		m.metrics.ResyncRequests++
-		if m.host.TraceEnabled() {
-			m.host.Trace(TraceHeal, ChainID{}, lsa.AllConns,
-				"cold rejoin: requesting full resync from %d", nb)
-		}
-		m.host.SendUnicast(nb, &lsa.ResyncRequest{Conn: lsa.AllConns, From: m.id, R: nil})
+		m.trace(TraceRecord{Kind: TraceHeal, Conn: lsa.AllConns, site: trColdRejoin, n: [3]uint32{uint32(nb)}})
+		m.emit(Effect{Kind: EffectUnicast, To: nb, Payload: &lsa.ResyncRequest{Conn: lsa.AllConns, From: m.id, R: nil}})
 	}
 }

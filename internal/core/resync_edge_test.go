@@ -10,12 +10,12 @@ import (
 	"dgmc/internal/topo"
 )
 
-// scriptHost is a core.Host that records everything the machine sends so a
-// test can shuttle messages between machines in any order it wants —
-// including the adversarial interleavings the simulator's scheduler would
-// only hit by luck.
+// scriptHost records what a machine's calls ask for, taken from its effect
+// list, so a test can shuttle messages between machines in any order it
+// wants — including the adversarial interleavings the simulator's scheduler
+// would only hit by luck. Tests call take before they read the lists.
 type scriptHost struct {
-	NopHost
+	m         *Machine
 	id        topo.SwitchID
 	neighbors []topo.SwitchID
 
@@ -24,6 +24,7 @@ type scriptHost struct {
 	unicasts []scriptUnicast
 	armed    []lsa.ConnID
 	nudges   []lsa.ConnID
+	changed  []lsa.ConnID
 }
 
 type scriptUnicast struct {
@@ -31,16 +32,36 @@ type scriptUnicast struct {
 	payload any
 }
 
-var _ Host = (*scriptHost)(nil)
-
-func (h *scriptHost) FloodMC(m *lsa.MC)        { h.floods = append(h.floods, m) }
-func (h *scriptHost) FloodNonMC(nm *lsa.NonMC) { h.nonMC = append(h.nonMC, nm) }
-func (h *scriptHost) SendUnicast(to topo.SwitchID, payload any) {
-	h.unicasts = append(h.unicasts, scriptUnicast{to: to, payload: payload})
+// newScriptMachine builds a machine for cfg and the scriptHost recording it.
+func newScriptMachine(t *testing.T, cfg MachineConfig, neighbors []topo.SwitchID) (*Machine, *scriptHost) {
+	t.Helper()
+	m, err := NewMachine(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, &scriptHost{m: m, id: cfg.ID, neighbors: neighbors}
 }
-func (h *scriptHost) Neighbors() []topo.SwitchID { return h.neighbors }
-func (h *scriptHost) ArmResync(conn lsa.ConnID)  { h.armed = append(h.armed, conn) }
-func (h *scriptHost) SelfNudge(conn lsa.ConnID)  { h.nudges = append(h.nudges, conn) }
+
+// take moves the machine's effects into the recorded lists.
+func (h *scriptHost) take() {
+	for _, e := range h.m.Effects() {
+		switch e.Kind {
+		case EffectFloodMC:
+			h.floods = append(h.floods, e.MC)
+		case EffectFloodNonMC:
+			h.nonMC = append(h.nonMC, e.NonMC)
+		case EffectUnicast:
+			h.unicasts = append(h.unicasts, scriptUnicast{to: e.To, payload: e.Payload})
+		case EffectArmResync:
+			h.armed = append(h.armed, e.Conn)
+		case EffectSelfNudge:
+			h.nudges = append(h.nudges, e.Conn)
+		case EffectForwardingChanged:
+			h.changed = append(h.changed, e.Conn)
+		}
+	}
+	h.m.ClearEffects()
+}
 
 // scriptNet is a set of machines wired through scriptHosts with explicit
 // message pumping.
@@ -58,14 +79,10 @@ func newScriptNet(t *testing.T, g *topo.Graph, resyncMax int, ids ...topo.Switch
 		hosts:    map[topo.SwitchID]*scriptHost{},
 	}
 	for _, id := range ids {
-		h := &scriptHost{id: id, neighbors: g.Neighbors(id)}
-		m, err := NewMachine(MachineConfig{
+		m, h := newScriptMachine(t, MachineConfig{
 			ID: id, Graph: g, Algorithm: route.SPH{},
 			Resync: true, ResyncMaxRounds: resyncMax,
-		}, h)
-		if err != nil {
-			t.Fatal(err)
-		}
+		}, g.Neighbors(id))
 		sn.machines[id] = m
 		sn.hosts[id] = h
 	}
@@ -86,6 +103,7 @@ func (sn *scriptNet) pump() {
 		}
 		moved := false
 		for id, h := range sn.hosts {
+			h.take()
 			floods, unis, nudges := h.floods, h.unicasts, h.nudges
 			h.floods, h.unicasts, h.nudges = nil, nil, nil
 			for _, mc := range floods {
@@ -113,10 +131,11 @@ func (sn *scriptNet) pump() {
 		// Queues drained; let pending gap timers fire.
 		fired := false
 		for id, h := range sn.hosts {
+			h.take()
 			armed := h.armed
 			h.armed = nil
 			for _, conn := range armed {
-				sn.machines[id].ResyncFired(conn)
+				sn.machines[id].ResyncFired(conn, h.neighbors)
 				fired = true
 			}
 		}
@@ -146,14 +165,10 @@ func TestResyncGiveUpRearmsOnNewEvidence(t *testing.T) {
 		t.Fatal(err)
 	}
 	const conn = lsa.ConnID(1)
-	h := &scriptHost{id: 2, neighbors: g.Neighbors(2)}
-	m, err := NewMachine(MachineConfig{
+	m, h := newScriptMachine(t, MachineConfig{
 		ID: 2, Graph: g, Algorithm: route.SPH{},
 		Resync: true, ResyncMaxRounds: 2,
-	}, h)
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, g.Neighbors(2))
 
 	// Event #2 from switch 0 arrives before event #1: buffered out of
 	// order, the connection is gapped, and a gap check is armed.
@@ -161,6 +176,7 @@ func TestResyncGiveUpRearmsOnNewEvidence(t *testing.T) {
 	if !m.Gapped(conn) {
 		t.Fatal("machine not gapped after an out-of-order event")
 	}
+	h.take()
 	if len(h.armed) != 1 {
 		t.Fatalf("armed %d gap checks, want 1", len(h.armed))
 	}
@@ -169,7 +185,8 @@ func TestResyncGiveUpRearmsOnNewEvidence(t *testing.T) {
 	// exhaust the budget; the third check is the give-up.
 	for i := 0; i < 3; i++ {
 		h.armed = nil
-		m.ResyncFired(conn)
+		m.ResyncFired(conn, h.neighbors)
+		h.take()
 	}
 	if got := m.Metrics().ResyncGiveUps; got != 1 {
 		t.Fatalf("ResyncGiveUps = %d, want 1", got)
@@ -184,6 +201,7 @@ func TestResyncGiveUpRearmsOnNewEvidence(t *testing.T) {
 	// duplicate of the same out-of-order event changes nothing.
 	h.armed = nil
 	m.ReceiveBatch(nil, []any{eventMC(3, 0, conn, 2, lsa.Leave)})
+	h.take()
 	if len(h.armed) != 0 {
 		t.Fatalf("duplicate evidence re-armed recovery: %v", h.armed)
 	}
@@ -197,6 +215,7 @@ func TestResyncGiveUpRearmsOnNewEvidence(t *testing.T) {
 	if got := m.Metrics().ResyncRearms; got != 1 {
 		t.Fatalf("ResyncRearms = %d, want 1", got)
 	}
+	h.take()
 	if len(h.armed) != 1 {
 		t.Fatalf("new evidence armed %d gap checks, want 1", len(h.armed))
 	}
@@ -243,12 +262,16 @@ func TestSimultaneousBidirectionalResync(t *testing.T) {
 	// other (the partition window). Drop the captured floods.
 	m0.HandleLocalEvent(nil, LocalEvent{Conn: conn, Kind: lsa.Join, Role: mctree.SenderReceiver})
 	m1.HandleLocalEvent(nil, LocalEvent{Conn: conn, Kind: lsa.Join, Role: mctree.SenderReceiver})
+	h0.take()
+	h1.take()
 	h0.floods, h0.nonMC, h0.unicasts, h0.nudges = nil, nil, nil, nil
 	h1.floods, h1.nonMC, h1.unicasts, h1.nudges = nil, nil, nil, nil
 
 	// Heal: both sides reconcile simultaneously; requests cross.
 	m0.ReconcileNeighbor(1)
 	m1.ReconcileNeighbor(0)
+	h0.take()
+	h1.take()
 	if len(h0.unicasts) != 1 || len(h1.unicasts) != 1 {
 		t.Fatalf("reconcile sent %d/%d unicasts, want 1/1", len(h0.unicasts), len(h1.unicasts))
 	}
@@ -290,21 +313,26 @@ func TestResyncResponseRacesFreshLocalEvent(t *testing.T) {
 
 	// Shared history: switch 1 joins and switch 0 sees it.
 	m1.HandleLocalEvent(nil, LocalEvent{Conn: conn, Kind: lsa.Join, Role: mctree.SenderReceiver})
+	h1.take()
 	for _, mc := range h1.floods {
 		m0.ReceiveBatch(nil, []any{mc})
 	}
+	h0.take()
 	h0.floods, h0.nonMC, h0.unicasts, h0.nudges = nil, nil, nil, nil
 	h1.floods, h1.nonMC, h1.nudges = nil, nil, nil
 
 	// Partition: switch 1 leaves but the flood never crosses.
 	m1.HandleLocalEvent(nil, LocalEvent{Conn: conn, Kind: lsa.Leave})
+	h1.take()
 	h1.floods, h1.nonMC, h1.nudges = nil, nil, nil
 
 	// Heal: switch 0 asks switch 1 for a replay.
 	m0.ReconcileNeighbor(1)
+	h0.take()
 	req := h0.unicasts[0]
 	h0.unicasts = nil
 	m1.ReceiveBatch(nil, []any{req.payload})
+	h1.take()
 	if len(h1.unicasts) != 1 {
 		t.Fatalf("request produced %d responses, want 1", len(h1.unicasts))
 	}
@@ -364,14 +392,11 @@ func TestReplayEndsAtPseudoProposalBoundary(t *testing.T) {
 	}
 
 	// A blank latecomer (switch 0) cold-rejoins from switch 1.
-	h0 := &scriptHost{id: 0, neighbors: g.Neighbors(0)}
-	m0, err := NewMachine(MachineConfig{
+	m0, h0 := newScriptMachine(t, MachineConfig{
 		ID: 0, Graph: g, Algorithm: route.SPH{}, Resync: true, ResyncMaxRounds: 8,
-	}, h0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m0.RequestFullResync()
+	}, g.Neighbors(0))
+	m0.RequestFullResync(h0.neighbors)
+	h0.take()
 	if len(h0.unicasts) != 1 {
 		t.Fatalf("full resync sent %d requests, want 1 (one neighbor)", len(h0.unicasts))
 	}
@@ -379,6 +404,7 @@ func TestReplayEndsAtPseudoProposalBoundary(t *testing.T) {
 	h0.unicasts = nil
 	h1 := sn.hosts[1]
 	m1.ReceiveBatch(nil, []any{req.payload})
+	h1.take()
 	if len(h1.unicasts) != 1 {
 		t.Fatalf("wildcard request produced %d responses, want 1", len(h1.unicasts))
 	}
@@ -406,6 +432,7 @@ func TestReplayEndsAtPseudoProposalBoundary(t *testing.T) {
 	// Apply: the latecomer adopts state and re-floods the two events — and
 	// only the events.
 	m0.ReceiveBatch(nil, []any{resp})
+	h0.take()
 	s0, _ := m0.Connection(conn)
 	if !s0.R.Equal(s1.R) || !s0.Members.Equal(s1.Members) {
 		t.Fatalf("latecomer did not adopt the replayed state: R=%s members=%v", s0.R, s0.Members)

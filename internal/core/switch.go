@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"dgmc/internal/flood"
 	"dgmc/internal/lsa"
 	"dgmc/internal/lsr"
@@ -14,8 +16,8 @@ func switchID(x int) topo.SwitchID { return topo.SwitchID(x) }
 // runtime-agnostic state machine (Machine) plus the simulation adapter that
 // drives it — the two protocol entities (EventHandler and ReceiveLSA) as
 // receivers on their mailboxes, virtual-time compute costs, and the
-// flood.Network fabric. It implements Host. The live runtime equivalent is
-// internal/rt.Node, driving the exact same Machine.
+// flood.Network fabric that carries out the machine's effects. The live
+// runtime equivalent is internal/rt.Node, driving the exact same Machine.
 type Switch struct {
 	id     topo.SwitchID
 	d      *Domain
@@ -38,7 +40,7 @@ func newSwitch(d *Domain, id topo.SwitchID) (*Switch, error) {
 		Resync:              d.resyncAfter > 0,
 		ResyncMaxRounds:     d.resyncMax,
 		Metrics:             d.metrics,
-	}, s)
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -92,6 +94,7 @@ func (s *Switch) serve(e Entity) {
 			}
 			pending = s.m.BeginReceive(batch)
 		}
+		s.drain()
 		s.compute(e, pending)
 	}
 }
@@ -104,106 +107,82 @@ func (s *Switch) serve(e Entity) {
 func (s *Switch) compute(e Entity, pending bool) {
 	if s.d.computeTime == 0 {
 		for pending {
-			pending = s.m.Complete(e)
+			pending = s.complete(e)
 		}
 		return
 	}
 	if pending {
 		s.d.k.Schedule(s.d.computeTime, func() {
-			s.compute(e, s.m.Complete(e))
+			s.compute(e, s.complete(e))
 			s.serve(e)
 		})
 	}
 }
 
-// --- Host implementation (simulation runtime) ---
-
-var _ Host = (*Switch)(nil)
-
-// FloodMC implements Host: flood an MC LSA over the fabric, on the wire
-// when the domain is configured to encode advertisements.
-func (s *Switch) FloodMC(m *lsa.MC) {
-	if s.d.encodeLSAs {
-		s.d.net.Flood(s.id, m.Marshal())
-		return
-	}
-	s.d.net.Flood(s.id, m)
+// complete finishes e's pending computation, answering Figure 5 line 22
+// from the switch's mailbox, and carries out what it asked for.
+func (s *Switch) complete(e Entity) bool {
+	queued := e == ReceiveLSA && s.mcQueued(s.m.ComputingConn(e))
+	pending := s.m.Complete(e, queued)
+	s.drain()
+	return pending
 }
 
-// FloodNonMC implements Host.
-func (s *Switch) FloodNonMC(nm *lsa.NonMC) {
-	if s.d.encodeLSAs {
-		s.d.net.Flood(s.id, nm.Marshal())
-		return
-	}
-	s.d.net.Flood(s.id, nm)
-}
-
-// SendUnicast implements Host: resync traffic rides the fabric's neighbor
-// unicast service.
-func (s *Switch) SendUnicast(to topo.SwitchID, payload any) {
-	s.d.net.Unicast(s.id, to, payload)
-}
-
-// PendingMC implements Host: report whether the switch's mailbox currently
-// holds an MC LSA for conn (Figure 5 line 22).
-func (s *Switch) PendingMC(conn lsa.ConnID) bool {
+// mcQueued reports whether the switch's mailbox holds a flooded MC LSA for
+// conn, in memory or on the wire.
+func (s *Switch) mcQueued(conn lsa.ConnID) bool {
 	for _, raw := range s.d.net.Mailbox(s.id).Snapshot() {
-		del, ok := raw.(flood.Delivery)
-		if !ok {
-			continue
+		del, _ := raw.(flood.Delivery)
+		mc, _ := del.Payload.(*lsa.MC)
+		if wire, ok := del.Payload.([]byte); ok {
+			mc, _, _ = lsa.Unmarshal(wire) // nil unless an MC LSA decodes
 		}
-		payload := del.Payload
-		if wire, ok := payload.([]byte); ok {
-			mc, _, err := lsa.Unmarshal(wire)
-			if err != nil || mc == nil {
-				continue
-			}
-			payload = mc
-		}
-		if m, ok := payload.(*lsa.MC); ok && m.Conn == conn {
+		if mc != nil && mc.Conn == conn {
 			return true
 		}
 	}
 	return false
 }
 
-// Neighbors implements Host.
-func (s *Switch) Neighbors() []topo.SwitchID {
-	return s.d.net.Graph().Neighbors(s.id)
-}
-
-// FabricLinkChanged implements Host: mirror a locally detected link event
-// into the shared fabric graph so floods route around the failure.
-func (s *Switch) FabricLinkChanged(change lsa.LinkChange) {
-	if err := s.d.net.Graph().SetLinkDown(change.A, change.B, change.Down); err != nil {
-		s.d.trace(TraceError, ChainID{}, s.id, 0, "fabric: %v", err)
+// drain carries out, in order, what the machine's last call asked for, on
+// the fabric, the kernel and the shared fabric graph. The simulator has no
+// live data plane — its delivery model (internal/deliver) reads installed
+// topologies directly — so forwarding changes need nothing.
+func (s *Switch) drain() {
+	d := s.d
+	for _, e := range s.m.Effects() {
+		switch e.Kind {
+		case EffectFloodMC, EffectFloodNonMC:
+			var adv interface{ Marshal() []byte } = e.MC
+			if e.Kind == EffectFloodNonMC {
+				adv = e.NonMC
+			}
+			if d.encodeLSAs {
+				d.net.Flood(s.id, adv.Marshal())
+			} else {
+				d.net.Flood(s.id, adv)
+			}
+		case EffectUnicast:
+			d.net.Unicast(s.id, e.To, e.Payload)
+		case EffectArmResync:
+			conn := e.Conn
+			d.k.Schedule(d.resyncAfter, func() {
+				s.m.ResyncFired(conn, d.net.Graph().Neighbors(s.id))
+				s.drain()
+			})
+		case EffectSelfNudge:
+			d.net.Mailbox(s.id).Send(ResyncNudge{Conn: e.Conn}, 0)
+		case EffectNoteInstall:
+			d.noteInstall()
+		case EffectFabricLinkChanged:
+			if err := d.net.Graph().SetLinkDown(e.Link.A, e.Link.B, e.Link.Down); err != nil && d.tracer != nil {
+				d.tracer.Trace(TraceEntry{At: d.k.Now(), Kind: TraceError, Switch: s.id, Detail: fmt.Sprintf("fabric: %v", err)})
+			}
+		case EffectTrace:
+			if d.tracer != nil {
+				d.tracer.Trace(e.Trace.Entry(d.k.Now(), s.id))
+			}
+		}
 	}
+	s.m.ClearEffects()
 }
-
-// ArmResync implements Host: schedule the machine's gap check after the
-// domain's resync timeout of virtual time.
-func (s *Switch) ArmResync(conn lsa.ConnID) {
-	s.d.k.Schedule(s.d.resyncAfter, func() { s.m.ResyncFired(conn) })
-}
-
-// SelfNudge implements Host: deliver a ResyncNudge through the switch's
-// own LSA mailbox.
-func (s *Switch) SelfNudge(conn lsa.ConnID) {
-	s.d.net.Mailbox(s.id).Send(ResyncNudge{Conn: conn}, 0)
-}
-
-// NoteInstall implements Host.
-func (s *Switch) NoteInstall() { s.d.noteInstall() }
-
-// ForwardingChanged implements Host. The simulator has no live data plane —
-// its delivery model (internal/deliver) reads installed topologies directly.
-func (s *Switch) ForwardingChanged(lsa.ConnID) {}
-
-// Trace implements Host.
-func (s *Switch) Trace(kind TraceKind, chain ChainID, conn lsa.ConnID, format string, args ...any) {
-	s.d.trace(kind, chain, s.id, conn, format, args...)
-}
-
-// TraceEnabled implements Host.
-func (s *Switch) TraceEnabled() bool { return s.d.tracer != nil }

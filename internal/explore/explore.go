@@ -3,8 +3,8 @@
 //
 // It drives the production state machine itself: a set of core.Machine
 // instances, one per switch, whose every runtime effect (flooding, unicast
-// resync, timers, self-nudges, topology computations) is captured as a
-// *pending action* instead of being executed at some fixed time. The set of
+// resync, timers, self-nudges, topology computations) becomes a *pending
+// action* instead of being executed at some fixed time. The set of
 // pending actions at a world state is the set of schedule choice points:
 //
 //   - injecting the next scenario event at a switch (events at different
@@ -32,9 +32,10 @@
 // inside the paper's Tc window — the schedules Figure 4 line 6 and Figure 5
 // line 22 ask "is R still old_R?" for. While EventHandler computes, the
 // switch's further injects wait; while ReceiveLSA computes, deliveries to
-// the switch wait in flight (where Host.PendingMC sees them, and faults can
-// still hit them). Computations begun after the budget is spent complete
-// inside the action that begins them, as every one does at the default of 0.
+// the switch wait in flight (where the completion's "still queued?" answer
+// sees them, and faults can still hit them). Computations begun after the
+// budget is spent complete inside the action that begins them, as every one
+// does at the default of 0.
 package explore
 
 import (
@@ -45,6 +46,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 
 	"dgmc/internal/core"
 	"dgmc/internal/faults"
@@ -257,17 +259,6 @@ type World struct {
 	trace   []string
 }
 
-// worldHost adapts one machine's runtime effects into pending actions. The
-// checker explores control-plane interleavings only: there is no FIB to
-// recompile, so ForwardingChanged stays NopHost's.
-type worldHost struct {
-	core.NopHost
-	w  *World
-	id topo.SwitchID
-}
-
-var _ core.Host = (*worldHost)(nil)
-
 // NewWorld builds the initial world state for (cfg, scn).
 func NewWorld(cfg Config, scn Scenario) (*World, error) {
 	if err := cfg.validate(); err != nil {
@@ -308,7 +299,7 @@ func NewWorld(cfg Config, scn Scenario) (*World, error) {
 			Resync:          cfg.Resync,
 			ResyncMaxRounds: cfg.ResyncMaxRounds,
 			Mutation:        cfg.Mutation,
-		}, &worldHost{w: w, id: topo.SwitchID(i)})
+		}, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -353,7 +344,7 @@ func (w *World) clone() *World {
 		c.injectedMembership[conn] = append([]int(nil), counts...)
 	}
 	for i, m := range w.machines {
-		c.machines[i] = m.CloneWith(&worldHost{w: c, id: topo.SwitchID(i)})
+		c.machines[i] = m.Clone()
 	}
 	return c
 }
@@ -541,14 +532,14 @@ func (w *World) apply(a action) {
 			}
 			counts[inj.Switch]++
 		}
-		w.settle(a.sw, core.EventHandler, w.machines[a.sw].BeginLocalEvent(inj.Event))
+		w.act(a.sw, func(m *core.Machine) { w.settle(a.sw, core.EventHandler, m.BeginLocalEvent(inj.Event)) })
 	case actDeliver:
 		pm := w.pending[a.msg]
 		w.removePending(a.msg)
 		if req, ok := pm.payload.(*lsa.ResyncRequest); ok {
 			w.exchangeErr = w.checkExchange(pm.to, req)
 		}
-		w.settle(pm.to, core.ReceiveLSA, w.machines[pm.to].BeginReceive([]any{pm.payload}))
+		w.act(pm.to, func(m *core.Machine) { w.settle(pm.to, core.ReceiveLSA, m.BeginReceive([]any{pm.payload})) })
 	case actDrop:
 		w.removePending(a.msg)
 		w.dropsLeft--
@@ -562,11 +553,11 @@ func (w *World) apply(a action) {
 	case actFire:
 		t := w.timers[a.timer]
 		w.timers = append(w.timers[:a.timer], w.timers[a.timer+1:]...)
-		w.machines[t.sw].ResyncFired(t.conn)
+		w.act(t.sw, func(m *core.Machine) { m.ResyncFired(t.conn, w.graph.Neighbors(t.sw)) })
 	case actFault:
 		w.applyFault()
 	case actComplete:
-		w.settle(a.sw, a.ent, w.machines[a.sw].Complete(a.ent))
+		w.act(a.sw, func(*core.Machine) { w.settle(a.sw, a.ent, w.complete(a.sw, a.ent)) })
 	}
 }
 
@@ -574,13 +565,24 @@ func (w *World) apply(a action) {
 // if it did: within the compute budget it stays pending, beyond it this one
 // and every further one the call goes on to begin complete here.
 func (w *World) settle(sw topo.SwitchID, e core.Entity, pending bool) {
-	for pending {
-		if w.computesLeft > 0 {
-			w.computesLeft--
-			return
-		}
-		pending = w.machines[sw].Complete(e)
+	for pending && w.computesLeft == 0 {
+		pending = w.complete(sw, e)
 	}
+	if pending {
+		w.computesLeft--
+	}
+}
+
+// complete finishes switch sw's pending e computation. An MC LSA for its
+// connection in flight to sw is what Figure 5 line 22 sees as queued.
+func (w *World) complete(sw topo.SwitchID, e core.Entity) bool {
+	m := w.machines[sw]
+	conn := m.ComputingConn(e)
+	queued := e == core.ReceiveLSA && slices.ContainsFunc(w.pending, func(pm pendingMsg) bool {
+		mc, ok := pm.payload.(*lsa.MC)
+		return ok && pm.to == sw && mc.Conn == conn
+	})
+	return m.Complete(e, queued)
 }
 
 func (w *World) removePending(i int) {
@@ -688,116 +690,86 @@ func (h *hasher) appendMsgMultiset(buf []byte, msgs []pendingMsg) []byte {
 	return buf
 }
 
-// --- Host implementation ---
+// effectArrays lends a machine the array it appends effects to for one
+// act, so the machines of the world clones a search makes keep none.
+var effectArrays = sync.Pool{New: func() any { return new([]core.Effect) }}
 
-// FloodMC implements core.Host: one pending delivery per switch currently
-// reachable from the origin (flooding cannot cross failed links).
-func (h *worldHost) FloodMC(m *lsa.MC) { h.w.flood(h.id, m) }
+// act runs call on switch s's machine and turns, in order, what it asked
+// for into pending actions. The checker explores control-plane
+// interleavings only: there is no FIB to recompile, so forwarding changes
+// need nothing.
+func (w *World) act(s topo.SwitchID, call func(*core.Machine)) {
+	m := w.machines[s]
+	lent := effectArrays.Get().(*[]core.Effect)
+	m.SwapEffects(*lent)
+	call(m)
+	for _, e := range m.Effects() {
+		switch e.Kind {
+		case core.EffectFloodMC:
+			w.flood(s, e.MC)
+		case core.EffectFloodNonMC:
+			w.flood(s, e.NonMC)
+		case core.EffectUnicast:
+			w.unicast(s, e.To, e.Payload)
+		case core.EffectArmResync:
+			w.timers = append(w.timers, timer{sw: s, conn: e.Conn})
+		case core.EffectSelfNudge:
+			// Exempt from network faults.
+			w.pending = append(w.pending, pendingMsg{
+				id: w.nextMsgID, to: s, origin: s,
+				payload: core.ResyncNudge{Conn: e.Conn}, internal: true,
+			})
+			w.nextMsgID++
+		case core.EffectNoteInstall:
+			w.installs++
+		case core.EffectFabricLinkChanged:
+			if err := w.graph.SetLinkDown(e.Link.A, e.Link.B, e.Link.Down); err != nil && w.tracing {
+				w.trace = append(w.trace, fmt.Sprintf("  [%d] fabric: %v", s, err))
+			}
+		case core.EffectTrace:
+			if w.tracing {
+				r := &e.Trace
+				w.trace = append(w.trace, fmt.Sprintf("  [switch %d conn %d chain %s] %s: %s", s, r.Conn, r.Chain, r.Kind, r.Detail()))
+			}
+		}
+	}
+	*lent = m.SwapEffects(nil)
+	effectArrays.Put(lent)
+}
 
-// FloodNonMC implements core.Host.
-func (h *worldHost) FloodNonMC(nm *lsa.NonMC) { h.w.flood(h.id, nm) }
-
+// flood leaves one pending delivery per switch currently reachable from
+// src (flooding cannot cross failed links).
 func (w *World) flood(src topo.SwitchID, payload any) {
 	comp := append([]topo.SwitchID(nil), w.graph.Component(src)...)
 	sort.Slice(comp, func(i, j int) bool { return comp[i] < comp[j] })
 	for _, dst := range comp {
-		if dst == src {
-			continue
-		}
-		// Copies to a dead switch are lost with it. Cross-partition copies
-		// are parked until the heal: under hop-by-hop flooding the frame
-		// reaches the boundary and is forwarded onward once connectivity
-		// returns (see faultops.go).
-		if w.crashed[dst] {
-			continue
-		}
-		pm := pendingMsg{id: w.nextMsgID, to: dst, origin: src, payload: payload}
-		w.nextMsgID++
-		if w.partitioned(src, dst) {
-			w.held = append(w.held, pm)
-		} else {
-			w.pending = append(w.pending, pm)
+		if dst != src {
+			w.send(src, dst, payload)
 		}
 	}
 }
 
-// SendUnicast implements core.Host. Unreachable destinations swallow the
-// message, like a fabric with no route.
-func (h *worldHost) SendUnicast(to topo.SwitchID, payload any) {
-	if h.w.crashed[to] {
+// unicast leaves a message from src in flight to to. Unreachable
+// destinations swallow it, like a fabric with no route.
+func (w *World) unicast(src, to topo.SwitchID, payload any) {
+	if slices.Contains(w.graph.Component(src), to) {
+		w.send(src, to, payload)
+	}
+}
+
+// send leaves one message from src in flight to dst. Copies to a dead
+// switch are lost with it. Cross-partition messages are parked until the
+// heal: under hop-by-hop flooding a frame reaches the boundary and is
+// forwarded onward once connectivity returns (see faultops.go).
+func (w *World) send(src, dst topo.SwitchID, payload any) {
+	if w.crashed[dst] {
 		return
 	}
-	reachable := false
-	for _, s := range h.w.graph.Component(h.id) {
-		if s == to {
-			reachable = true
-			break
-		}
-	}
-	if !reachable {
-		return
-	}
-	pm := pendingMsg{id: h.w.nextMsgID, to: to, origin: h.id, payload: payload}
-	h.w.nextMsgID++
-	// Cross-partition unicasts park until the heal, like flooded copies.
-	if h.w.partitioned(h.id, to) {
-		h.w.held = append(h.w.held, pm)
+	pm := pendingMsg{id: w.nextMsgID, to: dst, origin: src, payload: payload}
+	w.nextMsgID++
+	if w.partitioned(src, dst) {
+		w.held = append(w.held, pm)
 	} else {
-		h.w.pending = append(h.w.pending, pm)
+		w.pending = append(w.pending, pm)
 	}
-}
-
-// PendingMC implements core.Host: an MC LSA for conn is "queued" when an
-// in-flight flooded copy is addressed to this switch.
-func (h *worldHost) PendingMC(conn lsa.ConnID) bool {
-	for i := range h.w.pending {
-		pm := &h.w.pending[i]
-		if pm.to != h.id {
-			continue
-		}
-		if m, ok := pm.payload.(*lsa.MC); ok && m.Conn == conn {
-			return true
-		}
-	}
-	return false
-}
-
-// Neighbors implements core.Host.
-func (h *worldHost) Neighbors() []topo.SwitchID { return h.w.graph.Neighbors(h.id) }
-
-// FabricLinkChanged implements core.Host.
-func (h *worldHost) FabricLinkChanged(change lsa.LinkChange) {
-	if err := h.w.graph.SetLinkDown(change.A, change.B, change.Down); err != nil && h.w.tracing {
-		h.w.trace = append(h.w.trace, fmt.Sprintf("  [%d] fabric: %v", h.id, err))
-	}
-}
-
-// ArmResync implements core.Host: the firing instant becomes a choice
-// point.
-func (h *worldHost) ArmResync(conn lsa.ConnID) {
-	h.w.timers = append(h.w.timers, timer{sw: h.id, conn: conn})
-}
-
-// SelfNudge implements core.Host: a pending self-delivery, exempt from
-// network faults.
-func (h *worldHost) SelfNudge(conn lsa.ConnID) {
-	h.w.pending = append(h.w.pending, pendingMsg{
-		id: h.w.nextMsgID, to: h.id, origin: h.id,
-		payload: core.ResyncNudge{Conn: conn}, internal: true,
-	})
-	h.w.nextMsgID++
-}
-
-// NoteInstall implements core.Host.
-func (h *worldHost) NoteInstall() { h.w.installs++ }
-
-// Trace implements core.Host.
-func (h *worldHost) TraceEnabled() bool { return h.w.tracing }
-
-func (h *worldHost) Trace(kind core.TraceKind, chain core.ChainID, conn lsa.ConnID, format string, args ...any) {
-	if !h.w.tracing {
-		return
-	}
-	h.w.trace = append(h.w.trace,
-		fmt.Sprintf("  [switch %d conn %d chain %s] %s: %s", h.id, conn, chain, kind, fmt.Sprintf(format, args...)))
 }

@@ -450,7 +450,7 @@ func TestTokenRejectsGarbage(t *testing.T) {
 }
 
 // TestCloneIndependence: a cloned world evolves independently of its
-// parent (the CloneWith deep-copy contract).
+// parent (the Clone deep-copy contract).
 func TestCloneIndependence(t *testing.T) {
 	w, err := NewWorld(Config{Graph: ring4(t)}, twoJoins())
 	if err != nil {

@@ -256,8 +256,8 @@ func (w *World) applyFault() {
 		w.held = nil
 		for _, l := range w.graph.Links() {
 			if !l.Down && side[l.A] != side[l.B] {
-				w.machines[l.A].ReconcileNeighbor(l.B)
-				w.machines[l.B].ReconcileNeighbor(l.A)
+				w.act(l.A, func(m *core.Machine) { m.ReconcileNeighbor(l.B) })
+				w.act(l.B, func(m *core.Machine) { m.ReconcileNeighbor(l.A) })
 			}
 		}
 	case FaultCrash:
@@ -304,7 +304,7 @@ func (w *World) applyFault() {
 			Resync:          w.cfg.Resync,
 			ResyncMaxRounds: w.cfg.ResyncMaxRounds,
 			Mutation:        w.cfg.Mutation,
-		}, &worldHost{w: w, id: s})
+		}, nil)
 		if err != nil {
 			panic(fmt.Sprintf("explore: blank machine for crashed switch %d: %v", s, err))
 		}
@@ -312,7 +312,7 @@ func (w *World) applyFault() {
 	case FaultRestart:
 		s := op.Switch
 		w.crashed[s] = false
-		w.machines[s].RequestFullResync()
+		w.act(s, func(m *core.Machine) { m.RequestFullResync(w.graph.Neighbors(s)) })
 	case FaultCompact:
 		w.machines[op.Switch].CompactEventLogs()
 	}

@@ -164,14 +164,19 @@ func (w *World) checkExchange(server topo.SwitchID, req *lsa.ResyncRequest) erro
 			return nil
 		}
 	}
-	var answers sandboxHost
-	srv := w.machines[server].CloneWith(&answers)
+	srv := w.machines[server].Clone()
 	srv.ReceiveBatch(nil, []any{req})
-	asker := w.machines[req.From].CloneWith(&sandboxHost{})
-	// The answers wait in the asker's queue for as long as it computes.
-	for asker.Complete(core.ReceiveLSA) {
+	var answers []any
+	for _, e := range srv.Effects() {
+		if e.Kind == core.EffectUnicast {
+			answers = append(answers, e.Payload)
+		}
 	}
-	asker.ReceiveBatch(nil, answers.unicasts)
+	asker := w.machines[req.From].Clone()
+	// The answers wait in the asker's queue for as long as it computes.
+	for asker.Complete(core.ReceiveLSA, false) {
+	}
+	asker.ReceiveBatch(nil, answers)
 	for _, conn := range srv.AllConnections() {
 		if req.Conn != lsa.AllConns && req.Conn != conn {
 			continue
@@ -196,18 +201,6 @@ func (w *World) compacted() bool {
 		}
 	}
 	return false
-}
-
-// sandboxHost is the Host of a machine copy that runs outside the world:
-// it records unicasts (the answers to a resync request) and swallows
-// everything else.
-type sandboxHost struct {
-	core.NopHost
-	unicasts []any
-}
-
-func (h *sandboxHost) SendUnicast(_ topo.SwitchID, payload any) {
-	h.unicasts = append(h.unicasts, payload)
 }
 
 // lossyStandard reports whether this schedule's history downgrades it to

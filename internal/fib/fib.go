@@ -1,7 +1,7 @@
 // Package fib is the per-switch forwarding information base of the data
 // plane: a compiled, read-only view of every installed MC topology that the
 // live runtime's forward path consults on each payload frame. The control
-// plane (core.Machine via the Host.ForwardingChanged hook) recompiles the
+// plane (core.Machine's forwarding-changed effects) recompiles the
 // entries of the connections whose topology was installed or withdrawn — or
 // the whole table when the unicast image changes — and swaps the new table
 // in atomically: forwarding never observes a half-updated tree.

@@ -2,7 +2,7 @@ package lsr
 
 import (
 	"encoding/binary"
-	"sort"
+	"slices"
 
 	"dgmc/internal/topo"
 )
@@ -33,21 +33,23 @@ func (i *Instance) Clone() *Instance {
 // staleness horizon. Two instances with equal encodings react identically
 // to every future input. Pure bookkeeping (the version counter, the
 // routing table, which is a function of the image) is excluded so that
-// different event orders reaching the same image compare equal.
+// different event orders reaching the same image compare equal. It
+// allocates nothing beyond growing buf for up to 64 originators.
 func (i *Instance) AppendState(buf []byte) []byte {
-	for _, l := range i.image.Links() {
-		if l.Down {
+	for k := 0; k < i.image.NumLinks(); k++ {
+		if i.image.LinkAt(k).Down {
 			buf = append(buf, 1)
 		} else {
 			buf = append(buf, 0)
 		}
 	}
 	buf = binary.BigEndian.AppendUint32(buf, i.mySeq)
-	ids := make([]topo.SwitchID, 0, len(i.seen))
+	var scratch [64]topo.SwitchID
+	ids := scratch[:0]
 	for id := range i.seen {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+	slices.Sort(ids)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(ids)))
 	for _, id := range ids {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(int32(id)))

@@ -134,7 +134,8 @@ func TestSelfNudgeFloodsWithinStep(t *testing.T) {
 		}
 	}
 	const conn = lsa.ConnID(1)
-	resync := func(m *core.Machine) { m.ResyncFired(conn) }
+	// resync fires n's gap check through step, as its timer would.
+	resync := func(n *Node) { n.step(1, func(m *core.Machine) { m.ResyncFired(conn, n.neighbors) }) }
 
 	if err := c.Partition([][]topo.SwitchID{{0}, {1, 2}}); err != nil {
 		t.Fatal(err)
@@ -157,7 +158,7 @@ func TestSelfNudgeFloodsWithinStep(t *testing.T) {
 	}
 
 	before := n1.ctl.floodsOrig.Load()
-	n1.step(1, resync)
+	resync(n1)
 	if got := n1.ctl.floodsOrig.Load(); got <= before {
 		t.Fatalf("the nudged proposal was not flooded within the step: %d floods before, %d after", before, got)
 	}
@@ -167,7 +168,7 @@ func TestSelfNudgeFloodsWithinStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	settle()
-	c.Node(0).step(1, resync) // 0 still lacks 2's join: it asks switch 1
+	resync(c.Node(0)) // 0 still lacks 2's join: it asks switch 1
 	if err := c.WaitConverged(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -519,5 +520,86 @@ func TestChanFabricKillResetPartition(t *testing.T) {
 	}
 	if got, err := fab.Transport(2).Recv(); err != nil || string(got) != "z" {
 		t.Fatalf("post-heal recv = %q, %v", got, err)
+	}
+}
+
+// TestRestoreResumesTimersUnderFlood restarts a switch from a snapshot that
+// holds a scheduled gap timer while its neighbours flood fresh connections
+// at it. Re-arming the timer walks the restored machine's connections, and
+// the new incarnation's receive loop is stepping that machine from the
+// moment it starts, so the walk must go through step like every other
+// machine call (run it under -race). The restored switch must end with its
+// gap timer armed again.
+func TestRestoreResumesTimersUnderFlood(t *testing.T) {
+	g, err := topo.Line(3, 10*time.Microsecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An hour: the gap timer never fires by itself.
+	c, err := NewCluster(ClusterConfig{Graph: g, ResyncTimeout: time.Hour}, NewChanFabric(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// Switch 0's second event on gapConn, with no first: switch 1 buffers it
+	// out of order and arms its gap timer. Nobody holds the first, so no
+	// rejoin closes the gap.
+	// Many connections make the walk long enough for the race to show.
+	const gapConn = lsa.ConnID(1 << 20)
+	for conn := lsa.ConnID(1 << 16); conn < 1<<16+256; conn++ {
+		if err := c.Join(0, conn, mctree.SenderReceiver); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.WaitConverged(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	ahead := &lsa.MC{Src: 0, Event: lsa.Join, Role: mctree.SenderReceiver, Conn: gapConn, Stamp: []uint32{2, 0, 0}}
+	n1 := c.Node(1)
+	n1.step(1, func(m *core.Machine) { m.ReceiveBatch(nil, []any{ahead}) })
+	snap := n1.Snapshot()
+	if !snap.machine.ResyncArmed(gapConn) {
+		t.Fatal("the snapshot holds no scheduled gap timer")
+	}
+
+	stop := make(chan struct{})
+	flooded := make(chan struct{})
+	go func() {
+		defer close(flooded)
+		for conn := lsa.ConnID(1); ; conn++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, sw := range []topo.SwitchID{0, 2} {
+				if err := c.Join(sw, conn, mctree.SenderReceiver); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		if err := c.KillNode(1); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.RestartNode(1, snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	<-flooded
+
+	n1 = c.Node(1)
+	n1.mu.Lock()
+	armed := n1.machine.ResyncArmed(gapConn)
+	n1.mu.Unlock()
+	n1.timerMu.Lock()
+	timers := len(n1.timers)
+	n1.timerMu.Unlock()
+	if !armed || timers == 0 {
+		t.Fatalf("restored switch: gap timer scheduled %v, %d timers running", armed, timers)
 	}
 }

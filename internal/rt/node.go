@@ -107,19 +107,10 @@ type Node struct {
 	succ atomic.Pointer[Node]
 
 	// mu serializes all access to machine (it is not concurrency-safe).
+	// Every machine call goes through step, which carries out the call's
+	// effects before it releases mu.
 	mu      sync.Mutex
 	machine *core.Machine
-	// nudges holds the ResyncNudges the current machine call asked for
-	// (Host.SelfNudge); guarded by mu. step runs them before it releases mu.
-	nudges []any
-	// fibChanged lists the connections, and fibAll marks the unicast image,
-	// that the current machine call reported a forwarding change for
-	// (Host.ForwardingChanged); guarded by mu. Every machine call goes
-	// through step, which recompiles before releasing mu, so the swapped
-	// table can never lag the control plane by more than the call that is
-	// currently holding the lock.
-	fibChanged []lsa.ConnID
-	fibAll     bool
 
 	// fib is the data plane's forwarding table, recompiled from machine
 	// state on every forwarding change and swapped atomically — the forward
@@ -134,7 +125,7 @@ type Node struct {
 	fwd         forwardStripes
 	// origTx lends SendDataBatch callers a stage set (*txStages) for the
 	// call; floodTx stages originated floods and is guarded by mu, which
-	// every Host call runs under.
+	// every step holds.
 	origTx   sync.Pool
 	floodTx  txStages
 	batching batchCounters
@@ -218,8 +209,8 @@ func NewNode(cfg NodeConfig, tr Transport) (*Node, error) {
 		if err := cfg.Restore.verify(); err != nil {
 			return nil, err
 		}
-		// Adopt a copy bound to this node, leaving the snapshot reusable.
-		n.machine = cfg.Restore.machine.CloneWith(n)
+		// Adopt a copy, leaving the snapshot reusable.
+		n.machine = cfg.Restore.machine.Clone()
 	} else {
 		m, err := core.NewMachine(core.MachineConfig{
 			ID:                  cfg.ID,
@@ -228,7 +219,7 @@ func NewNode(cfg NodeConfig, tr Transport) (*Node, error) {
 			Kinds:               cfg.Kinds,
 			ReoptimizeThreshold: cfg.ReoptimizeThreshold,
 			Resync:              cfg.ResyncTimeout > 0,
-		}, n)
+		}, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -241,8 +232,9 @@ func NewNode(cfg NodeConfig, tr Transport) (*Node, error) {
 	n.wg.Add(1)
 	go n.recvLoop()
 	if cfg.Restore != nil {
-		// Gap timers pending at snapshot time died with the old runtime.
-		n.machine.ResumeTimers()
+		// Gap timers pending at snapshot time died with the old runtime. The
+		// receive loop may already be stepping the machine.
+		n.step(1, (*core.Machine).ResumeTimers)
 	}
 	return n, nil
 }
@@ -281,27 +273,70 @@ func (n *Node) Reconcile(nb topo.SwitchID) {
 // its own event counter before it originates anything new.
 func (n *Node) RejoinFromNeighbors() {
 	n.flight.Record(obs.RecRejoin, 0, uint32(n.id), 0, 0)
-	n.step(1, (*core.Machine).RequestFullResync)
+	n.step(1, func(m *core.Machine) { m.RequestFullResync(n.neighbors) })
 }
 
+// effectArrays lends each step the array its machine appends effects to:
+// the switches of a process share a few, and the collector takes them back,
+// so an idle switch keeps none.
+var effectArrays = sync.Pool{New: func() any { return new([]core.Effect) }}
+
 // step is the one way into the protocol machine from the runtime: fn runs
-// under the machine lock, then any ResyncNudge fn asked for runs as a
-// ReceiveLSA batch, the FIB is recompiled before the lock drops if either
-// changed forwarding, and the whole step sits inside a busy window that
-// closes by crediting units of completed work — so the quiescence check
-// sees the step either pending, running, or counted.
+// under the machine lock, then step carries out its effects (trace entries
+// stamped in Unix nanoseconds, comparable across nodes), runs any
+// ResyncNudge as a ReceiveLSA batch whose effects it carries out in turn,
+// and recompiles the FIB before the lock drops if any of it changed
+// forwarding. Link events are the transport's, so they need nothing.
+// ReceiveBatch answers Figure 5 line 22 "nothing queued": a batch waiting
+// for the lock reaches the machine in the next step, as if it arrived just
+// after the computation — a schedule the checker explores. The step sits
+// in a busy window that closes by crediting units of completed work, so
+// the quiescence check sees it either pending, running, or counted.
 func (n *Node) step(units uint64, fn func(*core.Machine)) {
 	n.busy.Add(1)
 	n.mu.Lock()
+	lent := effectArrays.Get().(*[]core.Effect)
+	n.machine.SwapEffects(*lent)
 	fn(n.machine)
-	for len(n.nudges) > 0 {
-		nudges := n.nudges
-		n.nudges = nil
+	var changedBuf [8]lsa.ConnID
+	fibAll, fibChanged := false, changedBuf[:0]
+	for {
+		var nudges []any
+		fx := n.machine.Effects()
+		for i := range fx {
+			switch e := &fx[i]; e.Kind {
+			case core.EffectFloodMC:
+				n.mcLSAs.stripe(e.MC.Conn).flooded.Add(1)
+				n.flood(e.MC.AppendMarshal)
+			case core.EffectFloodNonMC:
+				n.flood(e.NonMC.AppendMarshal)
+			case core.EffectUnicast:
+				n.sendUnicast(e.To, e.Payload)
+			case core.EffectArmResync:
+				n.armResync(e.Conn)
+			case core.EffectSelfNudge:
+				nudges = append(nudges, core.ResyncNudge{Conn: e.Conn})
+			case core.EffectForwardingChanged:
+				fibAll = fibAll || e.Conn == lsa.AllConns
+				if e.Conn != lsa.AllConns && !slices.Contains(fibChanged, e.Conn) {
+					fibChanged = append(fibChanged, e.Conn)
+				}
+			case core.EffectTrace:
+				if n.tracer != nil {
+					n.tracer.Trace(e.Trace.Entry(time.Duration(time.Now().UnixNano()), n.id))
+				}
+			}
+		}
+		n.machine.ClearEffects()
+		if len(nudges) == 0 {
+			break
+		}
 		n.machine.ReceiveBatch(nil, nudges)
 	}
-	if n.fibAll || len(n.fibChanged) > 0 {
-		n.recompileFIBLocked(n.fibAll, n.fibChanged)
-		n.fibAll, n.fibChanged = false, n.fibChanged[:0]
+	*lent = n.machine.SwapEffects(nil)
+	effectArrays.Put(lent)
+	if fibAll || len(fibChanged) > 0 {
+		n.recompileFIBLocked(fibAll, fibChanged)
 	}
 	n.mu.Unlock()
 	n.activity.Add(units)
@@ -575,14 +610,12 @@ func (n *Node) idle() bool {
 	return n.busy.Load() == 0
 }
 
-// --- core.Host implementation ---
-
-var _ core.Host = (*Node)(nil)
+// --- carrying out the machine's effects ---
 
 // flood originates one flood frame, encoded by appendPayload directly into a
 // pooled buffer, and sends it to every neighbor — staged like any fan-out but
 // flushed at once: control traffic is never held back for a burst. Runs
-// under mu (a Host call), which is what guards floodTx.
+// under mu (within a step), which is what guards floodTx.
 func (n *Node) flood(appendPayload func([]byte) []byte) {
 	buf := lsa.AppendFrameWith(getBuf(256), &lsa.Frame{
 		Version: lsa.FrameVersion, Kind: lsa.FrameFlood,
@@ -597,15 +630,6 @@ func (n *Node) flood(appendPayload func([]byte) []byte) {
 	}
 }
 
-// FloodMC implements core.Host.
-func (n *Node) FloodMC(m *lsa.MC) {
-	n.mcLSAs.stripe(m.Conn).flooded.Add(1)
-	n.flood(m.AppendMarshal)
-}
-
-// FloodNonMC implements core.Host.
-func (n *Node) FloodNonMC(nm *lsa.NonMC) { n.flood(nm.AppendMarshal) }
-
 // maxResyncFrame bounds one resync-response frame on the wire. A response
 // is a batch of up to a retained log's worth of LSAs, each carrying an
 // n-vector stamp; as one datagram it outgrows UDP's 65 507-byte payload at
@@ -613,11 +637,10 @@ func (n *Node) FloodNonMC(nm *lsa.NonMC) { n.flood(nm.AppendMarshal) }
 // leaves room for any single LSA to push a frame over.
 const maxResyncFrame = 32 << 10
 
-// SendUnicast implements core.Host: frame a resync message point-to-point.
-// A response is cut into as many frames as keep each within maxResyncFrame;
-// the receiver's ordered apply and out-of-order buffer absorb any
-// reordering between them.
-func (n *Node) SendUnicast(to topo.SwitchID, payload any) {
+// sendUnicast frames a resync message point-to-point. A response is cut
+// into as many frames as keep each within maxResyncFrame; the receiver's
+// ordered apply and out-of-order buffer absorb any reordering between them.
+func (n *Node) sendUnicast(to topo.SwitchID, payload any) {
 	switch v := payload.(type) {
 	case *lsa.ResyncRequest:
 		n.sendFrame(to, lsa.FrameResyncReq, v.AppendMarshal)
@@ -651,30 +674,9 @@ func (n *Node) nextSeq() uint64 {
 	return n.relay.Next()
 }
 
-// PendingMC implements core.Host and reports false: the live node keeps no
-// receive queue for the machine to look into. A ReceiveLSA computation runs
-// on the receive goroutine, which takes the next batch only after it; one
-// on another goroutine (an injected event, a timer) may leave a decoded
-// batch waiting for the lock, which reaches the machine in the next step.
-// Either way Figure 5 line 22 sees what it would see if that LSA arrived
-// just after the computation finished — a schedule the checker explores.
-func (n *Node) PendingMC(lsa.ConnID) bool { return false }
-
-// Neighbors implements core.Host. The returned slice is the node's own
-// (fixed at construction, read-only by the Host contract); callers must not
-// mutate it — copying here put an allocation on every resync round for
-// nothing.
-func (n *Node) Neighbors() []topo.SwitchID { return n.neighbors }
-
-// FabricLinkChanged implements core.Host. The live fabric's connectivity
-// belongs to the transport (real links fail by dropping traffic, not by
-// being told), so a locally signaled link event only affects images and
-// trees; control traffic keeps using the configured neighbor set.
-func (n *Node) FabricLinkChanged(lsa.LinkChange) {}
-
-// ArmResync implements core.Host: a wall-clock timer that re-enters the
-// machine (serialized by mu) when it fires.
-func (n *Node) ArmResync(conn lsa.ConnID) {
+// armResync starts a wall-clock gap timer that steps the machine's
+// ResyncFired when it fires.
+func (n *Node) armResync(conn lsa.ConnID) {
 	select {
 	case <-n.closed:
 		return
@@ -694,7 +696,7 @@ func (n *Node) ArmResync(conn lsa.ConnID) {
 		}
 		n.ctl.resyncTmr.Add(1)
 		n.flight.Record(obs.RecResyncFired, uint32(conn), uint32(n.id), 0, 0)
-		n.step(1, func(m *core.Machine) { m.ResyncFired(conn) })
+		n.step(1, func(m *core.Machine) { m.ResyncFired(conn, n.neighbors) })
 	})
 	n.timerMu.Lock()
 	if n.timers == nil {
@@ -704,49 +706,3 @@ func (n *Node) ArmResync(conn lsa.ConnID) {
 	}
 	n.timerMu.Unlock()
 }
-
-// SelfNudge implements core.Host: the step making this call runs
-// ResyncNudge{conn} as a ReceiveLSA batch before it releases the machine
-// lock, as ForwardingChanged defers the recompile. Called with mu held.
-func (n *Node) SelfNudge(conn lsa.ConnID) {
-	n.nudges = append(n.nudges, core.ResyncNudge{Conn: conn})
-}
-
-// NoteInstall implements core.Host; the machine's own Installs metric
-// already counts what it reports.
-func (n *Node) NoteInstall() {}
-
-// ForwardingChanged implements core.Host: mark conn's FIB entry — with
-// lsa.AllConns, which reports an image change, every entry — stale. The
-// machine calls this mid-mutation (mu held by the step driving it), so the
-// actual recompile is deferred to the end of that step — one table swap per
-// batch however many installs the batch performed.
-func (n *Node) ForwardingChanged(conn lsa.ConnID) {
-	switch {
-	case conn == lsa.AllConns:
-		n.fibAll = true
-	case !slices.Contains(n.fibChanged, conn):
-		n.fibChanged = append(n.fibChanged, conn)
-	}
-}
-
-// Trace implements core.Host. Entries are stamped with wall-clock
-// nanoseconds since the Unix epoch so spans collected from different nodes
-// (or different daemon processes on one machine) share a comparable
-// timeline.
-func (n *Node) Trace(kind core.TraceKind, chain core.ChainID, conn lsa.ConnID, format string, args ...any) {
-	if n.tracer == nil {
-		return
-	}
-	n.tracer.Trace(core.TraceEntry{
-		At:     time.Duration(time.Now().UnixNano()),
-		Kind:   kind,
-		Switch: n.id,
-		Conn:   conn,
-		Chain:  chain,
-		Detail: fmt.Sprintf(format, args...),
-	})
-}
-
-// TraceEnabled implements core.Host.
-func (n *Node) TraceEnabled() bool { return n.tracer != nil }

@@ -32,7 +32,7 @@ type NodeSnapshot struct {
 // traffic, crash, or be closed without affecting the snapshot.
 func (n *Node) Snapshot() *NodeSnapshot {
 	n.mu.Lock()
-	m := n.machine.CloneWith(parkedHost{})
+	m := n.machine.Clone()
 	n.mu.Unlock()
 	return &NodeSnapshot{
 		id:      n.id,
@@ -59,9 +59,3 @@ func (s *NodeSnapshot) verify() error {
 	}
 	return nil
 }
-
-// parkedHost is the inert core.Host a snapshot's machine is bound to while
-// parked: the machine never runs there, but CloneWith requires a host, and
-// an inert one guarantees that even a misuse (calling into the parked
-// machine) cannot touch the network.
-type parkedHost struct{ core.NopHost }
