@@ -232,12 +232,11 @@ func BenchmarkIncrementalVsScratch(b *testing.B) {
 	joined := topo.SwitchID(55)
 	grown := members.Clone()
 	grown[joined] = mctree.SenderReceiver
-	delta := &route.Change{Switch: joined, Join: true}
 
 	b.Run("incremental", func(b *testing.B) {
 		alg := route.NewIncremental(route.SPH{})
 		for i := 0; i < b.N; i++ {
-			if _, err := alg.Update(g, mctree.Symmetric, grown, base, delta); err != nil {
+			if _, err := alg.Update(g, mctree.Symmetric, grown, base); err != nil {
 				b.Fatal(err)
 			}
 		}

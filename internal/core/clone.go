@@ -6,6 +6,7 @@ import (
 
 	"dgmc/internal/lsa"
 	"dgmc/internal/mctree"
+	"dgmc/internal/stamp"
 	"dgmc/internal/topo"
 )
 
@@ -80,7 +81,6 @@ func (cs *connState) clone() *connState {
 		logLast:         cs.logLast.Clone(),
 		topology:        cs.topology,
 		makeProposal:    cs.makeProposal,
-		lastDelta:       cs.lastDelta,
 		installs:        cs.installs,
 		dormant:         cs.dormant,
 		oooCount:        cs.oooCount,
@@ -130,6 +130,19 @@ func (m *Machine) Gapped(conn lsa.ConnID) bool {
 	return ok && cs.gapped()
 }
 
+// Stamps returns conn's R, E and C, or ok=false if the switch holds no
+// state for it; dormant connections, whose counters persist, included.
+// Unlike Connection it copies nothing: the stamps are the machine's own —
+// callers must only read them and must not retain them past the machine's
+// next call.
+func (m *Machine) Stamps(conn lsa.ConnID) (r, e, c stamp.Stamp, ok bool) {
+	cs, ok := m.conns[conn]
+	if !ok {
+		return nil, nil, nil, false
+	}
+	return cs.r, cs.e, cs.c, true
+}
+
 // ResyncGaveUp reports whether conn's gap recovery exhausted its round
 // budget (further arming is blocked until healthy state resets it).
 func (m *Machine) ResyncGaveUp(conn lsa.ConnID) bool {
@@ -154,8 +167,8 @@ func (m *Machine) AllConnections() []lsa.ConnID {
 // to buf. Everything that can influence a future transition is included:
 // the unicast image and its staleness horizon, and per connection (in
 // ascending ID order) the three timestamps, the member list, the flags,
-// the installed topology, the incremental-update hint, the replay log and
-// its per-origin floor, the out-of-order buffer, and the resync bookkeeping.
+// the installed topology, the replay log and its per-origin floor, the
+// out-of-order buffer, and the resync bookkeeping.
 // Pending computations, with the rest of the calls they interrupted, follow
 // the connections — only when there are any, so a machine with both
 // entities idle encodes as it did before computations could be left
@@ -201,15 +214,6 @@ func appendMembers(buf []byte, members mctree.Members) []byte {
 	return buf
 }
 
-func appendDelta(buf []byte, d changeHint) []byte {
-	if !d.ok {
-		return append(buf, 0)
-	}
-	buf = append(buf, 1)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(int32(d.change.Switch)))
-	return appendBool(buf, d.change.Join)
-}
-
 func appendMC(buf []byte, msg *lsa.MC) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(int32(msg.Src)))
 	buf = append(buf, byte(msg.Event), byte(msg.Role))
@@ -229,7 +233,6 @@ func (cs *connState) appendState(buf []byte) []byte {
 	buf = appendBool(buf, cs.makeProposal)
 	buf = appendBool(buf, cs.dormant)
 	buf = appendTree(buf, cs.topology)
-	buf = appendDelta(buf, cs.lastDelta)
 	buf = cs.appendLog(buf)
 	buf = cs.logFloor.AppendBinary(buf)
 	// Out-of-order buffer in (origin, index) order.

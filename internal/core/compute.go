@@ -57,11 +57,10 @@ type computation struct {
 	chain ChainID
 	// As of the begin: R (Figure 4 line 4, Figure 5 line 20), the member
 	// list (an estimate's already restricted to the reachable) and the
-	// incremental-update hints.
+	// installed tree the algorithm updates.
 	oldR    stamp.Stamp
 	members mctree.Members
 	prev    *mctree.Tree
-	delta   changeHint
 	// event and role are what an EventHandler proposal's LSA announces.
 	event lsa.Event
 	role  mctree.Role
@@ -191,7 +190,6 @@ func (c *computation) appendState(buf []byte) []byte {
 	buf = c.oldR.AppendBinary(buf)
 	buf = appendMembers(buf, c.members)
 	buf = appendTree(buf, c.prev)
-	buf = appendDelta(buf, c.delta)
 	return append(buf, byte(c.event), byte(c.role))
 }
 

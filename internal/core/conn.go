@@ -3,7 +3,6 @@ package core
 import (
 	"dgmc/internal/lsa"
 	"dgmc/internal/mctree"
-	"dgmc/internal/route"
 	"dgmc/internal/stamp"
 	"dgmc/internal/topo"
 )
@@ -44,11 +43,6 @@ type connState struct {
 	// topology is the currently installed MC topology (nil before the
 	// first accepted proposal).
 	topology *mctree.Tree
-
-	// lastDelta remembers the most recent membership change applied, as a
-	// hint for incremental topology updates. The zero value forces
-	// from-scratch.
-	lastDelta changeHint
 
 	// installs counts accepted/installed topologies (for convergence
 	// bookkeeping and metrics).
@@ -176,27 +170,15 @@ func (cs *connState) applyMembership(event lsa.Event, src int, role mctree.Role)
 	switch event {
 	case lsa.Join:
 		cs.members[switchID(src)] = role
-		cs.lastDelta = changeHint{route.Change{Switch: switchID(src), Join: true}, true}
 	case lsa.Leave:
 		delete(cs.members, switchID(src))
-		cs.lastDelta = changeHint{route.Change{Switch: switchID(src), Join: false}, true}
-	case lsa.Link:
-		cs.lastDelta = changeHint{} // force from-scratch around the failed link
 	case lsa.CatchUp:
 		if role != 0 {
 			cs.members[switchID(src)] = role
 		} else {
 			delete(cs.members, switchID(src))
 		}
-		cs.lastDelta = changeHint{} // any number of changes were skipped
 	}
-}
-
-// changeHint is an incremental-update hint held by value: the change, if
-// ok. It saves the allocation a *route.Change per applied event cost.
-type changeHint struct {
-	change route.Change
-	ok     bool
 }
 
 // Snapshot is a read-only copy of a connection's state, for inspection by

@@ -1,8 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"context"
 	"errors"
-	"runtime"
+	"fmt"
+	"runtime/pprof"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,8 +23,10 @@ import (
 // TestSimulationStartsNoGoroutines pins the simulator's execution model:
 // every protocol entity, forwarder and baseline switch is an event receiver
 // run on the goroutine that calls Run, so building and running a domain
-// leaves the goroutine count where it was. It is not parallel, so no other
-// test's goroutines come and go while it counts.
+// leaves no goroutine behind. Each build-and-run carries a profiler label
+// of its own, which every goroutine it starts inherits; the check is that
+// no goroutine carrying it is left once the run returns, whatever other
+// tests' goroutines do meanwhile.
 func TestSimulationStartsNoGoroutines(t *testing.T) {
 	g, err := topo.Grid(4, 4, 10*time.Microsecond)
 	if err != nil {
@@ -28,19 +35,20 @@ func TestSimulationStartsNoGoroutines(t *testing.T) {
 	joins := []topo.SwitchID{0, 5, 10, 15}
 	check := func(name string, build func(k *sim.Kernel, net *flood.Network) func() error) {
 		t.Helper()
-		before := runtime.NumGoroutine()
-		k := sim.NewKernel()
-		net, err := flood.New(k, g.Clone(), testPerHop, flood.HopByHop)
-		if err != nil {
-			t.Fatal(err)
-		}
-		verify := build(k, net)
-		k.Run()
-		if err := verify(); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if after := runtime.NumGoroutine(); after != before {
-			t.Errorf("%s: %d goroutines after the run, %d before building it", name, after, before)
+		pprof.Do(context.Background(), pprof.Labels(runLabel, name), func(context.Context) {
+			k := sim.NewKernel()
+			net, err := flood.New(k, g.Clone(), testPerHop, flood.HopByHop)
+			if err != nil {
+				t.Fatal(err)
+			}
+			verify := build(k, net)
+			k.Run()
+			if err := verify(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		})
+		if n := labelledGoroutines(t, runLabel, name); n > 0 {
+			t.Errorf("%s: %d goroutines started by building and running it outlive the run", name, n)
 		}
 	}
 
@@ -85,4 +93,35 @@ func TestSimulationStartsNoGoroutines(t *testing.T) {
 			return nil
 		}
 	})
+}
+
+// runLabel is the profiler label key each build-and-run of
+// TestSimulationStartsNoGoroutines runs under.
+const runLabel = "simulation-run"
+
+// labelledGoroutines counts the live goroutines carrying the profiler label
+// key=value, read from the goroutine profile: at debug level 1 it groups
+// goroutines by stack and labels, each group a "<count> @ <pcs>" line
+// followed by a "# labels: {...}" line when it has any.
+func labelledGoroutines(t *testing.T, key, value string) int {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("%q:%q", key, value)
+	lines := strings.Split(buf.String(), "\n")
+	total := 0
+	for i := 1; i < len(lines); i++ {
+		if !strings.HasPrefix(lines[i], "# labels: ") || !strings.Contains(lines[i], want) {
+			continue
+		}
+		count, _, _ := strings.Cut(lines[i-1], " @ ")
+		n, err := strconv.Atoi(count)
+		if err != nil {
+			t.Fatalf("goroutine profile: no count before %q: %q", lines[i], lines[i-1])
+		}
+		total += n
+	}
+	return total
 }

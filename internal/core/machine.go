@@ -5,7 +5,6 @@ import (
 	"slices"
 	"time"
 
-	"dgmc/internal/flood"
 	"dgmc/internal/lsa"
 	"dgmc/internal/lsr"
 	"dgmc/internal/mctree"
@@ -206,10 +205,6 @@ type Machine struct {
 		groups []connGroup
 	}
 
-	// delta is the slot compute hands Algorithm.Update its change hint
-	// through: a pointer into the machine, so the call allocates nothing.
-	delta route.Change
-
 	// fx is the effect list the host drains (see effect.go).
 	fx []Effect
 	// host, when set, takes the MC floods of HandleLocalEvent and
@@ -344,7 +339,6 @@ func (m *Machine) updateDormancy(cs *connState, chain ChainID) {
 		if !cs.dormant {
 			cs.dormant = true
 			cs.topology = nil
-			cs.lastDelta = changeHint{}
 			m.trace(TraceRecord{Kind: TraceDestroy, Chain: chain, Conn: cs.id, site: trDestroyed})
 		}
 		return
@@ -402,7 +396,6 @@ func (m *Machine) continueLocal() bool {
 	for len(rest.affected) > 0 {
 		cs := m.conns[rest.affected[0]]
 		rest.affected = rest.affected[1:]
-		cs.lastDelta = changeHint{}
 		if m.beginEvent(lsa.Link, 0, cs) {
 			return true
 		}
@@ -449,7 +442,6 @@ func (m *Machine) completeEstimate(c *computation, cs *connState) bool {
 	}
 	m.trace(TraceRecord{Kind: TraceCompute, Conn: cs.id, site: trReoptimize,
 		v: 100 * (cur/float64(fresh.Cost(m.uni.Image())) - 1)})
-	cs.lastDelta = changeHint{}
 	return m.beginEvent(lsa.Link, 0, cs)
 }
 
@@ -568,10 +560,9 @@ func (m *Machine) ReceiveBatch(_ any, batch []any) {
 // same queue: replayed LSAs join the per-connection groups, requests are
 // served after ReceiveLSA has consumed the batch.
 //
-// Accepted batch entries: flood.Delivery (payload *lsa.MC, *lsa.NonMC, or
-// their []byte wire encoding), flood.Unicast (payload *lsa.ResyncRequest
-// or *lsa.ResyncResponse), bare *lsa.MC / *lsa.NonMC / *lsa.ResyncRequest /
-// *lsa.ResyncResponse, and ResyncNudge. Anything else is ignored.
+// Accepted batch entries are the protocol's five message kinds: *lsa.MC,
+// *lsa.NonMC, *lsa.ResyncRequest, *lsa.ResyncResponse and ResyncNudge.
+// Anything else is ignored.
 //
 // It reports whether ReceiveLSA now has a computation pending; the caller
 // then owes Complete(ReceiveLSA) calls until one reports false, and must
@@ -619,23 +610,6 @@ func (m *Machine) consume(raw any) {
 			b.replayed[string(mc.Marshal())] = true
 			m.consume(mc)
 		}
-	case flood.Unicast:
-		m.consume(v.Payload)
-	case flood.Delivery:
-		payload := v.Payload
-		if wire, ok := payload.([]byte); ok {
-			mc, nm, err := lsa.Unmarshal(wire)
-			if err != nil {
-				m.trace(TraceRecord{Kind: TraceError, site: trError, v: fmt.Errorf("decode LSA: %w", err)})
-				return
-			}
-			if mc != nil {
-				payload = mc
-			} else {
-				payload = nm
-			}
-		}
-		m.consume(payload)
 	case *lsa.NonMC:
 		changed, err := m.uni.HandleLSA(v)
 		if err != nil {
@@ -839,7 +813,7 @@ func (m *Machine) filterReachable(members mctree.Members) mctree.Members {
 
 // beginCompute starts a proposal computation for entity e (Figure 4 lines
 // 4-5 / Figure 5 lines 20-21): snapshot R, the member list — it may change
-// during Tc — and the incremental-update hints.
+// during Tc — and the installed tree.
 func (m *Machine) beginCompute(e Entity, site computeSite, chain ChainID, cs *connState) *computation {
 	m.metrics.Computations++
 	m.trace(TraceRecord{Kind: TraceCompute, Chain: chain, Conn: cs.id, site: trComputing, n: [3]uint32{uint32(len(cs.members))}})
@@ -847,7 +821,7 @@ func (m *Machine) beginCompute(e Entity, site computeSite, chain ChainID, cs *co
 	*c = computation{
 		site: site, conn: cs.id, chain: chain,
 		oldR: cs.r.Clone(), members: cs.members.Clone(),
-		prev: cs.topology, delta: cs.lastDelta,
+		prev: cs.topology,
 	}
 	return c
 }
@@ -865,20 +839,7 @@ func (m *Machine) compute(c *computation, cs *connState) *mctree.Tree {
 	// asking the algorithm to span a switch the network can no longer
 	// reach (members cut off by failures are served again after repair or
 	// timed out by the application; the paper defers partition recovery).
-	members := m.filterReachable(c.members)
-	var delta *route.Change
-	if c.delta.ok {
-		m.delta = c.delta.change
-		delta = &m.delta
-	}
-	t, err := m.alg.Update(m.uni.Image(), cs.kind, members, c.prev, delta)
-	// An incremental update is only a hint about the latest change; when
-	// several changes accumulated since the previous topology (e.g. two
-	// joins in one LSA batch) the result may not span every member. Fall
-	// back to a from-scratch computation in that case.
-	if err == nil && t.Validate(m.uni.Image(), members) != nil {
-		t, err = m.alg.Compute(m.uni.Image(), cs.kind, members)
-	}
+	t, err := m.alg.Update(m.uni.Image(), cs.kind, m.filterReachable(c.members), c.prev)
 	if err != nil {
 		m.trace(TraceRecord{Kind: TraceError, Chain: c.chain, Conn: cs.id, site: trError, v: fmt.Errorf("compute: %w", err)})
 		return nil

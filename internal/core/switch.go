@@ -92,7 +92,7 @@ func (s *Switch) serve(e Entity) {
 			if len(batch) == 0 {
 				return
 			}
-			pending = s.m.BeginReceive(batch)
+			pending = s.m.BeginReceive(s.unwrapAll(batch))
 		}
 		s.drain()
 		s.compute(e, pending)
@@ -132,16 +132,55 @@ func (s *Switch) complete(e Entity) bool {
 // conn, in memory or on the wire.
 func (s *Switch) mcQueued(conn lsa.ConnID) bool {
 	for _, raw := range s.d.net.Mailbox(s.id).Snapshot() {
-		del, _ := raw.(flood.Delivery)
-		mc, _ := del.Payload.(*lsa.MC)
-		if wire, ok := del.Payload.([]byte); ok {
-			mc, _, _ = lsa.Unmarshal(wire) // nil unless an MC LSA decodes
-		}
-		if mc != nil && mc.Conn == conn {
+		msg, _ := unwrap(raw)
+		if mc, ok := msg.(*lsa.MC); ok && mc.Conn == conn {
 			return true
 		}
 	}
 	return false
+}
+
+// unwrapAll rewrites a drained mailbox batch, in place, into the protocol
+// messages the machine takes, dropping and tracing each LSA that does not
+// decode.
+func (s *Switch) unwrapAll(batch []any) []any {
+	msgs := batch[:0]
+	for _, raw := range batch {
+		msg, err := unwrap(raw)
+		if err != nil {
+			if s.d.tracer != nil {
+				s.d.tracer.Trace(TraceEntry{At: s.d.k.Now(), Kind: TraceError, Switch: s.id, Detail: err.Error()})
+			}
+			continue
+		}
+		msgs = append(msgs, msg)
+	}
+	clear(batch[len(msgs):])
+	return msgs
+}
+
+// unwrap returns the protocol message a mailbox entry carries: a flood's
+// or a unicast's payload, with a wire-encoded LSA decoded. Anything else (a
+// ResyncNudge) is its own message.
+func unwrap(raw any) (any, error) {
+	switch v := raw.(type) {
+	case flood.Unicast:
+		return v.Payload, nil
+	case flood.Delivery:
+		wire, ok := v.Payload.([]byte)
+		if !ok {
+			return v.Payload, nil
+		}
+		mc, nm, err := lsa.Unmarshal(wire)
+		if err != nil {
+			return nil, fmt.Errorf("decode LSA: %w", err)
+		}
+		if mc != nil {
+			return mc, nil
+		}
+		return nm, nil
+	}
+	return raw, nil
 }
 
 // drain carries out, in order, what the machine's last call asked for, on

@@ -267,14 +267,14 @@ func (w *World) applyFault() {
 		// so record the high-water mark before the state is lost.
 		m := w.machines[s]
 		for _, conn := range m.AllConnections() {
-			snap, _ := m.Connection(conn)
+			r, _, _, _ := m.Stamps(conn)
 			hw := w.ownHigh[conn]
 			if hw == nil {
 				hw = make([]uint32, w.n)
 				w.ownHigh[conn] = hw
 			}
-			if int(s) < len(snap.R) && snap.R[s] > hw[s] {
-				hw[s] = snap.R[s]
+			if int(s) < len(r) && r[s] > hw[s] {
+				hw[s] = r[s]
 			}
 		}
 		w.crashed[s] = true

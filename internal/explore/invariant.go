@@ -94,14 +94,14 @@ func (w *World) checkStep() error {
 	own := make(map[lsa.ConnID][]uint32)
 	for s, m := range w.machines {
 		for _, conn := range m.AllConnections() {
-			snap, _ := m.Connection(conn)
+			r, _, _, _ := m.Stamps(conn)
 			counts := own[conn]
 			if counts == nil {
 				counts = make([]uint32, w.n)
 				own[conn] = counts
 			}
-			if s < len(snap.R) {
-				counts[s] = snap.R[s]
+			if s < len(r) {
+				counts[s] = r[s]
 			}
 		}
 	}
@@ -122,22 +122,22 @@ func (w *World) checkStep() error {
 	}
 	for s, m := range w.machines {
 		for _, conn := range m.AllConnections() {
-			snap, _ := m.Connection(conn)
-			if !snap.E.Geq(snap.R) {
-				return fmt.Errorf("switch %d conn %d: R exceeds E: R=%s E=%s", s, conn, snap.R, snap.E)
+			r, e, c, _ := m.Stamps(conn)
+			if !e.Geq(r) {
+				return fmt.Errorf("switch %d conn %d: R exceeds E: R=%s E=%s", s, conn, r, e)
 			}
-			if !snap.E.Geq(snap.C) {
-				return fmt.Errorf("switch %d conn %d: C exceeds E: C=%s E=%s", s, conn, snap.C, snap.E)
+			if !e.Geq(c) {
+				return fmt.Errorf("switch %d conn %d: C exceeds E: C=%s E=%s", s, conn, c, e)
 			}
 			counts := own[conn]
-			for x := 0; x < w.n && x < len(snap.R); x++ {
-				if snap.R[x] > counts[x] {
+			for x := 0; x < w.n && x < len(r); x++ {
+				if r[x] > counts[x] {
 					return fmt.Errorf("switch %d conn %d: R[%d]=%d exceeds origin's own count %d",
-						s, conn, x, snap.R[x], counts[x])
+						s, conn, x, r[x], counts[x])
 				}
-				if snap.E[x] > counts[x] {
+				if e[x] > counts[x] {
 					return fmt.Errorf("switch %d conn %d: E[%d]=%d exceeds origin's own count %d",
-						s, conn, x, snap.E[x], counts[x])
+						s, conn, x, e[x], counts[x])
 				}
 			}
 		}
@@ -160,7 +160,7 @@ func (w *World) checkExchange(server topo.SwitchID, req *lsa.ResyncRequest) erro
 		// A request can outlive its sender: the blank machine that replaced
 		// a crashed requester never held the R this one advertises, and the
 		// answer is only complete on top of it.
-		if cur, ok := w.machines[req.From].Connection(req.Conn); !ok || !cur.R.Geq(req.R) {
+		if r, _, _, ok := w.machines[req.From].Stamps(req.Conn); !ok || !r.Geq(req.R) {
 			return nil
 		}
 	}
@@ -181,11 +181,11 @@ func (w *World) checkExchange(server topo.SwitchID, req *lsa.ResyncRequest) erro
 		if req.Conn != lsa.AllConns && req.Conn != conn {
 			continue
 		}
-		held, _ := srv.Connection(conn)
-		got, ok := asker.Connection(conn)
-		if held.R.Sum() > 0 && !(ok && got.R.Geq(held.R)) {
+		held, _, _, _ := srv.Stamps(conn)
+		got, _, _, ok := asker.Stamps(conn)
+		if held.Sum() > 0 && !(ok && got.Geq(held)) {
 			return fmt.Errorf("switch %d conn %d: resync exchange with switch %d is incomplete: it would leave R=%s where the server holds R=%s",
-				req.From, conn, server, got.R, held.R)
+				req.From, conn, server, got, held)
 		}
 	}
 	return nil
@@ -239,9 +239,9 @@ func (w *World) checkQuiescentLossy() error {
 	for s, m := range w.machines {
 		for _, conn := range m.AllConnections() {
 			if m.Gapped(conn) && !m.ResyncGaveUp(conn) {
-				snap, _ := m.Connection(conn)
+				r, e, c, _ := m.Stamps(conn)
 				return fmt.Errorf("quiescent: switch %d conn %d wedged mid-recovery with resync rounds to spare: R=%s E=%s C=%s",
-					s, conn, snap.R, snap.E, snap.C)
+					s, conn, r, e, c)
 			}
 		}
 	}
@@ -272,14 +272,14 @@ func (w *World) checkEventConservation() error {
 			if w.crashedOnce[s] {
 				continue
 			}
-			snap, ok := w.machines[s].Connection(conn)
+			r, _, _, ok := w.machines[s].Stamps(conn)
 			if !ok {
 				return fmt.Errorf("quiescent: conn %d: switch %d lost all state despite %d injected events",
 					conn, s, counts[s])
 			}
-			if s < len(snap.R) && snap.R[s] < uint32(counts[s]) {
+			if s < len(r) && r[s] < uint32(counts[s]) {
 				return fmt.Errorf("quiescent: conn %d: switch %d own event count R[%d]=%d below %d injected events",
-					conn, s, s, snap.R[s], counts[s])
+					conn, s, s, r[s], counts[s])
 			}
 		}
 	}

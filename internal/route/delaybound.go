@@ -223,6 +223,6 @@ func (a DelayBounded) verify(g *topo.Graph, t *mctree.Tree, span []topo.SwitchID
 
 // Update implements Algorithm by recomputation (incremental updates could
 // violate the bound silently).
-func (a DelayBounded) Update(g *topo.Graph, kind mctree.Kind, members mctree.Members, _ *mctree.Tree, _ *Change) (*mctree.Tree, error) {
+func (a DelayBounded) Update(g *topo.Graph, kind mctree.Kind, members mctree.Members, _ *mctree.Tree) (*mctree.Tree, error) {
 	return a.Compute(g, kind, members)
 }

@@ -217,7 +217,7 @@ func TestDelayBoundedUnderProtocolUse(t *testing.T) {
 		t.Fatal(err)
 	}
 	members[2] = mctree.SenderReceiver
-	next, err := alg.Update(g, mctree.Symmetric, members, prev, &Change{Switch: 2, Join: true})
+	next, err := alg.Update(g, mctree.Symmetric, members, prev)
 	if err != nil {
 		t.Fatal(err)
 	}

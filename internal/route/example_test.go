@@ -46,8 +46,7 @@ func ExampleIncremental() {
 		log.Fatal(err)
 	}
 	members[4] = mctree.SenderReceiver
-	updated, err := alg.Update(g, mctree.Symmetric, members, base,
-		&route.Change{Switch: 4, Join: true})
+	updated, err := alg.Update(g, mctree.Symmetric, members, base)
 	if err != nil {
 		log.Fatal(err)
 	}

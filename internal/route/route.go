@@ -2,8 +2,9 @@
 // D-GMC protocol plugs in (paper §3.5): the protocol itself is independent
 // of how trees are computed, so this package provides both Steiner-tree
 // heuristics for symmetric and receiver-only MCs and source-rooted
-// shortest-path trees for asymmetric MCs, each in from-scratch and
-// incremental-update variants.
+// shortest-path trees for asymmetric MCs. Every algorithm is handed the
+// reachable members and the tree installed so far; Incremental reads what
+// changed off that tree and patches it, the rest compute from scratch.
 package route
 
 import (
@@ -24,14 +25,6 @@ var ErrUnreachable = errors.New("route: member unreachable")
 // sender to root the tree at.
 var ErrNoSource = errors.New("route: asymmetric MC has no sender")
 
-// Change describes a single membership delta, used by incremental updates.
-type Change struct {
-	// Switch is the member that joined or left.
-	Switch topo.SwitchID
-	// Join is true for a join, false for a leave.
-	Join bool
-}
-
 // Algorithm computes MC topologies from a local network image and member
 // list. Implementations must be deterministic: identical inputs produce
 // identical trees, which the D-GMC consensus relies on for convergence.
@@ -40,10 +33,10 @@ type Algorithm interface {
 	Name() string
 	// Compute builds a topology from scratch.
 	Compute(g *topo.Graph, kind mctree.Kind, members mctree.Members) (*mctree.Tree, error)
-	// Update adapts prev to the new member list; delta describes the
-	// triggering change when known (it may be ignored). Implementations
-	// may fall back to Compute. prev may be nil.
-	Update(g *topo.Graph, kind mctree.Kind, members mctree.Members, prev *mctree.Tree, delta *Change) (*mctree.Tree, error)
+	// Update builds the topology for members given prev, the tree
+	// installed before (nil when there is none). What changed since prev
+	// is for the implementation to find; it may ignore prev and Compute.
+	Update(g *topo.Graph, kind mctree.Kind, members mctree.Members, prev *mctree.Tree) (*mctree.Tree, error)
 }
 
 // Compile-time interface checks.
@@ -147,6 +140,29 @@ func graft(t *mctree.Tree, onTree []bool, sc *topo.SSSPScratch, target topo.Swit
 	}
 }
 
+// attach grafts every switch of remaining onto t, the one nearest to the
+// tree first (ties to the lowest ID), along its shortest path to the tree.
+// onTree marks t's switches; remaining is consumed. It runs one Dijkstra
+// from the tree, then after each graft a RelaxSSSP seeded only by the
+// switches the graft added.
+func attach(g *topo.Graph, t *mctree.Tree, onTree []bool, sc *topo.SSSPScratch, remaining []topo.SwitchID) error {
+	if len(remaining) == 0 {
+		return nil
+	}
+	dist, _ := nearestToTree(g, onTree, sc)
+	for {
+		at := nearest(remaining, dist)
+		if at < 0 {
+			return unreachable(remaining)
+		}
+		graft(t, onTree, sc, remaining[at])
+		if remaining = without(remaining, at); len(remaining) == 0 {
+			return nil
+		}
+		g.RelaxSSSP(sc, 0)
+	}
+}
+
 // SPH is the shortest-path heuristic (Takahashi–Matsuyama) for Steiner
 // trees: start from one member and repeatedly attach the member closest to
 // the current tree via its shortest path. Its worst-case cost is within 2×
@@ -182,24 +198,15 @@ func (SPH) Compute(g *topo.Graph, kind mctree.Kind, members mctree.Members) (*mc
 	}
 	onTree := sc.Marks(g.NumSwitches())
 	onTree[start] = true
-	remaining := without(span, slices.Index(span, start))
-	dist, _ := nearestToTree(g, onTree, sc)
-	for {
-		at := nearest(remaining, dist)
-		if at < 0 {
-			return nil, unreachable(remaining)
-		}
-		graft(t, onTree, sc, remaining[at])
-		if remaining = without(remaining, at); len(remaining) == 0 {
-			return t, nil
-		}
-		g.RelaxSSSP(sc, 0)
+	if err := attach(g, t, onTree, sc, without(span, slices.Index(span, start))); err != nil {
+		return nil, err
 	}
+	return t, nil
 }
 
 // Update implements Algorithm by recomputing from scratch; use Incremental
 // to wrap SPH with cheap per-event updates.
-func (a SPH) Update(g *topo.Graph, kind mctree.Kind, members mctree.Members, _ *mctree.Tree, _ *Change) (*mctree.Tree, error) {
+func (a SPH) Update(g *topo.Graph, kind mctree.Kind, members mctree.Members, _ *mctree.Tree) (*mctree.Tree, error) {
 	return a.Compute(g, kind, members)
 }
 
@@ -281,7 +288,7 @@ func (KMB) Compute(g *topo.Graph, kind mctree.Kind, members mctree.Members) (*mc
 }
 
 // Update implements Algorithm by recomputation.
-func (a KMB) Update(g *topo.Graph, kind mctree.Kind, members mctree.Members, _ *mctree.Tree, _ *Change) (*mctree.Tree, error) {
+func (a KMB) Update(g *topo.Graph, kind mctree.Kind, members mctree.Members, _ *mctree.Tree) (*mctree.Tree, error) {
 	return a.Compute(g, kind, members)
 }
 
@@ -357,7 +364,7 @@ func (SPT) Compute(g *topo.Graph, kind mctree.Kind, members mctree.Members) (*mc
 }
 
 // Update implements Algorithm by recomputation.
-func (a SPT) Update(g *topo.Graph, kind mctree.Kind, members mctree.Members, _ *mctree.Tree, _ *Change) (*mctree.Tree, error) {
+func (a SPT) Update(g *topo.Graph, kind mctree.Kind, members mctree.Members, _ *mctree.Tree) (*mctree.Tree, error) {
 	return a.Compute(g, kind, members)
 }
 
@@ -448,15 +455,20 @@ func (c *CoreBased) Compute(g *topo.Graph, kind mctree.Kind, members mctree.Memb
 }
 
 // Update implements Algorithm by recomputation.
-func (c *CoreBased) Update(g *topo.Graph, kind mctree.Kind, members mctree.Members, _ *mctree.Tree, _ *Change) (*mctree.Tree, error) {
+func (c *CoreBased) Update(g *topo.Graph, kind mctree.Kind, members mctree.Members, _ *mctree.Tree) (*mctree.Tree, error) {
 	return c.Compute(g, kind, members)
 }
 
 // Incremental wraps a base algorithm with the cheap per-event updates the
-// paper recommends (§3.5): a join grafts the shortest path from the new
-// member to the existing tree; a leave prunes the branch back to the
-// nearest still-needed switch. Anything more complicated (link events,
-// empty previous tree, root changes) falls back to the base Compute.
+// paper recommends (§3.5), found by comparing the members with the
+// installed tree: it prunes every branch that leads to no member (a leave)
+// and grafts each member the tree does not reach along its shortest path
+// to the tree, nearest first (a join). Patching several changes at once is
+// the same two steps. Everything else falls back to the base Compute: no
+// installed tree or one without edges, a change of kind or root, a tree a
+// failed link invalidates, a member no path grafts, and a tree with
+// nothing to prune or graft — which is how a link event or a §3.5
+// re-optimization reaches it.
 type Incremental struct {
 	// Base computes from-scratch topologies. Required.
 	Base Algorithm
@@ -474,86 +486,76 @@ func (a *Incremental) Compute(g *topo.Graph, kind mctree.Kind, members mctree.Me
 }
 
 // Update implements Algorithm.
-func (a *Incremental) Update(g *topo.Graph, kind mctree.Kind, members mctree.Members, prev *mctree.Tree, delta *Change) (*mctree.Tree, error) {
-	if prev == nil || delta == nil {
+func (a *Incremental) Update(g *topo.Graph, kind mctree.Kind, members mctree.Members, prev *mctree.Tree) (*mctree.Tree, error) {
+	if prev == nil || prev.NumEdges() == 0 {
 		return a.Base.Compute(g, kind, members)
 	}
-	span, root, err := anchor(kind, members, nil)
+	sc := topo.AcquireSSSP()
+	defer topo.ReleaseSSSP(sc)
+	span, root, err := anchor(kind, members, sc.IDs[:0])
 	if err != nil {
 		return nil, err
 	}
-	if prev.Kind != kind || prev.Root != root {
-		return a.Base.Compute(g, kind, members)
-	}
-	// The previous tree must still be valid in the current network image.
-	if err := prev.Validate(g, nil); err != nil {
+	sc.IDs = span[:0] // keep what anchor grew
+	if prev.Kind != kind || prev.Root != root || prev.Validate(g, nil) != nil {
 		return a.Base.Compute(g, kind, members)
 	}
 	t := prev.Clone()
-	if delta.Join {
-		return a.graftJoin(g, t, span, delta.Switch)
+	onTree := sc.Marks(g.NumSwitches())
+	pruned := prune(t, onTree, func(s topo.SwitchID) bool {
+		_, member := members[s]
+		return member || s == root
+	})
+	remaining := span[:0]
+	for _, s := range span {
+		if !onTree[s] {
+			remaining = append(remaining, s)
+		}
 	}
-	return a.pruneLeave(g, kind, members, t, span)
+	if !pruned && len(remaining) == 0 {
+		return a.Base.Compute(g, kind, members)
+	}
+	if attach(g, t, onTree, sc, remaining) != nil {
+		return a.Base.Compute(g, kind, members)
+	}
+	return t, nil
 }
 
-func (a *Incremental) graftJoin(g *topo.Graph, t *mctree.Tree, span []topo.SwitchID, joined topo.SwitchID) (*mctree.Tree, error) {
-	sc := topo.AcquireSSSP()
-	defer topo.ReleaseSSSP(sc)
-	onTree := sc.Marks(g.NumSwitches())
+// prune removes from t, leaf by leaf, every branch on which no switch is
+// needed, and reports whether it removed any. It marks the switches left in
+// onTree: t's nodes, or the one needed switch a tree pruned to no edges
+// keeps, or none when no switch of t is needed.
+func prune(t *mctree.Tree, onTree []bool, needed func(topo.SwitchID) bool) bool {
+	degree := make([]int32, len(onTree))
 	for i := 0; i < t.NumEdges(); i++ {
 		e := t.Edge(i)
+		degree[e.A]++
+		degree[e.B]++
 		onTree[e.A], onTree[e.B] = true, true
 	}
-	if t.NumEdges() == 0 {
-		// Previous tree was a singleton (no edges); seed it with the other
-		// members so the graft has a target.
-		for _, s := range span {
-			if s != joined {
-				onTree[s] = true
-			}
+	var leaves, nb []topo.SwitchID
+	for s, d := range degree {
+		if d == 1 && !needed(topo.SwitchID(s)) {
+			leaves = append(leaves, topo.SwitchID(s))
 		}
 	}
-	if onTree[joined] {
-		return t, nil // already spanned as a relay
-	}
-	if dist, _ := nearestToTree(g, onTree, sc); dist[joined] == inf {
-		return nil, fmt.Errorf("%w: %d", ErrUnreachable, joined)
-	}
-	graft(t, onTree, sc, joined)
-	return t, nil
-}
-
-func (a *Incremental) pruneLeave(g *topo.Graph, kind mctree.Kind, members mctree.Members, t *mctree.Tree, span []topo.SwitchID) (*mctree.Tree, error) {
-	if len(span) <= 1 {
-		return mctree.NewWithRoot(kind, t.Root), nil
-	}
-	needed := make(map[topo.SwitchID]bool, len(span))
-	for _, s := range span {
-		needed[s] = true
-	}
-	if t.Root != topo.NoSwitch {
-		needed[t.Root] = true
-	}
-	// Repeatedly trim leaves that are not needed.
-	for {
-		trimmed := false
-		for _, s := range t.Nodes() {
-			if needed[s] {
-				continue
-			}
-			nb := t.Neighbors(s)
-			if len(nb) == 1 {
-				t.RemoveEdge(s, nb[0])
-				trimmed = true
-			}
+	pruned := len(leaves) > 0
+	for len(leaves) > 0 {
+		s := leaves[len(leaves)-1]
+		leaves = leaves[:len(leaves)-1]
+		onTree[s] = false
+		if degree[s] == 0 {
+			continue // its neighbor was the last leaf pruned before it
 		}
-		if !trimmed {
-			break
+		nb = t.AppendNeighbors(nb[:0], s)
+		p := nb[0]
+		t.RemoveEdge(s, p)
+		degree[s] = 0
+		if degree[p]--; degree[p] <= 1 && !needed(p) {
+			leaves = append(leaves, p)
 		}
 	}
-	_ = g
-	_ = members
-	return t, nil
+	return pruned
 }
 
 // ByName returns a ready-to-use algorithm by name: "sph", "kmb", "spt",

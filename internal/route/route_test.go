@@ -211,7 +211,7 @@ func TestIncrementalJoinGraftsWithoutRebuilding(t *testing.T) {
 		t.Fatal(err)
 	}
 	members[12] = mctree.SenderReceiver
-	updated, err := alg.Update(g, mctree.Symmetric, members, base, &Change{Switch: 12, Join: true})
+	updated, err := alg.Update(g, mctree.Symmetric, members, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestIncrementalLeavePrunesBranch(t *testing.T) {
 		t.Fatalf("base tree = %v", base)
 	}
 	delete(members, 4)
-	updated, err := alg.Update(g, mctree.Symmetric, members, base, &Change{Switch: 4, Join: false})
+	updated, err := alg.Update(g, mctree.Symmetric, members, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestIncrementalLeaveKeepsRelayBranches(t *testing.T) {
 		t.Fatal(err)
 	}
 	delete(members, 2)
-	updated, err := alg.Update(g, mctree.Symmetric, members, base, &Change{Switch: 2, Join: false})
+	updated, err := alg.Update(g, mctree.Symmetric, members, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestIncrementalFallsBackWhenTreeInvalidated(t *testing.T) {
 		t.Fatal(err)
 	}
 	members[5] = mctree.SenderReceiver
-	updated, err := alg.Update(g, mctree.Symmetric, members, base, &Change{Switch: 5, Join: true})
+	updated, err := alg.Update(g, mctree.Symmetric, members, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestIncrementalLeaveToSingleton(t *testing.T) {
 		t.Fatal(err)
 	}
 	delete(members, 15)
-	updated, err := alg.Update(g, mctree.Symmetric, members, base, &Change{Switch: 15, Join: false})
+	updated, err := alg.Update(g, mctree.Symmetric, members, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestIncrementalNilPrevFallsBack(t *testing.T) {
 	g := grid(t)
 	alg := NewIncremental(SPH{})
 	members := symMembers(0, 15)
-	tr, err := alg.Update(g, mctree.Symmetric, members, nil, &Change{Switch: 15, Join: true})
+	tr, err := alg.Update(g, mctree.Symmetric, members, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ package topo
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"time"
 )
@@ -180,14 +181,17 @@ func (g *Graph) SetLinkDown(a, b SwitchID, down bool) error {
 	return nil
 }
 
-// Clone returns a deep copy of the graph, including link states.
+// Clone returns a deep copy of the graph, including link states. It copies
+// the link table, the adjacency lists (cut from one array, each capped so
+// an AddLink on either graph cannot write into the other's) and the index
+// as they are.
 func (g *Graph) Clone() *Graph {
-	c := New(g.n)
-	for _, l := range g.links {
-		_ = c.AddLink(l.A, l.B, l.Delay, l.Capacity)
-		if l.Down {
-			_ = c.SetLinkDown(l.A, l.B, true)
-		}
+	c := &Graph{n: g.n, links: slices.Clone(g.links), adj: make([][]int, g.n), index: maps.Clone(g.index)}
+	flat := make([]int, 0, 2*len(g.links))
+	for s, idxs := range g.adj {
+		from := len(flat)
+		flat = append(flat, idxs...)
+		c.adj[s] = flat[from:len(flat):len(flat)]
 	}
 	return c
 }

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -218,6 +219,31 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 	if c.NumSwitches() != 3 || c.NumLinks() != 2 {
 		t.Errorf("clone shape = %d switches %d links", c.NumSwitches(), c.NumLinks())
+	}
+}
+
+// TestCloneAddsLinksApart: a clone shares no adjacency array with its
+// original, so links added to either afterwards stay on that side.
+func TestCloneAddsLinksApart(t *testing.T) {
+	g := mustLine(t, 4)
+	c := g.Clone()
+	if err := g.AddLink(0, 2, time.Microsecond, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddLink(0, 3, time.Microsecond, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := g.Neighbors(0); !slices.Equal(got, []SwitchID{1, 2}) {
+		t.Errorf("original neighbors of 0 = %v, want [1 2]", got)
+	}
+	if got := c.Neighbors(0); !slices.Equal(got, []SwitchID{1, 3}) {
+		t.Errorf("clone neighbors of 0 = %v, want [1 3]", got)
+	}
+	if _, ok := g.Link(0, 3); ok {
+		t.Error("clone's link (0,3) leaked into the original")
+	}
+	if _, ok := c.Link(0, 2); ok {
+		t.Error("original's link (0,2) leaked into the clone")
 	}
 }
 
