@@ -68,7 +68,7 @@ func (b batchRest) clone() batchRest {
 
 // clone returns a deep copy of the connection state. Buffered LSAs and
 // the installed topology are shared by pointer (immutable by protocol
-// convention), and the replay log's arena and index by array.
+// convention), and the replay log's arena by array.
 func (cs *connState) clone() *connState {
 	c := &connState{
 		id:              cs.id,
@@ -79,6 +79,8 @@ func (cs *connState) clone() *connState {
 		c:               cs.c.Clone(),
 		logFloor:        cs.logFloor.Clone(),
 		logLast:         cs.logLast.Clone(),
+		logTip:          cs.logTip,
+		logDepth:        cs.logDepth,
 		topology:        cs.topology,
 		makeProposal:    cs.makeProposal,
 		installs:        cs.installs,
@@ -95,14 +97,13 @@ func (cs *connState) clone() *connState {
 	if cs.gaveUpE != nil {
 		c.gaveUpE = cs.gaveUpE.Clone()
 	}
-	if n := len(cs.logIndex); n > 0 {
-		// The records are immutable and the arrays are shared: capped at
-		// their length, so an append on either side never writes into
-		// what the other sees, and marked, so neither trims them in
-		// place. The original's mark is written once, which keeps cloning
-		// a clone (a snapshot restored twice) free of writes.
+	if cs.logDepth > 0 {
+		// The records are immutable and the arena is shared: capped at
+		// its length, so an append on either side never writes into what
+		// the other sees, and marked, so neither trims it in place. The
+		// original's mark is written once, which keeps cloning a clone (a
+		// snapshot restored twice) free of writes.
 		c.logArena = cs.logArena[:len(cs.logArena):len(cs.logArena)]
-		c.logIndex = cs.logIndex[:n:n]
 		c.logShared = true
 		if !cs.logShared {
 			cs.logShared = true

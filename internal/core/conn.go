@@ -30,11 +30,14 @@ type connState struct {
 	// resurrects the state.
 	dormant bool
 
-	// logShared marks logArena's and logIndex's arrays as shared with a
-	// clone (clone.go): both sides may append past their own length, but
-	// neither may rewrite what the other sees, so the next trim starts new
-	// arrays instead of compacting in place.
+	// logShared marks logArena's array as shared with a clone (clone.go):
+	// both sides may append past their own length, but neither may
+	// rewrite what the other sees, so the next trim starts a new array
+	// instead of compacting in place.
 	logShared bool
+
+	// logDepth is how many records logArena holds.
+	logDepth uint16
 
 	members mctree.Members
 
@@ -48,22 +51,24 @@ type connState struct {
 	// bookkeeping and metrics).
 	installs uint64
 
-	// logArena and logIndex are the replay log: the most recently applied
-	// event LSAs in application order, as compact records (eventlog.go),
-	// so this switch can replay missed events to a resyncing neighbor (the
-	// OSPF database-exchange analogue). The arena holds the records'
-	// encodings back to back; logIndex[i] says where record i's ends and
-	// its per-origin index — switch x's i-th event has idx i, and x is the
-	// encoding's first varint — which is how resync responses are
-	// filtered. It is a bounded suffix of history: logEvent is its only
-	// writer and trimLog its only trimmer. Like the counters, the log
-	// survives dormancy.
+	// logArena is the replay log: the most recently applied event LSAs in
+	// application order, as compact self-delimiting records back to back
+	// (eventlog.go), so this switch can replay missed events to a
+	// resyncing neighbor (the OSPF database-exchange analogue). A record
+	// leads with its origin, and its stamp and proposal are differences
+	// from the previous record's; walking back from logLast and logTip
+	// rebuilds each record's per-origin index — switch x's i-th event has
+	// idx i — which is how resync responses are filtered. It is a bounded
+	// suffix of history: logEvent is its only writer and trimLog its only
+	// trimmer. Like the counters, the log survives dormancy.
 	logArena []byte
-	logIndex []logEntry
 
-	// logLast is the stamp of the newest event ever logged — the point
-	// every record's stamp is rebuilt from. It outlives the entry itself.
+	// logLast is the stamp of the newest event ever logged, and logTip
+	// the newest proposal (the logged LSA's own tree, never modified) —
+	// the points every record's stamp and proposal are rebuilt from. Both
+	// outlive the entry itself.
 	logLast stamp.Stamp
+	logTip  *mctree.Tree
 
 	// logFloor[x] is the index of origin x's newest event that is NOT in
 	// the log any more — trimmed away, or skipped by a catch-up. Every

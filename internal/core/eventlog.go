@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"unsafe"
 
 	"dgmc/internal/lsa"
 	"dgmc/internal/mctree"
@@ -15,16 +14,22 @@ import (
 // per connection, and the decoded form — struct, n-component stamp,
 // proposal tree — costs hundreds of bytes an entry where the record costs
 // tens (DESIGN.md §13). The records of one connection lie back to back in
-// one byte arena (connState.logArena); an 8-byte logEntry per record
-// (connState.logIndex) says where its encoding ends and which per-origin
-// index it has. Once both arrays have grown, an append allocates nothing.
+// one byte arena (connState.logArena), and each delimits itself, so
+// nothing beside the arena says where a record lies. Once the arena has
+// grown, an append allocates nothing.
 //
-// A record's encoding is the LSA as unsigned varints, in this order:
+// A record is a body followed by the body's length. The body is the LSA as
+// unsigned varints, in this order:
 //
 //	src, event, role,
+//	the stamp delta: a pair count, then (gap, zigzag difference) pairs,
 //	proposal kind (0: no proposal), then for a proposal its root (zigzag),
-//	edge count, and each edge's endpoints A and B,
-//	the stamp delta: (gap, zigzag difference) pairs to the end of the record.
+//	and the edge delta: an edge count and each edge's endpoints A and B.
+//
+// The length is a uvarint written byte-reversed, so it reads back to
+// front: a walk steps from the arena's end to the newest record's body and
+// from each record's start to the one before it. A walk forward parses a
+// body to its end.
 //
 // The connection is left out: a log belongs to one connection. The stamp
 // is stored as its difference from the previous entry's, listing only the
@@ -34,17 +39,20 @@ import (
 // (MutationIgnoreEventOrder) logs stamps that fall as well as rise.
 // connState.logLast holds the newest entry's full stamp; since a
 // difference can be undone, any entry's stamp is rebuilt by walking back
-// from there, and the oldest entries can be dropped without touching the
-// rest. The log treats every stamp as an n-vector: components past n are
-// not kept, and missing ones read as zero.
-
-// logEntry indexes one record in the arena: the offset its encoding ends
-// at (it starts where the previous entry's ends, or at 0) and its
-// origin's per-origin index. The origin is the encoding's first uvarint.
-type logEntry struct {
-	end uint32
-	idx uint32
-}
+// from there. The log treats every stamp as an n-vector: components past
+// n are not kept, and missing ones read as zero.
+//
+// A proposal's edges are stored the same way: as the symmetric difference
+// between its edge set and the newest proposal logged before it (an empty
+// set if none), in canonical order. Consecutive proposals of a connection
+// share most of their edges, so the difference is a few edges where the
+// set is tens. connState.logTip holds the newest proposal logged, and a
+// symmetric difference is its own inverse, so a walk back from logTip
+// rebuilds every entry's edges as it rebuilds its stamp.
+//
+// The oldest entry's differences refer to an entry no longer kept. No
+// walk reads them, so the oldest entries can be dropped without touching
+// the rest.
 
 // EventLogRetain is how many applied event LSAs a connection keeps for
 // replay. The deepest suffix any resync request reached for across the
@@ -57,9 +65,12 @@ type logEntry struct {
 const EventLogRetain = 512
 
 // EventLogLimit is the depth no connection's event log reaches: an eighth
-// above EventLogRetain, so a full log's arrays are never sized for more
-// than that.
+// above EventLogRetain.
 const EventLogLimit = EventLogRetain + EventLogRetain/8
+
+// walkScratch is how many stamp components and proposal edges a walk
+// over the log holds on the stack before it spills to the heap.
+const walkScratch = 64
 
 // logEvent appends an applied event LSA to the replay log. Proposals are
 // kept: a replayed proposal-carrying event LSA lets a resyncing switch
@@ -70,87 +81,74 @@ func (cs *connState) logEvent(m *lsa.MC) {
 	if !m.Event.IsEvent() || m.Event == lsa.CatchUp {
 		return
 	}
-	if n := len(cs.logIndex); n == cap(cs.logIndex) {
-		// Doubling, but never past EventLogLimit entries: a full log's
-		// index is exactly as large as its deepest depth.
-		grown := make([]logEntry, n, min(max(2*n, 1), EventLogLimit))
-		copy(grown, cs.logIndex)
-		cs.logIndex = grown
-	}
-	cs.logArena = appendRecord(cs.logArena, m, cs.logLast)
-	cs.logIndex = append(cs.logIndex, logEntry{end: uint32(len(cs.logArena)), idx: m.Stamp[int(m.Src)]})
+	cs.logArena = appendRecord(cs.logArena, m, cs.logLast, cs.logTip)
+	cs.logDepth++
 	clear(cs.logLast[copy(cs.logLast, m.Stamp):])
-	if len(cs.logIndex) >= EventLogLimit {
+	if m.Proposal != nil {
+		cs.logTip = m.Proposal
+	}
+	if cs.logDepth >= EventLogLimit {
 		cs.trimLog(EventLogRetain)
 	}
 }
 
-// record is the encoding of log entry i.
-func (cs *connState) record(i int) []byte {
-	start := uint32(0)
-	if i > 0 {
-		start = cs.logIndex[i-1].end
-	}
-	return cs.logArena[start:cs.logIndex[i].end]
-}
-
-// recordSrc is the origin of the record enc.
-func recordSrc(enc []byte) int {
-	r := recordReader{enc: enc}
-	return int(int32(uint32(r.uvarint())))
-}
-
 // trimLog drops all but the newest keep entries, raising each dropped
-// origin's floor to the dropped index. Nothing is re-encoded: the oldest
-// kept entry's difference now refers to a dropped entry, and no walk back
-// from logLast ever reads it. The kept encodings and index entries are
-// copied down in place, the index rebased to the arena's new start; arrays
-// shared with a clone are left as they are, and the kept entries move to
-// new ones.
+// origin's floor to the dropped index. It walks back from logLast to
+// rebuild the dropped entries' stamps, and nothing is re-encoded: the
+// oldest kept entry's differences now refer to a dropped entry, and no
+// walk ever reads them. The kept records are copied down in place; an
+// arena shared with a clone is left as it is, and the kept records move
+// to a new one. Up to walkScratch switches it allocates nothing else.
 func (cs *connState) trimLog(keep int) {
-	drop := len(cs.logIndex) - keep
-	if drop <= 0 {
+	if int(cs.logDepth) <= keep {
 		return
 	}
-	for i, e := range cs.logIndex[:drop] {
-		if x := recordSrc(cs.record(i)); e.idx > cs.logFloor[x] {
-			cs.logFloor[x] = e.idx
+	var scratch [walkScratch]uint32
+	cur := append(stamp.Stamp(scratch[:0]), cs.logLast...)
+	cut := 0 // where the oldest kept record starts
+	for k, end := 0, len(cs.logArena); end > 0; k++ {
+		if k == keep {
+			cut = end
 		}
+		x, idx, start := stepBack(cs.logArena, end, cur)
+		if k >= keep && idx > cs.logFloor[x] {
+			cs.logFloor[x] = idx
+		}
+		end = start
 	}
-	base := cs.logIndex[drop-1].end
-	arena, index := cs.logArena[base:], cs.logIndex[drop:]
+	kept := cs.logArena[cut:]
 	if cs.logShared {
-		cs.logArena = append([]byte(nil), arena...)
-		cs.logIndex = append([]logEntry(nil), index...)
+		cs.logArena = append([]byte(nil), kept...)
 		cs.logShared = false
 	} else {
-		cs.logArena = cs.logArena[:copy(cs.logArena, arena)]
-		cs.logIndex = cs.logIndex[:copy(cs.logIndex, index)]
+		cs.logArena = cs.logArena[:copy(cs.logArena, kept)]
 	}
-	for i := range cs.logIndex {
-		cs.logIndex[i].end -= base
-	}
+	cs.logDepth = uint16(keep)
 }
 
-// logBytes is what the log occupies: the capacity of its arena and its
-// index, filled or not.
+// logBytes is what the log occupies: the capacity of its arena, filled or
+// not. The newest proposal (logTip) is the logged LSA's own tree and is
+// not counted.
 func (cs *connState) logBytes() int {
-	return cap(cs.logArena) + int(unsafe.Sizeof(logEntry{}))*cap(cs.logIndex)
+	return cap(cs.logArena)
 }
 
 // appendReplay appends, oldest first, a decoded copy of every log entry
-// want selects by origin and per-origin index. It walks back from logLast
-// only as far as the oldest selected entry and decodes only the selected
-// ones; their structs and stamps share one allocation each.
+// want selects by origin and per-origin index. A first walk back from
+// logLast rebuilds stamps only and finds the selected entries; a second
+// goes only as far as the oldest of them, rebuilding proposals too, and
+// decodes only those. Their structs and stamps share one allocation each.
 func (cs *connState) appendReplay(batch []*lsa.MC, want func(src int, idx uint32) bool) []*lsa.MC {
-	first, count := -1, 0
-	for i, e := range cs.logIndex {
-		if want(recordSrc(cs.record(i)), e.idx) {
-			if first < 0 {
-				first = i
-			}
+	var scratch [walkScratch]uint32
+	cur := append(stamp.Stamp(scratch[:0]), cs.logLast...)
+	first, count := 0, 0 // where the oldest selected record starts
+	for end := len(cs.logArena); end > 0; {
+		x, idx, start := stepBack(cs.logArena, end, cur)
+		if want(x, idx) {
+			first = start
 			count++
 		}
+		end = start
 	}
 	if count == 0 {
 		return batch
@@ -158,20 +156,44 @@ func (cs *connState) appendReplay(batch []*lsa.MC, want func(src int, idx uint32
 	n := len(cs.logLast)
 	msgs := make([]lsa.MC, count)
 	stamps := make([]uint32, count*n)
-	cur := cs.logLast.Clone()
+	copy(cur, cs.logLast)
+	var e0, e1 [walkScratch]mctree.Edge
+	edges, spare := appendEdges(e0[:0], cs.logTip), e1[:0]
+	var treeScratch [256]byte
+	treeBuf := treeScratch[:0]
 	k := count
-	for j := len(cs.logIndex) - 1; ; j-- {
-		enc := cs.record(j)
-		if want(recordSrc(enc), cs.logIndex[j].idx) {
+	for end := len(cs.logArena); ; {
+		body, start := prevRecord(cs.logArena, end)
+		r := recordReader{enc: body}
+		src, event, role := r.header()
+		selected := want(int(src), cur[src])
+		if selected {
 			k--
 			st := stamps[k*n : (k+1)*n : (k+1)*n]
 			copy(st, cur)
-			msgs[k] = decodeRecord(enc, cs.id, st)
+			msgs[k] = lsa.MC{Src: src, Event: event, Role: role, Conn: cs.id, Stamp: st}
 		}
-		if j == first {
+		if start == first {
+			r.skipStamp()
+		} else {
+			r.stepStamp(cur, false)
+		}
+		kind, root, diff := r.proposal()
+		if selected && kind != 0 {
+			treeBuf = appendTreeBinary(treeBuf[:0], kind, root, edges)
+			t, _, err := mctree.DecodeBinary(treeBuf)
+			if err != nil {
+				panic("core: undecodable event log record: " + err.Error())
+			}
+			msgs[k].Proposal = t
+		}
+		if start == first {
 			break
 		}
-		stepBack(cur, enc)
+		if diff > 0 {
+			edges, spare = stepEdges(spare[:0], edges, &r, diff), edges
+		}
+		end = start
 	}
 	for i := range msgs {
 		batch = append(batch, &msgs[i])
@@ -180,19 +202,69 @@ func (cs *connState) appendReplay(batch []*lsa.MC, want func(src int, idx uint32
 }
 
 // appendLog appends the log to the canonical state encoding exactly as the
-// decoded LSAs it holds would encode (appendMC), oldest first.
+// decoded LSAs it holds would encode (appendMC), oldest first: a walk back
+// from logLast and logTip to the oldest record, then forward.
 func (cs *connState) appendLog(buf []byte) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(cs.logIndex)))
-	if len(cs.logIndex) == 0 {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(cs.logDepth))
+	if cs.logDepth == 0 {
 		return buf
 	}
-	var scratch [64]uint32 // cur on the stack, up to 64 switches
+	var scratch [walkScratch]uint32
 	cur := append(stamp.Stamp(scratch[:0]), cs.logLast...)
-	for j := len(cs.logIndex) - 1; j > 0; j-- {
-		stepBack(cur, cs.record(j))
+	var e0, e1 [walkScratch]mctree.Edge
+	edges, spare := appendEdges(e0[:0], cs.logTip), e1[:0]
+	for end := len(cs.logArena); ; {
+		body, start := prevRecord(cs.logArena, end)
+		if start == 0 {
+			break
+		}
+		r := recordReader{enc: body}
+		r.skip(3)
+		r.stepStamp(cur, false)
+		if _, _, diff := r.proposal(); diff > 0 {
+			edges, spare = stepEdges(spare[:0], edges, &r, diff), edges
+		}
+		end = start
 	}
-	for j := range cs.logIndex {
-		buf = appendRecordMC(buf, cs.record(j), cs.id, cur, j > 0)
+	for pos := 0; pos < len(cs.logArena); {
+		// The oldest record's differences are never read.
+		oldest := pos == 0
+		r := recordReader{enc: cs.logArena[pos:]}
+		src, event, role := r.header()
+		if oldest {
+			r.skipStamp()
+		} else {
+			r.stepStamp(cur, true)
+		}
+		kind, root, diff := r.proposal()
+		if oldest {
+			r.skip(2 * diff)
+		} else if diff > 0 {
+			edges, spare = stepEdges(spare[:0], edges, &r, diff), edges
+		}
+		buf = binary.BigEndian.AppendUint32(buf, uint32(int32(src)))
+		buf = append(buf, byte(event), byte(role))
+		buf = binary.BigEndian.AppendUint32(buf, uint32(cs.id))
+		if kind == 0 {
+			buf = append(buf, 0)
+		} else {
+			buf = appendTreeBinary(buf, kind, root, edges)
+		}
+		buf = cur.AppendBinary(buf)
+		pos += r.pos + uvarintLen(r.pos)
+	}
+	return buf
+}
+
+// appendTreeBinary appends the tree of the given kind, root and edges as
+// mctree.Tree.AppendBinary would.
+func appendTreeBinary(buf []byte, kind mctree.Kind, root topo.SwitchID, edges []mctree.Edge) []byte {
+	buf = append(buf, byte(kind))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(int32(root)))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(edges)))
+	for _, e := range edges {
+		buf = binary.BigEndian.AppendUint32(buf, uint32(e.A))
+		buf = binary.BigEndian.AppendUint32(buf, uint32(e.B))
 	}
 	return buf
 }
@@ -205,24 +277,58 @@ func component(s stamp.Stamp, i int) uint32 {
 	return 0
 }
 
-// appendRecord appends m's record encoding to buf, its stamp as the
-// difference from prev (the previous entry's stamp).
-func appendRecord(buf []byte, m *lsa.MC, prev stamp.Stamp) []byte {
+// edgeLess is the canonical edge order mctree.Tree keeps its edges in.
+func edgeLess(a, b mctree.Edge) bool {
+	return a.A < b.A || (a.A == b.A && a.B < b.B)
+}
+
+// edgeXor calls emit, in canonical order, on each edge in exactly one of
+// the trees a and b (nil is the empty tree).
+func edgeXor(a, b *mctree.Tree, emit func(mctree.Edge)) {
+	na, nb := 0, 0
+	if a != nil {
+		na = a.NumEdges()
+	}
+	if b != nil {
+		nb = b.NumEdges()
+	}
+	i, j := 0, 0
+	for i < na && j < nb {
+		switch ea, eb := a.Edge(i), b.Edge(j); {
+		case ea == eb:
+			i++
+			j++
+		case edgeLess(ea, eb):
+			emit(ea)
+			i++
+		default:
+			emit(eb)
+			j++
+		}
+	}
+	for ; i < na; i++ {
+		emit(a.Edge(i))
+	}
+	for ; j < nb; j++ {
+		emit(b.Edge(j))
+	}
+}
+
+// appendRecord appends m's record to buf, its stamp as the difference
+// from prev (the previous entry's stamp) and its proposal's edges as the
+// symmetric difference with tip (the newest proposal logged before it).
+func appendRecord(buf []byte, m *lsa.MC, prev stamp.Stamp, tip *mctree.Tree) []byte {
+	start := len(buf)
 	buf = binary.AppendUvarint(buf, uint64(uint32(int32(m.Src))))
 	buf = binary.AppendUvarint(buf, uint64(m.Event))
 	buf = binary.AppendUvarint(buf, uint64(m.Role))
-	if t := m.Proposal; t == nil {
-		buf = append(buf, 0)
-	} else {
-		buf = binary.AppendUvarint(buf, uint64(t.Kind))
-		buf = binary.AppendVarint(buf, int64(int32(t.Root)))
-		buf = binary.AppendUvarint(buf, uint64(t.NumEdges()))
-		for i := 0; i < t.NumEdges(); i++ {
-			e := t.Edge(i)
-			buf = binary.AppendUvarint(buf, uint64(uint32(e.A)))
-			buf = binary.AppendUvarint(buf, uint64(uint32(e.B)))
+	pairs := 0
+	for i, p := range prev {
+		if component(m.Stamp, i) != p {
+			pairs++
 		}
 	}
+	buf = binary.AppendUvarint(buf, uint64(pairs))
 	next := 0
 	for i, p := range prev {
 		if d := int64(component(m.Stamp, i)) - int64(p); d != 0 {
@@ -231,12 +337,73 @@ func appendRecord(buf []byte, m *lsa.MC, prev stamp.Stamp) []byte {
 			next = i + 1
 		}
 	}
+	if t := m.Proposal; t == nil {
+		buf = append(buf, 0)
+	} else {
+		buf = binary.AppendUvarint(buf, uint64(t.Kind))
+		buf = binary.AppendVarint(buf, int64(int32(t.Root)))
+		edges := 0
+		edgeXor(t, tip, func(mctree.Edge) { edges++ })
+		buf = binary.AppendUvarint(buf, uint64(edges))
+		edgeXor(t, tip, func(e mctree.Edge) {
+			buf = binary.AppendUvarint(buf, uint64(uint32(e.A)))
+			buf = binary.AppendUvarint(buf, uint64(uint32(e.B)))
+		})
+	}
+	// The body's length, byte-reversed so that it reads from the back.
+	var length [binary.MaxVarintLen64]byte
+	l := binary.PutUvarint(length[:], uint64(len(buf)-start))
+	for i := l - 1; i >= 0; i-- {
+		buf = append(buf, length[i])
+	}
 	return buf
 }
 
-// recordReader reads a record encoding front to back. Records are only
-// ever written by appendRecord, so it does no bounds or overflow checks
-// beyond the language's own.
+// uvarintLen is how many bytes x takes as a uvarint.
+func uvarintLen(x int) int {
+	l := 1
+	for ; x >= 0x80; x >>= 7 {
+		l++
+	}
+	return l
+}
+
+// prevRecord returns the body of the record that ends at end in arena,
+// and where the record starts (the previous record's end).
+func prevRecord(arena []byte, end int) (body []byte, start int) {
+	p := end - 1
+	length := 0
+	for shift := 0; ; shift += 7 {
+		b := arena[p]
+		length |= int(b&0x7f) << shift
+		if b < 0x80 {
+			break
+		}
+		p--
+	}
+	return arena[p-length : p], p - length
+}
+
+// stepBack reads the record that ends at end in arena, given its stamp
+// cur: it returns the record's origin, its per-origin index and where the
+// record starts, and turns cur into the previous record's stamp unless the
+// record is the oldest (start 0), whose difference is never read. It is
+// the stamp-only walk trimLog and appendReplay take over the whole log.
+func stepBack(arena []byte, end int, cur stamp.Stamp) (src int, idx uint32, start int) {
+	body, start := prevRecord(arena, end)
+	r := recordReader{enc: body}
+	src = int(r.uvarint())
+	idx = cur[src]
+	if start > 0 {
+		r.skip(2)
+		r.stepStamp(cur, false)
+	}
+	return src, idx, start
+}
+
+// recordReader reads a record body front to back. Records are only ever
+// written by appendRecord, so it does no bounds or overflow checks beyond
+// the language's own.
 type recordReader struct {
 	enc []byte
 	pos int
@@ -275,23 +442,6 @@ func (r *recordReader) header() (src topo.SwitchID, event lsa.Event, role mctree
 	return src, event, role
 }
 
-// appendTree reads the proposal and appends it to buf as
-// mctree.Tree.AppendBinary would.
-func (r *recordReader) appendTree(buf []byte) []byte {
-	kind := byte(r.uvarint())
-	if kind == 0 {
-		return append(buf, 0)
-	}
-	buf = append(buf, kind)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(int32(r.varint())))
-	edges := r.uvarint()
-	buf = binary.BigEndian.AppendUint32(buf, uint32(edges))
-	for i := uint64(0); i < 2*edges; i++ {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(r.uvarint()))
-	}
-	return buf
-}
-
 // skip reads past k varints.
 func (r *recordReader) skip(k int) {
 	for ; k > 0; r.pos++ {
@@ -301,21 +451,12 @@ func (r *recordReader) skip(k int) {
 	}
 }
 
-// skipBody reads past everything before the stamp difference.
-func (r *recordReader) skipBody() {
-	r.skip(3)
-	if r.uvarint() == 0 {
-		return
-	}
-	r.skip(1)
-	r.skip(2 * int(r.uvarint()))
-}
-
-// step reads the stamp difference and applies it to s: the previous
+// stepStamp reads the stamp difference and applies it to s: the previous
 // entry's stamp becomes this one's (forward) or the other way round.
-func (r *recordReader) step(s stamp.Stamp, forward bool) {
-	for i := 0; r.pos < len(r.enc); i++ {
-		i += int(r.uvarint())
+func (r *recordReader) stepStamp(s stamp.Stamp, forward bool) {
+	i := -1
+	for pairs := r.uvarint(); pairs > 0; pairs-- {
+		i += 1 + int(r.uvarint())
 		d := uint32(r.varint())
 		if forward {
 			s[i] += d
@@ -325,40 +466,52 @@ func (r *recordReader) step(s stamp.Stamp, forward bool) {
 	}
 }
 
-// stepBack turns the stamp of enc's entry into the previous entry's.
-func stepBack(s stamp.Stamp, enc []byte) {
-	r := recordReader{enc: enc}
-	r.skipBody()
-	r.step(s, false)
+// skipStamp reads past the stamp difference.
+func (r *recordReader) skipStamp() {
+	r.skip(2 * int(r.uvarint()))
 }
 
-// appendRecordMC appends the record as appendMC appends the LSA it was
-// made from, given the connection and the entry's stamp. With step set, st
-// holds the previous entry's stamp and is advanced to this one's first.
-func appendRecordMC(buf []byte, enc []byte, conn lsa.ConnID, st stamp.Stamp, step bool) []byte {
-	r := recordReader{enc: enc}
-	src, event, role := r.header()
-	buf = binary.BigEndian.AppendUint32(buf, uint32(int32(src)))
-	buf = append(buf, byte(event), byte(role))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(conn))
-	buf = r.appendTree(buf)
-	if step {
-		r.step(st, true)
+// proposal reads the proposal's kind (0: none) and, for a proposal, its
+// root and the number of edges in its edge difference, which it leaves
+// unread.
+func (r *recordReader) proposal() (kind mctree.Kind, root topo.SwitchID, edges int) {
+	if kind = mctree.Kind(r.uvarint()); kind == 0 {
+		return 0, topo.NoSwitch, 0
 	}
-	return st.AppendBinary(buf)
+	root = topo.SwitchID(int32(r.varint()))
+	return kind, root, int(r.uvarint())
 }
 
-// decodeRecord rebuilds the LSA a record was made from, given the
-// connection and the entry's stamp (which the LSA takes).
-func decodeRecord(enc []byte, conn lsa.ConnID, st stamp.Stamp) lsa.MC {
-	r := recordReader{enc: enc}
-	src, event, role := r.header()
-	m := lsa.MC{Src: src, Event: event, Role: role, Conn: conn, Stamp: st}
-	var scratch [256]byte
-	t, _, err := mctree.DecodeBinary(r.appendTree(scratch[:0]))
-	if err != nil {
-		panic("core: undecodable event log record: " + err.Error())
+// appendEdges appends t's edges (none for nil) to buf.
+func appendEdges(buf []mctree.Edge, t *mctree.Tree) []mctree.Edge {
+	if t != nil {
+		for i := 0; i < t.NumEdges(); i++ {
+			buf = append(buf, t.Edge(i))
+		}
 	}
-	m.Proposal = t
-	return m
+	return buf
+}
+
+// stepEdges appends to dst the symmetric difference of the edge set edges
+// and the edge difference of n edges that r reads next: the edge set on
+// one side of the record becomes the one on the other. Both are in
+// canonical order, and so is the result.
+func stepEdges(dst, edges []mctree.Edge, r *recordReader, n int) []mctree.Edge {
+	i := 0
+	for ; n > 0; n-- {
+		e := mctree.Edge{
+			A: topo.SwitchID(int32(uint32(r.uvarint()))),
+			B: topo.SwitchID(int32(uint32(r.uvarint()))),
+		}
+		for i < len(edges) && edgeLess(edges[i], e) {
+			dst = append(dst, edges[i])
+			i++
+		}
+		if i < len(edges) && edges[i] == e {
+			i++
+		} else {
+			dst = append(dst, e)
+		}
+	}
+	return append(dst, edges[i:]...)
 }

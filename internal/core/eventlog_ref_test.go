@@ -232,7 +232,7 @@ func TestEventLogMatchesPointerReference(t *testing.T) {
 					t.Helper()
 					for p, pr := range pairs {
 						cs, ref := pr.cs, pr.ref
-						if got, want := logIndexes(cs), refIndexes(ref); fmt.Sprint(got) != fmt.Sprint(want) {
+						if got, want := retainedIndexes(cs), refIndexes(ref); fmt.Sprint(got) != fmt.Sprint(want) {
 							t.Fatalf("step %d, log %d: indexes %v, reference %v", step, p, got, want)
 						}
 						if !cs.logFloor.Equal(ref.logFloor) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -35,12 +36,21 @@ func (sn *scriptNet) churn(id topo.SwitchID, events int) {
 	}
 }
 
-// logIndexes lists (origin, index) of every retained entry, in log order.
-func logIndexes(cs *connState) [][2]uint32 {
+// retainedIndexes lists (origin, index) of every retained entry, in log order,
+// walking back from logLast as trimLog does.
+func retainedIndexes(cs *connState) [][2]uint32 {
 	var out [][2]uint32
-	for i, e := range cs.logIndex {
-		out = append(out, [2]uint32{uint32(recordSrc(cs.record(i))), e.idx})
+	cur := cs.logLast.Clone()
+	for end := len(cs.logArena); end > 0; {
+		body, start := prevRecord(cs.logArena, end)
+		r := recordReader{enc: body}
+		x := int(r.uvarint())
+		out = append(out, [2]uint32{uint32(x), cur[x]})
+		r.skip(2)
+		r.stepStamp(cur, false)
+		end = start
 	}
+	slices.Reverse(out)
 	return out
 }
 
@@ -77,8 +87,8 @@ func TestEventLogBounded(t *testing.T) {
 		t.Fatalf("heap grew with history: %d B after 2 000 events, %d B after 20 000", at2k, at20k)
 	}
 	cs := m.conns[1]
-	if cs.r[0] != 20000 || cs.logFloor[0] != cs.r[0]-uint32(len(cs.logIndex)) {
-		t.Fatalf("floor does not meet the suffix: r=%d floor=%d retained=%d", cs.r[0], cs.logFloor[0], len(cs.logIndex))
+	if cs.r[0] != 20000 || cs.logFloor[0] != cs.r[0]-uint32(cs.logDepth) {
+		t.Fatalf("floor does not meet the suffix: r=%d floor=%d retained=%d", cs.r[0], cs.logFloor[0], cs.logDepth)
 	}
 	runtime.KeepAlive(m)
 }
@@ -126,7 +136,7 @@ func TestColdRejoinBelowFloor(t *testing.T) {
 	if n := srv.Metrics().CatchUpsServed; n != 1 {
 		t.Fatalf("CatchUpsServed = %d, want 1", n)
 	}
-	if got := logIndexes(blank.conns[1]); len(got) != 5 || got[0] != [2]uint32{1, 1} || got[4] != [2]uint32{1, 5} {
+	if got := retainedIndexes(blank.conns[1]); len(got) != 5 || got[0] != [2]uint32{1, 1} || got[4] != [2]uint32{1, 5} {
 		t.Fatalf("replayed suffix not logged in order: %v", got)
 	}
 	// What the rejoined switch cannot replay it will catch others up on.
@@ -225,7 +235,7 @@ func TestCatchUpApply(t *testing.T) {
 	if m.Metrics().CatchUpsApplied != 1 {
 		t.Fatalf("CatchUpsApplied = %d", m.Metrics().CatchUpsApplied)
 	}
-	if got := logIndexes(cs); len(got) != 2 || got[0] != [2]uint32{0, 1} || got[1] != [2]uint32{0, 6} {
+	if got := retainedIndexes(cs); len(got) != 2 || got[0] != [2]uint32{0, 1} || got[1] != [2]uint32{0, 6} {
 		t.Fatalf("log = %v, want the 1st and 6th events (the catch-up itself is not logged)", got)
 	}
 

@@ -870,15 +870,16 @@ func (m *Machine) install(cs *connState, chain ChainID, t *mctree.Tree, via Enti
 func (m *Machine) EventLogDepth() int {
 	total := 0
 	for _, cs := range m.conns {
-		total += len(cs.logIndex)
+		total += int(cs.logDepth)
 	}
 	return total
 }
 
 // EventLogBytes returns what the event logs counted by EventLogDepth
-// occupy, in bytes: the capacity of every connection's record arena and
-// index, filled or not (observability: what the replay log costs, not
-// just how deep it is).
+// occupy, in bytes: the capacity of every connection's record arena,
+// filled or not (observability: what the replay log costs, not just how
+// deep it is). Each log's newest proposal (logTip) is the logged LSA's
+// own tree, shared by pointer, and is not counted.
 func (m *Machine) EventLogBytes() int {
 	total := 0
 	for _, cs := range m.conns {

@@ -1,9 +1,12 @@
 package rt
 
 import (
+	"context"
 	"fmt"
+	"runtime/pprof"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -162,6 +165,12 @@ type Node struct {
 	activity   atomic.Uint64
 	decodeErrs atomic.Uint64
 
+	// relayLabels and lsaLabels carry the receive loop's profiler labels,
+	// switch=<id> with work=relay or work=lsa: the loop runs under the
+	// first and switches to the second around its machine step. Built
+	// once, so a batch allocates nothing for them.
+	relayLabels, lsaLabels context.Context
+
 	closed    chan struct{}
 	closeOnce sync.Once
 	wg        sync.WaitGroup
@@ -196,6 +205,9 @@ func NewNode(cfg NodeConfig, tr Transport) (*Node, error) {
 		closed:      make(chan struct{}),
 		origTx:      sync.Pool{New: func() any { return new(txStages) }},
 	}
+	sw := strconv.Itoa(int(cfg.ID))
+	n.relayLabels = pprof.WithLabels(context.Background(), pprof.Labels("switch", sw, "work", "relay"))
+	n.lsaLabels = pprof.WithLabels(context.Background(), pprof.Labels("switch", sw, "work", "lsa"))
 	if cfg.FlightRecords > 0 {
 		n.flight = obs.NewFlightRecorder(cfg.FlightRecords)
 		if cfg.SampleEvery > 0 {
@@ -449,9 +461,11 @@ type rxState struct {
 }
 
 // recvLoop is the transport receive loop: it hands each received batch to
-// handleBatch until the transport closes.
+// handleBatch until the transport closes. It runs under the profiler
+// labels switch=<id>, work=relay.
 func (n *Node) recvLoop() {
 	defer n.wg.Done()
+	pprof.SetGoroutineLabels(n.relayLabels)
 	var rx rxState
 	var batch [][]byte
 	var err error
@@ -490,7 +504,9 @@ func (n *Node) handleBatch(rx *rxState, batch [][]byte) {
 			start = time.Now()
 		}
 		n.flight.Record(obs.RecLSAApply, 0, uint32(n.id), 0, uint64(len(msgs)))
+		pprof.SetGoroutineLabels(n.lsaLabels)
 		n.step(uint64(len(msgs)), func(m *core.Machine) { m.ReceiveBatch(nil, msgs) })
+		pprof.SetGoroutineLabels(n.relayLabels)
 		if n.batchDur != nil {
 			n.batchDur.Observe(time.Since(start).Seconds())
 		}

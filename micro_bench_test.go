@@ -183,6 +183,78 @@ func BenchmarkMachineIdleConns(b *testing.B) {
 	}
 }
 
+// BenchmarkEventLogEntry measures what the replay log keeps per entry
+// (B/entry: EventLogBytes over EventLogDepth) on a bystander switch of an
+// n-switch grid that applies a busy connection's events as the bench's
+// churn workload makes them: permanent members join, then churners join
+// one after another and leave one after another, each event carrying the
+// SPH proposal for the members after it, so consecutive proposals differ
+// in a few edges. The switch applies EventLogLimit+32 events: the log has
+// trimmed once and is part way to its next trim.
+func BenchmarkEventLogEntry(b *testing.B) {
+	for _, shape := range []struct {
+		side              int
+		members, churners []topo.SwitchID
+	}{
+		{4, []topo.SwitchID{3, 4, 6, 8, 14}, []topo.SwitchID{11, 1, 7, 5, 15}},
+		{10, []topo.SwitchID{3, 8, 13, 18, 23, 28, 33, 38, 43, 48, 53, 58, 63, 68, 73, 78, 83, 88, 93, 98},
+			[]topo.SwitchID{1, 11, 22, 47, 76}},
+	} {
+		n := shape.side * shape.side
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			g, err := topo.Grid(shape.side, shape.side, 5*time.Microsecond)
+			if err != nil {
+				b.Fatal(err)
+			}
+			members := mctree.Members{}
+			st := stamp.New(n)
+			var events []any
+			event := func(src topo.SwitchID, ev lsa.Event, role mctree.Role) {
+				if ev == lsa.Join {
+					members[src] = role
+				} else {
+					delete(members, src)
+				}
+				tree, err := (route.SPH{}).Compute(g, mctree.Symmetric, members)
+				if err != nil {
+					b.Fatal(err)
+				}
+				st.Inc(int(src))
+				events = append(events, &lsa.MC{Src: src, Event: ev, Role: role, Conn: 1,
+					Proposal: tree, Stamp: st.Clone()})
+			}
+			for _, s := range shape.members {
+				event(s, lsa.Join, mctree.SenderReceiver)
+			}
+			for i := 0; len(events) < core.EventLogLimit+32; i++ {
+				s := shape.churners[i%len(shape.churners)]
+				if (i/len(shape.churners))%2 == 0 {
+					event(s, lsa.Join, mctree.Sender)
+				} else {
+					event(s, lsa.Leave, 0)
+				}
+			}
+			var perEntry float64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m, err := core.NewMachine(core.MachineConfig{
+					ID: 0, Graph: g, Algorithm: route.SPH{},
+				}, nullHost{neighbors: g.Neighbors(0)})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for j := range events {
+					m.ReceiveBatch(nil, events[j:j+1])
+					m.ClearEffects()
+				}
+				perEntry = float64(m.EventLogBytes()) / float64(m.EventLogDepth())
+			}
+			b.ReportMetric(perEntry, "B/entry")
+		})
+	}
+}
+
 // liveHeap is the heap in use after a collection.
 func liveHeap() int64 {
 	runtime.GC()
