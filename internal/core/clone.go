@@ -17,9 +17,12 @@ import (
 // the machine's future behavior, so two interleavings that reach the same
 // protocol state hash equal and the explorer can deduplicate them.
 
-// Clone returns a deep copy of the machine. The copy shares nothing mutable
-// with the original: the unicast image, every connection's timestamps,
-// member list, out-of-order buffer, and replay log are copied. Immutable values — installed topologies, logged LSAs, the
+// Clone returns a copy of the machine that evolves apart from the
+// original. Every connection's timestamps, member list and out-of-order
+// buffer are copied. Two things are shared until one side writes them:
+// the unicast image (lsr.Instance.Clone, copied before a link change) and
+// each replay log's arena (capped and marked, so neither side trims it in
+// place). Immutable values — installed topologies, logged LSAs, the
 // algorithm, the kind table — are shared by pointer, matching the
 // protocol's own treatment of them (a flooded LSA or installed tree is
 // never modified in place). Metrics are copied by value so the clone

@@ -205,24 +205,19 @@ type action struct {
 }
 
 // World is one global state of the system under exploration: every
-// machine's protocol state, the shared fabric graph, and the pending
-// action set. Worlds are cloned to branch at choice points.
+// machine's protocol state, the fabric graph, and the pending action set.
+// Worlds are cloned to branch at choice points. A clone shares what it has
+// not written: the spec, the graph, the crash high-water marks and every
+// machine until an action writes it (see mine).
 type World struct {
-	cfg Config
-	scn Scenario
-	n   int
+	*spec
 
-	graph    *topo.Graph
-	machines []*core.Machine
+	// graph is shared with clones: a link change replaces it (act).
+	graph *topo.Graph
+	slots []slot
 
-	// injectsBySwitch[s] indexes scn.Injects in program order for switch
-	// s; injectPos[s] is the next one to fire.
-	injectsBySwitch [][]int
-	injectPos       []int
-
-	// injectedMembership counts fired Join/Leave injects per connection
-	// per originating switch (ground truth for event conservation).
-	injectedMembership map[lsa.ConnID][]int
+	// injectPos[s] is the next of injectsBySwitch[s] to fire.
+	injectPos []int
 
 	pending []pendingMsg
 	// held parks frames sent across an active partition: the transport's
@@ -238,18 +233,13 @@ type World struct {
 	nextMsgID    int
 	installs     int
 
-	// Fault-lane state (see faultops.go). side is nil when no partition is
-	// active, else side[s] is s's group. ownHigh[conn][x] records the most
+	// faultPos is the next fault-lane operation to fire; lanes[faultPos] is
+	// the lane's state (see faultops.go). ownHigh[conn][x] records the most
 	// events origin x had issued at any crash of x — the origin-authority
-	// bound must survive the origin forgetting its own counter. crashedEver
-	// switches every quiescent check to the lossy standard; crashedOnce
-	// waives event conservation per switch.
-	faultPos    int
-	side        []int
-	crashed     []bool
-	crashedOnce []bool
-	crashedEver bool
-	ownHigh     map[lsa.ConnID][]uint32
+	// bound must survive the origin forgetting its own counter. Clones share
+	// it: a crash, its one writer, replaces it.
+	faultPos int
+	ownHigh  map[lsa.ConnID][]uint32
 
 	// exchangeErr is the verdict of checkExchange on the transition that
 	// produced this world (checkStep reports it); clones start without one.
@@ -257,6 +247,28 @@ type World struct {
 
 	tracing bool
 	trace   []string
+}
+
+// spec is what every world of one scenario shares and none writes.
+type spec struct {
+	cfg Config
+	scn Scenario
+	n   int
+	// injectsBySwitch[s] indexes scn.Injects in program order for switch s.
+	injectsBySwitch [][]int
+	// lanes[k] is the fault lane's state after its first k operations.
+	lanes []lane
+}
+
+// slot is one switch's machine in a world.
+type slot struct {
+	m *core.Machine
+	// owned reports that no other world holds m, so an action may write it
+	// in place.
+	owned bool
+	// digest is the SHA-256 of m's AppendState, valid while hashed is set.
+	digest [32]byte
+	hashed bool
 }
 
 // NewWorld builds the initial world state for (cfg, scn).
@@ -271,83 +283,82 @@ func NewWorld(cfg Config, scn Scenario) (*World, error) {
 		return nil, fmt.Errorf("explore: fault operations require Resync (partition and crash recovery are resync machinery)")
 	}
 	n := cfg.Graph.NumSwitches()
-	w := &World{
-		cfg:                cfg,
-		scn:                scn,
-		n:                  n,
-		graph:              cfg.Graph.Clone(),
-		machines:           make([]*core.Machine, n),
-		injectsBySwitch:    make([][]int, n),
-		injectPos:          make([]int, n),
-		injectedMembership: make(map[lsa.ConnID][]int),
-		dropsLeft:          cfg.MaxDrops,
-		dupsLeft:           cfg.MaxDups,
-		computesLeft:       cfg.MaxComputes,
-		crashed:            make([]bool, n),
-		crashedOnce:        make([]bool, n),
-		ownHigh:            make(map[lsa.ConnID][]uint32),
-	}
+	sp := &spec{cfg: cfg, scn: scn, n: n, injectsBySwitch: make([][]int, n), lanes: laneTable(scn.Faults, n)}
 	for i, inj := range scn.Injects {
-		w.injectsBySwitch[inj.Switch] = append(w.injectsBySwitch[inj.Switch], i)
+		sp.injectsBySwitch[inj.Switch] = append(sp.injectsBySwitch[inj.Switch], i)
 	}
-	for i := 0; i < n; i++ {
-		m, err := core.NewMachine(core.MachineConfig{
-			ID:              topo.SwitchID(i),
-			Graph:           cfg.Graph,
-			Algorithm:       cfg.Algorithm,
-			Kinds:           cfg.Kinds,
-			Resync:          cfg.Resync,
-			ResyncMaxRounds: cfg.ResyncMaxRounds,
-			Mutation:        cfg.Mutation,
-		}, nil)
+	w := &World{
+		spec:         sp,
+		graph:        cfg.Graph.Clone(),
+		slots:        make([]slot, n),
+		injectPos:    make([]int, n),
+		dropsLeft:    cfg.MaxDrops,
+		dupsLeft:     cfg.MaxDups,
+		computesLeft: cfg.MaxComputes,
+		ownHigh:      make(map[lsa.ConnID][]uint32),
+	}
+	for i := range w.slots {
+		m, err := w.blankMachine(topo.SwitchID(i))
 		if err != nil {
 			return nil, err
 		}
-		w.machines[i] = m
+		w.slots[i] = slot{m: m, owned: true}
 	}
 	return w, nil
 }
 
-// clone branches the world. Traces are not inherited: clones explore
-// silently, and violating schedules are replayed with tracing on.
-func (w *World) clone() *World {
-	c := &World{
-		cfg:             w.cfg,
-		scn:             w.scn,
-		n:               w.n,
-		graph:           w.graph.Clone(),
-		machines:        make([]*core.Machine, w.n),
-		injectsBySwitch: w.injectsBySwitch, // immutable after NewWorld
-		injectPos:       append([]int(nil), w.injectPos...),
-		pending:         append([]pendingMsg(nil), w.pending...),
-		held:            append([]pendingMsg(nil), w.held...),
-		timers:          append([]timer(nil), w.timers...),
-		dropsLeft:       w.dropsLeft,
-		dupsLeft:        w.dupsLeft,
-		computesLeft:    w.computesLeft,
-		nextMsgID:       w.nextMsgID,
-		installs:        w.installs,
-		faultPos:        w.faultPos,
-		crashed:         append([]bool(nil), w.crashed...),
-		crashedOnce:     append([]bool(nil), w.crashedOnce...),
-		crashedEver:     w.crashedEver,
-	}
-	if w.side != nil {
-		c.side = append([]int(nil), w.side...)
-	}
-	c.ownHigh = make(map[lsa.ConnID][]uint32, len(w.ownHigh))
-	for conn, hw := range w.ownHigh {
-		c.ownHigh[conn] = append([]uint32(nil), hw...)
-	}
-	c.injectedMembership = make(map[lsa.ConnID][]int, len(w.injectedMembership))
-	for conn, counts := range w.injectedMembership {
-		c.injectedMembership[conn] = append([]int(nil), counts...)
-	}
-	for i, m := range w.machines {
-		c.machines[i] = m.Clone()
-	}
-	return c
+// blankMachine returns switch s's machine as it boots.
+func (w *World) blankMachine(s topo.SwitchID) (*core.Machine, error) {
+	return core.NewMachine(core.MachineConfig{
+		ID:              s,
+		Graph:           w.cfg.Graph,
+		Algorithm:       w.cfg.Algorithm,
+		Kinds:           w.cfg.Kinds,
+		Resync:          w.cfg.Resync,
+		ResyncMaxRounds: w.cfg.ResyncMaxRounds,
+		Mutation:        w.cfg.Mutation,
+	}, nil)
 }
+
+// clone branches the world. The clone shares every machine with w, and
+// both now copy one before writing it (mine). Traces are not inherited:
+// clones explore silently, and violating schedules are replayed with
+// tracing on.
+func (w *World) clone() *World {
+	for i := range w.slots {
+		w.slots[i].owned = false
+	}
+	return &World{
+		spec:         w.spec,
+		graph:        w.graph,
+		slots:        slices.Clone(w.slots),
+		injectPos:    slices.Clone(w.injectPos),
+		pending:      slices.Clone(w.pending),
+		held:         slices.Clone(w.held),
+		timers:       slices.Clone(w.timers),
+		dropsLeft:    w.dropsLeft,
+		dupsLeft:     w.dupsLeft,
+		computesLeft: w.computesLeft,
+		nextMsgID:    w.nextMsgID,
+		installs:     w.installs,
+		faultPos:     w.faultPos,
+		ownHigh:      w.ownHigh,
+	}
+}
+
+// mine returns switch s's machine for an action to write: a copy of its
+// own if another world shares it. The machine's cached digest is dropped.
+func (w *World) mine(s topo.SwitchID) *core.Machine {
+	sl := &w.slots[s]
+	if !sl.owned {
+		sl.m, sl.owned = sl.m.Clone(), true
+	}
+	sl.hashed = false
+	return sl.m
+}
+
+// lane returns the fault lane's state at w's position in it.
+func (w *World) lane() *lane { return &w.lanes[w.faultPos] }
 
 // appendPayload appends a canonical rendering of a pending payload to buf
 // (for sort keys and state hashing). Every payload the harness enqueues is
@@ -391,9 +402,9 @@ func (w *World) enabled() []action {
 	// further events, so the all-zero schedule degrades to fault-free,
 	// near-sequential execution — the natural base case for shrinking.
 	var out []action
-	for s, m := range w.machines {
+	for s, sl := range w.slots {
 		for _, e := range entities {
-			if m.Computing(e) {
+			if sl.m.Computing(e) {
 				out = append(out, action{kind: actComplete, sw: topo.SwitchID(s), ent: e})
 			}
 		}
@@ -403,7 +414,7 @@ func (w *World) enabled() []action {
 		pm := &w.pending[i]
 		// A switch whose ReceiveLSA is computing consumes nothing: copies
 		// addressed to it stay in flight, where a fault can still hit them.
-		busy := w.machines[pm.to].Computing(core.ReceiveLSA)
+		busy := w.slots[pm.to].m.Computing(core.ReceiveLSA)
 		for _, o := range faults.Choices(
 			!pm.internal && w.dropsLeft > 0,
 			!pm.internal && w.dupsLeft > 0 && !pm.duped,
@@ -431,7 +442,7 @@ func (w *World) enabled() []action {
 		// A dead switch accepts no local events; its remaining injects
 		// resume after the restart (the fault lane guarantees one comes).
 		// Nor does one whose EventHandler is still computing.
-		if w.injectPos[s] < len(w.injectsBySwitch[s]) && !w.crashed[s] && !w.machines[s].Computing(core.EventHandler) {
+		if w.injectPos[s] < len(w.injectsBySwitch[s]) && !w.lane().dead[s] && !w.slots[s].m.Computing(core.EventHandler) {
 			key := binary.BigEndian.AppendUint32([]byte{4}, uint32(s))
 			out = append(out, action{kind: actInject, sw: topo.SwitchID(s), key: key})
 		}
@@ -524,14 +535,6 @@ func (w *World) apply(a action) {
 		idx := w.injectsBySwitch[a.sw][w.injectPos[a.sw]]
 		w.injectPos[a.sw]++
 		inj := w.scn.Injects[idx]
-		if inj.Event.Kind == lsa.Join || inj.Event.Kind == lsa.Leave {
-			counts := w.injectedMembership[inj.Event.Conn]
-			if counts == nil {
-				counts = make([]int, w.n)
-				w.injectedMembership[inj.Event.Conn] = counts
-			}
-			counts[inj.Switch]++
-		}
 		w.act(a.sw, func(m *core.Machine) { w.settle(a.sw, core.EventHandler, m.BeginLocalEvent(inj.Event)) })
 	case actDeliver:
 		pm := w.pending[a.msg]
@@ -576,7 +579,7 @@ func (w *World) settle(sw topo.SwitchID, e core.Entity, pending bool) {
 // complete finishes switch sw's pending e computation. An MC LSA for its
 // connection in flight to sw is what Figure 5 line 22 sees as queued.
 func (w *World) complete(sw topo.SwitchID, e core.Entity) bool {
-	m := w.machines[sw]
+	m := w.slots[sw].m
 	conn := m.ComputingConn(e)
 	queued := e == core.ReceiveLSA && slices.ContainsFunc(w.pending, func(pm pendingMsg) bool {
 		mc, ok := pm.payload.(*lsa.MC)
@@ -593,7 +596,7 @@ func (w *World) removePending(i int) {
 func (w *World) Quiescent() bool { return len(w.enabled()) == 0 }
 
 // Machine returns switch s's machine (read-only inspection).
-func (w *World) Machine(s topo.SwitchID) *core.Machine { return w.machines[s] }
+func (w *World) Machine(s topo.SwitchID) *core.Machine { return w.slots[s].m }
 
 // Trace returns the recorded trace (tracing worlds only).
 func (w *World) Trace() []string { return w.trace }
@@ -609,19 +612,27 @@ func (w *World) hash() [32]byte {
 // the next: a search hashes every state it reaches, and one hasher serves
 // it throughout.
 type hasher struct {
+	state []byte   // one machine's encoding
 	buf   []byte   // the state encoding
 	msgs  []byte   // the pending messages' encodings, back to back
 	spans [][2]int // each encoding's [start, end) in msgs
 	ts    []timer
 }
 
-// sum returns w's canonical state digest. In-flight messages hash as a
+// sum returns w's canonical state digest. It covers each machine's digest,
+// which the slot keeps until the machine is written, so hashing a child
+// encodes only the machines its action wrote. In-flight messages hash as a
 // multiset (two interleavings that produced the same pending messages in
 // different orders are the same state).
 func (h *hasher) sum(w *World) [32]byte {
 	buf := h.buf[:0]
-	for _, m := range w.machines {
-		buf = m.AppendState(buf)
+	for i := range w.slots {
+		sl := &w.slots[i]
+		if !sl.hashed {
+			h.state = sl.m.AppendState(h.state[:0])
+			sl.digest, sl.hashed = sha256.Sum256(h.state), true
+		}
+		buf = append(buf, sl.digest[:]...)
 	}
 	for i := 0; i < w.graph.NumLinks(); i++ {
 		buf = appendFlag(buf, w.graph.LinkAt(i).Down)
@@ -647,8 +658,8 @@ func (h *hasher) sum(w *World) [32]byte {
 	for _, p := range w.injectPos {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(p))
 	}
-	// The fault lane is sequential, so side/crashed/crashedOnce are pure
-	// functions of faultPos; hashing the position covers them. (ownHigh is
+	// The fault lane is sequential, so its state is a function of
+	// faultPos; hashing the position covers it. (ownHigh is
 	// path-dependent but only relaxes an invariant bound — excluding it
 	// from dedup at worst re-checks a state against a looser bound.)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(w.faultPos))
@@ -699,7 +710,7 @@ var effectArrays = sync.Pool{New: func() any { return new([]core.Effect) }}
 // interleavings only: there is no FIB to recompile, so forwarding changes
 // need nothing.
 func (w *World) act(s topo.SwitchID, call func(*core.Machine)) {
-	m := w.machines[s]
+	m := w.mine(s)
 	lent := effectArrays.Get().(*[]core.Effect)
 	m.SwapEffects(*lent)
 	call(m)
@@ -723,9 +734,12 @@ func (w *World) act(s topo.SwitchID, call func(*core.Machine)) {
 		case core.EffectNoteInstall:
 			w.installs++
 		case core.EffectFabricLinkChanged:
-			if err := w.graph.SetLinkDown(e.Link.A, e.Link.B, e.Link.Down); err != nil && w.tracing {
+			// Clones share the graph, so the change is made to a copy.
+			g := w.graph.Clone()
+			if err := g.SetLinkDown(e.Link.A, e.Link.B, e.Link.Down); err != nil && w.tracing {
 				w.trace = append(w.trace, fmt.Sprintf("  [%d] fabric: %v", s, err))
 			}
+			w.graph = g
 		case core.EffectTrace:
 			if w.tracing {
 				r := &e.Trace
@@ -738,13 +752,13 @@ func (w *World) act(s topo.SwitchID, call func(*core.Machine)) {
 }
 
 // flood leaves one pending delivery per switch currently reachable from
-// src (flooding cannot cross failed links).
+// src, in switch order (flooding cannot cross failed links).
 func (w *World) flood(src topo.SwitchID, payload any) {
-	comp := append([]topo.SwitchID(nil), w.graph.Component(src)...)
-	sort.Slice(comp, func(i, j int) bool { return comp[i] < comp[j] })
-	for _, dst := range comp {
-		if dst != src {
-			w.send(src, dst, payload)
+	sc := topo.AcquireSSSP()
+	defer topo.ReleaseSSSP(sc)
+	for dst, reached := range w.graph.Reach(sc, src) {
+		if reached && topo.SwitchID(dst) != src {
+			w.send(src, topo.SwitchID(dst), payload)
 		}
 	}
 }
@@ -752,7 +766,10 @@ func (w *World) flood(src topo.SwitchID, payload any) {
 // unicast leaves a message from src in flight to to. Unreachable
 // destinations swallow it, like a fabric with no route.
 func (w *World) unicast(src, to topo.SwitchID, payload any) {
-	if slices.Contains(w.graph.Component(src), to) {
+	sc := topo.AcquireSSSP()
+	reached := w.graph.Reach(sc, src)[to]
+	topo.ReleaseSSSP(sc)
+	if reached {
 		w.send(src, to, payload)
 	}
 }
@@ -762,7 +779,7 @@ func (w *World) unicast(src, to topo.SwitchID, payload any) {
 // heal: under hop-by-hop flooding a frame reaches the boundary and is
 // forwarded onward once connectivity returns (see faultops.go).
 func (w *World) send(src, dst topo.SwitchID, payload any) {
-	if w.crashed[dst] {
+	if w.lane().dead[dst] {
 		return
 	}
 	pm := pendingMsg{id: w.nextMsgID, to: dst, origin: src, payload: payload}

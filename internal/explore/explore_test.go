@@ -2,6 +2,7 @@ package explore
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -449,28 +450,109 @@ func TestTokenRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestCloneIndependence: a cloned world evolves independently of its
-// parent (the Clone deep-copy contract).
+// TestCloneIndependence: a clone shares its parent's machines, and every
+// action applied to it leaves the parent as it was. Along the all-zero
+// schedule of each world, every enabled action is applied to a clone of
+// every state: the parent's digest, re-encoded from its machines rather
+// than read from their cached digests, must not move; every machine the
+// action does not target must still be the parent's own pointer; and the
+// clone's cached digests must equal a fresh encoding.
 func TestCloneIndependence(t *testing.T) {
-	w, err := NewWorld(Config{Graph: ring4(t)}, twoJoins())
-	if err != nil {
-		t.Fatal(err)
+	join := func(s topo.SwitchID) Inject {
+		return Inject{Switch: s, Event: core.LocalEvent{Conn: 1, Kind: lsa.Join, Role: mctree.SenderReceiver}}
 	}
-	w.applyIndex(0) // inject join at switch 0
-	h := w.hash()
-	c := w.clone()
-	if c.hash() != h {
-		t.Fatal("clone hash differs from parent")
+	worlds := []struct {
+		name  string
+		world func(*testing.T) (Config, Scenario)
+	}{
+		{"ring4/join@0,join@2", func(t *testing.T) (Config, Scenario) {
+			return Config{Graph: ring4(t)}, Scenario{Injects: []Inject{join(0), join(2)}}
+		}},
+		{"line4/join@0,split@0.1|2.3,compact@1,heal,crash@3,restart@3", func(t *testing.T) (Config, Scenario) {
+			return lineWorld(t,
+				FaultOp{Kind: FaultSplit, Groups: [][]topo.SwitchID{{0, 1}, {2, 3}}},
+				FaultOp{Kind: FaultCompact, Switch: 1}, FaultOp{Kind: FaultHeal},
+				FaultOp{Kind: FaultCrash, Switch: 3}, FaultOp{Kind: FaultRestart, Switch: 3})
+		}},
+		{"ring4/join@0,join@2,fail@0-1", func(t *testing.T) (Config, Scenario) {
+			fail := Inject{Switch: 0, Event: core.LocalEvent{Kind: lsa.Link, Link: lsa.LinkChange{A: 0, B: 1, Down: true}}}
+			return Config{Graph: ring4(t)}, Scenario{Injects: []Inject{join(0), join(2), fail}}
+		}},
 	}
-	for { // run the clone to quiescence
-		if _, ok := c.applyIndex(0); !ok {
-			break
+	for _, tc := range worlds {
+		t.Run(tc.name, func(t *testing.T) {
+			w, err := NewWorld(tc.world(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for step := 0; ; step++ {
+				acts := w.enabled()
+				if len(acts) == 0 {
+					break
+				}
+				// Hashing the parent caches its digests, which its clones
+				// inherit.
+				h := w.hash()
+				if h != freshHash(w) {
+					t.Fatalf("step %d: the parent's cached digests are stale", step)
+				}
+				for _, a := range acts {
+					c := w.clone()
+					targets := actionTargets(w, a)
+					c.apply(a)
+					if freshHash(w) != h {
+						t.Fatalf("step %d: %s on a clone changed the parent", step, w.describe(a))
+					}
+					for s := range w.slots {
+						if !slices.Contains(targets, topo.SwitchID(s)) && c.Machine(topo.SwitchID(s)) != w.Machine(topo.SwitchID(s)) {
+							t.Fatalf("step %d: %s copied switch %d's machine, which it does not target", step, w.describe(a), s)
+						}
+					}
+					if c.hash() != freshHash(c) {
+						t.Fatalf("step %d: %s left a stale cached digest in the clone", step, w.describe(a))
+					}
+				}
+				w.applyIndex(0)
+			}
+		})
+	}
+}
+
+// freshHash is w's digest with every machine encoded anew, not read from
+// the digests its slots cache.
+func freshHash(w *World) [32]byte {
+	c := *w
+	c.slots = slices.Clone(w.slots)
+	for i := range c.slots {
+		c.slots[i].hashed = false
+	}
+	return c.hash()
+}
+
+// actionTargets lists the switches whose machines a (enabled in w) runs.
+func actionTargets(w *World, a action) []topo.SwitchID {
+	switch a.kind {
+	case actInject, actComplete:
+		return []topo.SwitchID{a.sw}
+	case actDeliver:
+		return []topo.SwitchID{w.pending[a.msg].to}
+	case actFire:
+		return []topo.SwitchID{w.timers[a.timer].sw}
+	case actFault:
+		switch op := w.scn.Faults[w.faultPos]; op.Kind {
+		case FaultCrash, FaultRestart, FaultCompact:
+			return []topo.SwitchID{op.Switch}
+		case FaultHeal:
+			// Both ends of every up link across the cut reconcile.
+			var ends []topo.SwitchID
+			side := w.lane().side
+			for _, l := range w.graph.Links() {
+				if !l.Down && side[l.A] != side[l.B] {
+					ends = append(ends, l.A, l.B)
+				}
+			}
+			return ends
 		}
 	}
-	if w.hash() != h {
-		t.Fatal("running the clone mutated the parent")
-	}
-	if c.hash() == h {
-		t.Fatal("clone did not advance")
-	}
+	return nil
 }

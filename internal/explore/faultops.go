@@ -2,6 +2,8 @@ package explore
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 
 	"dgmc/internal/core"
@@ -226,9 +228,59 @@ func validateFaults(ops []FaultOp, g *topo.Graph) error {
 	return nil
 }
 
+// lane is the fault lane's state after a prefix of its operations. The
+// lane is sequential, so its state is a function of the position alone:
+// NewWorld tabulates it once per scenario (spec.lanes), and a world reads
+// the row at its faultPos.
+type lane struct {
+	// side is nil when no partition is active, else side[s] is s's group.
+	side []int
+	// dead[s]: s has crashed and not yet restarted.
+	dead []bool
+	// wiped[s]: s has crashed at least once, which waives event
+	// conservation for it and holds the schedule to the lossy standard.
+	wiped []bool
+	// compacted: a compact operation has fired, so a switch may hold a log
+	// shorter than its history (see checkExchange).
+	compacted bool
+}
+
+// laneTable returns the fault lane's state before each of ops and after
+// the last.
+func laneTable(ops []FaultOp, n int) []lane {
+	lanes := []lane{{dead: make([]bool, n), wiped: make([]bool, n)}}
+	for _, op := range ops {
+		l := lanes[len(lanes)-1]
+		switch op.Kind {
+		case FaultSplit:
+			l.side = make([]int, n)
+			for gi, grp := range op.Groups {
+				for _, s := range grp {
+					l.side[s] = gi
+				}
+			}
+		case FaultHeal:
+			l.side = nil
+		case FaultCrash:
+			l.dead = slices.Clone(l.dead)
+			l.dead[op.Switch] = true
+			l.wiped = slices.Clone(l.wiped)
+			l.wiped[op.Switch] = true
+		case FaultRestart:
+			l.dead = slices.Clone(l.dead)
+			l.dead[op.Switch] = false
+		case FaultCompact:
+			l.compacted = true
+		}
+		lanes = append(lanes, l)
+	}
+	return lanes
+}
+
 // partitioned reports whether an active split separates a and b.
 func (w *World) partitioned(a, b topo.SwitchID) bool {
-	return w.side != nil && w.side[a] != w.side[b]
+	side := w.lane().side
+	return side != nil && side[a] != side[b]
 }
 
 // applyFault fires the next fault-lane operation.
@@ -237,19 +289,11 @@ func (w *World) applyFault() {
 	w.faultPos++
 	switch op.Kind {
 	case FaultSplit:
-		side := make([]int, w.n)
-		for gi, grp := range op.Groups {
-			for _, s := range grp {
-				side[s] = gi
-			}
-		}
-		w.side = side
 		// Frames already in flight keep their delivery actions; sends
 		// issued while the split is active park in w.held (see the file
 		// comment and World.flood).
 	case FaultHeal:
-		side := w.side
-		w.side = nil
+		side := w.lanes[w.faultPos-1].side // the partition this heal ends
 		// Parked cross-group frames re-enter the schedulable pool and race
 		// the reconciliation traffic below — the explorer decides who wins.
 		w.pending = append(w.pending, w.held...)
@@ -262,24 +306,23 @@ func (w *World) applyFault() {
 		}
 	case FaultCrash:
 		s := op.Switch
-		// The origin-authority invariant compares against the most events
-		// the origin ever issued; a crash resets the origin's live counter,
-		// so record the high-water mark before the state is lost.
-		m := w.machines[s]
+		// The origin-authority bound is the most events the origin ever
+		// issued, and a crash resets its live counter: record the high-water
+		// mark before the state is lost, in copies of the marks clones share.
+		m := w.slots[s].m
+		high := maps.Clone(w.ownHigh)
 		for _, conn := range m.AllConnections() {
 			r, _, _, _ := m.Stamps(conn)
-			hw := w.ownHigh[conn]
+			hw := slices.Clone(high[conn])
 			if hw == nil {
 				hw = make([]uint32, w.n)
-				w.ownHigh[conn] = hw
 			}
 			if int(s) < len(r) && r[s] > hw[s] {
 				hw[s] = r[s]
 			}
+			high[conn] = hw
 		}
-		w.crashed[s] = true
-		w.crashedOnce[s] = true
-		w.crashedEver = true
+		w.ownHigh = high
 		kept := w.pending[:0]
 		for _, pm := range w.pending {
 			if pm.to != s {
@@ -296,24 +339,15 @@ func (w *World) applyFault() {
 		w.timers = kt
 		// Volatile state dies with the process: install the blank successor
 		// machine now. Nothing can reach it until the restart.
-		nm, err := core.NewMachine(core.MachineConfig{
-			ID:              s,
-			Graph:           w.cfg.Graph,
-			Algorithm:       w.cfg.Algorithm,
-			Kinds:           w.cfg.Kinds,
-			Resync:          w.cfg.Resync,
-			ResyncMaxRounds: w.cfg.ResyncMaxRounds,
-			Mutation:        w.cfg.Mutation,
-		}, nil)
+		nm, err := w.blankMachine(s)
 		if err != nil {
 			panic(fmt.Sprintf("explore: blank machine for crashed switch %d: %v", s, err))
 		}
-		w.machines[s] = nm
+		w.slots[s] = slot{m: nm, owned: true}
 	case FaultRestart:
 		s := op.Switch
-		w.crashed[s] = false
 		w.act(s, func(m *core.Machine) { m.RequestFullResync(w.graph.Neighbors(s)) })
 	case FaultCompact:
-		w.machines[op.Switch].CompactEventLogs()
+		w.mine(op.Switch).CompactEventLogs()
 	}
 }

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"fmt"
+	"slices"
 
 	"dgmc/internal/core"
 	"dgmc/internal/lsa"
@@ -92,9 +93,9 @@ func (w *World) checkStep() error {
 	}
 	// Origin-authoritative event counts: own[x] = R[x] at switch x.
 	own := make(map[lsa.ConnID][]uint32)
-	for s, m := range w.machines {
-		for _, conn := range m.AllConnections() {
-			r, _, _, _ := m.Stamps(conn)
+	for s, sl := range w.slots {
+		for _, conn := range sl.m.AllConnections() {
+			r, _, _, _ := sl.m.Stamps(conn)
 			counts := own[conn]
 			if counts == nil {
 				counts = make([]uint32, w.n)
@@ -120,9 +121,9 @@ func (w *World) checkStep() error {
 			}
 		}
 	}
-	for s, m := range w.machines {
-		for _, conn := range m.AllConnections() {
-			r, e, c, _ := m.Stamps(conn)
+	for s, sl := range w.slots {
+		for _, conn := range sl.m.AllConnections() {
+			r, e, c, _ := sl.m.Stamps(conn)
 			if !e.Geq(r) {
 				return fmt.Errorf("switch %d conn %d: R exceeds E: R=%s E=%s", s, conn, r, e)
 			}
@@ -149,7 +150,7 @@ func (w *World) checkStep() error {
 // copies of both ends and verifies exchange completeness (see the file
 // comment). Called with the server still in its pre-delivery state.
 func (w *World) checkExchange(server topo.SwitchID, req *lsa.ResyncRequest) error {
-	if !w.compacted() {
+	if !w.lane().compacted {
 		// Logs only lose entries to a compact operation here (no scenario
 		// is long enough to fill one), and a switch holding its whole log
 		// replays from it exactly as before there was anything to trim:
@@ -160,11 +161,11 @@ func (w *World) checkExchange(server topo.SwitchID, req *lsa.ResyncRequest) erro
 		// A request can outlive its sender: the blank machine that replaced
 		// a crashed requester never held the R this one advertises, and the
 		// answer is only complete on top of it.
-		if r, _, _, ok := w.machines[req.From].Stamps(req.Conn); !ok || !r.Geq(req.R) {
+		if r, _, _, ok := w.slots[req.From].m.Stamps(req.Conn); !ok || !r.Geq(req.R) {
 			return nil
 		}
 	}
-	srv := w.machines[server].Clone()
+	srv := w.slots[server].m.Clone()
 	srv.ReceiveBatch(nil, []any{req})
 	var answers []any
 	for _, e := range srv.Effects() {
@@ -172,7 +173,7 @@ func (w *World) checkExchange(server topo.SwitchID, req *lsa.ResyncRequest) erro
 			answers = append(answers, e.Payload)
 		}
 	}
-	asker := w.machines[req.From].Clone()
+	asker := w.slots[req.From].m.Clone()
 	// The answers wait in the asker's queue for as long as it computes.
 	for asker.Complete(core.ReceiveLSA, false) {
 	}
@@ -191,18 +192,6 @@ func (w *World) checkExchange(server topo.SwitchID, req *lsa.ResyncRequest) erro
 	return nil
 }
 
-// compacted reports whether a compact operation has fired: from then on a
-// switch may hold a log shorter than its history, its own or — once it has
-// applied a catch-up — a peer's.
-func (w *World) compacted() bool {
-	for _, op := range w.scn.Faults[:w.faultPos] {
-		if op.Kind == FaultCompact {
-			return true
-		}
-	}
-	return false
-}
-
 // lossyStandard reports whether this schedule's history downgrades it to
 // the weakened quiescent standard. Crashes, like budgeted drops,
 // legitimately lose information (frames queued at the dead switch, events
@@ -210,15 +199,15 @@ func (w *World) compacted() bool {
 // is held to the lossy standard. Pure split/heal schedules lose nothing
 // heal reconciliation cannot replay and keep the strict standard.
 func (w *World) lossyStandard() bool {
-	return w.dropsLeft < w.cfg.MaxDrops || w.crashedEver
+	return w.dropsLeft < w.cfg.MaxDrops || slices.Contains(w.lane().wiped, true)
 }
 
 // checkQuiescent verifies the consensus invariants. Call only when no
 // action is enabled.
 func (w *World) checkQuiescent() error {
-	for s, m := range w.machines {
+	for s, sl := range w.slots {
 		for _, e := range entities {
-			if m.Computing(e) {
+			if sl.m.Computing(e) {
 				return fmt.Errorf("quiescent: switch %d %s computation still pending", s, e)
 			}
 		}
@@ -236,10 +225,10 @@ func (w *World) checkQuiescent() error {
 // permanently dropped at least one message (see the file comment): no
 // switch may end silently wedged mid-recovery.
 func (w *World) checkQuiescentLossy() error {
-	for s, m := range w.machines {
-		for _, conn := range m.AllConnections() {
-			if m.Gapped(conn) && !m.ResyncGaveUp(conn) {
-				r, e, c, _ := m.Stamps(conn)
+	for s, sl := range w.slots {
+		for _, conn := range sl.m.AllConnections() {
+			if sl.m.Gapped(conn) && !sl.m.ResyncGaveUp(conn) {
+				r, e, c, _ := sl.m.Stamps(conn)
 				return fmt.Errorf("quiescent: switch %d conn %d wedged mid-recovery with resync rounds to spare: R=%s E=%s C=%s",
 					s, conn, r, e, c)
 			}
@@ -250,9 +239,9 @@ func (w *World) checkQuiescentLossy() error {
 
 // views presents the world's machines to core.CheckAgreement.
 func (w *World) views() []core.View {
-	views := make([]core.View, len(w.machines))
-	for i, m := range w.machines {
-		views[i] = m
+	views := make([]core.View, len(w.slots))
+	for i := range w.slots {
+		views[i] = w.slots[i].m
 	}
 	return views
 }
@@ -262,24 +251,28 @@ func (w *World) views() []core.View {
 // lost event would leave R[x] at switch x below the number of events the
 // world handed it).
 func (w *World) checkEventConservation() error {
-	for conn, counts := range w.injectedMembership {
-		for s := 0; s < w.n; s++ {
-			if counts[s] == 0 {
-				continue
+	for s := 0; s < w.n; s++ {
+		// A switch that crashed may legitimately have lost events it
+		// originated but had not replicated before dying.
+		if w.lane().wiped[s] {
+			continue
+		}
+		// The membership events fired at s so far, per connection.
+		counts := make(map[lsa.ConnID]uint32)
+		for _, idx := range w.injectsBySwitch[s][:w.injectPos[s]] {
+			if ev := w.scn.Injects[idx].Event; ev.Kind == lsa.Join || ev.Kind == lsa.Leave {
+				counts[ev.Conn]++
 			}
-			// A switch that crashed may legitimately have lost events it
-			// originated but had not replicated before dying.
-			if w.crashedOnce[s] {
-				continue
-			}
-			r, _, _, ok := w.machines[s].Stamps(conn)
+		}
+		for conn, count := range counts {
+			r, _, _, ok := w.slots[s].m.Stamps(conn)
 			if !ok {
 				return fmt.Errorf("quiescent: conn %d: switch %d lost all state despite %d injected events",
-					conn, s, counts[s])
+					conn, s, count)
 			}
-			if s < len(r) && r[s] < uint32(counts[s]) {
+			if s < len(r) && r[s] < count {
 				return fmt.Errorf("quiescent: conn %d: switch %d own event count R[%d]=%d below %d injected events",
-					conn, s, s, r[s], counts[s])
+					conn, s, s, r[s], count)
 			}
 		}
 	}

@@ -66,10 +66,10 @@ func TestInvariantOwnHighCarryover(t *testing.T) {
 			t.Fatal("world quiesced before the crash fired")
 		}
 	}
-	if len(w.machines[3].AllConnections()) != 0 {
+	if len(w.Machine(3).AllConnections()) != 0 {
 		t.Fatal("crashed switch still holds connection state")
 	}
-	snap, ok := w.machines[0].Connection(1)
+	snap, ok := w.Machine(0).Connection(1)
 	if !ok || snap.R[3] == 0 {
 		t.Fatalf("survivor lost the origin's events: ok=%v snap=%+v", ok, snap)
 	}
@@ -130,7 +130,7 @@ func TestInvariantLossyDowngrade(t *testing.T) {
 	if !w.lossyStandard() {
 		t.Fatalf("dropped frames but still strict: dropsLeft=%d max=%d", w.dropsLeft, w.cfg.MaxDrops)
 	}
-	if _, ok := w.machines[3].Connection(1); ok {
+	if _, ok := w.Machine(3).Connection(1); ok {
 		t.Fatal("switch 3 heard about the connection despite the drops")
 	}
 	if err := core.CheckAgreement(w.graph, w.views()); err == nil {

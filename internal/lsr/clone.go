@@ -2,29 +2,28 @@ package lsr
 
 import (
 	"encoding/binary"
+	"maps"
 	"slices"
 
 	"dgmc/internal/topo"
 )
 
-// Clone returns an independent deep copy of the instance: same switch,
-// same image contents, same staleness-protection state, sharing nothing
-// mutable with the original. The schedule-exploration harness
+// Clone returns a copy of the instance that evolves apart from the
+// original: same switch, same image contents, same staleness-protection
+// state. The image is shared until either side changes a link in it —
+// HandleLSA copies a shared image before its first write — and the
+// routing table is shared because every recompute replaces it whole; the
+// staleness map is copied. The schedule-exploration harness
 // (internal/explore) uses it to branch a switch's state at a choice point.
 func (i *Instance) Clone() *Instance {
-	c := &Instance{
-		self:    i.self,
-		image:   i.image.Clone(),
-		nextHop: make([]topo.SwitchID, len(i.nextHop)),
-		version: i.version,
-		mySeq:   i.mySeq,
-		seen:    make(map[topo.SwitchID]uint32, len(i.seen)),
+	c := *i
+	c.imageShared, c.seen = true, maps.Clone(i.seen)
+	// The original's mark is written once, which keeps cloning a clone (a
+	// snapshot restored twice) free of writes.
+	if !i.imageShared {
+		i.imageShared = true
 	}
-	copy(c.nextHop, i.nextHop)
-	for k, v := range i.seen {
-		c.seen[k] = v
-	}
-	return c
+	return &c
 }
 
 // AppendState appends a canonical encoding of the instance's

@@ -19,10 +19,13 @@ import (
 // Instance is a single switch's link-state routing state: its local image
 // of the network and the unicast routing table derived from it.
 type Instance struct {
-	self    topo.SwitchID
-	image   *topo.Graph
-	nextHop []topo.SwitchID
-	version uint64
+	self  topo.SwitchID
+	image *topo.Graph
+	// imageShared marks image as shared with a clone (clone.go): the next
+	// link change copies it first.
+	imageShared bool
+	nextHop     []topo.SwitchID
+	version     uint64
 	// mySeq numbers this switch's own advertisements; seen tracks the
 	// highest sequence number accepted per originator (OSPF-style
 	// staleness protection).
@@ -76,6 +79,9 @@ func (i *Instance) HandleLSA(nm *lsa.NonMC) (changed bool, err error) {
 	}
 	if l.Down == nm.Change.Down {
 		return false, nil
+	}
+	if i.imageShared {
+		i.image, i.imageShared = i.image.Clone(), false
 	}
 	if err := i.image.SetLinkDown(nm.Change.A, nm.Change.B, nm.Change.Down); err != nil {
 		return false, err

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"dgmc/internal/core"
+	"dgmc/internal/explore"
 	"dgmc/internal/fib"
 	"dgmc/internal/flood"
 	"dgmc/internal/lsa"
@@ -128,6 +129,37 @@ func BenchmarkMachineClone(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkExhaustive measures the checker's exhaustive search per
+// transition — clone, act, check and hash one branch — on the ring-4
+// world with joins at switches 0 and 2 (1 117 states, 3 702 transitions).
+func BenchmarkExhaustive(b *testing.B) {
+	g, err := topo.Ring(4, 5*time.Microsecond)
+	if err != nil {
+		b.Fatal(err)
+	}
+	join := func(s topo.SwitchID) explore.Inject {
+		return explore.Inject{Switch: s, Event: core.LocalEvent{Conn: 1, Kind: lsa.Join, Role: mctree.SenderReceiver}}
+	}
+	scn := explore.Scenario{Injects: []explore.Inject{join(0), join(2)}}
+	var before, after runtime.MemStats
+	transitions := 0
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := explore.Exhaustive(explore.Config{Graph: g}, scn, explore.Options{})
+		if err != nil || res.Violation != nil || res.Stats.States != 1117 {
+			b.Fatalf("search: err=%v stats=%+v violation=%v", err, res.Stats, res.Violation)
+		}
+		transitions += res.Stats.Transitions
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	per := float64(transitions)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/per, "ns/transition")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/per, "B/transition")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/per, "allocs/transition")
 }
 
 // BenchmarkSnapshotChecksum measures the canonical state encoding plus its
